@@ -33,6 +33,9 @@ kernel library:
   round-robin. Per-block triangle/op counters are merged back in block
   order, so counts, ops, and emitted buffers are bit-identical at any
   ``REPRO_NATIVE_THREADS`` value.
+* **Residual-degree wiring** (:func:`residual_wire`): the main loop of
+  :func:`repro.graphs.generators.residual_degree_model`, in the same
+  compile unit, bit-identical to the Python reference loop.
 
 The exactness argument is the forward/compact-forward one: for each
 edge ``z -> y``, every ``x`` in the intersection of ``N+(z)`` and
@@ -65,6 +68,7 @@ __all__ = [
     "list_triangles_array",
     "resolve_kind",
     "resolve_threads",
+    "residual_wire",
     "self_test",
     "status",
     "stream_triangles",
@@ -365,11 +369,132 @@ pause:
     *ops_out += ops;
     return written;
 }
+
+/* Set node v's sampling weight to w: one Fenwick point update by the
+ * difference, as FenwickTree.add does, plus the running total. */
+static void set_weight(double *tree, double *weight, double *total,
+                       int64_t n, int64_t v, double w)
+{
+    const double delta = w - weight[v];
+    for (int64_t i = v + 1; i <= n; i += i & -i)
+        tree[i] += delta;
+    *total += delta;
+    weight[v] = w;
+}
+
+/* Residual-degree wiring: the main loop of
+ * repro.graphs.generators.residual_degree_model (section 7.2). Nodes
+ * are taken in the caller's hubs-first order; each open stub of node i
+ * picks a partner with probability proportional to its residual
+ * degree among every node except i and i's neighbours.
+ *
+ * The sampling tree mirrors repro.graphs.fenwick.FenwickTree op for op
+ * in float64: the same O(n) construction, the same running total, and
+ * the same binary-lifting descent on target = u * total. Every weight
+ * and partial sum is an integer below 2^53, so tree updates are exact
+ * in any order, and the descent's fractional remainder meets the same
+ * operands in the same sequence as the Python loop. A node's current
+ * weight is tracked in weight[] instead of two prefix sums (equal, by
+ * the same exactness). Neighbour lists live in a CSR scratch array
+ * whose row v has room for degree(v) entries.
+ *
+ * residual holds the degrees on entry and the unplaced stubs on exit;
+ * edges receives (min, max) pairs in placement order; u holds nu >=
+ * sum(degrees) / 2 uniforms, one consumed per placed edge. Returns the
+ * number of edges placed, -1 when scratch allocation fails, and -2 if
+ * a descent lands outside the positive weights (an internal error). */
+int64_t repro_residual_wire(int64_t n, const int64_t *order,
+                            int64_t *residual, const double *u,
+                            int64_t nu, int64_t *edges)
+{
+    double *tree = (double *)calloc((size_t)n + 1, sizeof(double));
+    double *weight = (double *)malloc(((size_t)n + 1) * sizeof(double));
+    int64_t *start = (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
+    int64_t *fill = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
+    int64_t *nbrs = (int64_t *)malloc(
+        ((size_t)(2 * nu) + 1) * sizeof(int64_t));
+    double total = 0.0;
+    int64_t placed = -1;
+    if (!tree || !weight || !start || !fill || !nbrs)
+        goto done;
+
+    start[0] = 0;
+    for (int64_t v = 0; v < n; v++) {
+        start[v + 1] = start[v] + residual[v];
+        weight[v] = (double)residual[v];
+        tree[v + 1] = weight[v];
+        total += weight[v];
+    }
+    for (int64_t i = 1; i <= n; i++) {
+        const int64_t parent = i + (i & -i);
+        if (parent <= n)
+            tree[parent] += tree[i];
+    }
+    int log = 0;
+    while (((int64_t)1 << log) < n)
+        log++;
+
+    placed = 0;
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t i = order[k];
+        if (residual[i] <= 0)
+            continue;
+        /* exclude i and its current neighbours for i's whole run */
+        int64_t *row = nbrs + start[i];
+        set_weight(tree, weight, &total, n, i, 0.0);
+        for (int64_t t = 0; t < fill[i]; t++)
+            if (weight[row[t]] > 0)
+                set_weight(tree, weight, &total, n, row[t], 0.0);
+        while (residual[i] > 0) {
+            if (total <= 1e-9)
+                break; /* stuck: the caller repairs by swaps */
+            /* volatile: round the product before the descent, so no
+             * compiler can fuse it into the first subtraction */
+            volatile double target = u[placed] * total;
+            double remaining = target;
+            int64_t j = 0;
+            for (int64_t step = (int64_t)1 << log; step > 0; step >>= 1) {
+                const int64_t next = j + step;
+                if (next <= n && tree[next] <= remaining) {
+                    remaining -= tree[next];
+                    j = next;
+                }
+            }
+            if (j >= n || !(weight[j] > 0)) {
+                placed = -2;
+                goto done;
+            }
+            edges[2 * placed] = i < j ? i : j;
+            edges[2 * placed + 1] = i < j ? j : i;
+            placed++;
+            row[fill[i]++] = j;
+            nbrs[start[j] + fill[j]++] = i;
+            residual[i]--;
+            residual[j]--;
+            set_weight(tree, weight, &total, n, j, 0.0);
+        }
+        /* restore i and its neighbours to their updated residuals */
+        if (residual[i] > 0)
+            set_weight(tree, weight, &total, n, i, (double)residual[i]);
+        for (int64_t t = 0; t < fill[i]; t++)
+            if (residual[row[t]] > 0)
+                set_weight(tree, weight, &total, n, row[t],
+                           (double)residual[row[t]]);
+    }
+done:
+    free(tree);
+    free(weight);
+    free(start);
+    free(fill);
+    free(nbrs);
+    return placed;
+}
 """
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _U32P = ctypes.POINTER(ctypes.c_uint32)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
+_F64P = ctypes.POINTER(ctypes.c_double)
 
 
 class _Library:
@@ -389,6 +514,11 @@ class _Library:
         self.forward_stream.argtypes = [
             _I64P, _U32P, ctypes.c_int64, ctypes.c_int, _I64P, _U32P,
             ctypes.c_int64, _I64P, _U8P,
+        ]
+        self.residual_wire = cdll.repro_residual_wire
+        self.residual_wire.restype = ctypes.c_int64
+        self.residual_wire.argtypes = [
+            ctypes.c_int64, _I64P, _I64P, _F64P, ctypes.c_int64, _I64P,
         ]
 
 
@@ -749,8 +879,52 @@ def stream_triangles(oriented, chunk_triangles: int = 1 << 20,
     return _gen()
 
 
+def residual_wire(order, residual, u):
+    """Run the residual-degree wiring loop in C, or None if gated.
+
+    ``order`` is the node processing order, ``residual`` an int64 copy
+    of the degree sequence (updated in place to the unplaced stubs),
+    and ``u`` at least ``sum(degrees) // 2`` uniforms on ``[0, 1)``.
+    Returns the placed edges as an ``(used, 2)`` int64 array of
+    ``(min, max)`` pairs in placement order; edge ``k`` consumed
+    ``u[k]``. The caller,
+    :func:`repro.graphs.generators.residual_degree_model`, owns the RNG
+    bookkeeping that makes this bit-identical to its Python loop.
+    """
+    if not available():
+        return None
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    n = residual.size
+    if (residual.dtype != np.int64 or not residual.flags.c_contiguous
+            or order.shape != (n,)):
+        raise ValueError("residual must be a contiguous int64 array "
+                         "the size of order")
+    # the C loop indexes by order and sizes its scratch by the degrees
+    if n and (order.min() < 0 or order.max() >= n
+              or residual.min() < 0 or 2 * u.size < residual.sum()):
+        raise ValueError("order must index 0..n-1, degrees must be "
+                         "non-negative, and u needs sum(degrees) // 2 "
+                         "draws")
+    edges = np.empty((u.size, 2), dtype=np.int64)
+    used = _lib.residual_wire(
+        n, order.ctypes.data_as(_I64P),
+        residual.ctypes.data_as(_I64P), u.ctypes.data_as(_F64P),
+        u.size, edges.ctypes.data_as(_I64P))
+    if used == -1:
+        raise MemoryError("native residual wiring: scratch allocation "
+                          "failed")
+    if used < 0:
+        raise RuntimeError("native residual wiring: descent left the "
+                           "positive weights")
+    return edges[:used]
+
+
 def self_test() -> bool:
-    """Compile-and-verify on a triangle + a path; used by benchmarks."""
+    """Compile-and-verify: a triangle + a path, and a residual wiring.
+
+    Used by benchmarks and CI before trusting the library.
+    """
     if not available():
         return False
     from repro.graphs.graph import Graph
@@ -760,7 +934,20 @@ def self_test() -> bool:
     if count_triangles(tri) != 1:
         return False
     listed = list_triangles_array(tri)
-    return listed is not None and listed.tolist() == [[0, 1, 2]]
+    if listed is None or listed.tolist() != [[0, 1, 2]]:
+        return False
+    # residual wiring: C loop against the Python reference, same seed
+    from repro.graphs import generators
+    degrees = np.array([5, 4, 4, 3, 3, 3, 2, 2, 1, 1], dtype=np.int64)
+    order = np.argsort(degrees)[::-1]
+    rng_ref, rng_native = np.random.default_rng(7), np.random.default_rng(7)
+    ref_edges, ref_residual, __ = generators._wire_python(
+        degrees, order, rng_ref)
+    edges, residual = generators._wire_native(degrees, order, rng_native)
+    return (edges.tolist() == [list(e) for e in ref_edges]
+            and residual.tolist() == ref_residual.tolist()
+            and rng_native.bit_generator.state
+            == rng_ref.bit_generator.state)
 
 
 if __name__ == "__main__":  # pragma: no cover - manual smoke hook

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, _sorted_csr
 from repro.obs import memory as _memory
 
 
@@ -48,8 +48,10 @@ class OrientedGraph:
         if labels.shape != (graph.n,):
             raise ValueError(
                 f"labels must have shape ({graph.n},), got {labels.shape}")
-        if np.unique(labels).size != graph.n or (
-                graph.n and (labels.min() != 0 or labels.max() != graph.n - 1)):
+        # n distinct values in range, counted without a sort
+        if graph.n and (labels.min() < 0 or labels.max() >= graph.n
+                        or np.count_nonzero(np.bincount(labels))
+                        != graph.n):
             raise ValueError("labels must be a permutation of 0..n-1")
         self.graph = graph
         self.labels = labels
@@ -62,17 +64,13 @@ class OrientedGraph:
         src = np.maximum(a, b)  # larger label: the edge's tail
         dst = np.minimum(a, b)  # smaller label: the edge's head
 
-        # out-CSR: for node i, sorted list of out-neighbors (labels < i)
-        order = np.lexsort((dst, src))
-        self._out_indices = dst[order]
-        out_counts = np.bincount(src, minlength=self.n)
+        # out-CSR: for node i, sorted list of out-neighbors (labels < i);
+        # in-CSR: for node i, sorted list of in-neighbors (labels > i).
+        # The sorted keys are not kept: the key arrays stay lazy
+        self._out_indices, out_counts = _sorted_csr(src, dst, self.n)
         self._out_indptr = np.concatenate(
             [[0], np.cumsum(out_counts)]).astype(np.int64)
-
-        # in-CSR: for node i, sorted list of in-neighbors (labels > i)
-        order = np.lexsort((src, dst))
-        self._in_indices = src[order]
-        in_counts = np.bincount(dst, minlength=self.n)
+        self._in_indices, in_counts = _sorted_csr(dst, src, self.n)
         self._in_indptr = np.concatenate(
             [[0], np.cumsum(in_counts)]).astype(np.int64)
 

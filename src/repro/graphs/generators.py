@@ -18,6 +18,33 @@ Two generators:
   sequence *exactly* -- matching the paper's "with the exception of
   possibly one last edge" guarantee (which we handle upstream by making
   the degree sum even).
+
+The residual wiring loop runs in C (``repro_residual_wire`` in
+:mod:`repro.engine.native`, built with the listing kernels) whenever
+``native.available()`` is true, at well under a microsecond per edge.
+The Python loop over :class:`~repro.graphs.fenwick.FenwickTree` stays
+as the reference, and as the fallback when the library is gated off
+(``REPRO_NATIVE=0``) or cannot be built. Validation, the Erdos-Gallai
+guard, swap repair, the Havel-Hakimi fallback and the ``generator.*``
+counters are shared by both paths.
+
+The two paths are bit-identical: the same edges in the same order and
+the same RNG state afterwards, so golden values and simulated tables
+do not depend on which one ran. The argument:
+
+* every tree weight and partial sum is an integer below ``2**53``, so
+  float64 tree updates are exact in any order, and the C descent meets
+  the same operands in the same sequence as ``FenwickTree.sample``;
+* the reference draws one uniform per placed edge. The C path draws
+  ``sum(d) // 2`` (an upper bound) up front, and if it placed fewer
+  edges it restores ``rng.bit_generator.state`` and redraws exactly
+  that many;
+* edges come back in placement order. When stubs are left over, the
+  adjacency sets are rebuilt by inserting those edges in order, which
+  reproduces the reference's sets, iteration order included, for the
+  swap repair that follows.
+
+``tests/test_generators_native.py`` pins the identity.
 """
 
 from __future__ import annotations
@@ -55,9 +82,14 @@ def configuration_model(degrees, rng: np.random.Generator,
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     keep = lo != hi
     lo, hi = lo[keep], hi[keep]
-    keys = lo * np.int64(degrees.size) + hi
-    __, unique_idx = np.unique(keys, return_index=True)
-    edges = np.column_stack([lo[unique_idx], hi[unique_idx]])
+    # dedup in one sort; the survivors decode back to (lo, hi) in key order
+    width = np.int64(degrees.size)
+    keys = np.sort(lo * width + hi)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    lo = keys // width
+    edges = np.column_stack([lo, keys - lo * width])
     if _metrics.is_enabled():
         # stub pairs dropped as self-loops or duplicates: the degree
         # deficit discussed in section 7.2
@@ -98,39 +130,24 @@ def residual_degree_model(degrees, rng: np.random.Generator,
             raise ValueError(
                 "degree sequence is not graphic (Erdos-Gallai fails); "
                 "sample with ensure_graphical=True or repair it first")
-    residual = degrees.astype(np.float64).copy()
-    tree = FenwickTree(residual)
-    adjacency: list[set] = [set() for __ in range(n)]
-    edges: list[tuple[int, int]] = []
-
     order = np.argsort(degrees)[::-1]
-    for i in order:
-        i = int(i)
-        if residual[i] <= 0:
-            continue
-        # exclude i itself and current neighbors for the whole wiring run;
-        # excluded nodes have their tree weight zeroed and are restored to
-        # their (possibly updated) residual once i is fully wired
-        excluded: set[int] = {i}
-        _zero_weight(tree, i)
-        for j in adjacency[i]:
-            _zero_weight(tree, j)
-            excluded.add(j)
-        while residual[i] > 0:
-            total = tree.total
-            if total <= 1e-9:
-                break  # stuck: repaired by swaps below
-            j = tree.sample(rng.random() * total)
-            _add_edge(i, j, adjacency, edges, residual)
-            _zero_weight(tree, j)
-            excluded.add(j)
-        for node in excluded:
-            if residual[node] > 0:
-                tree.add(node, residual[node])
-    # at this point every excluded weight has been restored where the
-    # residual is still positive; repair any leftovers
+    wired = _wire_native(degrees, order, rng)
+    if wired is None:
+        edges, residual, adjacency = _wire_python(degrees, order, rng)
+    else:
+        edges, residual = wired
+        adjacency = None
     leftovers = _leftover_stubs(residual)
     if leftovers:
+        if adjacency is None:
+            # the swap repair works on Python containers; inserting the
+            # edges in placement order reproduces the reference loop's
+            # sets exactly, iteration order included
+            edges = list(map(tuple, edges.tolist()))
+            adjacency = [set() for __ in range(n)]
+            for a, b in edges:
+                adjacency[a].add(b)
+                adjacency[b].add(a)
         if _metrics.is_enabled():
             # stubs the residual process could not place directly;
             # each is resolved by a degree-preserving swap below
@@ -146,6 +163,63 @@ def residual_degree_model(degrees, rng: np.random.Generator,
             _metrics.inc("generator.havel_hakimi_fallbacks")
             return havel_hakimi_graph(degrees, rng)
     return Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def _wire_native(degrees: np.ndarray, order: np.ndarray,
+                 rng: np.random.Generator):
+    """The wiring loop in C: ``(edges, residual)``, or None if gated.
+
+    Draws ``sum(degrees) // 2`` uniforms up front (an upper bound on
+    the edges the loop can place). The reference loop draws one per
+    placed edge, so when the C loop stops short the stream is rewound
+    and exactly ``used`` uniforms are drawn again, leaving ``rng`` where
+    the Python loop leaves it, for any bit generator.
+    """
+    from repro.engine import native  # lazy: engine imports graphs
+    if not native.available():
+        return None
+    half = int(degrees.sum()) // 2
+    state = rng.bit_generator.state
+    u = rng.random(half)
+    residual = degrees.copy()
+    edges = native.residual_wire(order, residual, u)
+    if edges.shape[0] < half:
+        rng.bit_generator.state = state
+        rng.random(edges.shape[0])
+    return edges, residual
+
+
+def _wire_python(degrees: np.ndarray, order: np.ndarray,
+                 rng: np.random.Generator):
+    """The reference wiring loop: ``(edges, residual, adjacency)``."""
+    residual = degrees.astype(np.float64).copy()
+    tree = FenwickTree(residual)
+    adjacency: list[set] = [set() for __ in range(degrees.size)]
+    edges: list[tuple[int, int]] = []
+    for i in order:
+        i = int(i)
+        if residual[i] <= 0:
+            continue
+        # exclude i itself and current neighbors for the whole wiring run;
+        # excluded nodes have their tree weight zeroed and are restored to
+        # their (possibly updated) residual once i is fully wired
+        excluded: set[int] = {i}
+        _zero_weight(tree, i)
+        for j in adjacency[i]:
+            _zero_weight(tree, j)
+            excluded.add(j)
+        while residual[i] > 0:
+            total = tree.total
+            if total <= 1e-9:
+                break  # stuck: repaired by swaps in the caller
+            j = tree.sample(rng.random() * total)
+            _add_edge(i, j, adjacency, edges, residual)
+            _zero_weight(tree, j)
+            excluded.add(j)
+        for node in excluded:
+            if residual[node] > 0:
+                tree.add(node, residual[node])
+    return edges, residual, adjacency
 
 
 def havel_hakimi_graph(degrees, rng: np.random.Generator | None = None,

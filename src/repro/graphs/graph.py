@@ -10,6 +10,24 @@ from __future__ import annotations
 import numpy as np
 
 
+def _sorted_csr(rows: np.ndarray, cols: np.ndarray, n: int,
+                check_duplicates: bool = False):
+    """Column indices sorted by ``(row, col)``, and per-row counts.
+
+    One sort of the int64 keys ``row * n + col``: the sorted keys
+    decode back to columns by subtracting each key's ``row * n``, and
+    a repeated ``(row, col)`` pair is an equal adjacent pair of keys.
+    """
+    width = np.int64(n)
+    keys = rows * width + cols
+    keys.sort()
+    if check_duplicates and np.any(keys[1:] == keys[:-1]):
+        raise ValueError("duplicate edges are not allowed")
+    counts = np.bincount(rows, minlength=n)
+    keys -= np.repeat(np.arange(n, dtype=np.int64) * width, counts)
+    return keys, counts
+
+
 class Graph:
     """Immutable simple undirected graph in CSR form.
 
@@ -32,23 +50,18 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if edges.size and np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loops are not allowed in a simple graph")
-        # canonicalize each edge as (min, max) and check simplicity
+        # canonicalize each edge as (min, max)
         lo = np.minimum(edges[:, 0], edges[:, 1])
         hi = np.maximum(edges[:, 0], edges[:, 1])
-        if edges.size:
-            keys = lo * np.int64(n) + hi
-            if np.unique(keys).size != keys.size:
-                raise ValueError("duplicate edges are not allowed")
+        # CSR over both directions; an edge listed twice (in either
+        # orientation) shows up as an equal pair of sorted keys
+        self._indices, counts = _sorted_csr(
+            np.concatenate([lo, hi]), np.concatenate([hi, lo]), n,
+            check_duplicates=True)
         self.n = int(n)
         self.m = int(edges.shape[0])
         self._edges = np.column_stack([lo, hi]) if edges.size else (
             np.empty((0, 2), dtype=np.int64))
-        # CSR over both directions, neighbor lists sorted ascending
-        heads = np.concatenate([lo, hi])
-        tails = np.concatenate([hi, lo])
-        order = np.lexsort((tails, heads))
-        self._indices = tails[order]
-        counts = np.bincount(heads, minlength=n)
         self._indptr = np.concatenate(
             [[0], np.cumsum(counts)]).astype(np.int64)
         self._degrees = counts.astype(np.int64)

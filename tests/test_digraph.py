@@ -94,3 +94,58 @@ class TestReversalProposition:
             oriented.out_degrees, reversed_oriented.in_degrees[flipped])
         np.testing.assert_array_equal(
             oriented.in_degrees, reversed_oriented.out_degrees[flipped])
+
+
+class TestCSRBuild:
+    """The one-sort out/in CSR build matches a lexsort reference."""
+
+    @staticmethod
+    def _reference(graph, labels):
+        a = labels[graph.edges[:, 0]]
+        b = labels[graph.edges[:, 1]]
+        src, dst = np.maximum(a, b), np.minimum(a, b)
+        out = []
+        for rows, cols in ((src, dst), (dst, src)):
+            order = np.lexsort((cols, rows))
+            counts = np.bincount(rows, minlength=graph.n)
+            out.append((cols[order],
+                        np.concatenate([[0], np.cumsum(counts)]), counts))
+        return out
+
+    def _check(self, graph, labels):
+        oriented = OrientedGraph(graph, labels)
+        (out_idx, out_ptr, out_deg), (in_idx, in_ptr, in_deg) = \
+            self._reference(graph, np.asarray(labels, dtype=np.int64))
+        np.testing.assert_array_equal(oriented.out_csr()[0], out_idx)
+        np.testing.assert_array_equal(oriented.out_csr()[1], out_ptr)
+        np.testing.assert_array_equal(oriented.in_csr()[0], in_idx)
+        np.testing.assert_array_equal(oriented.in_csr()[1], in_ptr)
+        np.testing.assert_array_equal(oriented.out_degrees, out_deg)
+        np.testing.assert_array_equal(oriented.in_degrees, in_deg)
+        for arr in (*oriented.out_csr(), *oriented.in_csr()):
+            assert arr.dtype == np.int64
+        return oriented
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_edges_match_lexsort(self, pareto_graph, seed):
+        rng = np.random.default_rng(seed)
+        edges = pareto_graph.edges[rng.permutation(pareto_graph.m)]
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip][:, ::-1]
+        graph = Graph(pareto_graph.n, edges)
+        oriented = self._check(graph, rng.permutation(graph.n))
+        # the key arrays stay lazy and still decode the CSR
+        assert oriented._out_keys is None and oriented._in_keys is None
+        assert np.all(np.diff(oriented.out_key_array()) > 0)
+        assert np.all(np.diff(oriented.in_key_array()) > 0)
+
+    @pytest.mark.parametrize("n, edges", [
+        (0, []), (4, []), (6, [(5, 1), (0, 5)]),
+    ], ids=["n=0", "m=0", "isolated-vertices"])
+    def test_degenerate_shapes(self, n, edges):
+        self._check(Graph(n, edges), np.arange(n)[::-1])
+
+    def test_invalid_labels_message(self, triangle_graph):
+        for labels in ([0, 0, 1], [1, 2, 3], [-1, 0, 1], [0, 1, 1]):
+            with pytest.raises(ValueError, match="permutation"):
+                OrientedGraph(triangle_graph, labels)

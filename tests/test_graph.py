@@ -83,3 +83,54 @@ class TestQueries:
 
     def test_degree_sum_is_2m(self, pareto_graph):
         assert int(pareto_graph.degrees.sum()) == 2 * pareto_graph.m
+
+
+def _lexsort_csr(n, edges):
+    """Reference CSR: two-key lexsort over both edge directions."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    heads = np.concatenate([edges[:, 0], edges[:, 1]])
+    tails = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((tails, heads))
+    counts = np.bincount(heads, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return tails[order], indptr, counts
+
+
+class TestCSRBuild:
+    """The one-sort CSR build matches a lexsort reference exactly."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_edges_match_lexsort(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 60
+        pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+        edges = pairs[rng.choice(len(pairs), size=400, replace=False)]
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip][:, ::-1]  # either orientation
+        g = Graph(n, edges)
+        indices, indptr, degrees = _lexsort_csr(n, edges)
+        np.testing.assert_array_equal(g._indices, indices)
+        np.testing.assert_array_equal(g._indptr, indptr)
+        np.testing.assert_array_equal(g.degrees, degrees)
+        assert g._indices.dtype == g._indptr.dtype == np.int64
+
+    @pytest.mark.parametrize("n, edges", [
+        (0, []), (4, []), (6, [(5, 1), (0, 5)]),
+    ], ids=["n=0", "m=0", "isolated-vertices"])
+    def test_degenerate_shapes(self, n, edges):
+        g = Graph(n, edges)
+        indices, indptr, degrees = _lexsort_csr(n, edges)
+        np.testing.assert_array_equal(g._indices, indices)
+        np.testing.assert_array_equal(g._indptr, indptr)
+        np.testing.assert_array_equal(g.degrees, degrees)
+        assert g._indptr.shape == (n + 1,)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (2, 3), (1, 0)],
+        [(3, 2), (0, 1), (3, 2)],
+        [(4, 0), (1, 2), (0, 3), (0, 4)],
+    ])
+    def test_duplicates_in_either_orientation_rejected(self, edges):
+        with pytest.raises(ValueError,
+                           match="duplicate edges are not allowed"):
+            Graph(5, edges)
