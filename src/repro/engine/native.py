@@ -36,6 +36,9 @@ kernel library:
 * **Residual-degree wiring** (:func:`residual_wire`): the main loop of
   :func:`repro.graphs.generators.residual_degree_model`, in the same
   compile unit, bit-identical to the Python reference loop.
+* **Smallest-last order** (:func:`smallest_last`): the Matula-Beck
+  bucket queue of :func:`repro.orientations.degenerate.smallest_last_order`,
+  bit-identical to its Python reference loop.
 
 The exactness argument is the forward/compact-forward one: for each
 edge ``z -> y``, every ``x`` in the intersection of ``N+(z)`` and
@@ -70,6 +73,7 @@ __all__ = [
     "resolve_threads",
     "residual_wire",
     "self_test",
+    "smallest_last",
     "status",
     "stream_triangles",
 ]
@@ -489,6 +493,107 @@ done:
     free(nbrs);
     return placed;
 }
+
+/* Matula-Beck smallest-last order: the bucket queue of
+ * repro.orientations.degenerate._smallest_last_python, op for op. Each
+ * bucket is a stack (push at the end, pop from the end), a vertex
+ * leaves its bucket by swap-with-last through position[], the scan for
+ * the lowest non-empty bucket restarts at max(current - 1, 0), and the
+ * neighbours of a deleted vertex are visited in CSR order -- so order[]
+ * and the degeneracy are bit-identical to the Python loop.
+ *
+ * A vertex in bucket d has current degree d <= its initial degree, so
+ * bucket d never holds more than #{v : degrees[v] >= d} vertices. One
+ * slot array of n + sum(degrees) entries, cut at those suffix counts,
+ * holds every bucket without reallocation.
+ *
+ * Returns the degeneracy, -1 when scratch allocation fails, and -2 if a
+ * present vertex would drop below degree 0 (an asymmetric adjacency). */
+int64_t repro_smallest_last(int64_t n, const int64_t *indptr,
+                            const int64_t *indices,
+                            const int64_t *degrees, int64_t *order)
+{
+    int64_t max_deg = 0;
+    for (int64_t v = 0; v < n; v++)
+        if (degrees[v] > max_deg)
+            max_deg = degrees[v];
+    int64_t *degree = (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
+    int64_t *position =
+        (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
+    uint8_t *removed = (uint8_t *)calloc((size_t)n + 1, 1);
+    int64_t *start =
+        (int64_t *)calloc((size_t)max_deg + 2, sizeof(int64_t));
+    int64_t *size = (int64_t *)calloc((size_t)max_deg + 1, sizeof(int64_t));
+    int64_t *slots = 0;
+    int64_t degeneracy = -1;
+    if (!degree || !position || !removed || !start || !size)
+        goto done;
+
+    /* size[] first counts degrees, then suffix-sums them into bucket
+     * capacities; start[] is their prefix sum */
+    for (int64_t v = 0; v < n; v++)
+        size[degrees[v]]++;
+    for (int64_t d = max_deg - 1; d >= 0; d--)
+        size[d] += size[d + 1];
+    for (int64_t d = 0; d <= max_deg; d++) {
+        start[d + 1] = start[d] + size[d];
+        size[d] = 0;
+    }
+    slots = (int64_t *)malloc(((size_t)start[max_deg + 1] + 1)
+                              * sizeof(int64_t));
+    if (!slots)
+        goto done;
+    for (int64_t v = 0; v < n; v++) {
+        const int64_t d = degrees[v];
+        degree[v] = d;
+        position[v] = size[d];
+        slots[start[d] + size[d]++] = v;
+    }
+
+    degeneracy = 0;
+    int64_t current = 0;
+    for (int64_t step = 0; step < n; step++) {
+        current = current > 0 ? current - 1 : 0;
+        while (current <= max_deg && size[current] == 0)
+            current++;
+        if (current > max_deg) {
+            degeneracy = -2;
+            goto done;
+        }
+        const int64_t v = slots[start[current] + --size[current]];
+        removed[v] = 1;
+        order[step] = v;
+        if (current > degeneracy)
+            degeneracy = current;
+        for (int64_t i = indptr[v]; i < indptr[v + 1]; i++) {
+            const int64_t u = indices[i];
+            if (removed[u])
+                continue;
+            const int64_t d = degree[u];
+            if (d <= 0) {
+                degeneracy = -2;
+                goto done;
+            }
+            /* move u from bucket d to bucket d - 1 */
+            int64_t *bucket = slots + start[d];
+            const int64_t pos = position[u];
+            const int64_t last = bucket[--size[d]];
+            bucket[pos] = last;
+            position[last] = pos;
+            degree[u] = d - 1;
+            position[u] = size[d - 1];
+            slots[start[d - 1] + size[d - 1]++] = u;
+        }
+    }
+done:
+    free(degree);
+    free(position);
+    free(removed);
+    free(start);
+    free(size);
+    free(slots);
+    return degeneracy;
+}
 """
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
@@ -519,6 +624,11 @@ class _Library:
         self.residual_wire.restype = ctypes.c_int64
         self.residual_wire.argtypes = [
             ctypes.c_int64, _I64P, _I64P, _F64P, ctypes.c_int64, _I64P,
+        ]
+        self.smallest_last = cdll.repro_smallest_last
+        self.smallest_last.restype = ctypes.c_int64
+        self.smallest_last.argtypes = [
+            ctypes.c_int64, _I64P, _I64P, _I64P, _I64P,
         ]
 
 
@@ -920,8 +1030,50 @@ def residual_wire(order, residual, u):
     return edges[:used]
 
 
+def smallest_last(indptr, indices, degrees):
+    """Matula-Beck smallest-last order in C, or None if gated.
+
+    Takes an undirected graph's symmetric CSR (``indptr``, ``indices``)
+    and its ``degrees``, all contiguous int64. Returns
+    ``(order, degeneracy)`` bit-identical to
+    :func:`repro.orientations.degenerate._smallest_last_python`:
+    ``order[k]`` is the vertex deleted at step ``k``.
+    """
+    if not available():
+        return None
+    arrays = (indptr, indices, degrees)
+    if any(not isinstance(a, np.ndarray) or a.dtype != np.int64
+           or a.ndim != 1 or not a.flags.c_contiguous for a in arrays):
+        raise ValueError("indptr, indices and degrees must be contiguous "
+                         "1-d int64 arrays")
+    n = degrees.size
+    # the C loop reads rows by indptr, indexes by vertex and sizes its
+    # buckets by the degrees, so all three must describe one CSR
+    if (indptr.shape != (n + 1,) or indptr[0] != 0
+            or indptr[-1] != indices.size
+            or not np.array_equal(np.diff(indptr), degrees)
+            or (n and degrees.min() < 0)):
+        raise ValueError("degrees must be the row lengths of a CSR "
+                         "with indptr[0] == 0 and indptr[-1] == "
+                         "indices.size")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError("indices must index 0..n-1")
+    order = np.empty(n, dtype=np.int64)
+    degeneracy = _lib.smallest_last(
+        n, indptr.ctypes.data_as(_I64P), indices.ctypes.data_as(_I64P),
+        degrees.ctypes.data_as(_I64P), order.ctypes.data_as(_I64P))
+    if degeneracy == -1:
+        raise MemoryError("native smallest-last: scratch allocation "
+                          "failed")
+    if degeneracy < 0:
+        raise ValueError("native smallest-last: the adjacency is not "
+                         "symmetric")
+    return order, int(degeneracy)
+
+
 def self_test() -> bool:
-    """Compile-and-verify: a triangle + a path, and a residual wiring.
+    """Compile-and-verify: a triangle + a path, a residual wiring, and a
+    smallest-last order.
 
     Used by benchmarks and CI before trusting the library.
     """
@@ -944,10 +1096,22 @@ def self_test() -> bool:
     ref_edges, ref_residual, __ = generators._wire_python(
         degrees, order, rng_ref)
     edges, residual = generators._wire_native(degrees, order, rng_native)
-    return (edges.tolist() == [list(e) for e in ref_edges]
+    if not (edges.tolist() == [list(e) for e in ref_edges]
             and residual.tolist() == ref_residual.tolist()
             and rng_native.bit_generator.state
-            == rng_ref.bit_generator.state)
+            == rng_ref.bit_generator.state):
+        return False
+    # smallest-last order: C bucket queue against the Python reference
+    # on a wheel with a pendant path -- degree ties on the rim, and a
+    # hub that moves down one bucket per deleted spoke
+    from repro.orientations import degenerate
+    hub = [(0, v) for v in range(1, 8)]
+    rim = [(v, v + 1) for v in range(1, 7)] + [(7, 1)]
+    wheel = Graph(11, hub + rim + [(7, 8), (8, 9), (9, 10)])
+    indices, indptr = wheel.csr()
+    order, k = smallest_last(indptr, indices, wheel.degrees)
+    ref_order, ref_k = degenerate._smallest_last_python(wheel)
+    return order.tolist() == ref_order.tolist() and k == ref_k
 
 
 if __name__ == "__main__":  # pragma: no cover - manual smoke hook

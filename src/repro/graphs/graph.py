@@ -87,6 +87,14 @@ class Graph:
         """Canonical edge array of shape ``(m, 2)`` with ``u < v``."""
         return self._edges
 
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency as raw CSR ``(indices, indptr)`` int64 arrays.
+
+        Row ``v`` is ``indices[indptr[v]:indptr[v+1]]`` -- the sorted
+        neighbors of ``v``, each edge stored in both directions.
+        """
+        return self._indices, self._indptr
+
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor IDs of ``v`` (a view into the CSR arrays)."""
         return self._indices[self._indptr[v]:self._indptr[v + 1]]

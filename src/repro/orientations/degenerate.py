@@ -11,12 +11,22 @@ vertex the *largest* label: when a vertex is deleted, its still-present
 neighbors are deleted later and therefore receive smaller labels, so they
 are exactly its out-neighbors -- making each out-degree equal to the
 vertex's degree at deletion time, which is at most the degeneracy.
+
+:func:`smallest_last_order` has two paths with one output. When the
+compiled library is available (:func:`repro.engine.native.available`)
+it runs the bucket queue in C (``native.smallest_last``); otherwise,
+e.g. under ``REPRO_NATIVE=0``, it runs :func:`_smallest_last_python`,
+the reference loop. The C loop mirrors the Python one op for op -- each
+bucket a stack, removal by swap-with-last, the scan restarting at
+``max(current - 1, 0)``, neighbors visited in CSR order -- so the
+deletion order and the degeneracy are bit-identical, ties included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import native
 from repro.orientations.permutations import Permutation
 
 
@@ -24,8 +34,18 @@ def smallest_last_order(graph) -> tuple[np.ndarray, int]:
     """Return ``(deletion_order, degeneracy)`` via a bucket queue.
 
     ``deletion_order[k]`` is the vertex removed at step ``k`` (a
-    minimum-degree vertex of the residual graph). Runs in ``O(n + m)``.
+    minimum-degree vertex of the residual graph). Runs in ``O(n + m)``,
+    in C when the native library is available.
     """
+    indices, indptr = graph.csr()
+    result = native.smallest_last(indptr, indices, graph.degrees)
+    if result is None:
+        result = _smallest_last_python(graph)
+    return result
+
+
+def _smallest_last_python(graph) -> tuple[np.ndarray, int]:
+    """The Python bucket queue: reference and ``REPRO_NATIVE=0`` path."""
     n = graph.n
     degree = graph.degrees.copy()
     max_deg = int(degree.max()) if n else 0

@@ -14,6 +14,13 @@ section 2.4 speed ratio (``oracle_mode="ops"``, fully deterministic --
 what CI gates on), or optionally by measured wall clock of real
 listing runs (``oracle_mode="wall"``).
 
+The ratio is infinite when the oracle's best costs exactly 0 (the ring:
+``L1+rr`` does no work), and that stays visible in ``regret`` and
+``max_regret``. Each row also carries the finite difference of the
+ops-priced times, ``excess_ops_per_edge = (planner - oracle) * n / m``
+(``m`` floored at 1), in either oracle mode; the summary's max and mean
+of it are what stays meaningful on such cases.
+
 The default suite sweeps the regimes of section 6.3 -- Pareto shapes
 on both sides of the ``alpha = 2`` crossover and inside the
 ``(4/3, 3/2]`` infinite-SEI window -- plus an Erdős–Rényi control and
@@ -128,6 +135,17 @@ def _regret(actual: float, best: float) -> float:
     return 0.0 if actual <= 0.0 else math.inf
 
 
+def _excess_ops_per_edge(actual: float, best: float, n: int,
+                         m: int) -> float:
+    """The planner-vs-oracle gap in ops per edge, finite where the
+    regret ratio is not (a zero-cost oracle pick, an edgeless graph).
+
+    Plan times are per-node costs, so ``(actual - best) * n`` is the
+    gap in total ops; ``m`` is floored at 1.
+    """
+    return (actual - best) * n / max(m, 1)
+
+
 def _wall_time(graph, cand: Candidate, rng) -> float:
     """Median-of-3 wall clock of one full listing run under ``cand``."""
     oriented = orient(graph, cand.permutation(), rng=rng)
@@ -162,6 +180,7 @@ def evaluate_case(case: RegretCase, rng: np.random.Generator,
         actual = oracle.entry(pick.method, pick.ordering).predicted_time
         best = oracle.best.predicted_time
         regret = _regret(actual, best)
+        excess = _excess_ops_per_edge(actual, best, graph.n, graph.m)
         if oracle_mode == "wall":
             pick_cand = Candidate(pick.method, pick.ordering)
             best_cand = Candidate(oracle.best.method,
@@ -199,6 +218,7 @@ def evaluate_case(case: RegretCase, rng: np.random.Generator,
         "planner_time": float(actual),
         "oracle_time": float(best),
         "regret": float(regret),
+        "excess_ops_per_edge": float(excess),
         "agree": agree,
         "confidence": float(planner.confidence),
     }
@@ -228,7 +248,10 @@ def regret_summary(rows: list[dict]) -> dict:
     finite = [r for r in regrets if math.isfinite(r)]
     if not regrets:
         return {"cases": 0, "median_regret": 0.0, "max_regret": 0.0,
-                "mean_regret": 0.0, "agreement": 1.0}
+                "mean_regret": 0.0, "agreement": 1.0,
+                "max_excess_ops_per_edge": 0.0,
+                "mean_excess_ops_per_edge": 0.0}
+    excess = [r["excess_ops_per_edge"] for r in rows]
     mid = len(regrets) // 2
     median = (regrets[mid] if len(regrets) % 2
               else (regrets[mid - 1] + regrets[mid]) / 2.0)
@@ -239,6 +262,8 @@ def regret_summary(rows: list[dict]) -> dict:
         "mean_regret": (float(np.mean(finite)) if finite
                         else math.inf),
         "agreement": sum(r["agree"] for r in rows) / len(rows),
+        "max_excess_ops_per_edge": float(max(excess)),
+        "mean_excess_ops_per_edge": float(np.mean(excess)),
     }
 
 
@@ -257,5 +282,6 @@ def format_regret_table(rows: list[dict]) -> str:
         f"median {summary['median_regret'] * 100:.2f}%  "
         f"max {summary['max_regret'] * 100:.2f}%  "
         f"agreement {summary['agreement'] * 100:.0f}% "
+        f"max excess {summary['max_excess_ops_per_edge']:.3g} ops/edge "
         f"({summary['cases']} cases)")
     return "\n".join(lines)

@@ -39,6 +39,25 @@ class TestDegeneracyAndArboricity:
     def test_empty(self):
         assert arboricity_bounds(Graph(1, [])) == (0, 0)
 
+    def test_pinned_to_the_python_reference(self, monkeypatch):
+        """``degeneracy``/``arboricity_bounds`` run the native
+        smallest-last order when it is available; the answers are those
+        of the Python bucket queue."""
+        from repro import DiscretePareto, sample_degree_sequence
+        from repro.engine import native
+        from repro.graphs.generators import configuration_model
+        from repro.orientations.degenerate import _smallest_last_python
+        rng = np.random.default_rng(2017)
+        degrees = sample_degree_sequence(
+            DiscretePareto(1.5, 7.5).truncate(2999), 3000, rng,
+            ensure_graphical=True)
+        graph = configuration_model(degrees, rng)
+        k, bounds = degeneracy(graph), arboricity_bounds(graph)
+        assert k == _smallest_last_python(graph)[1]
+        monkeypatch.setattr(native, "_lib", None)
+        assert degeneracy(graph) == k
+        assert arboricity_bounds(graph) == bounds
+
 
 class TestTriangleStatistics:
     def test_triangle_count_matches_reference(self, bowtie_graph,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import DiscretePareto
+from repro import DiscretePareto, Graph
 from repro.core.crossover import crossover_alpha, limit_cost_ratio
 from repro.core.decision import (
     PAPER_SPEED_RATIO,
@@ -22,6 +22,7 @@ from repro.pipeline import run_pipeline
 from repro.planner import (
     Candidate,
     choose_method,
+    format_regret_table,
     plan_for_degrees,
     plan_for_graph,
     plan_in_limit,
@@ -220,6 +221,52 @@ class TestRegretHarness:
         assert summary["cases"] == len(rows)
         assert summary["median_regret"] <= 0.10
         assert 0.0 <= summary["agreement"] <= 1.0
+
+    def test_excess_ops_per_edge_stays_finite(self):
+        """The ring's zero-cost oracle makes its regret infinite; the
+        excess ops per edge stays finite there, and so do the
+        summary's max and mean."""
+        rows = run_regret_suite(default_suite(), seed=7)
+        by_label = {r["label"]: r for r in rows}
+        assert math.isinf(by_label["ring"]["regret"])
+        assert math.isfinite(by_label["ring"]["excess_ops_per_edge"])
+        for row in rows:
+            assert math.isfinite(row["excess_ops_per_edge"]), row
+            assert row["excess_ops_per_edge"] >= 0.0
+            assert row["excess_ops_per_edge"] == (
+                (row["planner_time"] - row["oracle_time"])
+                * row["n"] / max(row["m"], 1))
+        summary = regret_summary(rows)
+        assert math.isinf(summary["max_regret"])
+        assert math.isfinite(summary["max_excess_ops_per_edge"])
+        assert math.isfinite(summary["mean_excess_ops_per_edge"])
+        assert summary["max_excess_ops_per_edge"] == max(
+            r["excess_ops_per_edge"] for r in rows)
+        table = format_regret_table(rows)
+        assert (f"max excess {summary['max_excess_ops_per_edge']:.3g} "
+                f"ops/edge") in table
+        empty_summary = regret_summary([])
+        assert empty_summary["max_excess_ops_per_edge"] == 0.0
+        assert empty_summary["mean_excess_ops_per_edge"] == 0.0
+
+    def test_excess_ops_per_edge_on_an_edgeless_graph(self):
+        """m = 0: the degree-law planner has nothing to plan, but the
+        oracle prices every candidate at 0 and the excess is 0, not a
+        division by zero."""
+        from repro.planner.regret import _excess_ops_per_edge, _regret
+        graph = Graph(8, [])
+        oracle = plan_for_graph(graph)
+        best = oracle.best.predicted_time
+        worst = oracle.entries[-1].predicted_time
+        assert best == worst == 0.0
+        assert _excess_ops_per_edge(worst, best, graph.n, graph.m) == 0.0
+        assert _regret(worst, best) == 0.0
+        assert _excess_ops_per_edge(1.5, 0.0, 8, 0) == 12.0
+        row = {"regret": math.inf, "agree": False,
+               "excess_ops_per_edge": 12.0}
+        summary = regret_summary([row])
+        assert summary["max_excess_ops_per_edge"] == 12.0
+        assert summary["mean_excess_ops_per_edge"] == 12.0
 
     def test_oracle_can_use_degenerate(self):
         """The oracle's candidate set strictly contains the planner's:
