@@ -433,23 +433,22 @@ def _collect_fast(oriented, kernel, method, stats=None,
     back to the vectorized chunk loop; ``False`` skips native
     entirely (the caller wants the NumPy enumeration order);
     ``True`` requires it (raises if the library is unavailable).
-    Returns ``(count, triangles, used_native)``.
+    Returns ``(count, triangles, used_native)``; ``triangles`` holds
+    ``(x, y, z)`` tuples of ints in row order (native rows by ``(z, y)``
+    then ``x``), boxed column-wise so no per-row list is ever built.
     """
     if use_native is not False:
         arr = _native.list_triangles_array(oriented)
         if arr is not None:
-            return arr.shape[0], list(map(tuple, arr.tolist())), True
+            return arr.shape[0], list(zip(*arr.T.tolist())), True
         if use_native:
             raise RuntimeError(
                 "native engine requested but unavailable: "
                 f"{_native.status()}")
     count, batches = _run_kernel(oriented, kernel, collect=True,
                                  stats=stats, label=f"list:{method}")
-    if batches:
-        stacked = np.concatenate(batches, axis=0)
-        triangles = list(map(tuple, stacked.tolist()))
-    else:
-        triangles = []
+    triangles = (list(zip(*np.concatenate(batches).T.tolist()))
+                 if batches else [])
     return count, triangles, False
 
 

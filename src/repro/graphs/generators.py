@@ -143,7 +143,7 @@ def residual_degree_model(degrees, rng: np.random.Generator,
             # the swap repair works on Python containers; inserting the
             # edges in placement order reproduces the reference loop's
             # sets exactly, iteration order included
-            edges = list(map(tuple, edges.tolist()))
+            edges = list(zip(*edges.T.tolist()))
             adjacency = [set() for __ in range(n)]
             for a, b in edges:
                 adjacency[a].add(b)

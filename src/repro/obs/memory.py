@@ -373,6 +373,14 @@ def predict_footprint(n: int, m: int, *, method: str | None = None,
             "total_bytes": sum(components.values())}
 
 
+def _ratio(actual: int, predicted: int) -> float:
+    """``actual / predicted``; exactly 0 of 0 bytes conforms (1.0),
+    any bytes against a 0 prediction is a miss (``inf``)."""
+    if predicted:
+        return actual / predicted
+    return 1.0 if actual == 0 else math.inf
+
+
 def conformance_report(n: int, m: int, *, method: str | None = None,
                        engine: str = "numpy",
                        tolerance: float = DEFAULT_TOLERANCE,
@@ -397,15 +405,14 @@ def conformance_report(n: int, m: int, *, method: str | None = None,
         actual = int(actual_by_tag.get(tag, {}).get("peak_bytes", 0))
         predicted_total += pred
         actual_total += actual
-        ratio = actual / pred if pred else math.inf
+        ratio = _ratio(actual, pred)
         table.append({"tag": tag, "predicted_bytes": pred,
                       "actual_bytes": actual, "ratio": ratio,
                       "within": abs(ratio - 1.0) <= tolerance})
     unmodeled = [{"tag": r["tag"], "peak_bytes": r["peak_bytes"]}
                  for r in rows
                  if r["tag"] not in predicted["components"]]
-    ratio = (actual_total / predicted_total if predicted_total
-             else math.inf)
+    ratio = _ratio(actual_total, predicted_total)
     return {
         "n": predicted["n"], "m": predicted["m"],
         "method": method, "engine": engine,

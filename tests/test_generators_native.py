@@ -125,6 +125,29 @@ class TestBitIdentity:
         assert counts["generator.havel_hakimi_fallbacks"] == 1
         assert counts["generator.swap_repaired_stubs"] > 0
 
+    def test_swap_repair_gets_boxed_native_edges(self, monkeypatch):
+        """Leftover stubs after the C loop send its edge array through
+        the boxing branch: swap repair receives the placement-order
+        list of ``(a, b)`` int tuples."""
+        seen = []
+        real_repair = gen._swap_repair
+
+        def spy(leftovers, adjacency, edges, *args):
+            seen.append((len(leftovers), list(edges)))
+            return real_repair(leftovers, adjacency, edges, *args)
+
+        monkeypatch.setattr(gen, "_swap_repair", spy)
+        degrees = np.full(8, 6)
+        order = np.argsort(degrees)[::-1]
+        wired, __ = gen._wire_native(degrees, order,
+                                     np.random.default_rng(3))
+        _assert_identical(degrees, 3)
+        (leftovers, boxed), __ = seen    # native run, then reference
+        assert leftovers > 0
+        assert boxed == list(map(tuple, wired.tolist()))
+        assert all(type(e) is tuple and type(e[0]) is type(e[1]) is int
+                   for e in boxed)
+
     def test_placement_order_is_the_reference_order(self):
         """Below the Graph: the wiring loops emit the same edge list."""
         degrees = _star_plus_matching(40)

@@ -180,6 +180,32 @@ class TestFootprintConformance:
         assert report["verdict"] == "fail"
         assert all(r["actual_bytes"] == 0 for r in report["components"])
 
+    @pytest.mark.parametrize("n", [0, 5], ids=["n0", "m0"])
+    def test_empty_graph_conforms(self, n):
+        # components that are exactly right at 0 == 0 bytes pass, and
+        # the report stays strict JSON (no inf ratios)
+        from repro.engine import run_method_kernel
+        from repro.graphs.graph import Graph
+        memory.enable()
+        graph = Graph(n, np.empty((0, 2), dtype=np.int64))
+        oriented = orient(graph, DescendingDegree())
+        run_method_kernel(oriented, "E1")
+        report = memory.conformance_report(oriented.n, oriented.m,
+                                           method="E1")
+        assert report["verdict"] == "pass", report
+        for row in report["components"]:
+            assert row["within"], row
+        assert any(row["predicted_bytes"] == 0
+                   for row in report["components"])
+        json.dumps(report, allow_nan=False)
+
+    def test_bytes_against_zero_prediction_miss(self):
+        rows = [{"tag": "engine.cache", "peak_bytes": 64}]
+        report = memory.conformance_report(5, 0, method="E1", rows=rows)
+        cache, = [r for r in report["components"]
+                  if r["tag"] == "engine.cache"]
+        assert cache["ratio"] == float("inf") and not cache["within"]
+
     def test_unmodeled_tags_listed_but_never_gate(self):
         memory.enable()
         oriented = _oriented()
