@@ -90,10 +90,20 @@ def per_node_cost_many(method_names, out_degrees, in_degrees
     arrays under many methods; the three base reductions dominate, so
     computing them once and recombining per method is the cheap way.
     """
-    n = np.asarray(out_degrees).size
+    return per_node_cost_from_ops(
+        method_names, component_ops(out_degrees, in_degrees),
+        np.asarray(out_degrees).size)
+
+
+def per_node_cost_from_ops(method_names, comps: dict[str, int],
+                           n: int) -> dict[str, float]:
+    """``c_n`` for several methods from the totals of (7)-(9).
+
+    ``comps`` is a :func:`component_ops` dict over ``n`` nodes; an
+    empty graph (``n == 0``) costs 0.
+    """
     if n == 0:
         return {name: 0.0 for name in method_names}
-    comps = component_ops(out_degrees, in_degrees)
     return {name: sum(comps[c]
                       for c in get_method(name).components) / n
             for name in method_names}

@@ -39,6 +39,10 @@ kernel library:
 * **Smallest-last order** (:func:`smallest_last`): the Matula-Beck
   bucket queue of :func:`repro.orientations.degenerate.smallest_last_order`,
   bit-identical to its Python reference loop.
+* **Orientation pricing** (:func:`oriented_sums`): the exact planner's
+  totals of eqs. (7)-(9) under several label maps in one call, equal
+  to :func:`repro.planner.candidates.oriented_degrees` followed by
+  :func:`repro.core.costs.component_ops` per map.
 
 The exactness argument is the forward/compact-forward one: for each
 edge ``z -> y``, every ``x`` in the intersection of ``N+(z)`` and
@@ -69,6 +73,7 @@ __all__ = [
     "count_triangles",
     "last_stats",
     "list_triangles_array",
+    "oriented_sums",
     "resolve_kind",
     "resolve_threads",
     "residual_wire",
@@ -594,6 +599,49 @@ done:
     free(slots);
     return degeneracy;
 }
+
+/* The planner's exact pricing: the three integer totals of eqs. (7)-(9)
+ * under each of k label maps. labels holds k rows of n labels; each
+ * edge (u, v) points from its larger-labelled endpoint, so that
+ * endpoint's out-degree X grows by one, and Y = degrees - X. sums[3j..]
+ * receives sum X(X-1)/2, sum XY and sum Y(Y-1)/2 under row j -- the
+ * T1/T2/T3 totals of repro.core.costs.component_ops.
+ *
+ * Label comparisons are data-random, so the tail is selected without a
+ * branch; a branchy select mispredicts about every other edge.
+ *
+ * Returns 0, or -1 when scratch allocation fails. */
+int64_t repro_oriented_sums(int64_t n, int64_t m, const int64_t *edges,
+                            const int64_t *degrees, int64_t k,
+                            const int64_t *labels, int64_t *sums)
+{
+    int64_t *out = (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
+    if (!out)
+        return -1;
+    for (int64_t j = 0; j < k; j++) {
+        const int64_t *lab = labels + j * n;
+        for (int64_t v = 0; v < n; v++)
+            out[v] = 0;
+        for (int64_t e = 0; e < m; e++) {
+            const int64_t u = edges[2 * e];
+            const int64_t v = edges[2 * e + 1];
+            out[v ^ ((u ^ v) & -(int64_t)(lab[u] > lab[v]))]++;
+        }
+        int64_t t1 = 0, t2 = 0, t3 = 0;
+        for (int64_t v = 0; v < n; v++) {
+            const int64_t x = out[v];
+            const int64_t y = degrees[v] - x;
+            t1 += x * (x - 1) / 2;
+            t2 += x * y;
+            t3 += y * (y - 1) / 2;
+        }
+        sums[3 * j] = t1;
+        sums[3 * j + 1] = t2;
+        sums[3 * j + 2] = t3;
+    }
+    free(out);
+    return 0;
+}
 """
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
@@ -629,6 +677,12 @@ class _Library:
         self.smallest_last.restype = ctypes.c_int64
         self.smallest_last.argtypes = [
             ctypes.c_int64, _I64P, _I64P, _I64P, _I64P,
+        ]
+        self.oriented_sums = cdll.repro_oriented_sums
+        self.oriented_sums.restype = ctypes.c_int64
+        self.oriented_sums.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, ctypes.c_int64,
+            _I64P, _I64P,
         ]
 
 
@@ -1071,9 +1125,45 @@ def smallest_last(indptr, indices, degrees):
     return order, int(degeneracy)
 
 
+def oriented_sums(edges, degrees, labels):
+    """The totals of eqs. (7)-(9) under K label maps in C, or None if gated.
+
+    ``edges`` is a graph's ``(m, 2)`` edge array, ``degrees`` its
+    ``(n,)`` degrees and ``labels`` a ``(K, n)`` stack of label maps,
+    all contiguous int64. Returns a ``(K, 3)`` int64 array whose row
+    ``j`` is ``(sum X(X-1)/2, sum XY, sum Y(Y-1)/2)`` under
+    ``labels[j]`` -- ``component_ops(*oriented_degrees(graph,
+    labels[j]))`` of :mod:`repro.planner.candidates`, in one pass per
+    map.
+    """
+    if not available():
+        return None
+    arrays = (edges, degrees, labels)
+    if any(not isinstance(a, np.ndarray) or a.dtype != np.int64
+           or not a.flags.c_contiguous for a in arrays):
+        raise ValueError("edges, degrees and labels must be contiguous "
+                         "int64 arrays")
+    n = degrees.size
+    if (degrees.ndim != 1 or edges.ndim != 2 or edges.shape[1] != 2
+            or labels.ndim != 2 or labels.shape[1] != n):
+        raise ValueError("edges must be (m, 2), degrees (n,) and "
+                         "labels (K, n)")
+    # the C loop reads labels and writes out-degrees at each endpoint
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise ValueError("edges must index 0..n-1")
+    sums = np.empty((labels.shape[0], 3), dtype=np.int64)
+    if _lib.oriented_sums(
+            n, edges.shape[0], edges.ctypes.data_as(_I64P),
+            degrees.ctypes.data_as(_I64P), labels.shape[0],
+            labels.ctypes.data_as(_I64P), sums.ctypes.data_as(_I64P)):
+        raise MemoryError("native oriented sums: scratch allocation "
+                          "failed")
+    return sums
+
+
 def self_test() -> bool:
-    """Compile-and-verify: a triangle + a path, a residual wiring, and a
-    smallest-last order.
+    """Compile-and-verify: a triangle + a path, a residual wiring, a
+    smallest-last order, and the planner's orientation sums.
 
     Used by benchmarks and CI before trusting the library.
     """
@@ -1111,7 +1201,21 @@ def self_test() -> bool:
     indices, indptr = wheel.csr()
     order, k = smallest_last(indptr, indices, wheel.degrees)
     ref_order, ref_k = degenerate._smallest_last_python(wheel)
-    return order.tolist() == ref_order.tolist() and k == ref_k
+    if not (order.tolist() == ref_order.tolist() and k == ref_k):
+        return False
+    # orientation pricing: C totals against oriented_degrees +
+    # component_ops on the same wheel, under every planner label map
+    from repro.core.costs import component_ops
+    from repro.listing.api import ALL_METHODS
+    from repro.planner.candidates import (GRAPH_ORDERINGS, iter_candidates,
+                                          oriented_degrees)
+    maps = {c.orientation_key(): c.permutation().labels_for(wheel)
+            for c in iter_candidates(ALL_METHODS, GRAPH_ORDERINGS)}
+    sums = oriented_sums(wheel.edges, wheel.degrees,
+                         np.stack(list(maps.values())))
+    ref = [list(component_ops(*oriented_degrees(wheel, labels)).values())
+           for labels in maps.values()]
+    return sums.tolist() == ref
 
 
 if __name__ == "__main__":  # pragma: no cover - manual smoke hook

@@ -165,6 +165,12 @@ def oriented_degrees(graph, labels) -> tuple[np.ndarray, np.ndarray]:
     cost formulas (7)-(9) are functionals of ``X`` and ``Y``), so it
     skips :class:`~repro.graphs.digraph.OrientedGraph`'s index
     construction: two bincounts over the relabeled edge list.
+
+    This is the reference path of the planner's pricing:
+    :func:`repro.planner.plan.plan_for_graph` prices its label maps
+    with :func:`repro.engine.native.oriented_sums` and falls back to
+    this function (plus :func:`repro.core.costs.component_ops`) when
+    the compiled library is gated.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size

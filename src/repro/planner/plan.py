@@ -27,13 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.costs import per_node_cost_many
+from repro.core.costs import (component_ops, per_node_cost_from_ops,
+                              per_node_cost_many)
 from repro.core.decision import resolve_speed_ratio
 from repro.core.fastmodel import fast_cost_model_many
 from repro.core.limits import limit_cost
 from repro.distributions.base import (DegreeDistribution,
                                       EmpiricalDegreeDistribution)
 from repro.distributions.truncation import root_truncation
+from repro.engine import native
 from repro.listing.api import ALL_METHODS
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span
@@ -145,7 +147,7 @@ def _rank(costs: dict[Candidate, float], source: str,
         weighted.append((cand, cost, time_units))
     # canonical tie-break by (method, ordering), independent of the
     # caller's candidate order -- the argmin must be reorder-stable
-    weighted.sort(key=lambda w: (w[2], w[0]))
+    weighted.sort(key=lambda w: (w[2], w[0]._sort_key()))
     entries = [PlanEntry(c.method, c.ordering, c.family, cost, t,
                          rank=i + 1)
                for i, (c, cost, t) in enumerate(weighted)]
@@ -157,17 +159,69 @@ def _rank(costs: dict[Candidate, float], source: str,
     return plan
 
 
+def _orientation_totals(graph, by_orientation: dict[str, list[Candidate]]
+                        ) -> dict[str, dict[str, int]]:
+    """The totals of (7)-(9) per orientation key, one pass per label map.
+
+    Degree-ranked orientations share one stable degree ranking, so two
+    keys with equal ``theta`` have equal labels and equal totals. A
+    ``theta`` equal to ``n - 1 - theta'`` reverses every edge, which by
+    Proposition 1 swaps ``X`` and ``Y``: its totals are ``theta'``'s
+    with T1 and T3 swapped. Only the remaining distinct maps (and the
+    degenerate one, which has no ``theta``) are priced -- in one
+    :func:`repro.engine.native.oriented_sums` call, or through
+    :func:`oriented_degrees` when the compiled library is gated.
+    """
+    n = graph.n
+    ranking = np.argsort(graph.degrees, kind="stable")
+    priced: dict[bytes, int] = {}
+    slots: dict[str, tuple[int, bool]] = {}   # key -> (row, reversed)
+    maps: list[np.ndarray] = []
+    for key, group in by_orientation.items():
+        permutation = group[0].permutation()
+        if group[0].ordering == "degenerate":
+            labels = permutation.labels_for(graph)
+        else:
+            theta = permutation.rank_to_label(n)
+            token = theta.tobytes()
+            if token in priced:
+                slots[key] = (priced[token], False)
+                continue
+            reverse = ((n - 1) - theta).tobytes()
+            if reverse in priced:
+                slots[key] = (priced[reverse], True)
+                continue
+            priced[token] = len(maps)
+            labels = np.empty(n, dtype=np.int64)
+            labels[ranking] = theta
+        slots[key] = (len(maps), False)
+        maps.append(labels)
+    sums = (native.oriented_sums(graph.edges, graph.degrees, np.stack(maps))
+            if maps else [])
+    if sums is None:
+        sums = [list(component_ops(*oriented_degrees(graph, labels))
+                     .values()) for labels in maps]
+    totals = {}
+    for key, (row, swapped) in slots.items():
+        t1, t2, t3 = (int(v) for v in sums[row])
+        if swapped:
+            t1, t3 = t3, t1
+        totals[key] = {"T1": t1, "T2": t2, "T3": t3}
+    return totals
+
+
 def plan_for_graph(graph, methods=ALL_METHODS,
                    orderings=GRAPH_ORDERINGS,
                    speed_ratio: float | str | None = None) -> Plan:
     """Exact plan for a concrete graph -- the planner's oracle.
 
-    Relabels the graph once per distinct orientation (named orderings,
-    one OPT per ``h`` shape, degenerate) and prices every method on the
-    resulting directed degrees through the exact formulas (7)-(9); no
-    listing runs. This ranks candidates by the paper's *operation*
-    metric exactly, which is also what the regret harness uses as the
-    ground truth.
+    Prices every method on the directed degrees of each orientation
+    (named orderings, one OPT per ``h`` shape, degenerate) through the
+    exact formulas (7)-(9), once per *distinct label map*: orientations
+    with the same map, or the reversed one (Proposition 1), share one
+    pricing (see :func:`_orientation_totals`); no listing runs. This
+    ranks candidates by the paper's *operation* metric exactly, which
+    is also what the regret harness uses as the ground truth.
     """
     speed_ratio = resolve_speed_ratio(speed_ratio)
     candidates = iter_candidates(methods, orderings)
@@ -177,12 +231,11 @@ def plan_for_graph(graph, methods=ALL_METHODS,
         for cand in candidates:
             by_orientation.setdefault(cand.orientation_key(),
                                       []).append(cand)
+        totals = _orientation_totals(graph, by_orientation)
         costs: dict[Candidate, float] = {}
-        for group in by_orientation.values():
-            labels = group[0].permutation().labels_for(graph)
-            x, y = oriented_degrees(graph, labels)
-            per_method = per_node_cost_many(
-                sorted({c.method for c in group}), x, y)
+        for key, group in by_orientation.items():
+            per_method = per_node_cost_from_ops(
+                sorted({c.method for c in group}), totals[key], graph.n)
             for cand in group:
                 costs[cand] = per_method[cand.method]
         return _rank(costs, "exact", speed_ratio, graph.n,
