@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from repro.core.kernels import get_map
 from repro.core.methods import get_method
@@ -115,6 +114,7 @@ def continuous_cost_model(pareto: ContinuousPareto, t_n: float, method,
         h_val = float(limit_map.expected_h(method.h, np.float64(j)))
         return (x * x - x) * h_val * float(pareto.pdf(x)) / norm
 
+    from scipy import integrate
     total = 0.0
     for lo, hi in _log_segments(t_n, segments_per_decade):
         value, __ = integrate.quad(integrand, lo, hi, limit=200)
@@ -135,6 +135,8 @@ def _log_segments(t_n: float, per_decade: int):
 
 def _numeric_partial(pareto: ContinuousPareto, weight):
     """Cached numeric ``x -> int_0^x w(y) dF*(y)`` via segment quads."""
+    from scipy import integrate
+
     cache: dict[float, float] = {0.0: 0.0}
 
     def partial(x: float) -> float:

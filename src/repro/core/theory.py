@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from repro.core.asymptotics import finiteness_threshold
 from repro.distributions.pareto import ContinuousPareto
@@ -43,6 +42,7 @@ def _pareto_expectation(pareto: ContinuousPareto, factor,
     """
     if pareto.alpha <= threshold:
         return math.inf
+    from scipy import integrate
     spread = pareto.spread_cdf
 
     def integrand(x):

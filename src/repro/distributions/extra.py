@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats
 
 from repro.distributions.base import DegreeDistribution
 
@@ -92,10 +91,12 @@ class ZipfDegree(DegreeDistribution):
     def __init__(self, s: float):
         if s <= 1.0:
             raise ValueError(f"Zipf exponent must exceed 1, got {s}")
+        from scipy import special
         self.s = float(s)
         self._zeta = float(special.zeta(self.s, 1.0))
 
     def cdf(self, x):
+        from scipy import special
         x = np.asarray(x, dtype=float)
         fl = np.floor(x)
         # sum_{k<=x} k^-s = zeta(s) - zeta(s, x+1)  (Hurwitz tail)
@@ -103,6 +104,7 @@ class ZipfDegree(DegreeDistribution):
         return np.where(fl < 1.0, 0.0, partial / self._zeta)
 
     def sf(self, x):
+        from scipy import special
         x = np.asarray(x, dtype=float)
         fl = np.floor(x)
         tail = special.zeta(self.s, np.maximum(fl, 0.0) + 1.0) / self._zeta
@@ -117,12 +119,14 @@ class ZipfDegree(DegreeDistribution):
     def mean(self, **_ignored) -> float:
         if self.s <= 2.0:
             return math.inf
+        from scipy import special
         return float(special.zeta(self.s - 1.0, 1.0)) / self._zeta
 
     def moment(self, p: float, **kwargs) -> float:
         if p >= self.s - 1.0:
             return math.inf
         if self.s - p > 1.0:
+            from scipy import special
             return float(special.zeta(self.s - p, 1.0)) / self._zeta
         return super().moment(p, **kwargs)
 
@@ -147,6 +151,7 @@ class PoissonDegree(DegreeDistribution):
         self._norm = 1.0 - math.exp(-self.lam)
 
     def cdf(self, x):
+        from scipy import stats
         x = np.asarray(x, dtype=float)
         fl = np.floor(x)
         raw = stats.poisson.cdf(np.maximum(fl, 0.0), self.lam)
@@ -155,6 +160,7 @@ class PoissonDegree(DegreeDistribution):
         return np.where(fl < 1.0, 0.0, np.clip(val, 0.0, 1.0))
 
     def pmf(self, k):
+        from scipy import stats
         k = np.asarray(k, dtype=float)
         valid = (k >= 1.0) & (k == np.floor(k))
         safe_k = np.where(valid, k, 1.0)
@@ -192,6 +198,7 @@ class LogNormalDegree(DegreeDistribution):
         self.sigma = float(sigma)
 
     def cdf(self, x):
+        from scipy import stats
         x = np.asarray(x, dtype=float)
         fl = np.floor(x)
         safe = np.maximum(fl, 1.0)
@@ -199,6 +206,7 @@ class LogNormalDegree(DegreeDistribution):
         return np.where(fl < 1.0, 0.0, val)
 
     def sf(self, x):
+        from scipy import stats
         x = np.asarray(x, dtype=float)
         fl = np.floor(x)
         safe = np.maximum(fl, 1.0)
@@ -206,6 +214,7 @@ class LogNormalDegree(DegreeDistribution):
         return np.where(fl < 1.0, 1.0, val)
 
     def quantile(self, u):
+        from scipy import stats
         u = np.asarray(u, dtype=float)
         raw = np.exp(self.mu + self.sigma * stats.norm.ppf(u))
         ks = np.maximum(np.ceil(raw - 1e-12), 1.0)

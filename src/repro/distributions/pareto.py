@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from repro.distributions.base import DegreeDistribution
 
@@ -97,6 +96,7 @@ class DiscretePareto(DegreeDistribution):
         """
         if self.alpha <= 1.0:
             return math.inf
+        from scipy import special
         return float(self.beta**self.alpha
                      * special.zeta(self.alpha, self.beta))
 
@@ -118,6 +118,7 @@ class DiscretePareto(DegreeDistribution):
         """
         if self.alpha <= 2.0:
             return math.inf
+        from scipy import special
         a, b = self.alpha, self.beta
         return float(b**a * (2.0 * special.zeta(a - 1.0, b)
                              + (1.0 - 2.0 * b) * special.zeta(a, b)))

@@ -4,10 +4,12 @@ The vectorized NumPy kernels bottom out at a few tens of nanoseconds
 per candidate on a memory-bound host -- each elementwise pass streams
 the whole chunk through RAM. The C kernels in this module do the same
 exact work at ~1 ns per elementary operation, because the working set
-per pivot is a handful of cache lines. Everything compiles *at first
-use* with whatever C compiler the host already has (``cc``/``gcc``;
-nothing is installed) and loads via :mod:`ctypes`. Everything is
-gated: no compiler, a failed compile, or ``REPRO_NATIVE=0`` all
+per pivot is a handful of cache lines. The library compiles with
+whatever C compiler the host already has (``cc``/``gcc``; nothing is
+installed), is cached per user under :func:`tempfile.gettempdir`
+(keyed by the source, the compiler and the flags, so later processes
+load it without compiling), and loads via :mod:`ctypes`. Everything
+is gated: no compiler, a failed compile, or ``REPRO_NATIVE=0`` all
 degrade to the NumPy path (a failed compile is cached for the process
 and reported once as a structured warning; the rest stay DEBUG).
 
@@ -54,10 +56,13 @@ orientation-exact and method-independent.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import hashlib
 import logging as _stdlog
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -688,17 +693,99 @@ class _Library:
 
 _UNSET = object()
 _lib = _UNSET  # tri-state: _UNSET -> not tried; None -> unavailable
-_status: dict = {"state": "unresolved", "reason": None, "compiler": None}
+_status: dict = {"state": "unresolved", "reason": None, "compiler": None,
+                 "cache": "off"}
 _last_stats: dict | None = None
+
+#: Compiler flags of the kernel library. They are part of the cache
+#: key, so a build with other flags gets its own cached file.
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread")
+
+
+def _cache_key(compiler: str) -> str:
+    """SHA-256 over the C source, the compiler's identity and the flags.
+
+    The compiler is identified by its resolved path, size and mtime: an
+    upgrade replaces the binary and so changes the key, without paying
+    for a ``cc --version`` subprocess on every start.
+    """
+    real = os.path.realpath(compiler)
+    st = os.stat(real)
+    digest = hashlib.sha256()
+    for part in (_C_SOURCE, f"{real}:{st.st_size}:{st.st_mtime_ns}",
+                 " ".join(_CFLAGS)):
+        digest.update(part.encode())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def _cache_dir() -> str | None:
+    """The per-user library cache under the temp dir; None if untrusted.
+
+    ``<gettempdir()>/repro-native-cache-<uid>``, created with mode
+    ``0o700`` on first use. It is trusted only if it is a real
+    directory (not a symlink) owned by this uid with mode exactly
+    ``0o700``, so no other user can plant or swap a library in it.
+    """
+    if not hasattr(os, "getuid"):
+        return None
+    uid = os.getuid()
+    path = os.path.join(tempfile.gettempdir(), f"repro-native-cache-{uid}")
+    try:
+        os.mkdir(path, 0o700)
+    except FileExistsError:
+        pass
+    except OSError:
+        return None
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return None
+    if (not stat.S_ISDIR(st.st_mode) or st.st_uid != uid
+            or stat.S_IMODE(st.st_mode) != 0o700):
+        return None
+    return path
+
+
+def _cached_path(compiler: str) -> str | None:
+    """Where this source/compiler/flags library is cached; None if the
+    cache is off."""
+    cache = _cache_dir()
+    if cache is None:
+        return None
+    try:
+        return os.path.join(cache, _cache_key(compiler) + ".so")
+    except OSError:
+        return None
+
+
+def _trusted_file(path: str) -> bool:
+    """A regular file owned by this uid, writable by nobody else."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    return (stat.S_ISREG(st.st_mode) and st.st_uid == os.getuid()
+            and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
 
 
 def _build_library():
-    """Compile the kernels into a per-process temp dir; None on failure.
+    """Load the kernels from the per-user cache, or compile them; None
+    on failure.
 
-    The outcome is recorded in :data:`_status`; :func:`available`
-    caches the result so a failed compile never re-invokes the
-    compiler in this process, and emits exactly one structured WARNING
-    through :mod:`repro.obs.logging`.
+    A cache hit (:func:`_cache_dir`, file named by :func:`_cache_key`)
+    is one ``dlopen``. On a miss the library compiles in a private work
+    dir inside the cache dir, loads from there, and is published with
+    an atomic :func:`os.replace`, so concurrent processes never see a
+    partial file; the work dir is removed either way. An untrusted or
+    unwritable cache dir compiles in a plain temp dir instead, and an
+    unloadable cached file is recompiled and replaced.
+
+    The outcome is recorded in :data:`_status` (``cache`` is ``hit``,
+    ``miss`` or ``off``); :func:`available` caches the result so a
+    failed compile never re-invokes the compiler in this process, and
+    emits exactly one structured WARNING through
+    :mod:`repro.obs.logging`.
     """
     if os.environ.get("REPRO_NATIVE", "1").lower() in ("0", "false", ""):
         _status.update(state="gated", reason="REPRO_NATIVE disabled")
@@ -709,17 +796,40 @@ def _build_library():
                        reason="no cc/gcc on PATH")
         return None
     _status["compiler"] = compiler
-    workdir = tempfile.mkdtemp(prefix="repro-native-")
-    src = os.path.join(workdir, "kernel.c")
-    lib = os.path.join(workdir, "kernel.so")
+    target = _cached_path(compiler)
+    if target is not None:
+        _status["cache"] = "miss"
+        if _trusted_file(target):
+            try:
+                handle = _Library(ctypes.CDLL(target))
+            except (OSError, AttributeError):
+                pass  # unloadable: the compile below replaces it
+            else:
+                _status.update(state="ok", reason=None, cache="hit")
+                return handle
+    workdir = None
     try:
+        if target is not None:
+            try:
+                workdir = tempfile.mkdtemp(prefix="build-",
+                                           dir=os.path.dirname(target))
+            except OSError:
+                target = None  # unwritable cache: compile, don't publish
+        if workdir is None:
+            workdir = tempfile.mkdtemp(prefix="repro-native-")
+        src = os.path.join(workdir, "kernel.c")
+        lib = os.path.join(workdir, "kernel.so")
         with open(src, "w") as fh:
             fh.write(_C_SOURCE)
-        subprocess.run(
-            [compiler, "-O3", "-shared", "-fPIC", "-pthread",
-             "-o", lib, src],
-            check=True, capture_output=True, timeout=120)
+        subprocess.run([compiler, *_CFLAGS, "-o", lib, src],
+                       check=True, capture_output=True, timeout=120)
         handle = _Library(ctypes.CDLL(lib))
+        if target is not None:
+            # no group/other write bits whatever the umask, or no later
+            # process would trust the file
+            with contextlib.suppress(OSError):
+                os.chmod(lib, 0o700)
+                os.replace(lib, target)
         _status.update(state="ok", reason=None)
         return handle
     except subprocess.CalledProcessError as exc:
@@ -731,6 +841,9 @@ def _build_library():
     except (OSError, subprocess.SubprocessError, AttributeError) as exc:
         _status.update(state="compile-failed", reason=str(exc))
         return None
+    finally:
+        if workdir is not None:
+            shutil.rmtree(workdir, ignore_errors=True)
 
 
 def available() -> bool:
@@ -763,12 +876,15 @@ def available() -> bool:
 
 
 def status() -> dict:
-    """Resolution state: ``{state, reason, compiler}`` (post-resolve).
+    """Resolution state: ``{state, reason, compiler, cache}``
+    (post-resolve).
 
     ``state`` is one of ``unresolved``, ``ok``, ``gated``,
     ``no-compiler``, ``compile-failed``, or ``disabled`` (a test
-    monkeypatched the library away). Benchmark sidecars record this
-    next to their timings.
+    monkeypatched the library away). ``cache`` is ``hit`` (loaded from
+    the per-user cache), ``miss`` (looked up, then compiled) or ``off``
+    (not consulted: gated, no compiler, or an untrusted cache dir).
+    Benchmark sidecars record this next to their timings.
     """
     out = dict(_status)
     if _lib is None and out["state"] in ("unresolved", "ok"):

@@ -21,6 +21,7 @@ tests run everywhere.
 
 import logging
 import subprocess
+import tempfile
 
 import numpy as np
 import pytest
@@ -187,12 +188,17 @@ class TestKnobs:
 
 
 @pytest.fixture
-def fresh_native(monkeypatch):
-    """Reset the module-level resolution cache (restored afterwards)."""
+def fresh_native(monkeypatch, tmp_path):
+    """Reset the module-level resolution cache (restored afterwards).
+
+    The temp dir points at ``tmp_path`` too, so the per-user library
+    cache starts empty and a warm cache cannot hide the compile path.
+    """
     monkeypatch.setattr(native, "_lib", native._UNSET)
     monkeypatch.setattr(native, "_status",
                         {"state": "unresolved", "reason": None,
-                         "compiler": None})
+                         "compiler": None, "cache": "off"})
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
 
 
 class TestGatingAndFallback:
