@@ -60,10 +60,12 @@ def oriented():
     degrees = sample_degree_sequence(dist, N, rng)
     graph = generate_graph(degrees, rng)
     g = orient(graph, DescendingDegree())
-    # warm every engine's caches (hash set / Bloom + uint32 mirrors /
+    # warm every engine's caches (hash set / Bloom + row arrays /
     # native block decomposition)
     g.edge_key_set()
     list_triangles(g, "T1", collect=False, engine="numpy")
+    if native.available():
+        list_triangles(g, "T1", collect=False, engine="native")
     return g
 
 

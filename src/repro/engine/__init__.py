@@ -13,14 +13,15 @@ in closed form from the oriented degrees, eqs. (7)-(9)).
 When a C toolchain is present, :mod:`repro.engine.native` compiles a
 small pthreads kernel library at first use (merge- and bitmap-based
 forward intersection, counting *and* triangle emission, deterministic
-multi-thread block driver) and both the count and the collect paths
-drop into it transparently; ``REPRO_NATIVE=0`` or a failed compile
-falls back to the pure-NumPy kernels with identical results.
+multi-thread block driver). Both read the graph's own uint32 CSR; no
+engine keeps a copy of it.
 
-Select an engine per call (``list_triangles(..., engine="numpy")``,
-``engine="native"`` to require the compiled kernels) or let the
-``"auto"`` policy pick; see docs/PERFORMANCE.md for the design and
-measured speedups.
+Select an engine per call: ``list_triangles(..., engine="numpy")``
+runs the pure-NumPy kernels, ``engine="native"`` requires the compiled
+kernels, and the default ``"auto"`` takes the compiled kernels when
+they are available (``REPRO_NATIVE=0`` or a failed compile leaves the
+NumPy kernels, with identical results); see docs/PERFORMANCE.md for
+the design and measured speedups.
 """
 
 from repro.engine import native

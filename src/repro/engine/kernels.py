@@ -30,14 +30,15 @@ transcription issues), also in closed form -- see ``_PROBE_COMPONENT``.
 Because every method lists the same triangle set, count-only calls
 (``collect=False``) are free to run the cheapest of the three base
 shapes (T1/T2/T3 candidate streams, picked by ``component_ops``
-argmin) while still reporting the *requested* method's ``ops``. When a
-C toolchain is available both paths drop into the compiled kernels of
-:mod:`repro.engine.native`: counts run the branchless count kernel and
-collecting runs emit the triangle array directly from C (identical
-canonical ``x < y < z`` triples -- the orientation always points
-edges at smaller labels -- so only the enumeration *order* differs,
-exactly as it already does between the python and numpy engines). Set
-``REPRO_NATIVE=0`` to stay pure NumPy.
+argmin) while still reporting the *requested* method's ``ops``.
+:func:`run_numpy` also fronts the compiled kernels of
+:mod:`repro.engine.native` through its ``use_native`` argument
+(``False``: pure NumPy; ``True``: compiled, required; ``None``: compiled
+when available): counts run the forward count kernel and collecting
+runs emit the triangle array directly from C (identical canonical
+``x < y < z`` triples -- the orientation always points edges at
+smaller labels -- so only the enumeration *order* differs, exactly as
+it already does between the python and numpy engines).
 
 Memory stays bounded: candidate pairs are materialized in chunks of
 ``CHUNK_CANDIDATES`` regardless of how skewed the degree sequence is.
@@ -146,30 +147,27 @@ _PROBE_COMPONENT = {
 
 
 class _GraphCache:
-    """Per-graph engine arrays: uint32 CSR mirrors + the Bloom table.
+    """Per-graph engine arrays: uint32 row arrays + the Bloom table.
 
     Built once per ``OrientedGraph`` (weakly keyed, so the cache dies
-    with the graph). uint32 halves the bytes every hot elementwise pass
-    streams, which on a memory-bound host is most of the kernel time.
+    with the graph). The column indices are the graph's own uint32
+    CSR; this cache adds only the row array of each CSR (the unit
+    stream's ``r`` side) and the Bloom table over the out-edges.
     """
 
     def __init__(self, oriented):
         n = oriented.n
-        out_idx, out_ptr = oriented.out_csr()
-        in_idx, in_ptr = oriented.in_csr()
         self.n64 = np.int64(n)
         self.out_keys = oriented.out_key_array()
-        self.out_idx32 = out_idx.astype(np.uint32)
-        self.in_idx32 = in_idx.astype(np.uint32)
         self.out_rows32 = np.repeat(
             np.arange(n, dtype=np.uint32), oriented.out_degrees)
         self.in_rows32 = np.repeat(
             np.arange(n, dtype=np.uint32), oriented.in_degrees)
-        self.bloom = self._build_bloom(self.out_rows32, self.out_idx32)
+        self.bloom = self._build_bloom(self.out_rows32,
+                                       oriented.out_csr()[0])
         if _memory.is_enabled():
             _memory.track(self, "engine.cache",
-                          (self.out_idx32, self.in_idx32,
-                           self.out_rows32, self.in_rows32))
+                          (self.out_rows32, self.in_rows32))
             _memory.track(self, "engine.bloom", (self.bloom,))
 
     @staticmethod
@@ -241,15 +239,20 @@ def _component_ops(oriented) -> dict:
     return comps
 
 
-def _windows(oriented, kernel, rows, vals, idx, ptr, lens):
+def _windows(oriented, kernel, rows, vals, ptr, lens):
     """Per-unit candidate windows ``(source, starts, counts)``."""
-    n = np.int64(oriented.n)
     out_idx, out_ptr = oriented.out_csr()
     in_idx, in_ptr = oriented.in_csr()
+
+    def keys():  # each unit's int64 key ``v * n + r``
+        k = np.multiply(vals, oriented.n, dtype=np.int64)
+        k += rows
+        return k
+
     if kernel.window == "prefix":
-        source = idx
+        source = vals
         starts = np.repeat(ptr[:-1], lens)
-        counts = np.arange(idx.size, dtype=np.int64) - starts
+        counts = np.arange(vals.size, dtype=np.int64) - starts
     elif kernel.window == "out_of_row":
         source = out_idx
         starts = out_ptr[rows]
@@ -265,17 +268,16 @@ def _windows(oriented, kernel, rows, vals, idx, ptr, lens):
     elif kernel.window == "in_lt":
         source = in_idx
         starts = in_ptr[vals]
-        bound = np.searchsorted(oriented.in_key_array(), vals * n + rows)
-        counts = bound - starts
+        counts = np.searchsorted(oriented.in_key_array(), keys()) - starts
     elif kernel.window == "in_gt":
         source = in_idx
-        starts = np.searchsorted(oriented.in_key_array(),
-                                 vals * n + rows, side="right")
+        starts = np.searchsorted(oriented.in_key_array(), keys(),
+                                 side="right")
         counts = in_ptr[vals + 1] - starts
     else:  # "out_gt"
         source = out_idx
-        starts = np.searchsorted(oriented.out_key_array(),
-                                 vals * n + rows, side="right")
+        starts = np.searchsorted(oriented.out_key_array(), keys(),
+                                 side="right")
         counts = out_ptr[vals + 1] - starts
     return source, starts, counts
 
@@ -318,19 +320,15 @@ def _run_kernel(oriented, kernel, collect, stats=None, label=""):
     """
     cache = _graph_cache(oriented)
     if kernel.units == "out":
-        idx, ptr = oriented.out_csr()
+        vals32, ptr = oriented.out_csr()
         lens = oriented.out_degrees
-        rows32, vals32 = cache.out_rows32, cache.out_idx32
+        rows32 = cache.out_rows32
     else:
-        idx, ptr = oriented.in_csr()
+        vals32, ptr = oriented.in_csr()
         lens = oriented.in_degrees
-        rows32, vals32 = cache.in_rows32, cache.in_idx32
-    rows = rows32.astype(np.int64)
-    vals = idx
-    source, starts, counts = _windows(
-        oriented, kernel, rows, vals, idx, ptr, lens)
-    source32 = source.astype(np.uint32) if source.size else \
-        np.empty(0, dtype=np.uint32)
+        rows32 = cache.in_rows32
+    source32, starts, counts = _windows(
+        oriented, kernel, rows32, vals32, ptr, lens)
 
     cum = np.empty(counts.size + 1, dtype=np.int64)
     cum[0] = 0
@@ -377,8 +375,8 @@ def _run_kernel(oriented, kernel, collect, stats=None, label=""):
         count += hits.size
         if batches is not None and hits.size:
             unit = np.repeat(np.arange(u0, u1, dtype=np.int64), cnt)[hits]
-            parts = {"w": w32[hits].astype(np.int64),
-                     "r": rows[unit], "v": vals[unit]}
+            parts = {"w": w32[hits], "r": rows32[unit],
+                     "v": vals32[unit]}
             batches.append(np.stack(
                 [parts[name] for name in kernel.tri], axis=1))
         if progress is not None:
@@ -404,52 +402,6 @@ def _publish_native_stats() -> None:
     _metrics.set_gauge("engine.native_blocks", float(ns["blocks"]))
     for t, t_ops in enumerate(ns["ops_per_thread"]):
         _metrics.inc(f"engine.native.ops.t{t}", t_ops)
-
-
-def _count_fast(oriented, stats=None) -> tuple[int, bool]:
-    """Exact triangle count by the cheapest route available.
-
-    Tries the compiled forward kernel first (identical count, ~ns per
-    comparison), then falls back to the cheapest of the three
-    vectorized base shapes -- every method lists the same triangle
-    set, so count-only work is free to pick its stream. Returns
-    ``(count, used_native)``.
-    """
-    native_count = _native.count_triangles(oriented)
-    if native_count is not None:
-        return native_count, True
-    comps = _component_ops(oriented)
-    shape = min(("T1", "T2", "T3"), key=comps.get)
-    count, _ = _run_kernel(oriented, _KERNELS[shape], collect=False,
-                           stats=stats, label=f"count:{shape}")
-    return count, False
-
-
-def _collect_fast(oriented, kernel, method, stats=None,
-                  use_native=None) -> tuple[int, list, bool]:
-    """Full triangle list by the fastest route that matches semantics.
-
-    ``use_native=None`` tries the compiled emitting kernel and falls
-    back to the vectorized chunk loop; ``False`` skips native
-    entirely (the caller wants the NumPy enumeration order);
-    ``True`` requires it (raises if the library is unavailable).
-    Returns ``(count, triangles, used_native)``; ``triangles`` holds
-    ``(x, y, z)`` tuples of ints in row order (native rows by ``(z, y)``
-    then ``x``), boxed column-wise so no per-row list is ever built.
-    """
-    if use_native is not False:
-        arr = _native.list_triangles_array(oriented)
-        if arr is not None:
-            return arr.shape[0], list(zip(*arr.T.tolist())), True
-        if use_native:
-            raise RuntimeError(
-                "native engine requested but unavailable: "
-                f"{_native.status()}")
-    count, batches = _run_kernel(oriented, kernel, collect=True,
-                                 stats=stats, label=f"list:{method}")
-    triangles = (list(zip(*np.concatenate(batches).T.tolist()))
-                 if batches else [])
-    return count, triangles, False
 
 
 def run_method_kernel(oriented, method: str) -> int:
@@ -504,26 +456,32 @@ def run_numpy(oriented, method: str = "E1", collect: bool = True,
         else comps[_PROBE_COMPONENT[method]]
 
     stats = _new_stats() if _metrics.is_enabled() else None
-    if collect:
-        count, triangles, used_native = _collect_fast(
-            oriented, kernel, method, stats=stats, use_native=use_native)
+    # the compiled kernels are method-independent: one forward pass
+    found = None
+    if use_native is not False:
+        found = (_native.list_triangles_array(oriented) if collect
+                 else _native.count_triangles(oriented))
+    used_native = found is not None
+    if use_native and not used_native:
+        raise RuntimeError("native engine requested but unavailable: "
+                           f"{_native.status()}")
+    triangles = None
+    if used_native and collect:
+        # rows by (z, y) then x, boxed column-wise (no per-row list)
+        count, triangles = found.shape[0], list(zip(*found.T.tolist()))
+    elif used_native:
+        count = found
+    elif collect:
+        count, batches = _run_kernel(oriented, kernel, collect=True,
+                                     stats=stats, label=f"list:{method}")
+        triangles = (list(zip(*np.concatenate(batches).T.tolist()))
+                     if batches else [])
     else:
-        triangles = None
-        if use_native:
-            count = _native.count_triangles(oriented)
-            if count is None:
-                raise RuntimeError(
-                    "native engine requested but unavailable: "
-                    f"{_native.status()}")
-            used_native = True
-        elif use_native is False:
-            comps_shape = min(("T1", "T2", "T3"), key=comps.get)
-            count, _ = _run_kernel(
-                oriented, _KERNELS[comps_shape], collect=False,
-                stats=stats, label=f"count:{comps_shape}")
-            used_native = False
-        else:
-            count, used_native = _count_fast(oriented, stats=stats)
+        # every method lists the same triangles: count the cheapest
+        # base shape
+        shape = min(("T1", "T2", "T3"), key=comps.get)
+        count, _ = _run_kernel(oriented, _KERNELS[shape], collect=False,
+                               stats=stats, label=f"count:{shape}")
     if stats is not None:
         _publish_stats(stats)
     if _metrics.is_enabled() and used_native:

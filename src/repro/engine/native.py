@@ -935,17 +935,22 @@ def resolve_kind(oriented, kind: str | None = None) -> str:
 class _GraphArrays:
     """Per-graph native-call state, weakly cached on the oriented graph.
 
-    Contiguous int64 CSR mirrors (ctypes-ready), the edge-balanced
-    block decomposition, and the max out-degree (the streaming
+    The graph's own out-CSR (uint32 indices, int64 indptr -- passed by
+    pointer, never copied), the edge-balanced block decomposition with
+    its per-block counters, and the max out-degree (the streaming
     emitter's worst-case row). Building this once per graph keeps the
     per-call overhead of the native path to a few argument loads --
     which is most of what the ns/edge metric sees on small graphs.
     """
 
     def __init__(self, oriented, nblocks: int):
-        indices, indptr = oriented.out_csr()
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.uint32)
+        # references (not copies) keep the pointers valid
+        self.indices, self.indptr = oriented.out_csr()
+        if (self.indices.dtype != np.uint32 or self.indptr.dtype != np.int64
+                or not self.indices.flags.c_contiguous
+                or not self.indptr.flags.c_contiguous):
+            raise ValueError("native kernels need a contiguous uint32/int64 "
+                             "out-CSR, as OrientedGraph stores it")
         self.n = int(oriented.n)
         self.m = int(self.indices.size)
         self.max_out_degree = (int(oriented.out_degrees.max())
@@ -961,9 +966,6 @@ class _GraphArrays:
         self.nblocks = nblocks
         self.block_counts = np.zeros(nblocks, dtype=np.int64)
         self.block_ops = np.zeros(nblocks, dtype=np.int64)
-        if _memory.is_enabled():
-            _memory.track(self, "native.csr",
-                          (self.indptr, self.indices))
         self._p_indptr = self.indptr.ctypes.data_as(_I64P)
         self._p_indices = self.indices.ctypes.data_as(_U32P)
         self._p_starts = self.block_starts.ctypes.data_as(_I64P)
@@ -1039,10 +1041,9 @@ def count_triangles(oriented, threads: int | None = None,
     Accepts any :class:`~repro.graphs.digraph.OrientedGraph`; the
     caller falls back to the NumPy path on None. ``threads`` defaults
     to ``REPRO_NATIVE_THREADS`` (then the CPU count); the result is
-    bit-identical at any value. Graphs with ``n >= 2^32`` exceed the
-    uint32 index mirrors and fall back.
+    bit-identical at any value.
     """
-    if not available() or oriented.n >= 2**32:
+    if not available():
         return None
     arrays = _graph_arrays(oriented)
     kind = resolve_kind(oriented, kind)
@@ -1072,7 +1073,7 @@ def list_triangles_array(oriented, threads: int | None = None,
     ``(z, y)`` then ascending ``x`` -- the same bytes at any thread
     count and for either kernel kind.
     """
-    if not available() or oriented.n >= 2**32:
+    if not available():
         return None
     arrays = _graph_arrays(oriented)
     kind = resolve_kind(oriented, kind)
@@ -1115,7 +1116,7 @@ def stream_triangles(oriented, chunk_triangles: int = 1 << 20,
     never boxes individual triangles. Batch concatenation equals
     :func:`list_triangles_array` exactly.
     """
-    if not available() or oriented.n >= 2**32:
+    if not available():
         return None
     arrays = _graph_arrays(oriented)
     kind_name = resolve_kind(oriented, kind)

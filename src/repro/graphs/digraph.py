@@ -11,6 +11,9 @@ labels (0-based here), ``out[i]`` holds the smaller-labeled neighbors and
 ``in[i]`` the larger-labeled ones, both sorted ascending. The
 acyclicity of the orientation is immediate: every edge decreases the
 label.
+
+Every engine reads this one layout (``uint32`` indices, ``int64``
+indptr, lazy ``int64`` edge keys); none keeps a copy.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ import numpy as np
 
 from repro.graphs.graph import Graph, _sorted_csr
 from repro.obs import memory as _memory
+
+#: Element type of the out-/in-CSR column indices. A label must fit in
+#: it, so graphs with ``n > iinfo(INDEX_DTYPE).max`` are rejected.
+INDEX_DTYPE = np.uint32
 
 
 class OrientedGraph:
@@ -44,6 +51,10 @@ class OrientedGraph:
     """
 
     def __init__(self, graph: Graph, labels):
+        if graph.n > np.iinfo(INDEX_DTYPE).max:
+            raise ValueError(
+                f"n = {graph.n} does not fit the {np.dtype(INDEX_DTYPE)} "
+                f"CSR indices (n must be below 2**32)")
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (graph.n,):
             raise ValueError(
@@ -67,10 +78,12 @@ class OrientedGraph:
         # out-CSR: for node i, sorted list of out-neighbors (labels < i);
         # in-CSR: for node i, sorted list of in-neighbors (labels > i).
         # The sorted keys are not kept: the key arrays stay lazy
-        self._out_indices, out_counts = _sorted_csr(src, dst, self.n)
+        self._out_indices, out_counts = _sorted_csr(
+            src, dst, self.n, dtype=INDEX_DTYPE)
         self._out_indptr = np.concatenate(
             [[0], np.cumsum(out_counts)]).astype(np.int64)
-        self._in_indices, in_counts = _sorted_csr(dst, src, self.n)
+        self._in_indices, in_counts = _sorted_csr(
+            dst, src, self.n, dtype=INDEX_DTYPE)
         self._in_indptr = np.concatenate(
             [[0], np.cumsum(in_counts)]).astype(np.int64)
 
@@ -109,8 +122,9 @@ class OrientedGraph:
         """The out-adjacency as raw CSR ``(indices, indptr)`` arrays.
 
         Row ``i`` is ``indices[indptr[i]:indptr[i+1]]`` -- the sorted
-        out-neighbors of ``i``. The vectorized engine operates on these
-        directly instead of slicing per node.
+        out-neighbors of ``i``; ``indices`` is :data:`INDEX_DTYPE`,
+        ``indptr`` int64. Every engine operates on these directly
+        (never on a copy) instead of slicing per node.
         """
         return self._out_indices, self._out_indptr
 

@@ -11,12 +11,14 @@ import numpy as np
 
 
 def _sorted_csr(rows: np.ndarray, cols: np.ndarray, n: int,
-                check_duplicates: bool = False):
+                check_duplicates: bool = False, dtype=np.int64):
     """Column indices sorted by ``(row, col)``, and per-row counts.
 
     One sort of the int64 keys ``row * n + col``: the sorted keys
     decode back to columns by subtracting each key's ``row * n``, and
     a repeated ``(row, col)`` pair is an equal adjacent pair of keys.
+    The columns come back as ``dtype``, decoded straight into it (in
+    place for int64), so a narrower layout costs no extra pass.
     """
     width = np.int64(n)
     keys = rows * width + cols
@@ -24,8 +26,11 @@ def _sorted_csr(rows: np.ndarray, cols: np.ndarray, n: int,
     if check_duplicates and np.any(keys[1:] == keys[:-1]):
         raise ValueError("duplicate edges are not allowed")
     counts = np.bincount(rows, minlength=n)
-    keys -= np.repeat(np.arange(n, dtype=np.int64) * width, counts)
-    return keys, counts
+    out = keys if np.dtype(dtype) == keys.dtype else np.empty(
+        keys.size, dtype=dtype)
+    np.subtract(keys, np.repeat(np.arange(n, dtype=np.int64) * width,
+                                counts), out=out, casting="unsafe")
+    return out, counts
 
 
 class Graph:

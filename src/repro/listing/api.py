@@ -1,24 +1,24 @@
 """High-level entry points for the 18 listing methods.
 
-Three engines back every method:
+Three engines back every method, and each name runs what it says:
 
 * ``"python"`` -- the instrumented pure-Python loops (the ground-truth
   reference; per-candidate ``ops``/``comparisons`` counting).
-* ``"numpy"`` -- the vectorized kernels of :mod:`repro.engine`
-  (identical triangles/counts/``ops``, orders of magnitude faster; see
-  docs/PERFORMANCE.md). When the compiled kernels of
-  :mod:`repro.engine.native` are available it transparently drops into
-  them for both counting and listing.
-* ``"native"`` -- the compiled kernels, *required*: raises
-  ``RuntimeError`` instead of falling back when no C toolchain is
-  available or ``REPRO_NATIVE=0`` is set.
+* ``"numpy"`` -- the pure-NumPy kernels of :mod:`repro.engine`
+  (identical triangles/counts/``ops``, orders of magnitude faster than
+  python; see docs/PERFORMANCE.md). Never the compiled kernels.
+* ``"native"`` -- the compiled kernels of :mod:`repro.engine.native`,
+  *required*: raises ``RuntimeError`` instead of falling back when no
+  C toolchain is available or ``REPRO_NATIVE=0`` is set.
 
-The default ``engine="auto"`` routes count-only runs
-(``collect=False``) through the vectorized engine, and collecting runs
-through it too whenever the native listing kernels are available
-(identical canonical triangle set, C-speed emission); without them it
-keeps the reference loops, whose enumeration order is part of the
-documented semantics.
+The default ``engine="auto"`` is the only chooser. It runs the
+compiled kernels when they are available (identical canonical triangle
+set, C-speed emission); without them, count-only runs
+(``collect=False``) take the numpy kernels and collecting runs keep
+the reference loops, whose enumeration order is part of the
+documented semantics. The three vectorized spellings map one to one
+onto :func:`repro.engine.run_numpy`'s ``use_native`` (``numpy`` ->
+``False``, ``native`` -> ``True``, ``auto`` -> ``None``).
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ ALL_METHODS = (VERTEX_ITERATORS + SCANNING_EDGE_ITERATORS
 
 #: Recognized values of the ``engine`` argument.
 ENGINES = ("auto", "python", "numpy", "native")
+
+#: ``run_numpy``'s ``use_native`` for each vectorized engine name.
+_USE_NATIVE = {"numpy": False, "native": True, "auto": None}
 
 
 def _run_python(oriented, method: str, collect: bool) -> ListingResult:
@@ -73,11 +76,10 @@ def list_triangles(oriented, method: str = "E1", collect: bool = True,
     returned counters.
 
     ``engine`` selects the implementation: ``"python"`` (instrumented
-    reference), ``"numpy"`` (vectorized, native-accelerated when
-    possible), ``"native"`` (compiled kernels required -- raises when
-    unavailable), or ``"auto"`` (numpy for count-only runs; when
-    collecting, numpy if the native listing kernels are available and
-    python otherwise). All report the same
+    reference), ``"numpy"`` (pure-NumPy kernels), ``"native"``
+    (compiled kernels required -- raises when unavailable), or
+    ``"auto"`` (compiled kernels when available; otherwise numpy for
+    count-only runs and python when collecting). All report the same
     ``count``/``ops``/``hash_inserts`` and -- when collecting -- the
     same triangle set; the numpy/native enumeration *order* and the
     E-family ``comparisons`` follow the closed-form semantics
@@ -106,31 +108,28 @@ def list_triangles(oriented, method: str = "E1", collect: bool = True,
     # on; the disabled path is the one is_enabled() check.
     from repro.obs import audit as _audit
     audit_on = auto_plan is not None and _audit.is_enabled()
-    use_native = None
-    if engine == "auto":
-        if collect:
-            from repro.engine import native as _native
-            engine = "numpy" if _native.available() else "python"
-        else:
-            engine = "numpy"
-    elif engine == "native":
-        engine = "numpy"
-        use_native = True
+    if engine == "auto" and collect:
+        from repro.engine import native as _native
+        if not _native.available():
+            engine = "python"
     wall_start = time.perf_counter() if audit_on else 0.0
     with span("list", method=method, n=oriented.n, engine=engine) as sp:
         if auto_plan is not None:
             sp.annotate(auto=True,
                         plan_confidence=round(auto_plan.confidence, 4))
-        if engine == "numpy":
+        if engine == "python":
+            result = _run_python(oriented, method, collect)
+        else:
             from repro.engine import run_numpy
             if method not in ALL_METHODS:
                 raise ValueError(f"unknown method {method!r}; choose "
                                  f"from {ALL_METHODS}")
             result = run_numpy(oriented, method, collect,
-                               use_native=use_native)
-        else:
-            result = _run_python(oriented, method, collect)
-        sp.annotate(ops=result.ops, triangles=result.count)
+                               use_native=_USE_NATIVE[engine])
+        # the engine that ran: python, numpy or native
+        engine = ("native" if result.extra.get("native")
+                  else result.extra.get("engine") or "python")
+        sp.annotate(ops=result.ops, triangles=result.count, engine=engine)
     if auto_plan is not None:
         result.extra["auto_method"] = method
         result.extra["auto_confidence"] = auto_plan.confidence
@@ -144,8 +143,7 @@ def list_triangles(oriented, method: str = "E1", collect: bool = True,
     publish_result_metrics(result)
     # publish the resolved engine as a labelled counter (and not just a
     # span attribute) so run-history reports can segment cost by engine
-    label = "native" if result.extra.get("native") else engine
-    _metrics.inc(f"lister.engine.{label}")
+    _metrics.inc(f"lister.engine.{engine}")
     return result
 
 

@@ -342,14 +342,15 @@ def predict_footprint(n: int, m: int, *, method: str | None = None,
 
     The rules transcribe the actual allocations:
 
-    * ``graph.csr`` -- two int64 index arrays (``m`` each) plus two
+    * ``graph.csr`` -- two uint32 index arrays (``m`` each) plus two
       int64 indptr arrays (``n + 1`` each);
     * ``graph.degrees`` -- three int64 degree arrays (out/in/total);
     * ``graph.keys`` -- the lazy sorted edge-key arrays: the out-keys
       always materialize under the numpy engine (the Bloom confirm
       pass binary-searches them); the in-keys only for methods with
       ``searchsorted``-bounded in-windows (E4/E5/L4/L5);
-    * ``engine.cache`` -- four uint32 CSR mirrors (``m`` each);
+    * ``engine.cache`` -- the two uint32 row arrays (``m`` each); the
+      engines read the graph's own CSR, so no index copy is priced;
     * ``engine.bloom`` -- the fixed :data:`BLOOM_BYTES` bit table.
 
     ``engine="python"`` predicts only the graph-side tags (the pure
@@ -358,7 +359,7 @@ def predict_footprint(n: int, m: int, *, method: str | None = None,
     n = int(n)
     m = int(m)
     components = {
-        "graph.csr": 8 * (2 * m + 2 * (n + 1)),
+        "graph.csr": 4 * 2 * m + 8 * 2 * (n + 1),
         "graph.degrees": 8 * 3 * n,
     }
     if engine == "numpy":
@@ -366,7 +367,7 @@ def predict_footprint(n: int, m: int, *, method: str | None = None,
         if method is not None and method.upper() in _IN_KEY_METHODS:
             keys += 8 * m
         components["graph.keys"] = keys
-        components["engine.cache"] = 4 * 4 * m
+        components["engine.cache"] = 4 * 2 * m
         components["engine.bloom"] = BLOOM_BYTES
     return {"n": n, "m": m, "method": method, "engine": engine,
             "components": components,

@@ -122,8 +122,9 @@ class TestCSRBuild:
         np.testing.assert_array_equal(oriented.in_csr()[1], in_ptr)
         np.testing.assert_array_equal(oriented.out_degrees, out_deg)
         np.testing.assert_array_equal(oriented.in_degrees, in_deg)
-        for arr in (*oriented.out_csr(), *oriented.in_csr()):
-            assert arr.dtype == np.int64
+        for indices, indptr in (oriented.out_csr(), oriented.in_csr()):
+            assert indices.dtype == np.uint32
+            assert indptr.dtype == np.int64
         return oriented
 
     @pytest.mark.parametrize("seed", range(5))
@@ -144,6 +145,31 @@ class TestCSRBuild:
     ], ids=["n=0", "m=0", "isolated-vertices"])
     def test_degenerate_shapes(self, n, edges):
         self._check(Graph(n, edges), np.arange(n)[::-1])
+
+    def test_index_width_bound_raises_before_allocating(self):
+        """n = 2**32 labels overflow uint32: rejected up front."""
+        import tracemalloc
+
+        class HugeGraph:
+            n = 2**32
+            m = 0
+
+            @property
+            def edges(self):
+                raise AssertionError("edges read before the bound check")
+
+        class Labels:
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("labels read before the bound check")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2\\*\\*32"):
+                OrientedGraph(HugeGraph(), Labels())
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_invalid_labels_message(self, triangle_graph):
         for labels in ([0, 0, 1], [1, 2, 3], [-1, 0, 1], [0, 1, 1]):

@@ -118,7 +118,85 @@ class TestEdgeCases:
         assert py.ops == np_res.ops
 
 
+SHAPES = {
+    "empty": Graph(5, []),
+    "star": Graph(6, [(0, i) for i in range(1, 6)]),
+    "clique": Graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+}
+
+
+@pytest.fixture(scope="module")
+def references(pareto_graph):
+    """Per shape: the oriented graph and its python result per method."""
+    refs = {}
+    for name, graph in {"pareto": pareto_graph, **SHAPES}.items():
+        g = orient(graph, DescendingDegree())
+        refs[name] = (g, {m: list_triangles(g, m, engine="python")
+                          for m in ALL_METHODS})
+    return refs
+
+
 class TestDispatch:
+    @pytest.mark.parametrize("collect", [True, False],
+                             ids=["collect", "count"])
+    @pytest.mark.parametrize("engine", ["python", "numpy", "native",
+                                        "auto"])
+    def test_engine_runs_what_it_names(self, references, engine,
+                                       collect):
+        from repro.engine import native
+        if engine == "native" and not native.available():
+            g, __ = references["pareto"]
+            with pytest.raises(RuntimeError, match="native engine"):
+                list_triangles(g, "T1", collect=collect, engine=engine)
+            return
+        expect_native = engine == "native" or (
+            engine == "auto" and native.available())
+        for name, (g, refs) in references.items():
+            for method, ref in refs.items():
+                result = list_triangles(g, method, collect=collect,
+                                        engine=engine)
+                case = (name, method)
+                assert bool(result.extra.get("native")) is \
+                    expect_native, case
+                assert result.count == ref.count, case
+                assert result.ops == ref.ops, case
+                assert result.hash_inserts == ref.hash_inserts, case
+                if collect:
+                    assert set(result.triangles) == set(ref.triangles), \
+                        case
+                else:
+                    assert result.triangles is None, case
+
+    @pytest.mark.parametrize("collect", [True, False],
+                             ids=["collect", "count"])
+    def test_numpy_engine_never_reaches_native(self, oriented, collect,
+                                               monkeypatch):
+        from repro.engine import native
+
+        def boom(*args, **kwargs):
+            raise AssertionError("engine='numpy' called native")
+
+        monkeypatch.setattr(native, "count_triangles", boom)
+        monkeypatch.setattr(native, "list_triangles_array", boom)
+        result = list_triangles(oriented, "T1", collect=collect,
+                                engine="numpy")
+        assert result.extra["native"] is False
+        assert result.count == count_triangles(oriented, "T1",
+                                               engine="python")
+
+    def test_calibration_times_numpy_not_native(self, monkeypatch):
+        """The default speed-ratio calibration never runs native."""
+        from repro.engine import native
+        from repro.engine.benchmark import measure_speed_ratio
+
+        def boom(*args, **kwargs):
+            raise AssertionError("calibration called native")
+
+        monkeypatch.setattr(native, "count_triangles", boom)
+        monkeypatch.setattr(native, "list_triangles_array", boom)
+        ratio = measure_speed_ratio(engine="numpy", n=300, repeats=1)
+        assert np.isfinite(ratio) and ratio > 0.0
+
     def test_engine_argument(self, oriented):
         py = list_triangles(oriented, "T1", collect=False,
                             engine="python")

@@ -156,10 +156,15 @@ class TestListerEngineLabel:
         if not native.available():
             pytest.skip("no compiled kernel in this environment")
         obs.enable()
+        # numpy runs the NumPy kernels even with the library present;
+        # only auto (or native) reaches the compiled kernels
         list_triangles(oriented, "T1", collect=False, engine="numpy")
         counters = obs.metrics.snapshot()["counters"]
+        assert counters["lister.engine.numpy"] == 1
+        assert "lister.engine.native" not in counters
+        list_triangles(oriented, "T1", collect=False, engine="auto")
+        counters = obs.metrics.snapshot()["counters"]
         assert counters["lister.engine.native"] == 1
-        assert "lister.engine.numpy" not in counters
 
     def test_native_engine_value_labels_native(self, oriented):
         if not native.available():

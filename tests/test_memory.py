@@ -152,8 +152,24 @@ class TestFootprintConformance:
     def test_predict_python_engine_graph_only(self):
         pred = memory.predict_footprint(100, 400, engine="python")
         assert set(pred["components"]) == {"graph.csr", "graph.degrees"}
-        assert pred["components"]["graph.csr"] == 8 * (800 + 202)
+        # uint32 indices (2m), int64 indptr (2(n + 1))
+        assert pred["components"]["graph.csr"] == 4 * 800 + 8 * 202
         assert pred["components"]["graph.degrees"] == 24 * 100
+
+    def test_native_count_adds_no_graph_copy(self):
+        """The compiled kernels read the graph's own CSR by pointer."""
+        from repro.engine import native
+        if not native.available():
+            pytest.skip("no compiled kernel in this environment")
+        memory.enable()
+        oriented = _oriented()
+        assert native.count_triangles(oriented) > 0
+        rows = {r["tag"]: r for r in memory.ledger_rows()}
+        assert set(rows) == {"graph.csr", "graph.degrees"}
+        pred = memory.predict_footprint(oriented.n, oriented.m,
+                                        engine="python")
+        for tag, nbytes in pred["components"].items():
+            assert rows[tag]["live_bytes"] == nbytes, tag
 
     def test_predict_in_keys_only_for_in_window_methods(self):
         base = memory.predict_footprint(100, 400, method="E1")

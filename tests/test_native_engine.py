@@ -169,6 +169,26 @@ class TestDegenerateGraphs:
     def test_self_test(self):
         assert native.self_test()
 
+    def test_reads_graph_csr_without_copy(self):
+        g = orient(Graph(6, [(0, 1), (1, 2), (0, 2)]), DescendingDegree())
+        assert native.count_triangles(g) == 1
+        arrays = native._graph_arrays(g)
+        assert arrays.indices is g.out_csr()[0]
+        assert arrays.indptr is g.out_csr()[1]
+
+    def test_rejects_a_csr_of_another_layout(self):
+        g = orient(Graph(3, [(0, 1), (1, 2), (0, 2)]), DescendingDegree())
+
+        class Wide:
+            n, out_degrees = g.n, g.out_degrees
+
+            def out_csr(self):
+                indices, indptr = g.out_csr()
+                return indices.astype(np.int64), indptr
+
+        with pytest.raises(ValueError, match="uint32"):
+            native.count_triangles(Wide())
+
 
 class TestKnobs:
     def test_resolve_threads_env(self, monkeypatch):
