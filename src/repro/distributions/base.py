@@ -49,16 +49,6 @@ class DegreeDistribution(abc.ABC):
         k = np.asarray(k, dtype=float)
         return np.maximum(self.cdf(k) - self.cdf(k - 1.0), 0.0)
 
-    def pmf_vector(self, t: int) -> np.ndarray:
-        """Return ``[P(D = 1), ..., P(D = t)]`` as a dense array.
-
-        This is the ``p_i`` vector that powers the discrete cost model
-        (50); computing it in one vectorized pass keeps the model linear
-        in ``t``.
-        """
-        ks = np.arange(1, t + 1, dtype=float)
-        return self.pmf(ks)
-
     def quantile(self, u):
         """Smallest integer ``k >= support_min`` with ``cdf(k) >= u``.
 
@@ -143,16 +133,6 @@ class DegreeDistribution(abc.ABC):
     def truncate(self, t: int) -> "TruncatedDistribution":
         """Return ``F_n(x) = F(x) / F(t)`` restricted to ``[1, t]``."""
         return TruncatedDistribution(self, t)
-
-    def partial_weighted_sum(self, x: int, weight) -> float:
-        """``sum_{k <= x} weight(k) * pmf(k)``; building block of J(x)."""
-        if x < self.support_min:
-            return 0.0
-        hi = x
-        if math.isfinite(self.support_max):
-            hi = min(hi, int(self.support_max))
-        ks = np.arange(self.support_min, hi + 1, dtype=float)
-        return float(np.sum(weight(ks) * self.pmf(ks)))
 
 
 class TruncatedDistribution(DegreeDistribution):

@@ -41,9 +41,10 @@ kernel library:
 * **Smallest-last order** (:func:`smallest_last`): the Matula-Beck
   bucket queue of :func:`repro.orientations.degenerate.smallest_last_order`,
   bit-identical to its Python reference loop.
-* **Orientation pricing** (:func:`oriented_sums`): the exact planner's
-  totals of eqs. (7)-(9) under several label maps in one call, equal
-  to :func:`repro.planner.candidates.oriented_degrees` followed by
+* **Orientation pricing** (:func:`oriented_sums`): the totals of
+  eqs. (7)-(9) under several label maps in one call (the exact
+  planner's and every Monte-Carlo cell's), equal
+  to :func:`repro.orientations.relabel.oriented_degrees` followed by
   :func:`repro.core.costs.component_ops` per map.
 
 The exactness argument is the forward/compact-forward one: for each
@@ -1250,7 +1251,7 @@ def oriented_sums(edges, degrees, labels):
     all contiguous int64. Returns a ``(K, 3)`` int64 array whose row
     ``j`` is ``(sum X(X-1)/2, sum XY, sum Y(Y-1)/2)`` under
     ``labels[j]`` -- ``component_ops(*oriented_degrees(graph,
-    labels[j]))`` of :mod:`repro.planner.candidates`, in one pass per
+    labels[j]))`` of :mod:`repro.orientations.relabel`, in one pass per
     map.
     """
     if not available():
@@ -1324,8 +1325,8 @@ def self_test() -> bool:
     # component_ops on the same wheel, under every planner label map
     from repro.core.costs import component_ops
     from repro.listing.api import ALL_METHODS
-    from repro.planner.candidates import (GRAPH_ORDERINGS, iter_candidates,
-                                          oriented_degrees)
+    from repro.orientations.relabel import oriented_degrees
+    from repro.planner.candidates import GRAPH_ORDERINGS, iter_candidates
     maps = {c.orientation_key(): c.permutation().labels_for(wheel)
             for c in iter_candidates(ALL_METHODS, GRAPH_ORDERINGS)}
     sums = oriented_sums(wheel.edges, wheel.degrees,

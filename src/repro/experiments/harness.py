@@ -7,6 +7,10 @@ graphs (the paper uses 100 x 100 = 10,000 instances at up to
 upward). Cost is evaluated *exactly* from the oriented degrees via
 eqs. (7)-(9) -- no listing run is needed, because the instrumented
 listers' ``ops`` equal those formulas identically (verified in tests).
+Every Monte-Carlo loop (serial, :mod:`~repro.experiments.parallel`,
+:mod:`~repro.experiments.statistics`) prices each graph through
+:func:`instance_cost`, from the edge list: it builds no oriented CSR
+and, under a degree-ranked permutation, no undirected CSR either.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.costs import per_node_cost
+from repro.core.costs import per_node_cost_from_ops
 from repro.core.kernels import LimitMap
 from repro.core.model import discrete_cost_model
 from repro.core.weights import identity_weight
@@ -31,7 +35,7 @@ from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger, log_event
 from repro.obs.spans import span
 from repro.orientations.permutations import Permutation
-from repro.orientations.relabel import orient
+from repro.orientations.relabel import count_orientation, orientation_totals
 
 _log = get_logger(__name__)
 
@@ -44,9 +48,11 @@ def model_error_warn_threshold() -> float:
     """The active divergence-warning threshold (env-overridable)."""
     raw = os.environ.get("REPRO_MODEL_ERROR_WARN", "")
     try:
-        return float(raw)
+        threshold = float(raw)
     except ValueError:
-        return MODEL_ERROR_WARN_DEFAULT
+        threshold = math.nan
+    # NaN, inf or a negative value would silence (or always fire) it
+    return threshold if 0 <= threshold < math.inf else MODEL_ERROR_WARN_DEFAULT
 
 
 @dataclass
@@ -69,7 +75,7 @@ class SimulationSpec:
         The ``w(x)`` entering the model (simulation is unaffected).
     n_sequences / n_graphs:
         Monte-Carlo budget: degree sequences per cell and graphs per
-        sequence.
+        sequence (each at least 1; ValueError otherwise).
     generator:
         ``"residual"`` (exact realization, the paper's choice) or
         ``"configuration"``.
@@ -87,6 +93,46 @@ class SimulationSpec:
     tie_break: str = "random"
     extra: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name, value in (("n_sequences", self.n_sequences),
+                            ("n_graphs", self.n_graphs)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def instance_cost(spec: SimulationSpec, graph,
+                  rng: np.random.Generator) -> float:
+    """``c_n(M, theta_n)`` of one realized graph: the per-graph cell step.
+
+    Relabels and orients like :func:`~repro.orientations.relabel.orient`
+    (same spans, counters and ``rng`` draws) but prices the label map
+    with :func:`~repro.orientations.relabel.orientation_totals` instead
+    of building an :class:`~repro.graphs.digraph.OrientedGraph`.
+    """
+    with span("relabel", permutation=type(spec.permutation).__name__,
+              n=graph.n):
+        labels = spec.permutation.labels_for(graph, rng=rng,
+                                             tie_break=spec.tie_break)
+    with span("orient", n=graph.n, m=graph.m):
+        totals = orientation_totals(graph, labels)[0].tolist()
+        count_orientation(graph, labels)
+    with span("list", method=spec.method):
+        return per_node_cost_from_ops(
+            [spec.method], dict(zip(("T1", "T2", "T3"), totals)),
+            graph.n)[spec.method]
+
+
+def sequence_costs(spec: SimulationSpec, dist_n, n: int,
+                   rng: np.random.Generator):
+    """Sample one degree sequence of length ``n`` from ``dist_n`` and
+    yield the :func:`instance_cost` of each of its ``spec.n_graphs``
+    realizations -- the sequence loop every Monte-Carlo path shares."""
+    with span("sample", n=n):
+        degrees = sample_degree_sequence(dist_n, n, rng)
+    for __ in range(spec.n_graphs):
+        yield instance_cost(spec, generate_graph(
+            degrees, rng, method=spec.generator), rng)
+
 
 def simulate_cost(spec: SimulationSpec, n: int,
                   rng: np.random.Generator) -> float:
@@ -97,17 +143,7 @@ def simulate_cost(spec: SimulationSpec, n: int,
               permutation=type(spec.permutation).__name__, n=n):
         for seq in range(spec.n_sequences):
             with span("sequence", index=seq):
-                with span("sample", n=n):
-                    degrees = sample_degree_sequence(dist_n, n, rng)
-                for __ in range(spec.n_graphs):
-                    graph = generate_graph(degrees, rng,
-                                           method=spec.generator)
-                    oriented = orient(graph, spec.permutation, rng=rng,
-                                      tie_break=spec.tie_break)
-                    with span("list", method=spec.method):
-                        costs.append(per_node_cost(
-                            spec.method, oriented.out_degrees,
-                            oriented.in_degrees))
+                costs.extend(sequence_costs(spec, dist_n, n, rng))
             if _log.isEnabledFor(logging.DEBUG):
                 log_event(_log, logging.DEBUG, "monte-carlo progress",
                           method=spec.method,

@@ -41,16 +41,13 @@ import time
 
 import numpy as np
 
-from repro.core.costs import per_node_cost
-from repro.distributions.sampling import sample_degree_sequence
-from repro.experiments.harness import check_model_divergence, model_cost
-from repro.graphs.generators import generate_graph
+from repro.experiments.harness import (check_model_divergence,
+                                       model_cost, sequence_costs)
 from repro.obs import bus as _bus
 from repro.obs import live as _live
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.obs.spans import Span, span
-from repro.orientations.relabel import orient
 
 __all__ = [
     "resolve_chunksize",
@@ -159,16 +156,8 @@ def _run_one_sequence(task):
             # Marks the reattached subtree with its worker process so
             # the trace exporter can lay it on its own thread row.
             seq_span.annotate(worker_pid=os.getpid())
-        with span("sample", n=n):
-            degrees = sample_degree_sequence(dist_n, n, rng)
-        for __ in range(spec.n_graphs):
-            graph = generate_graph(degrees, rng, method=spec.generator)
-            oriented = orient(graph, spec.permutation, rng=rng,
-                              tie_break=spec.tie_break)
-            with span("list", method=spec.method):
-                costs.append(per_node_cost(
-                    spec.method, oriented.out_degrees,
-                    oriented.in_degrees))
+        for cost in sequence_costs(spec, dist_n, n, rng):
+            costs.append(cost)
             if (hb_queue is not None
                     and time.monotonic() - last_hb >= hb_interval):
                 _live.post_heartbeat(hb_queue, task_label,

@@ -17,10 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.costs import per_node_cost
-from repro.distributions.sampling import sample_degree_sequence
-from repro.graphs.generators import generate_graph
-from repro.orientations.relabel import orient
+from repro.experiments.harness import sequence_costs
 
 
 @dataclass(frozen=True)
@@ -57,15 +54,7 @@ def estimate_cell(spec, n: int, rng: np.random.Generator) -> CellEstimate:
     sequence_means = []
     within_vars = []
     for __ in range(spec.n_sequences):
-        degrees = sample_degree_sequence(dist_n, n, rng)
-        costs = []
-        for __ in range(spec.n_graphs):
-            graph = generate_graph(degrees, rng, method=spec.generator)
-            oriented = orient(graph, spec.permutation, rng=rng,
-                              tie_break=spec.tie_break)
-            costs.append(per_node_cost(spec.method,
-                                       oriented.out_degrees,
-                                       oriented.in_degrees))
+        costs = list(sequence_costs(spec, dist_n, n, rng))
         sequence_means.append(float(np.mean(costs)))
         within_vars.append(float(np.var(costs, ddof=1))
                            if len(costs) > 1 else 0.0)

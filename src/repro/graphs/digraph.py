@@ -28,6 +28,18 @@ from repro.obs import memory as _memory
 INDEX_DTYPE = np.uint32
 
 
+def check_labels(labels, n: int) -> np.ndarray:
+    """``labels`` as int64; ValueError unless a permutation of ``0..n-1``."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+    # n distinct values in range, counted without a sort
+    if n and (labels.min() < 0 or labels.max() >= n
+              or np.count_nonzero(np.bincount(labels)) != n):
+        raise ValueError("labels must be a permutation of 0..n-1")
+    return labels
+
+
 class OrientedGraph:
     """Relabeled acyclic orientation of a simple undirected graph.
 
@@ -55,23 +67,13 @@ class OrientedGraph:
             raise ValueError(
                 f"n = {graph.n} does not fit the {np.dtype(INDEX_DTYPE)} "
                 f"CSR indices (n must be below 2**32)")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (graph.n,):
-            raise ValueError(
-                f"labels must have shape ({graph.n},), got {labels.shape}")
-        # n distinct values in range, counted without a sort
-        if graph.n and (labels.min() < 0 or labels.max() >= graph.n
-                        or np.count_nonzero(np.bincount(labels))
-                        != graph.n):
-            raise ValueError("labels must be a permutation of 0..n-1")
+        labels = check_labels(labels, graph.n)
         self.graph = graph
         self.labels = labels
         self.n = graph.n
         self.m = graph.m
 
-        edges = graph.edges
-        a = labels[edges[:, 0]] if self.m else np.empty(0, dtype=np.int64)
-        b = labels[edges[:, 1]] if self.m else np.empty(0, dtype=np.int64)
+        a, b = labels[graph.edges[:, 0]], labels[graph.edges[:, 1]]
         src = np.maximum(a, b)  # larger label: the edge's tail
         dst = np.minimum(a, b)  # smaller label: the edge's head
 
@@ -109,14 +111,6 @@ class OrientedGraph:
     def in_neighbors(self, i: int) -> np.ndarray:
         """``N-(i)``: neighbors with larger labels, sorted ascending."""
         return self._in_indices[self._in_indptr[i]:self._in_indptr[i + 1]]
-
-    def out_lists(self) -> list[np.ndarray]:
-        """All out-lists as array views (avoids per-call slicing cost)."""
-        return [self.out_neighbors(i) for i in range(self.n)]
-
-    def in_lists(self) -> list[np.ndarray]:
-        """All in-lists as array views."""
-        return [self.in_neighbors(i) for i in range(self.n)]
 
     def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """The out-adjacency as raw CSR ``(indices, indptr)`` arrays.

@@ -3,6 +3,9 @@
 Matches the paper's standing assumption (section 2): "adjacency lists in
 graphs are sorted ascending by node ID". Nodes are 0-based integers
 ``0..n-1`` (the paper writes ``1..n``; the shift is purely cosmetic).
+The symmetric 2m-entry CSR is built on the first :meth:`Graph.csr` call:
+degree-ranked relabeling and orientation pricing read only the edges
+and degrees, so a Monte-Carlo cell under such an ordering never builds it.
 """
 
 from __future__ import annotations
@@ -11,20 +14,17 @@ import numpy as np
 
 
 def _sorted_csr(rows: np.ndarray, cols: np.ndarray, n: int,
-                check_duplicates: bool = False, dtype=np.int64):
+                dtype=np.int64):
     """Column indices sorted by ``(row, col)``, and per-row counts.
 
     One sort of the int64 keys ``row * n + col``: the sorted keys
-    decode back to columns by subtracting each key's ``row * n``, and
-    a repeated ``(row, col)`` pair is an equal adjacent pair of keys.
+    decode back to columns by subtracting each key's ``row * n``.
     The columns come back as ``dtype``, decoded straight into it (in
     place for int64), so a narrower layout costs no extra pass.
     """
     width = np.int64(n)
     keys = rows * width + cols
     keys.sort()
-    if check_duplicates and np.any(keys[1:] == keys[:-1]):
-        raise ValueError("duplicate edges are not allowed")
     counts = np.bincount(rows, minlength=n)
     out = keys if np.dtype(dtype) == keys.dtype else np.empty(
         keys.size, dtype=dtype)
@@ -34,7 +34,7 @@ def _sorted_csr(rows: np.ndarray, cols: np.ndarray, n: int,
 
 
 class Graph:
-    """Immutable simple undirected graph in CSR form.
+    """Immutable simple undirected graph; CSR adjacency on demand.
 
     Parameters
     ----------
@@ -58,18 +58,19 @@ class Graph:
         # canonicalize each edge as (min, max)
         lo = np.minimum(edges[:, 0], edges[:, 1])
         hi = np.maximum(edges[:, 0], edges[:, 1])
-        # CSR over both directions; an edge listed twice (in either
-        # orientation) shows up as an equal pair of sorted keys
-        self._indices, counts = _sorted_csr(
-            np.concatenate([lo, hi]), np.concatenate([hi, lo]), n,
-            check_duplicates=True)
+        # a repeated edge is an equal pair of sorted keys; presorted
+        # input (the configuration model's) skips the sort
+        keys = lo * np.int64(n) + hi
+        if not np.all(keys[1:] > keys[:-1]):
+            keys.sort()
+            if np.any(keys[1:] == keys[:-1]):
+                raise ValueError("duplicate edges are not allowed")
         self.n = int(n)
         self.m = int(edges.shape[0])
-        self._edges = np.column_stack([lo, hi]) if edges.size else (
-            np.empty((0, 2), dtype=np.int64))
-        self._indptr = np.concatenate(
-            [[0], np.cumsum(counts)]).astype(np.int64)
-        self._degrees = counts.astype(np.int64)
+        self._edges = np.column_stack([lo, hi])
+        self._degrees = (np.bincount(lo, minlength=n)
+                         + np.bincount(hi, minlength=n)).astype(np.int64)
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_edge_list(cls, edges, n: int | None = None) -> "Graph":
@@ -96,13 +97,20 @@ class Graph:
         """The adjacency as raw CSR ``(indices, indptr)`` int64 arrays.
 
         Row ``v`` is ``indices[indptr[v]:indptr[v+1]]`` -- the sorted
-        neighbors of ``v``, each edge stored in both directions.
+        neighbors of ``v``, each edge stored in both directions. Built
+        on the first call and cached.
         """
-        return self._indices, self._indptr
+        if self._csr is None:
+            lo, hi = self._edges.T
+            indices, __ = _sorted_csr(np.concatenate([lo, hi]),
+                                      np.concatenate([hi, lo]), self.n)
+            self._csr = indices, np.concatenate([[0], self._degrees.cumsum()])
+        return self._csr
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor IDs of ``v`` (a view into the CSR arrays)."""
-        return self._indices[self._indptr[v]:self._indptr[v + 1]]
+        indices, indptr = self.csr()
+        return indices[indptr[v]:indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         """Membership test via binary search in the sorted list."""

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.digraph import OrientedGraph
+from repro.core.costs import component_ops
+from repro.engine import native
+from repro.graphs.digraph import OrientedGraph, check_labels
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span
 from repro.orientations.permutations import Permutation
@@ -63,15 +65,52 @@ def orient(graph, permutation: Permutation,
                                         tie_break=tie_break)
     with span("orient", n=graph.n, m=graph.m):
         oriented = OrientedGraph(graph, labels)
-        if _metrics.is_enabled():
-            edges = graph.edges
-            # an edge (u, v) with u < v is "flipped" when the smaller
-            # vertex ID receives the larger label, i.e. the orientation
-            # reverses the ID order
-            flipped = (int(np.count_nonzero(
-                labels[edges[:, 0]] > labels[edges[:, 1]]))
-                if graph.m else 0)
-            _metrics.inc("orient.runs")
-            _metrics.inc("orient.edges", graph.m)
-            _metrics.inc("orient.edges_flipped", flipped)
+        count_orientation(graph, labels)
     return oriented
+
+
+def count_orientation(graph, labels) -> None:
+    """Bump the ``orient.*`` counters for one orientation (metrics on)."""
+    if _metrics.is_enabled():
+        edges = graph.edges
+        _metrics.inc("orient.runs")
+        _metrics.inc("orient.edges", graph.m)
+        # an edge (u, v) with u < v is "flipped" when the smaller vertex
+        # ID receives the larger label (the orientation reverses ID order)
+        _metrics.inc("orient.edges_flipped", int(np.count_nonzero(
+            labels[edges[:, 0]] > labels[edges[:, 1]])))
+
+
+def oriented_degrees(graph, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, Y)`` -- out/in-degrees of ``G(theta)`` without the CSR.
+
+    Two bincounts over the relabeled edge list; with
+    :func:`~repro.core.costs.component_ops`, the reference (and
+    ``REPRO_NATIVE=0``) path of :func:`orientation_totals`.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    a, b = labels[graph.edges[:, 0]], labels[graph.edges[:, 1]]
+    # the larger label is the edge's tail
+    return (np.bincount(np.maximum(a, b), minlength=labels.size),
+            np.bincount(np.minimum(a, b), minlength=labels.size))
+
+
+def orientation_totals(graph, label_maps) -> np.ndarray:
+    """The totals of (7)-(9) under each label map, as a ``(K, 3)`` array.
+
+    The totals depend only on which endpoint of each edge carries the
+    larger label, so no oriented CSR is built. ``label_maps`` is one
+    map of shape ``(n,)`` or a ``(K, n)`` stack, each a permutation of
+    ``0..n-1`` (ValueError otherwise); row ``j`` is ``(T1, T2, T3)``
+    under map ``j``. One :func:`repro.engine.native.oriented_sums`
+    call, or :func:`oriented_degrees` per map when it is gated.
+    """
+    maps = np.ascontiguousarray(np.atleast_2d(label_maps), dtype=np.int64)
+    for labels in maps:
+        check_labels(labels, graph.n)
+    sums = native.oriented_sums(graph.edges, graph.degrees, maps)
+    if sums is None:
+        sums = np.array([list(component_ops(*oriented_degrees(
+            graph, labels)).values()) for labels in maps],
+            dtype=np.int64).reshape(-1, 3)
+    return sums

@@ -9,12 +9,12 @@ Public surface:
   gates on.
 """
 
+from repro.orientations.relabel import oriented_degrees
 from repro.planner.candidates import (
     GRAPH_ORDERINGS,
     MODEL_ORDERINGS,
     Candidate,
     iter_candidates,
-    oriented_degrees,
 )
 from repro.planner.plan import (
     Plan,

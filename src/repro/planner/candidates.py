@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
-import numpy as np
-
 from repro.core.kernels import LimitMap, get_map
 from repro.core.methods import METHODS, Method, get_method
 from repro.core.optimality import optimal_map
@@ -156,32 +154,3 @@ def iter_candidates(methods, orderings) -> list[Candidate]:
     if len({c.key for c in out}) != len(out):
         raise ValueError("duplicate (method, ordering) candidates")
     return out
-
-
-def oriented_degrees(graph, labels) -> tuple[np.ndarray, np.ndarray]:
-    """``(X, Y)`` -- out/in-degrees of ``G(theta)`` without the CSR.
-
-    The planner's exact backend only needs the directed degrees (the
-    cost formulas (7)-(9) are functionals of ``X`` and ``Y``), so it
-    skips :class:`~repro.graphs.digraph.OrientedGraph`'s index
-    construction: two bincounts over the relabeled edge list.
-
-    This is the reference path of the planner's pricing:
-    :func:`repro.planner.plan.plan_for_graph` prices its label maps
-    with :func:`repro.engine.native.oriented_sums` and falls back to
-    this function (plus :func:`repro.core.costs.component_ops`) when
-    the compiled library is gated.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    n = labels.size
-    edges = graph.edges
-    if graph.m == 0:
-        zero = np.zeros(n, dtype=np.int64)
-        return zero, zero.copy()
-    a = labels[edges[:, 0]]
-    b = labels[edges[:, 1]]
-    src = np.maximum(a, b)   # larger label: the edge's tail
-    dst = np.minimum(a, b)
-    out_deg = np.bincount(src, minlength=n).astype(np.int64)
-    in_deg = np.bincount(dst, minlength=n).astype(np.int64)
-    return out_deg, in_deg

@@ -27,24 +27,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.costs import (component_ops, per_node_cost_from_ops,
-                              per_node_cost_many)
+from repro.core.costs import per_node_cost_from_ops, per_node_cost_many
 from repro.core.decision import resolve_speed_ratio
 from repro.core.fastmodel import fast_cost_model_many
 from repro.core.limits import limit_cost
 from repro.distributions.base import (DegreeDistribution,
                                       EmpiricalDegreeDistribution)
 from repro.distributions.truncation import root_truncation
-from repro.engine import native
 from repro.listing.api import ALL_METHODS
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span
+from repro.orientations.relabel import orientation_totals
 from repro.planner.candidates import (
     GRAPH_ORDERINGS,
     MODEL_ORDERINGS,
     Candidate,
     iter_candidates,
-    oriented_degrees,
 )
 
 #: Relative margin below which two predicted times count as a tie.
@@ -168,9 +166,8 @@ def _orientation_totals(graph, by_orientation: dict[str, list[Candidate]]
     ``theta`` equal to ``n - 1 - theta'`` reverses every edge, which by
     Proposition 1 swaps ``X`` and ``Y``: its totals are ``theta'``'s
     with T1 and T3 swapped. Only the remaining distinct maps (and the
-    degenerate one, which has no ``theta``) are priced -- in one
-    :func:`repro.engine.native.oriented_sums` call, or through
-    :func:`oriented_degrees` when the compiled library is gated.
+    degenerate one, which has no ``theta``) are priced, in one
+    :func:`~repro.orientations.relabel.orientation_totals` call.
     """
     n = graph.n
     ranking = np.argsort(graph.degrees, kind="stable")
@@ -196,11 +193,7 @@ def _orientation_totals(graph, by_orientation: dict[str, list[Candidate]]
             labels[ranking] = theta
         slots[key] = (len(maps), False)
         maps.append(labels)
-    sums = (native.oriented_sums(graph.edges, graph.degrees, np.stack(maps))
-            if maps else [])
-    if sums is None:
-        sums = [list(component_ops(*oriented_degrees(graph, labels))
-                     .values()) for labels in maps]
+    sums = orientation_totals(graph, np.stack(maps)) if maps else []
     totals = {}
     for key, (row, swapped) in slots.items():
         t1, t2, t3 = (int(v) for v in sums[row])

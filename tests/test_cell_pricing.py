@@ -1,0 +1,212 @@
+"""Monte-Carlo cells price orientations from the edge list.
+
+Every Monte-Carlo loop prices a realized graph through
+:func:`repro.experiments.harness.instance_cost`: it relabels the graph
+and hands the label map to
+:func:`repro.orientations.relabel.orientation_totals` (one
+:func:`repro.engine.native.oriented_sums` call, or ``oriented_degrees``
++ ``component_ops`` when the compiled library is gated) instead of
+building an :class:`~repro.graphs.digraph.OrientedGraph`. These tests
+pin that the cost is bit-identical to the ``OrientedGraph`` +
+``per_node_cost`` path on both pricing paths, that a cell under a
+degree-ranked ordering never builds :class:`~repro.graphs.graph.Graph`'s
+undirected CSR, that ``Graph`` still rejects duplicate edges without
+it, and that an empty Monte-Carlo budget is refused.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro import DiscretePareto, Graph, sample_degree_sequence
+from repro.core.costs import component_ops, per_node_cost
+from repro.distributions.truncation import linear_truncation
+from repro.engine import native
+from repro.experiments.harness import (SimulationSpec, instance_cost,
+                                       simulate_cost)
+from repro.experiments.parallel import simulate_cost_parallel
+from repro.experiments.statistics import estimate_cell
+from repro.graphs import graph as graph_module
+from repro.graphs.digraph import OrientedGraph
+from repro.graphs.generators import configuration_model
+from repro.listing.api import ALL_METHODS
+from repro.orientations.degenerate import DegenerateOrder
+from repro.orientations.permutations import DescendingDegree
+from repro.orientations.relabel import (orient, orientation_totals,
+                                        oriented_degrees)
+from repro.planner import GRAPH_ORDERINGS, Candidate
+
+
+def _pareto(n, seed):
+    rng = np.random.default_rng(seed)
+    dist = DiscretePareto(1.7, 10.5).truncate(n - 1)
+    degrees = sample_degree_sequence(dist, n, rng, ensure_graphical=True)
+    return configuration_model(degrees, rng)
+
+
+GRAPHS = {
+    "pareto": _pareto(400, 3),
+    "n0": Graph(0, []),
+    "m0": Graph(6, []),
+    "star": Graph(9, [(0, i) for i in range(1, 9)]),
+    "clique": Graph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)]),
+}
+
+
+def _spec(method, permutation, **budget):
+    return SimulationSpec(
+        base_dist=DiscretePareto.paper_parameterization(1.5),
+        truncation=linear_truncation, method=method,
+        permutation=permutation, limit_map="descending", **budget)
+
+
+@pytest.fixture(params=["native", "reference"])
+def pricing_path(request, monkeypatch):
+    """Run a test on the compiled pricing and with the library gated."""
+    if request.param == "native" and not native.available():
+        pytest.skip("no C toolchain / native gated")
+    if request.param == "reference":
+        monkeypatch.setattr(native, "available", lambda: False)
+    return request.param
+
+
+@pytest.mark.parametrize("ordering", GRAPH_ORDERINGS)
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_cell_cost_equals_oriented_graph_cost(name, ordering,
+                                              pricing_path):
+    graph = GRAPHS[name]
+    for method in ALL_METHODS:
+        permutation = Candidate(method, ordering).permutation()
+        spec = _spec(method, permutation)
+        cost = instance_cost(spec, graph, np.random.default_rng(7))
+        rng = np.random.default_rng(7)  # the same draws, for the reference
+        oriented = OrientedGraph(graph, permutation.labels_for(
+            graph, rng=rng, tie_break=spec.tie_break))
+        assert cost == per_node_cost(method, oriented.out_degrees,
+                                     oriented.in_degrees), method
+
+
+def test_totals_match_reference_per_map(pricing_path):
+    graph = GRAPHS["pareto"]
+    maps = np.stack([Candidate("T1", o).permutation().labels_for(graph)
+                     for o in GRAPH_ORDERINGS])
+    sums = orientation_totals(graph, maps)
+    assert sums.dtype == np.int64 and sums.shape == (len(maps), 3)
+    for row, labels in zip(sums.tolist(), maps):
+        assert row == list(component_ops(
+            *oriented_degrees(graph, labels)).values())
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([0, 0, 2, 3, 4, 5, 6, 7, 8]),     # repeated label
+    np.array([1, 2, 3, 4, 5, 6, 7, 8, 9]),     # out of range
+    np.array([-1, 1, 2, 3, 4, 5, 6, 7, 8]),    # negative
+    np.arange(8),                              # wrong length
+], ids=["repeat", "too-large", "negative", "short"])
+def test_non_permutation_label_map_rejected(bad, pricing_path):
+    graph = GRAPHS["star"]
+    with pytest.raises(ValueError, match="labels must"):
+        orientation_totals(graph, bad)
+    good = np.arange(graph.n)
+    if bad.shape == good.shape:
+        with pytest.raises(ValueError, match="permutation"):
+            orientation_totals(graph, np.stack([good, bad]))
+
+
+class TestLazyCSR:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count the undirected-CSR builds of every ``Graph``."""
+        calls = []
+        real = graph_module._sorted_csr
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "_sorted_csr", spy)
+        return calls
+
+    def test_construction_and_orient_build_none(self, builds):
+        graph = Graph(GRAPHS["pareto"].n, GRAPHS["pareto"].edges)
+        oriented = orient(graph, DescendingDegree())
+        assert oriented.m == graph.m > 0
+        assert builds == []
+
+    @pytest.mark.parametrize("generator", ["residual", "configuration"])
+    def test_degree_ranked_cell_builds_none(self, builds, generator):
+        spec = dataclasses.replace(
+            _spec("T1", DescendingDegree(), n_sequences=2, n_graphs=2),
+            generator=generator)
+        assert simulate_cost(spec, 300, np.random.default_rng(1)) > 0
+        assert builds == []
+
+    def test_degenerate_cell_builds_once(self, builds):
+        spec = _spec("E1", DegenerateOrder(), n_sequences=1, n_graphs=1)
+        assert simulate_cost(spec, 300, np.random.default_rng(1)) > 0
+        assert builds == [300]
+
+    def test_csr_is_cached(self, builds):
+        graph = Graph(4, [(0, 1), (2, 1), (3, 0)])
+        first = graph.csr()
+        assert graph.csr() is first
+        assert graph.neighbors(1).tolist() == [0, 2]
+        assert graph.has_edge(0, 3) and not graph.has_edge(2, 3)
+        assert graph.adjacency_sets() == [{1, 3}, {0, 2}, {1}, {0}]
+        assert builds == [4]
+
+
+class TestDuplicatesRejected:
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (0, 1), (1, 2)],
+        [(0, 1), (1, 2), (2, 1), (2, 3)],
+    ], ids=["repeat", "reversed"])
+    def test_presorted_input(self, edges):
+        with pytest.raises(ValueError, match="duplicate edges"):
+            Graph(4, edges)
+
+    @pytest.mark.parametrize("edges", [
+        [(2, 3), (0, 1), (2, 3)],
+        [(1, 2), (0, 3), (2, 1)],
+    ], ids=["repeat", "reversed"])
+    def test_unsorted_input(self, edges):
+        with pytest.raises(ValueError, match="duplicate edges"):
+            Graph(4, edges)
+
+    def test_presorted_simple_graph_accepted(self):
+        graph = Graph(4, [(0, 1), (0, 3), (1, 2), (2, 3)])
+        assert graph.degrees.tolist() == [2, 2, 2, 2]
+        assert graph.edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
+
+    def test_edges_keep_input_order(self):
+        graph = Graph(4, [(3, 2), (0, 1), (2, 0)])
+        assert graph.edges.tolist() == [[2, 3], [0, 1], [0, 2]]
+        assert graph.degrees.tolist() == [2, 1, 2, 1]
+
+
+class TestEmptyBudget:
+    @pytest.mark.parametrize("budget", [{"n_sequences": 0},
+                                        {"n_graphs": 0},
+                                        {"n_sequences": -1}])
+    def test_spec_rejects_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            _spec("T1", DescendingDegree(), **budget)
+        with pytest.raises(ValueError, match="must be at least 1"):
+            dataclasses.replace(_spec("T1", DescendingDegree()), **budget)
+
+    @pytest.mark.parametrize("run", [
+        lambda spec: simulate_cost(spec, 200, np.random.default_rng(0)),
+        lambda spec: simulate_cost_parallel(spec, 200, seed=0,
+                                            max_workers=1),
+        lambda spec: estimate_cell(spec, 200, np.random.default_rng(0)),
+    ], ids=["serial", "parallel", "statistics"])
+    @pytest.mark.parametrize("field", ["n_sequences", "n_graphs"])
+    def test_every_path_refuses_an_empty_budget(self, run, field):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            run(_spec("T1", DescendingDegree(), **{field: 0}))
+
+    def test_budget_of_one_runs(self):
+        spec = _spec("T1", DescendingDegree(), n_sequences=1, n_graphs=1)
+        assert np.isfinite(simulate_cost(spec, 200,
+                                         np.random.default_rng(0)))

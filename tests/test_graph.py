@@ -109,10 +109,11 @@ class TestCSRBuild:
         edges[flip] = edges[flip][:, ::-1]  # either orientation
         g = Graph(n, edges)
         indices, indptr, degrees = _lexsort_csr(n, edges)
-        np.testing.assert_array_equal(g._indices, indices)
-        np.testing.assert_array_equal(g._indptr, indptr)
+        g_indices, g_indptr = g.csr()
+        np.testing.assert_array_equal(g_indices, indices)
+        np.testing.assert_array_equal(g_indptr, indptr)
         np.testing.assert_array_equal(g.degrees, degrees)
-        assert g._indices.dtype == g._indptr.dtype == np.int64
+        assert g_indices.dtype == g_indptr.dtype == np.int64
 
     @pytest.mark.parametrize("n, edges", [
         (0, []), (4, []), (6, [(5, 1), (0, 5)]),
@@ -120,10 +121,11 @@ class TestCSRBuild:
     def test_degenerate_shapes(self, n, edges):
         g = Graph(n, edges)
         indices, indptr, degrees = _lexsort_csr(n, edges)
-        np.testing.assert_array_equal(g._indices, indices)
-        np.testing.assert_array_equal(g._indptr, indptr)
+        g_indices, g_indptr = g.csr()
+        np.testing.assert_array_equal(g_indices, indices)
+        np.testing.assert_array_equal(g_indptr, indptr)
         np.testing.assert_array_equal(g.degrees, degrees)
-        assert g._indptr.shape == (n + 1,)
+        assert g_indptr.shape == (n + 1,)
 
     @pytest.mark.parametrize("edges", [
         [(0, 1), (2, 3), (1, 0)],

@@ -355,9 +355,14 @@ class TestHarnessDivergenceWarning:
         from repro.experiments import harness
         monkeypatch.setenv("REPRO_MODEL_ERROR_WARN", "0.5")
         assert harness.model_error_warn_threshold() == 0.5
-        monkeypatch.setenv("REPRO_MODEL_ERROR_WARN", "junk")
-        assert (harness.model_error_warn_threshold()
-                == harness.MODEL_ERROR_WARN_DEFAULT)
+        # unparsable, non-finite and negative values all fall back; a
+        # NaN threshold would otherwise silence the warning for good
+        for raw in ("junk", "nan", "inf", "-inf", "-1"):
+            monkeypatch.setenv("REPRO_MODEL_ERROR_WARN", raw)
+            assert (harness.model_error_warn_threshold()
+                    == harness.MODEL_ERROR_WARN_DEFAULT), raw
+        monkeypatch.setenv("REPRO_MODEL_ERROR_WARN", "0")
+        assert harness.model_error_warn_threshold() == 0.0
 
 
 class TestPipelineIntegration:
