@@ -37,7 +37,8 @@ kernel library:
   ``REPRO_NATIVE_THREADS`` value.
 * **Residual-degree wiring** (:func:`residual_wire`): the main loop of
   :func:`repro.graphs.generators.residual_degree_model`, in the same
-  compile unit, bit-identical to the Python reference loop.
+  compile unit, drawing from an 8-ary int64 tree with one cache line
+  per node, bit-identical to the Python reference loop.
 * **Smallest-last order** (:func:`smallest_last`): the Matula-Beck
   bucket queue of :func:`repro.orientations.degenerate.smallest_last_order`,
   bit-identical to its Python reference loop.
@@ -385,16 +386,59 @@ pause:
     return written;
 }
 
-/* Set node v's sampling weight to w: one Fenwick point update by the
- * difference, as FenwickTree.add does, plus the running total. */
-static void set_weight(double *tree, double *weight, double *total,
-                       int64_t n, int64_t v, double w)
+/* Per-node state of the wiring loop, packed into 16 bytes so one line
+ * fetch serves all three fields: where the node's neighbour row starts
+ * in the scratch array, how many neighbours it has so far, and its
+ * unplaced stubs. fill and res fit 32 bits because n < 2^32. */
+typedef struct {
+    int64_t start;
+    uint32_t fill;
+    uint32_t res;
+} wire_node_t;
+
+/* An 8-ary int64 sampling tree: level[0] is the leaf weights, and
+ * entry e of level l is the sum of entries 8e..8e+7 of level l - 1, so
+ * the 8 children of a node are one 64-byte line. Every level is padded
+ * with zeros to whole lines, and the top level is a single line, so
+ * there are max(1, ceil(log8 n)) levels: 11 at most for n < 2^32. */
+#define WIRE_LEVELS 16
+
+/* Set node v's sampling weight to w: one add by the difference per
+ * level, plus the running total. */
+static inline void set_weight(int64_t *const *level, int nlev,
+                              int64_t *total, int64_t v, int64_t w)
 {
-    const double delta = w - weight[v];
-    for (int64_t i = v + 1; i <= n; i += i & -i)
-        tree[i] += delta;
+    const int64_t delta = w - level[0][v];
+    level[0][v] = w;
+    for (int l = 1; l < nlev; l++) {
+        v >>= 3;
+        level[l][v] += delta;
+    }
     *total += delta;
-    weight[v] = w;
+}
+
+/* The leaf j with prefix(j) <= rem < prefix(j + 1), where prefix(j) is
+ * the sum of the weights below j: one branch-free scan of a line per
+ * level, from the top. Returns -1 if some line sums to at most the
+ * remainder (rem >= total, or an inconsistent tree). */
+static inline int64_t descend(int64_t *const *level, int nlev, int64_t rem)
+{
+    int64_t idx = 0;
+    for (int l = nlev - 1; l >= 0; l--) {
+        const int64_t *line = level[l] + 8 * idx;
+        int64_t run = 0, below = 0, c = 0;
+        for (int k = 0; k < 8; k++) {
+            run += line[k];
+            const int64_t le = run <= rem;
+            c += le;
+            below = le ? run : below;
+        }
+        if (c == 8)
+            return -1;
+        rem -= below;
+        idx = 8 * idx + c;
+    }
+    return idx;
 }
 
 /* Residual-degree wiring: the main loop of
@@ -403,104 +447,132 @@ static void set_weight(double *tree, double *weight, double *total,
  * picks a partner with probability proportional to its residual
  * degree among every node except i and i's neighbours.
  *
- * The sampling tree mirrors repro.graphs.fenwick.FenwickTree op for op
- * in float64: the same O(n) construction, the same running total, and
- * the same binary-lifting descent on target = u * total. Every weight
- * and partial sum is an integer below 2^53, so tree updates are exact
- * in any order, and the descent's fractional remainder meets the same
- * operands in the same sequence as the Python loop. A node's current
- * weight is tracked in weight[] instead of two prefix sums (equal, by
- * the same exactness). Neighbour lists live in a CSR scratch array
- * whose row v has room for degree(v) entries.
+ * Bit-identity with the Python loop over repro.graphs.fenwick.FenwickTree
+ * does not depend on the shape of the tree. Every weight and prefix sum
+ * is an integer below 2^53, so FenwickTree's float64 updates and its
+ * running total are exact, and so is each subtraction in its descent
+ * (an integer no larger than the remainder). FenwickTree.sample(target)
+ * therefore returns the unique j with prefix(j) <= target <
+ * prefix(j + 1), and since prefix sums are integers this is the same j
+ * for target and floor(target). Here the total is an int64, target =
+ * u * total is rounded to a double exactly as in Python, and the 8-ary
+ * descent finds that j in integer arithmetic from floor(target). An
+ * update is one add per tree level and a draw scans one 64-byte line
+ * per level.
+ *
+ * Neighbour lists live in a uint32 CSR scratch array whose row v has
+ * room for degree(v) entries.
  *
  * residual holds the degrees on entry and the unplaced stubs on exit;
  * edges receives (min, max) pairs in placement order; u holds nu >=
- * sum(degrees) / 2 uniforms, one consumed per placed edge. Returns the
- * number of edges placed, -1 when scratch allocation fails, and -2 if
- * a descent lands outside the positive weights (an internal error). */
+ * sum(degrees) / 2 uniforms on [0, 1), one consumed per placed edge.
+ * Returns the number of edges placed, -1 when scratch allocation fails,
+ * -2 if a draw lands outside the positive weights (an internal error),
+ * and -3, before allocating anything, if n >= 2^32 (or, before wiring,
+ * if a degree does not fit 32 bits). */
 int64_t repro_residual_wire(int64_t n, const int64_t *order,
                             int64_t *residual, const double *u,
                             int64_t nu, int64_t *edges)
 {
-    double *tree = (double *)calloc((size_t)n + 1, sizeof(double));
-    double *weight = (double *)malloc(((size_t)n + 1) * sizeof(double));
-    int64_t *start = (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
-    int64_t *fill = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
-    int64_t *nbrs = (int64_t *)malloc(
-        ((size_t)(2 * nu) + 1) * sizeof(int64_t));
-    double total = 0.0;
+    if (n < 0 || n > (int64_t)UINT32_MAX)
+        return -3;
+    int64_t *level[WIRE_LEVELS];
+    int64_t size[WIRE_LEVELS];
+    int nlev = 1;
+    size[0] = ((n > 0 ? n : 1) + 7) & ~(int64_t)7;
+    int64_t cells = size[0];
+    while (size[nlev - 1] > 8) {
+        size[nlev] = (size[nlev - 1] / 8 + 7) & ~(int64_t)7;
+        cells += size[nlev];
+        nlev++;
+    }
+    int64_t *tree = (int64_t *)aligned_alloc(64, (size_t)cells * 8);
+    wire_node_t *node = (wire_node_t *)malloc(
+        ((size_t)n + 1) * sizeof(wire_node_t));
+    uint32_t *nbrs = NULL;
+    int64_t total = 0;
     int64_t placed = -1;
-    if (!tree || !weight || !start || !fill || !nbrs)
+    if (!tree || !node)
         goto done;
 
-    start[0] = 0;
+    int64_t stubs = 0;
     for (int64_t v = 0; v < n; v++) {
-        start[v + 1] = start[v] + residual[v];
-        weight[v] = (double)residual[v];
-        tree[v + 1] = weight[v];
-        total += weight[v];
+        if (residual[v] < 0 || residual[v] > (int64_t)UINT32_MAX) {
+            placed = -3;
+            goto done;
+        }
+        node[v].start = stubs;
+        node[v].fill = 0;
+        node[v].res = (uint32_t)residual[v];
+        stubs += residual[v];
     }
-    for (int64_t i = 1; i <= n; i++) {
-        const int64_t parent = i + (i & -i);
-        if (parent <= n)
-            tree[parent] += tree[i];
+    nbrs = (uint32_t *)malloc(((size_t)stubs + 1) * sizeof(uint32_t));
+    if (!nbrs)
+        goto done;
+    level[0] = tree;
+    for (int64_t v = 0; v < size[0]; v++)
+        tree[v] = v < n ? residual[v] : 0;
+    for (int l = 1; l < nlev; l++) {
+        level[l] = level[l - 1] + size[l - 1];
+        for (int64_t e = 0; e < size[l]; e++) {
+            int64_t sum = 0;
+            if (8 * e < size[l - 1])
+                for (int k = 0; k < 8; k++)
+                    sum += level[l - 1][8 * e + k];
+            level[l][e] = sum;
+        }
     }
-    int log = 0;
-    while (((int64_t)1 << log) < n)
-        log++;
+    total = stubs;
+    const int64_t *leaf = level[0];
 
     placed = 0;
     for (int64_t k = 0; k < n; k++) {
         const int64_t i = order[k];
-        if (residual[i] <= 0)
+        wire_node_t *const ni = node + i;
+        if (ni->res == 0)
             continue;
         /* exclude i and its current neighbours for i's whole run */
-        int64_t *row = nbrs + start[i];
-        set_weight(tree, weight, &total, n, i, 0.0);
-        for (int64_t t = 0; t < fill[i]; t++)
-            if (weight[row[t]] > 0)
-                set_weight(tree, weight, &total, n, row[t], 0.0);
-        while (residual[i] > 0) {
-            if (total <= 1e-9)
+        uint32_t *row = nbrs + ni->start;
+        set_weight(level, nlev, &total, i, 0);
+        for (uint32_t t = 0; t < ni->fill; t++)
+            if (leaf[row[t]] > 0)
+                set_weight(level, nlev, &total, row[t], 0);
+        while (ni->res > 0) {
+            if (total <= 0)
                 break; /* stuck: the caller repairs by swaps */
-            /* volatile: round the product before the descent, so no
-             * compiler can fuse it into the first subtraction */
-            volatile double target = u[placed] * total;
-            double remaining = target;
-            int64_t j = 0;
-            for (int64_t step = (int64_t)1 << log; step > 0; step >>= 1) {
-                const int64_t next = j + step;
-                if (next <= n && tree[next] <= remaining) {
-                    remaining -= tree[next];
-                    j = next;
-                }
-            }
-            if (j >= n || !(weight[j] > 0)) {
+            /* volatile: round the product before it is used, as Python
+             * does, so no compiler can fuse it into a later step */
+            volatile double target = u[placed] * (double)total;
+            const double draw = target;
+            int64_t j = -1;
+            if (draw >= 0.0 && draw < (double)total)
+                j = descend(level, nlev, (int64_t)draw);
+            if (j < 0 || j >= n || !(leaf[j] > 0)) {
                 placed = -2;
                 goto done;
             }
+            wire_node_t *const nj = node + j;
             edges[2 * placed] = i < j ? i : j;
             edges[2 * placed + 1] = i < j ? j : i;
             placed++;
-            row[fill[i]++] = j;
-            nbrs[start[j] + fill[j]++] = i;
-            residual[i]--;
-            residual[j]--;
-            set_weight(tree, weight, &total, n, j, 0.0);
+            row[ni->fill++] = (uint32_t)j;
+            nbrs[nj->start + nj->fill++] = (uint32_t)i;
+            ni->res--;
+            nj->res--;
+            set_weight(level, nlev, &total, j, 0);
         }
         /* restore i and its neighbours to their updated residuals */
-        if (residual[i] > 0)
-            set_weight(tree, weight, &total, n, i, (double)residual[i]);
-        for (int64_t t = 0; t < fill[i]; t++)
-            if (residual[row[t]] > 0)
-                set_weight(tree, weight, &total, n, row[t],
-                           (double)residual[row[t]]);
+        if (ni->res > 0)
+            set_weight(level, nlev, &total, i, ni->res);
+        for (uint32_t t = 0; t < ni->fill; t++)
+            if (node[row[t]].res > 0)
+                set_weight(level, nlev, &total, row[t], node[row[t]].res);
     }
+    for (int64_t v = 0; v < n; v++)
+        residual[v] = node[v].res;
 done:
     free(tree);
-    free(weight);
-    free(start);
-    free(fill);
+    free(node);
     free(nbrs);
     return placed;
 }
@@ -1196,6 +1268,9 @@ def residual_wire(order, residual, u):
     if used == -1:
         raise MemoryError("native residual wiring: scratch allocation "
                           "failed")
+    if used == -3:
+        raise ValueError("native residual wiring indexes nodes and "
+                         "degrees in 32 bits: n must be below 2**32")
     if used < 0:
         raise RuntimeError("native residual wiring: descent left the "
                            "positive weights")

@@ -11,7 +11,9 @@ Two generators:
   Blitzstein-Diaconis [11]: each node's stubs are wired to partners
   chosen *in proportion to their residual degree*, excluding the node
   itself and its already-attached neighbors. Proportional selection uses
-  a Fenwick tree (``O(log n)`` per draw, ``O(m log n)`` total). When the
+  a prefix-sum tree (``O(log n)`` per draw, ``O(m log n)`` total): a
+  binary Fenwick tree in the Python reference, an 8-ary one with one
+  cache line per node in C (``ceil(log8 n)`` levels). When the
   tail of the process gets stuck (every remaining stub-holder is already
   a neighbor), leftover stubs are resolved by double-edge swaps that
   preserve all other degrees, so the output realizes the requested
@@ -32,9 +34,17 @@ The two paths are bit-identical: the same edges in the same order and
 the same RNG state afterwards, so golden values and simulated tables
 do not depend on which one ran. The argument:
 
-* every tree weight and partial sum is an integer below ``2**53``, so
-  float64 tree updates are exact in any order, and the C descent meets
-  the same operands in the same sequence as ``FenwickTree.sample``;
+* the draw does not depend on the shape of the tree. Every weight and
+  prefix sum is an integer below ``2**53``, so ``FenwickTree``'s
+  float64 updates and running total are exact, and so is each
+  subtraction in its descent (an integer no larger than the remainder).
+  ``FenwickTree.sample(u * total)`` therefore returns the unique ``j``
+  with ``prefix(j) <= u * total < prefix(j + 1)``, where ``prefix(j)``
+  is the weight below ``j``; as prefix sums are integers, that ``j`` is
+  the same for ``floor(u * total)``. The C loop keeps the total as an
+  integer, rounds ``u * total`` to a double exactly as Python does,
+  and finds the same ``j`` from its floor with integer arithmetic in
+  its 8-ary tree;
 * the reference draws one uniform per placed edge. The C path draws
   ``sum(d) // 2`` (an upper bound) up front, and if it placed fewer
   edges it restores ``rng.bit_generator.state`` and redraws exactly
@@ -44,7 +54,9 @@ do not depend on which one ran. The argument:
   reproduces the reference's sets, iteration order included, for the
   swap repair that follows.
 
-``tests/test_generators_native.py`` pins the identity.
+``tests/test_generators_native.py`` pins the identity, and
+``tests/test_residual_wire_boundaries.py`` pins it on draws that land
+exactly on, or just below, a prefix sum.
 """
 
 from __future__ import annotations
@@ -108,7 +120,7 @@ def residual_degree_model(degrees, rng: np.random.Generator,
     proportional to the partner's residual degree among the *allowed*
     candidates -- everyone except ``i`` and nodes already adjacent to
     ``i``. Exclusion is implemented by temporarily zeroing those weights
-    in the Fenwick tree and restoring them after ``i`` is fully wired.
+    in the sampling tree and restoring them after ``i`` is fully wired.
 
     If at some point no candidate remains while stubs are still open,
     the leftovers are resolved afterwards with degree-preserving
