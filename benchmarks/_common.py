@@ -97,10 +97,8 @@ def emit(name: str, text: str, results_dir=None,
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     # REPRO_RUNS_FILE redirects the run-record trail (e.g. the CI perf
     # gate isolating its history); otherwise it rides with the tables.
-    if os.environ.get("REPRO_RUNS_FILE", "").strip():
-        record_path = obs.records.runs_path()
-    else:
-        record_path = out_dir / "runs.jsonl"
+    record_path = obs.jsonl.sink_path(None, obs.records.RUNS_FILE_ENV,
+                                      out_dir / "runs.jsonl")
     record = obs.collect(name, config=config)
     record.meta["host"] = sidecar["host"]
     obs.records.write_record(record, record_path)

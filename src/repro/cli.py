@@ -464,10 +464,11 @@ def _report_records(args):
     exits non-zero with a clear message (no traceback) naming the sink
     that was read and, when filters ate everything, what they dropped.
     """
-    from repro.obs import records as obs_records
+    from repro.obs import jsonl, records as obs_records
     from repro.obs import report as obs_report
-    sink = obs_records.runs_path(args.runs)
-    records = obs_records.load_records(args.runs)
+    sink = jsonl.sink_path(args.runs, obs_records.RUNS_FILE_ENV,
+                           obs_records.DEFAULT_RUNS_PATH)
+    records = obs_records.load_records(sink)
     if not records:
         raise SystemExit(
             f"no run records in {sink}; produce some first (repro "
@@ -583,9 +584,8 @@ def cmd_report(args) -> int:
             from repro.obs import audit as obs_audit
             audit_records = obs_audit.load_audit(args.audit)
             if not audit_records:
-                print(f"note: no audit records in "
-                      f"{obs_audit.audit_path(args.audit)}; the audit "
-                      f"panel is omitted", file=sys.stderr)
+                print(f"note: no audit records in {args.audit}; the "
+                      f"audit panel is omitted", file=sys.stderr)
         from repro.obs import dashboard as obs_dashboard
         path = obs_dashboard.write_dashboard(
             records, args.out, deltas=deltas,
@@ -622,13 +622,31 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _validate_jsonl(path, check_one, noun: str) -> int:
+    """Schema-check a JSONL stream: the ``repro top --validate`` and
+    ``repro audit validate`` CI gates (exit 1 on any error)."""
+    from repro.obs import jsonl
+    try:
+        count, errors = jsonl.validate(path, check_one)
+    except OSError as exc:
+        raise SystemExit(f"cannot read {path}: {exc}")
+    if errors:
+        print(f"{len(errors)} schema error(s) in {path}:", file=sys.stderr)
+        for error in errors[:20]:
+            print(f"  {error}", file=sys.stderr)
+        return 1
+    print(f"{count} {noun} OK in {path}")
+    return 0
+
+
 def _audit_records(args):
     """Load the audit log for ``repro audit``; cold history exits
     non-zero with a clear message (no traceback), like the run-history
     consumers."""
-    from repro.obs import audit as obs_audit
-    sink = obs_audit.audit_path(args.file)
-    records = obs_audit.load_audit(args.file)
+    from repro.obs import audit as obs_audit, jsonl
+    sink = jsonl.sink_path(args.file, obs_audit.AUDIT_FILE_ENV,
+                           obs_audit.DEFAULT_AUDIT_PATH)
+    records = obs_audit.load_audit(sink)
     if not records:
         raise SystemExit(
             f"no audit records in {sink}; run auto-routed calls "
@@ -704,19 +722,12 @@ def cmd_audit(args) -> int:
         return 0
 
     if args.audit_command == "validate":
-        sink = obs_audit.audit_path(args.file)
-        try:
-            count, errors = obs_audit.validate_audit_file(args.file)
-        except OSError as exc:
-            raise SystemExit(f"cannot read {sink}: {exc}")
-        if errors:
-            print(f"{len(errors)} schema error(s) in {sink}:",
-                  file=sys.stderr)
-            for error in errors[:20]:
-                print(f"  {error}", file=sys.stderr)
-            return 1
-        print(f"{count} audit record(s) OK in {sink}")
-        return 0
+        from repro.obs import jsonl
+        return _validate_jsonl(
+            jsonl.sink_path(args.file, obs_audit.AUDIT_FILE_ENV,
+                            obs_audit.DEFAULT_AUDIT_PATH),
+            lambda rec: jsonl.check(obs_audit.AUDIT_RECORD, rec),
+            "audit record(s)")
 
     records = _audit_records(args)
     if args.audit_command == "misplans":
@@ -791,7 +802,7 @@ def cmd_mem(args) -> int:
     the array ledger on, then reads it back: ``summary`` prints the
     headline attribution plus the conformance verdict; ``ledger`` the
     per-tag table; ``conformance`` the full predicted-vs-attributed
-    verdict, exiting non-zero on ``fail`` (the CI mem-smoke gate).
+    verdict, exiting non-zero on ``fail`` (a CI obs-smoke gate).
     """
     import json
 
@@ -877,27 +888,18 @@ def cmd_top(args) -> int:
     import json
 
     from repro.obs import bus as obs_bus
+    from repro.obs import jsonl
     from repro.obs import live as obs_live
     if args.validate:
-        try:
-            count, errors = obs_bus.validate_events_file(args.events)
-        except OSError as exc:
-            raise SystemExit(f"cannot read {args.events}: {exc}")
-        if errors:
-            print(f"{len(errors)} schema error(s) in {args.events}:",
-                  file=sys.stderr)
-            for error in errors[:20]:
-                print(f"  {error}", file=sys.stderr)
-            return 1
-        print(f"{count} event(s) OK in {args.events}")
-        return 0
+        return _validate_jsonl(args.events, obs_bus.validate_event,
+                               "event(s)")
     state = obs_live.LiveState()
     offset = 0
     try:
         while True:
             try:
-                events, offset = obs_live.read_events(args.events,
-                                                      offset)
+                events, offset, __ = jsonl.read(args.events, offset,
+                                                follow=True)
             except OSError:
                 events = []
             state.update_many(events)
@@ -926,6 +928,7 @@ def cmd_serve_metrics(args) -> int:
     next to a running sweep. ``--once`` serves exactly one request and
     exits (the CI smoke mode).
     """
+    from repro.obs import jsonl
     from repro.obs import live as obs_live
     render = None
     if args.events:
@@ -934,7 +937,7 @@ def cmd_serve_metrics(args) -> int:
         def render():
             state = obs_live.LiveState()
             try:
-                events, __ = obs_live.read_events(events_path, 0)
+                events = jsonl.read(events_path, follow=True)[0]
             except OSError:
                 events = []
             state.update_many(events)

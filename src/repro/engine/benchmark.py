@@ -46,8 +46,6 @@ DEFAULT_CALIBRATION_MAX_AGE_S = 30 * 24 * 3600.0
 #: Rolling-window cap per engine; oldest entries are trimmed.
 MAX_STORE_ENTRIES = 32
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
 
 def _timed(fn, repeats: int = 1):
     """Best-of-``repeats`` wall-clock (single-shot timings at small
@@ -257,6 +255,7 @@ def calibrated_speed_ratio(engine: str = "numpy", n: int = 4000,
     either way.
     """
     from repro.obs import metrics as _metrics
+    from repro.obs.jsonl import env_flag
 
     stored = stored_speed_ratio(engine)
     if stored is not None:
@@ -264,8 +263,7 @@ def calibrated_speed_ratio(engine: str = "numpy", n: int = 4000,
         return stored
     _metrics.inc("planner.calibrations")
     ratio = measure_speed_ratio(n=n, seed=seed, engine=engine)
-    if os.environ.get("REPRO_CALIBRATION_WRITE",
-                      "").strip().lower() in _TRUTHY:
+    if env_flag("REPRO_CALIBRATION_WRITE"):
         store_calibration(ratio, engine=engine, n=n, seed=seed)
     return ratio
 

@@ -11,6 +11,9 @@ near-free when disabled:
   ``orient.edges_flipped``, ``generator.rejections``, ...).
 * :mod:`repro.obs.records` -- JSONL run records bundling span trees,
   metric snapshots, run config, and git/python metadata.
+* :mod:`repro.obs.jsonl` -- the one line codec (writer, tolerant
+  reader, schema checker, sink/env resolution) shared by run records,
+  live events and audit records.
 * :mod:`repro.obs.logging` -- structured stdlib logging with the
   ``REPRO_LOG`` env knob.
 * :mod:`repro.obs.bus` + :mod:`repro.obs.live` -- the live-telemetry
@@ -62,9 +65,7 @@ Typical use::
 
 from __future__ import annotations
 
-import os
-
-from repro.obs import audit, baselines, bus, dashboard, export, live
+from repro.obs import audit, baselines, bus, dashboard, export, jsonl, live
 from repro.obs import logging as obs_logging
 from repro.obs import memory, metrics, profiling, records, report, spans
 from repro.obs.baselines import (Baseline, build_baseline, compare,
@@ -97,6 +98,7 @@ __all__ = [
     "export",
     "live",
     "has_regressions",
+    "jsonl",
     "load_baseline",
     "report",
     "save_baseline",
@@ -134,9 +136,6 @@ __all__ = [
     "write_trace",
 ]
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
 def enable(memory: bool = False, profile: int | None = None,
            alloc: int | None = None) -> None:
     """Enable span collection and metric publication together.
@@ -167,10 +166,8 @@ def enable_from_env() -> bool:
 
     ``REPRO_TRACE_MEMORY=1`` additionally turns on tracemalloc peaks.
     """
-    if os.environ.get("REPRO_TRACE", "").strip().lower() in _TRUTHY:
-        memory = (os.environ.get("REPRO_TRACE_MEMORY", "")
-                  .strip().lower() in _TRUTHY)
-        enable(memory=memory)
+    if jsonl.env_flag("REPRO_TRACE"):
+        enable(memory=jsonl.env_flag("REPRO_TRACE_MEMORY"))
         return True
     return False
 

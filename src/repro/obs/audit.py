@@ -34,7 +34,6 @@ summary|misplans|calibration`` or the dashboard's audit panel.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -42,19 +41,20 @@ import pathlib
 import time
 
 from repro.obs import bus as _bus
+from repro.obs import jsonl as _jsonl
 from repro.obs import metrics as _metrics
-from repro.obs import records as _records
+from repro.obs.jsonl import Opt
 
 __all__ = [
     "AUDIT_ENV",
     "AUDIT_FILE_ENV",
+    "AUDIT_RECORD",
     "AUDIT_SCHEMA_VERSION",
     "DEFAULT_AUDIT_PATH",
     "DRIFT_FACTOR",
     "MISPLAN_REGRET",
     "MODEL_RTOL",
     "THIN_MARGIN",
-    "audit_path",
     "audit_summary",
     "conformance_rows",
     "diagnose",
@@ -72,8 +72,6 @@ __all__ = [
     "prediction_ratio",
     "realized_regret",
     "record_auto_route",
-    "validate_audit_file",
-    "validate_audit_record",
     "write_audit_record",
 ]
 
@@ -100,8 +98,6 @@ MODEL_RTOL = 1.25
 
 #: Assumed-vs-calibrated speed-ratio factor beyond which drift is flagged.
 DRIFT_FACTOR = 2.0
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 #: ``None`` = not yet resolved from the environment (first
 #: :func:`is_enabled` call reads ``REPRO_AUDIT`` exactly once).
@@ -131,17 +127,8 @@ def is_enabled() -> bool:
     """
     global _enabled
     if _enabled is None:
-        _enabled = (os.environ.get(AUDIT_ENV, "").strip().lower()
-                    in _TRUTHY)
+        _enabled = _jsonl.env_flag(AUDIT_ENV)
     return _enabled
-
-
-def audit_path(path=None) -> pathlib.Path:
-    """Resolve the audit sink: explicit arg > env > default."""
-    if path is not None:
-        return pathlib.Path(path)
-    env = os.environ.get(AUDIT_FILE_ENV, "").strip()
-    return pathlib.Path(env) if env else DEFAULT_AUDIT_PATH
 
 
 # ------------------------------------------------------------ record build
@@ -395,12 +382,10 @@ def _stored_ratio_or_none() -> float | None:
         return None
 
 
-def write_audit_record(record: dict, path=None,
-                       fsync: bool | None = None) -> pathlib.Path:
-    """Append one record to the audit JSONL sink (atomic line append)."""
-    sink = audit_path(path)
-    line = json.dumps(record, default=_records.json_default)
-    return _records.append_jsonl_line(sink, line, fsync=fsync)
+def write_audit_record(record: dict, path=None) -> pathlib.Path:
+    """Append one record to the audit sink (explicit > env > default)."""
+    return _jsonl.append(
+        _jsonl.sink_path(path, AUDIT_FILE_ENV, DEFAULT_AUDIT_PATH), record)
 
 
 def _publish(record: dict) -> None:
@@ -462,8 +447,10 @@ def record_auto_route(plan, route: str, *, result=None, wall_s=None,
 
 # ------------------------------------------------------------- validation
 
-#: Required top-level fields and their accepted types.
-_REQUIRED_FIELDS = {
+#: The audit record layout (a :func:`repro.obs.jsonl.check` table).
+#: ``actual`` is null on pure-pricing routes; ``realized`` is null when
+#: the pick was not in the exact table.
+AUDIT_RECORD = {
     "schema": (int,),
     "ts": (int, float),
     "pid": (int,),
@@ -472,97 +459,17 @@ _REQUIRED_FIELDS = {
     "speed_ratio": (int, float),
     "graph_class": (str,),
     "confidence": (int, float),
+    "picked": {"method": (str,), "ordering": (str,), "family": (str,),
+               "predicted_cost": (int, float),
+               "predicted_time": (int, float)},
+    "entries": [{"method": (str,), "ordering": (str,),
+                 "cost": (int, float), "time": (int, float),
+                 "rank": (int,)}],
+    "actual": Opt({"ops": (int,), "triangles": (int,)}),
+    "realized": Opt({"regret": (int, float), "oracle_time": (int, float),
+                     "picked_time": (int, float), "oracle": (str,)}),
+    "diagnosis": {"kind": (str,)},
 }
-
-#: Required fields of the ``picked`` object.
-_PICKED_FIELDS = {
-    "method": (str,),
-    "ordering": (str,),
-    "family": (str,),
-    "predicted_cost": (int, float),
-    "predicted_time": (int, float),
-}
-
-
-def _check(errors, obj, field, kinds, where) -> None:
-    value = obj.get(field)
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        errors.append(f"{where}: field {field!r} should be "
-                      f"{'/'.join(k.__name__ for k in kinds)}, "
-                      f"got {value!r}")
-
-
-def validate_audit_record(record) -> list[str]:
-    """Schema errors of one audit record (empty list = valid)."""
-    if not isinstance(record, dict):
-        return [f"record is not an object: {record!r}"]
-    errors: list[str] = []
-    for field, kinds in _REQUIRED_FIELDS.items():
-        _check(errors, record, field, kinds, "record")
-    picked = record.get("picked")
-    if not isinstance(picked, dict):
-        errors.append(f"record: 'picked' should be an object, "
-                      f"got {picked!r}")
-    else:
-        for field, kinds in _PICKED_FIELDS.items():
-            _check(errors, picked, field, kinds, "picked")
-    entries = record.get("entries")
-    if not isinstance(entries, list) or not entries:
-        errors.append("record: 'entries' should be a non-empty list")
-    else:
-        for i, row in enumerate(entries):
-            if not isinstance(row, dict):
-                errors.append(f"entries[{i}]: not an object")
-                continue
-            for field, kinds in (("method", (str,)),
-                                 ("ordering", (str,)),
-                                 ("cost", (int, float)),
-                                 ("time", (int, float)),
-                                 ("rank", (int,))):
-                _check(errors, row, field, kinds, f"entries[{i}]")
-    actual = record.get("actual")
-    if actual is not None:
-        if not isinstance(actual, dict):
-            errors.append("record: 'actual' should be an object or null")
-        else:
-            for field in ("ops", "triangles"):
-                _check(errors, actual, field, (int,), "actual")
-    realized = record.get("realized")
-    if realized is not None:
-        if not isinstance(realized, dict):
-            errors.append("record: 'realized' should be an object or "
-                          "null")
-        else:
-            for field in ("regret", "oracle_time", "picked_time"):
-                _check(errors, realized, field, (int, float), "realized")
-            _check(errors, realized, "oracle", (str,), "realized")
-    diagnosis = record.get("diagnosis")
-    if not isinstance(diagnosis, dict) or \
-            not isinstance(diagnosis.get("kind"), str):
-        errors.append("record: 'diagnosis' should be an object with a "
-                      "string 'kind'")
-    return errors
-
-
-def validate_audit_file(path=None) -> tuple[int, list[str]]:
-    """Validate an audit JSONL file; ``(count, errors)``."""
-    sink = audit_path(path)
-    count = 0
-    errors: list[str] = []
-    with open(sink, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            count += 1
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: not JSON ({exc})")
-                continue
-            errors.extend(f"line {lineno}: {e}"
-                          for e in validate_audit_record(record))
-    return count, errors
 
 
 # -------------------------------------------------- conformance analyzer
@@ -570,38 +477,12 @@ def validate_audit_file(path=None) -> tuple[int, list[str]]:
 def load_audit(path=None) -> list[dict]:
     """Parse every audit record (missing file = empty list).
 
-    Mirrors :func:`repro.obs.records.load_records`: corrupted lines
-    are skipped and counted, one structured WARNING summarizes them.
+    Corrupted lines are skipped and counted (``audit.corrupted``)
+    under one structured WARNING -- see :func:`repro.obs.jsonl.load`.
     """
-    sink = audit_path(path)
-    if not sink.exists():
-        return []
-    out: list[dict] = []
-    skipped = 0
-    first_bad: tuple[int, str] | None = None
-    for lineno, line in enumerate(
-            sink.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            data = str(exc)
-        if not isinstance(data, dict):
-            skipped += 1
-            if first_bad is None:
-                first_bad = (lineno, str(data))
-            continue
-        out.append(data)
-    if skipped:
-        _metrics.inc("audit.corrupted", skipped)
-        from repro.obs.logging import get_logger, log_event
-        log_event(get_logger(__name__), logging.WARNING,
-                  "skipped corrupted audit lines", path=str(sink),
-                  skipped=skipped, first_bad_line=first_bad[0],
-                  detail=first_bad[1])
-    return out
+    return _jsonl.load(
+        _jsonl.sink_path(path, AUDIT_FILE_ENV, DEFAULT_AUDIT_PATH),
+        "audit.corrupted", "skipped corrupted audit lines")
 
 
 def prediction_ratio(record: dict) -> float | None:

@@ -34,7 +34,8 @@ import sys
 import time
 
 from repro.obs import report as _report
-from repro.obs.records import git_revision, json_default
+from repro.obs.jsonl import dumps
+from repro.obs.records import git_revision
 
 __all__ = [
     "Baseline",
@@ -115,8 +116,7 @@ def save_baseline(baseline: Baseline, path) -> pathlib.Path:
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"meta": baseline.meta, "cells": baseline.cells}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=json_default) + "\n",
+    path.write_text(dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
 

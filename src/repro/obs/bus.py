@@ -18,18 +18,20 @@ immediately, so instrumented hot paths (the engine chunk loop, the
 pool scheduler) pay nothing unless live telemetry is on.
 
 Every published event is stamped with ``type``, ``ts`` (unix seconds)
-and ``pid``; :data:`EVENT_SCHEMA` names the per-type required fields
-and :func:`validate_events` / :func:`validate_events_file` enforce them
-(the CI live-smoke job gates on the emitted stream).
+and ``pid``; :data:`EVENT_SCHEMA` is the per-type field table and
+:func:`validate_event` enforces it (``repro top --validate`` runs it
+over a stream file through :func:`repro.obs.jsonl.validate`).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
 import time
+
+from repro.obs import jsonl as _jsonl
+from repro.obs.jsonl import Opt
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -46,16 +48,16 @@ __all__ = [
     "remove_sink",
     "reset",
     "validate_event",
-    "validate_events",
-    "validate_events_file",
 ]
 
 _enabled = False
 
 
-#: Required payload fields per event type (beyond the stamped
-#: ``type`` / ``ts`` / ``pid``). Values are the accepted types.
-EVENT_SCHEMA: dict[str, dict[str, tuple]] = {
+#: Payload field table per event type, beyond the stamped ``type`` /
+#: ``ts`` / ``pid`` (see :func:`repro.obs.jsonl.check`). Optional
+#: fields postdate the first recorded streams, so old event files keep
+#: validating.
+EVENT_SCHEMA: dict[str, dict] = {
     # background sampler: one process-resource snapshot
     "resource.sample": {
         "rss_bytes": (int,),
@@ -64,6 +66,7 @@ EVENT_SCHEMA: dict[str, dict[str, tuple]] = {
         "gc_collections": (int,),
         "gc_objects": (int,),
         "threads": (int,),
+        "rss_peak_bytes": Opt((int,)),
     },
     # progress/ETA layer: one unit of a tracked workload finished
     "progress": {
@@ -72,6 +75,11 @@ EVENT_SCHEMA: dict[str, dict[str, tuple]] = {
         "done": (int, float),
         "total": (int, float),
         "frac": (int, float),
+        # the model-ops ETA
+        "ops_done": Opt((int, float)),
+        "ops_predicted": Opt((int, float)),
+        "eta_s": Opt((int, float)),
+        "phase": Opt((str,)),
     },
     # pool worker liveness (relayed by the parent watchdog)
     "heartbeat": {
@@ -119,6 +127,7 @@ EVENT_SCHEMA: dict[str, dict[str, tuple]] = {
         "rss_bytes": (int,),
         "budget_bytes": (int,),
         "frac": (int, float),
+        "attributed_bytes": Opt((int,)),
     },
     # memory watchdog: RSS crossed the budget (once per excursion)
     "mem.breach": {
@@ -129,22 +138,8 @@ EVENT_SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-#: Optional, typed-when-present progress fields (the model-ops ETA).
-_PROGRESS_OPTIONAL = {
-    "ops_done": (int, float),
-    "ops_predicted": (int, float),
-    "eta_s": (int, float),
-    "phase": (str,),
-}
-
-#: Optional typed-when-present fields per event type. Keeping
-#: ``rss_peak_bytes`` optional (it postdates the first recorded
-#: streams) lets old event files keep validating.
-_OPTIONAL_FIELDS: dict[str, dict[str, tuple]] = {
-    "progress": _PROGRESS_OPTIONAL,
-    "resource.sample": {"rss_peak_bytes": (int,)},
-    "mem.pressure": {"attributed_bytes": (int,)},
-}
+#: The stamp every event carries.
+_STAMP = {"ts": (int, float), "pid": (int,)}
 
 
 class MemorySink:
@@ -168,28 +163,25 @@ class MemorySink:
 class JsonlSink:
     """Appends one JSON line per event to a stream file.
 
-    The file is opened line-buffered in append mode so a concurrent
-    ``repro top --events`` follower sees events as they happen; parent
-    directories are created on demand.
+    The ``O_APPEND`` descriptor stays open and each event is one
+    unbuffered write, so a concurrent ``repro top --events`` follower
+    sees events as they happen. No fsync: this is a follow stream, not
+    a ledger. Parent directories are created on demand.
     """
 
     def __init__(self, path):
         self.path = path
-        parent = os.path.dirname(str(path))
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._fh = open(path, "a", buffering=1, encoding="utf-8")
+        self._fd = _jsonl.open_append(path)
 
     def write(self, event: dict) -> None:
         """Serialize ``event`` as one line (a single ``write`` call)."""
-        self._fh.write(json.dumps(event, default=str) + "\n")
+        _jsonl.write_line(self._fd, event)
 
     def close(self) -> None:
-        """Flush and close the stream file."""
-        try:
-            self._fh.close()
-        except OSError:  # pragma: no cover - best-effort flush
-            pass
+        """Close the stream file (idempotent)."""
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
 
 
 class TickerSink:
@@ -331,7 +323,6 @@ def reset() -> None:
 
 def validate_event(event) -> list[str]:
     """Schema errors of one event dict (empty list = valid)."""
-    errors = []
     if not isinstance(event, dict):
         return [f"event is not an object: {event!r}"]
     type_ = event.get("type")
@@ -339,57 +330,5 @@ def validate_event(event) -> list[str]:
         return [f"missing/invalid 'type': {type_!r}"]
     if type_ not in EVENT_SCHEMA:
         return [f"unknown event type {type_!r}"]
-    if not isinstance(event.get("ts"), (int, float)):
-        errors.append(f"{type_}: missing/invalid 'ts'")
-    if not isinstance(event.get("pid"), int):
-        errors.append(f"{type_}: missing/invalid 'pid'")
-    for field, kinds in EVENT_SCHEMA[type_].items():
-        value = event.get(field)
-        if not isinstance(value, kinds) or isinstance(value, bool):
-            errors.append(f"{type_}: field {field!r} should be "
-                          f"{'/'.join(k.__name__ for k in kinds)}, "
-                          f"got {value!r}")
-    for field, kinds in _OPTIONAL_FIELDS.get(type_, {}).items():
-        value = event.get(field)
-        if value is not None and (not isinstance(value, kinds)
-                                  or isinstance(value, bool)):
-            errors.append(f"{type_}: optional field {field!r} "
-                          f"should be "
-                          f"{'/'.join(k.__name__ for k in kinds)}, "
-                          f"got {value!r}")
-    return errors
-
-
-def validate_events(events) -> tuple[int, list[str]]:
-    """Validate an iterable of event dicts; ``(count, errors)``."""
-    count = 0
-    errors: list[str] = []
-    for i, event in enumerate(events):
-        count += 1
-        errors.extend(f"event {i}: {e}" for e in validate_event(event))
-    return count, errors
-
-
-def validate_events_file(path) -> tuple[int, list[str]]:
-    """Validate a JSONL event stream file; ``(count, errors)``.
-
-    Unparseable lines are schema errors too (a live stream must never
-    tear: the JSONL sink writes each event with a single buffered
-    ``write``).
-    """
-    count = 0
-    errors: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            count += 1
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: not JSON ({exc})")
-                continue
-            errors.extend(f"line {lineno}: {e}"
-                          for e in validate_event(event))
-    return count, errors
+    return (_jsonl.check(_STAMP, event, type_)
+            + _jsonl.check(EVENT_SCHEMA[type_], event, type_))

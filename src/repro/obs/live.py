@@ -40,7 +40,6 @@ from __future__ import annotations
 import collections
 import gc
 import http.server
-import json
 import logging
 import math
 import os
@@ -49,6 +48,7 @@ import threading
 import time
 
 from repro.obs import bus as _bus
+from repro.obs import jsonl as _jsonl
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger, log_event
 
@@ -72,8 +72,6 @@ __all__ = [
 ]
 
 _log = get_logger(__name__)
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 #: Default sampler / heartbeat cadence in seconds.
 DEFAULT_INTERVAL_S = 0.5
@@ -531,8 +529,8 @@ class MetricsServer:
         self._httpd: http.server.ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
-    def start(self) -> int:
-        """Bind + serve in the background; returns the bound port."""
+    def _handler(self):
+        """Request handler class bound to this server's ``render``."""
         server = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
@@ -556,8 +554,12 @@ class MetricsServer:
             def log_message(self, *args):  # silence per-scrape stderr
                 pass
 
+        return Handler
+
+    def start(self) -> int:
+        """Bind + serve in the background; returns the bound port."""
         self._httpd = http.server.ThreadingHTTPServer(
-            (self.host, self.port), Handler)
+            (self.host, self.port), self._handler())
         self._httpd.daemon_threads = True
         self.port = self._httpd.server_address[1]
         self._thread = threading.Thread(
@@ -573,24 +575,8 @@ class MetricsServer:
         can't race the listener), announce the port, then block in
         :meth:`handle_one_request`.
         """
-        server = self
-
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 - http.server API
-                body = server.render().encode("utf-8")
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type",
-                    "text/plain; version=0.0.4; charset=utf-8")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):  # silence per-scrape stderr
-                pass
-
         self._httpd = http.server.HTTPServer(
-            (self.host, self.port), Handler)
+            (self.host, self.port), self._handler())
         self.port = self._httpd.server_address[1]
         return self.port
 
@@ -864,31 +850,6 @@ def render_status(state: LiveState) -> str:
     return "\n".join(lines)
 
 
-def read_events(path, offset: int = 0) -> tuple[list[dict], int]:
-    """Parse events from ``path`` starting at byte ``offset``.
-
-    Returns ``(events, new_offset)``; a trailing partial line (the
-    producer mid-write) is left for the next call. The follower loop
-    of ``repro top`` calls this repeatedly.
-    """
-    events: list[dict] = []
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        data = fh.read()
-    end = data.rfind(b"\n")
-    if end < 0:
-        return events, offset
-    for line in data[:end].splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return events, offset + end + 1
-
-
 # ------------------------------------------------------- enable / disable
 
 def enable(events_path=None, ticker: bool = False,
@@ -952,11 +913,10 @@ def enable_from_env() -> bool:
     ``REPRO_LIVE_INTERVAL`` (cadence seconds), ``REPRO_LIVE_PORT``
     (Prometheus endpoint port).
     """
-    if os.environ.get("REPRO_LIVE", "").strip().lower() not in _TRUTHY:
+    if not _jsonl.env_flag("REPRO_LIVE"):
         return False
-    events_path = os.environ.get("REPRO_LIVE_EVENTS", "").strip() or None
-    ticker = (os.environ.get("REPRO_LIVE_TICKER", "").strip().lower()
-              in _TRUTHY)
+    events_path = _jsonl.sink_path(None, "REPRO_LIVE_EVENTS", None)
+    ticker = _jsonl.env_flag("REPRO_LIVE_TICKER")
     port_raw = os.environ.get("REPRO_LIVE_PORT", "").strip()
     port = None
     if port_raw:

@@ -18,10 +18,9 @@ check when disabled, and bit-identical results either way:
   against the ledger's actuals with a tolerance verdict
   (:func:`predict_footprint` / :func:`conformance_report`);
 * **per-span allocation attribution**: the ``REPRO_TRACEMALLOC=K``
-  knob (resolved by :func:`tracemalloc_top_k_from_env`, mirroring
-  ``REPRO_PROFILE``) makes every top-level span close with its top-K
-  allocation sites attached as ``span.alloc`` -- the hook itself lives
-  in :mod:`repro.obs.spans`;
+  knob (parsed like ``REPRO_PROFILE``) makes every top-level span
+  close with its top-K allocation sites attached as ``span.alloc`` --
+  the hook itself lives in :mod:`repro.obs.spans`;
 * a **RAM-budget watchdog**: ``REPRO_MEM_BUDGET=512M`` arms a
   :class:`BudgetWatchdog` inside the live resource sampler; it
   publishes ``mem.pressure`` / ``mem.breach`` bus events, warns once
@@ -46,6 +45,7 @@ import threading
 import weakref
 
 from repro.obs import bus as _bus
+from repro.obs import jsonl as _jsonl
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 
@@ -59,7 +59,6 @@ __all__ = [
     "MEM_LEDGER_ENV",
     "MemoryBudgetExceeded",
     "TRACEMALLOC_ENV",
-    "abort_on_breach",
     "abort_requested",
     "attributed_bytes",
     "budget_bytes_from_env",
@@ -82,7 +81,6 @@ __all__ = [
     "request_abort",
     "reset",
     "top_allocations",
-    "tracemalloc_top_k_from_env",
     "track",
 ]
 
@@ -108,9 +106,6 @@ DEFAULT_ALLOC_TOP_K = 20
 #: ``repro.engine.kernels._BLOOM_BYTES`` (pinned by tests -- this
 #: module cannot import the engine without a cycle).
 BLOOM_BYTES = 1 << 21
-
-_TRUTHY = {"1", "true", "yes", "on"}
-_FALSY = {"", "0", "false", "no", "off"}
 
 #: ``None`` = not yet resolved from the environment (first
 #: :func:`is_enabled` call reads ``REPRO_MEM_LEDGER`` exactly once).
@@ -155,8 +150,7 @@ def is_enabled() -> bool:
     """
     global _enabled
     if _enabled is None:
-        _enabled = (os.environ.get(MEM_LEDGER_ENV, "").strip().lower()
-                    in _TRUTHY)
+        _enabled = _jsonl.env_flag(MEM_LEDGER_ENV)
     return _enabled
 
 
@@ -438,7 +432,7 @@ def parse_bytes(text: str) -> int:
     falsy or unparsable input is 0 (budget off).
     """
     raw = (text or "").strip().lower()
-    if raw in _FALSY:
+    if not raw:
         return 0
     for tail in ("ib", "b"):
         if raw.endswith(tail) and not raw[:-len(tail)][-1:].isdigit():
@@ -461,12 +455,6 @@ def parse_bytes(text: str) -> int:
 def budget_bytes_from_env() -> int:
     """The ``REPRO_MEM_BUDGET`` budget in bytes (0 = disarmed)."""
     return parse_bytes(os.environ.get(MEM_BUDGET_ENV, ""))
-
-
-def abort_on_breach() -> bool:
-    """Whether a breach should raise the graceful-abort flag."""
-    return (os.environ.get(MEM_BUDGET_ABORT_ENV, "").strip().lower()
-            in _TRUTHY)
 
 
 def request_abort(reason: str) -> None:
@@ -508,10 +496,10 @@ class BudgetWatchdog:
     ``observe(rss_bytes)`` publishes a ``mem.pressure`` event per
     sample while armed; the first sample over budget additionally
     publishes ``mem.breach``, logs one structured WARNING, bumps the
-    ``mem.breaches`` counter and -- when :func:`abort_on_breach` --
-    raises the graceful-abort flag. The breach latch re-arms once RSS
-    falls back under 95% of the budget, so a run oscillating around
-    the limit warns once per excursion, not once per sample.
+    ``mem.breaches`` counter and -- when ``REPRO_MEM_BUDGET_ABORT`` is
+    truthy -- raises the graceful-abort flag. The breach latch re-arms
+    once RSS falls back under 95% of the budget, so a run oscillating
+    around the limit warns once per excursion, not once per sample.
     """
 
     def __init__(self, budget_bytes: int | None = None):
@@ -543,7 +531,8 @@ class BudgetWatchdog:
                 self._breached = True
                 _breaches += 1
                 _metrics.inc("mem.breaches")
-                action = "abort" if abort_on_breach() else "warn"
+                action = ("abort" if _jsonl.env_flag(MEM_BUDGET_ABORT_ENV)
+                          else "warn")
                 _bus.emit("mem.breach", rss_bytes=rss_bytes,
                           budget_bytes=budget,
                           overshoot_bytes=rss_bytes - budget,
@@ -562,24 +551,6 @@ class BudgetWatchdog:
 
 
 # ------------------------------------------- per-span alloc attribution
-
-def tracemalloc_top_k_from_env() -> int:
-    """Resolve ``REPRO_TRACEMALLOC`` into a top-K site count.
-
-    Mirrors :func:`repro.obs.profiling.profile_top_k_from_env`:
-    unset/falsy -> 0 (off), a bare truthy word -> the default top-K,
-    an integer -> that K, unparsable -> 0.
-    """
-    raw = os.environ.get(TRACEMALLOC_ENV, "").strip().lower()
-    if raw in _FALSY:
-        return 0
-    if raw in _TRUTHY:
-        return DEFAULT_ALLOC_TOP_K
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
 
 def top_allocations(before, after, top_k: int) -> list[dict]:
     """Top-K net-allocating source lines between two snapshots.

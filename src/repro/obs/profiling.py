@@ -25,38 +25,16 @@ itself attributes their share of the wall clock.
 
 from __future__ import annotations
 
-import os
 import pstats
 
 __all__ = [
     "DEFAULT_TOP_K",
     "format_profile",
-    "profile_top_k_from_env",
     "top_functions",
 ]
 
 #: Functions kept per profiled span when ``REPRO_PROFILE=1``.
 DEFAULT_TOP_K = 20
-
-_FALSY = {"", "0", "false", "no", "off"}
-
-
-def profile_top_k_from_env() -> int:
-    """Resolve ``REPRO_PROFILE`` to a top-K count (0 = disabled).
-
-    Truthy words (``1``/``true``/``yes``/``on``) mean
-    :data:`DEFAULT_TOP_K`; an integer above 1 is taken as the K
-    itself; anything falsy or unparsable disables profiling.
-    """
-    raw = os.environ.get("REPRO_PROFILE", "").strip().lower()
-    if raw in _FALSY:
-        return 0
-    if raw in {"1", "true", "yes", "on"}:
-        return DEFAULT_TOP_K
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
 
 
 def top_functions(profiler, top_k: int = DEFAULT_TOP_K) -> list[dict]:

@@ -23,7 +23,7 @@ from repro import cli, obs
 from repro.core.decision import PAPER_SPEED_RATIO, resolve_speed_ratio
 from repro.engine import benchmark as bench
 from repro.listing.api import list_triangles
-from repro.obs import audit, bus, live, metrics, records, report
+from repro.obs import audit, bus, jsonl, live, metrics, records, report
 from repro.obs.dashboard import render_dashboard
 from repro.orientations.permutations import DescendingDegree
 from repro.orientations.relabel import orient
@@ -89,10 +89,14 @@ class TestGating:
         assert not (tmp_path / "audit.jsonl").exists()
 
     def test_audit_path_precedence(self, monkeypatch, tmp_path):
-        assert audit.audit_path() == audit.DEFAULT_AUDIT_PATH
+        monkeypatch.chdir(tmp_path)  # the default path is relative
+        audit.write_audit_record({"route": "default"})
         monkeypatch.setenv(audit.AUDIT_FILE_ENV, str(tmp_path / "a"))
-        assert audit.audit_path() == tmp_path / "a"
-        assert audit.audit_path(tmp_path / "b") == tmp_path / "b"
+        audit.write_audit_record({"route": "env"})
+        audit.write_audit_record({"route": "explicit"}, tmp_path / "b")
+        for path, route in ((audit.DEFAULT_AUDIT_PATH, "default"),
+                            (None, "env"), (tmp_path / "b", "explicit")):
+            assert [r["route"] for r in audit.load_audit(path)] == [route]
 
 
 class TestZeroOverheadOff:
@@ -151,7 +155,7 @@ class TestAutoRouteRecords:
         run_pipeline(pareto_graph, method="auto")
         oriented = orient(pareto_graph, DescendingDegree())
         list_triangles(oriented, method="auto")
-        count, errors = audit.validate_audit_file(sink)
+        count, errors = jsonl.validate(sink, validate_record)
         assert count == 2
         assert errors == []
 
@@ -165,8 +169,12 @@ class TestAutoRouteRecords:
         assert rec["ratios"]["time_unit_ns"] > 0
 
 
+def validate_record(rec) -> list[str]:
+    return jsonl.check(audit.AUDIT_RECORD, rec)
+
+
 def validate_clean(rec) -> bool:
-    errors = audit.validate_audit_record(rec)
+    errors = validate_record(rec)
     assert errors == []
     return True
 
@@ -329,52 +337,34 @@ class TestDiagnose:
 
 class TestValidation:
     def test_not_a_dict(self):
-        assert audit.validate_audit_record([1, 2])
+        assert validate_record([1, 2])
 
     def test_missing_and_mistyped_fields(self, pareto_graph, tmp_path,
                                          monkeypatch):
         sink = enable_audit(monkeypatch, tmp_path)
         run_pipeline(pareto_graph, method="auto")
         rec = audit.load_audit(sink)[0]
-        assert audit.validate_audit_record(rec) == []
+        assert validate_record(rec) == []
         bad = dict(rec)
         del bad["route"]
-        assert any("route" in e for e in audit.validate_audit_record(bad))
+        assert any("route" in e for e in validate_record(bad))
         bad = dict(rec, confidence="high")
         assert any("confidence" in e
-                   for e in audit.validate_audit_record(bad))
+                   for e in validate_record(bad))
         bad = dict(rec, entries=[])
         assert any("entries" in e
-                   for e in audit.validate_audit_record(bad))
+                   for e in validate_record(bad))
         # booleans are not acceptable stand-ins for numbers
         bad = dict(rec, schema=True)
-        assert any("schema" in e for e in audit.validate_audit_record(bad))
+        assert any("schema" in e for e in validate_record(bad))
 
     def test_validate_file_flags_corrupt_lines(self, tmp_path):
         sink = tmp_path / "audit.jsonl"
         sink.write_text('{"schema": 1}\nnot json\n', encoding="utf-8")
-        count, errors = audit.validate_audit_file(sink)
+        count, errors = jsonl.validate(sink, validate_record)
         assert count == 2
         assert any("not JSON" in e for e in errors)
         assert any("line 1" in e for e in errors)  # missing fields
-
-
-class TestLoadAudit:
-    def test_missing_file_is_empty(self, tmp_path):
-        assert audit.load_audit(tmp_path / "nope.jsonl") == []
-
-    def test_corrupt_lines_skipped(self, tmp_path):
-        sink = tmp_path / "audit.jsonl"
-        sink.write_text('{"route": "a"}\ngarbage\n\n{"route": "b"}\n',
-                        encoding="utf-8")
-        recs = audit.load_audit(sink)
-        assert [r["route"] for r in recs] == ["a", "b"]
-
-    def test_inf_regret_roundtrips(self, tmp_path):
-        sink = tmp_path / "audit.jsonl"
-        audit.write_audit_record(
-            {"realized": {"regret": math.inf}}, sink)
-        assert math.isinf(audit.load_audit(sink)[0]["realized"]["regret"])
 
 
 # ----------------------------------------------------------- aggregation
@@ -453,8 +443,8 @@ class TestAnalyzer:
 class TestAppendJsonl:
     def test_creates_parents_and_appends(self, tmp_path):
         sink = tmp_path / "deep" / "dir" / "log.jsonl"
-        records.append_jsonl_line(sink, '{"a": 1}')
-        records.append_jsonl_line(sink, '{"a": 2}\n')  # newline ok
+        jsonl.append(sink, {"a": 1})
+        jsonl.append(sink, {"a": 2})
         lines = sink.read_text(encoding="utf-8").splitlines()
         assert [json.loads(l)["a"] for l in lines] == [1, 2]
 

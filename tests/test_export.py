@@ -182,9 +182,13 @@ class TestProfiling:
         cases = {"": 0, "0": 0, "off": 0, "junk": 0,
                  "1": profiling.DEFAULT_TOP_K,
                  "true": profiling.DEFAULT_TOP_K, "40": 40}
-        for raw, expected in cases.items():
-            monkeypatch.setenv("REPRO_PROFILE", raw)
-            assert profiling.profile_top_k_from_env() == expected
+        try:
+            for raw, expected in cases.items():
+                monkeypatch.setenv("REPRO_PROFILE", raw)
+                obs.spans.enable()
+                assert obs.spans._profile_top_k == expected
+        finally:
+            obs.spans.disable()
 
     def test_top_level_span_gets_profile(self):
         obs.enable(profile=5)
@@ -270,8 +274,7 @@ class TestAtomicRecords:
         obs_records.write_record(record, runs)
         with open(runs, "a") as fh:
             fh.write('{"name": "torn", "con\n')
-        obs_records.write_record(
-            obs_records.RunRecord(name="r2"), runs, fsync=False)
+        obs_records.write_record(obs_records.RunRecord(name="r2"), runs)
         metrics.enable()
         try:
             metrics.reset()

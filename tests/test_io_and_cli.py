@@ -327,14 +327,14 @@ class TestCliLive:
         assert "repro_live_workers 1" in body
 
     def test_live_env_wraps_command(self, tmp_path, monkeypatch, capsys):
-        from repro.obs import bus
+        from repro.obs import bus, jsonl
         events = tmp_path / "events.jsonl"
         monkeypatch.setenv("REPRO_LIVE", "1")
         monkeypatch.setenv("REPRO_LIVE_EVENTS", str(events))
         monkeypatch.setenv("REPRO_LIVE_INTERVAL", "0.05")
         assert main(["model", "--alpha", "1.5", "--n", "1000",
                      "--method", "T1", "--map", "descending"]) == 0
-        count, errors = bus.validate_events_file(events)
+        count, errors = jsonl.validate(events, bus.validate_event)
         assert count >= 1
         assert errors == []
         sample_lines = [line for line in events.read_text().splitlines()

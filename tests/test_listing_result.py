@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.listing.base import ListingResult
-from repro.obs.records import (json_default, listing_result_from_dict,
-                               listing_result_to_dict)
+from repro.obs.jsonl import dumps
+from repro.obs.records import listing_result_from_dict, listing_result_to_dict
 
 
 class TestPerNodeCost:
@@ -44,8 +44,7 @@ class TestRecordsRoundTrip:
 
     def test_roundtrip_collected(self):
         original = self._sample()
-        line = json.dumps(listing_result_to_dict(original),
-                          default=json_default)
+        line = dumps(listing_result_to_dict(original))
         restored = listing_result_from_dict(json.loads(line))
         assert restored == original
 
@@ -69,8 +68,7 @@ class TestRecordsRoundTrip:
         oriented = orient(generate_graph(degrees, rng),
                           DescendingDegree())
         result = list_triangles(oriented, "T1", collect=True)
-        line = json.dumps(listing_result_to_dict(result),
-                          default=json_default)
+        line = dumps(listing_result_to_dict(result))
         restored = listing_result_from_dict(json.loads(line))
         assert restored == result
         assert restored.per_node_cost == result.per_node_cost

@@ -8,6 +8,7 @@ per-span allocation attribution hook, the resource-sampler edge
 cases, and the disabled-is-bit-identical guarantee.
 """
 
+import dataclasses
 import gc
 import json
 
@@ -19,7 +20,7 @@ from repro.distributions import root_truncation
 from repro.distributions.sampling import sample_degree_sequence
 from repro.experiments.harness import SimulationSpec, sweep_n
 from repro.graphs.generators import generate_graph
-from repro.obs import bus, live, memory, metrics
+from repro.obs import bus, jsonl, live, memory, metrics
 from repro.orientations.relabel import orient
 
 
@@ -291,8 +292,8 @@ class TestBudgetWatchdog:
         assert len(breaches) == 1
         assert breaches[0]["overshoot_bytes"] == 500
         assert breaches[0]["action"] == "warn"
-        count, errors = bus.validate_events(sink.events)
-        assert errors == []
+        assert [err for e in sink.events
+                for err in bus.validate_event(e)] == []
         snap = metrics.snapshot()
         assert snap["counters"]["mem.breaches"] == 1
         assert snap["gauges"]["mem.pressure"] == 1.6
@@ -395,8 +396,8 @@ class TestResourceSampler:
         sampler.sample_once()
         assert sink.of_type("mem.pressure")
         assert sink.of_type("mem.breach")
-        count, errors = bus.validate_events(sink.events)
-        assert errors == []
+        assert [err for e in sink.events
+                for err in bus.validate_event(e)] == []
 
     def test_sampler_disarmed_by_default(self, monkeypatch):
         monkeypatch.delenv(memory.MEM_BUDGET_ENV, raising=False)
@@ -435,14 +436,13 @@ class TestLiveSurface:
 class TestAllocAttribution:
     def test_env_knob(self, monkeypatch):
         monkeypatch.delenv(memory.TRACEMALLOC_ENV, raising=False)
-        assert memory.tracemalloc_top_k_from_env() == 0
-        monkeypatch.setenv(memory.TRACEMALLOC_ENV, "1")
-        assert memory.tracemalloc_top_k_from_env() == \
-            memory.DEFAULT_ALLOC_TOP_K
-        monkeypatch.setenv(memory.TRACEMALLOC_ENV, "7")
-        assert memory.tracemalloc_top_k_from_env() == 7
-        monkeypatch.setenv(memory.TRACEMALLOC_ENV, "bogus")
-        assert memory.tracemalloc_top_k_from_env() == 0
+        obs.spans.enable()
+        assert obs.spans._alloc_top_k == 0
+        for raw, expected in (("1", memory.DEFAULT_ALLOC_TOP_K),
+                              ("7", 7), ("bogus", 0)):
+            monkeypatch.setenv(memory.TRACEMALLOC_ENV, raw)
+            obs.spans.enable()
+            assert obs.spans._alloc_top_k == expected
 
     def test_span_carries_top_allocations(self):
         obs.spans.enable(alloc=5)
@@ -514,7 +514,7 @@ class TestRecordsAndExports:
         summary = record.metrics["memory"]
         assert summary["current_bytes"] == 4096
         assert summary["tags"][0]["tag"] == "rec.tag"
-        json.loads(record.to_json())
+        json.loads(jsonl.dumps(dataclasses.asdict(record)))
 
     def test_trace_gets_memory_counter_track(self):
         from repro.obs import export, records

@@ -115,8 +115,8 @@ class TestSpawnParity:
         assert {e["worker_pid"] for e in beats} <= worker_pids
         assert cell.attrs["heartbeat_workers"] >= 1
         assert cell.attrs["stalled_workers"] == 0
-        count, errors = bus.validate_events(sink.events)
-        assert errors == []
+        assert [err for e in sink.events
+                for err in bus.validate_event(e)] == []
 
     def test_spawn_mem_knobs_parity_and_events(self, monkeypatch):
         """Memory knobs leave spawn results bit-identical; the
@@ -149,5 +149,5 @@ class TestSpawnParity:
         assert pressure["rss_bytes"] > 1
         (breach,) = sink.of_type("mem.breach")
         assert breach["action"] == "warn"
-        count, errors = bus.validate_events(sink.events)
-        assert errors == []
+        assert [err for e in sink.events
+                for err in bus.validate_event(e)] == []

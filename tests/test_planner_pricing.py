@@ -27,7 +27,7 @@ from repro.core.costs import component_ops, per_node_cost_many
 from repro.engine import native
 from repro.graphs.generators import configuration_model
 from repro.listing.api import ALL_METHODS, list_triangles
-from repro.obs import audit
+from repro.obs import audit, jsonl
 from repro.orientations.permutations import DescendingDegree
 from repro.orientations.relabel import orient
 from repro.pipeline import run_pipeline
@@ -254,4 +254,5 @@ def test_audit_ratios_finite_on_empty_graphs(name, tmp_path, monkeypatch):
     for record in records:
         assert all(math.isfinite(v) for v in record["ratios"].values())
         assert math.isfinite(record["realized"]["regret"])
-    assert audit.validate_audit_file(sink) == (2, [])
+    assert jsonl.validate(
+        sink, lambda rec: jsonl.check(audit.AUDIT_RECORD, rec)) == (2, [])
