@@ -458,6 +458,25 @@ class TestRuntimeLifecycle:
 
 
 class TestFsyncFlag:
+    def test_appends_stay_atomic_without_fsync(self, tmp_path,
+                                               monkeypatch):
+        # the live stream is the one append path that never fsyncs; its
+        # lines must still land whole
+        synced = []
+        monkeypatch.setattr(jsonl.os, "fsync", synced.append)
+        path = tmp_path / "events.jsonl"
+        sink = bus.JsonlSink(path)
+        for i in range(20):
+            sink.write({"type": "run.start", "ts": float(i), "pid": 1,
+                        "name": f"rec{i}", "n": np.int64(i)})
+        sink.close()
+        assert synced == []
+        events, end, skipped = jsonl.read(path)
+        assert [e["name"] for e in events] == [f"rec{i}" for i in range(20)]
+        assert [e["n"] for e in events] == list(range(20))
+        assert not skipped
+        assert end == path.stat().st_size
+
     def test_host_meta_shape(self):
         from repro.engine import native
         meta = records.host_meta()
