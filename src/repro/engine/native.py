@@ -39,14 +39,18 @@ kernel library:
   :func:`repro.graphs.generators.residual_degree_model`, in the same
   compile unit, drawing from an 8-ary int64 tree with one cache line
   per node, bit-identical to the Python reference loop.
+* **Undirected CSR from keys** (:func:`undirected_csr`): the
+  symmetric CSR of :meth:`repro.graphs.graph.Graph.csr` in one pass
+  over the graph's sorted edge keys, with no sort, equal to the
+  sorting reference build element for element.
 * **Smallest-last order** (:func:`smallest_last`): the Matula-Beck
   bucket queue of :func:`repro.orientations.degenerate.smallest_last_order`,
   bit-identical to its Python reference loop.
 * **Orientation pricing** (:func:`oriented_sums`): the totals of
   eqs. (7)-(9) under several label maps in one call (the exact
-  planner's and every Monte-Carlo cell's), equal
-  to :func:`repro.orientations.relabel.oriented_degrees` followed by
-  :func:`repro.core.costs.component_ops` per map.
+  planner's and every Monte-Carlo cell's) from the sorted edge keys,
+  equal to :func:`repro.orientations.relabel.oriented_degrees`
+  followed by :func:`repro.core.costs.component_ops` per map.
 
 The exactness argument is the forward/compact-forward one: for each
 edge ``z -> y``, every ``x`` in the intersection of ``N+(z)`` and
@@ -88,6 +92,7 @@ __all__ = [
     "smallest_last",
     "status",
     "stream_triangles",
+    "undirected_csr",
 ]
 
 #: Intersection-kernel variants the library compiles.
@@ -678,36 +683,139 @@ done:
     return degeneracy;
 }
 
+/* Largest n whose edge keys lo * n + hi, and the bound n * n, fit in
+ * int64: isqrt(2^63 - 1), repro.graphs.graph.MAX_KEYED_N. */
+#define MAX_KEYED_N 3037000499LL
+
+/* The symmetric CSR of an undirected graph, built in one pass over its
+ * strictly increasing edge keys lo * n + hi (lo < hi), with no sort.
+ * indptr holds the n + 1 row offsets (prefix sums of the degrees).
+ * Row v is its lower part -- the lo of every key whose hi is v --
+ * followed by its upper part -- the hi of every key whose lo is v.
+ * Keys sorted by (lo, hi) fill both parts in ascending order: the
+ * upper part is the run of keys in [v * n, (v + 1) * n), and the lower
+ * part of row v receives its entries from earlier runs in ascending
+ * lo. When the run of row v starts, every key whose hi is v lies
+ * behind it, so the lower part is complete and must end exactly where
+ * the upper part begins. The output is the reference's, element for
+ * element: the sorted neighbours of every row.
+ *
+ * Returns 0; -1 when scratch allocation fails; -2 on a key that does
+ * not increase strictly, is negative or >= n * n, or has lo >= hi (or
+ * on n > MAX_KEYED_N); -3 when indptr does not hold the row lengths
+ * the keys imply. Nothing is written outside indices[0, 2m) either
+ * way. */
+int64_t repro_csr_from_keys(int64_t n, int64_t m, const int64_t *keys,
+                            const int64_t *indptr, int64_t *indices)
+{
+    if (n < 0 || n > MAX_KEYED_N
+            || (m > 0 && (keys[0] < 0 || keys[m - 1] >= n * n)))
+        return -2;
+    if (indptr[0] != 0 || indptr[n] != 2 * m)
+        return -3;
+    for (int64_t v = 0; v < n; v++)
+        if (indptr[v + 1] < indptr[v])
+            return -3;
+    int64_t *fill = (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
+    if (!fill)
+        return -1;
+    for (int64_t v = 0; v < n; v++)
+        fill[v] = indptr[v];
+    int64_t status = 0, e = 0, prev = -1;
+    for (int64_t v = 0; v < n && !status; v++) {
+        const int64_t base = v * n, start = e;
+        /* every key below base was consumed by an earlier run */
+        for (; e < m && keys[e] - base < n; prev = keys[e++])
+            if (keys[e] <= prev || keys[e] - base <= v) {
+                status = -2;
+                break;
+            }
+        if (status)
+            break;
+        const int64_t upper = indptr[v + 1] - (e - start);
+        if (fill[v] != upper) {
+            status = -3;
+            break;
+        }
+        for (int64_t k = start; k < e; k++) {
+            const int64_t hi = keys[k] - base;
+            indices[upper + (k - start)] = hi;
+            if (fill[hi] >= indptr[hi + 1]) {
+                status = -3;
+                break;
+            }
+            indices[fill[hi]++] = v;
+        }
+    }
+    if (!status && e < m)
+        status = -2; /* keys at or beyond n * n */
+    free(fill);
+    return status;
+}
+
 /* The planner's exact pricing: the three integer totals of eqs. (7)-(9)
- * under each of k label maps. labels holds k rows of n labels; each
- * edge (u, v) points from its larger-labelled endpoint, so that
- * endpoint's out-degree X grows by one, and Y = degrees - X. sums[3j..]
- * receives sum X(X-1)/2, sum XY and sum Y(Y-1)/2 under row j -- the
- * T1/T2/T3 totals of repro.core.costs.component_ops.
+ * under each of k label maps. keys are the graph's strictly increasing
+ * edge keys lo * n + hi; labels holds k rows of n labels. Each edge
+ * points from its larger-labelled endpoint, so that endpoint's
+ * out-degree X grows by one, and Y = degrees - X. sums[3j..] receives
+ * sum X(X-1)/2, sum XY and sum Y(Y-1)/2 under row j -- the T1/T2/T3
+ * totals of repro.core.costs.component_ops.
  *
- * Label comparisons are data-random, so the tail is selected without a
- * branch; a branchy select mispredicts about every other edge.
+ * One walk over the rows of the keys (no division) checks every key and
+ * prices all k maps at once. The labels are copied vertex-major, so a
+ * vertex's k labels, and its k out-degrees, share a cache line or two:
+ * an edge touches its two endpoints' lines once, not once per map.
+ * Label comparisons are data-random, so the tail is counted without a
+ * branch: v gains one exactly when lab[v] >= lab[u], and u the rest.
  *
- * Returns 0, or -1 when scratch allocation fails. */
-int64_t repro_oriented_sums(int64_t n, int64_t m, const int64_t *edges,
+ * Returns 0, -1 when scratch allocation fails, and -2 on a key that
+ * does not increase strictly, is negative or >= n * n, or has
+ * lo >= hi (or on n > MAX_KEYED_N). */
+int64_t repro_oriented_sums(int64_t n, int64_t m, const int64_t *keys,
                             const int64_t *degrees, int64_t k,
                             const int64_t *labels, int64_t *sums)
 {
-    int64_t *out = (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
-    if (!out)
-        return -1;
-    for (int64_t j = 0; j < k; j++) {
-        const int64_t *lab = labels + j * n;
+    if (n < 0 || n > MAX_KEYED_N || k < 0)
+        return -2;
+    const size_t cells = (size_t)n * (size_t)k + 1;
+    int64_t *lab = (int64_t *)malloc(cells * sizeof(int64_t));
+    int64_t *out = (int64_t *)calloc(cells, sizeof(int64_t));
+    int64_t status = 0, e = 0, prev = -1;
+    if (!lab || !out) {
+        status = -1;
+        goto done;
+    }
+    for (int64_t j = 0; j < k; j++)
         for (int64_t v = 0; v < n; v++)
-            out[v] = 0;
-        for (int64_t e = 0; e < m; e++) {
-            const int64_t u = edges[2 * e];
-            const int64_t v = edges[2 * e + 1];
-            out[v ^ ((u ^ v) & -(int64_t)(lab[u] > lab[v]))]++;
+            lab[v * k + j] = labels[j * n + v];
+    for (int64_t u = 0; u < n; u++) {
+        const int64_t base = u * n;
+        const int64_t *lu = lab + u * k;
+        int64_t *ou = out + u * k;
+        /* every key below base was consumed by an earlier row */
+        for (; e < m && keys[e] - base < n; prev = keys[e++]) {
+            if (keys[e] <= prev || keys[e] - base <= u) {
+                status = -2;
+                goto done;
+            }
+            const int64_t v = keys[e] - base;
+            const int64_t *lv = lab + v * k;
+            int64_t *ov = out + v * k;
+            for (int64_t j = 0; j < k; j++) {
+                const int64_t up = lv[j] >= lu[j];
+                ov[j] += up;
+                ou[j] += 1 - up;
+            }
         }
+    }
+    if (e < m) {
+        status = -2; /* keys at or beyond n * n */
+        goto done;
+    }
+    for (int64_t j = 0; j < k; j++) {
         int64_t t1 = 0, t2 = 0, t3 = 0;
         for (int64_t v = 0; v < n; v++) {
-            const int64_t x = out[v];
+            const int64_t x = out[v * k + j];
             const int64_t y = degrees[v] - x;
             t1 += x * (x - 1) / 2;
             t2 += x * y;
@@ -717,8 +825,10 @@ int64_t repro_oriented_sums(int64_t n, int64_t m, const int64_t *edges,
         sums[3 * j + 1] = t2;
         sums[3 * j + 2] = t3;
     }
+done:
+    free(lab);
     free(out);
-    return 0;
+    return status;
 }
 """
 
@@ -755,6 +865,11 @@ class _Library:
         self.smallest_last.restype = ctypes.c_int64
         self.smallest_last.argtypes = [
             ctypes.c_int64, _I64P, _I64P, _I64P, _I64P,
+        ]
+        self.csr_from_keys = cdll.repro_csr_from_keys
+        self.csr_from_keys.restype = ctypes.c_int64
+        self.csr_from_keys.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I64P,
         ]
         self.oriented_sums = cdll.repro_oriented_sums
         self.oriented_sums.restype = ctypes.c_int64
@@ -1318,45 +1433,90 @@ def smallest_last(indptr, indices, degrees):
     return order, int(degeneracy)
 
 
-def oriented_sums(edges, degrees, labels):
-    """The totals of eqs. (7)-(9) under K label maps in C, or None if gated.
+def _check_int64(names: str, *arrays) -> None:
+    """ValueError unless every array is a contiguous int64 ndarray."""
+    if any(not isinstance(a, np.ndarray) or a.dtype != np.int64
+           or not a.flags.c_contiguous for a in arrays):
+        raise ValueError(f"{names} must be contiguous int64 arrays")
 
-    ``edges`` is a graph's ``(m, 2)`` edge array, ``degrees`` its
-    ``(n,)`` degrees and ``labels`` a ``(K, n)`` stack of label maps,
-    all contiguous int64. Returns a ``(K, 3)`` int64 array whose row
-    ``j`` is ``(sum X(X-1)/2, sum XY, sum Y(Y-1)/2)`` under
-    ``labels[j]`` -- ``component_ops(*oriented_degrees(graph,
-    labels[j]))`` of :mod:`repro.orientations.relabel`, in one pass per
-    map.
+
+#: What a ``-2`` from a key-reading C loop means.
+_BAD_KEYS = ("edge keys must be strictly increasing keys lo * n + hi "
+             "with 0 <= lo < hi < n")
+
+
+def undirected_csr(keys, degrees):
+    """A graph's symmetric CSR from its sorted edge keys in C, or None
+    if gated.
+
+    ``keys`` are :attr:`repro.graphs.graph.Graph.keys` (strictly
+    increasing ``lo * n + hi``, ``lo < hi``) and ``degrees`` the
+    ``(n,)`` degrees, both contiguous int64. Returns int64
+    ``(indices, indptr)`` equal to the reference build in
+    :func:`repro.graphs.graph._undirected_csr`, from one O(n + m) pass
+    and no sort. ValueError on malformed keys, or on degrees that are
+    not the keys' degrees.
     """
     if not available():
         return None
-    arrays = (edges, degrees, labels)
-    if any(not isinstance(a, np.ndarray) or a.dtype != np.int64
-           or not a.flags.c_contiguous for a in arrays):
-        raise ValueError("edges, degrees and labels must be contiguous "
-                         "int64 arrays")
+    _check_int64("keys and degrees", keys, degrees)
+    if keys.ndim != 1 or degrees.ndim != 1:
+        raise ValueError("keys must be (m,) and degrees (n,)")
     n = degrees.size
-    if (degrees.ndim != 1 or edges.ndim != 2 or edges.shape[1] != 2
-            or labels.ndim != 2 or labels.shape[1] != n):
-        raise ValueError("edges must be (m, 2), degrees (n,) and "
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = np.empty(2 * keys.size, dtype=np.int64)
+    status = _lib.csr_from_keys(
+        n, keys.size, keys.ctypes.data_as(_I64P),
+        indptr.ctypes.data_as(_I64P), indices.ctypes.data_as(_I64P))
+    if status == -1:
+        raise MemoryError("native CSR from keys: scratch allocation "
+                          "failed")
+    if status == -2:
+        raise ValueError(_BAD_KEYS)
+    if status:
+        raise ValueError("degrees must be the degrees of the edge keys")
+    return indices, indptr
+
+
+def oriented_sums(keys, degrees, labels):
+    """The totals of eqs. (7)-(9) under K label maps in C, or None if gated.
+
+    ``keys`` are a graph's sorted edge keys
+    (:attr:`repro.graphs.graph.Graph.keys`), ``degrees`` its ``(n,)``
+    degrees and ``labels`` a ``(K, n)`` stack of label maps, all
+    contiguous int64. Returns a ``(K, 3)`` int64 array whose row ``j``
+    is ``(sum X(X-1)/2, sum XY, sum Y(Y-1)/2)`` under ``labels[j]`` --
+    ``component_ops(*oriented_degrees(graph, labels[j]))`` of
+    :mod:`repro.orientations.relabel`. The C loop prices every map in
+    one walk over the rows of the keys (no division), checking each
+    key: ValueError on a malformed one.
+    """
+    if not available():
+        return None
+    _check_int64("keys, degrees and labels", keys, degrees, labels)
+    n = degrees.size
+    if (keys.ndim != 1 or degrees.ndim != 1 or labels.ndim != 2
+            or labels.shape[1] != n):
+        raise ValueError("keys must be (m,), degrees (n,) and "
                          "labels (K, n)")
-    # the C loop reads labels and writes out-degrees at each endpoint
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise ValueError("edges must index 0..n-1")
     sums = np.empty((labels.shape[0], 3), dtype=np.int64)
-    if _lib.oriented_sums(
-            n, edges.shape[0], edges.ctypes.data_as(_I64P),
-            degrees.ctypes.data_as(_I64P), labels.shape[0],
-            labels.ctypes.data_as(_I64P), sums.ctypes.data_as(_I64P)):
+    status = _lib.oriented_sums(
+        n, keys.size, keys.ctypes.data_as(_I64P),
+        degrees.ctypes.data_as(_I64P), labels.shape[0],
+        labels.ctypes.data_as(_I64P), sums.ctypes.data_as(_I64P))
+    if status == -1:
         raise MemoryError("native oriented sums: scratch allocation "
                           "failed")
+    if status:
+        raise ValueError(_BAD_KEYS)
     return sums
 
 
 def self_test() -> bool:
-    """Compile-and-verify: a triangle + a path, a residual wiring, a
-    smallest-last order, and the planner's orientation sums.
+    """Compile-and-verify: a triangle + a path, a residual wiring, the
+    undirected CSR from keys, a smallest-last order, and the planner's
+    orientation sums.
 
     Used by benchmarks and CI before trusting the library.
     """
@@ -1391,7 +1551,15 @@ def self_test() -> bool:
     hub = [(0, v) for v in range(1, 8)]
     rim = [(v, v + 1) for v in range(1, 7)] + [(7, 1)]
     wheel = Graph(11, hub + rim + [(7, 8), (8, 9), (9, 10)])
+    # undirected CSR: the single pass over the keys against the sort
+    from repro.graphs.graph import _sorted_csr
+    lo, hi = wheel.endpoints()
+    ref_indices, __ = _sorted_csr(np.concatenate([lo, hi]),
+                                  np.concatenate([hi, lo]), wheel.n)
     indices, indptr = wheel.csr()
+    if not (np.array_equal(indices, ref_indices) and np.array_equal(
+            indptr, np.concatenate([[0], wheel.degrees.cumsum()]))):
+        return False
     order, k = smallest_last(indptr, indices, wheel.degrees)
     ref_order, ref_k = degenerate._smallest_last_python(wheel)
     if not (order.tolist() == ref_order.tolist() and k == ref_k):
@@ -1404,7 +1572,7 @@ def self_test() -> bool:
     from repro.planner.candidates import GRAPH_ORDERINGS, iter_candidates
     maps = {c.orientation_key(): c.permutation().labels_for(wheel)
             for c in iter_candidates(ALL_METHODS, GRAPH_ORDERINGS)}
-    sums = oriented_sums(wheel.edges, wheel.degrees,
+    sums = oriented_sums(wheel.keys, wheel.degrees,
                          np.stack(list(maps.values())))
     ref = [list(component_ops(*oriented_degrees(wheel, labels)).values())
            for labels in maps.values()]

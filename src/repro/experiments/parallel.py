@@ -13,7 +13,10 @@ the parent:
   the finished span trees and the metric-counter snapshot home as
   plain dicts, and the parent reattaches them under its ``cell`` span
   (:meth:`repro.obs.spans.Span.from_dict`) and folds the counters into
-  its registry (:func:`repro.obs.metrics.merge_counters`);
+  its registry (:func:`repro.obs.metrics.merge_counters`); with the
+  memory ledger on, workers ship their ledger rows too and the parent
+  folds them in (:func:`repro.obs.memory.merge_ledger`), so a run
+  record's ``memory`` has the same tags at any worker count;
 * ``harness.instances`` is incremented in the parent exactly as
   :func:`repro.experiments.harness.simulate_cost` does;
 * every task reports ``(pid, wall_ns)`` back and the parent publishes
@@ -45,6 +48,7 @@ from repro.experiments.harness import (check_model_divergence,
                                        model_cost, sequence_costs)
 from repro.obs import bus as _bus
 from repro.obs import live as _live
+from repro.obs import memory as _memory
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.obs.spans import Span, span
@@ -113,16 +117,17 @@ def _run_one_sequence(task):
     observability state is used directly -- spans nest under the open
     ``cell`` span, metrics go to the live registry -- and the obs
     fields of the return value are ``None``. In a child process
-    ``bootstrap`` carries the parent's ``(spans_on, metrics_on)``
-    flags -- extended to ``(spans_on, metrics_on, hb_queue,
-    hb_interval)`` while live telemetry is on, where ``hb_queue`` is a
+    ``bootstrap`` carries the parent's ``(spans_on, metrics_on,
+    ledger_on)`` flags -- extended by ``(hb_queue, hb_interval)``
+    while live telemetry is on, where ``hb_queue`` is a
     manager-queue proxy (picklable under both ``fork`` and ``spawn``)
     the worker posts liveness heartbeats into: one at sequence start,
     then at most one per ``hb_interval`` as realizations complete. The
     parent-side :class:`repro.obs.live.HeartbeatWatchdog` drains them.
 
     The worker enables a fresh obs state, runs, and returns the
-    collected span dicts and counter snapshot for the parent to merge.
+    collected span dicts, counter snapshot and memory-ledger
+    ``(peak_bytes, rows)`` for the parent to merge.
     Every path also returns a telemetry tuple ``(pid, wall_ns)`` so
     the parent can attribute per-task wall time to the worker process
     that executed it (one ``perf_counter_ns`` pair per *sequence*, far
@@ -134,16 +139,18 @@ def _run_one_sequence(task):
     hb_interval = _live.DEFAULT_INTERVAL_S
     t0 = time.perf_counter_ns()
     if in_child:
-        if len(bootstrap) >= 4:
-            spans_on, metrics_on, hb_queue, hb_interval = bootstrap[:4]
-        else:
-            spans_on, metrics_on = bootstrap
+        spans_on, metrics_on, ledger_on, *heartbeat = bootstrap
+        if heartbeat:
+            hb_queue, hb_interval = heartbeat
         _spans.reset()
         _metrics.reset()
+        _memory.reset()
         if spans_on:
             _spans.enable()
         if metrics_on:
             _metrics.enable()
+        if ledger_on:
+            _memory.enable()
     task_label = f"seq {seq_index} n={n} {spec.method}"
     if hb_queue is not None:
         _live.post_heartbeat(hb_queue, task_label, status="start")
@@ -167,15 +174,19 @@ def _run_one_sequence(task):
         _live.post_heartbeat(hb_queue, task_label, status="done")
     tele = (os.getpid(), time.perf_counter_ns() - t0)
     if not in_child:
-        return costs, None, None, tele
+        return costs, None, None, None, tele
     counters = _metrics.snapshot()["counters"] if metrics_on else None
     span_dicts = ([s.to_dict() for s in _spans.pop_finished()]
                   if spans_on else None)
+    ledger = ((_memory.peak_bytes(), _memory.ledger_rows())
+              if ledger_on else None)
     if spans_on:
         _spans.disable()
     if metrics_on:
         _metrics.disable()
-    return costs, counters, span_dicts, tele
+    if ledger_on:
+        _memory.disable()
+    return costs, counters, span_dicts, ledger, tele
 
 
 def _cell_progress(spec, n: int, n_tasks: int):
@@ -241,7 +252,8 @@ def simulate_cost_parallel(spec, n: int, seed=0,
                 if progress is not None:
                     progress.advance(1, ops=sum(result[0]) * n)
         else:
-            bootstrap = (_spans.is_enabled(), _metrics.is_enabled())
+            bootstrap = (_spans.is_enabled(), _metrics.is_enabled(),
+                         _memory.is_enabled())
             manager = watchdog = None
             if _live.is_enabled():
                 interval = _live.live_interval()
@@ -274,14 +286,16 @@ def simulate_cost_parallel(spec, n: int, seed=0,
                         watchdog.workers), stalled_workers=stalled)
                 if manager is not None:
                     manager.shutdown()
-            for __, counters, span_dicts, __tele in results:
+            for __, counters, span_dicts, ledger, __tele in results:
                 if counters:
                     _metrics.merge_counters(counters)
+                if ledger:
+                    _memory.merge_ledger(*ledger)
                 if span_dicts and isinstance(cell, Span):
                     cell.children.extend(
                         Span.from_dict(d) for d in span_dicts)
         elapsed_ns = time.perf_counter_ns() - pool_t0
-        all_costs = [c for costs, __, __, __ in results for c in costs]
+        all_costs = [c for costs, *__ in results for c in costs]
         cell.annotate(instances=len(all_costs))
         if _metrics.is_enabled():
             _publish_worker_telemetry(

@@ -4,8 +4,9 @@ Implements the deterministic-graph machinery of section 2 (sorted
 adjacency lists, acyclic orientations ``G(theta_n)``) and the
 random-graph generation of section 7.2:
 
-* :class:`Graph` -- simple undirected graph in CSR form with adjacency
-  lists sorted ascending by node ID.
+* :class:`Graph` -- simple undirected graph stored as sorted int64 edge
+  keys, with a lazy CSR whose adjacency lists are sorted ascending by
+  node ID.
 * :class:`OrientedGraph` -- the relabeled digraph ``G(theta)`` where node
   IDs *are* labels and each edge points from the larger label to the
   smaller (out-neighbors have smaller labels, as in section 2.1).

@@ -73,9 +73,14 @@ class OrientedGraph:
         self.n = graph.n
         self.m = graph.m
 
-        a, b = labels[graph.edges[:, 0]], labels[graph.edges[:, 1]]
-        src = np.maximum(a, b)  # larger label: the edge's tail
-        dst = np.minimum(a, b)  # smaller label: the edge's head
+        # the decoded endpoints' buffers are reused for the labels, so
+        # at most three m-sized temporaries are alive at once
+        lo, hi = graph.endpoints()
+        a = labels[lo]
+        b = np.take(labels, hi, out=lo)
+        src = np.maximum(a, b, out=hi)  # larger label: the edge's tail
+        dst = np.minimum(a, b, out=a)  # smaller label: the edge's head
+        del lo, hi, a, b
 
         # out-CSR: for node i, sorted list of out-neighbors (labels < i);
         # in-CSR: for node i, sorted list of in-neighbors (labels > i).

@@ -90,24 +90,26 @@ def configuration_model(degrees, rng: np.random.Generator,
     stubs = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
     rng.shuffle(stubs)
     pairs = stubs.reshape(-1, 2)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keep = lo != hi
-    lo, hi = lo[keep], hi[keep]
-    # dedup in one sort; the survivors decode back to (lo, hi) in key order
-    width = np.int64(degrees.size)
-    keys = np.sort(lo * width + hi)
+    n_pairs = pairs.shape[0]
+    # the keys lo * n + hi take one m-sized array: hi overwrites the
+    # stubs' first column, and the stubs are freed before the filter
+    keys = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+    keep = keys != hi
+    keys *= np.int64(degrees.size)
+    keys += hi
+    del stubs, pairs, hi
+    keys = keys[keep]
+    # dedup in one sort: the survivors are the graph's sorted keys
+    keys.sort()
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     keys = keys[first]
-    lo = keys // width
-    edges = np.column_stack([lo, keys - lo * width])
     if _metrics.is_enabled():
         # stub pairs dropped as self-loops or duplicates: the degree
         # deficit discussed in section 7.2
-        _metrics.inc("generator.rejections",
-                     int(pairs.shape[0] - edges.shape[0]))
-    return Graph(degrees.size, edges)
+        _metrics.inc("generator.rejections", n_pairs - keys.size)
+    return Graph._from_keys(degrees.size, keys)
 
 
 def residual_degree_model(degrees, rng: np.random.Generator,
@@ -174,7 +176,7 @@ def residual_degree_model(degrees, rng: np.random.Generator,
             # construction: Havel-Hakimi + double-edge-swap mixing
             _metrics.inc("generator.havel_hakimi_fallbacks")
             return havel_hakimi_graph(degrees, rng)
-    return Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    return Graph._from_keys(n, _sorted_keys(edges, n))
 
 
 def _wire_native(degrees: np.ndarray, order: np.ndarray,
@@ -271,7 +273,7 @@ def havel_hakimi_graph(degrees, rng: np.random.Generator | None = None,
     if rng is not None and edges:
         _shake(adjacency, edges, rng,
                rounds=mixing_swaps_per_edge * len(edges))
-    return Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    return Graph._from_keys(n, _sorted_keys(edges, n))
 
 
 def generate_graph(degrees, rng: np.random.Generator,
@@ -305,6 +307,15 @@ def _validate_degrees(degrees: np.ndarray) -> None:
             f"with n={degrees.size}")
     if int(degrees.sum()) % 2 == 1:
         raise ValueError("degree sum must be even to realize a graph")
+
+
+def _sorted_keys(edges, n: int) -> np.ndarray:
+    """Canonical ``(lo, hi)`` edges as the sorted keys ``lo * n + hi``."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    keys = edges[:, 0] * np.int64(n)
+    keys += edges[:, 1]
+    keys.sort()
+    return keys
 
 
 def _zero_weight(tree: FenwickTree, node: int) -> None:

@@ -1,16 +1,43 @@
-"""Simple undirected graph with sorted adjacency lists (CSR layout).
+"""Simple undirected graph stored as one sorted array of edge keys.
 
 Matches the paper's standing assumption (section 2): "adjacency lists in
 graphs are sorted ascending by node ID". Nodes are 0-based integers
 ``0..n-1`` (the paper writes ``1..n``; the shift is purely cosmetic).
-The symmetric 2m-entry CSR is built on the first :meth:`Graph.csr` call:
-degree-ranked relabeling and orientation pricing read only the edges
-and degrees, so a Monte-Carlo cell under such an ordering never builds it.
+
+The one stored form of the edges is the strictly increasing int64 key
+array ``lo * n + hi`` (``lo < hi``), 8 bytes per edge. Every other view
+derives from it on demand:
+
+* :attr:`Graph.edges` decodes the ``(m, 2)`` pairs on each access, in
+  sorted ``(u, v)`` order whatever order the edges were given in (so
+  :func:`repro.graphs.io.save_edge_list` writes them in that order, and
+  :func:`repro.graphs.analysis.empirical_spread_sample` indexes it);
+  :meth:`Graph.endpoints` decodes the two columns once for callers that
+  need both;
+* the symmetric 2m-entry CSR is built on the first :meth:`Graph.csr`
+  call, in one native pass over the keys (no sort) when the compiled
+  library is available. Degree-ranked relabeling and orientation
+  pricing read only the keys and degrees, so a Monte-Carlo cell under
+  such an ordering never builds it.
+
+The generators hand their sorted keys over through
+:meth:`Graph._from_keys`, which copies and sorts nothing but still
+checks them in O(m); the public constructor takes edges in any order
+and orientation and ends in the same checks. Keys are ``int64``, so
+``n`` is capped at :data:`MAX_KEYED_N`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from repro.obs import memory as _memory
+
+#: Largest ``n`` whose keys ``lo * n + hi`` (and the bound ``n * n``)
+#: fit in int64: ``isqrt(2**63 - 1)``. Both constructors reject more.
+MAX_KEYED_N = math.isqrt(2**63 - 1)
 
 
 def _sorted_csr(rows: np.ndarray, cols: np.ndarray, n: int,
@@ -18,59 +45,129 @@ def _sorted_csr(rows: np.ndarray, cols: np.ndarray, n: int,
     """Column indices sorted by ``(row, col)``, and per-row counts.
 
     One sort of the int64 keys ``row * n + col``: the sorted keys
-    decode back to columns by subtracting each key's ``row * n``.
-    The columns come back as ``dtype``, decoded straight into it (in
-    place for int64), so a narrower layout costs no extra pass.
+    decode back to columns as ``key % n``. The columns come back as
+    ``dtype``, decoded straight into it (in place for int64), so a
+    narrower layout costs no extra pass and no m-sized temporary.
     """
-    width = np.int64(n)
-    keys = rows * width + cols
+    width = np.int64(max(n, 1))
+    keys = rows * width
+    keys += cols
     keys.sort()
     counts = np.bincount(rows, minlength=n)
     out = keys if np.dtype(dtype) == keys.dtype else np.empty(
         keys.size, dtype=dtype)
-    np.subtract(keys, np.repeat(np.arange(n, dtype=np.int64) * width,
-                                counts), out=out, casting="unsafe")
+    np.remainder(keys, width, out=out, casting="unsafe")
     return out, counts
 
 
+def _decode(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` of the keys ``lo * n + hi``."""
+    width = np.int64(max(n, 1))
+    lo = keys // width
+    hi = lo * width
+    np.subtract(keys, hi, out=hi)
+    return lo, hi
+
+
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if n > MAX_KEYED_N:
+        raise ValueError(
+            f"n = {n} overflows the int64 edge keys lo * n + hi "
+            f"(n must be at most {MAX_KEYED_N})")
+
+
+def _undirected_csr(keys: np.ndarray, degrees: np.ndarray, n: int):
+    """The symmetric CSR ``(indices, indptr)`` of the keyed graph.
+
+    The only code that builds :meth:`Graph.csr`: the native pass over
+    the sorted keys (:func:`repro.engine.native.undirected_csr`) when
+    the compiled library is available, else the reference -- one sort
+    of the 2m directed keys (:func:`_sorted_csr`). Both give the same
+    arrays, element for element.
+    """
+    from repro.engine import native  # lazy: engine imports graphs
+    built = native.undirected_csr(keys, degrees)
+    if built is not None:
+        return built
+    lo, hi = _decode(keys, n)
+    indices, __ = _sorted_csr(np.concatenate([lo, hi]),
+                              np.concatenate([hi, lo]), n)
+    return indices, np.concatenate([[0], degrees.cumsum()])
+
+
 class Graph:
-    """Immutable simple undirected graph; CSR adjacency on demand.
+    """Immutable simple undirected graph over sorted edge keys.
 
     Parameters
     ----------
     n:
-        Number of nodes (IDs ``0..n-1``). Isolated nodes are allowed.
+        Number of nodes (IDs ``0..n-1``), at most :data:`MAX_KEYED_N`.
+        Isolated nodes are allowed.
     edges:
-        Array-like of shape ``(m, 2)``. Self-loops are rejected;
-        duplicate edges (in either orientation) are rejected -- the
-        generators are responsible for producing simple graphs, and a
-        silent dedup here would mask generator bugs.
+        Array-like of shape ``(m, 2)``, in any order and orientation.
+        Self-loops are rejected; duplicate edges (in either
+        orientation) are rejected -- the generators are responsible for
+        producing simple graphs, and a silent dedup here would mask
+        generator bugs.
     """
 
     def __init__(self, n: int, edges):
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
+        _check_n(n)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint out of range")
         if edges.size and np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loops are not allowed in a simple graph")
-        # canonicalize each edge as (min, max)
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        # a repeated edge is an equal pair of sorted keys; presorted
-        # input (the configuration model's) skips the sort
-        keys = lo * np.int64(n) + hi
+        # canonicalize each edge as (min, max); a repeated edge is an
+        # equal pair of sorted keys, and presorted input skips the sort
+        keys = (np.minimum(edges[:, 0], edges[:, 1]) * np.int64(n)
+                + np.maximum(edges[:, 0], edges[:, 1]))
         if not np.all(keys[1:] > keys[:-1]):
             keys.sort()
             if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("duplicate edges are not allowed")
+        self._adopt(n, keys)
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
+        """A graph over library-made keys, adopted without a copy.
+
+        ``keys`` must be a strictly increasing 1-d int64 array of
+        ``lo * n + hi`` with ``0 <= lo < hi < n``: sorted, so no
+        duplicates, in range, and no self-loop. Each is checked in one
+        O(m) pass (ValueError otherwise); nothing is sorted.
+        """
+        _check_n(n)
+        graph = cls.__new__(cls)
+        graph._adopt(n, keys)
+        return graph
+
+    def _adopt(self, n: int, keys: np.ndarray) -> None:
+        """Check ``keys`` and take them as the graph's one edge array."""
+        if (not isinstance(keys, np.ndarray) or keys.dtype != np.int64
+                or keys.ndim != 1):
+            raise ValueError("edge keys must be a 1-d int64 array")
+        if keys.size:
+            if not np.all(keys[1:] > keys[:-1]):
+                raise ValueError("edge keys must be strictly increasing")
+            if keys[0] < 0 or keys[-1] >= np.int64(n) * np.int64(n):
+                raise ValueError("edge key out of range: keys must lie "
+                                 "in [0, n * n)")
+        lo, hi = _decode(keys, n)
+        if np.any(lo >= hi):
+            raise ValueError("self-loops are not allowed in a simple graph")
+        degrees = np.bincount(lo, minlength=n)
+        degrees += np.bincount(hi, minlength=n)
+        keys.flags.writeable = False
         self.n = int(n)
-        self.m = int(edges.shape[0])
-        self._edges = np.column_stack([lo, hi])
-        self._degrees = (np.bincount(lo, minlength=n)
-                         + np.bincount(hi, minlength=n)).astype(np.int64)
+        self.m = int(keys.size)
+        self._keys = keys
+        self._degrees = degrees.astype(np.int64, copy=False)
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        _memory.track(self, "ugraph.keys", (self._keys,))
+        _memory.track(self, "ugraph.degrees", (self._degrees,))
 
     @classmethod
     def from_edge_list(cls, edges, n: int | None = None) -> "Graph":
@@ -89,9 +186,26 @@ class Graph:
         return self._degrees
 
     @property
+    def keys(self) -> np.ndarray:
+        """The edges as strictly increasing int64 keys ``u * n + v``,
+        ``u < v`` (read-only; the graph's one stored edge array)."""
+        return self._keys
+
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(u, v)``: both endpoint columns, ``u < v``, decoded once.
+
+        Sorted by ``(u, v)``. Fresh arrays on every call.
+        """
+        return _decode(self._keys, self.n)
+
+    @property
     def edges(self) -> np.ndarray:
-        """Canonical edge array of shape ``(m, 2)`` with ``u < v``."""
-        return self._edges
+        """Canonical edge array of shape ``(m, 2)`` with ``u < v``.
+
+        Sorted by ``(u, v)``, decoded from the keys on every access
+        (not cached, so the graph stays at 8 bytes per edge).
+        """
+        return np.column_stack(self.endpoints())
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """The adjacency as raw CSR ``(indices, indptr)`` int64 arrays.
@@ -101,10 +215,8 @@ class Graph:
         on the first call and cached.
         """
         if self._csr is None:
-            lo, hi = self._edges.T
-            indices, __ = _sorted_csr(np.concatenate([lo, hi]),
-                                      np.concatenate([hi, lo]), self.n)
-            self._csr = indices, np.concatenate([[0], self._degrees.cumsum()])
+            self._csr = _undirected_csr(self._keys, self._degrees, self.n)
+            _memory.track(self, "ugraph.csr", self._csr)
         return self._csr
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -132,9 +244,9 @@ class Graph:
         if self.n > 4000:
             raise ValueError("dense reference count limited to n <= 4000")
         a = np.zeros((self.n, self.n), dtype=np.int64)
-        if self.m:
-            a[self._edges[:, 0], self._edges[:, 1]] = 1
-            a[self._edges[:, 1], self._edges[:, 0]] = 1
+        u, v = self.endpoints()
+        a[u, v] = 1
+        a[v, u] = 1
         return int(np.trace(a @ a @ a) // 6)
 
     def __repr__(self) -> str:

@@ -75,6 +75,7 @@ __all__ = [
     "is_enabled",
     "ledger_rows",
     "ledger_summary",
+    "merge_ledger",
     "parse_bytes",
     "peak_bytes",
     "predict_footprint",
@@ -183,6 +184,13 @@ def _sizeof(obj) -> tuple[int, str | None]:
                     f"pass nbytes= explicitly")
 
 
+def _tag_row(tag: str) -> dict:
+    """``tag``'s accumulator, created empty on first use (hold _lock)."""
+    return _by_tag.setdefault(tag, {"live_bytes": 0, "peak_bytes": 0,
+                                    "total_bytes": 0, "checkins": 0,
+                                    "checkouts": 0, "dtypes": set()})
+
+
 def check_in(tag: str, obj=None, *, nbytes: int | None = None,
              dtype: str | None = None,
              span: str | None = None) -> int | None:
@@ -211,9 +219,7 @@ def check_in(tag: str, obj=None, *, nbytes: int | None = None,
         token = _next_token
         _live[token] = {"tag": tag, "dtype": dtype or "",
                         "nbytes": nbytes, "span": owner}
-        t = _by_tag.setdefault(tag, {"live_bytes": 0, "peak_bytes": 0,
-                                     "total_bytes": 0, "checkins": 0,
-                                     "checkouts": 0, "dtypes": set()})
+        t = _tag_row(tag)
         t["live_bytes"] += nbytes
         t["peak_bytes"] = max(t["peak_bytes"], t["live_bytes"])
         t["total_bytes"] += nbytes
@@ -306,6 +312,29 @@ def ledger_rows() -> list[dict]:
     return rows
 
 
+def merge_ledger(peak: int, rows: list[dict]) -> None:
+    """Fold another process's ledger into this one.
+
+    ``peak`` and ``rows`` are a pooled worker's :func:`peak_bytes` and
+    :func:`ledger_rows`. Per tag the peak is the maximum and the
+    totals, check-ins and check-outs add up; live bytes stay this
+    process's own (a worker's arrays die with its task). The overall
+    peak is the maximum of the two processes' peaks. No-op while the
+    ledger is disabled.
+    """
+    global _peak_bytes
+    if not is_enabled():
+        return
+    with _lock:
+        for row in rows:
+            t = _tag_row(row["tag"])
+            t["peak_bytes"] = max(t["peak_bytes"], int(row["peak_bytes"]))
+            for field in ("total_bytes", "checkins", "checkouts"):
+                t[field] += int(row[field])
+            t["dtypes"].update(d for d in row["dtypes"].split(",") if d)
+        _peak_bytes = max(_peak_bytes, int(peak))
+
+
 def ledger_summary() -> dict:
     """JSON-ready snapshot of the whole ledger (rides run records)."""
     with _lock:
@@ -331,11 +360,18 @@ _IN_KEY_METHODS = frozenset({"E4", "E5", "L4", "L5"})
 
 
 def predict_footprint(n: int, m: int, *, method: str | None = None,
-                      engine: str = "numpy") -> dict:
+                      engine: str = "numpy",
+                      order: str | None = None) -> dict:
     """Predicted bytes per ledger tag from the dtype layout rules.
 
     The rules transcribe the actual allocations:
 
+    * ``ugraph.keys`` / ``ugraph.degrees`` -- the undirected
+      :class:`~repro.graphs.graph.Graph`'s int64 edge keys (``m``) and
+      degrees (``n``);
+    * ``ugraph.csr`` -- its lazy symmetric CSR, int64 indices (``2m``)
+      and indptr (``n + 1``); only ``order="degenerate"`` (the
+      smallest-last order) builds it;
     * ``graph.csr`` -- two uint32 index arrays (``m`` each) plus two
       int64 indptr arrays (``n + 1`` each);
     * ``graph.degrees`` -- three int64 degree arrays (out/in/total);
@@ -353,9 +389,13 @@ def predict_footprint(n: int, m: int, *, method: str | None = None,
     n = int(n)
     m = int(m)
     components = {
+        "ugraph.keys": 8 * m,
+        "ugraph.degrees": 8 * n,
         "graph.csr": 4 * 2 * m + 8 * 2 * (n + 1),
         "graph.degrees": 8 * 3 * n,
     }
+    if order == "degenerate":
+        components["ugraph.csr"] = 8 * 2 * m + 8 * (n + 1)
     if engine == "numpy":
         keys = 8 * m
         if method is not None and method.upper() in _IN_KEY_METHODS:
@@ -377,7 +417,7 @@ def _ratio(actual: int, predicted: int) -> float:
 
 
 def conformance_report(n: int, m: int, *, method: str | None = None,
-                       engine: str = "numpy",
+                       engine: str = "numpy", order: str | None = None,
                        tolerance: float = DEFAULT_TOLERANCE,
                        rows: list[dict] | None = None) -> dict:
     """Audit-style predicted-vs-attributed verdict over the ledger.
@@ -389,7 +429,8 @@ def conformance_report(n: int, m: int, *, method: str | None = None,
     gate the verdict. The verdict passes when the attributed total is
     within ``tolerance`` of the predicted total.
     """
-    predicted = predict_footprint(n, m, method=method, engine=engine)
+    predicted = predict_footprint(n, m, method=method, engine=engine,
+                                  order=order)
     if rows is None:
         rows = ledger_rows()
     actual_by_tag = {r["tag"]: r for r in rows}

@@ -72,24 +72,26 @@ def orient(graph, permutation: Permutation,
 def count_orientation(graph, labels) -> None:
     """Bump the ``orient.*`` counters for one orientation (metrics on)."""
     if _metrics.is_enabled():
-        edges = graph.edges
         _metrics.inc("orient.runs")
         _metrics.inc("orient.edges", graph.m)
         # an edge (u, v) with u < v is "flipped" when the smaller vertex
         # ID receives the larger label (the orientation reverses ID order)
+        lo, hi = graph.endpoints()
         _metrics.inc("orient.edges_flipped", int(np.count_nonzero(
-            labels[edges[:, 0]] > labels[edges[:, 1]])))
+            labels[lo] > labels[hi])))
 
 
 def oriented_degrees(graph, labels) -> tuple[np.ndarray, np.ndarray]:
     """``(X, Y)`` -- out/in-degrees of ``G(theta)`` without the CSR.
 
-    Two bincounts over the relabeled edge list; with
+    Two bincounts over the relabeled edges (endpoints decoded once from
+    the graph's keys); with
     :func:`~repro.core.costs.component_ops`, the reference (and
     ``REPRO_NATIVE=0``) path of :func:`orientation_totals`.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    a, b = labels[graph.edges[:, 0]], labels[graph.edges[:, 1]]
+    lo, hi = graph.endpoints()
+    a, b = labels[lo], labels[hi]
     # the larger label is the edge's tail
     return (np.bincount(np.maximum(a, b), minlength=labels.size),
             np.bincount(np.minimum(a, b), minlength=labels.size))
@@ -108,7 +110,7 @@ def orientation_totals(graph, label_maps) -> np.ndarray:
     maps = np.ascontiguousarray(np.atleast_2d(label_maps), dtype=np.int64)
     for labels in maps:
         check_labels(labels, graph.n)
-    sums = native.oriented_sums(graph.edges, graph.degrees, maps)
+    sums = native.oriented_sums(graph.keys, graph.degrees, maps)
     if sums is None:
         sums = np.array([list(component_ops(*oriented_degrees(
             graph, labels)).values()) for labels in maps],

@@ -11,7 +11,8 @@ pin that the cost is bit-identical to the ``OrientedGraph`` +
 ``per_node_cost`` path on both pricing paths, that a cell under a
 degree-ranked ordering never builds :class:`~repro.graphs.graph.Graph`'s
 undirected CSR, that ``Graph`` still rejects duplicate edges without
-it, and that an empty Monte-Carlo budget is refused.
+it and hands its edges back sorted, and that an empty Monte-Carlo
+budget is refused.
 """
 
 import dataclasses
@@ -119,13 +120,13 @@ class TestLazyCSR:
     def builds(self, monkeypatch):
         """Count the undirected-CSR builds of every ``Graph``."""
         calls = []
-        real = graph_module._sorted_csr
+        real = graph_module._undirected_csr
 
         def spy(*args, **kwargs):
             calls.append(args[2])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(graph_module, "_sorted_csr", spy)
+        monkeypatch.setattr(graph_module, "_undirected_csr", spy)
         return calls
 
     def test_construction_and_orient_build_none(self, builds):
@@ -179,9 +180,10 @@ class TestDuplicatesRejected:
         assert graph.degrees.tolist() == [2, 2, 2, 2]
         assert graph.edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
-    def test_edges_keep_input_order(self):
+    def test_edges_come_back_sorted(self):
         graph = Graph(4, [(3, 2), (0, 1), (2, 0)])
-        assert graph.edges.tolist() == [[2, 3], [0, 1], [0, 2]]
+        assert graph.edges.tolist() == [[0, 1], [0, 2], [2, 3]]
+        assert graph.keys.tolist() == [1, 2, 11]
         assert graph.degrees.tolist() == [2, 1, 2, 1]
 
 

@@ -1,0 +1,239 @@
+"""``Graph`` as one sorted edge-key array, differentially.
+
+:class:`~repro.graphs.graph.Graph` stores its edges only as the strictly
+increasing int64 keys ``lo * n + hi``. The generators hand keys over
+through ``Graph._from_keys``; the public constructor takes edges in any
+order and ends in the same checks. The symmetric CSR is built from the
+keys in one native pass (``native.undirected_csr``), and the planner's
+orientation sums walk the keys in C (``native.oriented_sums``). These
+tests pin, on small shapes and a heavy-tailed configuration graph:
+
+* both constructors agree on keys, degrees, ``edges`` and ``csr()``;
+* the native CSR pass equals the sorting reference bit for bit;
+* the key-walking sums equal ``oriented_degrees`` + ``component_ops``
+  under every label map the planner prices (a superset of the six
+  distinct maps it sends to the kernel in one call);
+* the native smallest-last order on the new CSR equals the Python
+  reference on the reference CSR, ties included;
+* malformed keys raise ValueError from the constructor and from every
+  native wrapper, and an ``n`` whose keys would overflow int64 is
+  refused before anything is allocated.
+
+The native tests skip where no C toolchain exists (or under
+``REPRO_NATIVE=0``); the constructor tests run everywhere.
+"""
+
+import numpy as np
+import pytest
+
+from repro import DiscretePareto, Graph, sample_degree_sequence
+from repro.core.costs import component_ops
+from repro.engine import native
+from repro.graphs import graph as graph_module
+from repro.graphs.generators import configuration_model
+from repro.listing.api import ALL_METHODS
+from repro.orientations.degenerate import _smallest_last_python
+from repro.orientations.relabel import oriented_degrees
+from repro.planner.candidates import GRAPH_ORDERINGS, iter_candidates
+
+needs_native = pytest.mark.skipif(not native.available(),
+                                  reason="no C toolchain / native gated")
+
+
+def _pareto_configuration(n=600, seed=11):
+    """A Pareto alpha = 1.5 configuration graph (library-made keys)."""
+    rng = np.random.default_rng(seed)
+    dist = DiscretePareto.paper_parameterization(1.5).truncate(n - 1)
+    return configuration_model(sample_degree_sequence(dist, n, rng), rng)
+
+
+#: ``(n, edges)`` per shape, edges in no particular order or orientation.
+SHAPES = {
+    "n0": (0, []),
+    "m0": (6, []),
+    "isolated": (9, [(7, 2), (2, 4), (4, 7)]),
+    "star": (9, [(i, 0) for i in range(8, 0, -1)]),
+    "k7": (7, [(j, i) for i in range(7) for j in range(i + 1, 7)]),
+    "k35": (8, [(3 + j, i) for j in range(5) for i in range(3)]),
+    "path": (10, [(i + 1, i) for i in range(9)][::-1]),
+    "pareto": None,
+}
+
+
+@pytest.fixture(params=sorted(SHAPES))
+def shape(request):
+    """``(n, edges)`` of one shape; the pareto graph in random order."""
+    if SHAPES[request.param] is not None:
+        return SHAPES[request.param]
+    edges = _pareto_configuration().edges
+    order = np.random.default_rng(0).permutation(len(edges))
+    return 600, edges[order][:, ::-1]
+
+
+def _reference_keys(n, edges):
+    """Canonical sorted keys computed with plain Python ints."""
+    return np.array(sorted(min(u, v) * n + max(u, v)
+                           for u, v in np.asarray(edges).tolist()),
+                    dtype=np.int64)
+
+
+def _reference_csr(graph, monkeypatch):
+    """``graph``'s CSR from the sorting reference (native gated)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(native, "_lib", None)
+        return graph_module._undirected_csr(graph.keys, graph.degrees,
+                                            graph.n)
+
+
+class TestConstructorsAgree:
+    def test_keys_degrees_edges_and_csr(self, shape):
+        n, edges = shape
+        public = Graph(n, edges)
+        keyed = Graph._from_keys(n, _reference_keys(n, edges))
+        np.testing.assert_array_equal(public.keys, _reference_keys(n, edges))
+        np.testing.assert_array_equal(keyed.keys, public.keys)
+        np.testing.assert_array_equal(keyed.degrees, public.degrees)
+        assert keyed.degrees.dtype == public.degrees.dtype == np.int64
+        np.testing.assert_array_equal(keyed.edges, public.edges)
+        assert (keyed.n, keyed.m) == (public.n, public.m) == (n, len(edges))
+        for mine, theirs in zip(keyed.csr(), public.csr()):
+            np.testing.assert_array_equal(mine, theirs)
+
+    def test_edges_sorted_decoded_and_not_cached(self, shape):
+        n, edges = shape
+        graph = Graph(n, edges)
+        out = graph.edges
+        assert out.shape == (graph.m, 2) and out.dtype == np.int64
+        assert out.tolist() == sorted(out.tolist())
+        assert np.all(out[:, 0] < out[:, 1])
+        assert graph.edges is not out
+        lo, hi = graph.endpoints()
+        np.testing.assert_array_equal(np.column_stack([lo, hi]), out)
+
+    def test_keys_are_read_only(self):
+        graph = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            graph.keys[0] = 2
+
+    def test_generators_hand_over_sorted_keys(self):
+        graph = _pareto_configuration()
+        assert np.all(graph.keys[1:] > graph.keys[:-1])
+        rebuilt = Graph(graph.n, graph.edges)
+        np.testing.assert_array_equal(rebuilt.keys, graph.keys)
+        np.testing.assert_array_equal(rebuilt.degrees, graph.degrees)
+
+
+@needs_native
+class TestNativeAgainstReference:
+    def test_csr_bit_identical(self, shape, monkeypatch):
+        graph = Graph(*shape)
+        indices, indptr = native.undirected_csr(graph.keys, graph.degrees)
+        ref_indices, ref_indptr = _reference_csr(graph, monkeypatch)
+        assert indices.dtype == ref_indices.dtype == np.int64
+        assert indptr.dtype == ref_indptr.dtype == np.int64
+        np.testing.assert_array_equal(indices, ref_indices)
+        np.testing.assert_array_equal(indptr, ref_indptr)
+
+    def test_graph_csr_is_the_native_pass(self, shape):
+        graph = Graph(*shape)
+        for built, native_built in zip(
+                graph.csr(), native.undirected_csr(graph.keys,
+                                                   graph.degrees)):
+            np.testing.assert_array_equal(built, native_built)
+
+    def test_oriented_sums_match_reference(self, shape):
+        graph = Graph(*shape)
+        maps = {c.orientation_key(): c.permutation().labels_for(graph)
+                for c in iter_candidates(ALL_METHODS, GRAPH_ORDERINGS)}
+        sums = native.oriented_sums(graph.keys, graph.degrees,
+                                    np.stack(list(maps.values())))
+        for row, labels in zip(sums.tolist(), maps.values()):
+            assert row == list(component_ops(
+                *oriented_degrees(graph, labels)).values())
+
+    def test_smallest_last_on_native_csr(self, shape, monkeypatch):
+        graph = Graph(*shape)
+        indices, indptr = graph.csr()
+        order, k = native.smallest_last(indptr, indices, graph.degrees)
+        reference = Graph(*shape)
+        with monkeypatch.context() as patch:
+            patch.setattr(native, "_lib", None)
+            ref_order, ref_k = _smallest_last_python(reference)
+        np.testing.assert_array_equal(order, ref_order)
+        assert k == ref_k
+
+
+def _malformed(n=6):
+    """Bad key arrays for a 6-node graph, each with ``m = 3``."""
+    return {
+        "unsorted": np.array([1 * n + 2, 0 * n + 1, 3 * n + 4]),
+        "duplicate": np.array([0 * n + 1, 0 * n + 1, 3 * n + 4]),
+        "negative": np.array([-1, 0 * n + 1, 3 * n + 4]),
+        "beyond-n2": np.array([0 * n + 1, 3 * n + 4, n * n]),
+        "self-loop": np.array([0 * n + 1, 2 * n + 2, 3 * n + 4]),
+        "lower-triangle": np.array([0 * n + 1, 4 * n + 3, 4 * n + 5]),
+    }
+
+
+MALFORMED = sorted(_malformed())
+
+
+class TestMalformedKeys:
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_constructor_raises(self, name):
+        with pytest.raises(ValueError):
+            Graph._from_keys(6, _malformed()[name])
+
+    @needs_native
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_native_csr_raises(self, name):
+        # degrees that sum to 2m, so only the keys can be wrong
+        degrees = np.array([1, 1, 1, 1, 1, 1], dtype=np.int64)
+        with pytest.raises(ValueError):
+            native.undirected_csr(_malformed()[name], degrees)
+
+    @needs_native
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_native_sums_raise(self, name):
+        degrees = np.array([1, 1, 1, 1, 1, 1], dtype=np.int64)
+        labels = np.arange(6, dtype=np.int64)[None, :]
+        with pytest.raises(ValueError, match="0 <= lo < hi < n"):
+            native.oriented_sums(_malformed()[name], degrees, labels)
+
+    @needs_native
+    def test_native_csr_rejects_wrong_degrees(self):
+        keys = Graph(4, [(0, 1), (2, 3)]).keys
+        for degrees in ([2, 0, 1, 1], [1, 1, 2, 0], [3, -1, 1, 1]):
+            with pytest.raises(ValueError, match="degrees"):
+                native.undirected_csr(keys, np.array(degrees,
+                                                     dtype=np.int64))
+
+    @needs_native
+    def test_no_keys_on_no_nodes(self):
+        degrees = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValueError):
+            native.oriented_sums(np.array([0]), degrees,
+                                 np.empty((1, 0), dtype=np.int64))
+
+    def test_wrong_dtype_or_shape(self):
+        for bad in (np.array([1, 2], dtype=np.int32), [1, 2],
+                    np.array([[1, 2]])):
+            with pytest.raises(ValueError, match="1-d int64"):
+                Graph._from_keys(6, bad)
+
+
+class TestKeyOverflow:
+    N = graph_module.MAX_KEYED_N + 1
+
+    def test_bound_is_the_int64_square_root(self):
+        bound = graph_module.MAX_KEYED_N
+        assert bound == 3_037_000_499
+        assert bound * bound <= 2**63 - 1 < (bound + 1) ** 2
+
+    def test_public_constructor_raises_before_allocating(self):
+        with pytest.raises(ValueError, match="overflows"):
+            Graph(self.N, [(0, 1)])
+
+    def test_from_keys_raises_before_allocating(self):
+        with pytest.raises(ValueError, match="overflows"):
+            Graph._from_keys(self.N, np.array([1], dtype=np.int64))

@@ -152,10 +152,14 @@ class TestFootprintConformance:
 
     def test_predict_python_engine_graph_only(self):
         pred = memory.predict_footprint(100, 400, engine="python")
-        assert set(pred["components"]) == {"graph.csr", "graph.degrees"}
+        assert set(pred["components"]) == {"graph.csr", "graph.degrees",
+                                           "ugraph.keys", "ugraph.degrees"}
         # uint32 indices (2m), int64 indptr (2(n + 1))
         assert pred["components"]["graph.csr"] == 4 * 800 + 8 * 202
         assert pred["components"]["graph.degrees"] == 24 * 100
+        # the undirected graph: int64 keys (m) and degrees (n)
+        assert pred["components"]["ugraph.keys"] == 8 * 400
+        assert pred["components"]["ugraph.degrees"] == 8 * 100
 
     def test_native_count_adds_no_graph_copy(self):
         """The compiled kernels read the graph's own CSR by pointer."""
@@ -166,7 +170,8 @@ class TestFootprintConformance:
         oriented = _oriented()
         assert native.count_triangles(oriented) > 0
         rows = {r["tag"]: r for r in memory.ledger_rows()}
-        assert set(rows) == {"graph.csr", "graph.degrees"}
+        assert set(rows) == {"graph.csr", "graph.degrees", "ugraph.keys",
+                             "ugraph.degrees"}
         pred = memory.predict_footprint(oriented.n, oriented.m,
                                         engine="python")
         for tag, nbytes in pred["components"].items():
@@ -234,6 +239,27 @@ class TestFootprintConformance:
         assert report["verdict"] == "pass"
         assert {u["tag"] for u in report["unmodeled"]} == \
             {"custom.scratch"}
+
+    def test_degenerate_order_prices_the_undirected_csr(self):
+        """Only the smallest-last order builds ``Graph.csr()``; its
+        bytes are priced under that order and never go unmodeled."""
+        from repro.engine import run_method_kernel
+        from repro.orientations.degenerate import DegenerateOrder
+        memory.enable()
+        rng = np.random.default_rng(3)
+        dist = DiscretePareto(1.7, 21.0).truncate(root_truncation(2000))
+        graph = generate_graph(sample_degree_sequence(dist, 2000, rng), rng)
+        oriented = orient(graph, DegenerateOrder())
+        run_method_kernel(oriented, "E1")
+        report = memory.conformance_report(oriented.n, oriented.m,
+                                           method="E1", order="degenerate")
+        assert report["verdict"] == "pass", report
+        assert report["unmodeled"] == []
+        csr, = [r for r in report["components"] if r["tag"] == "ugraph.csr"]
+        assert csr["actual_bytes"] == csr["predicted_bytes"] == \
+            8 * 2 * graph.m + 8 * (graph.n + 1)
+        assert "ugraph.csr" not in memory.predict_footprint(
+            oriented.n, oriented.m, method="E1")["components"]
 
     def test_formatters_render(self):
         memory.enable()
@@ -490,6 +516,30 @@ class TestDisabledParity:
         again = sweep_n(spec, [200], seed=11)
         assert with_mem == baseline
         assert again == baseline
+
+    def test_pooled_sweep_ledger_matches_serial(self):
+        """Pooled workers ship their ledger rows home: the run's tags,
+        peaks, totals and check-ins equal the serial run's."""
+        from repro.experiments.parallel import sweep_n_parallel
+        spec = SimulationSpec(
+            base_dist=DiscretePareto(1.7, 21.0),
+            truncation=root_truncation, method="T1",
+            permutation=DescendingDegree(), limit_map="descending",
+            n_sequences=2, n_graphs=2)
+        tables = []
+        for workers in (1, 2):
+            memory.reset()
+            memory.enable()
+            tables.append(sweep_n_parallel(spec, [300], seed=4,
+                                           max_workers=workers))
+            rows = {r["tag"]: (r["peak_bytes"], r["total_bytes"],
+                               r["checkins"]) for r in memory.ledger_rows()}
+            tables.append(rows)
+            memory.disable()
+        serial_table, serial_rows, pooled_table, pooled_rows = tables
+        assert pooled_table == serial_table
+        assert set(serial_rows) == {"ugraph.keys", "ugraph.degrees"}
+        assert pooled_rows == serial_rows
 
     def test_listing_identical_with_ledger(self):
         from repro.listing.api import list_triangles

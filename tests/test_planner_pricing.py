@@ -100,7 +100,7 @@ def _reference_plan(graph, methods, orderings):
 
 def _assert_totals_match(graph):
     maps = _planner_maps(graph)
-    sums = native.oriented_sums(graph.edges, graph.degrees,
+    sums = native.oriented_sums(graph.keys, graph.degrees,
                                 np.stack(list(maps.values())))
     assert sums.dtype == np.int64 and sums.shape == (len(maps), 3)
     for row, labels in zip(sums.tolist(), maps.values()):
@@ -122,7 +122,7 @@ class TestNativeTotals:
 
     def test_no_label_maps(self):
         graph = FIXTURES["star"]
-        sums = native.oriented_sums(graph.edges, graph.degrees,
+        sums = native.oriented_sums(graph.keys, graph.degrees,
                                     np.empty((0, graph.n), dtype=np.int64))
         assert sums.shape == (0, 3)
 
@@ -156,9 +156,9 @@ class TestOneKernelCall:
         calls = []
         real = native.oriented_sums
 
-        def spy(edges, degrees, labels):
+        def spy(keys, degrees, labels):
             calls.append(labels.shape)
-            return real(edges, degrees, labels)
+            return real(keys, degrees, labels)
 
         monkeypatch.setattr(native, "oriented_sums", spy)
         return calls
@@ -187,39 +187,40 @@ class TestWrapperRejects:
 
     def _args(self):
         labels = np.stack([DescendingDegree().labels_for(self.graph)] * 2)
-        return self.graph.edges, self.graph.degrees, labels
+        return self.graph.keys, self.graph.degrees, labels
 
     def test_wrong_dtype(self):
-        edges, degrees, labels = self._args()
-        for bad in ((edges.astype(np.int32), degrees, labels),
-                    (edges, degrees.astype(float), labels),
-                    (edges, degrees, labels.astype(np.int32)),
-                    (edges.tolist(), degrees, labels)):
+        keys, degrees, labels = self._args()
+        for bad in ((keys.astype(np.int32), degrees, labels),
+                    (keys, degrees.astype(float), labels),
+                    (keys, degrees, labels.astype(np.int32)),
+                    (keys.tolist(), degrees, labels)):
             with pytest.raises(ValueError, match="int64"):
                 native.oriented_sums(*bad)
 
     def test_non_contiguous(self):
-        edges, degrees, labels = self._args()
-        for bad in ((np.asfortranarray(edges), degrees, labels),
-                    (edges, degrees, np.asfortranarray(labels)),
-                    (edges, np.repeat(degrees, 2)[::2], labels)):
+        keys, degrees, labels = self._args()
+        for bad in ((np.repeat(keys, 2)[::2], degrees, labels),
+                    (keys, degrees, np.asfortranarray(labels)),
+                    (keys, np.repeat(degrees, 2)[::2], labels)):
             with pytest.raises(ValueError, match="contiguous"):
                 native.oriented_sums(*bad)
 
     def test_shape_mismatch(self):
-        edges, degrees, labels = self._args()
-        for bad in ((edges, degrees, np.ascontiguousarray(labels[:, :-1])),
-                    (edges, degrees, labels[0]),
-                    (edges, degrees[:-1], labels),
-                    (edges.reshape(-1), degrees, labels),
-                    (np.ascontiguousarray(edges[:, :1]), degrees, labels)):
+        keys, degrees, labels = self._args()
+        for bad in ((keys, degrees, np.ascontiguousarray(labels[:, :-1])),
+                    (keys, degrees, labels[0]),
+                    (keys, degrees[:-1], labels),
+                    (keys.reshape(-1, 1), degrees, labels),
+                    (keys, degrees.reshape(1, -1), labels)):
             with pytest.raises(ValueError, match=r"\(K, n\)"):
                 native.oriented_sums(*bad)
 
     def test_edges_out_of_range(self):
-        edges, degrees, labels = self._args()
-        for bad in (edges + 1, edges - 1):
-            with pytest.raises(ValueError, match="index 0..n-1"):
+        keys, degrees, labels = self._args()
+        n = self.graph.n
+        for bad in (keys + n * n, keys - keys[-1] - 1):
+            with pytest.raises(ValueError, match="0 <= lo < hi < n"):
                 native.oriented_sums(bad, degrees, labels)
 
 
@@ -227,7 +228,7 @@ def test_gated_library_returns_none(monkeypatch):
     monkeypatch.setattr(native, "_lib", None)
     graph = FIXTURES["star"]
     labels = DescendingDegree().labels_for(graph)[None, :]
-    assert native.oriented_sums(graph.edges, graph.degrees, labels) is None
+    assert native.oriented_sums(graph.keys, graph.degrees, labels) is None
 
 
 def _strict_json(line):

@@ -1,4 +1,4 @@
-"""The residual wiring kernel under AddressSanitizer and UBSan.
+"""The residual wiring and edge-key kernels under AddressSanitizer and UBSan.
 
 ``native._C_SOURCE`` plus the small C ``main`` below compile into one
 standalone executable with ``-fsanitize=address,undefined
@@ -9,8 +9,18 @@ sizes on both sides of each tree-level boundary (8, 64 and 512
 leaves), with random uniforms and with the extreme draws ``0`` and
 ``1 - 2**-53``. It checks each result -- ordered pairs in range, no
 duplicate, every placed stub accounted for -- and the ``n >= 2**32``
-rejection, and exits 0 only when all of it holds. Any sanitizer report
-aborts the run with a non-zero status.
+rejection.
+
+It then runs the two kernels that read a graph's sorted edge keys
+``lo * n + hi`` -- the CSR-from-keys pass and the key-walking
+orientation sums -- on ``n = 0``, ``m = 0``, a star and random graphs.
+It checks that every CSR row is sorted, in range and symmetric, that
+the sums under the identity and the reversed label map are the ones
+the CSR implies, and that malformed keys (a decreasing key, a
+duplicate, a self-loop, a key at ``n * n``, keys on no nodes) and an
+``n`` whose keys overflow int64 return the error code without reading
+out of bounds. It exits 0 only when all of it holds. Any sanitizer
+report aborts the run with a non-zero status.
 
 Skips when there is no C compiler, or when the compiler cannot build
 and run a sanitized program on this host.
@@ -111,6 +121,117 @@ static int wire(const char *name, int64_t n, const int64_t *deg, int mode)
     return bad;
 }
 
+/* Both key kernels on one keyed graph. expect is 0 for well-formed
+ * keys, else the error code both must return. Returns 0 when the
+ * result holds. */
+static int keyed(const char *name, int64_t n, int64_t m,
+                 const int64_t *keys, const int64_t *deg, int64_t expect)
+{
+    int64_t *indptr = malloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t *indices = malloc((size_t)(2 * m + 1) * sizeof(int64_t));
+    int64_t *labels = malloc((size_t)(2 * n + 1) * sizeof(int64_t));
+    int64_t sums[6];
+    indptr[0] = 0;
+    for (int64_t v = 0; v < n; v++) {
+        indptr[v + 1] = indptr[v] + deg[v];
+        labels[v] = v;
+        labels[n + v] = n - 1 - v;
+    }
+    const int64_t csr = repro_csr_from_keys(n, m, keys, indptr, indices);
+    const int64_t sum = repro_oriented_sums(n, m, keys, deg, 2, labels,
+                                            sums);
+    int bad = csr != expect || sum != expect;
+    /* under the identity map each edge points from its larger end, so
+     * X[v] counts the neighbours below v; the reversed map swaps X, Y */
+    int64_t t[3] = {0, 0, 0};
+    for (int64_t v = 0; !bad && !expect && v < n; v++) {
+        int64_t below = 0;
+        for (int64_t i = indptr[v]; i < indptr[v + 1]; i++) {
+            const int64_t u = indices[i];
+            bad |= u < 0 || u >= n || u == v
+                   || (i > indptr[v] && u <= indices[i - 1]);
+            below += u < v;
+            /* symmetric: v is in u's row */
+            int found = 0;
+            for (int64_t j = indptr[u]; !bad && j < indptr[u + 1]; j++)
+                found |= indices[j] == v;
+            bad |= !found;
+        }
+        const int64_t above = deg[v] - below;
+        t[0] += below * (below - 1) / 2;
+        t[1] += below * above;
+        t[2] += above * (above - 1) / 2;
+    }
+    if (!bad && !expect)
+        bad = sums[0] != t[0] || sums[1] != t[1] || sums[2] != t[2]
+              || sums[3] != t[2] || sums[4] != t[1] || sums[5] != t[0];
+    if (bad)
+        fprintf(stderr, "FAIL keyed %s n=%lld m=%lld csr=%lld sums=%lld\n",
+                name, (long long)n, (long long)m, (long long)csr,
+                (long long)sum);
+    free(indptr);
+    free(indices);
+    free(labels);
+    return bad;
+}
+
+/* Random simple graph on n nodes, each pair an edge with probability
+ * p, as sorted keys; then the well-formed check. */
+static int keyed_random(int64_t n, double p)
+{
+    int64_t *deg = calloc((size_t)n + 1, sizeof(int64_t));
+    int64_t *keys = malloc((size_t)(n * (n - 1) / 2 + 1) * sizeof(int64_t));
+    int64_t m = 0;
+    for (int64_t lo = 0; lo < n; lo++)
+        for (int64_t hi = lo + 1; hi < n; hi++)
+            if (uniform() < p) {
+                keys[m++] = lo * n + hi;
+                deg[lo]++;
+                deg[hi]++;
+            }
+    const int bad = keyed("random", n, m, keys, deg, 0);
+    free(deg);
+    free(keys);
+    return bad;
+}
+
+static int keyed_cases(void)
+{
+    int failures = 0;
+    int64_t none = 0;
+    failures += keyed("n0", 0, 0, &none, &none, 0);
+    int64_t zeros[5] = {0, 0, 0, 0, 0};
+    failures += keyed("m0", 5, 0, &none, zeros, 0);
+    /* star on 6 nodes: hub 0 */
+    int64_t star[5] = {1, 2, 3, 4, 5}, star_deg[6] = {5, 1, 1, 1, 1, 1};
+    failures += keyed("star", 6, 5, star, star_deg, 0);
+    int64_t decreasing[5] = {1, 3, 2, 4, 5};
+    failures += keyed("decreasing", 6, 5, decreasing, star_deg, -2);
+    int64_t duplicate[5] = {1, 2, 2, 4, 5};
+    failures += keyed("duplicate", 6, 5, duplicate, star_deg, -2);
+    /* 0-1, 0-2 and the self-loop 3-3 (key 3 * 6 + 3) */
+    int64_t loop[3] = {1, 2, 21}, loop_deg[6] = {2, 1, 1, 2, 0, 0};
+    failures += keyed("self-loop", 6, 3, loop, loop_deg, -2);
+    int64_t beyond[3] = {1, 2, 36}, beyond_deg[6] = {2, 1, 1, 0, 0, 2};
+    failures += keyed("beyond-n2", 6, 3, beyond, beyond_deg, -2);
+    for (int64_t n = 1; n <= 200; n = n * 3 + 1)
+        for (int k = 0; k < 3; k++)
+            failures += keyed_random(n, 0.05 + 0.3 * k);
+    /* keys on no nodes, and an n whose keys overflow int64: rejected
+     * before any array is read */
+    int64_t one = 1, out = -7;
+    if (repro_oriented_sums(0, 1, &one, &none, 1, &none, &out) != -2
+            || repro_csr_from_keys(3037000500LL, 0, &none, &none, &out)
+               != -2
+            || repro_oriented_sums(3037000500LL, 0, &none, &none, 1,
+                                   &none, &out) != -2
+            || out != -7) {
+        fprintf(stderr, "FAIL keyed guards\n");
+        failures++;
+    }
+    return failures;
+}
+
 static void even_sum(int64_t n, int64_t *deg)
 {
     int64_t sum = 0, top = 0;
@@ -159,6 +280,7 @@ int main(void)
         fprintf(stderr, "FAIL n >= 2^32 guard\n");
         failures++;
     }
+    failures += keyed_cases();
     return failures != 0;
 }
 """
