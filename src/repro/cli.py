@@ -688,9 +688,7 @@ def cmd_audit(args) -> int:
         if not entries:
             raise SystemExit(
                 f"no calibration entries in {path}; measure one with "
-                f"`repro audit calibration --measure --record`, or "
-                f"run with REPRO_CALIBRATION_WRITE=1 and "
-                f"speed_ratio='calibrated'")
+                f"`repro audit calibration --measure --record`")
         stored = bench.stored_speed_ratio(args.engine, args.store)
         if args.json:
             print(json.dumps({"path": str(path), "host": host,
@@ -1146,7 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mp-start", default=None,
                    choices=("fork", "spawn", "forkserver"),
                    help="multiprocessing start method (default: "
-                        "REPRO_MP_START or the platform default)")
+                        "the platform default)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truncation", choices=("linear", "root"),
                    default="root")

@@ -44,8 +44,7 @@ def resolve_speed_ratio(speed_ratio: float | str | None = None) -> float:
     * ``"calibrated"`` -- this host's ratio via
       :func:`repro.engine.benchmark.calibrated_speed_ratio`: the
       rolling calibration store's fresh host-matching history when it
-      has one, else measured once per process (and persisted back when
-      ``REPRO_CALIBRATION_WRITE`` is set);
+      has one, else measured once per process (never written back);
     * ``None`` (the default everywhere) -- the ``REPRO_SPEED_RATIO``
       environment variable when set, else :data:`PAPER_SPEED_RATIO`.
     """

@@ -39,8 +39,7 @@ CALIBRATION_FILE_ENV = "REPRO_CALIBRATION_FILE"
 DEFAULT_CALIBRATION_PATH = (pathlib.Path("benchmarks") / "baselines"
                             / "speed_ratio.json")
 
-#: Stored measurements older than this are stale (override via
-#: ``REPRO_CALIBRATION_MAX_AGE_S``).
+#: Stored measurements older than this are stale.
 DEFAULT_CALIBRATION_MAX_AGE_S = 30 * 24 * 3600.0
 
 #: Rolling-window cap per engine; oldest entries are trimmed.
@@ -206,18 +205,12 @@ def stored_speed_ratio(engine: str = "numpy", path=None,
     measurement without jerking every subsequent plan. Entries from
     other hosts are ignored outright; when matching entries exist but
     all exceed ``max_age_s`` (default
-    :data:`DEFAULT_CALIBRATION_MAX_AGE_S`, override via
-    ``REPRO_CALIBRATION_MAX_AGE_S``), the store reports stale: a
+    :data:`DEFAULT_CALIBRATION_MAX_AGE_S`), the store reports stale: a
     ``planner.calibration_stale`` counter ticks and ``None`` is
     returned so the caller falls back to a fresh measurement.
     """
     if max_age_s is None:
-        env = os.environ.get("REPRO_CALIBRATION_MAX_AGE_S", "").strip()
-        try:
-            max_age_s = float(env) if env else \
-                DEFAULT_CALIBRATION_MAX_AGE_S
-        except ValueError:
-            max_age_s = DEFAULT_CALIBRATION_MAX_AGE_S
+        max_age_s = DEFAULT_CALIBRATION_MAX_AGE_S
     if now is None:
         now = time.time()
     host = host_fingerprint()
@@ -243,29 +236,24 @@ def stored_speed_ratio(engine: str = "numpy", path=None,
 @lru_cache(maxsize=8)
 def calibrated_speed_ratio(engine: str = "numpy", n: int = 4000,
                            seed: int = 0) -> float:
-    """The ``speed_ratio="calibrated"`` backend, store-first.
+    """The ``speed_ratio="calibrated"`` backend, store-first, read-only.
 
     Consults the rolling calibration store before burning wall time on
     a fresh micro-benchmark: a fresh host-matching measurement history
     answers immediately (``planner.calibrations_from_store``); a cold
     or stale store falls through to :func:`measure_speed_ratio` on the
-    default synthetic graph (``planner.calibrations``), and the new
-    measurement is persisted back when ``REPRO_CALIBRATION_WRITE`` is
-    truthy -- the audit layer's feedback loop. Per-process cached
-    either way.
+    default synthetic graph (``planner.calibrations``). The store is
+    never written here; ``repro audit calibration --measure --record``
+    is its one write path. Per-process cached either way.
     """
     from repro.obs import metrics as _metrics
-    from repro.obs.jsonl import env_flag
 
     stored = stored_speed_ratio(engine)
     if stored is not None:
         _metrics.inc("planner.calibrations_from_store")
         return stored
     _metrics.inc("planner.calibrations")
-    ratio = measure_speed_ratio(n=n, seed=seed, engine=engine)
-    if env_flag("REPRO_CALIBRATION_WRITE"):
-        store_calibration(ratio, engine=engine, n=n, seed=seed)
-    return ratio
+    return measure_speed_ratio(n=n, seed=seed, engine=engine)
 
 
 def native_compare(oriented, methods=DEFAULT_METHODS,

@@ -30,7 +30,7 @@ kernel library:
   resumable ``(z, iy)`` cursor so callers bound memory without
   per-triangle Python boxing.
 * **A pthreads block driver**: the vertex range is pre-split into
-  ``REPRO_NATIVE_BLOCKS`` edge-balanced blocks (a pure function of the
+  :data:`DEFAULT_BLOCKS` edge-balanced blocks (a pure function of the
   graph, *not* of the thread count) and threads claim blocks statically
   round-robin. Per-block triangle/op counters are merged back in block
   order, so counts, ops, and emitted buffers are bit-identical at any
@@ -975,7 +975,8 @@ def _build_library():
     emits exactly one structured WARNING through
     :mod:`repro.obs.logging`.
     """
-    if os.environ.get("REPRO_NATIVE", "1").lower() in ("0", "false", ""):
+    gate = os.environ.get("REPRO_NATIVE", "1").strip().lower()
+    if gate in ("", "0", "false", "no", "off"):
         _status.update(state="gated", reason="REPRO_NATIVE disabled")
         return None
     compiler = shutil.which("cc") or shutil.which("gcc")
@@ -1057,7 +1058,7 @@ def available() -> bool:
                   available=_lib is not None,
                   state=_status["state"],
                   reason=_status["reason"] or "",
-                  gated=os.environ.get("REPRO_NATIVE", "1"))
+                  gated=_status["state"] == "gated")
         _metrics.set_gauge("engine.native_available",
                            1.0 if _lib is not None else 0.0)
     return _lib is not None
@@ -1099,7 +1100,7 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 def resolve_kind(oriented, kind: str | None = None) -> str:
-    """Intersection variant: explicit, ``REPRO_NATIVE_KERNEL``, or auto.
+    """Intersection variant: explicit, or auto (the default).
 
     The auto heuristic follows the degree-regime argument (Latapy
     2008): the bitmap probe does one predicted byte load per candidate
@@ -1109,10 +1110,7 @@ def resolve_kind(oriented, kind: str | None = None) -> str:
     merge takes over for huge vertex sets where per-thread mark arrays
     would thrash (or be refused by the allocator).
     """
-    if kind is None:
-        kind = os.environ.get("REPRO_NATIVE_KERNEL", "auto") \
-            .strip().lower() or "auto"
-    if kind == "auto":
+    if kind is None or kind == "auto":
         kind = "bitmap" if oriented.n <= (1 << 25) else "merge"
     if kind not in _KIND_CODES:
         raise ValueError(f"unknown native kernel {kind!r}; choose from "
@@ -1131,7 +1129,7 @@ class _GraphArrays:
     which is most of what the ns/edge metric sees on small graphs.
     """
 
-    def __init__(self, oriented, nblocks: int):
+    def __init__(self, oriented):
         # references (not copies) keep the pointers valid
         self.indices, self.indptr = oriented.out_csr()
         if (self.indices.dtype != np.uint32 or self.indptr.dtype != np.int64
@@ -1143,7 +1141,7 @@ class _GraphArrays:
         self.m = int(self.indices.size)
         self.max_out_degree = (int(oriented.out_degrees.max())
                                if self.n else 0)
-        nblocks = max(1, min(nblocks, self.n or 1))
+        nblocks = max(1, min(DEFAULT_BLOCKS, self.n or 1))
         # Edge-balanced boundaries: a pure function of the graph, so
         # counts/ops/buffers cannot depend on the thread count.
         targets = np.linspace(0, self.m, nblocks + 1)
@@ -1164,20 +1162,10 @@ class _GraphArrays:
 _ARRAYS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _resolve_blocks() -> int:
-    env = os.environ.get("REPRO_NATIVE_BLOCKS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_BLOCKS
-
-
 def _graph_arrays(oriented) -> _GraphArrays:
     arrays = _ARRAYS.get(oriented)
     if arrays is None:
-        arrays = _GraphArrays(oriented, _resolve_blocks())
+        arrays = _GraphArrays(oriented)
         _ARRAYS[oriented] = arrays
     return arrays
 

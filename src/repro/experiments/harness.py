@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -39,20 +38,8 @@ from repro.orientations.relabel import count_orientation, orientation_totals
 
 _log = get_logger(__name__)
 
-#: Default |model/sim - 1| beyond which a cell logs a divergence
-#: warning; override with the ``REPRO_MODEL_ERROR_WARN`` env variable.
+#: |model/sim - 1| beyond which a cell logs a divergence warning.
 MODEL_ERROR_WARN_DEFAULT = 0.25
-
-
-def model_error_warn_threshold() -> float:
-    """The active divergence-warning threshold (env-overridable)."""
-    raw = os.environ.get("REPRO_MODEL_ERROR_WARN", "")
-    try:
-        threshold = float(raw)
-    except ValueError:
-        threshold = math.nan
-    # NaN, inf or a negative value would silence (or always fire) it
-    return threshold if 0 <= threshold < math.inf else MODEL_ERROR_WARN_DEFAULT
 
 
 @dataclass
@@ -168,13 +155,13 @@ def check_model_divergence(spec: SimulationSpec, n: int, sim: float,
 
     ``relative_error`` matches the sign convention of the paper's
     tables (negative = model underestimates). Cells whose absolute
-    relative error exceeds :func:`model_error_warn_threshold` bump
+    relative error exceeds :data:`MODEL_ERROR_WARN_DEFAULT` bump
     ``harness.divergent_cells`` and log a structured WARNING instead
     of diverging silently. Shared by the serial and pool-backed
     harnesses.
     """
     error = model / sim - 1.0 if sim else float("nan")
-    threshold = model_error_warn_threshold()
+    threshold = MODEL_ERROR_WARN_DEFAULT
     if math.isfinite(error) and abs(error) > threshold:
         _metrics.inc("harness.divergent_cells")
         log_event(_log, logging.WARNING, "model-simulation divergence",

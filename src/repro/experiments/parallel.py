@@ -95,15 +95,14 @@ def resolve_chunksize(chunksize: int | None, n_tasks: int,
 
 
 def resolve_mp_context(mp_start: str | None = None):
-    """Multiprocessing context: argument > ``REPRO_MP_START`` > default.
+    """Multiprocessing context: argument, else the platform default.
 
     ``"fork"`` (the Linux default) inherits the parent's modules;
     ``"spawn"`` re-imports everything in a fresh interpreter -- the
     only option on macOS/Windows and the mode the spawn-parity tests
     exercise. ``None``/empty falls back to the platform default.
     """
-    method = (mp_start if mp_start is not None
-              else os.environ.get("REPRO_MP_START", "")).strip().lower()
+    method = (mp_start or "").strip().lower()
     if not method:
         return None
     return multiprocessing.get_context(method)
@@ -222,7 +221,7 @@ def simulate_cost_parallel(spec, n: int, seed=0,
     from ``SeedSequence(seed).spawn``, so results are bit-for-bit
     reproducible for a fixed ``(spec, n, seed)`` regardless of
     ``max_workers`` / ``chunksize`` / ``mp_start`` (start method:
-    argument > ``REPRO_MP_START`` > platform default).
+    argument, else the platform default).
 
     Observability parity with the serial harness: the fan-out runs
     under a ``cell`` span, worker span trees are reattached beneath

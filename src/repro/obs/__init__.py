@@ -162,12 +162,9 @@ def is_enabled() -> bool:
 
 
 def enable_from_env() -> bool:
-    """Enable when ``REPRO_TRACE`` is truthy; returns the decision.
-
-    ``REPRO_TRACE_MEMORY=1`` additionally turns on tracemalloc peaks.
-    """
+    """Enable when ``REPRO_TRACE`` is truthy; returns the decision."""
     if jsonl.env_flag("REPRO_TRACE"):
-        enable(memory=jsonl.env_flag("REPRO_TRACE_MEMORY"))
+        enable()
         return True
     return False
 

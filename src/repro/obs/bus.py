@@ -8,9 +8,7 @@ pluggable sinks fan them out:
 
 * :class:`MemorySink` -- in-process list, for tests and ``repro top``;
 * :class:`JsonlSink` -- one JSON line per event appended to a stream
-  file (the ``REPRO_LIVE_EVENTS`` sink ``repro top`` follows);
-* :class:`TickerSink` -- a throttled single-line stderr progress
-  ticker.
+  file (the ``REPRO_LIVE_EVENTS`` sink ``repro top`` follows).
 
 Like the rest of :mod:`repro.obs`, the bus is disabled by default and
 the disabled path is one module-global check: :func:`emit` returns
@@ -26,7 +24,6 @@ over a stream file through :func:`repro.obs.jsonl.validate`).
 from __future__ import annotations
 
 import os
-import sys
 import threading
 import time
 
@@ -38,7 +35,6 @@ __all__ = [
     "EventBus",
     "JsonlSink",
     "MemorySink",
-    "TickerSink",
     "add_sink",
     "bus",
     "disable",
@@ -182,49 +178,6 @@ class JsonlSink:
         fd, self._fd = self._fd, None
         if fd is not None:
             os.close(fd)
-
-
-class TickerSink:
-    """Single-line stderr progress ticker, time-throttled.
-
-    Only ``progress`` and ``worker.stalled`` events render (samples and
-    heartbeats would just flicker); re-renders are capped at one per
-    ``min_interval_s`` except for terminal events (``frac >= 1``).
-    """
-
-    def __init__(self, stream=None, min_interval_s: float = 0.2):
-        self.stream = stream if stream is not None else sys.stderr
-        self.min_interval_s = min_interval_s
-        self._last_render = 0.0
-
-    def write(self, event: dict) -> None:
-        """Render progress / stall events to the ticker stream."""
-        type_ = event.get("type")
-        if type_ == "worker.stalled":
-            self.stream.write(
-                f"\nWARNING worker {event.get('worker_pid')} stalled: "
-                f"silent {event.get('silent_s', 0):.1f}s on "
-                f"{event.get('last_task')!r}\n")
-            return
-        if type_ != "progress":
-            return
-        now = time.monotonic()
-        frac = float(event.get("frac", 0.0))
-        if frac < 1.0 and now - self._last_render < self.min_interval_s:
-            return
-        self._last_render = now
-        eta = event.get("eta_s")
-        eta_txt = f"  eta {eta:.1f}s" if isinstance(eta, (int, float)) \
-            else ""
-        bar_n = int(round(20 * min(max(frac, 0.0), 1.0)))
-        self.stream.write(
-            f"\r[{'#' * bar_n}{'.' * (20 - bar_n)}] {100 * frac:5.1f}% "
-            f"{event.get('label', '')}{eta_txt}   ")
-        if frac >= 1.0:
-            self.stream.write("\n")
-
-    def close(self) -> None:
-        """Nothing to release (the stream is borrowed)."""
 
 
 class EventBus:

@@ -83,18 +83,22 @@ SERIES_MAXLEN = 1024
 _enabled = False
 _sampler: "ResourceSampler | None" = None
 _jsonl_sink = None
-_ticker_sink = None
-_server: "MetricsServer | None" = None
 
 
 def live_interval() -> float:
-    """Sampler/heartbeat cadence: ``REPRO_LIVE_INTERVAL`` or 0.5 s."""
+    """Sampler/heartbeat cadence: ``REPRO_LIVE_INTERVAL`` or 0.5 s.
+
+    Only ``0 < value <= threading.TIMEOUT_MAX`` is taken: a longer wait
+    (``inf``, ``1e300``) would make :meth:`threading.Event.wait` raise
+    and kill the sampler thread.
+    """
     raw = os.environ.get("REPRO_LIVE_INTERVAL", "").strip()
     try:
         value = float(raw)
-        return value if value > 0 else DEFAULT_INTERVAL_S
     except ValueError:
         return DEFAULT_INTERVAL_S
+    return value if 0 < value <= threading.TIMEOUT_MAX \
+        else DEFAULT_INTERVAL_S
 
 
 def is_enabled() -> bool:
@@ -852,38 +856,29 @@ def render_status(state: LiveState) -> str:
 
 # ------------------------------------------------------- enable / disable
 
-def enable(events_path=None, ticker: bool = False,
-           interval_s: float | None = None,
-           serve_port: int | None = None) -> None:
-    """Start the live runtime: bus sinks, sampler, span hook, server.
+def enable(events_path=None, interval_s: float | None = None) -> None:
+    """Start the live runtime: bus sinks, sampler, span hook.
 
     Idempotent-ish: calling while enabled reconfigures sinks. The
-    JSONL sink (``events_path``) and stderr ticker are optional; the
-    sampler always runs (its series is what run records pick up). With
-    ``serve_port`` the Prometheus endpoint starts too (0 = ephemeral).
+    JSONL sink (``events_path``) is optional; the sampler always runs
+    (its series is what run records pick up).
     """
-    global _enabled, _sampler, _jsonl_sink, _ticker_sink, _server
+    global _enabled, _sampler, _jsonl_sink
     disable()
     _bus.enable()
     if events_path:
         _jsonl_sink = _bus.JsonlSink(events_path)
         _bus.add_sink(_jsonl_sink)
-    if ticker:
-        _ticker_sink = _bus.TickerSink()
-        _bus.add_sink(_ticker_sink)
     _sampler = ResourceSampler(interval_s=interval_s).start()
-    if serve_port is not None:
-        _server = MetricsServer(port=serve_port)
-        _server.start()
     from repro.obs import spans as _spans
     _spans.set_live_hook(_span_hook)
     _enabled = True
 
 
 def disable() -> None:
-    """Stop the sampler/server, detach the span hook, close sinks."""
-    global _enabled, _sampler, _jsonl_sink, _ticker_sink, _server
-    if not (_enabled or _sampler or _server):
+    """Stop the sampler, detach the span hook, close sinks."""
+    global _enabled, _sampler, _jsonl_sink
+    if not (_enabled or _sampler):
         _bus.disable()
         return
     from repro.obs import spans as _spans
@@ -891,16 +886,10 @@ def disable() -> None:
     if _sampler is not None:
         _sampler.stop()
         _sampler = None
-    if _server is not None:
-        _server.stop()
-        _server = None
     if _jsonl_sink is not None:
         _bus.remove_sink(_jsonl_sink)
         _jsonl_sink.close()
         _jsonl_sink = None
-    if _ticker_sink is not None:
-        _bus.remove_sink(_ticker_sink)
-        _ticker_sink = None
     _bus.disable()
     _enabled = False
 
@@ -908,23 +897,12 @@ def disable() -> None:
 def enable_from_env() -> bool:
     """Start the runtime when ``REPRO_LIVE`` is truthy; the decision.
 
-    Companion knobs: ``REPRO_LIVE_EVENTS`` (JSONL sink path),
-    ``REPRO_LIVE_TICKER=1`` (stderr ticker),
-    ``REPRO_LIVE_INTERVAL`` (cadence seconds), ``REPRO_LIVE_PORT``
-    (Prometheus endpoint port).
+    Companion knobs: ``REPRO_LIVE_EVENTS`` (JSONL sink path) and
+    ``REPRO_LIVE_INTERVAL`` (cadence seconds).
     """
     if not _jsonl.env_flag("REPRO_LIVE"):
         return False
-    events_path = _jsonl.sink_path(None, "REPRO_LIVE_EVENTS", None)
-    ticker = _jsonl.env_flag("REPRO_LIVE_TICKER")
-    port_raw = os.environ.get("REPRO_LIVE_PORT", "").strip()
-    port = None
-    if port_raw:
-        try:
-            port = int(port_raw)
-        except ValueError:
-            port = None
-    enable(events_path=events_path, ticker=ticker, serve_port=port)
+    enable(events_path=_jsonl.sink_path(None, "REPRO_LIVE_EVENTS", None))
     return True
 
 

@@ -14,7 +14,6 @@ history.
 
 import json
 import math
-import time as time_mod
 from types import SimpleNamespace
 
 import pytest
@@ -38,8 +37,7 @@ def clean_state(monkeypatch):
     obs.reset()
     bus.reset()
     for var in ("REPRO_AUDIT", "REPRO_AUDIT_FILE",
-                "REPRO_CALIBRATION_FILE", "REPRO_CALIBRATION_WRITE",
-                "REPRO_CALIBRATION_MAX_AGE_S", "REPRO_SPEED_RATIO"):
+                "REPRO_CALIBRATION_FILE", "REPRO_SPEED_RATIO"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setattr(audit, "_enabled", None)
     bench.calibrated_speed_ratio.cache_clear()
@@ -469,15 +467,6 @@ class TestCalibrationStore:
         assert bench.stored_speed_ratio(
             path=store, max_age_s=60.0, now=5000.0) is None
 
-    def test_staleness_env_knob(self, tmp_path, monkeypatch):
-        store = tmp_path / "speed_ratio.json"
-        bench.store_calibration(3.5, path=store,
-                                now=time_mod.time() - 120.0)
-        monkeypatch.setenv("REPRO_CALIBRATION_MAX_AGE_S", "60")
-        assert bench.stored_speed_ratio(path=store) is None
-        monkeypatch.setenv("REPRO_CALIBRATION_MAX_AGE_S", "3600")
-        assert bench.stored_speed_ratio(path=store) == 3.5
-
     def test_other_host_entries_ignored(self, tmp_path):
         store = tmp_path / "speed_ratio.json"
         bench.store_calibration(3.5, path=store, now=1000.0)
@@ -527,21 +516,12 @@ class TestCalibrationStore:
         bench.calibrated_speed_ratio.cache_clear()
         assert bench.calibrated_speed_ratio() == 4.25
 
-    def test_calibrated_measures_and_writes_back(self, tmp_path,
-                                                 monkeypatch):
+    def test_no_write_back_without_opt_in(self, tmp_path, monkeypatch):
+        # "calibrated" is read-only: a cold store is measured, never
+        # written, whatever the environment says
         store = tmp_path / "speed_ratio.json"
         monkeypatch.setenv(bench.CALIBRATION_FILE_ENV, str(store))
         monkeypatch.setenv("REPRO_CALIBRATION_WRITE", "1")
-        monkeypatch.setattr(bench, "measure_speed_ratio",
-                            lambda *a, **kw: 7.5)
-        bench.calibrated_speed_ratio.cache_clear()
-        assert bench.calibrated_speed_ratio() == 7.5
-        # the feedback loop persisted the measurement for next time
-        assert bench.stored_speed_ratio(path=store) == 7.5
-
-    def test_no_write_back_without_opt_in(self, tmp_path, monkeypatch):
-        store = tmp_path / "speed_ratio.json"
-        monkeypatch.setenv(bench.CALIBRATION_FILE_ENV, str(store))
         monkeypatch.setattr(bench, "measure_speed_ratio",
                             lambda *a, **kw: 7.5)
         bench.calibrated_speed_ratio.cache_clear()
@@ -815,6 +795,27 @@ class TestAuditCLI:
         data = json.loads(capsys.readouterr().out)
         assert data["stored_ratio"] == 4.5
         assert data["entries"]
+
+    def test_calibration_measure_record_is_the_write_path(
+            self, tmp_path, monkeypatch, capsys):
+        store = tmp_path / "speed_ratio.json"
+        bench.store_calibration(4.5, path=store)
+        before = store.read_text(encoding="utf-8")
+        monkeypatch.setattr(bench, "measure_speed_ratio",
+                            lambda *a, **kw: 6.25)
+        # --measure alone reports the ratio but leaves the store alone
+        assert cli.main(["audit", "calibration", "--store", str(store),
+                         "--measure"]) == 0
+        assert "6.25x" in capsys.readouterr().out
+        assert store.read_text(encoding="utf-8") == before
+        # --measure --record appends exactly that entry for this host
+        assert cli.main(["audit", "calibration", "--store", str(store),
+                         "--measure", "--record"]) == 0
+        assert f"recorded to {store}" in capsys.readouterr().out
+        entries = bench.load_calibration_store(store)["entries"]
+        assert [e["ratio"] for e in entries] == [4.5, 6.25]
+        assert entries[-1]["engine"] == "numpy"
+        assert entries[-1]["host"] == bench.host_fingerprint()
 
 
 class TestDashboardPanel:

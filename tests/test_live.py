@@ -423,8 +423,15 @@ class TestRuntimeLifecycle:
     def test_live_interval_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_LIVE_INTERVAL", "0.25")
         assert live.live_interval() == 0.25
-        monkeypatch.setenv("REPRO_LIVE_INTERVAL", "junk")
-        assert live.live_interval() == live.DEFAULT_INTERVAL_S
+        # unparsable, non-positive, NaN and waits longer than
+        # threading.TIMEOUT_MAX (Event.wait would raise and kill the
+        # sampler thread) all fall back to the default
+        for raw in ("junk", "inf", "1e300", "nan", "0", "-1"):
+            monkeypatch.setenv("REPRO_LIVE_INTERVAL", raw)
+            assert live.live_interval() == live.DEFAULT_INTERVAL_S, raw
+        monkeypatch.setenv("REPRO_LIVE_INTERVAL",
+                           repr(threading.TIMEOUT_MAX))
+        assert live.live_interval() == threading.TIMEOUT_MAX
 
     def test_top_level_span_gets_phase_events_and_resources(self):
         live.enable(interval_s=60.0)

@@ -200,9 +200,10 @@ class TestKnobs:
 
     @needs_native
     def test_resolve_kind_env(self, oriented, monkeypatch):
+        # the kernel follows n alone; a stale env override is ignored
         monkeypatch.setenv("REPRO_NATIVE_KERNEL", "merge")
-        assert native.resolve_kind(oriented) == "merge"
-        assert native.resolve_kind(oriented, "bitmap") == "bitmap"
+        assert native.resolve_kind(oriented) == "bitmap"
+        assert native.resolve_kind(oriented, "merge") == "merge"
         with pytest.raises(ValueError, match="kernel"):
             native.resolve_kind(oriented, "simd")
 
@@ -234,6 +235,19 @@ class TestGatingAndFallback:
         # auto + collect silently keeps the python reference engine
         result = list_triangles(g, "T1", collect=True)
         assert result.extra.get("engine") is None
+
+    @pytest.mark.parametrize("word", ["", "0", " 0", "false", "FALSE",
+                                      "no", "No", "off", " OFF "])
+    def test_repro_native_off_words_gate(self, fresh_native, monkeypatch,
+                                         caplog, word):
+        monkeypatch.setenv("REPRO_NATIVE", word)
+        with caplog.at_level(logging.DEBUG, logger=native.__name__):
+            assert not native.available()
+        assert native.status()["state"] == "gated"
+        # the log line reports the resolved decision, not the raw value
+        (record,) = [r for r in caplog.records
+                     if r.message == "native kernel resolution"]
+        assert record.fields["gated"] is True
 
     def test_missing_compiler_degrades(self, fresh_native, monkeypatch):
         monkeypatch.delenv("REPRO_NATIVE", raising=False)

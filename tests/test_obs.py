@@ -299,8 +299,9 @@ class TestHarnessDivergenceWarning:
             n_sequences=1, n_graphs=1)
 
     def test_warns_above_threshold(self, monkeypatch, caplog):
+        from repro.experiments import harness
         from repro.experiments.harness import simulated_vs_model
-        monkeypatch.setenv("REPRO_MODEL_ERROR_WARN", "0.0")
+        monkeypatch.setattr(harness, "MODEL_ERROR_WARN_DEFAULT", 0.0)
         rng = np.random.default_rng(0)
         with caplog.at_level(logging.WARNING, logger="repro"):
             sim, model, error = simulated_vs_model(self._spec(), 300, rng)
@@ -312,26 +313,14 @@ class TestHarnessDivergenceWarning:
         assert warnings[0].fields["relative_error"] == error
 
     def test_silent_below_threshold(self, monkeypatch, caplog):
+        from repro.experiments import harness
         from repro.experiments.harness import simulated_vs_model
-        monkeypatch.setenv("REPRO_MODEL_ERROR_WARN", "1000")
+        monkeypatch.setattr(harness, "MODEL_ERROR_WARN_DEFAULT", 1000.0)
         rng = np.random.default_rng(0)
         with caplog.at_level(logging.WARNING, logger="repro"):
             simulated_vs_model(self._spec(), 300, rng)
         assert not [r for r in caplog.records
                     if r.message == "model-simulation divergence"]
-
-    def test_threshold_parsing(self, monkeypatch):
-        from repro.experiments import harness
-        monkeypatch.setenv("REPRO_MODEL_ERROR_WARN", "0.5")
-        assert harness.model_error_warn_threshold() == 0.5
-        # unparsable, non-finite and negative values all fall back; a
-        # NaN threshold would otherwise silence the warning for good
-        for raw in ("junk", "nan", "inf", "-inf", "-1"):
-            monkeypatch.setenv("REPRO_MODEL_ERROR_WARN", raw)
-            assert (harness.model_error_warn_threshold()
-                    == harness.MODEL_ERROR_WARN_DEFAULT), raw
-        monkeypatch.setenv("REPRO_MODEL_ERROR_WARN", "0")
-        assert harness.model_error_warn_threshold() == 0.0
 
 
 class TestPipelineIntegration:

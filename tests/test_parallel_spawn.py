@@ -46,18 +46,12 @@ def _spec(n_sequences=2, n_graphs=2):
 
 
 class TestResolveMpContext:
-    def test_default_is_platform(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MP_START", raising=False)
+    def test_default_is_platform(self):
         assert resolve_mp_context(None) is None
 
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MP_START", "fork")
+    def test_argument_wins(self):
         ctx = resolve_mp_context("spawn")
         assert ctx.get_start_method() == "spawn"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MP_START", "spawn")
-        assert resolve_mp_context(None).get_start_method() == "spawn"
 
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError):
