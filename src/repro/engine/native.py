@@ -43,6 +43,10 @@ kernel library:
   symmetric CSR of :meth:`repro.graphs.graph.Graph.csr` in one pass
   over the graph's sorted edge keys, with no sort, equal to the
   sorting reference build element for element.
+* **Oriented CSR from keys** (:func:`oriented_csr`): the out- and
+  in-CSR of :class:`repro.graphs.digraph.OrientedGraph` from the sorted
+  edge keys and a label map, in O(n + m) counting scatters with no
+  sort, equal to the sorting reference build element for element.
 * **Smallest-last order** (:func:`smallest_last`): the Matula-Beck
   bucket queue of :func:`repro.orientations.degenerate.smallest_last_order`,
   bit-identical to its Python reference loop.
@@ -84,6 +88,7 @@ __all__ = [
     "count_triangles",
     "last_stats",
     "list_triangles_array",
+    "oriented_csr",
     "oriented_sums",
     "resolve_kind",
     "resolve_threads",
@@ -753,6 +758,121 @@ int64_t repro_csr_from_keys(int64_t n, int64_t m, const int64_t *keys,
     return status;
 }
 
+/* The out- and in-CSR of repro.graphs.digraph.OrientedGraph, built from
+ * a graph's strictly increasing edge keys lo * n + hi and a label map,
+ * with no sort. Each edge points from its larger-labelled endpoint (the
+ * tail) to its smaller (the head); out row s holds the heads of the
+ * edges leaving s and in row d the tails of the edges entering d, both
+ * ascending.
+ *
+ * A walk over the rows of the keys (no division) checks every key and
+ * counts each vertex's degree and out-degree. The counters sit next to
+ * the vertex's label in one 16-byte record, so an edge touches one
+ * random cache line, and the row vertex's share is kept in registers.
+ * Prefix sums over the per-label counts give the row offsets. Three
+ * counting scatters then fill the rows. A second walk drops every tail
+ * into its head's in row, in key order. Walking the heads in ascending
+ * order appends each head to the out rows of its tails, so every out
+ * row comes out ascending; walking the tails in ascending order over
+ * those out rows refills the in rows ascending the same way. The output
+ * is the sorting reference's, element for element.
+ *
+ * Returns 0; -1 when scratch allocation fails; -2 on a key that does
+ * not increase strictly, is negative or >= n * n, or has lo >= hi (or
+ * on n > MAX_KEYED_N); -3 on a label outside [0, n). The counts stay
+ * consistent whatever labels in range say, so nothing is written
+ * outside the n + 1 offsets and the m indices of either CSR. */
+typedef struct {
+    int64_t degree;
+    uint32_t label, out;
+} oriented_vertex;
+
+int64_t repro_oriented_csr(int64_t n, int64_t m, const int64_t *keys,
+                           const int64_t *labels,
+                           int64_t *out_indptr, uint32_t *out_indices,
+                           int64_t *in_indptr, uint32_t *in_indices)
+{
+    if (n < 0 || n > MAX_KEYED_N)
+        return -2;
+    for (int64_t v = 0; v < n; v++)
+        if (labels[v] < 0 || labels[v] >= n)
+            return -3;
+    oriented_vertex *vx = (oriented_vertex *)malloc(
+        ((size_t)n + 1) * sizeof(oriented_vertex));
+    int64_t *fill = (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
+    int64_t status = 0, e = 0, prev = -1;
+    if (!vx || !fill) {
+        status = -1;
+        goto done;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        vx[v].degree = 0;
+        vx[v].label = (uint32_t)labels[v];
+        vx[v].out = 0;
+    }
+    for (int64_t u = 0; u < n; u++) {
+        /* base + n <= n * n: the bounds cannot overflow, nor can
+         * keys[e] - base once keys[e] > base + u */
+        const int64_t base = u * n, end = base + n, start = e;
+        const uint32_t lu = vx[u].label;
+        uint32_t out_u = 0;
+        /* every key below base was consumed by an earlier row */
+        for (; e < m && keys[e] < end; prev = keys[e++]) {
+            if (keys[e] <= prev || keys[e] <= base + u) {
+                status = -2;
+                goto done;
+            }
+            oriented_vertex *h = vx + (keys[e] - base);
+            const uint32_t h_is_tail = h->label > lu;
+            h->degree++;
+            h->out += h_is_tail;
+            out_u += 1 - h_is_tail;
+        }
+        vx[u].degree += e - start;
+        vx[u].out += out_u;
+    }
+    if (e < m) {
+        status = -2; /* keys at or beyond n * n */
+        goto done;
+    }
+    for (int64_t v = 0; v <= n; v++)
+        out_indptr[v] = in_indptr[v] = 0;
+    for (int64_t v = 0; v < n; v++) {
+        out_indptr[vx[v].label + 1] += vx[v].out;
+        in_indptr[vx[v].label + 1] += vx[v].degree - vx[v].out;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        out_indptr[v + 1] += out_indptr[v];
+        in_indptr[v + 1] += in_indptr[v];
+    }
+    for (int64_t v = 0; v < n; v++)
+        fill[v] = in_indptr[v];
+    e = 0;
+    for (int64_t u = 0; u < n; u++) {
+        const int64_t base = u * n, end = base + n;
+        const uint32_t lu = vx[u].label;
+        for (; e < m && keys[e] < end; e++) {
+            const uint32_t lh = vx[keys[e] - base].label;
+            const uint32_t tail = lh > lu ? lh : lu;
+            in_indices[fill[lu ^ lh ^ tail]++] = tail;
+        }
+    }
+    for (int64_t v = 0; v < n; v++)
+        fill[v] = out_indptr[v];
+    for (int64_t d = 0; d < n; d++)
+        for (int64_t i = in_indptr[d]; i < in_indptr[d + 1]; i++)
+            out_indices[fill[in_indices[i]]++] = (uint32_t)d;
+    for (int64_t v = 0; v < n; v++)
+        fill[v] = in_indptr[v];
+    for (int64_t s = 0; s < n; s++)
+        for (int64_t i = out_indptr[s]; i < out_indptr[s + 1]; i++)
+            in_indices[fill[out_indices[i]]++] = (uint32_t)s;
+done:
+    free(vx);
+    free(fill);
+    return status;
+}
+
 /* The planner's exact pricing: the three integer totals of eqs. (7)-(9)
  * under each of k label maps. keys are the graph's strictly increasing
  * edge keys lo * n + hi; labels holds k rows of n labels. Each edge
@@ -870,6 +990,12 @@ class _Library:
         self.csr_from_keys.restype = ctypes.c_int64
         self.csr_from_keys.argtypes = [
             ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I64P,
+        ]
+        self.oriented_csr = cdll.repro_oriented_csr
+        self.oriented_csr.restype = ctypes.c_int64
+        self.oriented_csr.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I64P, _U32P,
+            _I64P, _U32P,
         ]
         self.oriented_sums = cdll.repro_oriented_sums
         self.oriented_sums.restype = ctypes.c_int64
@@ -1467,6 +1593,43 @@ def undirected_csr(keys, degrees):
     return indices, indptr
 
 
+def oriented_csr(keys, labels):
+    """An orientation's out- and in-CSR from sorted edge keys in C, or
+    None if gated.
+
+    ``keys`` are :attr:`repro.graphs.graph.Graph.keys` (strictly
+    increasing ``lo * n + hi``, ``lo < hi``) and ``labels`` the
+    ``(n,)`` label map, both contiguous int64. Returns
+    ``(out_indices, out_indptr, in_indices, in_indptr)`` -- uint32
+    indices, int64 indptr -- equal to the sorting reference build in
+    :func:`repro.graphs.digraph._sorted_oriented_csr`, from O(n + m)
+    counting scatters and no sort. ValueError on malformed keys or on
+    a label outside ``[0, n)``; whether the labels are a permutation is
+    the caller's check (:func:`repro.graphs.digraph.check_labels`).
+    """
+    if not available():
+        return None
+    _check_int64("keys and labels", keys, labels)
+    if keys.ndim != 1 or labels.ndim != 1:
+        raise ValueError("keys must be (m,) and labels (n,)")
+    n, m = labels.size, keys.size
+    out_indptr = np.empty(n + 1, dtype=np.int64)
+    in_indptr = np.empty(n + 1, dtype=np.int64)
+    out_indices = np.empty(m, dtype=np.uint32)
+    in_indices = np.empty(m, dtype=np.uint32)
+    status = _lib.oriented_csr(
+        n, m, keys.ctypes.data_as(_I64P), labels.ctypes.data_as(_I64P),
+        out_indptr.ctypes.data_as(_I64P), out_indices.ctypes.data_as(_U32P),
+        in_indptr.ctypes.data_as(_I64P), in_indices.ctypes.data_as(_U32P))
+    if status == -1:
+        raise MemoryError("native oriented CSR: scratch allocation failed")
+    if status == -2:
+        raise ValueError(_BAD_KEYS)
+    if status:
+        raise ValueError("labels must lie in [0, n)")
+    return out_indices, out_indptr, in_indices, in_indptr
+
+
 def oriented_sums(keys, degrees, labels):
     """The totals of eqs. (7)-(9) under K label maps in C, or None if gated.
 
@@ -1503,8 +1666,8 @@ def oriented_sums(keys, degrees, labels):
 
 def self_test() -> bool:
     """Compile-and-verify: a triangle + a path, a residual wiring, the
-    undirected CSR from keys, a smallest-last order, and the planner's
-    orientation sums.
+    undirected CSR from keys, a smallest-last order, the planner's
+    orientation sums, and the oriented CSR from keys.
 
     Used by benchmarks and CI before trusting the library.
     """
@@ -1564,7 +1727,16 @@ def self_test() -> bool:
                          np.stack(list(maps.values())))
     ref = [list(component_ops(*oriented_degrees(wheel, labels)).values())
            for labels in maps.values()]
-    return sums.tolist() == ref
+    if sums.tolist() != ref:
+        return False
+    # oriented CSR: the counting pass against the sorting build, under
+    # the same label maps
+    from repro.graphs.digraph import _sorted_oriented_csr
+    return all(
+        a.dtype == b.dtype and np.array_equal(a, b)
+        for labels in maps.values()
+        for a, b in zip(oriented_csr(wheel.keys, labels),
+                        _sorted_oriented_csr(wheel, labels)))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual smoke hook

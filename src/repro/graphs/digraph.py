@@ -14,6 +14,15 @@ label.
 
 Every engine reads this one layout (``uint32`` indices, ``int64``
 indptr, lazy ``int64`` edge keys); none keeps a copy.
+
+Orientation only splits each adjacency list by label, so the layout is
+built without a sort: :func:`_oriented_csr` runs the native counting
+pass over the graph's sorted edge keys
+(:func:`repro.engine.native.oriented_csr`, O(n + m)) when the compiled
+library is available. Otherwise, and under ``REPRO_NATIVE=0``, it runs
+the reference :func:`_sorted_oriented_csr`, which sorts the m directed
+edge keys once per direction. Both give the same arrays, element for
+element and dtype for dtype.
 """
 
 from __future__ import annotations
@@ -38,6 +47,50 @@ def check_labels(labels, n: int) -> np.ndarray:
               or np.count_nonzero(np.bincount(labels)) != n):
         raise ValueError("labels must be a permutation of 0..n-1")
     return labels
+
+
+def _sorted_oriented_csr(graph: Graph, labels: np.ndarray):
+    """The reference build of :func:`_oriented_csr`: two sorts.
+
+    Decodes the keys, relabels both endpoints and sorts the m directed
+    keys once by ``(tail, head)`` for the out-CSR and once by
+    ``(head, tail)`` for the in-CSR (:func:`_sorted_csr`).
+    """
+    n = graph.n
+    # the decoded endpoints' buffers are reused for the labels, so
+    # at most three m-sized temporaries are alive at once
+    lo, hi = graph.endpoints()
+    a = labels[lo]
+    b = np.take(labels, hi, out=lo)
+    src = np.maximum(a, b, out=hi)  # larger label: the edge's tail
+    dst = np.minimum(a, b, out=a)  # smaller label: the edge's head
+    del lo, hi, a, b
+
+    # out-CSR: for node i, sorted list of out-neighbors (labels < i);
+    # in-CSR: for node i, sorted list of in-neighbors (labels > i).
+    # The sorted keys are not kept: the key arrays stay lazy
+    out_indices, out_counts = _sorted_csr(src, dst, n, dtype=INDEX_DTYPE)
+    out_indptr = np.concatenate([[0], np.cumsum(out_counts)]).astype(np.int64)
+    in_indices, in_counts = _sorted_csr(dst, src, n, dtype=INDEX_DTYPE)
+    in_indptr = np.concatenate([[0], np.cumsum(in_counts)]).astype(np.int64)
+    return out_indices, out_indptr, in_indices, in_indptr
+
+
+def _oriented_csr(graph: Graph, labels: np.ndarray):
+    """``(out_indices, out_indptr, in_indices, in_indptr)`` of the
+    orientation of ``graph`` by the checked permutation ``labels``.
+
+    The only code that builds :class:`OrientedGraph`'s CSR: the native
+    counting pass over the sorted keys
+    (:func:`repro.engine.native.oriented_csr`) when the compiled library
+    is available, else the reference :func:`_sorted_oriented_csr`. Both
+    give the same arrays, element for element and dtype for dtype.
+    """
+    from repro.engine import native  # lazy: engine imports graphs
+    built = native.oriented_csr(graph.keys, np.ascontiguousarray(labels))
+    if built is not None:
+        return built
+    return _sorted_oriented_csr(graph, labels)
 
 
 class OrientedGraph:
@@ -73,29 +126,10 @@ class OrientedGraph:
         self.n = graph.n
         self.m = graph.m
 
-        # the decoded endpoints' buffers are reused for the labels, so
-        # at most three m-sized temporaries are alive at once
-        lo, hi = graph.endpoints()
-        a = labels[lo]
-        b = np.take(labels, hi, out=lo)
-        src = np.maximum(a, b, out=hi)  # larger label: the edge's tail
-        dst = np.minimum(a, b, out=a)  # smaller label: the edge's head
-        del lo, hi, a, b
-
-        # out-CSR: for node i, sorted list of out-neighbors (labels < i);
-        # in-CSR: for node i, sorted list of in-neighbors (labels > i).
-        # The sorted keys are not kept: the key arrays stay lazy
-        self._out_indices, out_counts = _sorted_csr(
-            src, dst, self.n, dtype=INDEX_DTYPE)
-        self._out_indptr = np.concatenate(
-            [[0], np.cumsum(out_counts)]).astype(np.int64)
-        self._in_indices, in_counts = _sorted_csr(
-            dst, src, self.n, dtype=INDEX_DTYPE)
-        self._in_indptr = np.concatenate(
-            [[0], np.cumsum(in_counts)]).astype(np.int64)
-
-        self.out_degrees = out_counts.astype(np.int64)
-        self.in_degrees = in_counts.astype(np.int64)
+        (self._out_indices, self._out_indptr,
+         self._in_indices, self._in_indptr) = _oriented_csr(graph, labels)
+        self.out_degrees = np.diff(self._out_indptr)
+        self.in_degrees = np.diff(self._in_indptr)
         self.degrees = self.out_degrees + self.in_degrees
         self._edge_keys: set | None = None
         self._out_keys: np.ndarray | None = None

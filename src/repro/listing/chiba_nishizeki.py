@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.orientations.relabel import degree_ranking
+
 
 def chiba_nishizeki_triangles(graph, count_ops: bool = False):
     """List all triangles with the Chiba-Nishizeki procedure.
@@ -33,7 +35,7 @@ def chiba_nishizeki_triangles(graph, count_ops: bool = False):
     of the E1 equivalence class, *not* the bare ``c_n(T2, theta)`` a
     fully oriented L3 would pay.
     """
-    order = np.argsort(graph.degrees, kind="stable")[::-1]
+    order = degree_ranking(graph.degrees)[::-1]
     removed = np.zeros(graph.n, dtype=bool)
     marked = np.zeros(graph.n, dtype=bool)
     triangles = set()
@@ -70,7 +72,7 @@ def chiba_nishizeki_processing_labels(graph) -> np.ndarray:
     structure CN implicitly walks, which is what makes the exact ops
     accounting above testable against the E3 cost formula.
     """
-    order = np.argsort(graph.degrees, kind="stable")[::-1]
+    order = degree_ranking(graph.degrees)[::-1]
     labels = np.empty(graph.n, dtype=np.int64)
     labels[order] = np.arange(graph.n - 1, -1, -1, dtype=np.int64)
     return labels

@@ -15,11 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.listing.base import intersect_sorted
+from repro.orientations.relabel import degree_ranking
 
 
 def _descending_degree_rank(graph) -> np.ndarray:
     """rank[v]: position of v when nodes are sorted by decreasing degree."""
-    order = np.argsort(graph.degrees, kind="stable")[::-1]
+    order = degree_ranking(graph.degrees)[::-1]
     rank = np.empty(graph.n, dtype=np.int64)
     rank[order] = np.arange(graph.n)
     return rank

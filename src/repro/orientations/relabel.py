@@ -18,6 +18,21 @@ from repro.obs.spans import span
 from repro.orientations.permutations import Permutation
 
 
+def degree_ranking(degrees) -> np.ndarray:
+    """Vertices in ascending degree, ties by vertex ID.
+
+    Equal to ``np.argsort(degrees, kind="stable")``: a stable sort's
+    output is unique. Non-negative degrees are sorted in the narrowest
+    unsigned dtype that holds the largest, which puts degrees below
+    ``2**16`` on NumPy's radix sort instead of a timsort.
+    """
+    degrees = np.asarray(degrees, dtype=np.int64)
+    if degrees.size and degrees.min() >= 0:
+        degrees = degrees.astype(np.min_scalar_type(degrees.max()),
+                                 copy=False)
+    return np.argsort(degrees, kind="stable")
+
+
 def labels_from_rank_map(degrees, theta,
                          rng: np.random.Generator | None = None,
                          tie_break: str = "stable") -> np.ndarray:
@@ -35,7 +50,7 @@ def labels_from_rank_map(degrees, theta,
     if theta.shape != (n,):
         raise ValueError(f"theta must have shape ({n},), got {theta.shape}")
     if tie_break == "stable":
-        ranking = np.argsort(degrees, kind="stable")
+        ranking = degree_ranking(degrees)
     elif tie_break == "random":
         if rng is None:
             raise ValueError("tie_break='random' requires an rng")

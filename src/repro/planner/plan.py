@@ -37,7 +37,7 @@ from repro.distributions.truncation import root_truncation
 from repro.listing.api import ALL_METHODS
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span
-from repro.orientations.relabel import orientation_totals
+from repro.orientations.relabel import degree_ranking, orientation_totals
 from repro.planner.candidates import (
     GRAPH_ORDERINGS,
     MODEL_ORDERINGS,
@@ -170,7 +170,7 @@ def _orientation_totals(graph, by_orientation: dict[str, list[Candidate]]
     :func:`~repro.orientations.relabel.orientation_totals` call.
     """
     n = graph.n
-    ranking = np.argsort(graph.degrees, kind="stable")
+    ranking = degree_ranking(graph.degrees)
     priced: dict[bytes, int] = {}
     slots: dict[str, tuple[int, bool]] = {}   # key -> (row, reversed)
     maps: list[np.ndarray] = []

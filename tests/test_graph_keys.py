@@ -16,8 +16,8 @@ tests pin, on small shapes and a heavy-tailed configuration graph:
 * the native smallest-last order on the new CSR equals the Python
   reference on the reference CSR, ties included;
 * malformed keys raise ValueError from the constructor and from every
-  native wrapper, and an ``n`` whose keys would overflow int64 is
-  refused before anything is allocated.
+  native wrapper (``native.oriented_csr`` included), and an ``n`` whose
+  keys would overflow int64 is refused before anything is allocated.
 
 The native tests skip where no C toolchain exists (or under
 ``REPRO_NATIVE=0``); the constructor tests run everywhere.
@@ -201,6 +201,13 @@ class TestMalformedKeys:
             native.oriented_sums(_malformed()[name], degrees, labels)
 
     @needs_native
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_native_oriented_csr_raises(self, name):
+        with pytest.raises(ValueError, match="0 <= lo < hi < n"):
+            native.oriented_csr(_malformed()[name],
+                                np.arange(6, dtype=np.int64))
+
+    @needs_native
     def test_native_csr_rejects_wrong_degrees(self):
         keys = Graph(4, [(0, 1), (2, 3)]).keys
         for degrees in ([2, 0, 1, 1], [1, 1, 2, 0], [3, -1, 1, 1]):
@@ -214,6 +221,8 @@ class TestMalformedKeys:
         with pytest.raises(ValueError):
             native.oriented_sums(np.array([0]), degrees,
                                  np.empty((1, 0), dtype=np.int64))
+        with pytest.raises(ValueError):
+            native.oriented_csr(np.array([0]), degrees)
 
     def test_wrong_dtype_or_shape(self):
         for bad in (np.array([1, 2], dtype=np.int32), [1, 2],

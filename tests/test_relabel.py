@@ -2,9 +2,35 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import AscendingDegree, DescendingDegree, Graph, orient
 from repro.orientations import labels_from_rank_map
+from repro.orientations.relabel import degree_ranking
+
+
+class TestDegreeRanking:
+    """``degree_ranking`` is the int64 stable argsort, ties included,
+    whichever narrow dtype it sorts in."""
+
+    @given(degrees=st.lists(st.integers(0, 40), max_size=300),
+           top=st.sampled_from([0, 255, 256, 2**16 - 1, 2**16, 2**20,
+                                2**40]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_int64_stable_argsort(self, degrees, top):
+        # many ties, with a maximum on each side of the 8-, 16- and
+        # 32-bit boundaries
+        degrees = np.array(degrees + [top] + degrees, dtype=np.int64)
+        ranking = degree_ranking(degrees)
+        np.testing.assert_array_equal(
+            ranking, np.argsort(degrees, kind="stable"))
+        assert ranking.dtype == np.intp
+
+    def test_empty_and_negative(self):
+        assert degree_ranking(np.array([], dtype=np.int64)).size == 0
+        degrees = np.array([3, -1, 3, 0, -1])
+        np.testing.assert_array_equal(
+            degree_ranking(degrees), np.argsort(degrees, kind="stable"))
 
 
 class TestLabelsFromRankMap:

@@ -11,16 +11,20 @@ leaves), with random uniforms and with the extreme draws ``0`` and
 duplicate, every placed stub accounted for -- and the ``n >= 2**32``
 rejection.
 
-It then runs the two kernels that read a graph's sorted edge keys
-``lo * n + hi`` -- the CSR-from-keys pass and the key-walking
-orientation sums -- on ``n = 0``, ``m = 0``, a star and random graphs.
-It checks that every CSR row is sorted, in range and symmetric, that
-the sums under the identity and the reversed label map are the ones
-the CSR implies, and that malformed keys (a decreasing key, a
-duplicate, a self-loop, a key at ``n * n``, keys on no nodes) and an
-``n`` whose keys overflow int64 return the error code without reading
-out of bounds. It exits 0 only when all of it holds. Any sanitizer
-report aborts the run with a non-zero status.
+It then runs the three kernels that read a graph's sorted edge keys
+``lo * n + hi`` -- the CSR-from-keys pass, the key-walking orientation
+sums and the oriented CSR from keys -- on ``n = 0``, ``m = 0``, a star
+and random graphs. It checks that every CSR row is sorted, in range and
+symmetric, and that the sums under the identity and the reversed label
+map are the ones the CSR implies. Under the identity, the reversed and
+a random label map it checks that every oriented row is sorted and in
+range, that out and in are transposes of each other and that every
+oriented edge is an edge of the keys. Malformed keys (a decreasing key,
+a duplicate, a self-loop, a key at ``n * n``, keys on no nodes), a
+label outside ``[0, n)`` and an ``n`` whose keys overflow int64 must
+return the error code without reading or writing out of bounds. It
+exits 0 only when all of it holds. Any sanitizer report aborts the run
+with a non-zero status.
 
 Skips when there is no C compiler, or when the compiler cannot build
 and run a sanitized program on this host.
@@ -121,26 +125,95 @@ static int wire(const char *name, int64_t n, const int64_t *deg, int mode)
     return bad;
 }
 
-/* Both key kernels on one keyed graph. expect is 0 for well-formed
- * keys, else the error code both must return. Returns 0 when the
- * result holds. */
+/* The oriented CSR of one keyed graph under one label map. expect is 0
+ * for well-formed input, else the error code it must return. Checks
+ * that every row is strictly ascending and in range, that out row s
+ * holds only heads below s and in row d only tails above d, that out
+ * and in are transposes of each other, and that every oriented edge is
+ * an edge of the keys. Returns 0 when the result holds. */
+static int oriented(const char *name, int64_t n, int64_t m,
+                    const int64_t *keys, const int64_t *labels,
+                    int64_t expect)
+{
+    int64_t *out_ptr = malloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t *in_ptr = malloc((size_t)(n + 1) * sizeof(int64_t));
+    uint32_t *out_idx = malloc((size_t)(m + 1) * sizeof(uint32_t));
+    uint32_t *in_idx = malloc((size_t)(m + 1) * sizeof(uint32_t));
+    int64_t *inverse = malloc((size_t)(n + 1) * sizeof(int64_t));
+    const int64_t got = repro_oriented_csr(n, m, keys, labels, out_ptr,
+                                           out_idx, in_ptr, in_idx);
+    int bad = got != expect;
+    if (!bad && !expect) {
+        for (int64_t v = 0; v < n; v++)
+            inverse[labels[v]] = v;
+        bad = out_ptr[0] != 0 || in_ptr[0] != 0 || out_ptr[n] != m
+              || in_ptr[n] != m;
+    }
+    /* rows in ascending order, so every in row d < s is checked before
+     * out row s looks into it */
+    for (int64_t s = 0; !bad && !expect && s < n; s++) {
+        bad = out_ptr[s + 1] < out_ptr[s] || in_ptr[s + 1] < in_ptr[s];
+        for (int64_t i = in_ptr[s]; !bad && i < in_ptr[s + 1]; i++)
+            bad = in_idx[i] <= s || in_idx[i] >= n
+                  || (i > in_ptr[s] && in_idx[i] <= in_idx[i - 1]);
+        for (int64_t i = out_ptr[s]; !bad && i < out_ptr[s + 1]; i++) {
+            const int64_t d = out_idx[i];
+            if (d >= s || (i > out_ptr[s] && d <= out_idx[i - 1])) {
+                bad = 1;
+                break;
+            }
+            int found = 0;
+            for (int64_t j = in_ptr[d]; j < in_ptr[d + 1]; j++)
+                found |= in_idx[j] == s;
+            const int64_t a = inverse[s], b = inverse[d];
+            const int64_t key = a < b ? a * n + b : b * n + a;
+            bad = !found || !bsearch(&key, keys, (size_t)m,
+                                     sizeof(int64_t), by_value);
+        }
+    }
+    if (bad)
+        fprintf(stderr, "FAIL oriented %s n=%lld m=%lld got=%lld\n", name,
+                (long long)n, (long long)m, (long long)got);
+    free(out_ptr);
+    free(in_ptr);
+    free(out_idx);
+    free(in_idx);
+    free(inverse);
+    return bad;
+}
+
+/* The three key kernels on one keyed graph, the oriented CSR under the
+ * identity, the reversed and a random label map. expect is 0 for
+ * well-formed keys, else the error code all must return. Returns 0
+ * when the result holds. */
 static int keyed(const char *name, int64_t n, int64_t m,
                  const int64_t *keys, const int64_t *deg, int64_t expect)
 {
     int64_t *indptr = malloc((size_t)(n + 1) * sizeof(int64_t));
     int64_t *indices = malloc((size_t)(2 * m + 1) * sizeof(int64_t));
-    int64_t *labels = malloc((size_t)(2 * n + 1) * sizeof(int64_t));
+    int64_t *labels = malloc((size_t)(3 * n + 1) * sizeof(int64_t));
     int64_t sums[6];
     indptr[0] = 0;
     for (int64_t v = 0; v < n; v++) {
         indptr[v + 1] = indptr[v] + deg[v];
         labels[v] = v;
         labels[n + v] = n - 1 - v;
+        labels[2 * n + v] = v;
     }
+    /* Fisher-Yates shuffle of the third map */
+    for (int64_t v = n - 1; v > 0; v--) {
+        const int64_t j = (int64_t)(uniform() * (double)(v + 1));
+        const int64_t t = labels[2 * n + v];
+        labels[2 * n + v] = labels[2 * n + j];
+        labels[2 * n + j] = t;
+    }
+    int bad = 0;
+    for (int k = 0; k < 3; k++)
+        bad |= oriented(name, n, m, keys, labels + k * n, expect);
     const int64_t csr = repro_csr_from_keys(n, m, keys, indptr, indices);
     const int64_t sum = repro_oriented_sums(n, m, keys, deg, 2, labels,
                                             sums);
-    int bad = csr != expect || sum != expect;
+    bad |= csr != expect || sum != expect;
     /* under the identity map each edge points from its larger end, so
      * X[v] counts the neighbours below v; the reversed map swaps X, Y */
     int64_t t[3] = {0, 0, 0};
@@ -214,6 +287,10 @@ static int keyed_cases(void)
     failures += keyed("self-loop", 6, 3, loop, loop_deg, -2);
     int64_t beyond[3] = {1, 2, 36}, beyond_deg[6] = {2, 1, 1, 0, 0, 2};
     failures += keyed("beyond-n2", 6, 3, beyond, beyond_deg, -2);
+    /* a label outside [0, n) */
+    int64_t low[6] = {0, 1, 2, -1, 4, 5}, high[6] = {0, 1, 2, 6, 4, 5};
+    failures += oriented("label-1", 6, 5, star, low, -3);
+    failures += oriented("label-n", 6, 5, star, high, -3);
     for (int64_t n = 1; n <= 200; n = n * 3 + 1)
         for (int k = 0; k < 3; k++)
             failures += keyed_random(n, 0.05 + 0.3 * k);
@@ -225,6 +302,10 @@ static int keyed_cases(void)
                != -2
             || repro_oriented_sums(3037000500LL, 0, &none, &none, 1,
                                    &none, &out) != -2
+            || repro_oriented_csr(0, 1, &one, &none, &out, NULL, &out,
+                                  NULL) != -2
+            || repro_oriented_csr(3037000500LL, 0, &none, &none, &out,
+                                  NULL, &out, NULL) != -2
             || out != -7) {
         fprintf(stderr, "FAIL keyed guards\n");
         failures++;
