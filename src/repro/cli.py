@@ -54,6 +54,7 @@ import numpy as np
 from repro import obs
 from repro.core.decision import decide_in_limit, decide_on_graph
 from repro.core.fastmodel import fast_cost_model
+from repro.core.kernels import MAPS
 from repro.core.limits import limit_cost
 from repro.core.model import discrete_cost_model
 from repro.distributions.pareto import DiscretePareto
@@ -64,33 +65,9 @@ from repro.experiments.regimes import format_regime_table, sweep_regimes
 from repro.graphs.generators import generate_graph
 from repro.graphs.io import load_edge_list, save_edge_list
 from repro.listing.api import list_triangles
-from repro.orientations.degenerate import DegenerateOrder
-from repro.orientations.permutations import (
-    AscendingDegree,
-    ComplementaryRoundRobin,
-    DescendingDegree,
-    RoundRobin,
-    UniformRandom,
-)
+from repro.orientations import NAMED_ORDERINGS
+from repro.orientations.permutations import DescendingDegree
 from repro.orientations.relabel import orient
-
-_ORDERS = {
-    "ascending": AscendingDegree,
-    "descending": DescendingDegree,
-    "rr": RoundRobin,
-    "crr": ComplementaryRoundRobin,
-    "uniform": UniformRandom,
-    "degenerate": DegenerateOrder,
-}
-
-#: Maps each CLI order to the matching analytical limit map.
-_ORDER_TO_MAP = {
-    "ascending": "ascending",
-    "descending": "descending",
-    "rr": "rr",
-    "crr": "crr",
-    "uniform": "uniform",
-}
 
 
 def _dist_from_args(args) -> DiscretePareto:
@@ -127,7 +104,7 @@ def cmd_triangles(args) -> int:
     """``repro triangles``: orient an edge list and list/count."""
     graph = load_edge_list(args.graph)
     rng = np.random.default_rng(args.seed)
-    perm = _ORDERS[args.order]()
+    perm = NAMED_ORDERINGS[args.order]()
     oriented = orient(graph, perm, rng=rng)
     result = list_triangles(oriented, args.method, collect=False)
     method = result.extra.get("auto_method", args.method)
@@ -293,14 +270,13 @@ def cmd_predict(args) -> int:
     if positive.size == 0:
         raise SystemExit("graph has no edges; nothing to predict")
     empirical = EmpiricalDegreeDistribution(positive)
-    order_to_map = dict(_ORDER_TO_MAP)
     print(f"graph: n={graph.n} m={graph.m}  (histogram support "
           f"[{int(positive.min())}, {int(positive.max())}])\n")
     print(f"{'method':>7} {'order':>11} {'model c_n':>10}")
     for method in ("T1", "T2", "E1", "E4"):
         order = optimal_order_for(method)
-        predicted = discrete_cost_model(empirical, method,
-                                        order_to_map[order])
+        # each named order with a limit map shares its name
+        predicted = discrete_cost_model(empirical, method, order)
         print(f"{method:>7} {order:>11} {predicted:>10.2f}")
     print("\nmeasured (each method under its optimal ordering):")
     print(format_comparison(compare_methods(graph)))
@@ -334,8 +310,8 @@ def cmd_sweep(args) -> int:
         raise SystemExit("--ns must list at least one graph size")
     spec = SimulationSpec(
         base_dist=dist, truncation=trunc, method=args.method.upper(),
-        permutation=_ORDERS[args.order](),
-        limit_map=_ORDER_TO_MAP[args.order],
+        permutation=NAMED_ORDERINGS[args.order](),
+        limit_map=args.order,
         n_sequences=args.sequences, n_graphs=args.graphs,
         generator=args.generator)
     workers = resolve_workers(args.workers, args.sequences)
@@ -390,10 +366,10 @@ def cmd_profile(args) -> int:
                if m.strip()]
     orders = [o.strip().lower() for o in args.orders.split(",")
               if o.strip()]
-    unknown = sorted(set(orders) - set(_ORDERS))
+    unknown = sorted(set(orders) - set(NAMED_ORDERINGS))
     if unknown:
         raise SystemExit(f"unknown order(s) {unknown}; choose from "
-                         f"{sorted(_ORDERS)}")
+                         f"{sorted(NAMED_ORDERINGS)}")
     if args.graph:
         graph = load_edge_list(args.graph)
         source = args.graph
@@ -412,7 +388,7 @@ def cmd_profile(args) -> int:
         for method in methods:
             rng = np.random.default_rng(args.seed)
             with obs.span("profile", method=method, order=order):
-                oriented = orient(graph, _ORDERS[order](), rng=rng)
+                oriented = orient(graph, NAMED_ORDERINGS[order](), rng=rng)
                 result = list_triangles(oriented, method, collect=False)
             root = obs.pop_finished()[-1]
             roots.append(root)
@@ -507,7 +483,7 @@ def cmd_bench(args) -> int:
         dist_n = dist.truncate(root_truncation(args.n))
         degrees = sample_degree_sequence(dist_n, args.n, rng)
         graph = generate_graph(degrees, rng)
-    oriented = orient(graph, _ORDERS[args.order](), rng=rng)
+    oriented = orient(graph, NAMED_ORDERINGS[args.order](), rng=rng)
     oriented.edge_key_set()  # warm the python engine's membership set
     methods = [m.strip().upper() for m in args.methods.split(",")
                if m.strip()]
@@ -787,7 +763,7 @@ def _mem_pipeline(args):
         dist_n = dist.truncate(root_truncation(args.n))
         degrees = sample_degree_sequence(dist_n, args.n, rng)
         graph = generate_graph(degrees, rng)
-    perm = _ORDERS[args.order]()
+    perm = NAMED_ORDERINGS[args.order]()
     oriented = orient(graph, perm, rng=rng)
     count = run_method_kernel(oriented, args.method)
     return oriented, count
@@ -1026,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="T1-T6, E1-E6, L1-L6, or 'auto' (cost-model "
                         "planner picks the cheapest method for the "
                         "chosen order)")
-    p.add_argument("--order", choices=sorted(_ORDERS),
+    p.add_argument("--order", choices=sorted(NAMED_ORDERINGS),
                    default="descending")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_triangles)
@@ -1035,8 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", default="T1")
-    p.add_argument("--map", default="descending",
-                   choices=sorted(_ORDER_TO_MAP.values()))
+    p.add_argument("--map", default="descending", choices=sorted(MAPS))
     p.add_argument("--truncation", choices=("linear", "root"),
                    default="linear")
     p.add_argument("--fast", action="store_true",
@@ -1047,8 +1022,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("limit", help="the n -> inf cost limit")
     _add_dist_args(p)
     p.add_argument("--method", default="T1")
-    p.add_argument("--map", default="descending",
-                   choices=sorted(_ORDER_TO_MAP.values()))
+    p.add_argument("--map", default="descending", choices=sorted(MAPS))
     p.set_defaults(func=cmd_limit)
 
     p = add_parser("decide", help="SEI vs hash decision rule")
@@ -1126,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_args(p)
     p.add_argument("--method", default="T1",
                    help="T1-T6, E1-E6, or L1-L6")
-    p.add_argument("--order", choices=sorted(_ORDER_TO_MAP),
+    p.add_argument("--order", choices=sorted(MAPS),
                    default="descending")
     p.add_argument("--ns", default="1000,3000,10000",
                    help="comma-separated graph sizes (floats ok, e.g. "
@@ -1322,7 +1296,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed (default 7)")
         mp.add_argument("--method", default="E1",
                         help="listing method to run (default E1)")
-        mp.add_argument("--order", choices=sorted(_ORDERS),
+        mp.add_argument("--order", choices=sorted(NAMED_ORDERINGS),
                         default="descending",
                         help="vertex ordering (default descending)")
         mp.add_argument("--tolerance", type=float,
@@ -1425,7 +1399,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated listing methods")
     p.add_argument("--orders", default="descending",
                    help="comma-separated orderings "
-                        f"({', '.join(sorted(_ORDERS))})")
+                        f"({', '.join(sorted(NAMED_ORDERINGS))})")
     p.add_argument("--record", default=None, metavar="PATH",
                    help="also append the full run record to this JSONL "
                         "file")
@@ -1453,7 +1427,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Pareto scale (default: 30 (alpha - 1))")
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--order", default="descending",
-                   choices=sorted(_ORDERS))
+                   choices=sorted(NAMED_ORDERINGS))
     p.add_argument("--methods", default=",".join(
         ("T1", "T2", "E1", "E4", "L1", "L3")),
         help="comma-separated listing methods")

@@ -11,8 +11,8 @@ returning bit-identical triangle sets, counts, and ``ops`` (computed
 in closed form from the oriented degrees, eqs. (7)-(9)).
 
 When a C toolchain is present, :mod:`repro.engine.native` compiles a
-small pthreads kernel library at first use (merge- and bitmap-based
-forward intersection, counting *and* triangle emission, deterministic
+small pthreads kernel library at first use (one mark-array forward
+intersection, counting *and* triangle emission, deterministic
 multi-thread block driver). Both read the graph's own uint32 CSR; no
 engine keeps a copy of it.
 
@@ -31,15 +31,10 @@ from repro.engine.kernels import (
     run_method_kernel,
     run_numpy,
 )
-from repro.engine.native import (
-    KERNEL_KINDS,
-    list_triangles_array,
-    stream_triangles,
-)
+from repro.engine.native import list_triangles_array, stream_triangles
 
 __all__ = [
     "CHUNK_CANDIDATES",
-    "KERNEL_KINDS",
     "NUMPY_METHODS",
     "list_triangles_array",
     "native",

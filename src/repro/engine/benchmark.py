@@ -291,9 +291,7 @@ def native_compare(oriented, methods=DEFAULT_METHODS,
             repeats)
         if arr is not None:
             native_list_ns = elapsed / m * 1e9
-            stats = native.last_stats()
-            data["native_kernel"] = stats["kind"]
-            data["native_threads"] = stats["threads"]
+            data["native_threads"] = native.last_stats()["threads"]
     data["native_list_ns_per_edge"] = native_list_ns
 
     rows = []
@@ -314,8 +312,7 @@ def native_compare(oriented, methods=DEFAULT_METHODS,
 
     header = (f"Engine throughput (n={oriented.n}, m={oriented.m}, "
               f"count-only; native={have_native}"
-              + (f", kernel={data.get('native_kernel')}"
-                 f", threads={data.get('native_threads')}"
+              + (f", threads={data.get('native_threads')}"
                  if have_native else "") + ")")
     lines = [header,
              f"{'method':>7} {'ops':>12} {'py ns/edge':>11} "

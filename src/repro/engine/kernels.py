@@ -440,8 +440,7 @@ def run_numpy(oriented, method: str = "E1", collect: bool = True,
     (default) uses them when available, ``False`` stays pure NumPy,
     ``True`` requires them (``RuntimeError`` otherwise).
     ``extra["engine"]`` is ``"numpy"``; ``extra["native"]`` reports
-    whether a compiled kernel produced the result, and
-    ``extra["native_kernel"]`` names the intersection variant that ran.
+    whether a compiled kernel produced the result.
     """
     method = method.upper()
     kernel = _KERNELS.get(method)
@@ -492,7 +491,6 @@ def run_numpy(oriented, method: str = "E1", collect: bool = True,
     if used_native:
         last = _native.last_stats()
         if last is not None:
-            extra["native_kernel"] = last["kind"]
             extra["native_threads"] = last["threads"]
     return ListingResult(
         method=method,

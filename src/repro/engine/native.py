@@ -13,22 +13,20 @@ is gated: no compiler, a failed compile, or ``REPRO_NATIVE=0`` all
 degrade to the NumPy path (a failed compile is cached for the process
 and reported once as a structured warning; the rest stay DEBUG).
 
-Version 2 extends the original count-only merge loop into a small
-kernel library:
+Version 2 extends the original count-only loop into a small kernel
+library:
 
-* **Two intersection variants** (Latapy 2008; Ortmann & Brandes 2014):
-  ``merge`` -- two-pointer merge of the sorted prefix ``N+(z)[< y]``
-  against ``N+(y)`` per directed edge ``z -> y``; and ``bitmap`` -- a
-  per-thread byte mark array over ``N+(z)`` probed by one load per
-  candidate, the hash/lookup regime that wins on skewed rows. Both
-  enumerate the identical triangle sequence ``(x, y, z)`` with
-  ``x < y < z``, ascending in ``x`` within each edge, so emitted
-  buffers are bit-identical across variants *and* thread counts.
-* **Listing, not just counting**: triangles are emitted into
+* **One forward intersection** (Latapy 2008): per directed edge
+  ``z -> y``, the candidates ``x`` of ``N+(y)`` are probed against a
+  byte mark array over ``N+(z)``, one load per candidate. It enumerates
+  each triangle once as ``(x, y, z)`` with ``x < y < z``, ascending in
+  ``x`` within each edge, so emitted buffers are bit-identical across
+  thread counts and chunk sizes. Each thread holds one ``n``-byte mark.
+* **Listing, not just counting**: one C loop writes triangles, into
   preallocated ``uint32`` buffers -- either exact-size (count pass,
-  prefix offsets, emit pass) or streamed chunk-by-chunk through a
-  resumable ``(z, iy)`` cursor so callers bound memory without
-  per-triangle Python boxing.
+  prefix offsets, emit pass over each block) or streamed
+  chunk-by-chunk through a resumable ``(z, iy)`` cursor so callers
+  bound memory without per-triangle Python boxing.
 * **A pthreads block driver**: the vertex range is pre-split into
   :data:`DEFAULT_BLOCKS` edge-balanced blocks (a pure function of the
   graph, *not* of the thread count) and threads claim blocks statically
@@ -83,14 +81,12 @@ import numpy as np
 from repro.obs import memory as _memory
 
 __all__ = [
-    "KERNEL_KINDS",
     "available",
     "count_triangles",
     "last_stats",
     "list_triangles_array",
     "oriented_csr",
     "oriented_sums",
-    "resolve_kind",
     "resolve_threads",
     "residual_wire",
     "self_test",
@@ -99,11 +95,6 @@ __all__ = [
     "stream_triangles",
     "undirected_csr",
 ]
-
-#: Intersection-kernel variants the library compiles.
-KERNEL_KINDS = ("merge", "bitmap")
-
-_KIND_CODES = {"merge": 0, "bitmap": 1}
 
 #: Vertex blocks the threaded driver splits a graph into. A fixed
 #: block count (independent of the thread count) is what makes the
@@ -116,14 +107,11 @@ _C_SOURCE = r"""
 #include <stdlib.h>
 #include <pthread.h>
 
-#define KIND_MERGE 0
-#define KIND_BITMAP 1
-
 /* One prepared run over an edge-balanced block decomposition of the
  * oriented CSR. indices are uint32 (the engine gates graphs to
  * n < 2^32) and sorted ascending within each row; halving the operand
  * width nearly halves the memory-bound scan cost. block_starts has
- * nblocks+1 vertex boundaries. In the count pass (emit == 0)
+ * nblocks+1 vertex boundaries. In the count pass (buf == 0)
  * block_counts/block_ops receive per-block triangle and elementary-op
  * totals; in the emit pass triangles are written as (x, y, z) uint32
  * triples at buf + 3 * offsets[block]. */
@@ -132,9 +120,6 @@ typedef struct {
     const uint32_t *indices;
     const int64_t *block_starts;
     int64_t nblocks;
-    int64_t n;
-    int kind;
-    int emit;
     const int64_t *offsets;
     uint32_t *buf;
     int64_t *block_counts;
@@ -145,94 +130,110 @@ typedef struct {
 typedef struct {
     const plan_t *plan;
     int tid;
-    uint8_t *mark; /* n-byte scratch, bitmap kind only */
-    int failed;
+    uint8_t *mark; /* n-byte scratch, zero between rows */
 } worker_t;
 
-/* Forward kernels over one vertex block. Both kinds enumerate, per
- * directed edge z -> y (iy ascending), the intersection
- * N+(z)[< y] with N+(y) in ascending x -- identical sequences, so
- * emitted buffers never depend on the kind or the thread count. The
- * count-only loops are branchless (predicated advances / summed mark
- * bytes); the emit loops branch on the rare match. */
-static void run_block(const plan_t *p, int64_t b, uint8_t *mark)
+/* The one loop that writes triangles, and the resumable emitter of the
+ * streaming path (z1 = n there). From cursor = {z, iy} it takes
+ * the directed edges z -> y (z ascending up to z1, iy ascending within
+ * the row) and writes, per edge, every x of N+(z)[< y] that is also in
+ * N+(y), ascending: N+(z) is marked in the byte array mark and each
+ * x of N+(y) is probed with one load. So every triangle appears once,
+ * as (x, y, z) with x < y < z, in an order that depends on the graph
+ * alone. It stops early, before an edge whose worst case
+ * min(iy - s, |N+(y)|) might not fit the cap triangles left in buf,
+ * saves the cursor (z == z1 once done) and returns the triangles
+ * written; ops accumulates one per probe into *ops_out. Any cap >= the
+ * maximum out-degree fits every edge into an empty buffer. mark is zero
+ * once row z1 - 1 is done; a pause leaves row z marked, which the
+ * resumed call marks again. */
+int64_t repro_forward_stream(const int64_t *indptr,
+                             const uint32_t *indices, int64_t z1,
+                             int64_t *cursor, uint32_t *buf, int64_t cap,
+                             int64_t *ops_out, uint8_t *mark)
+{
+    int64_t z = cursor[0];
+    int64_t iy = cursor[1];
+    int64_t written = 0;
+    int64_t ops = 0;
+
+    for (; z < z1; z++) {
+        const int64_t s = indptr[z];
+        const int64_t e = indptr[z + 1];
+        if (iy < s)
+            iy = s;
+        for (int64_t i = s; i < e; i++)
+            mark[indices[i]] = 1;
+        for (; iy < e; iy++) {
+            const uint32_t y = indices[iy];
+            const int64_t js = indptr[y];
+            const int64_t je = indptr[y + 1];
+            int64_t worst = iy - s;
+            if (je - js < worst)
+                worst = je - js;
+            if (written + worst > cap)
+                goto pause;
+            uint32_t *out = buf + 3 * written;
+            ops += je - js;
+            for (int64_t j = js; j < je; j++) {
+                const uint32_t x = indices[j];
+                if (mark[x]) {
+                    *out++ = x;
+                    *out++ = y;
+                    *out++ = (uint32_t)z;
+                    written++;
+                }
+            }
+        }
+        for (int64_t i = s; i < e; i++)
+            mark[indices[i]] = 0;
+        iy = -1; /* next z starts at its own row head */
+    }
+pause:
+    cursor[0] = z;
+    cursor[1] = iy;
+    *ops_out += ops;
+    return written;
+}
+
+/* The count pass over one vertex block: the emitter's probes without the
+ * writes, branchless (the mark bytes are summed). */
+static void count_block(const plan_t *p, int64_t b, uint8_t *mark)
 {
     const int64_t *indptr = p->indptr;
     const uint32_t *indices = p->indices;
-    const int64_t z0 = p->block_starts[b];
-    const int64_t z1 = p->block_starts[b + 1];
     int64_t count = 0;
     int64_t ops = 0;
-    uint32_t *out = p->emit ? p->buf + 3 * p->offsets[b] : 0;
 
-    if (p->kind == KIND_MERGE) {
-        for (int64_t z = z0; z < z1; z++) {
-            const int64_t s = indptr[z];
-            const int64_t e = indptr[z + 1];
-            for (int64_t iy = s; iy < e; iy++) {
-                const uint32_t y = indices[iy];
-                int64_t i = s;
-                int64_t j = indptr[y];
-                const int64_t je = indptr[y + 1];
-                if (out) {
-                    while (i < iy && j < je) {
-                        const uint32_t a = indices[i];
-                        const uint32_t c = indices[j];
-                        ops++;
-                        if (a == c) {
-                            *out++ = a;
-                            *out++ = y;
-                            *out++ = (uint32_t)z;
-                            count++;
-                        }
-                        i += (a <= c);
-                        j += (c <= a);
-                    }
-                } else {
-                    while (i < iy && j < je) {
-                        const uint32_t a = indices[i];
-                        const uint32_t c = indices[j];
-                        ops++;
-                        count += (a == c);
-                        i += (a <= c);
-                        j += (c <= a);
-                    }
-                }
-            }
+    for (int64_t z = p->block_starts[b]; z < p->block_starts[b + 1]; z++) {
+        const int64_t s = indptr[z];
+        const int64_t e = indptr[z + 1];
+        for (int64_t i = s; i < e; i++)
+            mark[indices[i]] = 1;
+        for (int64_t iy = s; iy < e; iy++) {
+            const uint32_t y = indices[iy];
+            const int64_t je = indptr[y + 1];
+            ops += je - indptr[y];
+            for (int64_t j = indptr[y]; j < je; j++)
+                count += mark[indices[j]];
         }
-    } else {
-        for (int64_t z = z0; z < z1; z++) {
-            const int64_t s = indptr[z];
-            const int64_t e = indptr[z + 1];
-            for (int64_t i = s; i < e; i++)
-                mark[indices[i]] = 1;
-            for (int64_t iy = s; iy < e; iy++) {
-                const uint32_t y = indices[iy];
-                int64_t j = indptr[y];
-                const int64_t je = indptr[y + 1];
-                ops += je - j;
-                if (out) {
-                    for (; j < je; j++) {
-                        const uint32_t x = indices[j];
-                        if (mark[x]) {
-                            *out++ = x;
-                            *out++ = y;
-                            *out++ = (uint32_t)z;
-                            count++;
-                        }
-                    }
-                } else {
-                    for (; j < je; j++)
-                        count += mark[indices[j]];
-                }
-            }
-            for (int64_t i = s; i < e; i++)
-                mark[indices[i]] = 0;
-        }
+        for (int64_t i = s; i < e; i++)
+            mark[indices[i]] = 0;
     }
-    if (!p->emit)
-        p->block_counts[b] = count;
+    p->block_counts[b] = count;
     p->block_ops[b] = ops;
+}
+
+/* The emit pass over one vertex block: the emitter over the block's rows
+ * into the block's slice of buf, which the count pass sized exactly, so
+ * the cap never binds. */
+static void emit_block(const plan_t *p, int64_t b, uint8_t *mark)
+{
+    int64_t cursor[2] = {p->block_starts[b], -1};
+    int64_t ops = 0;
+    repro_forward_stream(p->indptr, p->indices, p->block_starts[b + 1],
+                         cursor, p->buf + 3 * p->offsets[b], INT64_MAX,
+                         &ops, mark);
 }
 
 /* Threads claim blocks statically round-robin by thread index, so the
@@ -242,37 +243,31 @@ static void *worker(void *arg)
 {
     worker_t *w = (worker_t *)arg;
     const plan_t *p = w->plan;
-    for (int64_t b = w->tid; b < p->nblocks; b += p->nthreads)
-        run_block(p, b, w->mark);
+    for (int64_t b = w->tid; b < p->nblocks; b += p->nthreads) {
+        if (p->buf)
+            emit_block(p, b, w->mark);
+        else
+            count_block(p, b, w->mark);
+    }
     return 0;
 }
 
+/* The count pass (buf == 0) or the emit pass over every block, on
+ * nthreads threads with one n-byte mark each. Returns 0, or -1 when
+ * scratch allocation or a thread start fails. */
 int repro_forward(const int64_t *indptr, const uint32_t *indices,
                   const int64_t *block_starts, int64_t nblocks,
-                  int64_t n, int kind, int nthreads, int emit,
-                  const int64_t *offsets, uint32_t *buf,
-                  int64_t *block_counts, int64_t *block_ops)
+                  int64_t n, int nthreads, const int64_t *offsets,
+                  uint32_t *buf, int64_t *block_counts,
+                  int64_t *block_ops)
 {
-    plan_t p = {indptr, indices, block_starts, nblocks, n, kind, emit,
-                offsets, buf, block_counts, block_ops, nthreads};
+    plan_t p = {indptr, indices, block_starts, nblocks, offsets, buf,
+                block_counts, block_ops, nthreads};
     if (nthreads < 1)
         nthreads = 1;
     if (nthreads > nblocks)
         nthreads = (int)(nblocks > 0 ? nblocks : 1);
     p.nthreads = nthreads;
-
-    if (nthreads == 1) {
-        uint8_t *mark = 0;
-        if (kind == KIND_BITMAP) {
-            mark = (uint8_t *)calloc(n > 0 ? (size_t)n : 1, 1);
-            if (!mark)
-                return -1;
-        }
-        for (int64_t b = 0; b < nblocks; b++)
-            run_block(&p, b, mark);
-        free(mark);
-        return 0;
-    }
 
     pthread_t *threads =
         (pthread_t *)malloc(sizeof(pthread_t) * (size_t)nthreads);
@@ -287,16 +282,14 @@ int repro_forward(const int64_t *indptr, const uint32_t *indices,
     for (int t = 0; t < nthreads; t++) {
         ws[t].plan = &p;
         ws[t].tid = t;
-        ws[t].failed = 0;
-        ws[t].mark = 0;
-        if (kind == KIND_BITMAP) {
-            ws[t].mark = (uint8_t *)calloc(n > 0 ? (size_t)n : 1, 1);
-            if (!ws[t].mark)
-                rc = -1;
-        }
+        ws[t].mark = (uint8_t *)calloc(n > 0 ? (size_t)n : 1, 1);
+        if (!ws[t].mark)
+            rc = -1;
     }
     int started = 0;
-    if (rc == 0) {
+    if (rc == 0 && nthreads == 1) {
+        worker(&ws[0]);
+    } else if (rc == 0) {
         for (; started < nthreads; started++) {
             if (pthread_create(&threads[started], 0, worker,
                                &ws[started]) != 0) {
@@ -312,88 +305,6 @@ int repro_forward(const int64_t *indptr, const uint32_t *indices,
     free(threads);
     free(ws);
     return rc;
-}
-
-/* Resumable single-thread emitter: processes directed edges from
- * cursor = {z, iy} and appends triangles to buf until fewer than
- * max-out-degree triples may fit, then saves the cursor and returns
- * the number of triangles written. cap is in triangles. The caller
- * guarantees cap >= the maximum out-degree so every (z, iy) pair's
- * worst case fits an empty buffer. ops accumulates into *ops_out. */
-int64_t repro_forward_stream(const int64_t *indptr,
-                             const uint32_t *indices,
-                             int64_t n, int kind, int64_t *cursor,
-                             uint32_t *buf, int64_t cap,
-                             int64_t *ops_out, uint8_t *mark)
-{
-    int64_t z = cursor[0];
-    int64_t iy = cursor[1];
-    int64_t written = 0;
-    int64_t ops = 0;
-
-    for (; z < n; z++) {
-        const int64_t s = indptr[z];
-        const int64_t e = indptr[z + 1];
-        if (iy < s)
-            iy = s;
-        if (kind == KIND_BITMAP)
-            for (int64_t i = s; i < e; i++)
-                mark[indices[i]] = 1;
-        for (; iy < e; iy++) {
-            const uint32_t y = indices[iy];
-            const int64_t js = indptr[y];
-            const int64_t je = indptr[y + 1];
-            int64_t worst = iy - s;
-            if (je - js < worst)
-                worst = je - js;
-            if (written + worst > cap)
-                goto pause;
-            uint32_t *out = buf + 3 * written;
-            if (kind == KIND_MERGE) {
-                int64_t i = s;
-                int64_t j = js;
-                while (i < iy && j < je) {
-                    const uint32_t a = indices[i];
-                    const uint32_t c = indices[j];
-                    ops++;
-                    if (a == c) {
-                        *out++ = a;
-                        *out++ = y;
-                        *out++ = (uint32_t)z;
-                        written++;
-                    }
-                    i += (a <= c);
-                    j += (c <= a);
-                }
-            } else {
-                ops += je - js;
-                for (int64_t j = js; j < je; j++) {
-                    const uint32_t x = indices[j];
-                    if (mark[x]) {
-                        *out++ = x;
-                        *out++ = y;
-                        *out++ = (uint32_t)z;
-                        written++;
-                    }
-                }
-            }
-        }
-        if (kind == KIND_BITMAP)
-            for (int64_t i = s; i < e; i++)
-                mark[indices[i]] = 0;
-        iy = -1; /* next z starts at its own row head */
-    }
-pause:
-    if (kind == KIND_BITMAP && z < n) {
-        const int64_t s = indptr[z];
-        const int64_t e = indptr[z + 1];
-        for (int64_t i = s; i < e; i++)
-            mark[indices[i]] = 0;
-    }
-    cursor[0] = z;
-    cursor[1] = iy;
-    *ops_out += ops;
-    return written;
 }
 
 /* Per-node state of the wiring loop, packed into 16 bytes so one line
@@ -728,10 +639,12 @@ int64_t repro_csr_from_keys(int64_t n, int64_t m, const int64_t *keys,
         fill[v] = indptr[v];
     int64_t status = 0, e = 0, prev = -1;
     for (int64_t v = 0; v < n && !status; v++) {
-        const int64_t base = v * n, start = e;
+        /* base + n <= n * n: the bounds cannot overflow, nor can
+         * keys[e] - base once keys[e] > base + v */
+        const int64_t base = v * n, end = base + n, start = e;
         /* every key below base was consumed by an earlier run */
-        for (; e < m && keys[e] - base < n; prev = keys[e++])
-            if (keys[e] <= prev || keys[e] - base <= v) {
+        for (; e < m && keys[e] < end; prev = keys[e++])
+            if (keys[e] <= prev || keys[e] <= base + v) {
                 status = -2;
                 break;
             }
@@ -909,12 +822,13 @@ int64_t repro_oriented_sums(int64_t n, int64_t m, const int64_t *keys,
         for (int64_t v = 0; v < n; v++)
             lab[v * k + j] = labels[j * n + v];
     for (int64_t u = 0; u < n; u++) {
-        const int64_t base = u * n;
+        /* as in repro_oriented_csr: no overflow before the check */
+        const int64_t base = u * n, end = base + n;
         const int64_t *lu = lab + u * k;
         int64_t *ou = out + u * k;
         /* every key below base was consumed by an earlier row */
-        for (; e < m && keys[e] - base < n; prev = keys[e++]) {
-            if (keys[e] <= prev || keys[e] - base <= u) {
+        for (; e < m && keys[e] < end; prev = keys[e++]) {
+            if (keys[e] <= prev || keys[e] <= base + u) {
                 status = -2;
                 goto done;
             }
@@ -967,14 +881,13 @@ class _Library:
         self.forward.restype = ctypes.c_int
         self.forward.argtypes = [
             _I64P, _U32P, _I64P, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int, ctypes.c_int, ctypes.c_int, _I64P, _U32P,
-            _I64P, _I64P,
+            ctypes.c_int, _I64P, _U32P, _I64P, _I64P,
         ]
         self.forward_stream = cdll.repro_forward_stream
         self.forward_stream.restype = ctypes.c_int64
         self.forward_stream.argtypes = [
-            _I64P, _U32P, ctypes.c_int64, ctypes.c_int, _I64P, _U32P,
-            ctypes.c_int64, _I64P, _U8P,
+            _I64P, _U32P, ctypes.c_int64, _I64P, _U32P, ctypes.c_int64,
+            _I64P, _U8P,
         ]
         self.residual_wire = cdll.repro_residual_wire
         self.residual_wire.restype = ctypes.c_int64
@@ -1009,7 +922,7 @@ _UNSET = object()
 _lib = _UNSET  # tri-state: _UNSET -> not tried; None -> unavailable
 _status: dict = {"state": "unresolved", "reason": None, "compiler": None,
                  "cache": "off"}
-_last_stats: dict | None = None
+_last_stats: tuple | None = None
 
 #: Compiler flags of the kernel library. They are part of the cache
 #: key, so a build with other flags gets its own cached file.
@@ -1225,25 +1138,6 @@ def resolve_threads(threads: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def resolve_kind(oriented, kind: str | None = None) -> str:
-    """Intersection variant: explicit, or auto (the default).
-
-    The auto heuristic follows the degree-regime argument (Latapy
-    2008): the bitmap probe does one predicted byte load per candidate
-    where the merge does a data-dependent pointer dance, so it wins
-    whenever its ``n``-byte mark array stays cache-friendly -- measured
-    ~1.5-3x on both the 3k and 100k Pareto benches. The two-pointer
-    merge takes over for huge vertex sets where per-thread mark arrays
-    would thrash (or be refused by the allocator).
-    """
-    if kind is None or kind == "auto":
-        kind = "bitmap" if oriented.n <= (1 << 25) else "merge"
-    if kind not in _KIND_CODES:
-        raise ValueError(f"unknown native kernel {kind!r}; choose from "
-                         f"{KERNEL_KINDS + ('auto',)}")
-    return kind
-
-
 class _GraphArrays:
     """Per-graph native-call state, weakly cached on the oriented graph.
 
@@ -1296,37 +1190,33 @@ def _graph_arrays(oriented) -> _GraphArrays:
     return arrays
 
 
-def _record_stats(arrays: _GraphArrays, kind: str, threads: int,
+def _record_stats(block_ops: np.ndarray, threads: int, nblocks: int,
                   count: int) -> None:
-    """Stash one native run's block counters for :func:`last_stats`.
+    """Stash one native run's op counters for :func:`last_stats`.
 
     Only a snapshot of the per-block op counters is taken on the hot
     path; the per-thread breakdown (deterministic from the static
     round-robin block assignment) is derived lazily at read time.
     """
     global _last_stats
-    _last_stats = (arrays.block_ops.copy(),
-                   min(max(threads, 1), arrays.nblocks),
-                   kind, arrays.nblocks, count)
+    _last_stats = (block_ops.copy(), min(max(threads, 1), nblocks),
+                   nblocks, count)
 
 
 def last_stats() -> dict | None:
     """Telemetry of the most recent native run in this process.
 
-    ``{kind, threads, blocks, ops, ops_per_thread, triangles}`` --
-    ``ops`` counts the kernel's elementary operations (merge pointer
-    advances or bitmap probes), merged from the per-block counters in
-    block order; ``ops_per_thread`` follows the static round-robin
-    block assignment, so it is identical run-to-run for a fixed
-    thread count.
+    ``{threads, blocks, ops, ops_per_thread, triangles}`` -- ``ops``
+    counts the kernel's elementary operations (mark-array probes),
+    merged from the per-block counters in block order;
+    ``ops_per_thread`` follows the static round-robin block assignment,
+    so it is identical run-to-run for a fixed thread count. A streamed
+    run is one block on one thread.
     """
     if _last_stats is None:
         return None
-    if isinstance(_last_stats, dict):  # streaming path records directly
-        return dict(_last_stats)
-    block_ops, threads, kind, nblocks, count = _last_stats
+    block_ops, threads, nblocks, count = _last_stats
     return {
-        "kind": kind,
         "threads": threads,
         "blocks": nblocks,
         "ops": int(block_ops.sum()),
@@ -1336,8 +1226,36 @@ def last_stats() -> dict | None:
     }
 
 
-def count_triangles(oriented, threads: int | None = None,
-                    kind: str | None = None):
+def _forward(arrays: _GraphArrays, threads: int, offsets=None,
+             buf=None) -> None:
+    """One threaded pass of ``repro_forward``: the count pass, or with
+    ``offsets`` and ``buf`` the emit pass.
+
+    MemoryError when the kernel cannot allocate its mark arrays or
+    start a thread -- never the gated None that callers fall back on.
+    """
+    if _lib.forward(arrays._p_indptr, arrays._p_indices, arrays._p_starts,
+                    arrays.nblocks, arrays.n, threads, offsets, buf,
+                    arrays._p_counts, arrays._p_ops):
+        raise MemoryError("native forward kernel: scratch allocation or "
+                          "thread start failed")
+
+
+def _count_pass(oriented, threads: int | None):
+    """The count pass, recorded for :func:`last_stats`:
+    ``(arrays, threads, count)``, or None if gated."""
+    if not available():
+        return None
+    arrays = _graph_arrays(oriented)
+    threads = resolve_threads(threads)
+    if arrays.m:
+        _forward(arrays, threads)
+    count = int(arrays.block_counts.sum())
+    _record_stats(arrays.block_ops, threads, arrays.nblocks, count)
+    return arrays, threads, count
+
+
+def count_triangles(oriented, threads: int | None = None):
     """Exact triangle count via the compiled kernels, or None if gated.
 
     Accepts any :class:`~repro.graphs.digraph.OrientedGraph`; the
@@ -1345,27 +1263,11 @@ def count_triangles(oriented, threads: int | None = None,
     to ``REPRO_NATIVE_THREADS`` (then the CPU count); the result is
     bit-identical at any value.
     """
-    if not available():
-        return None
-    arrays = _graph_arrays(oriented)
-    kind = resolve_kind(oriented, kind)
-    threads = resolve_threads(threads)
-    if arrays.m == 0:
-        _record_stats(arrays, kind, threads, 0)
-        return 0
-    rc = _lib.forward(
-        arrays._p_indptr, arrays._p_indices, arrays._p_starts,
-        arrays.nblocks, arrays.n, _KIND_CODES[kind], threads, 0,
-        None, None, arrays._p_counts, arrays._p_ops)
-    if rc != 0:
-        return None
-    count = int(arrays.block_counts.sum())
-    _record_stats(arrays, kind, threads, count)
-    return count
+    run = _count_pass(oriented, threads)
+    return None if run is None else run[2]
 
 
-def list_triangles_array(oriented, threads: int | None = None,
-                         kind: str | None = None):
+def list_triangles_array(oriented, threads: int | None = None):
     """All triangles as a ``(count, 3)`` uint32 array, or None if gated.
 
     Two passes over the block decomposition: a threaded count pass
@@ -1373,55 +1275,37 @@ def list_triangles_array(oriented, threads: int | None = None,
     offset, and a threaded emit pass fills one exact-size preallocated
     buffer. Rows are ``(x, y, z)`` with ``x < y < z``, ordered by
     ``(z, y)`` then ascending ``x`` -- the same bytes at any thread
-    count and for either kernel kind.
+    count, and the same as :func:`stream_triangles` concatenated.
     """
-    if not available():
+    run = _count_pass(oriented, threads)
+    if run is None:
         return None
-    arrays = _graph_arrays(oriented)
-    kind = resolve_kind(oriented, kind)
-    threads = resolve_threads(threads)
-    if arrays.m == 0:
-        _record_stats(arrays, kind, threads, 0)
-        return np.empty((0, 3), dtype=np.uint32)
-    rc = _lib.forward(
-        arrays._p_indptr, arrays._p_indices, arrays._p_starts,
-        arrays.nblocks, arrays.n, _KIND_CODES[kind], threads, 0,
-        None, None, arrays._p_counts, arrays._p_ops)
-    if rc != 0:
-        return None
-    total = int(arrays.block_counts.sum())
-    offsets = np.zeros(arrays.nblocks, dtype=np.int64)
-    np.cumsum(arrays.block_counts[:-1], out=offsets[1:])
+    arrays, threads, total = run
     buf = np.empty(total * 3, dtype=np.uint32)
-    token = _memory.check_in("native.triangles", buf)
-    try:
-        rc = _lib.forward(
-            arrays._p_indptr, arrays._p_indices, arrays._p_starts,
-            arrays.nblocks, arrays.n, _KIND_CODES[kind], threads, 1,
-            offsets.ctypes.data_as(_I64P), buf.ctypes.data_as(_U32P),
-            arrays._p_counts, arrays._p_ops)
-    finally:
-        _memory.check_out(token)
-    if rc != 0:
-        return None
-    _record_stats(arrays, kind, threads, total)
+    if total:
+        offsets = np.zeros(arrays.nblocks, dtype=np.int64)
+        np.cumsum(arrays.block_counts[:-1], out=offsets[1:])
+        token = _memory.check_in("native.triangles", buf)
+        try:
+            _forward(arrays, threads, offsets.ctypes.data_as(_I64P),
+                     buf.ctypes.data_as(_U32P))
+        finally:
+            _memory.check_out(token)
     return buf.reshape(-1, 3)
 
 
-def stream_triangles(oriented, chunk_triangles: int = 1 << 20,
-                     kind: str | None = None):
+def stream_triangles(oriented, chunk_triangles: int = 1 << 20):
     """Generator of ``(k, 3)`` uint32 triangle batches, or None if gated.
 
     The streaming spill-back path: a resumable C cursor fills one
     reusable ``chunk_triangles``-capacity buffer per call, so peak
-    memory is one chunk regardless of the triangle count and Python
-    never boxes individual triangles. Batch concatenation equals
-    :func:`list_triangles_array` exactly.
+    memory is one chunk and one n-byte mark regardless of the triangle
+    count and Python never boxes individual triangles. Batch
+    concatenation equals :func:`list_triangles_array` exactly.
     """
     if not available():
         return None
     arrays = _graph_arrays(oriented)
-    kind_name = resolve_kind(oriented, kind)
 
     def _gen():
         cap = max(int(chunk_triangles), arrays.max_out_degree, 1)
@@ -1437,13 +1321,10 @@ def stream_triangles(oriented, chunk_triangles: int = 1 << 20,
                 _memory.check_budget("native streaming listing")
                 written = _lib.forward_stream(
                     arrays._p_indptr, arrays._p_indices, arrays.n,
-                    _KIND_CODES[kind_name],
                     cursor.ctypes.data_as(_I64P),
                     buf.ctypes.data_as(_U32P), cap,
                     ops.ctypes.data_as(_I64P),
                     mark.ctypes.data_as(_U8P))
-                if written < 0:
-                    raise RuntimeError("native streaming kernel failed")
                 if written:
                     total += int(written)
                     yield buf[:written * 3].reshape(-1, 3).copy()
@@ -1453,11 +1334,7 @@ def stream_triangles(oriented, chunk_triangles: int = 1 << 20,
         finally:
             for token in tokens:
                 _memory.check_out(token)
-        global _last_stats
-        _last_stats = {"kind": kind_name, "threads": 1,
-                       "blocks": 1, "ops": int(ops[0]),
-                       "ops_per_thread": [int(ops[0])],
-                       "triangles": total}
+        _record_stats(ops, 1, 1, total)
 
     return _gen()
 

@@ -18,7 +18,8 @@ import numpy as np
 from repro.core.costs import method_cost
 from repro.core.decision import PAPER_SPEED_RATIO
 from repro.listing.api import list_triangles
-from repro.pipeline import _ORDERS, optimal_order_for
+from repro.orientations import NAMED_ORDERINGS
+from repro.pipeline import optimal_order_for
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def compare_methods(graph, methods=("T1", "T2", "E1", "E4"),
         order = optimal_order_for(method)
         oriented = oriented_cache.get(order)
         if oriented is None:
-            oriented = orient(graph, _ORDERS[order], rng=rng)
+            oriented = orient(graph, NAMED_ORDERINGS[order](), rng=rng)
             oriented_cache[order] = oriented
         cost = method_cost(oriented, method)
         seconds = 0.0

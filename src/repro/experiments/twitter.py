@@ -21,28 +21,12 @@ from repro.obs.spans import span
 from repro.distributions.pareto import DiscretePareto
 from repro.distributions.sampling import sample_degree_sequence
 from repro.graphs.generators import generate_graph
-from repro.orientations.degenerate import DegenerateOrder
-from repro.orientations.permutations import (
-    AscendingDegree,
-    ComplementaryRoundRobin,
-    DescendingDegree,
-    RoundRobin,
-    UniformRandom,
-)
+from repro.orientations import NAMED_ORDERINGS
 from repro.orientations.relabel import orient
 
 #: The Table 12 column order.
 PERMUTATION_ORDER = ("descending", "ascending", "rr", "crr", "uniform",
                      "degenerate")
-
-_PERMUTATIONS = {
-    "descending": DescendingDegree(),
-    "ascending": AscendingDegree(),
-    "rr": RoundRobin(),
-    "crr": ComplementaryRoundRobin(),
-    "uniform": UniformRandom(),
-    "degenerate": DegenerateOrder(),
-}
 
 
 def twitter_like_graph(n: int = 50_000, alpha: float = 1.7,
@@ -76,7 +60,7 @@ def cost_matrix(graph, methods=("T1", "T2", "E1", "E4"),
         rng = np.random.default_rng(7)
     matrix = np.empty((len(methods), len(permutations)), dtype=float)
     for col, perm_name in enumerate(permutations):
-        perm = _PERMUTATIONS[perm_name]
+        perm = NAMED_ORDERINGS[perm_name]()
         oriented = orient(graph, perm, rng=rng, tie_break="stable")
         for row, method in enumerate(methods):
             with span("list", method=method, permutation=perm_name):

@@ -24,7 +24,19 @@ from repro.orientations.degenerate import DegenerateOrder, smallest_last_order
 from repro.orientations.kernel_permutation import KernelPermutation
 from repro.orientations.relabel import orient, labels_from_rank_map
 
+#: Every named ordering, by the name the CLI, the pipeline, the planner
+#: and the experiments take, to its :class:`Permutation` class.
+NAMED_ORDERINGS: dict[str, type[Permutation]] = {
+    "ascending": AscendingDegree,
+    "descending": DescendingDegree,
+    "rr": RoundRobin,
+    "crr": ComplementaryRoundRobin,
+    "uniform": UniformRandom,
+    "degenerate": DegenerateOrder,
+}
+
 __all__ = [
+    "NAMED_ORDERINGS",
     "Permutation",
     "AscendingDegree",
     "DescendingDegree",

@@ -18,25 +18,8 @@ from repro.core.decision import MethodDecision, decide_on_graph
 from repro.core.optimality import optimal_map
 from repro.listing.api import list_triangles
 from repro.listing.base import ListingResult
-from repro.orientations.degenerate import DegenerateOrder
-from repro.orientations.permutations import (
-    AscendingDegree,
-    ComplementaryRoundRobin,
-    DescendingDegree,
-    Permutation,
-    RoundRobin,
-    UniformRandom,
-)
+from repro.orientations import NAMED_ORDERINGS
 from repro.orientations.relabel import orient
-
-_ORDERS: dict[str, Permutation] = {
-    "ascending": AscendingDegree(),
-    "descending": DescendingDegree(),
-    "rr": RoundRobin(),
-    "crr": ComplementaryRoundRobin(),
-    "uniform": UniformRandom(),
-    "degenerate": DegenerateOrder(),
-}
 
 #: The optimal named ordering per method (Corollaries 1-2).
 _OPTIMAL_ORDER = {
@@ -109,12 +92,12 @@ def run_pipeline(graph, method: str = "E1", order: str | None = None,
     if order == "opt":
         from repro.planner import Candidate
         permutation = Candidate(method, "opt").permutation()
+    elif order in NAMED_ORDERINGS:
+        permutation = NAMED_ORDERINGS[order]()
     else:
-        permutation = _ORDERS.get(order)
-    if permutation is None:
         raise ValueError(
             f"unknown order {order!r}; choose from "
-            f"{sorted([*_ORDERS, 'opt'])}")
+            f"{sorted([*NAMED_ORDERINGS, 'opt'])}")
     if permutation.is_random and rng is None:
         rng = np.random.default_rng()
     if audit_on:

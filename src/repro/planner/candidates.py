@@ -27,15 +27,8 @@ from functools import total_ordering
 from repro.core.kernels import LimitMap, get_map
 from repro.core.methods import METHODS, Method, get_method
 from repro.core.optimality import optimal_map
-from repro.orientations.degenerate import DegenerateOrder
-from repro.orientations.permutations import (
-    AscendingDegree,
-    ComplementaryRoundRobin,
-    DescendingDegree,
-    OptPermutation,
-    Permutation,
-    RoundRobin,
-)
+from repro.orientations import NAMED_ORDERINGS
+from repro.orientations.permutations import OptPermutation, Permutation
 
 #: Orderings a concrete graph can be relabeled with (the oracle's set).
 GRAPH_ORDERINGS: tuple[str, ...] = (
@@ -45,14 +38,6 @@ GRAPH_ORDERINGS: tuple[str, ...] = (
 #: everything except the structure-dependent degenerate orientation.
 MODEL_ORDERINGS: tuple[str, ...] = (
     "ascending", "descending", "rr", "crr", "opt")
-
-_NAMED_PERMUTATIONS = {
-    "ascending": AscendingDegree,
-    "descending": DescendingDegree,
-    "rr": RoundRobin,
-    "crr": ComplementaryRoundRobin,
-    "degenerate": DegenerateOrder,
-}
 
 #: Per-op weight classes of section 2.4 / Table 3: scanning edge
 #: iterators (SEI) execute their sequential comparisons up to
@@ -103,7 +88,7 @@ class Candidate:
         """
         if self.ordering == "opt":
             return OptPermutation(self.spec.h)
-        return _NAMED_PERMUTATIONS[self.ordering]()
+        return NAMED_ORDERINGS[self.ordering]()
 
     def limit_map(self) -> LimitMap:
         """The limiting map pricing this candidate in the model.

@@ -26,7 +26,8 @@ from repro.engine.kernels import _KERNELS, _run_kernel
 from repro.graphs.generators import configuration_model
 from repro.listing.api import list_triangles
 from repro.orientations.relabel import orient
-from repro.pipeline import _ORDERS, run_pipeline
+from repro.orientations import NAMED_ORDERINGS
+from repro.pipeline import run_pipeline
 
 needs_native = pytest.mark.skipif(not native.available(),
                                   reason="no C toolchain / native gated")
@@ -99,7 +100,7 @@ class TestNativePath:
     def test_run_pipeline(self, name):
         graph = GRAPHS[name]
         report = run_pipeline(graph, method="E1", collect=True)
-        permutation = _ORDERS[report.order]
+        permutation = NAMED_ORDERINGS[report.order]()
         assert not permutation.is_random
         arr = native.list_triangles_array(orient(graph, permutation))
         _assert_boxed(report.triangles, _rowwise(arr))

@@ -119,7 +119,7 @@ class TestNativeGauge:
         obs.enable()
         result = run_numpy(oriented, "E1", collect=True)
         assert result.extra["native"] is True
-        assert result.extra["native_kernel"] in native.KERNEL_KINDS
+        assert result.extra["native_threads"] >= 1
         snap = obs.metrics.snapshot()
         assert snap["gauges"]["engine.native"] == 1.0
         assert snap["gauges"]["engine.native_threads"] >= 1.0

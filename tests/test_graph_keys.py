@@ -172,6 +172,9 @@ def _malformed(n=6):
         "beyond-n2": np.array([0 * n + 1, 3 * n + 4, n * n]),
         "self-loop": np.array([0 * n + 1, 2 * n + 2, 3 * n + 4]),
         "lower-triangle": np.array([0 * n + 1, 4 * n + 3, 4 * n + 5]),
+        # past row 0, key - row base would overflow int64
+        "int64-min": np.array([0 * n + 1, 1 * n + 2,
+                               np.iinfo(np.int64).min]),
     }
 
 

@@ -7,9 +7,8 @@ The contract of :mod:`repro.engine.native` v2, pinned three ways:
   ``ops`` as the pure-NumPy engine (itself pinned against the
   instrumented Python loops in ``test_engine_equivalence.py``).
 * **Determinism** -- emitted buffers are *bit-identical* across thread
-  counts (1, 2, 8) and across the two intersection variants
-  (merge/bitmap), and streaming chunks concatenate to exactly the
-  two-pass array.
+  counts (1, 2, 8), and streaming chunks of any capacity concatenate
+  to exactly the two-pass array.
 * **Gating** -- ``REPRO_NATIVE=0``, a missing compiler, and a failed
   compile each degrade cleanly (cached per process, one structured
   warning for the failure case) while ``engine="native"`` raises
@@ -112,12 +111,6 @@ class TestDeterminism:
                   for t in (1, 2, 8)}
         assert len(set(counts.values())) == 1
 
-    def test_kind_invariance(self, oriented):
-        """merge and bitmap emit the exact same byte sequence."""
-        merge = native.list_triangles_array(oriented, kind="merge")
-        bitmap = native.list_triangles_array(oriented, kind="bitmap")
-        assert merge.tobytes() == bitmap.tobytes()
-
     def test_per_thread_ops_partition_total(self, oriented):
         native.count_triangles(oriented, threads=4)
         stats = native.last_stats()
@@ -137,12 +130,19 @@ class TestStreaming:
         assert np.array_equal(streamed, full)
         assert native.last_stats()["triangles"] == full.shape[0]
 
-    @pytest.mark.parametrize("kind", native.KERNEL_KINDS)
-    def test_both_kinds_stream_identically(self, oriented, kind):
+    @pytest.mark.parametrize("chunk", [1, 2, 64, 1 << 20])
+    def test_any_chunk_streams_identically(self, oriented, chunk):
+        """Below the max out-degree the cap is raised to it, so chunks
+        end mid-row; the bytes never depend on where they end."""
         full = native.list_triangles_array(oriented)
-        chunks = list(native.stream_triangles(
-            oriented, chunk_triangles=128, kind=kind))
-        assert np.array_equal(np.concatenate(chunks, axis=0), full)
+        ops = native.last_stats()["ops"]
+        chunks = list(native.stream_triangles(oriented,
+                                              chunk_triangles=chunk))
+        streamed = np.concatenate(chunks, axis=0)
+        assert streamed.tobytes() == full.tobytes()
+        assert native.last_stats() == {
+            "threads": 1, "blocks": 1, "ops": ops, "ops_per_thread": [ops],
+            "triangles": full.shape[0]}
 
 
 @needs_native
@@ -197,15 +197,6 @@ class TestKnobs:
         assert native.resolve_threads(2) == 2  # explicit wins
         monkeypatch.setenv("REPRO_NATIVE_THREADS", "junk")
         assert native.resolve_threads() >= 1
-
-    @needs_native
-    def test_resolve_kind_env(self, oriented, monkeypatch):
-        # the kernel follows n alone; a stale env override is ignored
-        monkeypatch.setenv("REPRO_NATIVE_KERNEL", "merge")
-        assert native.resolve_kind(oriented) == "bitmap"
-        assert native.resolve_kind(oriented, "merge") == "merge"
-        with pytest.raises(ValueError, match="kernel"):
-            native.resolve_kind(oriented, "simd")
 
 
 @pytest.fixture
@@ -286,6 +277,20 @@ class TestGatingAndFallback:
         with pytest.raises(RuntimeError, match="native engine"):
             list_triangles(g, "T1", collect=False, engine="native")
 
+    @needs_native
+    def test_forward_failure_raises(self, monkeypatch, pareto_graph):
+        """A failed allocation or thread start in the kernel is a
+        MemoryError, never the gated None every engine falls back on."""
+        g = orient(pareto_graph, DescendingDegree())
+        monkeypatch.setattr(native._lib, "forward", lambda *args: -1)
+        with pytest.raises(MemoryError, match="forward"):
+            native.count_triangles(g)
+        with pytest.raises(MemoryError, match="forward"):
+            native.list_triangles_array(g)
+        for engine in ("auto", "native"):
+            with pytest.raises(MemoryError, match="forward"):
+                list_triangles(g, "T1", collect=True, engine=engine)
+
     def test_numpy_engine_falls_back_silently(self, monkeypatch,
                                               pareto_graph):
         monkeypatch.setattr(native, "_lib", None)
@@ -302,7 +307,6 @@ class TestNativeEngineValue:
         result = list_triangles(oriented, "E4", collect=True,
                                 engine="native")
         assert result.extra["native"] is True
-        assert result.extra["native_kernel"] in native.KERNEL_KINDS
         ref = list_triangles(oriented, "E4", collect=True,
                              engine="python")
         assert sorted(result.triangles) == sorted(ref.triangles)

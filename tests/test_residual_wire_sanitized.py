@@ -1,4 +1,4 @@
-"""The residual wiring and edge-key kernels under AddressSanitizer and UBSan.
+"""The compiled kernels under AddressSanitizer and UBSan.
 
 ``native._C_SOURCE`` plus the small C ``main`` below compile into one
 standalone executable with ``-fsanitize=address,undefined
@@ -13,18 +13,28 @@ rejection.
 
 It then runs the three kernels that read a graph's sorted edge keys
 ``lo * n + hi`` -- the CSR-from-keys pass, the key-walking orientation
-sums and the oriented CSR from keys -- on ``n = 0``, ``m = 0``, a star
-and random graphs. It checks that every CSR row is sorted, in range and
-symmetric, and that the sums under the identity and the reversed label
-map are the ones the CSR implies. Under the identity, the reversed and
-a random label map it checks that every oriented row is sorted and in
-range, that out and in are transposes of each other and that every
-oriented edge is an edge of the keys. Malformed keys (a decreasing key,
-a duplicate, a self-loop, a key at ``n * n``, keys on no nodes), a
-label outside ``[0, n)`` and an ``n`` whose keys overflow int64 must
-return the error code without reading or writing out of bounds. It
-exits 0 only when all of it holds. Any sanitizer report aborts the run
-with a non-zero status.
+sums and the oriented CSR from keys -- on ``n = 0``, ``m = 0``, a star,
+a clique and random graphs. It checks that every CSR row is sorted, in
+range and symmetric, and that the sums under the identity and the
+reversed label map are the ones the CSR implies. Under the identity,
+the reversed and a random label map it checks that every oriented row
+is sorted and in range, that out and in are transposes of each other
+and that every oriented edge is an edge of the keys.
+
+Each of those oriented CSRs then goes through the forward listing
+kernels: the count and emit passes over one and three blocks at one and
+two threads, and the resumable stream at the smallest legal capacity
+(the maximum out-degree), so chunks end mid-row. Every count must match
+a brute count, every row must be a triangle ``x < y < z`` of the CSR in
+strictly increasing ``(z, y, x)`` order, and the emit passes and the
+concatenated stream must agree byte for byte.
+
+Malformed keys (a decreasing key, a duplicate, a self-loop, a key at
+``n * n``, ``INT64_MIN`` after row 0, keys on no nodes), a label
+outside ``[0, n)`` and an ``n`` whose keys overflow int64 must return
+the error code without reading or writing out of bounds or overflowing
+a signed subtraction. The ``main`` exits 0 only when all of it holds.
+Any sanitizer report aborts the run with a non-zero status.
 
 Skips when there is no C compiler, or when the compiler cannot build
 and run a sanitized program on this host.
@@ -45,6 +55,7 @@ FLAGS = ("-O1", "-g", "-fno-omit-frame-pointer",
 
 MAIN = r"""
 #include <stdio.h>
+#include <string.h>
 
 static uint64_t rng_state = 0x2545F4914F6CDD1Dull;
 
@@ -125,6 +136,106 @@ static int wire(const char *name, int64_t n, const int64_t *deg, int mode)
     return bad;
 }
 
+/* 1 when v is in row r of the CSR (ptr, idx) */
+static int in_row(const int64_t *ptr, const uint32_t *idx, int64_t r,
+                  uint32_t v)
+{
+    for (int64_t i = ptr[r]; i < ptr[r + 1]; i++)
+        if (idx[i] == v)
+            return 1;
+    return 0;
+}
+
+/* 1 when triangle q comes strictly before r in (z, y, x) order */
+static int before(const uint32_t *q, const uint32_t *r)
+{
+    if (q[2] != r[2])
+        return q[2] < r[2];
+    if (q[1] != r[1])
+        return q[1] < r[1];
+    return q[0] < r[0];
+}
+
+/* The forward kernels on one oriented CSR whose out rows hold smaller
+ * labels, ascending. The count and emit passes of repro_forward run
+ * over 1 and 3 blocks at 1 and 2 threads, and repro_forward_stream at
+ * the smallest legal capacity, the maximum out-degree, so chunks end
+ * mid-row. Checks that every count and op total agrees with a brute
+ * count, that every row is a triangle x < y < z of the CSR, listed in
+ * strictly increasing (z, y, x) order, that every emit pass writes the
+ * same bytes, that the stream concatenates to them and that the
+ * stream's mark array is left zero. Returns 0 when all of it holds. */
+static int forward(const char *name, int64_t n, const int64_t *ptr,
+                   const uint32_t *idx)
+{
+    int64_t brute = 0, brute_ops = 0, cap = 1;
+    for (int64_t z = 0; z < n; z++) {
+        if (ptr[z + 1] - ptr[z] > cap)
+            cap = ptr[z + 1] - ptr[z];
+        for (int64_t j = ptr[z]; j < ptr[z + 1]; j++) {
+            brute_ops += ptr[idx[j] + 1] - ptr[idx[j]];
+            for (int64_t i = ptr[z]; i < j; i++)
+                brute += in_row(ptr, idx, idx[j], idx[i]);
+        }
+    }
+    uint32_t *ref = malloc((size_t)(3 * brute + 3) * sizeof(uint32_t));
+    uint32_t *buf = malloc((size_t)(3 * brute + 3) * sizeof(uint32_t));
+    uint32_t *chunk = malloc((size_t)(3 * cap) * sizeof(uint32_t));
+    uint8_t *mark = calloc((size_t)n + 1, 1);
+    int bad = 0;
+    for (int64_t nblocks = 1; !bad && nblocks <= 3; nblocks += 2)
+        for (int threads = 1; !bad && threads <= 2; threads++) {
+            int64_t starts[4], counts[3], ops[3], offsets[3];
+            for (int64_t b = 0; b <= nblocks; b++)
+                starts[b] = n * b / nblocks;
+            int64_t total = 0, total_ops = 0;
+            bad = repro_forward(ptr, idx, starts, nblocks, n, threads, 0, 0,
+                                counts, ops) != 0;
+            for (int64_t b = 0; !bad && b < nblocks; b++) {
+                offsets[b] = total;
+                total += counts[b];
+                total_ops += ops[b];
+            }
+            bad = bad || total != brute || total_ops != brute_ops
+                  || repro_forward(ptr, idx, starts, nblocks, n, threads,
+                                   offsets, nblocks == 1 ? ref : buf,
+                                   counts, ops) != 0;
+            if (!bad && nblocks > 1)
+                bad = memcmp(ref, buf, (size_t)(3 * brute)
+                                           * sizeof(uint32_t)) != 0;
+        }
+    for (int64_t t = 0; !bad && t < brute; t++) {
+        const uint32_t *r = ref + 3 * t;
+        bad = !(r[0] < r[1] && r[1] < r[2] && r[2] < n)
+              || !in_row(ptr, idx, r[2], r[1])
+              || !in_row(ptr, idx, r[2], r[0])
+              || !in_row(ptr, idx, r[1], r[0])
+              || (t > 0 && !before(r - 3, r));
+    }
+    int64_t cursor[2] = {0, 0}, got = 0, stream_ops = 0;
+    while (!bad && cursor[0] < n) {
+        const int64_t w = repro_forward_stream(ptr, idx, n, cursor, chunk,
+                                               cap, &stream_ops, mark);
+        bad = w < 0 || w > cap || got + w > brute
+              || (w == 0 && cursor[0] < n);
+        if (!bad && w)
+            bad = memcmp(ref + 3 * got, chunk,
+                         (size_t)(3 * w) * sizeof(uint32_t)) != 0;
+        got += w;
+    }
+    bad = bad || got != brute || stream_ops != brute_ops;
+    for (int64_t v = 0; !bad && v < n; v++)
+        bad = mark[v] != 0;
+    if (bad)
+        fprintf(stderr, "FAIL forward %s n=%lld triangles=%lld\n", name,
+                (long long)n, (long long)brute);
+    free(ref);
+    free(buf);
+    free(chunk);
+    free(mark);
+    return bad;
+}
+
 /* The oriented CSR of one keyed graph under one label map. expect is 0
  * for well-formed input, else the error code it must return. Checks
  * that every row is strictly ascending and in range, that out row s
@@ -171,6 +282,8 @@ static int oriented(const char *name, int64_t n, int64_t m,
                                      sizeof(int64_t), by_value);
         }
     }
+    if (!bad && !expect)
+        bad = forward(name, n, out_ptr, out_idx);
     if (bad)
         fprintf(stderr, "FAIL oriented %s n=%lld m=%lld got=%lld\n", name,
                 (long long)n, (long long)m, (long long)got);
@@ -278,6 +391,14 @@ static int keyed_cases(void)
     /* star on 6 nodes: hub 0 */
     int64_t star[5] = {1, 2, 3, 4, 5}, star_deg[6] = {5, 1, 1, 1, 1, 1};
     failures += keyed("star", 6, 5, star, star_deg, 0);
+    /* the clique on 12 nodes: every triple is a triangle */
+    int64_t clique[66], clique_deg[12], m = 0;
+    for (int64_t lo = 0; lo < 12; lo++) {
+        clique_deg[lo] = 11;
+        for (int64_t hi = lo + 1; hi < 12; hi++)
+            clique[m++] = lo * 12 + hi;
+    }
+    failures += keyed("clique", 12, 66, clique, clique_deg, 0);
     int64_t decreasing[5] = {1, 3, 2, 4, 5};
     failures += keyed("decreasing", 6, 5, decreasing, star_deg, -2);
     int64_t duplicate[5] = {1, 2, 2, 4, 5};
@@ -287,6 +408,10 @@ static int keyed_cases(void)
     failures += keyed("self-loop", 6, 3, loop, loop_deg, -2);
     int64_t beyond[3] = {1, 2, 36}, beyond_deg[6] = {2, 1, 1, 0, 0, 2};
     failures += keyed("beyond-n2", 6, 3, beyond, beyond_deg, -2);
+    /* a very negative key after row 0: checked before any subtraction */
+    int64_t very_low[3] = {1, 6 + 2, INT64_MIN};
+    int64_t ones[6] = {1, 1, 1, 1, 1, 1};
+    failures += keyed("int64-min", 6, 3, very_low, ones, -2);
     /* a label outside [0, n) */
     int64_t low[6] = {0, 1, 2, -1, 4, 5}, high[6] = {0, 1, 2, 6, 4, 5};
     failures += oriented("label-1", 6, 5, star, low, -3);
