@@ -10,60 +10,57 @@ Two generators:
 * :func:`residual_degree_model` -- the paper's remedy, a variation of
   Blitzstein-Diaconis [11]: each node's stubs are wired to partners
   chosen *in proportion to their residual degree*, excluding the node
-  itself and its already-attached neighbors. Proportional selection uses
-  a prefix-sum tree (``O(log n)`` per draw, ``O(m log n)`` total): a
-  binary Fenwick tree in the Python reference, an 8-ary one with one
-  cache line per node in C (``ceil(log8 n)`` levels). When the
-  tail of the process gets stuck (every remaining stub-holder is already
-  a neighbor), leftover stubs are resolved by double-edge swaps that
+  itself and its already-attached neighbors. When the tail of the
+  process gets stuck (every remaining stub-holder is already a
+  neighbor), leftover stubs are resolved by double-edge swaps that
   preserve all other degrees, so the output realizes the requested
   sequence *exactly* -- matching the paper's "with the exception of
   possibly one last edge" guarantee (which we handle upstream by making
   the degree sum even).
 
-The residual wiring loop runs in C (``repro_residual_wire`` in
+Proportional selection draws from a pool of open stubs, one entry per
+stub holding its node id, and rejects excluded partners, in the shape
+of Bayati-Kim-Saberi's sampler. A draw takes the entry at
+``p = min(floor(u * S), S - 1)`` for one uniform ``u`` and the
+drawable size ``S``. When a node's turn comes, its neighbors are
+exactly the nodes wired before it (every edge is made by the node
+being wired), so the excluded set is "every node already wired, the
+current one included, plus the partners it has picked". The drawn
+entry is swap-removed (the last drawable entry fills its slot) whatever
+it holds: a free node's stub is placed; a wired ("dead") node's is
+dropped for good; a picked partner's is set aside and rejoins the pool
+when the current node is done. Dropping or setting aside an excluded
+entry leaves the allowed entries' relative weights alone, so an
+accepted draw is uniform over the stubs of the allowed nodes -- exactly
+"in proportion to residual degree among the allowed nodes" -- and
+every draw shrinks the pool, so a node's run ends whatever the
+uniforms. When dead and picked entries exceed half the drawable range,
+one pass keeps the free entries in order, drops the dead ones and sets
+the picked ones aside, so a draw is accepted with probability at least
+1/2 (hubs, whose partners hold much of the pool, are where this
+explicit-exclusion switch fires).
+
+The loop runs in C (``repro_residual_wire`` in
 :mod:`repro.engine.native`, built with the listing kernels) whenever
-``native.available()`` is true, at well under a microsecond per edge.
-The Python loop over :class:`~repro.graphs.fenwick.FenwickTree` stays
-as the reference, and as the fallback when the library is gated off
-(``REPRO_NATIVE=0``) or cannot be built. Validation, the Erdos-Gallai
-guard, swap repair, the Havel-Hakimi fallback and the ``generator.*``
-counters are shared by both paths.
-
-The two paths are bit-identical: the same edges in the same order and
-the same RNG state afterwards, so golden values and simulated tables
-do not depend on which one ran. The argument:
-
-* the draw does not depend on the shape of the tree. Every weight and
-  prefix sum is an integer below ``2**53``, so ``FenwickTree``'s
-  float64 updates and running total are exact, and so is each
-  subtraction in its descent (an integer no larger than the remainder).
-  ``FenwickTree.sample(u * total)`` therefore returns the unique ``j``
-  with ``prefix(j) <= u * total < prefix(j + 1)``, where ``prefix(j)``
-  is the weight below ``j``; as prefix sums are integers, that ``j`` is
-  the same for ``floor(u * total)``. The C loop keeps the total as an
-  integer, rounds ``u * total`` to a double exactly as Python does,
-  and finds the same ``j`` from its floor with integer arithmetic in
-  its 8-ary tree;
-* the reference draws one uniform per placed edge. The C path draws
-  ``sum(d) // 2`` (an upper bound) up front, and if it placed fewer
-  edges it restores ``rng.bit_generator.state`` and redraws exactly
-  that many;
-* edges come back in placement order. When stubs are left over, the
-  adjacency sets are rebuilt by inserting those edges in order, which
-  reproduces the reference's sets, iteration order included, for the
-  swap repair that follows.
-
+``native.available()`` is true; :func:`_wire_python` is the reference,
+and the fallback when the library is gated off (``REPRO_NATIVE=0``) or
+cannot be built. The C loop draws each uniform through the generator's
+``bitgen_t`` (``next_double``, the call ``rng.random()`` makes), so the
+two consume the same stream draw for draw and are bit-identical: the
+same edge keys in the same order, the same residuals and the same RNG
+state afterwards, so golden values and simulated tables do not depend
+on which one ran. Validation, the Erdos-Gallai guard, swap repair, the
+Havel-Hakimi fallback and the ``generator.*`` counters are shared.
 ``tests/test_generators_native.py`` pins the identity, and
-``tests/test_residual_wire_boundaries.py`` pins it on draws that land
-exactly on, or just below, a prefix sum.
+``tests/test_residual_wire_boundaries.py`` pins it on the extreme
+draws ``0`` and ``1 - 2**-53`` and on draws landing exactly on a slot
+boundary ``k / S``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.fenwick import FenwickTree
 from repro.graphs.graph import Graph
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span
@@ -121,8 +118,8 @@ def residual_degree_model(degrees, rng: np.random.Generator,
     wired, each remaining stub picks a partner ``j`` with probability
     proportional to the partner's residual degree among the *allowed*
     candidates -- everyone except ``i`` and nodes already adjacent to
-    ``i``. Exclusion is implemented by temporarily zeroing those weights
-    in the sampling tree and restoring them after ``i`` is fully wired.
+    ``i``. Partners are drawn from a pool of open stubs and excluded
+    ones rejected (see the module docstring).
 
     If at some point no candidate remains while stubs are still open,
     the leftovers are resolved afterwards with degree-preserving
@@ -146,94 +143,116 @@ def residual_degree_model(degrees, rng: np.random.Generator,
                 "sample with ensure_graphical=True or repair it first")
     order = np.argsort(degrees)[::-1]
     wired = _wire_native(degrees, order, rng)
-    if wired is None:
-        edges, residual, adjacency = _wire_python(degrees, order, rng)
-    else:
-        edges, residual = wired
-        adjacency = None
+    keys, residual = (wired if wired is not None
+                      else _wire_python(degrees, order, rng))
     leftovers = _leftover_stubs(residual)
-    if leftovers:
-        if adjacency is None:
-            # the swap repair works on Python containers; inserting the
-            # edges in placement order reproduces the reference loop's
-            # sets exactly, iteration order included
-            edges = list(zip(*edges.T.tolist()))
-            adjacency = [set() for __ in range(n)]
-            for a, b in edges:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        if _metrics.is_enabled():
-            # stubs the residual process could not place directly;
-            # each is resolved by a degree-preserving swap below
-            _metrics.inc("generator.swap_repaired_stubs", len(leftovers))
-        try:
-            _swap_repair(leftovers, adjacency, edges, rng,
-                         max_swap_attempts)
-        except RuntimeError:
-            # pathological hub traps (every edge touches the stuck
-            # node's neighborhood) are rare but real for alpha near 1
-            # under linear truncation; fall back to a guaranteed
-            # construction: Havel-Hakimi + double-edge-swap mixing
-            _metrics.inc("generator.havel_hakimi_fallbacks")
-            return havel_hakimi_graph(degrees, rng)
+    if not leftovers:
+        keys.sort()
+        return Graph._from_keys(n, keys)
+    # the swap repair works on Python containers; inserting the edges
+    # in placement order fixes the sets' iteration order for either loop
+    lo, hi = np.divmod(keys, np.int64(n))
+    edges = list(zip(lo.tolist(), hi.tolist()))
+    adjacency: list[set] = [set() for __ in range(n)]
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    if _metrics.is_enabled():
+        # stubs the residual process could not place directly; each is
+        # resolved by a degree-preserving swap below
+        _metrics.inc("generator.swap_repaired_stubs", len(leftovers))
+    try:
+        _swap_repair(leftovers, adjacency, edges, rng, max_swap_attempts)
+    except RuntimeError:
+        # pathological hub traps (every edge touches the stuck node's
+        # neighborhood) are rare but real for alpha near 1 under linear
+        # truncation; fall back to a guaranteed construction:
+        # Havel-Hakimi + double-edge-swap mixing
+        _metrics.inc("generator.havel_hakimi_fallbacks")
+        return havel_hakimi_graph(degrees, rng)
     return Graph._from_keys(n, _sorted_keys(edges, n))
 
 
 def _wire_native(degrees: np.ndarray, order: np.ndarray,
                  rng: np.random.Generator):
-    """The wiring loop in C: ``(edges, residual)``, or None if gated.
-
-    Draws ``sum(degrees) // 2`` uniforms up front (an upper bound on
-    the edges the loop can place). The reference loop draws one per
-    placed edge, so when the C loop stops short the stream is rewound
-    and exactly ``used`` uniforms are drawn again, leaving ``rng`` where
-    the Python loop leaves it, for any bit generator.
-    """
+    """The wiring loop in C: ``(keys, residual)``, or None if gated."""
     from repro.engine import native  # lazy: engine imports graphs
     if not native.available():
         return None
-    half = int(degrees.sum()) // 2
-    state = rng.bit_generator.state
-    u = rng.random(half)
     residual = degrees.copy()
-    edges = native.residual_wire(order, residual, u)
-    if edges.shape[0] < half:
-        rng.bit_generator.state = state
-        rng.random(edges.shape[0])
-    return edges, residual
+    return native.residual_wire(order, residual, rng), residual
 
 
-def _wire_python(degrees: np.ndarray, order: np.ndarray,
-                 rng: np.random.Generator):
-    """The reference wiring loop: ``(edges, residual, adjacency)``."""
-    residual = degrees.astype(np.float64).copy()
-    tree = FenwickTree(residual)
-    adjacency: list[set] = [set() for __ in range(degrees.size)]
-    edges: list[tuple[int, int]] = []
-    for i in order:
-        i = int(i)
-        if residual[i] <= 0:
+#: Pool entry states in :func:`_wire_python` (``WIRE_*`` in the C loop).
+_FREE, _DEAD, _PICKED = 0, 1, 2
+
+
+def _wire_python(degrees: np.ndarray, order: np.ndarray, rng):
+    """The reference wiring loop: ``(keys, residual)``.
+
+    ``keys`` holds ``lo * n + hi`` per placed edge in placement order;
+    ``residual`` the stubs left unplaced. One ``rng.random()`` per draw.
+    """
+    n = degrees.size
+    res = degrees.tolist()
+    pool = np.repeat(np.arange(n), degrees).tolist()
+    size = len(pool)
+    state = bytearray(n)
+    pick_of = [0] * n
+    keys: list[int] = []
+    dead = 0  # dead entries in the range
+    for i in order.tolist():
+        if state[i] != _FREE:
             continue
-        # exclude i itself and current neighbors for the whole wiring run;
-        # excluded nodes have their tree weight zeroed and are restored to
-        # their (possibly updated) residual once i is fully wired
-        excluded: set[int] = {i}
-        _zero_weight(tree, i)
-        for j in adjacency[i]:
-            _zero_weight(tree, j)
-            excluded.add(j)
-        while residual[i] > 0:
-            total = tree.total
-            if total <= 1e-9:
+        state[i] = _DEAD
+        ri = res[i]
+        dead += ri
+        # picked: this run's partners; aside: their entries set aside;
+        # excluded: their entries in the range; settled: picks whose
+        # entries are all set aside
+        picked: list[int] = []
+        aside: list[int] = []
+        excluded = settled = 0
+        while ri > 0:
+            if 2 * (dead + excluded) > size:
+                kept = [v for v in pool[:size] if state[v] == _FREE]
+                for t in range(settled, len(picked)):
+                    aside[t] = res[picked[t]]
+                settled = len(picked)
+                size = len(kept)
+                pool[:size] = kept
+                dead = excluded = 0
+            if size == 0:
                 break  # stuck: repaired by swaps in the caller
-            j = tree.sample(rng.random() * total)
-            _add_edge(i, j, adjacency, edges, residual)
-            _zero_weight(tree, j)
-            excluded.add(j)
-        for node in excluded:
-            if residual[node] > 0:
-                tree.add(node, residual[node])
-    return edges, residual, adjacency
+            p = int(rng.random() * size)
+            if p >= size:
+                p = size - 1
+            j = pool[p]
+            size -= 1
+            pool[p] = pool[size]
+            sj = state[j]
+            if sj == _DEAD:
+                dead -= 1
+                continue
+            if sj == _PICKED:
+                aside[pick_of[j]] += 1
+                excluded -= 1
+                continue
+            keys.append(i * n + j if i < j else j * n + i)
+            ri -= 1
+            res[j] -= 1
+            excluded += res[j]
+            state[j] = _PICKED
+            pick_of[j] = len(picked)
+            picked.append(j)
+            aside.append(0)
+        res[i] = ri
+        # the picks rejoin the pool with the entries set aside
+        for j, count in zip(picked, aside):
+            pool[size:size + count] = [j] * count
+            size += count
+            state[j] = _FREE
+    return np.array(keys, dtype=np.int64), np.array(res, dtype=np.int64)
 
 
 def havel_hakimi_graph(degrees, rng: np.random.Generator | None = None,
@@ -318,30 +337,11 @@ def _sorted_keys(edges, n: int) -> np.ndarray:
     return keys
 
 
-def _zero_weight(tree: FenwickTree, node: int) -> None:
-    """Zero ``node``'s current weight in the sampling tree."""
-    current = tree.get(node)
-    if current > 0:
-        tree.add(node, -current)
-
-
-def _add_edge(i: int, j: int, adjacency: list, edges: list,
-              residual: np.ndarray) -> None:
-    adjacency[i].add(j)
-    adjacency[j].add(i)
-    edges.append((i, j) if i < j else (j, i))
-    residual[i] -= 1
-    residual[j] -= 1
-    # the tree weights of both endpoints are handled by the caller: i is
-    # excluded for its whole wiring run, j is zeroed right after this call
-    # and restored to its updated residual at the end of the run
-
-
 def _leftover_stubs(residual: np.ndarray) -> list[int]:
     """Expand positive residuals into a flat stub list."""
     stubs: list[int] = []
-    for node in np.flatnonzero(residual > 0.5):
-        stubs.extend([int(node)] * int(round(residual[node])))
+    for node in np.flatnonzero(residual):
+        stubs.extend([int(node)] * int(residual[node]))
     return stubs
 
 

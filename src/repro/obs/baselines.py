@@ -129,10 +129,10 @@ def load_baseline(path) -> Baseline:
 
 
 def _median_of(summary) -> float | None:
+    """A metric's median, or None where the side lacks the metric."""
     if isinstance(summary, dict):
-        value = summary.get("median")
-        return None if value is None else float(value)
-    return float(summary)
+        summary = summary.get("median")
+    return None if summary is None else float(summary)
 
 
 def _classify(kind: str, base: float, cur: float, rtol_time: float,

@@ -2,11 +2,13 @@
 
 :func:`repro.graphs.generators.residual_degree_model` runs its main
 wiring loop in C whenever the compiled library is available, and the
-Python loop otherwise. The port is bit-identical, not merely
-statistically equivalent: for the same degree sequence and seed both
-paths must return the same ``graph.edges`` array (in order), leave the
-generator's ``bit_generator.state`` in the same place, and publish the
-same ``generator.*`` counters -- including on sequences that end in
+Python loop otherwise. Both draw from the open-stub pool with the same
+uniforms -- the C loop calls the generator's ``bitgen_t`` where the
+reference calls ``rng.random()`` -- so the port is bit-identical, not
+merely statistically equivalent: for the same degree sequence and seed
+both paths must return the same ``graph.edges`` array (in order), leave
+the generator's ``bit_generator.state`` in the same place, and publish
+the same ``generator.*`` counters -- including on sequences that end in
 swap repair or in the Havel-Hakimi fallback. The Python reference is
 forced by monkeypatching ``native._lib`` away, as in
 ``test_native_engine.py``.
@@ -126,7 +128,7 @@ class TestBitIdentity:
         assert counts["generator.swap_repaired_stubs"] > 0
 
     def test_swap_repair_gets_boxed_native_edges(self, monkeypatch):
-        """Leftover stubs after the C loop send its edge array through
+        """Leftover stubs after the C loop send its edge keys through
         the boxing branch: swap repair receives the placement-order
         list of ``(a, b)`` int tuples."""
         seen = []
@@ -139,25 +141,24 @@ class TestBitIdentity:
         monkeypatch.setattr(gen, "_swap_repair", spy)
         degrees = np.full(8, 6)
         order = np.argsort(degrees)[::-1]
-        wired, __ = gen._wire_native(degrees, order,
-                                     np.random.default_rng(3))
+        keys, __ = gen._wire_native(degrees, order,
+                                    np.random.default_rng(3))
         _assert_identical(degrees, 3)
         (leftovers, boxed), __ = seen    # native run, then reference
         assert leftovers > 0
-        assert boxed == list(map(tuple, wired.tolist()))
+        assert boxed == [divmod(k, 8) for k in keys.tolist()]
         assert all(type(e) is tuple and type(e[0]) is type(e[1]) is int
                    for e in boxed)
 
     def test_placement_order_is_the_reference_order(self):
-        """Below the Graph: the wiring loops emit the same edge list."""
+        """Below the Graph: the wiring loops emit the same edge keys."""
         degrees = _star_plus_matching(40)
         order = np.argsort(degrees)[::-1]
         ref_rng, native_rng = (np.random.default_rng(5),
                                np.random.default_rng(5))
-        ref_edges, ref_residual, __ = gen._wire_python(
-            degrees, order, ref_rng)
-        edges, residual = gen._wire_native(degrees, order, native_rng)
-        assert edges.tolist() == [list(e) for e in ref_edges]
+        ref_keys, ref_residual = gen._wire_python(degrees, order, ref_rng)
+        keys, residual = gen._wire_native(degrees, order, native_rng)
+        np.testing.assert_array_equal(keys, ref_keys)
         np.testing.assert_array_equal(residual, ref_residual)
         assert native_rng.bit_generator.state == \
             ref_rng.bit_generator.state
@@ -172,7 +173,7 @@ class TestGating:
         degrees = np.array([3, 3, 2, 2, 2])
         order = np.argsort(degrees)[::-1]
         assert native.residual_wire(
-            order, degrees.copy(), np.zeros(6)) is None
+            order, degrees.copy(), np.random.default_rng(0)) is None
         assert gen._wire_native(
             degrees, order, np.random.default_rng(0)) is None
         graph = gen.residual_degree_model(degrees,
@@ -184,13 +185,15 @@ class TestGating:
     def test_rejects_arguments_the_c_loop_cannot_take(self):
         order = np.arange(4)
         ones = np.ones(4, dtype=np.int64)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="int64"):
-            native.residual_wire(order, np.ones(4), np.zeros(2))
+            native.residual_wire(order, np.ones(4), rng)
         with pytest.raises(ValueError, match="size of order"):
-            native.residual_wire(order, ones[:3].copy(), np.zeros(2))
+            native.residual_wire(order, ones[:3].copy(), rng)
         with pytest.raises(ValueError, match="index 0..n-1"):
-            native.residual_wire(order + 1, ones.copy(), np.zeros(2))
+            native.residual_wire(order + 1, ones.copy(), rng)
         with pytest.raises(ValueError, match="non-negative"):
-            native.residual_wire(order, -ones, np.zeros(2))
-        with pytest.raises(ValueError, match="draws"):
-            native.residual_wire(order, ones.copy(), np.zeros(1))
+            native.residual_wire(order, -ones, rng)
+        # nothing was drawn before the arguments were refused
+        assert rng.bit_generator.state == \
+            np.random.default_rng(0).bit_generator.state

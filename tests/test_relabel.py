@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import AscendingDegree, DescendingDegree, Graph, orient
 from repro.orientations import labels_from_rank_map
-from repro.orientations.relabel import degree_ranking
+from repro.orientations.relabel import degree_ranking, random_tie_ranking
 
 
 class TestDegreeRanking:
@@ -31,6 +31,36 @@ class TestDegreeRanking:
         degrees = np.array([3, -1, 3, 0, -1])
         np.testing.assert_array_equal(
             degree_ranking(degrees), np.argsort(degrees, kind="stable"))
+
+
+class TestRandomTieRanking:
+    """``random_tie_ranking`` is ``np.lexsort((jitter, degrees))``,
+    including when jitters tie (where lexsort falls back to vertex
+    ID)."""
+
+    @given(degrees=st.lists(st.integers(0, 6), min_size=1, max_size=200),
+           data=st.data(), pool=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_lexsort_with_tied_jitters(self, degrees, data, pool):
+        # jitters from a pool of at most 8 values: ties are the rule
+        values = data.draw(st.lists(
+            st.floats(0.0, 1.0, exclude_max=True), min_size=pool,
+            max_size=pool))
+        jitter = np.array(data.draw(st.lists(
+            st.sampled_from(values), min_size=len(degrees),
+            max_size=len(degrees))))
+        degrees = np.array(degrees, dtype=np.int64)
+        np.testing.assert_array_equal(
+            random_tie_ranking(degrees, jitter),
+            np.lexsort((jitter, degrees)))
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_equals_lexsort_on_uniform_jitter(self, n):
+        rng = np.random.default_rng(n)
+        degrees = rng.integers(0, 20, n)
+        jitter = rng.random(n)
+        np.testing.assert_array_equal(random_tie_ranking(degrees, jitter),
+                                      np.lexsort((jitter, degrees)))
 
 
 class TestLabelsFromRankMap:

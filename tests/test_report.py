@@ -223,6 +223,24 @@ class TestCompare:
         assert any(d.classification == "missing" for d in deltas)
         assert not baselines.has_regressions(deltas)
 
+    def test_metric_on_one_side_of_a_shared_cell(self):
+        """A counter that only one side of a cell published (as
+        ``generator.swap_repaired_stubs`` does when a stream first
+        reaches swap repair) is added or missing, not a crash."""
+        now = make_record()
+        now.metrics["counters"]["generator.swap_repaired_stubs"] = 4
+        deltas = baselines.compare([now], self._baseline())
+        (added,) = [d for d in deltas
+                    if d.metric == "generator.swap_repaired_stubs"]
+        assert added.classification == "added"
+        assert (added.baseline, added.current) == (None, 4.0)
+        deltas = baselines.compare([make_record()],
+                                   baselines.build_baseline([now]))
+        (missing,) = [d for d in deltas
+                      if d.metric == "generator.swap_repaired_stubs"]
+        assert missing.classification == "missing"
+        assert not baselines.has_regressions(deltas)
+
     def test_unknown_benches_ignored(self):
         deltas = baselines.compare(
             [make_record(), make_record(name="unrelated")],

@@ -5,18 +5,22 @@ standalone executable with ``-fsanitize=address,undefined
 -fno-sanitize-recover=all``, so no ``LD_PRELOAD`` into the Python
 process and no build-flag switch in the library is needed. The
 ``main`` wires stars, regular sequences and heavy-tailed sequences at
-sizes on both sides of each tree-level boundary (8, 64 and 512
-leaves), with random uniforms and with the extreme draws ``0`` and
-``1 - 2**-53``. It checks each result -- ordered pairs in range, no
-duplicate, every placed stub accounted for -- and the ``n >= 2**32``
-rejection.
+sizes on both sides of 8, 64 and 512, drawing through a stub
+``bitgen_t`` that supplies random uniforms, all ``0`` or all
+``1 - 2**-53`` (constant draws must still end every run, since each
+draw takes an entry out of the pool). It checks each result -- keys
+``lo * n + hi`` with ``lo < hi`` in range, no duplicate, every placed
+stub accounted for -- and the ``n >= 2**32`` rejection.
 
 It then runs the three kernels that read a graph's sorted edge keys
 ``lo * n + hi`` -- the CSR-from-keys pass, the key-walking orientation
 sums and the oriented CSR from keys -- on ``n = 0``, ``m = 0``, a star,
 a clique and random graphs. It checks that every CSR row is sorted, in
 range and symmetric, and that the sums under the identity and the
-reversed label map are the ones the CSR implies. Under the identity,
+reversed label map are the ones the CSR implies. The smallest-last
+bucket queue runs on each symmetric CSR: its order must delete a vertex
+of minimum remaining degree at every step and its return value must be
+the degeneracy; on an asymmetric CSR it must return ``-2``. Under the identity,
 the reversed and a random label map it checks that every oriented row
 is sorted and in range, that out and in are transposes of each other
 and that every oriented edge is an edge of the keys.
@@ -83,36 +87,45 @@ static int by_value(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* Wire deg[0..n) with the given draw mode (0 random, 1 all zero,
- * 2 all 1 - 2^-53) and check the result; returns 0 when it holds. */
+/* A stub bitgen_t: next_double hands out the uniforms of wire_mode
+ * (0 random, 1 all zero, 2 all 1 - 2^-53) */
+static int wire_mode;
+
+static double stub_double(void *state)
+{
+    (void)state;
+    return wire_mode == 0 ? uniform()
+           : wire_mode == 1 ? 0.0 : 1.0 - 0x1.0p-53;
+}
+
+static bitgen_t stub_rng = {0, 0, 0, stub_double, 0};
+
+/* Wire deg[0..n) with the given draw mode and check the result;
+ * returns 0 when it holds. */
 static int wire(const char *name, int64_t n, const int64_t *deg, int mode)
 {
     int64_t sum = 0;
     for (int64_t v = 0; v < n; v++)
         sum += deg[v];
-    const int64_t nu = sum / 2;
+    const int64_t half = sum / 2;
     int64_t *order = malloc((size_t)(n + 1) * sizeof(int64_t));
     int64_t *residual = malloc((size_t)(n + 1) * sizeof(int64_t));
     int64_t *placed_at = calloc((size_t)(n + 1), sizeof(int64_t));
-    double *u = malloc((size_t)(nu + 1) * sizeof(double));
-    int64_t *edges = malloc((size_t)(2 * nu + 2) * sizeof(int64_t));
-    int64_t *keys = malloc((size_t)(nu + 1) * sizeof(int64_t));
+    int64_t *keys = malloc((size_t)(half + 1) * sizeof(int64_t));
     for (int64_t v = 0; v < n; v++) {
         order[v] = v;
         residual[v] = deg[v];
     }
     sort_deg = deg;
     qsort(order, (size_t)n, sizeof(int64_t), by_degree_desc);
-    for (int64_t k = 0; k < nu; k++)
-        u[k] = mode == 0 ? uniform() : mode == 1 ? 0.0 : 1.0 - 0x1.0p-53;
-    const int64_t used = repro_residual_wire(n, order, residual, u, nu,
-                                             edges);
-    int bad = used < 0 || used > nu;
+    wire_mode = mode;
+    const int64_t used = repro_residual_wire(n, order, residual, &stub_rng,
+                                             keys);
+    int bad = used < 0 || used > half;
     for (int64_t k = 0; !bad && k < used; k++) {
-        const int64_t a = edges[2 * k], b = edges[2 * k + 1];
+        const int64_t a = keys[k] / n, b = keys[k] % n;
         bad = !(0 <= a && a < b && b < n);
         if (!bad) {
-            keys[k] = a * n + b;
             placed_at[a]++;
             placed_at[b]++;
         }
@@ -130,9 +143,49 @@ static int wire(const char *name, int64_t n, const int64_t *deg, int mode)
     free(order);
     free(residual);
     free(placed_at);
-    free(u);
-    free(edges);
     free(keys);
+    return bad;
+}
+
+/* repro_smallest_last on one symmetric CSR: order must be a
+ * permutation that deletes a vertex of minimum remaining degree at
+ * every step, and the return value the largest degree so deleted.
+ * Returns 0 when that holds. */
+static int smallest(const char *name, int64_t n, const int64_t *indptr,
+                    const int64_t *indices, const int64_t *deg)
+{
+    int64_t *order = malloc((size_t)(n + 1) * sizeof(int64_t));
+    uint8_t *gone = calloc((size_t)n + 1, 1);
+    const int64_t k = repro_smallest_last(n, indptr, indices, deg, order);
+    int bad = k < 0;
+    int64_t worst = 0;
+    for (int64_t t = 0; !bad && t < n; t++) {
+        const int64_t v = order[t];
+        bad = v < 0 || v >= n || gone[v];
+        int64_t low = INT64_MAX, at_v = 0;
+        for (int64_t u = 0; !bad && u < n; u++) {
+            if (gone[u])
+                continue;
+            int64_t d = 0;
+            for (int64_t i = indptr[u]; i < indptr[u + 1]; i++)
+                d += !gone[indices[i]];
+            if (d < low)
+                low = d;
+            if (u == v)
+                at_v = d;
+        }
+        bad = bad || at_v != low;
+        if (at_v > worst)
+            worst = at_v;
+        if (!bad)
+            gone[v] = 1;
+    }
+    bad = bad || k != worst;
+    if (bad)
+        fprintf(stderr, "FAIL smallest-last %s n=%lld k=%lld\n", name,
+                (long long)n, (long long)k);
+    free(order);
+    free(gone);
     return bad;
 }
 
@@ -327,6 +380,8 @@ static int keyed(const char *name, int64_t n, int64_t m,
     const int64_t sum = repro_oriented_sums(n, m, keys, deg, 2, labels,
                                             sums);
     bad |= csr != expect || sum != expect;
+    if (!bad && !expect)
+        bad = smallest(name, n, indptr, indices, deg);
     /* under the identity map each edge points from its larger end, so
      * X[v] counts the neighbours below v; the reversed map swaps X, Y */
     int64_t t[3] = {0, 0, 0};
@@ -479,11 +534,18 @@ int main(void)
         free(deg);
     }
     /* n >= 2^32 is rejected before any array is read */
-    int64_t one = 1, edge[2] = {-7, -7};
-    double u0 = 0.0;
-    if (repro_residual_wire((int64_t)1 << 32, &one, &one, &u0, 1, edge)
-            != -3 || one != 1 || edge[0] != -7) {
+    int64_t one = 1, key = -7;
+    if (repro_residual_wire((int64_t)1 << 32, &one, &one, &stub_rng, &key)
+            != -3 || one != 1 || key != -7) {
         fprintf(stderr, "FAIL n >= 2^32 guard\n");
+        failures++;
+    }
+    /* an asymmetric CSR: 0 lists 1 twice, 1 does not list 0; deleting
+     * 0 takes 1 below degree 0 */
+    int64_t ptr[4] = {0, 2, 3, 4}, idx[4] = {1, 1, 2, 0};
+    int64_t asym_deg[3] = {2, 1, 1}, asym_order[3];
+    if (repro_smallest_last(3, ptr, idx, asym_deg, asym_order) != -2) {
+        fprintf(stderr, "FAIL smallest-last asymmetric\n");
         failures++;
     }
     failures += keyed_cases();
