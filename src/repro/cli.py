@@ -22,7 +22,6 @@ Subcommands::
     repro export     recorded runs -> Chrome trace JSON / flame stacks
                      (trace | flame)
     repro top        live terminal view of a telemetry event stream
-    repro serve-metrics  Prometheus-text scrape endpoint
 
 Every subcommand accepts ``--trace`` (print the span tree and metric
 counters after the run; add ``--trace-memory`` for tracemalloc peaks).
@@ -892,54 +891,6 @@ def cmd_top(args) -> int:
         return 0
 
 
-def cmd_serve_metrics(args) -> int:
-    """``repro serve-metrics``: Prometheus-text scrape endpoint.
-
-    Serves ``GET /metrics`` in text exposition format. By default the
-    gauges/counters come from this process's registry (useful when
-    embedding); with ``--events PATH`` every scrape re-reads the live
-    event stream another process is writing, so the endpoint can sit
-    next to a running sweep. ``--once`` serves exactly one request and
-    exits (the CI smoke mode).
-    """
-    from repro.obs import jsonl
-    from repro.obs import live as obs_live
-    render = None
-    if args.events:
-        events_path = args.events
-
-        def render():
-            state = obs_live.LiveState()
-            try:
-                events = jsonl.read(events_path, follow=True)[0]
-            except OSError:
-                events = []
-            state.update_many(events)
-            return obs_live.render_prometheus(
-                extra_gauges=state.to_gauges())
-
-    server = obs_live.MetricsServer(port=args.port, host=args.host,
-                                    render=render)
-    if args.once:
-        port = server.bind_plain()
-        print(f"serving one scrape on http://{args.host}:{port}/metrics",
-              flush=True)
-        server.handle_one_request()
-        server.stop()
-        return 0
-    port = server.start()
-    print(f"serving Prometheus metrics on "
-          f"http://{args.host}:{port}/metrics (Ctrl-C to stop)",
-          flush=True)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    server.stop()
-    return 0
-
-
 def _package_version() -> str:
     """Installed package version, falling back to the module constant."""
     try:
@@ -1368,21 +1319,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "exit non-zero on malformed events")
     p.set_defaults(func=cmd_top)
 
-    p = add_parser("serve-metrics",
-                   help="Prometheus-text scrape endpoint "
-                        "(GET /metrics)")
-    p.add_argument("--port", type=int, default=9464,
-                   help="port to bind (0 = ephemeral; default 9464)")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="address to bind (default 127.0.0.1)")
-    p.add_argument("--events", default=None, metavar="PATH",
-                   help="derive gauges from this live event stream "
-                        "(default: this process's metric registry)")
-    p.add_argument("--once", action="store_true",
-                   help="serve exactly one request and exit (CI smoke "
-                        "mode)")
-    p.set_defaults(func=cmd_serve_metrics)
-
     p = add_parser("profile",
                    help="phase-time breakdown over a method/order grid")
     p.add_argument("--graph", default=None,
@@ -1457,9 +1393,8 @@ def main(argv=None) -> int:
     else:
         trace = obs.enable_from_env()
     # REPRO_LIVE=1 starts the live runtime (sampler, event bus sinks,
-    # span phase hook, optional metrics endpoint) around the command.
-    live_on = (args.func not in (cmd_top, cmd_serve_metrics)
-               and obs.live.enable_from_env())
+    # span phase hook) around the command.
+    live_on = args.func is not cmd_top and obs.live.enable_from_env()
     try:
         rc = args.func(args)
     finally:

@@ -46,15 +46,29 @@ DEFAULT_CALIBRATION_MAX_AGE_S = 30 * 24 * 3600.0
 MAX_STORE_ENTRIES = 32
 
 
+def _timed_rounds(fns, repeats: int = 1):
+    """Best-of-``repeats`` wall-clock of each of ``fns``, interleaved.
+
+    Each round calls every function once, in order, so a burst of load
+    on a shared host lands on every side of a comparison instead of on
+    whichever one was being timed at that moment; each side keeps its
+    best round. Returns ``(results, best_seconds)`` as lists.
+    """
+    results = [None] * len(fns)
+    best = [float("inf")] * len(fns)
+    for _ in range(max(1, repeats)):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            results[i] = fn()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return results, best
+
+
 def _timed(fn, repeats: int = 1):
     """Best-of-``repeats`` wall-clock (single-shot timings at small
     ``n`` are dominated by scheduler noise, which would make the
     bench's speedup gates flaky)."""
-    result, best = None, float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
+    (result,), (best,) = _timed_rounds([fn], repeats)
     return result, best
 
 
@@ -262,7 +276,8 @@ def native_compare(oriented, methods=DEFAULT_METHODS,
 
     Returns ``(text, data)``: a rendered side-by-side table and the
     machine-readable dict described in the module docstring. Each
-    timing is the best of ``repeats`` runs. The native columns are
+    timing is the best of ``repeats`` runs; per method, the pure-NumPy
+    and native runs alternate. The native columns are
     ``None``-valued (and rendered as ``--``) when the compiled kernels
     are unavailable; the comparison itself never requires them.
     """
@@ -298,16 +313,17 @@ def native_compare(oriented, methods=DEFAULT_METHODS,
     for method in methods:
         py, t_py = _timed(lambda: list_triangles(
             oriented, method, collect=False, engine="python"))
-        pure, t_np = _timed(lambda: run_numpy(
-            oriented, method, collect=False, use_native=False),
-            repeats)
-        assert py.count == pure.count, method
-        t_nat = None
-        if have_native:
-            nat, t_nat = _timed(lambda: run_numpy(
-                oriented, method, collect=False, use_native=True),
-                repeats)
-            assert nat.count == py.count, method
+        # NumPy and native alternate round by round, so a burst of
+        # load on a shared host hits both sides of the ratio the
+        # throughput bench gates on
+        engines = [False, True] if have_native else [False]
+        results, times = _timed_rounds(
+            [lambda use=use: run_numpy(oriented, method, collect=False,
+                                       use_native=use)
+             for use in engines], repeats)
+        assert all(r.count == py.count for r in results), method
+        t_np = times[0]
+        t_nat = times[1] if have_native else None
         rows.append((method, py.ops, py.count, t_py, t_np, t_nat))
 
     header = (f"Engine throughput (n={oriented.n}, m={oriented.m}, "

@@ -19,8 +19,7 @@ near-free when disabled:
 * :mod:`repro.obs.bus` + :mod:`repro.obs.live` -- the live-telemetry
   runtime (``REPRO_LIVE=1``): a pub/sub event bus, a background
   resource sampler, model-ops progress/ETA events, worker heartbeats
-  with a stall watchdog, and the ``repro top`` /
-  ``repro serve-metrics`` read surface.
+  with a stall watchdog, and the ``repro top`` read surface.
 * :mod:`repro.obs.audit` -- the model-conformance audit layer
   (``REPRO_AUDIT=1``): per-decision predicted-vs-actual records for
   every auto-routed planner pick, realized regret, misplan diagnosis,

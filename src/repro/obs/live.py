@@ -8,11 +8,10 @@ through the :mod:`repro.obs.bus` event bus:
 
 * :class:`ResourceSampler` -- a background daemon thread that
   periodically snapshots RSS / CPU time / GC counts / thread count
-  (``/proc/self`` + :mod:`resource`, no psutil) into a ring buffer,
-  publishes each sample as a ``resource.sample`` event, and mirrors
-  the latest values into ``live.*`` gauges. The series rides into run
-  records (:func:`repro.obs.records.collect`) and a compact summary is
-  attached to closing top-level spans.
+  (``/proc/self`` + :mod:`resource`, no psutil) into a ring buffer and
+  publishes each sample as a ``resource.sample`` event. The series
+  rides into run records (:func:`repro.obs.records.collect`) and a
+  compact summary is attached to closing top-level spans.
 * :class:`Progress` -- tracks one workload against a *model-predicted
   op budget* (the paper's E[cost] per cell makes the total work known
   up front), emitting ``progress`` events whose ``frac``/``eta_s``
@@ -24,11 +23,9 @@ through the :mod:`repro.obs.bus` event bus:
   ``worker.stalled`` event, a structured WARNING, and the
   ``live.stalled_workers`` counter -- keeping the last task context
   per worker.
-* the read surface -- :func:`render_prometheus` /
-  :class:`MetricsServer` expose Prometheus-text gauges and counters
-  over a tiny :mod:`http.server` thread (``repro serve-metrics``), and
-  :class:`LiveState` + :func:`render_status` fold an event stream into
-  the in-place terminal view of ``repro top``.
+* the read surface -- :class:`LiveState` + :func:`render_status` fold
+  an event stream into the in-place terminal view of ``repro top``
+  (or its ``--once --json`` dump).
 
 The runtime is **off by default** (``REPRO_LIVE`` unset): every hook
 in the engine, harness, and scheduler guards on one module-global
@@ -39,11 +36,9 @@ from __future__ import annotations
 
 import collections
 import gc
-import http.server
 import logging
 import math
 import os
-import re
 import threading
 import time
 
@@ -56,7 +51,6 @@ __all__ = [
     "DEFAULT_INTERVAL_S",
     "HeartbeatWatchdog",
     "LiveState",
-    "MetricsServer",
     "Progress",
     "ResourceSampler",
     "disable",
@@ -65,7 +59,6 @@ __all__ = [
     "is_enabled",
     "live_interval",
     "post_heartbeat",
-    "render_prometheus",
     "render_status",
     "sample_resources",
     "sampler_series",
@@ -168,10 +161,8 @@ class ResourceSampler:
     """Daemon thread snapshotting process resources into a ring buffer.
 
     Every ``interval_s`` it takes :func:`sample_resources`, appends the
-    sample (plus a wall-clock ``ts``) to the ring, publishes it as a
-    ``resource.sample`` bus event, and mirrors the latest values into
-    ``live.rss_bytes`` / ``live.cpu_user_s`` / ... gauges (no-ops while
-    metrics are disabled).
+    sample (plus a wall-clock ``ts``) to the ring, and publishes it as a
+    ``resource.sample`` bus event.
     """
 
     def __init__(self, interval_s: float | None = None,
@@ -196,12 +187,6 @@ class ResourceSampler:
             self._ring.append(sample)
         _bus.emit("resource.sample",
                   **{k: v for k, v in sample.items() if k != "ts"})
-        _metrics.set_gauge("live.rss_bytes", sample["rss_bytes"])
-        _metrics.set_gauge("live.rss_peak_bytes",
-                           sample["rss_peak_bytes"])
-        _metrics.set_gauge("live.cpu_user_s", sample["cpu_user_s"])
-        _metrics.set_gauge("live.cpu_system_s", sample["cpu_system_s"])
-        _metrics.set_gauge("live.threads", sample["threads"])
         if self.watchdog.armed:
             self.watchdog.observe(sample["rss_bytes"])
         return sample
@@ -343,9 +328,6 @@ class Progress:
         eta = self.eta_s()
         if eta is not None:
             fields["eta_s"] = eta
-        _metrics.set_gauge(f"live.progress.{self.scope}", frac)
-        if eta is not None:
-            _metrics.set_gauge(f"live.eta_s.{self.scope}", eta)
         return _bus.emit("progress", **fields)
 
 
@@ -468,142 +450,6 @@ class HeartbeatWatchdog:
                     for pid, state in self.workers.items()}
 
 
-# ------------------------------------------------- Prometheus read surface
-
-_PROM_BAD = re.compile(r"[^a-zA-Z0-9_]")
-
-
-def _prom_name(name: str) -> str:
-    metric = _PROM_BAD.sub("_", name)
-    if not metric.startswith("repro_"):
-        metric = "repro_" + metric
-    return metric
-
-
-def render_prometheus(snapshot: dict | None = None,
-                      extra_gauges: dict | None = None) -> str:
-    """Prometheus text exposition (0.0.4) of a metrics snapshot.
-
-    Counters map to ``counter``, gauges to ``gauge``, histograms to
-    ``summary`` (quantile labels + ``_sum`` / ``_count``).
-    ``extra_gauges`` lets the server fold in gauges derived elsewhere
-    (the ``repro top`` state of an events file).
-    """
-    snapshot = snapshot if snapshot is not None else _metrics.snapshot()
-    lines: list[str] = []
-    for name in sorted(snapshot.get("counters", {})):
-        metric = _prom_name(name) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {float(snapshot['counters'][name]):g}")
-    gauges = dict(snapshot.get("gauges", {}))
-    gauges.update(extra_gauges or {})
-    for name in sorted(gauges):
-        metric = _prom_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {float(gauges[name]):g}")
-    for name in sorted(snapshot.get("histograms", {})):
-        summary = snapshot["histograms"][name]
-        metric = _prom_name(name)
-        lines.append(f"# TYPE {metric} summary")
-        for q_key, q_label in (("p50", "0.5"), ("p95", "0.95"),
-                               ("p99", "0.99")):
-            if isinstance(summary.get(q_key), (int, float)):
-                lines.append(f'{metric}{{quantile="{q_label}"}} '
-                             f"{float(summary[q_key]):g}")
-        lines.append(f"{metric}_sum {float(summary.get('sum', 0.0)):g}")
-        lines.append(f"{metric}_count {int(summary.get('count', 0))}")
-    return "\n".join(lines) + "\n"
-
-
-class MetricsServer:
-    """Tiny scrape endpoint: ``GET /metrics`` -> Prometheus text.
-
-    Runs a :class:`http.server.ThreadingHTTPServer` on a daemon thread;
-    ``render`` is called per scrape (default: the process registry plus
-    the live sampler gauges), so the endpoint always reflects the
-    current state. ``port=0`` binds an ephemeral port -- read it back
-    from :attr:`port` after :meth:`start`.
-    """
-
-    def __init__(self, port: int = 0, host: str = "127.0.0.1",
-                 render=None):
-        self.host = host
-        self.port = port
-        self.render = render or render_prometheus
-        self._httpd: http.server.ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-
-    def _handler(self):
-        """Request handler class bound to this server's ``render``."""
-        server = self
-
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 - http.server API
-                if self.path not in ("/", "/metrics"):
-                    self.send_error(404)
-                    return
-                try:
-                    body = server.render().encode("utf-8")
-                except Exception as exc:  # pragma: no cover
-                    self.send_error(500, str(exc))
-                    return
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type",
-                    "text/plain; version=0.0.4; charset=utf-8")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):  # silence per-scrape stderr
-                pass
-
-        return Handler
-
-    def start(self) -> int:
-        """Bind + serve in the background; returns the bound port."""
-        self._httpd = http.server.ThreadingHTTPServer(
-            (self.host, self.port), self._handler())
-        self._httpd.daemon_threads = True
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-live-metrics", daemon=True)
-        self._thread.start()
-        return self.port
-
-    def bind_plain(self) -> int:
-        """Bind a single-threaded server without serving; returns port.
-
-        The ``repro serve-metrics --once`` path: bind (so the scraper
-        can't race the listener), announce the port, then block in
-        :meth:`handle_one_request`.
-        """
-        self._httpd = http.server.HTTPServer(
-            (self.host, self.port), self._handler())
-        self.port = self._httpd.server_address[1]
-        return self.port
-
-    def handle_one_request(self) -> None:
-        """Serve exactly one request on the calling thread (CI mode)."""
-        if self._httpd is None:
-            self.bind_plain()
-        self._httpd.handle_request()
-
-    def stop(self) -> None:
-        """Shut the server down and release the socket."""
-        if self._httpd is not None:
-            if self._thread is not None:
-                # shutdown() handshakes with serve_forever -- it would
-                # block forever on a bind_plain()-only server.
-                self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-
 # ----------------------------------------------------- event-stream state
 
 class LiveState:
@@ -612,8 +458,7 @@ class LiveState:
     Feed events (dicts) through :meth:`update`; the state keeps the
     latest resource sample, the latest progress per ``(scope, label)``,
     the current phase stack, and a per-worker liveness table --
-    everything ``repro top`` renders and ``repro serve-metrics
-    --events`` exports as gauges.
+    everything ``repro top`` renders.
     """
 
     def __init__(self):
@@ -678,59 +523,13 @@ class LiveState:
         for event in events:
             self.update(event)
 
-    def to_gauges(self) -> dict[str, float]:
-        """Gauge view of the state (the ``--events`` scrape surface)."""
-        out: dict[str, float] = {"live.events": float(self.events)}
-        if self.resources:
-            for key in ("rss_bytes", "rss_peak_bytes", "cpu_user_s",
-                        "cpu_system_s", "threads"):
-                if isinstance(self.resources.get(key), (int, float)):
-                    out[f"live.{key}"] = float(self.resources[key])
-        # memory gauges appear only once a mem.* event was seen, so
-        # streams from budget-free runs export exactly as before
-        if self.memory is not None:
-            for key in ("budget_bytes", "rss_bytes",
-                        "attributed_bytes"):
-                if isinstance(self.memory.get(key), (int, float)):
-                    out[f"mem.{key}"] = float(self.memory[key])
-            frac = self.memory.get("frac")
-            budget = self.memory.get("budget_bytes")
-            if isinstance(frac, (int, float)):
-                out["mem.pressure"] = float(frac)
-            elif isinstance(budget, (int, float)) and budget > 0:
-                out["mem.pressure"] = float(
-                    self.memory.get("rss_bytes", 0)) / budget
-            out["mem.breaches"] = float(self.breaches)
-        for (scope, __), event in self.progress.items():
-            if isinstance(event.get("frac"), (int, float)):
-                out[f"live.progress.{scope}"] = float(event["frac"])
-            if isinstance(event.get("eta_s"), (int, float)):
-                out[f"live.eta_s.{scope}"] = float(event["eta_s"])
-        out["live.workers"] = float(len(self.workers))
-        out["live.workers_stalled"] = float(
-            sum(1 for w in self.workers.values() if w.get("stalled")))
-        if self.planner is not None:
-            conf = self.planner.get("confidence")
-            if isinstance(conf, (int, float)):
-                out["live.planner_confidence"] = float(conf)
-            regret = self.planner.get("regret")
-            if isinstance(regret, (int, float)) and \
-                    math.isfinite(regret):
-                out["live.planner_regret"] = float(regret)
-        out["live.planner_misplans"] = float(self.misplans)
-        if self.drift is not None and isinstance(
-                self.drift.get("factor"), (int, float)):
-            out["live.planner_drift_factor"] = float(
-                self.drift["factor"])
-        return out
-
     def to_dict(self) -> dict:
         """JSON-ready snapshot of the whole state.
 
         The ``repro top --once --json`` payload: everything
         :func:`render_status` shows (phases, progress, resources,
-        workers, planner, memory) plus the gauge view, so CI and
-        scripts consume the live status without screen-scraping.
+        workers, planner, memory), so CI and scripts consume the live
+        status without screen-scraping.
         """
         return {
             "events": self.events,
@@ -749,7 +548,6 @@ class LiveState:
             "drift": dict(self.drift) if self.drift else None,
             "memory": dict(self.memory) if self.memory else None,
             "breaches": self.breaches,
-            "gauges": self.to_gauges(),
         }
 
 

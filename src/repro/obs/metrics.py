@@ -31,7 +31,6 @@ __all__ = [
     "is_enabled",
     "merge_counters",
     "observe",
-    "prometheus",
     "registry",
     "reset",
     "set_gauge",
@@ -243,17 +242,6 @@ def counter(name: str) -> float:
 def snapshot() -> dict:
     """Snapshot the registry (works regardless of the enabled flag)."""
     return _registry.snapshot()
-
-
-def prometheus() -> str:
-    """Registry snapshot in Prometheus text exposition format.
-
-    The scrape surface of ``repro serve-metrics``; rendering lives in
-    :func:`repro.obs.live.render_prometheus` (lazy import -- the
-    registry stays dependency-free).
-    """
-    from repro.obs.live import render_prometheus
-    return render_prometheus(snapshot())
 
 
 def reset() -> None:

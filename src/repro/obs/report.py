@@ -47,6 +47,11 @@ __all__ = [
 #: Metric-name suffixes that mark a wall-clock (noisy) measurement.
 _TIME_SUFFIXES = ("wall_ms", "_ms", "_ns", "ns_per_edge", "_seconds")
 
+#: Gauges derived from wall-clock time whose names carry no time
+#: suffix (the pool's busy/idle split and its worker imbalance).
+_TIME_GAUGES = frozenset({"parallel.busy_share", "parallel.idle_share",
+                          "parallel.imbalance_ratio"})
+
 
 def median(values) -> float:
     """Median of a non-empty sequence (no numpy needed)."""
@@ -85,7 +90,8 @@ def metric_kind(name: str) -> str:
       costs); deterministic for a fixed seed, so *any* drift beyond a
       tiny tolerance is a semantic change.
     """
-    if name.endswith(_TIME_SUFFIXES) or name == "time":
+    if (name.endswith(_TIME_SUFFIXES) or name == "time"
+            or name in _TIME_GAUGES):
         return "time"
     if name == "error" or name.endswith((".error", "_error")):
         return "error"

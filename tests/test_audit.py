@@ -667,10 +667,11 @@ class TestLivePlannerLine:
         assert state.misplans == 1
         state.update({"type": "planner.drift", "assumed": 94.8,
                       "calibrated": 2.0, "factor": 47.4, "ts": 3.0})
-        gauges = state.to_gauges()
-        assert gauges["live.planner_misplans"] == 1.0
-        assert gauges["live.planner_regret"] == pytest.approx(0.5)
-        assert gauges["live.planner_drift_factor"] == pytest.approx(47.4)
+        assert state.planner["regret"] == pytest.approx(0.5)
+        assert state.drift["factor"] == pytest.approx(47.4)
+        data = state.to_dict()
+        assert data["misplans"] == 1
+        assert data["planner"]["picked"] == "T1+D"
 
     def test_render_with_and_without_planner(self):
         empty = live.render_status(live.LiveState())

@@ -234,7 +234,7 @@ class TestCliObservability:
 
 
 class TestCliLive:
-    """``repro top`` / ``repro serve-metrics`` and the live env knobs."""
+    """``repro top`` and the live env knobs."""
 
     @pytest.fixture(autouse=True)
     def clean_live(self):
@@ -293,38 +293,23 @@ class TestCliLive:
         assert "50.0%" in out
         assert "pid 42" in out
 
-    def test_serve_metrics_once_scrapes(self, tmp_path, capsys):
-        import threading
-        import urllib.request
+    def test_top_once_json_dumps_state(self, tmp_path, capsys):
+        import json
         path = self._write_stream(tmp_path)
-        result = {}
-
-        def serve():
-            result["rc"] = main(["serve-metrics", "--port", "0",
-                                 "--events", str(path), "--once"])
-
-        thread = threading.Thread(target=serve, daemon=True)
-        # capsys can't capture across threads reliably; read the
-        # announced port by polling the captured stdout instead.
-        thread.start()
-        port = None
-        for __ in range(100):
-            out = capsys.readouterr().out
-            if "metrics" in out:
-                port = int(out.split(":")[-1].split("/")[0])
-                break
-            threading.Event().wait(0.05)
-        assert port is not None, "server never announced its port"
-        with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/metrics", timeout=5) as rsp:
-            assert rsp.status == 200
-            assert "0.0.4" in rsp.headers["Content-Type"]
-            body = rsp.read().decode()
-        thread.join(timeout=5)
-        assert result["rc"] == 0
-        assert "repro_live_events 3" in body
-        assert "repro_live_progress_cell 0.5" in body
-        assert "repro_live_workers 1" in body
+        assert main(["top", "--events", str(path), "--once",
+                     "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["events"] == 3
+        assert data["last_ts"] == 3.0
+        assert data["phases"] == ["table"]
+        (progress,) = data["progress"]
+        assert progress["frac"] == 0.5
+        assert progress["label"] == "cell n=200 T1"
+        assert data["workers"] == {
+            "42": {"last_ts": 3.0, "task": "seq 0 n=200 T1",
+                   "stalled": False}}
+        assert data["resources"] is None
+        assert "gauges" not in data
 
     def test_live_env_wraps_command(self, tmp_path, monkeypatch, capsys):
         from repro.obs import bus, jsonl

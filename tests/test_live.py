@@ -1,10 +1,9 @@
 """Tests for the live telemetry runtime (bus, sampler, progress,
-heartbeats, Prometheus surface) and its end-to-end acceptance story."""
+heartbeats, ``repro top`` state) and its end-to-end acceptance story."""
 
 import logging
 import queue
 import threading
-import urllib.request
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ import pytest
 from repro import DescendingDegree, DiscretePareto, obs
 from repro.distributions import root_truncation
 from repro.experiments.harness import SimulationSpec, sweep_n
-from repro.obs import bus, jsonl, live, metrics, records
+from repro.obs import bus, jsonl, live, records
 
 
 @pytest.fixture(autouse=True)
@@ -284,61 +283,6 @@ class TestHeartbeats:
         assert state["last_task"] == "late beat"
 
 
-class TestPrometheus:
-    def test_render_counters_gauges_histograms(self):
-        metrics.enable()
-        metrics.inc("lister.ops", 42)
-        metrics.set_gauge("parallel.workers", 4)
-        for ms in (1.0, 2.0, 3.0):
-            metrics.observe("parallel.task_ms", ms)
-        text = live.render_prometheus()
-        assert "# TYPE repro_lister_ops_total counter" in text
-        assert "repro_lister_ops_total 42" in text
-        assert "repro_parallel_workers 4" in text
-        assert 'repro_parallel_task_ms{quantile="0.5"} 2' in text
-        assert "repro_parallel_task_ms_sum 6" in text
-        assert "repro_parallel_task_ms_count 3" in text
-        assert text.endswith("\n")
-
-    def test_name_sanitization_and_extra_gauges(self):
-        text = live.render_prometheus(
-            {"counters": {}, "gauges": {}, "histograms": {}},
-            extra_gauges={"live.progress.cell": 0.5})
-        assert "repro_live_progress_cell 0.5" in text
-
-    def test_server_scrape_and_404(self):
-        metrics.enable()
-        metrics.inc("lister.triangles", 7)
-        server = live.MetricsServer(port=0)
-        port = server.start()
-        try:
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/metrics", timeout=5) as rsp:
-                assert rsp.status == 200
-                assert "0.0.4" in rsp.headers["Content-Type"]
-                body = rsp.read().decode()
-            assert "repro_lister_triangles_total 7" in body
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/nope", timeout=5)
-        finally:
-            server.stop()
-
-    def test_bind_plain_serves_exactly_one(self):
-        server = live.MetricsServer(port=0)
-        port = server.bind_plain()
-        thread = threading.Thread(target=server.handle_one_request,
-                                  daemon=True)
-        thread.start()
-        try:
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/metrics", timeout=5) as rsp:
-                assert rsp.status == 200
-        finally:
-            thread.join(timeout=5)
-            server.stop()
-
-
 class TestLiveState:
     def _events(self):
         return [
@@ -364,12 +308,13 @@ class TestLiveState:
         state.update_many(self._events())
         assert state.phases == ["table"]
         assert state.events == 5
-        gauges = state.to_gauges()
-        assert gauges["live.rss_bytes"] == 2 * 1024 * 1024
-        assert gauges["live.progress.cell"] == 0.25
-        assert gauges["live.eta_s.cell"] == 9.0
-        assert gauges["live.workers"] == 2
-        assert gauges["live.workers_stalled"] == 1
+        assert state.resources["rss_bytes"] == 2 * 1024 * 1024
+        progress = state.progress[("cell", "cell n=100 T1")]
+        assert progress["frac"] == 0.25
+        assert progress["eta_s"] == 9.0
+        assert state.workers[123]["stalled"] is False
+        assert state.workers[456]["stalled"] is True
+        assert state.workers[456]["task"] == "seq 1"
 
     def test_phase_end_pops(self):
         state = live.LiveState()

@@ -441,9 +441,8 @@ class TestLiveSurface:
                       "rss_bytes": 1200, "budget_bytes": 1000,
                       "overshoot_bytes": 200, "action": "warn"})
         assert state.breaches == 1
-        gauges = state.to_gauges()
-        assert gauges["mem.budget_bytes"] == 1000.0
-        assert gauges["mem.breaches"] == 1.0
+        assert state.memory["type"] == "mem.breach"
+        assert state.memory["budget_bytes"] == 1000
         text = live.render_status(state)
         assert "memory" in text
         assert "BREACHED" in text
@@ -456,7 +455,6 @@ class TestLiveSurface:
         data = json.loads(json.dumps(state.to_dict()))
         assert data["memory"]["rss_bytes"] == 800
         assert data["events"] == 1
-        assert "gauges" in data
 
 
 class TestAllocAttribution:

@@ -68,6 +68,10 @@ class TestMetricKind:
         ("lister.ops", "value"),
         ("sim", "value"),
         ("engine.bloom_hits", "value"),
+        ("parallel.busy_share", "time"),
+        ("parallel.idle_share", "time"),
+        ("parallel.imbalance_ratio", "time"),
+        ("parallel.workers", "value"),
     ])
     def test_kinds(self, name, kind):
         assert report.metric_kind(name) == kind
@@ -195,6 +199,24 @@ class TestCompare:
         assert all(d.kind != "time" for d in deltas)
         regressed = [d for d in deltas if d.is_regression]
         assert [d.metric for d in regressed] == ["lister.ops"]
+
+    def test_pool_share_gauges_are_wall_clock(self):
+        """The pool's busy/idle/imbalance gauges come from wall time:
+        a rerun that moves only them regresses nothing without time."""
+        def pooled(busy, imbalance):
+            record = make_record()
+            record.metrics["gauges"].update({
+                "parallel.busy_share": busy,
+                "parallel.idle_share": 1.0 - busy,
+                "parallel.imbalance_ratio": imbalance})
+            return record
+
+        base = baselines.build_baseline([pooled(0.98, 1.01)])
+        deltas = baselines.compare([pooled(0.60, 1.70)], base,
+                                   include_time=False)
+        assert deltas
+        assert baselines.summarize_deltas(deltas)["regressed"] == 0
+        assert not any(d.metric.startswith("parallel.") for d in deltas)
 
     def test_error_growth_regresses_shrink_improves(self):
         base = self._baseline()
