@@ -14,7 +14,7 @@ Subcommands::
     repro profile    phase-time breakdown over a method/order grid
     repro bench      engine micro-benchmarks (--native-compare)
     repro report     run-history analytics & the perf-regression gate
-                     (trends | baseline | compare | divergence | html)
+                     (trends | baseline | compare | divergence)
     repro audit      planner model-conformance audit over audit.jsonl
                      (summary | misplans | validate | calibration)
     repro mem        memory observability: array ledger + footprint
@@ -508,10 +508,8 @@ def cmd_report(args) -> int:
     error cells; ``baseline`` freezes the aggregated history to a JSON
     file; ``compare`` classifies the history against such a baseline
     and (with ``--fail-on-regress``) exits non-zero on regressions --
-    the CI perf gate; ``html`` renders the whole history (plus an
-    optional baseline comparison) into one self-contained dashboard.
-    ``--json`` switches trends/divergence/compare to machine-readable
-    output.
+    the CI perf gate. ``--json`` switches trends/divergence/compare to
+    machine-readable output.
     """
     import dataclasses
     import json
@@ -547,27 +545,6 @@ def cmd_report(args) -> int:
         path = obs_baselines.save_baseline(baseline, args.out)
         print(f"baseline over {len(records)} record(s) / "
               f"{len(baseline.names())} bench(es) written to {path}")
-        return 0
-    if args.report_command == "html":
-        deltas = baseline_meta = None
-        if args.baseline:
-            baseline = obs_baselines.load_baseline(args.baseline)
-            deltas = obs_baselines.compare(records, baseline)
-            baseline_meta = baseline.meta
-        audit_records = None
-        if args.audit:
-            from repro.obs import audit as obs_audit
-            audit_records = obs_audit.load_audit(args.audit)
-            if not audit_records:
-                print(f"note: no audit records in {args.audit}; the "
-                      f"audit panel is omitted", file=sys.stderr)
-        from repro.obs import dashboard as obs_dashboard
-        path = obs_dashboard.write_dashboard(
-            records, args.out, deltas=deltas,
-            baseline_meta=baseline_meta, title=args.title,
-            audit_records=audit_records)
-        print(f"dashboard over {len(records)} record(s) written to "
-              f"{path}")
         return 0
     # compare
     baseline = obs_baselines.load_baseline(args.baseline)
@@ -1155,21 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "exceeds this fraction")
     rp.add_argument("--json", action="store_true",
                     help="print the divergence rows as JSON")
-
-    rp = add_report_parser(
-        "html", help="self-contained HTML dashboard over the history")
-    rp.add_argument("--out", required=True, metavar="FILE",
-                    help="dashboard HTML file to write")
-    rp.add_argument("--baseline", default=None, metavar="FILE",
-                    help="also compare against this baseline and show "
-                         "the verdicts")
-    rp.add_argument("--audit", default=None, metavar="PATH",
-                    help="also render the planner-audit panel from "
-                         "this audit.jsonl (see `repro audit`)")
-    rp.add_argument("--title", default="repro run history",
-                    help="page title")
-    rp.add_argument("--git-rev", default=None,
-                    help="restrict to records of one git revision")
 
     p = add_parser("audit",
                    help="planner model-conformance audit "

@@ -40,15 +40,13 @@ command line):
   classifying each cell as improved / unchanged / regressed (the CI
   perf-regression gate).
 
-And three export layers turn it into artifacts for standard viewers:
+And two export layers turn it into artifacts for standard viewers:
 
 * :mod:`repro.obs.export` -- Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``) and collapsed-stack flame-graph text
   (``repro export trace|flame``).
 * :mod:`repro.obs.profiling` -- per-top-level-span :mod:`cProfile`
   attribution behind the ``REPRO_PROFILE`` knob.
-* :mod:`repro.obs.dashboard` -- self-contained static HTML run-history
-  dashboard (``repro report html``).
 
 Typical use::
 
@@ -64,13 +62,12 @@ Typical use::
 
 from __future__ import annotations
 
-from repro.obs import audit, baselines, bus, dashboard, export, jsonl, live
+from repro.obs import audit, baselines, bus, export, jsonl, live
 from repro.obs import logging as obs_logging
 from repro.obs import memory, metrics, profiling, records, report, spans
 from repro.obs.baselines import (Baseline, build_baseline, compare,
                                  has_regressions, load_baseline,
                                  save_baseline)
-from repro.obs.dashboard import render_dashboard, write_dashboard
 from repro.obs.export import (collapsed_stacks, records_to_trace,
                               validate_trace, write_collapsed,
                               write_trace)
@@ -93,7 +90,6 @@ __all__ = [
     "collapsed_stacks",
     "collect",
     "compare",
-    "dashboard",
     "export",
     "live",
     "has_regressions",
@@ -122,7 +118,6 @@ __all__ = [
     "record_run",
     "records",
     "records_to_trace",
-    "render_dashboard",
     "reset",
     "reset_metrics",
     "setup_logging",
@@ -130,7 +125,6 @@ __all__ = [
     "spans",
     "validate_trace",
     "write_collapsed",
-    "write_dashboard",
     "write_record",
     "write_trace",
 ]

@@ -29,7 +29,7 @@ bit-identical with ``REPRO_AUDIT=0`` and perform no audit I/O. Turn it
 on with ``REPRO_AUDIT=1`` (the log lands at ``REPRO_AUDIT_FILE`` or
 ``benchmarks/results/audit.jsonl``) or programmatically via
 :func:`enable`. Read it back with ``repro audit
-summary|misplans|calibration`` or the dashboard's audit panel.
+summary|misplans|calibration``.
 """
 
 from __future__ import annotations

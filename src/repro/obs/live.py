@@ -45,6 +45,7 @@ import time
 from repro.obs import bus as _bus
 from repro.obs import jsonl as _jsonl
 from repro.obs import metrics as _metrics
+from repro.obs.memory import _fmt_bytes
 from repro.obs.logging import get_logger, log_event
 
 __all__ = [
@@ -549,15 +550,6 @@ class LiveState:
             "memory": dict(self.memory) if self.memory else None,
             "breaches": self.breaches,
         }
-
-
-def _fmt_bytes(value: float) -> str:
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1024.0 or unit == "TB":
-            return (f"{value:.1f} {unit}" if unit != "B"
-                    else f"{int(value)} B")
-        value /= 1024.0
-    return f"{value:.1f} TB"  # pragma: no cover - unreachable
 
 
 def render_status(state: LiveState) -> str:

@@ -32,8 +32,8 @@ The ledger switch resolves ``REPRO_MEM_LEDGER`` lazily on first use
 (like ``REPRO_AUDIT``), so every entry point -- CLI, benchmarks, pool
 workers under ``spawn`` -- honors the environment without wiring.
 Read it back with ``repro mem summary|ledger|conformance``, the
-dashboard's memory panel, the Chrome-trace memory counter track, or
-``repro top``.
+``memory`` cell of a run record (``repro report compare|baseline``),
+the Chrome-trace memory counter track, or ``repro top``.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ Cell keys are strings that name what was measured within one record::
     phase:list                 wall-clock total of the ``list`` spans
     counters                   the metric-counter snapshot
     gauges                     the metric-gauge snapshot
+    memory                     ledger peak bytes, overall and per tag
+                               (``<tag>.peak_bytes``; ledger-on runs)
     cell:T1+D/n=1000           one sim-vs-model table cell
     method:E1/engine=numpy     one engine-throughput bench cell
 
@@ -122,6 +124,14 @@ def record_cells(record) -> dict[str, dict[str, float]]:
     gauges = _numeric(record.metrics.get("gauges"))
     if gauges:
         cells["gauges"] = gauges
+    ledger = record.metrics.get("memory")
+    if isinstance(ledger, dict):
+        # the array ledger rides records of REPRO_MEM_LEDGER=1 runs
+        cells["memory"] = _numeric({
+            "peak_bytes": ledger.get("peak_bytes"),
+            **{f"{row.get('tag')}.peak_bytes": row.get("peak_bytes")
+               for row in ledger.get("tags") or ()
+               if isinstance(row, dict)}})
     for row in record.config.get("rows") or ():
         if not isinstance(row, dict) or not isinstance(
                 row.get("n"), (int, float)):

@@ -23,7 +23,6 @@ from repro.core.decision import PAPER_SPEED_RATIO, resolve_speed_ratio
 from repro.engine import benchmark as bench
 from repro.listing.api import list_triangles
 from repro.obs import audit, bus, jsonl, live, metrics, records, report
-from repro.obs.dashboard import render_dashboard
 from repro.orientations.permutations import DescendingDegree
 from repro.orientations.relabel import orient
 from repro.pipeline import run_pipeline
@@ -818,28 +817,3 @@ class TestAuditCLI:
         assert entries[-1]["engine"] == "numpy"
         assert entries[-1]["host"] == bench.host_fingerprint()
 
-
-class TestDashboardPanel:
-    def test_panel_present_only_with_records(self, pareto_graph,
-                                             tmp_path, monkeypatch):
-        sink = enable_audit(monkeypatch, tmp_path)
-        run_pipeline(pareto_graph, method="auto")
-        recs = audit.load_audit(sink)
-        runs = [_run_record()]
-        with_panel = render_dashboard(runs, audit_records=recs)
-        assert "Planner audit" in with_panel
-        assert "audited decision(s)" in with_panel
-        without = render_dashboard(runs)
-        assert "Planner audit" not in without
-
-    def test_report_html_audit_flag(self, pareto_graph, tmp_path,
-                                    monkeypatch):
-        sink = enable_audit(monkeypatch, tmp_path)
-        run_pipeline(pareto_graph, method="auto")
-        runs = tmp_path / "runs.jsonl"
-        records.write_record(_run_record(), path=runs)
-        out = tmp_path / "dashboard.html"
-        assert cli.main(["report", "html", "--runs", str(runs),
-                         "--out", str(out), "--audit",
-                         str(sink)]) == 0
-        assert "Planner audit" in out.read_text(encoding="utf-8")

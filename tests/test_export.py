@@ -1,5 +1,5 @@
 """Tests for the export layer: trace events, flame stacks, per-span
-profiling, the HTML dashboard, and their CLI verbs."""
+profiling, and their CLI verbs."""
 
 import json
 
@@ -287,23 +287,6 @@ class TestAtomicRecords:
         assert corrupted == 1
 
 
-class TestDashboard:
-    def test_self_contained_html(self, sweep_history):
-        record, _ = sweep_history
-        html = obs.render_dashboard([record], title="t")
-        assert html.startswith("<!DOCTYPE html>")
-        assert "<svg" in html and "table view" in html
-        for external in ("<script", "src=", "href=", "@import",
-                         "url("):
-            assert external not in html
-
-    def test_divergence_and_worker_sections(self, sweep_history):
-        record, _ = sweep_history
-        html = obs.render_dashboard([record])
-        assert "Sim-vs-model divergence" in html
-        assert "Worker task-time distribution" in html
-
-
 class TestExportCLI:
     def test_missing_runs_exits_cleanly(self, tmp_path):
         missing = str(tmp_path / "nope.jsonl")
@@ -311,8 +294,6 @@ class TestExportCLI:
                       "--out", str(tmp_path / "t.json")],
                      ["export", "flame", "--runs", missing,
                       "--out", str(tmp_path / "f.txt")],
-                     ["report", "html", "--runs", missing,
-                      "--out", str(tmp_path / "d.html")],
                      ["report", "trends", "--runs", missing]):
             with pytest.raises(SystemExit) as err:
                 cli.main(argv)
@@ -333,18 +314,14 @@ class TestExportCLI:
         _, runs = sweep_history
         trace_out = tmp_path / "trace.json"
         flame_out = tmp_path / "flame.txt"
-        html_out = tmp_path / "dash.html"
         assert cli.main(["export", "trace", "--runs", str(runs),
                          "--out", str(trace_out)]) == 0
         assert cli.main(["export", "flame", "--runs", str(runs),
                          "--out", str(flame_out)]) == 0
-        assert cli.main(["report", "html", "--runs", str(runs),
-                         "--out", str(html_out)]) == 0
         capsys.readouterr()
         trace = json.loads(trace_out.read_text())
         assert export.validate_trace(trace) > 0
         assert flame_out.read_text().strip()
-        assert html_out.read_text().startswith("<!DOCTYPE html>")
 
     def test_report_json_modes(self, sweep_history, capsys):
         _, runs = sweep_history

@@ -600,11 +600,3 @@ class TestRecordsAndExports:
         with pytest.raises(ValueError, match="non-negative"):
             export.validate_trace(trace)
 
-    def test_dashboard_memory_panel(self):
-        from repro.obs import dashboard, records
-        memory.enable()
-        memory.check_in("graph.csr", nbytes=10_000, dtype="int64")
-        record = records.collect("mem-dash")
-        html = dashboard.render_dashboard([record])
-        assert "Memory footprint" in html
-        assert "graph.csr" in html

@@ -103,6 +103,25 @@ class TestRecordCells:
         assert cells["method:E1"]["ops"] == 100
         assert "speedup" not in cells["method:E1"]
 
+    def test_memory_cell_only_with_the_ledger(self):
+        from repro.obs import memory
+        memory.reset()
+        memory.enable()
+        try:
+            memory.check_in("graph.csr", nbytes=10_000, dtype="int64")
+            memory.check_in("graph.keys", nbytes=4_000, dtype="uint64")
+            ledger_on = records.collect("mem-on")
+        finally:
+            memory.disable()
+            memory.reset()
+        cell = report.record_cells(ledger_on)["memory"]
+        assert cell == {"peak_bytes": 14_000.0,
+                        "graph.csr.peak_bytes": 10_000.0,
+                        "graph.keys.peak_bytes": 4_000.0}
+        assert all(report.metric_kind(k) == "value" for k in cell)
+        assert "memory" not in report.record_cells(
+            records.collect("mem-off"))
+
 
 class TestFilterAndAggregate:
     def test_filter_by_name_rev_last(self):
