@@ -466,8 +466,8 @@ def run_numpy(oriented, method: str = "E1", collect: bool = True,
                            f"{_native.status()}")
     triangles = None
     if used_native and collect:
-        # rows by (z, y) then x, boxed column-wise (no per-row list)
-        count, triangles = found.shape[0], list(zip(*found.T.tolist()))
+        # rows by (z, y) then x, boxed in C (shared ints, no per-row list)
+        count, triangles = found.shape[0], _native.box_triangles(found)
     elif used_native:
         count = found
     elif collect:

@@ -8,10 +8,11 @@ per pivot is a handful of cache lines. The library compiles with
 whatever C compiler the host already has (``cc``/``gcc``; nothing is
 installed), is cached per user under :func:`tempfile.gettempdir`
 (keyed by the source, the compiler and the flags, so later processes
-load it without compiling), and loads via :mod:`ctypes`. Everything
-is gated: no compiler, a failed compile, or ``REPRO_NATIVE=0`` all
-degrade to the NumPy path (a failed compile is cached for the process
-and reported once as a structured warning; the rest stay DEBUG).
+load it without compiling; stale keys are pruned), and loads via
+:mod:`ctypes`. Everything is gated: no compiler, a failed compile,
+or ``REPRO_NATIVE=0`` all degrade to the NumPy path (a failed compile
+is cached for the process and reported once as a structured warning;
+the rest stay DEBUG).
 
 Version 2 extends the original count-only loop into a small kernel
 library:
@@ -54,6 +55,14 @@ library:
   planner's and every Monte-Carlo cell's) from the sorted edge keys,
   equal to :func:`repro.orientations.relabel.oriented_degrees`
   followed by :func:`repro.core.costs.component_ops` per map.
+* **Collect boxing** (:func:`box_triangles`): the list of
+  ``(x, y, z)`` tuples that ``collect=True`` returns, built in C from
+  the emitted buffer with one shared ``int`` per vertex and every tuple
+  untracked by the garbage collector. Its source (:data:`_C_BOXER`) is
+  appended to the kernels' and hand-declares the few stable-ABI calls
+  it makes, so the build still needs no ``Python.h``; it is called
+  through a GIL-holding :class:`ctypes.PyDLL` handle on the same
+  mapping, not a second library.
 
 The exactness argument is the forward/compact-forward one: for each
 edge ``z -> y``, every ``x`` in the intersection of ``N+(z)`` and
@@ -70,11 +79,13 @@ import ctypes
 import hashlib
 import logging as _stdlog
 import os
+import re
 import shutil
 import stat
 import subprocess
 import sys
 import tempfile
+import time
 import weakref
 
 import numpy as np
@@ -83,6 +94,7 @@ from repro.obs import memory as _memory
 
 __all__ = [
     "available",
+    "box_triangles",
     "count_triangles",
     "last_stats",
     "list_triangles_array",
@@ -831,6 +843,78 @@ done:
 }
 """
 
+#: The collect path's boxer. It is compiled into the same library as
+#: :data:`_C_SOURCE` but kept apart from it, because it calls into the
+#: running interpreter: ``_C_SOURCE`` alone links into a standalone
+#: (sanitizer) executable, this part only into a process that already
+#: has libpython's symbols. The handful of stable-ABI calls it makes
+#: are declared by hand, so the build needs no ``Python.h``.
+_C_BOXER = r"""
+#include <stdint.h>
+#include <stdlib.h>
+
+typedef struct _object PyObject;
+typedef intptr_t Py_ssize_t;
+extern PyObject *PyList_New(Py_ssize_t);
+extern int PyList_SetItem(PyObject *, Py_ssize_t, PyObject *);
+extern PyObject *PyTuple_New(Py_ssize_t);
+extern int PyTuple_SetItem(PyObject *, Py_ssize_t, PyObject *);
+extern PyObject *PyLong_FromUnsignedLong(unsigned long);
+extern void Py_IncRef(PyObject *);
+extern void Py_DecRef(PyObject *);
+extern void PyObject_GC_UnTrack(void *);
+extern PyObject *PyErr_NoMemory(void);
+
+/* The list of (x, y, z) tuples of the k uint32 triples in buf, in
+ * buffer order; every id is below n. One int per id that appears is
+ * made on first use and shared by every tuple holding that id; the id
+ * table is freed before return, leaving each int referenced by its
+ * tuples alone. A tuple of ints can never be part of a reference
+ * cycle, so each is untracked by the collector at once, as a
+ * collection would do on its first pass. Runs with the GIL held;
+ * returns NULL with a Python error set when an allocation fails. */
+PyObject *repro_box_triangles(const uint32_t *buf, int64_t k, int64_t n)
+{
+    PyObject *list = PyList_New((Py_ssize_t)k);
+    PyObject **ids = NULL;
+    if (list == NULL || k == 0)
+        return list;
+    ids = calloc((size_t)n, sizeof *ids);
+    if (ids == NULL) {
+        Py_DecRef(list);
+        return PyErr_NoMemory();
+    }
+    int64_t i = 0;
+    for (; i < k; i++) {
+        PyObject *tuple = PyTuple_New(3);
+        if (tuple == NULL)
+            goto done;
+        for (int c = 0; c < 3; c++) {
+            const uint32_t v = buf[3 * i + c];
+            if (ids[v] == NULL
+                    && (ids[v] = PyLong_FromUnsignedLong(v)) == NULL) {
+                Py_DecRef(tuple);
+                goto done;
+            }
+            Py_IncRef(ids[v]);
+            PyTuple_SetItem(tuple, c, ids[v]); /* steals the new ref */
+        }
+        PyObject_GC_UnTrack(tuple);
+        PyList_SetItem(list, (Py_ssize_t)i, tuple);
+    }
+done:
+    for (int64_t v = 0; v < n; v++)
+        if (ids[v] != NULL)
+            Py_DecRef(ids[v]);
+    free(ids);
+    if (i < k) {
+        Py_DecRef(list);
+        return NULL;
+    }
+    return list;
+}
+"""
+
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _U32P = ctypes.POINTER(ctypes.c_uint32)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
@@ -880,6 +964,13 @@ class _Library:
             ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, ctypes.c_int64,
             _I64P, _I64P,
         ]
+        # the same mapping, called with the GIL held: the boxer builds
+        # Python objects
+        self.box_triangles = ctypes.PyDLL(
+            cdll._name, handle=cdll._handle).repro_box_triangles
+        self.box_triangles.restype = ctypes.py_object
+        self.box_triangles.argtypes = [_U32P, ctypes.c_int64,
+                                       ctypes.c_int64]
 
 
 _UNSET = object()
@@ -892,6 +983,22 @@ _last_stats: tuple | None = None
 #: key, so a build with other flags gets its own cached file.
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread")
 
+#: A cached library of another key older than this is pruned when a
+#: miss publishes a library: each source, compiler or flag change
+#: strands one, and no process still loads a file this old.
+_STALE_LIBRARY_S = 7 * 24 * 3600
+
+#: A ``build-*`` work dir older than this is pruned likewise: a compile
+#: takes seconds, so it was left by a process killed mid-build.
+_STALE_BUILD_S = 3600
+
+_LIBRARY_NAME = re.compile(r"[0-9a-f]{64}\.so")
+
+
+def _library_source() -> str:
+    """The C source of the library: the kernels, then the boxer."""
+    return _C_SOURCE + _C_BOXER
+
 
 def _cache_key(compiler: str) -> str:
     """SHA-256 over the C source, the compiler's identity and the flags.
@@ -903,7 +1010,8 @@ def _cache_key(compiler: str) -> str:
     real = os.path.realpath(compiler)
     st = os.stat(real)
     digest = hashlib.sha256()
-    for part in (_C_SOURCE, f"{real}:{st.st_size}:{st.st_mtime_ns}",
+    for part in (_library_source(),
+                 f"{real}:{st.st_size}:{st.st_mtime_ns}",
                  " ".join(_CFLAGS)):
         digest.update(part.encode())
         digest.update(b"\0")
@@ -960,6 +1068,40 @@ def _trusted_file(path: str) -> bool:
             and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
 
 
+def _prune_cache(cache: str, keep: tuple[str, ...]) -> None:
+    """Remove stale libraries and work dirs from the cache dir.
+
+    Only ``<64-hex>.so`` regular files older than
+    :data:`_STALE_LIBRARY_S` and ``build-*`` directories older than
+    :data:`_STALE_BUILD_S`, owned by this uid and not in ``keep``, go;
+    symlinks and every other name stay. Best effort: a name that
+    vanishes or cannot be removed is skipped.
+    """
+    now = time.time()
+    try:
+        names = os.listdir(cache)
+    except OSError:
+        return
+    for name in names:
+        path = os.path.join(cache, name)
+        if path in keep:
+            continue
+        try:
+            st = os.lstat(path)
+        except OSError:
+            continue
+        if st.st_uid != os.getuid():
+            continue
+        age = now - st.st_mtime
+        if (stat.S_ISREG(st.st_mode) and _LIBRARY_NAME.fullmatch(name)
+                and age > _STALE_LIBRARY_S):
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        elif (stat.S_ISDIR(st.st_mode) and name.startswith("build-")
+                and age > _STALE_BUILD_S):
+            shutil.rmtree(path, ignore_errors=True)
+
+
 def _build_library():
     """Load the kernels from the per-user cache, or compile them; None
     on failure.
@@ -968,9 +1110,10 @@ def _build_library():
     is one ``dlopen``. On a miss the library compiles in a private work
     dir inside the cache dir, loads from there, and is published with
     an atomic :func:`os.replace`, so concurrent processes never see a
-    partial file; the work dir is removed either way. An untrusted or
-    unwritable cache dir compiles in a plain temp dir instead, and an
-    unloadable cached file is recompiled and replaced.
+    partial file; the work dir is removed either way. A published
+    library prunes the stale ones it replaces (:func:`_prune_cache`).
+    An untrusted or unwritable cache dir compiles in a plain temp dir
+    instead, and an unloadable cached file is recompiled and replaced.
 
     The outcome is recorded in :data:`_status` (``cache`` is ``hit``,
     ``miss`` or ``off``); :func:`available` caches the result so a
@@ -1012,7 +1155,7 @@ def _build_library():
         src = os.path.join(workdir, "kernel.c")
         lib = os.path.join(workdir, "kernel.so")
         with open(src, "w") as fh:
-            fh.write(_C_SOURCE)
+            fh.write(_library_source())
         subprocess.run([compiler, *_CFLAGS, "-o", lib, src],
                        check=True, capture_output=True, timeout=120)
         handle = _Library(ctypes.CDLL(lib))
@@ -1022,6 +1165,7 @@ def _build_library():
             with contextlib.suppress(OSError):
                 os.chmod(lib, 0o700)
                 os.replace(lib, target)
+                _prune_cache(os.path.dirname(target), (target, workdir))
         _status.update(state="ok", reason=None)
         return handle
     except subprocess.CalledProcessError as exc:
@@ -1256,6 +1400,28 @@ def list_triangles_array(oriented, threads: int | None = None):
         finally:
             _memory.check_out(token)
     return buf.reshape(-1, 3)
+
+
+def box_triangles(triangles):
+    """A ``(k, 3)`` uint32 triangle array as a list of tuples of Python
+    ints, or None if gated.
+
+    Equal to ``list(map(tuple, triangles.tolist()))`` -- the same tuples
+    in the same order -- but built in C in one pass over the buffer:
+    one ``int`` per distinct id, shared by every tuple holding it, and
+    each tuple untracked by the garbage collector at once (a tuple of
+    ints cannot be part of a cycle, so a collection would untrack it
+    anyway). The call holds the GIL throughout.
+    """
+    if not available():
+        return None
+    arr = np.ascontiguousarray(triangles)
+    if arr.dtype != np.uint32 or arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError("box_triangles needs a (k, 3) uint32 array, got "
+                         f"{arr.dtype} of shape {arr.shape}")
+    k = arr.shape[0]
+    bound = int(arr.max()) + 1 if k else 0
+    return _lib.box_triangles(arr.ctypes.data_as(_U32P), k, bound)
 
 
 def stream_triangles(oriented, chunk_triangles: int = 1 << 20):
@@ -1504,9 +1670,10 @@ def oriented_sums(keys, degrees, labels):
 
 
 def self_test() -> bool:
-    """Compile-and-verify: a triangle + a path, a residual wiring, the
-    undirected CSR from keys, a smallest-last order, the planner's
-    orientation sums, and the oriented CSR from keys.
+    """Compile-and-verify: a triangle + a path (counted, listed and
+    boxed), a residual wiring, the undirected CSR from keys, a
+    smallest-last order, the planner's orientation sums, and the
+    oriented CSR from keys.
 
     Used by benchmarks and CI before trusting the library.
     """
@@ -1520,6 +1687,8 @@ def self_test() -> bool:
         return False
     listed = list_triangles_array(tri)
     if listed is None or listed.tolist() != [[0, 1, 2]]:
+        return False
+    if box_triangles(listed) != [(0, 1, 2)]:
         return False
     # residual wiring: C loop against the Python reference, same seed
     from repro.graphs import generators

@@ -353,11 +353,13 @@ class HeartbeatWatchdog:
 
     A daemon thread pulls beats off the queue, relays each as a
     ``heartbeat`` bus event, and tracks per-worker
-    ``(last_seen, last_task, beats)``. A worker silent for more than
-    ``miss_threshold * interval_s`` after its first beat is flagged
-    *once per silence*: a ``worker.stalled`` event, a structured
+    ``(last_seen, last_task, last_status, beats)``. A worker silent for
+    more than ``miss_threshold * interval_s`` after its first beat is
+    flagged *once per silence*: a ``worker.stalled`` event, a structured
     WARNING carrying the last task context, and the
-    ``live.stalled_workers`` counter. A later beat clears the flag.
+    ``live.stalled_workers`` counter. A later beat clears the flag. A
+    worker whose last beat said ``status="done"`` has finished its task
+    and owes no beat until it takes another, so it is never flagged.
     """
 
     def __init__(self, queue, interval_s: float | None = None,
@@ -379,6 +381,7 @@ class HeartbeatWatchdog:
             state["beats"] += 1
             state["last_seen"] = time.monotonic()
             state["last_task"] = str(beat.get("task", ""))
+            state["last_status"] = str(beat.get("status", ""))
             state["stalled"] = False
         _bus.emit("heartbeat", worker_pid=pid,
                   task=str(beat.get("task", "")),
@@ -407,6 +410,7 @@ class HeartbeatWatchdog:
             candidates = [(pid, dict(state))
                           for pid, state in self.workers.items()
                           if not state["stalled"]
+                          and state.get("last_status") != "done"
                           and now - state.get("last_seen", now) > limit]
             for pid, __ in candidates:
                 self.workers[pid]["stalled"] = True

@@ -14,7 +14,16 @@ The paths are the compiled kernel (``run_numpy`` by default, and
 and the fallback taken when the library is gone (``native._lib``
 monkeypatched away). The native tests skip where no C toolchain
 exists; the NumPy tests run everywhere.
+
+The native path boxes in C (``native.box_triangles``), so its own
+tests also pin what the C code could get wrong and ``==`` cannot see:
+ids past 2**16, empty results, thread counts, that every tuple is
+untracked by the garbage collector, and that every reference it takes
+is given back.
 """
+
+import gc
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +34,7 @@ from repro.engine import native, run_numpy
 from repro.engine.kernels import _KERNELS, _run_kernel
 from repro.graphs.generators import configuration_model
 from repro.listing.api import list_triangles
+from repro.graphs.digraph import OrientedGraph
 from repro.orientations.relabel import orient
 from repro.orientations import NAMED_ORDERINGS
 from repro.pipeline import run_pipeline
@@ -104,6 +114,94 @@ class TestNativePath:
         assert not permutation.is_random
         arr = native.list_triangles_array(orient(graph, permutation))
         _assert_boxed(report.triangles, _rowwise(arr))
+
+
+def _wide_ids(n=70_000, triangles=3000, seed=3):
+    """Random triangles over ``n`` nodes, oriented by id: the emitted ids
+    spread over the whole range, far past 2**16."""
+    rng = np.random.default_rng(seed)
+    tri = rng.choice(n, size=(triangles, 3))
+    tri = tri[(tri[:, 0] != tri[:, 1]) & (tri[:, 1] != tri[:, 2])
+              & (tri[:, 0] != tri[:, 2])]
+    pairs = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]])
+    pairs.sort(axis=1)
+    graph = _graph(n, np.unique(pairs, axis=0))
+    return OrientedGraph(graph, np.arange(n))
+
+
+@needs_native
+class TestBoxer:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        arr = native.list_triangles_array(_wide_ids())
+        assert arr.shape[0] > 1000 and arr.max() >= 1 << 16
+        return arr
+
+    def test_matches_rowwise_past_16_bits(self, wide):
+        _assert_boxed(native.box_triangles(wide), _rowwise(wide))
+
+    @pytest.mark.parametrize("name", ["n0", "m0", "triangle-free"])
+    def test_empty_is_a_fresh_list(self, name):
+        arr = native.list_triangles_array(
+            orient(GRAPHS[name], DescendingDegree()))
+        assert arr.shape == (0, 3)
+        first, second = native.box_triangles(arr), native.box_triangles(arr)
+        assert first == second == [] and type(first) is list
+        assert first is not second
+        first.append(1)
+        assert second == []
+
+    def test_threads_agree(self, monkeypatch):
+        wide = _wide_ids()
+        lists = []
+        for threads in (1, 2):
+            monkeypatch.setenv("REPRO_NATIVE_THREADS", str(threads))
+            assert native.resolve_threads() == threads
+            result = run_numpy(wide, "E1")
+            assert native.last_stats()["threads"] == threads
+            lists.append(result.triangles)
+        assert lists[0] == lists[1]
+        _assert_boxed(lists[0],
+                      _rowwise(native.list_triangles_array(wide, 1)))
+
+    def test_tuples_are_untracked(self, wide):
+        assert not any(gc.is_tracked(t) for t in native.box_triangles(wide))
+
+    def test_references_are_balanced(self, wide):
+        ids, counts = np.unique(wide, return_counts=True)
+        counts[ids <= 256] = 0  # small ints are interned by CPython
+        uses = int(counts.max())
+        assert uses > 1
+        i, c = np.argwhere(wide == ids[counts.argmax()])[0]
+        result = native.box_triangles(wide)
+        shared = result[i][c]
+        # its tuples, plus ``shared`` and getrefcount's own argument: the
+        # boxer's id table kept nothing
+        assert sys.getrefcount(shared) == uses + 2
+        assert sys.getrefcount(result) == 2
+        del result
+        assert sys.getrefcount(shared) == 2
+
+    def test_ids_are_shared(self, wide):
+        result = native.box_triangles(wide)
+        by_id = {}
+        for t in result:
+            for v in t:
+                assert by_id.setdefault(v, v) is v
+        assert len(by_id) == np.unique(wide).size
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((2, 3), dtype=np.int64),
+        np.zeros((2, 2), dtype=np.uint32),
+        np.zeros(6, dtype=np.uint32),
+    ], ids=["int64", "two-columns", "flat"])
+    def test_rejects_other_arrays(self, bad):
+        with pytest.raises(ValueError, match=r"\(k, 3\) uint32"):
+            native.box_triangles(bad)
+
+    def test_strided_input_is_boxed_in_order(self, wide):
+        flipped = wide[::-1]
+        assert native.box_triangles(flipped) == _rowwise(flipped)
 
 
 class TestNumpyPath:

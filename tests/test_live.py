@@ -274,6 +274,26 @@ class TestHeartbeats:
         assert watchdog.check(now=watchdog.workers[pid]["last_seen"]
                               + 0.2) == []
 
+    def test_done_worker_is_never_flagged(self):
+        # a spawn worker that finished its task sits idle, beatless,
+        # while the other worker finishes; only a running one can stall
+        q = queue.Queue()
+        watchdog = live.HeartbeatWatchdog(q, interval_s=0.1,
+                                          miss_threshold=3)
+        watchdog._ingest({"worker_pid": 1, "task": "seq 0",
+                          "status": "done"})
+        watchdog._ingest({"worker_pid": 2, "task": "seq 1",
+                          "status": "running"})
+        late = max(w["last_seen"] for w in watchdog.workers.values()) + 1.0
+        assert watchdog.check(now=late) == [2]
+        assert not watchdog.workers[1]["stalled"]
+        assert watchdog.workers[1]["last_status"] == "done"
+        # a new task's first beat makes the idle worker accountable again
+        watchdog._ingest({"worker_pid": 1, "task": "seq 2",
+                          "status": "start"})
+        assert watchdog.check(
+            now=watchdog.workers[1]["last_seen"] + 1.0) == [1]
+
     def test_thread_lifecycle_drains_stragglers(self):
         q = queue.Queue()
         watchdog = live.HeartbeatWatchdog(q, interval_s=60.0).start()

@@ -12,7 +12,11 @@ process loads it instead of compiling. Pinned here:
 * an untrusted cache dir (group/world-writable, a symlink, owned by
   another uid) or an untrusted file is never loaded from;
 * a process leaves nothing in the temp dir but the cache dir and its
-  one library, also when the compile fails.
+  one library, also when the compile fails;
+* a miss that publishes a library prunes libraries of other keys older
+  than a week and ``build-*`` work dirs older than an hour, and nothing
+  else: no other name, no symlink, nothing of another uid, and never
+  the library it just published.
 
 Every test gets its own temp dir (``tempfile.tempdir`` in-process,
 ``TMPDIR`` for subprocesses), so no test sees another's cache.
@@ -26,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 
@@ -143,7 +148,10 @@ class TestCacheReuse:
         monkeypatch.setattr(native, "_CFLAGS", native._CFLAGS + ("-g",))
         flagged = native._cache_key(COMPILER)
         monkeypatch.setattr(native, "_C_SOURCE", native._C_SOURCE + " ")
-        assert len({key, flagged, native._cache_key(COMPILER)}) == 3
+        edited = native._cache_key(COMPILER)
+        monkeypatch.setattr(native, "_C_BOXER", native._C_BOXER + " ")
+        assert len({key, flagged, edited,
+                    native._cache_key(COMPILER)}) == 4
 
     def test_concurrent_cold_start(self, cache_tmp):
         procs = [subprocess.Popen(_probe_cmd(), env=_env(cache_tmp),
@@ -307,3 +315,101 @@ class TestCacheFallbacks:
         assert not native.available()
         assert native.status()["cache"] == "off"
         assert os.listdir(cache_tmp) == []
+
+
+@needs_compiler
+class TestCachePrune:
+    DAY = 24 * 3600
+
+    @staticmethod
+    def _plant(path: pathlib.Path, age_s: float, directory=False):
+        if directory:
+            path.mkdir()
+            (path / "kernel.c").write_text("/* left by a killed build */")
+        else:
+            path.write_bytes(b"stale")
+        stamp = time.time() - age_s
+        os.utime(path, (stamp, stamp), follow_symlinks=False)
+        return path
+
+    def _cache(self, tmp: pathlib.Path) -> pathlib.Path:
+        cache = _cache_dir(tmp)
+        cache.mkdir()
+        cache.chmod(0o700)
+        return cache
+
+    def test_miss_prunes_only_stale_keys_and_work_dirs(self, cache_tmp):
+        cache = self._cache(cache_tmp)
+        week = native._STALE_LIBRARY_S
+        hour = native._STALE_BUILD_S
+        gone = [self._plant(cache / ("a" * 64 + ".so"), week + 60),
+                self._plant(cache / "build-killed", hour + 60, True)]
+        kept = [
+            self._plant(cache / ("b" * 64 + ".so"), week - 3600),
+            self._plant(cache / "build-running", hour - 60, True),
+            # other names: not a key, a directory, a file named build-*
+            self._plant(cache / ("c" * 63 + ".so"), week + 60),
+            self._plant(cache / ("A" * 64 + ".so"), week + 60),
+            self._plant(cache / ("d" * 64 + ".so.bak"), week + 60),
+            self._plant(cache / ("e" * 64 + ".so"), week + 60, True),
+            self._plant(cache / "build-file", hour + 60),
+            self._plant(cache / "notes", week + 60, True),
+        ]
+        outside = self._plant(cache_tmp / "outside.so", week + 60)
+        link = cache / ("f" * 64 + ".so")
+        link.symlink_to(outside)
+        dir_link = cache / "build-link"
+        dir_link.symlink_to(cache / "notes")
+        for path in (link, dir_link):
+            stamp = time.time() - week - 60
+            os.utime(path, (stamp, stamp), follow_symlinks=False)
+
+        assert native.available()
+        assert native.status()["cache"] == "miss"
+        published = cache / (native._cache_key(COMPILER) + ".so")
+        assert published.is_file()
+        assert not any(os.path.lexists(p) for p in gone)
+        assert all(p.exists() for p in kept)
+        assert link.is_symlink() and dir_link.is_symlink()
+        assert outside.read_bytes() == b"stale"
+        assert (cache / "notes" / "kernel.c").exists()
+
+    def test_files_of_another_uid_are_untouched(self, cache_tmp,
+                                                monkeypatch):
+        cache = self._cache(cache_tmp)
+        foreign = self._plant(cache / ("a" * 64 + ".so"),
+                              native._STALE_LIBRARY_S + 60)
+        real = os.lstat
+
+        def lstat(path, *args, **kwargs):
+            st = real(path, *args, **kwargs)
+            if str(path) != str(foreign):
+                return st
+            fields = list(st)
+            fields[4] = st.st_uid + 1  # st_uid
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(native.os, "lstat", lstat)
+        assert native.available()
+        assert native.status()["cache"] == "miss"
+        assert foreign.read_bytes() == b"stale"
+
+    def test_the_published_library_stays(self, cache_tmp):
+        assert native.available()
+        (name,) = _libraries(cache_tmp)
+        published = _cache_dir(cache_tmp) / name
+        # even once it is older than any bound
+        stamp = time.time() - 30 * self.DAY
+        os.utime(published, (stamp, stamp))
+        native._prune_cache(str(published.parent), (str(published),))
+        assert published.is_file()
+        native._prune_cache(str(published.parent), ())
+        assert not published.exists()
+
+    def test_a_hit_prunes_nothing(self, cache_tmp):
+        assert _probe(cache_tmp)["status"]["cache"] == "miss"
+        stale = self._plant(_cache_dir(cache_tmp) / ("a" * 64 + ".so"),
+                            native._STALE_LIBRARY_S + 60)
+        assert native.available()
+        assert native.status()["cache"] == "hit"
+        assert stale.exists()

@@ -40,6 +40,13 @@ the error code without reading or writing out of bounds or overflowing
 a signed subtraction. The ``main`` exits 0 only when all of it holds.
 Any sanitizer report aborts the run with a non-zero status.
 
+One entry point of the library is outside this build: the collect
+boxer ``repro_box_triangles`` (``native._C_BOXER``, compiled after
+``_C_SOURCE`` into the same library). It builds the Python list of
+tuples, so it links only against libpython's symbols, which a
+standalone executable does not have; ``tests/test_collect_emission.py``
+checks it in-process.
+
 Skips when there is no C compiler, or when the compiler cannot build
 and run a sanitized program on this host.
 """
