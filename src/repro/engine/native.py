@@ -39,6 +39,15 @@ library:
   compile unit, drawing partners by rejection from a pool of open
   stubs with uniforms read from the generator's ``bitgen_t``,
   bit-identical to the Python reference loop.
+* **Configuration-model wiring** (:func:`configuration_wire`): the
+  stub matching of :func:`repro.graphs.generators.configuration_model`
+  in one pass -- uint32 stubs, Fisher-Yates with ``rng.shuffle``'s own
+  swap draws through ``bitgen_t``, then loops dropped, two counting
+  scatters and repeats dropped -- bit-identical to the NumPy reference
+  (keys and RNG state).
+* **Key adoption** (:func:`adopt_keys`): the check and the degree count
+  of :meth:`repro.graphs.graph.Graph._adopt` in one sequential walk
+  over the edge keys, naming the reference's fault.
 * **Undirected CSR from keys** (:func:`undirected_csr`): the
   symmetric CSR of :meth:`repro.graphs.graph.Graph.csr` in one pass
   over the graph's sorted edge keys, with no sort, equal to the
@@ -93,8 +102,10 @@ import numpy as np
 from repro.obs import memory as _memory
 
 __all__ = [
+    "adopt_keys",
     "available",
     "box_triangles",
+    "configuration_wire",
     "count_triangles",
     "last_stats",
     "list_triangles_array",
@@ -475,6 +486,165 @@ done:
     return placed;
 }
 
+/* numpy's random_interval (numpy/random/src/distributions): a uniform
+ * integer in [0, max], drawn by masked rejection on next_uint32 while
+ * max fits 32 bits and on next_uint64 after. Generator.shuffle takes
+ * one per swap. */
+static inline uint64_t random_interval(bitgen_t *rng, uint64_t max)
+{
+    if (max == 0)
+        return 0;
+    const uint64_t mask = ~(uint64_t)0 >> __builtin_clzll(max);
+    uint64_t value;
+    if (max <= 0xffffffffULL) {
+        while ((value = rng->next_uint32(rng->state) & mask) > max)
+            ;
+    } else {
+        while ((value = rng->next_uint64(rng->state) & mask) > max)
+            ;
+    }
+    return value;
+}
+
+/* Swap draws taken per chunk of the shuffle (each target is prefetched
+ * as it is drawn, so the chunk's swaps find it in cache), and how many
+ * pairs ahead the counting scatters prefetch. */
+enum { SHUFFLE_CHUNK = 256, SCATTER_AHEAD = 16 };
+
+/* The configuration model (section 7.2): stub matching, then erasing
+ * loops and repeated edges. Bit-identical to the NumPy reference
+ * repro.graphs.generators._configuration_python on the same stream.
+ *
+ * The stubs (degrees[v] copies of v, in node order) are shuffled by
+ * Fisher-Yates exactly as numpy's Generator.shuffle does it: for
+ * i = S - 1 down to 1, entry i swaps with entry random_interval(i). The
+ * draws do not depend on the entries, so a chunk of them is taken
+ * first, each target prefetched, and then the chunk's swaps run in
+ * order. Consecutive entries pair up; a pair with lo == hi is a loop
+ * and is dropped. Two stable counting scatters, by hi and then by lo,
+ * lay the rest out in (lo, hi) order without a sort: the first writes
+ * each pair's lo into its hi bucket, the second walks the hi buckets
+ * in ascending order and writes lo * n + hi into lo's bucket of keys.
+ * Repeated edges are then adjacent and are dropped.
+ *
+ * keys needs room for sum(degrees) / 2 entries and receives the sorted
+ * unique keys; the stubs are freed before the first key is written.
+ * Returns the number of keys, -1 when scratch allocation fails (or the
+ * stubs could not fit in memory), and -3, before drawing or allocating
+ * anything, if n >= 2^32 or a degree is negative or does not fit 32
+ * bits. */
+int64_t repro_configuration_wire(int64_t n, const int64_t *degrees,
+                                 bitgen_t *rng, int64_t *keys)
+{
+    if (n < 0 || n > (int64_t)UINT32_MAX)
+        return -3;
+    uint64_t stubs = 0;
+    for (int64_t v = 0; v < n; v++) {
+        if (degrees[v] < 0 || degrees[v] > (int64_t)UINT32_MAX)
+            return -3;
+        stubs += (uint64_t)degrees[v];
+    }
+    if (stubs >= SIZE_MAX / sizeof(int64_t))
+        return -1; /* more stubs than memory can hold */
+    const uint64_t pairs = stubs / 2;
+    uint32_t *stub = (uint32_t *)malloc((stubs + 1) * sizeof(uint32_t));
+    uint32_t *by_hi = NULL;
+    /* at_lo[v] / at_hi[v]: the next slot of v's bucket by lo / by hi */
+    int64_t *at_lo = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
+    int64_t *at_hi = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
+    int64_t unique = -1;
+    if (!stub || !at_lo || !at_hi)
+        goto done;
+
+    uint64_t s = 0;
+    for (int64_t v = 0; v < n; v++)
+        for (int64_t t = 0; t < degrees[v]; t++)
+            stub[s++] = (uint32_t)v;
+    uint64_t draw[SHUFFLE_CHUNK];
+    for (uint64_t top = stubs; top > 1;) {
+        /* this chunk swaps entries top - 1 down to top - count */
+        const uint64_t count = top - 1 < SHUFFLE_CHUNK ? top - 1
+                                                       : SHUFFLE_CHUNK;
+        for (uint64_t c = 0; c < count; c++) {
+            draw[c] = random_interval(rng, top - 1 - c);
+            __builtin_prefetch(stub + draw[c], 1);
+        }
+        for (uint64_t c = 0; c < count; c++) {
+            const uint64_t i = top - 1 - c, j = draw[c];
+            const uint32_t held = stub[j];
+            stub[j] = stub[i];
+            stub[i] = held;
+        }
+        top -= count;
+    }
+    /* pair up and drop loops, keeping (lo, hi) in place, and count the
+     * survivors per hi; a stub not in a loop is a lo or a hi, so each
+     * node's count per lo is its degree less its loop stubs and its
+     * count per hi */
+    uint64_t kept = 0;
+    for (int64_t v = 0; v < n; v++)
+        at_lo[v] = degrees[v];
+    for (uint64_t p = 0; p < pairs; p++) {
+        const uint32_t a = stub[2 * p], b = stub[2 * p + 1];
+        const uint32_t lo = a < b ? a : b, hi = a < b ? b : a;
+        if (p + SCATTER_AHEAD < pairs) {
+            const uint32_t *q = stub + 2 * (p + SCATTER_AHEAD);
+            __builtin_prefetch(at_hi + (q[0] < q[1] ? q[1] : q[0]), 1);
+        }
+        if (lo == hi) {
+            at_lo[lo] -= 2;
+            continue;
+        }
+        stub[2 * kept] = lo;
+        stub[2 * kept + 1] = hi;
+        kept++;
+        at_hi[hi]++;
+    }
+    int64_t lo_start = 0, hi_start = 0;
+    for (int64_t v = 0; v < n; v++) {
+        const int64_t lo_count = at_lo[v] - at_hi[v], hi_count = at_hi[v];
+        at_lo[v] = lo_start;
+        at_hi[v] = hi_start;
+        lo_start += lo_count;
+        hi_start += hi_count;
+    }
+    by_hi = (uint32_t *)malloc((kept + 1) * sizeof(uint32_t));
+    if (!by_hi)
+        goto done;
+    for (uint64_t p = 0; p < kept; p++) {
+        /* the bucket cursor two strides ahead, its slot one ahead */
+        if (p + 2 * SCATTER_AHEAD < kept)
+            __builtin_prefetch(at_hi + stub[2 * (p + 2 * SCATTER_AHEAD) + 1],
+                               1);
+        if (p + SCATTER_AHEAD < kept)
+            __builtin_prefetch(by_hi + at_hi[stub[2 * (p + SCATTER_AHEAD)
+                                                  + 1]], 1);
+        by_hi[at_hi[stub[2 * p + 1]]++] = stub[2 * p];
+    }
+    free(stub);
+    stub = NULL;
+    /* at_hi[h] is now the end of h's bucket */
+    for (int64_t h = 0, t = 0; h < n; h++)
+        for (; t < at_hi[h]; t++) {
+            if (t + 2 * SCATTER_AHEAD < (int64_t)kept)
+                __builtin_prefetch(at_lo + by_hi[t + 2 * SCATTER_AHEAD], 1);
+            if (t + SCATTER_AHEAD < (int64_t)kept)
+                __builtin_prefetch(keys + at_lo[by_hi[t + SCATTER_AHEAD]], 1);
+            const uint32_t lo = by_hi[t];
+            keys[at_lo[lo]++] = (int64_t)lo * n + h;
+        }
+    unique = 0;
+    for (uint64_t p = 0; p < kept; p++)
+        if (unique == 0 || keys[p] != keys[unique - 1])
+            keys[unique++] = keys[p];
+done:
+    free(stub);
+    free(by_hi);
+    free(at_lo);
+    free(at_hi);
+    return unique;
+}
+
 /* Matula-Beck smallest-last order: the bucket queue of
  * repro.orientations.degenerate._smallest_last_python, op for op. Each
  * bucket is a stack (push at the end, pop from the end), a vertex
@@ -645,6 +815,57 @@ int64_t repro_csr_from_keys(int64_t n, int64_t m, const int64_t *keys,
     if (!status && e < m)
         status = -2; /* keys at or beyond n * n */
     free(fill);
+    return status;
+}
+
+/* What repro_adopt_keys finds wrong with a key array, in the order
+ * repro.graphs.graph.Graph._adopt reports faults: any decrease or
+ * repeat anywhere first, then a key outside [0, n * n), then a key
+ * with lo >= hi. */
+enum { KEYS_OK = 0, KEYS_UNSORTED = 1, KEYS_RANGE = 2, KEYS_LOOP = 3 };
+
+/* The check and the degree count of Graph._adopt, in one sequential
+ * pass over the edge keys lo * n + hi with no division: the row base
+ * lo * n is walked up as the keys rise, as in repro_csr_from_keys.
+ * degrees (n entries) receives each vertex's degree when the keys are
+ * well formed. Returns KEYS_OK or the fault Graph._adopt reports, and
+ * -2 before reading anything if n > MAX_KEYED_N. */
+int64_t repro_adopt_keys(int64_t n, int64_t m, const int64_t *keys,
+                         int64_t *degrees)
+{
+    if (n < 0 || n > MAX_KEYED_N)
+        return -2;
+    for (int64_t v = 0; v < n; v++)
+        degrees[v] = 0;
+    if (m == 0)
+        return KEYS_OK;
+    const int64_t last = keys[m - 1];
+    if (keys[0] < 0 || last >= n * n) {
+        for (int64_t e = 1; e < m; e++)
+            if (keys[e] <= keys[e - 1])
+                return KEYS_UNSORTED;
+        return KEYS_RANGE;
+    }
+    int64_t status = KEYS_OK, prev = -1, lo = 0, base = 0;
+    for (int64_t e = 0; e < m; e++) {
+        const int64_t key = keys[e];
+        /* a key above the last one must be followed by a decrease;
+         * otherwise base <= key < n * n, so lo stays below n */
+        if (key <= prev || key > last)
+            return KEYS_UNSORTED;
+        prev = key;
+        while (key - base >= n) {
+            lo++;
+            base += n;
+        }
+        const int64_t hi = key - base;
+        if (hi <= lo) {
+            status = KEYS_LOOP;
+            continue;
+        }
+        degrees[lo]++;
+        degrees[hi]++;
+    }
     return status;
 }
 
@@ -942,6 +1163,11 @@ class _Library:
         self.residual_wire.argtypes = [
             ctypes.c_int64, _I64P, _I64P, ctypes.c_void_p, _I64P,
         ]
+        self.configuration_wire = cdll.repro_configuration_wire
+        self.configuration_wire.restype = ctypes.c_int64
+        self.configuration_wire.argtypes = [
+            ctypes.c_int64, _I64P, ctypes.c_void_p, _I64P,
+        ]
         self.smallest_last = cdll.repro_smallest_last
         self.smallest_last.restype = ctypes.c_int64
         self.smallest_last.argtypes = [
@@ -951,6 +1177,11 @@ class _Library:
         self.csr_from_keys.restype = ctypes.c_int64
         self.csr_from_keys.argtypes = [
             ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I64P,
+        ]
+        self.adopt_keys = cdll.repro_adopt_keys
+        self.adopt_keys.restype = ctypes.c_int64
+        self.adopt_keys.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, _I64P, _I64P,
         ]
         self.oriented_csr = cdll.repro_oriented_csr
         self.oriented_csr.restype = ctypes.c_int64
@@ -1506,9 +1737,52 @@ def residual_wire(order, residual, rng):
         raise MemoryError("native residual wiring: scratch allocation "
                           "failed")
     if used < 0:
-        raise ValueError("native residual wiring indexes nodes and "
-                         "degrees in 32 bits: n must be below 2**32")
+        raise ValueError(_WIDE_N)
     return keys[:used]
+
+
+#: What a ``-3`` from a wiring loop means: its stubs are uint32 node ids.
+_WIDE_N = ("native wiring indexes nodes and degrees in 32 bits: n must "
+           "be below 2**32")
+
+
+def configuration_wire(degrees, rng):
+    """Run the configuration model's stub matching in C, or None if gated.
+
+    ``degrees`` is the degree sequence (non-negative, even sum) and
+    ``rng`` the :class:`numpy.random.Generator` whose bit generator the
+    shuffle draws from, holding its lock: one ``random_interval`` per
+    swap, as ``rng.shuffle`` takes them. Returns ``(keys, pairs)``: the
+    sorted unique int64 keys ``lo * n + hi`` of the simplified graph and
+    the number of stub pairs, equal to
+    :func:`repro.graphs.generators._configuration_python` on the same
+    stream, which leaves the bit generator in the same state.
+    """
+    if not available():
+        return None
+    degrees = np.ascontiguousarray(degrees, dtype=np.int64)
+    stubs = int(degrees.sum())
+    if degrees.ndim != 1 or (degrees.size and degrees.min() < 0) \
+            or stubs % 2:
+        raise ValueError("degrees must be a 1-d sequence of non-negative "
+                         "degrees with an even sum")
+    pairs = stubs // 2
+    keys = np.empty(pairs, dtype=np.int64)
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        unique = _lib.configuration_wire(
+            degrees.size, degrees.ctypes.data_as(_I64P),
+            bit_generator.ctypes.bit_generator,
+            keys.ctypes.data_as(_I64P))
+    if unique == -1:
+        raise MemoryError("native configuration wiring: scratch "
+                          "allocation failed")
+    if unique < 0:
+        raise ValueError(_WIDE_N)
+    # shrink in place to the kept keys (the C call held the only other
+    # handle, a raw pointer), so no dropped pair's slot outlives the call
+    keys.resize(unique, refcheck=False)
+    return keys, pairs
 
 
 def smallest_last(indptr, indices, degrees):
@@ -1598,6 +1872,32 @@ def undirected_csr(keys, degrees):
     return indices, indptr
 
 
+def adopt_keys(keys, n):
+    """Check a graph's edge keys and count its degrees in C, or None if
+    gated.
+
+    ``keys`` is a 1-d int64 array of ``lo * n + hi`` and ``n`` at most
+    :data:`repro.graphs.graph.MAX_KEYED_N`. Returns ``(fault, degrees)``
+    from one pass over the keys: ``fault`` is 0 when they are strictly
+    increasing, in ``[0, n * n)`` and have ``lo < hi``, else the first
+    check :meth:`repro.graphs.graph.Graph._adopt` fails (1 increasing,
+    2 range, 3 ``lo < hi``); ``degrees`` is the ``(n,)`` int64 degrees
+    of well-formed keys.
+    """
+    if not available():
+        return None
+    if (not isinstance(keys, np.ndarray) or keys.dtype != np.int64
+            or keys.ndim != 1):
+        raise ValueError("edge keys must be a 1-d int64 array")
+    keys = np.ascontiguousarray(keys)
+    degrees = np.empty(n, dtype=np.int64)
+    fault = _lib.adopt_keys(n, keys.size, keys.ctypes.data_as(_I64P),
+                            degrees.ctypes.data_as(_I64P))
+    if fault < 0:
+        raise ValueError(_BAD_KEYS)
+    return int(fault), degrees
+
+
 def oriented_csr(keys, labels):
     """An orientation's out- and in-CSR from sorted edge keys in C, or
     None if gated.
@@ -1671,9 +1971,10 @@ def oriented_sums(keys, degrees, labels):
 
 def self_test() -> bool:
     """Compile-and-verify: a triangle + a path (counted, listed and
-    boxed), a residual wiring, the undirected CSR from keys, a
-    smallest-last order, the planner's orientation sums, and the
-    oriented CSR from keys.
+    boxed), a residual wiring, a configuration-model wiring and the
+    adoption of its keys, the undirected CSR from keys, a smallest-last
+    order, the planner's orientation sums, and the oriented CSR from
+    keys.
 
     Used by benchmarks and CI before trusting the library.
     """
@@ -1702,6 +2003,23 @@ def self_test() -> bool:
             and np.array_equal(residual, ref_residual)
             and rng_native.bit_generator.state
             == rng_ref.bit_generator.state):
+        return False
+    # configuration model: the C pass against the NumPy reference on
+    # the same sequence, which pairs up loops and repeats at this seed;
+    # then key adoption against a decode and two bincounts
+    rng_ref, rng_native = np.random.default_rng(7), np.random.default_rng(7)
+    ref_keys, ref_pairs = generators._configuration_python(degrees,
+                                                           rng_ref)
+    keys, pairs = configuration_wire(degrees, rng_native)
+    if not (np.array_equal(keys, ref_keys) and pairs == ref_pairs
+            and rng_native.bit_generator.state
+            == rng_ref.bit_generator.state):
+        return False
+    fault, adopted = adopt_keys(keys, degrees.size)
+    lo, hi = np.divmod(keys, degrees.size)
+    if fault or not np.array_equal(
+            adopted, np.bincount(np.concatenate([lo, hi]),
+                                 minlength=degrees.size)):
         return False
     # smallest-last order: C bucket queue against the Python reference
     # on a wheel with a pendant path -- degree ties on the rim, and a

@@ -18,6 +18,25 @@ Two generators:
   possibly one last edge" guarantee (which we handle upstream by making
   the degree sum even).
 
+Both run in C (in :mod:`repro.engine.native`, built with the listing
+kernels) whenever ``native.available()`` is true, and in Python/NumPy
+otherwise (``REPRO_NATIVE=0``, or no compiler). Each C pass draws
+through the generator's ``bitgen_t`` exactly as its reference draws,
+so the two are bit-identical: the same edge keys, the same degrees,
+the same ``generator.*`` counters and the same RNG state afterwards,
+and golden values and simulated tables do not depend on which one ran.
+
+The configuration model's pass (``repro_configuration_wire``) lays the
+stubs out as uint32 in node order and shuffles them by Fisher-Yates
+with the swap draws ``rng.shuffle`` takes (numpy's ``random_interval``:
+a masked rejection on ``next_uint32``, or ``next_uint64`` once the
+index passes ``2**32 - 1``). It then pairs consecutive stubs, drops
+loops, sorts the pairs by two stable counting scatters (by ``hi``,
+then by ``lo``) and drops repeated edges: the sorted unique keys, with
+no ``np.sort`` and no m-sized int64 temporary.
+:func:`_configuration_python` -- one ``rng.shuffle``, a loop mask, a
+sort and a dedup mask -- is the reference.
+
 Proportional selection draws from a pool of open stubs, one entry per
 stub holding its node id, and rejects excluded partners, in the shape
 of Bayati-Kim-Saberi's sampler. A draw takes the entry at
@@ -40,21 +59,17 @@ the picked ones aside, so a draw is accepted with probability at least
 1/2 (hubs, whose partners hold much of the pool, are where this
 explicit-exclusion switch fires).
 
-The loop runs in C (``repro_residual_wire`` in
-:mod:`repro.engine.native`, built with the listing kernels) whenever
-``native.available()`` is true; :func:`_wire_python` is the reference,
-and the fallback when the library is gated off (``REPRO_NATIVE=0``) or
-cannot be built. The C loop draws each uniform through the generator's
-``bitgen_t`` (``next_double``, the call ``rng.random()`` makes), so the
-two consume the same stream draw for draw and are bit-identical: the
-same edge keys in the same order, the same residuals and the same RNG
-state afterwards, so golden values and simulated tables do not depend
-on which one ran. Validation, the Erdos-Gallai guard, swap repair, the
-Havel-Hakimi fallback and the ``generator.*`` counters are shared.
-``tests/test_generators_native.py`` pins the identity, and
-``tests/test_residual_wire_boundaries.py`` pins it on the extreme
-draws ``0`` and ``1 - 2**-53`` and on draws landing exactly on a slot
-boundary ``k / S``.
+The residual loop's C pass is ``repro_residual_wire``, which reads
+each uniform through ``next_double`` (the call ``rng.random()`` makes);
+:func:`_wire_python` is the reference. Validation, the Erdos-Gallai
+guard, swap repair, the Havel-Hakimi fallback and the ``generator.*``
+counters are shared. Both C passes hand their keys to
+:meth:`Graph._from_keys`, whose check and degree count is itself one
+native pass over the keys. ``tests/test_generators_native.py`` pins
+both identities (the configuration pairing against ``rng.shuffle``
+itself), and ``tests/test_residual_wire_boundaries.py`` pins the
+residual one on the extreme draws ``0`` and ``1 - 2**-53`` and on
+draws landing exactly on a slot boundary ``k / S``.
 """
 
 from __future__ import annotations
@@ -84,6 +99,24 @@ def configuration_model(degrees, rng: np.random.Generator,
         raise ValueError(
             "multigraph output is not supported; the library operates on "
             "simple graphs only (pass simplify=True)")
+    from repro.engine import native  # lazy: engine imports graphs
+    wired = native.configuration_wire(degrees, rng)
+    keys, n_pairs = (wired if wired is not None
+                     else _configuration_python(degrees, rng))
+    if _metrics.is_enabled():
+        # stub pairs dropped as self-loops or duplicates: the degree
+        # deficit discussed in section 7.2
+        _metrics.inc("generator.rejections", n_pairs - keys.size)
+    return Graph._from_keys(degrees.size, keys)
+
+
+def _configuration_python(degrees: np.ndarray, rng: np.random.Generator):
+    """The reference stub matching: ``(keys, pairs)``.
+
+    ``keys`` are the sorted unique ``lo * n + hi`` of the simplified
+    graph, ``pairs`` the number of stub pairs. One ``rng.shuffle`` of
+    the stubs in node order.
+    """
     stubs = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
     rng.shuffle(stubs)
     pairs = stubs.reshape(-1, 2)
@@ -101,12 +134,7 @@ def configuration_model(degrees, rng: np.random.Generator,
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    if _metrics.is_enabled():
-        # stub pairs dropped as self-loops or duplicates: the degree
-        # deficit discussed in section 7.2
-        _metrics.inc("generator.rejections", n_pairs - keys.size)
-    return Graph._from_keys(degrees.size, keys)
+    return keys[first], n_pairs
 
 
 def residual_degree_model(degrees, rng: np.random.Generator,

@@ -97,6 +97,46 @@ def _undirected_csr(keys: np.ndarray, degrees: np.ndarray, n: int):
     return indices, np.concatenate([[0], degrees.cumsum()])
 
 
+#: Why :meth:`Graph._adopt` refuses a key array, by the fault code of
+#: :func:`repro.engine.native.adopt_keys`, in the order it checks.
+_KEY_FAULTS = {
+    1: "edge keys must be strictly increasing",
+    2: "edge key out of range: keys must lie in [0, n * n)",
+    3: "self-loops are not allowed in a simple graph",
+}
+
+
+def _key_degrees(keys: np.ndarray, n: int) -> np.ndarray:
+    """The int64 degrees of the checked keys ``lo * n + hi``.
+
+    ValueError unless the keys are strictly increasing, in
+    ``[0, n * n)`` and have ``lo < hi``; the first failed check, in that
+    order, names the fault. The native pass
+    (:func:`repro.engine.native.adopt_keys`) walks the keys once with
+    no temporary when the compiled library is available; the reference
+    decodes them into two m-sized arrays and runs two bincounts. Both
+    raise the same message and count the same degrees.
+    """
+    from repro.engine import native  # lazy: engine imports graphs
+    adopted = native.adopt_keys(keys, n)
+    if adopted is not None:
+        fault, degrees = adopted
+        if fault:
+            raise ValueError(_KEY_FAULTS[fault])
+        return degrees
+    if keys.size:
+        if not np.all(keys[1:] > keys[:-1]):
+            raise ValueError(_KEY_FAULTS[1])
+        if keys[0] < 0 or keys[-1] >= np.int64(n) * np.int64(n):
+            raise ValueError(_KEY_FAULTS[2])
+    lo, hi = _decode(keys, n)
+    if np.any(lo >= hi):
+        raise ValueError(_KEY_FAULTS[3])
+    degrees = np.bincount(lo, minlength=n)
+    degrees += np.bincount(hi, minlength=n)
+    return degrees.astype(np.int64, copy=False)
+
+
 class Graph:
     """Immutable simple undirected graph over sorted edge keys.
 
@@ -149,22 +189,12 @@ class Graph:
         if (not isinstance(keys, np.ndarray) or keys.dtype != np.int64
                 or keys.ndim != 1):
             raise ValueError("edge keys must be a 1-d int64 array")
-        if keys.size:
-            if not np.all(keys[1:] > keys[:-1]):
-                raise ValueError("edge keys must be strictly increasing")
-            if keys[0] < 0 or keys[-1] >= np.int64(n) * np.int64(n):
-                raise ValueError("edge key out of range: keys must lie "
-                                 "in [0, n * n)")
-        lo, hi = _decode(keys, n)
-        if np.any(lo >= hi):
-            raise ValueError("self-loops are not allowed in a simple graph")
-        degrees = np.bincount(lo, minlength=n)
-        degrees += np.bincount(hi, minlength=n)
+        degrees = _key_degrees(keys, n)
         keys.flags.writeable = False
         self.n = int(n)
         self.m = int(keys.size)
         self._keys = keys
-        self._degrees = degrees.astype(np.int64, copy=False)
+        self._degrees = degrees
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
         _memory.track(self, "ugraph.keys", (self._keys,))
         _memory.track(self, "ugraph.degrees", (self._degrees,))

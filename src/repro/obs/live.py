@@ -77,15 +77,22 @@ SERIES_MAXLEN = 1024
 _enabled = False
 _sampler: "ResourceSampler | None" = None
 _jsonl_sink = None
+_interval_s: float | None = None  # enable()'s interval_s, while on
 
 
 def live_interval() -> float:
-    """Sampler/heartbeat cadence: ``REPRO_LIVE_INTERVAL`` or 0.5 s.
+    """Sampler/heartbeat cadence: the ``interval_s`` given to
+    :func:`enable` while the runtime is on, else
+    ``REPRO_LIVE_INTERVAL``, else 0.5 s.
 
-    Only ``0 < value <= threading.TIMEOUT_MAX`` is taken: a longer wait
+    The sampler, the pool workers' beats and the parent's heartbeat
+    watchdog all read it, so they keep one cadence. Only
+    ``0 < value <= threading.TIMEOUT_MAX`` is taken: a longer wait
     (``inf``, ``1e300``) would make :meth:`threading.Event.wait` raise
     and kill the sampler thread.
     """
+    if _interval_s is not None:
+        return _interval_s
     raw = os.environ.get("REPRO_LIVE_INTERVAL", "").strip()
     try:
         value = float(raw)
@@ -655,15 +662,19 @@ def enable(events_path=None, interval_s: float | None = None) -> None:
 
     Idempotent-ish: calling while enabled reconfigures sinks. The
     JSONL sink (``events_path``) is optional; the sampler always runs
-    (its series is what run records pick up).
+    (its series is what run records pick up). A valid ``interval_s``
+    is the cadence of the sampler, the workers' heartbeats and the
+    watchdog until :func:`disable` (:func:`live_interval`).
     """
-    global _enabled, _sampler, _jsonl_sink
+    global _enabled, _sampler, _jsonl_sink, _interval_s
     disable()
+    if interval_s is not None and 0 < interval_s <= threading.TIMEOUT_MAX:
+        _interval_s = float(interval_s)
     _bus.enable()
     if events_path:
         _jsonl_sink = _bus.JsonlSink(events_path)
         _bus.add_sink(_jsonl_sink)
-    _sampler = ResourceSampler(interval_s=interval_s).start()
+    _sampler = ResourceSampler().start()
     from repro.obs import spans as _spans
     _spans.set_live_hook(_span_hook)
     _enabled = True
@@ -671,7 +682,8 @@ def enable(events_path=None, interval_s: float | None = None) -> None:
 
 def disable() -> None:
     """Stop the sampler, detach the span hook, close sinks."""
-    global _enabled, _sampler, _jsonl_sink
+    global _enabled, _sampler, _jsonl_sink, _interval_s
+    _interval_s = None
     if not (_enabled or _sampler):
         _bus.disable()
         return

@@ -13,9 +13,23 @@ swap repair or in the Havel-Hakimi fallback. The Python reference is
 forced by monkeypatching ``native._lib`` away, as in
 ``test_native_engine.py``.
 
+The configuration model is pinned the same way. Its C pass
+(``native.configuration_wire``) shuffles the stubs with the swap draws
+``rng.shuffle`` takes and sorts the pairs by counting scatters, so for
+the same sequence and seed it must return the NumPy reference's keys
+(``generators._configuration_python``), the same degrees, the same
+``generator.rejections`` and the same ``bit_generator.state`` --
+over Hypothesis-drawn sequences and over fixed shapes: all-zero
+degrees, ``n = 1, 2``, one hub, sequences dense in loops and repeated
+edges, and stub counts on both sides of ``2**k``. Its pairing is also
+checked against ``rng.shuffle`` itself, so a change to NumPy's shuffle
+fails here instead of silently changing the generator's law.
+
 The differential tests skip where no C toolchain exists; the gating
 tests run everywhere.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,5 +209,188 @@ class TestGating:
         with pytest.raises(ValueError, match="non-negative"):
             native.residual_wire(order, -ones, rng)
         # nothing was drawn before the arguments were refused
+        assert rng.bit_generator.state == \
+            np.random.default_rng(0).bit_generator.state
+
+
+def _configuration(degrees, seed, lib):
+    """One configuration graph with ``native._lib`` set to ``lib``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "_lib", lib)
+        metrics.enable()
+        metrics.reset()
+        rng = np.random.default_rng(seed)
+        graph = gen.configuration_model(degrees, rng)
+        rejections = metrics.snapshot()["counters"].get(
+            "generator.rejections", 0)
+        metrics.disable()
+    return graph, rng.bit_generator.state, rejections
+
+
+def _assert_configuration_identical(degrees, seed):
+    """Native and reference configuration graphs agree on keys,
+    degrees, rejections and the RNG state; returns the rejections."""
+    graph, state, rejections = _configuration(degrees, seed, native._lib)
+    ref, ref_state, ref_rejections = _configuration(degrees, seed, None)
+    assert graph.keys.dtype == ref.keys.dtype == np.int64
+    np.testing.assert_array_equal(graph.keys, ref.keys)
+    assert graph.degrees.dtype == ref.degrees.dtype == np.int64
+    np.testing.assert_array_equal(graph.degrees, ref.degrees)
+    assert state == ref_state
+    assert rejections == ref_rejections
+    return rejections
+
+
+def _even(degrees):
+    """``degrees`` as int64 with the largest one lowered to an even sum."""
+    degrees = np.array(degrees, dtype=np.int64)
+    if degrees.sum() % 2:
+        degrees[np.argmax(degrees)] -= 1
+    return degrees
+
+
+def _with_stubs(n, stubs):
+    """A sequence on ``n`` nodes with exactly ``stubs`` stubs: degrees
+    as equal as they come, below ``n``."""
+    degrees = np.full(n, stubs // n, dtype=np.int64)
+    degrees[:stubs % n] += 1
+    assert degrees.sum() == stubs and degrees.max() < n
+    return degrees
+
+
+@needs_native
+class TestConfigurationBitIdentity:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_sequences(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=60))
+        degrees = data.draw(st.lists(
+            st.integers(min_value=0, max_value=n - 1), min_size=n,
+            max_size=n))
+        seed = data.draw(st.integers(min_value=0, max_value=2**63 - 1))
+        _assert_configuration_identical(_even(degrees), seed)
+
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           alpha=st.sampled_from([1.1, 1.5, 1.7, 2.5]),
+           truncation=st.sampled_from(["root", "linear"]))
+    @settings(max_examples=20, deadline=None)
+    def test_pareto_sweep(self, seed, alpha, truncation):
+        n = 400
+        t_n = int(np.sqrt(n)) if truncation == "root" else n - 1
+        dist = DiscretePareto(alpha, 15.0 * (alpha - 1)).truncate(t_n)
+        degrees = sample_degree_sequence(dist, n,
+                                         np.random.default_rng(seed))
+        _assert_configuration_identical(degrees, seed ^ 0x5EED)
+
+    @pytest.mark.parametrize("degrees", [
+        np.zeros(1, dtype=np.int64), np.zeros(2, dtype=np.int64),
+        np.zeros(7, dtype=np.int64), np.array([1, 1]),
+    ], ids=["n1", "n2-empty", "all-zero", "n2-edge"])
+    def test_tiny(self, degrees):
+        for seed in range(4):
+            assert _assert_configuration_identical(degrees, seed) == 0
+        graph, state, __ = _configuration(degrees, 3, native._lib)
+        assert graph.m == degrees.sum() // 2
+        if degrees.sum() == 0:
+            # no stubs, no draws
+            assert state == np.random.default_rng(3).bit_generator.state
+
+    @pytest.mark.parametrize("degrees", [
+        _star_plus_matching(31),
+        _even([49] + [1] * 49),
+        _even([9] * 10),                      # complete: many repeats
+        _even([2, 2, 2]),                     # a triangle, or loops
+        _even([30, 30, 30, 3] + [1] * 27),    # three hubs: repeats
+    ], ids=["star-plus-matching", "one-hub", "k10", "k3", "three-hubs"])
+    def test_loops_and_repeats(self, degrees):
+        rejected = sum(_assert_configuration_identical(degrees, seed)
+                       for seed in range(10))
+        if degrees.max() >= 9:
+            assert rejected > 0
+
+    @pytest.mark.parametrize("k", [4, 8, 12, 16])
+    @pytest.mark.parametrize("offset", [-2, 0, 2])
+    def test_stub_counts_around_powers_of_two(self, k, offset):
+        stubs = 2**k + offset
+        n = max(8, int(np.sqrt(stubs)) + 2)
+        _assert_configuration_identical(_with_stubs(n, stubs), k)
+
+    @pytest.mark.parametrize("n", [2, 254, 256, 258, 4096, 4098])
+    def test_pairing_is_rng_shuffle(self, n):
+        """On a perfect matching (every degree 1) the stub pairs are
+        the consecutive pairs of ``rng.shuffle(np.arange(n))``."""
+        degrees = np.ones(n, dtype=np.int64)
+        rng, ref_rng = (np.random.default_rng(n),
+                        np.random.default_rng(n))
+        keys, pairs = native.configuration_wire(degrees, rng)
+        perm = np.arange(n)
+        ref_rng.shuffle(perm)
+        lo, hi = np.sort(perm.reshape(-1, 2), axis=1).T
+        assert pairs == n // 2
+        np.testing.assert_array_equal(keys, np.sort(lo * n + hi))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_strided_degrees(self):
+        degrees = np.repeat(_even([5, 4, 4, 3, 3, 3, 2, 2, 1, 1]), 2)[::2]
+        assert not degrees.flags.c_contiguous
+        _assert_configuration_identical(degrees, 9)
+
+
+class TestConfigurationGating:
+    def test_gated_library_runs_the_reference(self, monkeypatch):
+        monkeypatch.setattr(native, "_lib", None)
+        degrees = np.array([3, 3, 2, 2, 2])
+        assert native.configuration_wire(
+            degrees, np.random.default_rng(0)) is None
+        graph = gen.configuration_model(degrees, np.random.default_rng(0))
+        assert graph.n == 5
+
+    @pytest.mark.parametrize("code, error", [(-3, ValueError),
+                                             (-1, MemoryError)])
+    def test_codes_raise(self, monkeypatch, code, error):
+        """-3 (n or a degree beyond 32 bits) raises the residual
+        wiring's ValueError; -1 (a failed allocation) MemoryError."""
+        lib = SimpleNamespace(configuration_wire=lambda *a: code)
+        monkeypatch.setattr(native, "_lib", lib)
+        with pytest.raises(error) as caught:
+            gen.configuration_model([1, 1], np.random.default_rng(0))
+        if error is ValueError:
+            lib.residual_wire = lambda *a: code
+            with pytest.raises(ValueError) as residual:
+                gen.residual_degree_model([1, 1],
+                                          np.random.default_rng(0))
+            assert str(caught.value) == str(residual.value)
+            assert "2**32" in str(caught.value)
+
+    @needs_native
+    @pytest.mark.parametrize("degrees", [[2, -1, 1], [1, 1, 1],
+                                         [[1, 1], [1, 1]]],
+                             ids=["negative", "odd-sum", "2-d"])
+    def test_wrapper_refuses_bad_sequences(self, degrees):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="non-negative"):
+            native.configuration_wire(degrees, rng)
+        assert rng.bit_generator.state == \
+            np.random.default_rng(0).bit_generator.state
+
+    @needs_native
+    def test_c_entry_refuses_wide_input_before_drawing(self):
+        """n >= 2**32, or a degree beyond 32 bits, returns -3 before any
+        array is read past the degrees or any draw is taken."""
+        rng = np.random.default_rng(0)
+        keys = np.full(2, -7, dtype=np.int64)
+        wide = np.array([2**32], dtype=np.int64)
+        negative = np.array([-2, 2], dtype=np.int64)
+        call = native._lib.configuration_wire
+        ptr = native._I64P
+        with rng.bit_generator.lock:
+            handle = rng.bit_generator.ctypes.bit_generator
+            assert call(2**32, keys.ctypes.data_as(ptr), handle,
+                        keys.ctypes.data_as(ptr)) == -3
+            assert call(1, wide.ctypes.data_as(ptr), handle,
+                        keys.ctypes.data_as(ptr)) == -3
+            assert call(2, negative.ctypes.data_as(ptr), handle,
+                        keys.ctypes.data_as(ptr)) == -3
+        assert keys.tolist() == [-7, -7]
         assert rng.bit_generator.state == \
             np.random.default_rng(0).bit_generator.state

@@ -17,7 +17,13 @@ tests pin, on small shapes and a heavy-tailed configuration graph:
   reference on the reference CSR, ties included;
 * malformed keys raise ValueError from the constructor and from every
   native wrapper (``native.oriented_csr`` included), and an ``n`` whose
-  keys would overflow int64 is refused before anything is allocated.
+  keys would overflow int64 is refused before anything is allocated;
+* key adoption (``Graph._adopt``) through the native pass
+  (``native.adopt_keys``) and through the NumPy reference gives the
+  same degrees on every shape, and the same ``ValueError`` message on
+  every malformed array -- several faults in one array included, where
+  the first check in the reference's order names the fault -- also
+  over Hypothesis-drawn arrays.
 
 The native tests skip where no C toolchain exists (or under
 ``REPRO_NATIVE=0``); the constructor tests run everywhere.
@@ -25,6 +31,7 @@ The native tests skip where no C toolchain exists (or under
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import DiscretePareto, Graph, sample_degree_sequence
 from repro.core.costs import component_ops
@@ -232,6 +239,97 @@ class TestMalformedKeys:
                     np.array([[1, 2]])):
             with pytest.raises(ValueError, match="1-d int64"):
                 Graph._from_keys(6, bad)
+
+
+def _adopted(n, keys, lib):
+    """``Graph._from_keys`` with ``native._lib`` set to ``lib``: the
+    degrees, or the ValueError message."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "_lib", lib)
+        try:
+            return Graph._from_keys(n, np.array(keys, dtype=np.int64))
+        except ValueError as exc:
+            return str(exc)
+
+
+def _assert_adoption_agrees(n, keys):
+    """Native and reference adoption agree; returns the native result."""
+    mine, theirs = _adopted(n, keys, native._lib), _adopted(n, keys, None)
+    if isinstance(theirs, str):
+        assert mine == theirs
+        return mine
+    assert mine.degrees.dtype == theirs.degrees.dtype == np.int64
+    np.testing.assert_array_equal(mine.degrees, theirs.degrees)
+    np.testing.assert_array_equal(mine.keys, theirs.keys)
+    return mine
+
+
+#: Key arrays with several faults each, for a 6-node graph: the
+#: reference reports the first check that fails, in the order
+#: increasing, range, lo < hi.
+COMPOUND = {
+    "loop-then-decrease": ([2 * 6 + 2, 3 * 6 + 4, 3 * 6 + 1],
+                           "strictly increasing"),
+    "negative-and-loop": ([-5, 1 * 6 + 1, 3 * 6 + 4],
+                          "out of range"),
+    "beyond-and-repeat": ([1, 1, 36], "strictly increasing"),
+    "loop-and-beyond": ([0 * 6 + 1, 2 * 6 + 2, 40], "out of range"),
+    "lower-and-loop": ([0 * 6 + 1, 4 * 6 + 3, 5 * 6 + 5], "self-loops"),
+    "above-last-then-decrease": ([1, 100, 5], "strictly increasing"),
+}
+
+
+@needs_native
+class TestNativeAdoption:
+    def test_shapes_agree(self, shape):
+        n, edges = shape
+        keys = _reference_keys(n, edges)
+        graph = _assert_adoption_agrees(n, keys)
+        fault, degrees = native.adopt_keys(keys, n)
+        assert fault == 0
+        np.testing.assert_array_equal(degrees, graph.degrees)
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_messages_agree(self, name):
+        message = _assert_adoption_agrees(6, _malformed()[name])
+        assert isinstance(message, str)
+
+    @pytest.mark.parametrize("name", sorted(COMPOUND))
+    def test_compound_faults_name_the_first_check(self, name):
+        keys, expect = COMPOUND[name]
+        message = _assert_adoption_agrees(6, keys)
+        assert expect in message
+
+    def test_wrapper_refuses_other_arrays(self):
+        for bad in (np.array([1, 2], dtype=np.int32), [1, 2],
+                    np.array([[1, 2]])):
+            with pytest.raises(ValueError, match="1-d int64"):
+                native.adopt_keys(bad, 6)
+
+    def test_strided_keys(self):
+        keys = np.repeat(Graph(5, [(0, 1), (1, 2), (3, 4)]).keys, 2)[::2]
+        assert not keys.flags.c_contiguous
+        graph = Graph._from_keys(5, keys)
+        np.testing.assert_array_equal(graph.degrees, [1, 2, 1, 1, 1])
+        assert graph.keys is keys
+
+    def test_public_constructor_adopts_natively(self, monkeypatch):
+        calls = []
+        real = native.adopt_keys
+        monkeypatch.setattr(native, "adopt_keys",
+                            lambda *a: calls.append(a) or real(*a))
+        Graph(4, [(2, 3), (0, 1)])
+        assert len(calls) == 1
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_arrays_agree(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=7))
+        keys = data.draw(st.lists(
+            st.integers(min_value=-3, max_value=n * n + 3), max_size=12))
+        if data.draw(st.booleans()):
+            keys = sorted(set(keys))
+        _assert_adoption_agrees(n, keys)
 
 
 class TestKeyOverflow:

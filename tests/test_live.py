@@ -294,6 +294,36 @@ class TestHeartbeats:
         assert watchdog.check(
             now=watchdog.workers[1]["last_seen"] + 1.0) == [1]
 
+    def test_sweep_watchdog_runs_at_the_enabled_interval(self,
+                                                           monkeypatch):
+        """``live.enable(interval_s=x)`` sets the cadence of the
+        sampler, the workers' beats and the watchdog alike, over
+        ``REPRO_LIVE_INTERVAL``, until ``disable``."""
+        monkeypatch.setenv("REPRO_LIVE_INTERVAL", "30")
+        seen = []
+        real_init = live.HeartbeatWatchdog.__init__
+
+        def spy(self, queue, interval_s=None, **kwargs):
+            real_init(self, queue, interval_s=interval_s, **kwargs)
+            seen.append(self.interval_s)
+
+        monkeypatch.setattr(live.HeartbeatWatchdog, "__init__", spy)
+        live.enable(interval_s=0.2)
+        assert live.live_interval() == 0.2
+        assert live._sampler.interval_s == 0.2
+        sweep_n(_spec(n_sequences=2, n_graphs=1), [200], workers=2,
+                seed=3)
+        live.disable()
+        assert seen == [0.2]
+        assert live.live_interval() == 30.0
+
+    def test_invalid_enabled_interval_keeps_the_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_LIVE_INTERVAL", "30")
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            live.enable(interval_s=bad)
+            assert live.live_interval() == 30.0, bad
+            live.disable()
+
     def test_thread_lifecycle_drains_stragglers(self):
         q = queue.Queue()
         watchdog = live.HeartbeatWatchdog(q, interval_s=60.0).start()

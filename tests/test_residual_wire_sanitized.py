@@ -12,10 +12,22 @@ draw takes an entry out of the pool). It checks each result -- keys
 ``lo * n + hi`` with ``lo < hi`` in range, no duplicate, every placed
 stub accounted for -- and the ``n >= 2**32`` rejection.
 
-It then runs the three kernels that read a graph's sorted edge keys
-``lo * n + hi`` -- the CSR-from-keys pass, the key-walking orientation
-sums and the oriented CSR from keys -- on ``n = 0``, ``m = 0``, a star,
-a clique and random graphs. It checks that every CSR row is sorted, in
+The configuration model's pass runs on the same sizes (Pareto, star,
+complete and all-zero sequences) and on stub counts on both sides of
+``2**4``, ``2**8`` and ``2**12``, with its shuffle's words drawn
+through a stub ``bitgen_t`` as random words, all zeros, or all ones on
+every other draw (a constant all-ones word would be rejected forever,
+by numpy's draw as by this one). An oracle in the ``main`` replays the
+same words through numpy's ``random_interval``, written out apart,
+pairs the stubs, sorts with ``qsort`` and deduplicates; the keys and
+the number of words consumed must be equal. ``n >= 2**32``, a degree
+beyond 32 bits and a negative degree must be refused before any draw.
+
+It then runs the four passes that read a graph's sorted edge keys
+``lo * n + hi`` -- key adoption, the CSR-from-keys pass, the
+key-walking orientation sums and the oriented CSR from keys -- on
+``n = 0``, ``m = 0``, a star, a clique and random graphs; adoption
+must count the degrees. It checks that every CSR row is sorted, in
 range and symmetric, and that the sums under the identity and the
 reversed label map are the ones the CSR implies. The smallest-last
 bucket queue runs on each symmetric CSR: its order must delete a vertex
@@ -37,7 +49,9 @@ Malformed keys (a decreasing key, a duplicate, a self-loop, a key at
 ``n * n``, ``INT64_MIN`` after row 0, keys on no nodes), a label
 outside ``[0, n)`` and an ``n`` whose keys overflow int64 must return
 the error code without reading or writing out of bounds or overflowing
-a signed subtraction. The ``main`` exits 0 only when all of it holds.
+a signed subtraction; adoption must name the fault its Python caller
+reports first (a decrease or repeat anywhere, then the range, then
+``lo >= hi``), also when one array holds several. The ``main`` exits 0 only when all of it holds.
 Any sanitizer report aborts the run with a non-zero status.
 
 One entry point of the library is outside this build: the collect
@@ -105,7 +119,36 @@ static double stub_double(void *state)
            : wire_mode == 1 ? 0.0 : 1.0 - 0x1.0p-53;
 }
 
-static bitgen_t stub_rng = {0, 0, 0, stub_double, 0};
+/* Words for the shuffle's masked rejections under word_mode: 0 random,
+ * 1 all zero, 2 all ones on every other draw and random in between (a
+ * constant all-ones word would be rejected forever by any bound that
+ * is not 2^k - 1, in numpy's draw as in this one) */
+static int word_mode;
+static uint64_t word_draws;
+
+static uint64_t random_word(void)
+{
+    uint64_t z = (rng_state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+static uint64_t stub_uint64(void *state)
+{
+    (void)state;
+    word_draws++;
+    return word_mode == 1 ? 0
+           : word_mode == 2 && word_draws % 2 ? ~(uint64_t)0
+           : random_word();
+}
+
+static uint32_t stub_uint32(void *state)
+{
+    return (uint32_t)stub_uint64(state);
+}
+
+static bitgen_t stub_rng = {0, stub_uint64, stub_uint32, stub_double, 0};
 
 /* Wire deg[0..n) with the given draw mode and check the result;
  * returns 0 when it holds. */
@@ -151,6 +194,84 @@ static int wire(const char *name, int64_t n, const int64_t *deg, int mode)
     free(residual);
     free(placed_at);
     free(keys);
+    return bad;
+}
+
+/* numpy's random_interval, written out on its own as the oracle */
+static uint64_t oracle_interval(uint64_t max)
+{
+    uint64_t mask = max, value;
+    for (int shift = 1; shift < 64; shift *= 2)
+        mask |= mask >> shift;
+    if (max == 0)
+        return 0;
+    do
+        value = max <= 0xffffffffULL ? stub_uint32(0) & mask
+                                     : stub_uint64(0) & mask;
+    while (value > max);
+    return value;
+}
+
+/* repro_configuration_wire on deg[0..n) under one word mode, against
+ * an oracle replaying the same words: the stubs shuffled with
+ * oracle_interval, paired, loops dropped, the keys sorted with qsort
+ * and deduplicated. Checks the keys are equal, strictly increasing,
+ * lo < hi < n, that no vertex gets more edges than its degree, and
+ * that both consumed the same number of words. Returns 0 when that
+ * holds. */
+static int configuration(const char *name, int64_t n, const int64_t *deg,
+                         int mode)
+{
+    int64_t stubs = 0;
+    for (int64_t v = 0; v < n; v++)
+        stubs += deg[v];
+    const int64_t pairs = stubs / 2;
+    int64_t *keys = malloc((size_t)(pairs + 1) * sizeof(int64_t));
+    int64_t *ref = malloc((size_t)(pairs + 1) * sizeof(int64_t));
+    int64_t *stub = malloc((size_t)(stubs + 1) * sizeof(int64_t));
+    int64_t *got = calloc((size_t)n + 1, sizeof(int64_t));
+    const uint64_t seed = rng_state;
+    word_mode = mode;
+    word_draws = 0;
+    const int64_t m = repro_configuration_wire(n, deg, &stub_rng, keys);
+    const uint64_t used = word_draws;
+    rng_state = seed;
+    word_draws = 0;
+    int64_t s = 0, r = 0;
+    for (int64_t v = 0; v < n; v++)
+        for (int64_t t = 0; t < deg[v]; t++)
+            stub[s++] = v;
+    for (int64_t i = stubs - 1; i > 0; i--) {
+        const int64_t j = (int64_t)oracle_interval((uint64_t)i);
+        const int64_t held = stub[j];
+        stub[j] = stub[i];
+        stub[i] = held;
+    }
+    for (int64_t p = 0; p < pairs; p++) {
+        const int64_t a = stub[2 * p], b = stub[2 * p + 1];
+        if (a != b)
+            ref[r++] = a < b ? a * n + b : b * n + a;
+    }
+    qsort(ref, (size_t)r, sizeof(int64_t), by_value);
+    int64_t unique = 0;
+    for (int64_t k = 0; k < r; k++)
+        if (unique == 0 || ref[k] != ref[unique - 1])
+            ref[unique++] = ref[k];
+    int bad = m != unique || used != word_draws;
+    for (int64_t k = 0; !bad && k < m; k++) {
+        const int64_t lo = keys[k] / n, hi = keys[k] % n;
+        bad = keys[k] != ref[k] || !(0 <= lo && lo < hi && hi < n)
+              || (k > 0 && keys[k] <= keys[k - 1])
+              || ++got[lo] > deg[lo] || ++got[hi] > deg[hi];
+    }
+    if (bad)
+        fprintf(stderr, "FAIL configuration %s n=%lld mode=%d m=%lld "
+                "unique=%lld\n", name, (long long)n, mode, (long long)m,
+                (long long)unique);
+    free(keys);
+    free(ref);
+    free(stub);
+    free(got);
     return bad;
 }
 
@@ -387,6 +508,14 @@ static int keyed(const char *name, int64_t n, int64_t m,
     const int64_t sum = repro_oriented_sums(n, m, keys, deg, 2, labels,
                                             sums);
     bad |= csr != expect || sum != expect;
+    /* adoption counts the degrees of well-formed keys and names a
+     * fault (a positive code) in malformed ones */
+    int64_t *adopted = malloc((size_t)(n + 1) * sizeof(int64_t));
+    const int64_t fault = repro_adopt_keys(n, m, keys, adopted);
+    bad |= expect ? fault <= 0 : fault != 0;
+    for (int64_t v = 0; !bad && !expect && v < n; v++)
+        bad = adopted[v] != deg[v];
+    free(adopted);
     if (!bad && !expect)
         bad = smallest(name, n, indptr, indices, deg);
     /* under the identity map each edge points from its larger end, so
@@ -474,6 +603,35 @@ static int keyed_cases(void)
     int64_t very_low[3] = {1, 6 + 2, INT64_MIN};
     int64_t ones[6] = {1, 1, 1, 1, 1, 1};
     failures += keyed("int64-min", 6, 3, very_low, ones, -2);
+    /* adoption names the first fault in its check order: any
+     * decrease or repeat, then the range, then lo >= hi */
+    static const struct {
+        const char *name;
+        int64_t n, m, keys[3], fault;
+    } faults[] = {
+        {"decreasing", 6, 3, {1, 3, 2}, 1},
+        {"duplicate", 6, 3, {1, 2, 2}, 1},
+        {"int64-min", 6, 3, {1, 8, INT64_MIN}, 1},
+        {"above-last", 6, 3, {1, INT64_MAX, 5}, 1},
+        {"negative", 6, 3, {-1, 1, 2}, 2},
+        {"beyond-n2", 6, 3, {1, 2, 36}, 2},
+        {"self-loop", 6, 3, {1, 21, 22}, 3},
+        {"lower-triangle", 6, 3, {1, 27, 29}, 3},
+        {"loop-then-decrease", 6, 3, {14, 22, 19}, 1},
+        {"negative-and-loop", 6, 3, {-5, 7, 22}, 2},
+        {"loop-and-beyond", 6, 3, {1, 14, 40}, 2},
+        {"keys-on-no-nodes", 0, 1, {0}, 2},
+    };
+    for (size_t f = 0; f < sizeof(faults) / sizeof(faults[0]); f++) {
+        int64_t adopted[6] = {-7, -7, -7, -7, -7, -7};
+        const int64_t got = repro_adopt_keys(faults[f].n, faults[f].m,
+                                             faults[f].keys, adopted);
+        if (got != faults[f].fault) {
+            fprintf(stderr, "FAIL adopt %s got=%lld\n", faults[f].name,
+                    (long long)got);
+            failures++;
+        }
+    }
     /* a label outside [0, n) */
     int64_t low[6] = {0, 1, 2, -1, 4, 5}, high[6] = {0, 1, 2, 6, 4, 5};
     failures += oriented("label-1", 6, 5, star, low, -3);
@@ -493,6 +651,7 @@ static int keyed_cases(void)
                                   NULL) != -2
             || repro_oriented_csr(3037000500LL, 0, &none, &none, &out,
                                   NULL, &out, NULL) != -2
+            || repro_adopt_keys(3037000500LL, 0, &none, &out) != -2
             || out != -7) {
         fprintf(stderr, "FAIL keyed guards\n");
         failures++;
@@ -537,14 +696,48 @@ int main(void)
             }
             even_sum(n, deg);
             failures += wire("pareto", n, deg, mode);
+            failures += configuration("pareto", n, deg, mode);
+            for (int64_t v = 0; v < n; v++)
+                deg[v] = v == 0 ? n - 1 : 1;
+            even_sum(n, deg);
+            failures += configuration("star", n, deg, mode);
+            for (int64_t v = 0; v < n; v++)
+                deg[v] = n - 1;
+            even_sum(n, deg);
+            failures += configuration("complete", n, deg, mode);
+            for (int64_t v = 0; v < n; v++)
+                deg[v] = 0;
+            failures += configuration("empty", n, deg, mode);
         }
         free(deg);
     }
+    /* stub counts on both sides of 2^k */
+    for (int k = 4; k <= 12; k += 4)
+        for (int64_t off = -2; off <= 2; off += 2) {
+            const int64_t stubs = ((int64_t)1 << k) + off, n = 70;
+            int64_t deg[70];
+            for (int64_t v = 0; v < n; v++)
+                deg[v] = stubs / n + (v < stubs % n);
+            for (int mode = 0; mode < 3; mode++)
+                failures += configuration("2^k", n, deg, mode);
+        }
     /* n >= 2^32 is rejected before any array is read */
     int64_t one = 1, key = -7;
     if (repro_residual_wire((int64_t)1 << 32, &one, &one, &stub_rng, &key)
             != -3 || one != 1 || key != -7) {
         fprintf(stderr, "FAIL n >= 2^32 guard\n");
+        failures++;
+    }
+    /* n >= 2^32, a degree beyond 32 bits or a negative one: refused
+     * before any draw, allocation or write */
+    int64_t wide = (int64_t)1 << 32, negative[2] = {-2, 2};
+    word_draws = 0;
+    if (repro_configuration_wire((int64_t)1 << 32, &one, &stub_rng, &key)
+            != -3
+            || repro_configuration_wire(1, &wide, &stub_rng, &key) != -3
+            || repro_configuration_wire(2, negative, &stub_rng, &key) != -3
+            || key != -7 || word_draws != 0) {
+        fprintf(stderr, "FAIL configuration guards\n");
         failures++;
     }
     /* an asymmetric CSR: 0 lists 1 twice, 1 does not list 0; deleting
