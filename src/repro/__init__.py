@@ -57,7 +57,6 @@ from repro.distributions import (
 from repro.graphs import (
     Graph,
     OrientedGraph,
-    FenwickTree,
     configuration_model,
     residual_degree_model,
     generate_graph,
@@ -149,7 +148,6 @@ __all__ = [
     # graphs
     "Graph",
     "OrientedGraph",
-    "FenwickTree",
     "configuration_model",
     "residual_degree_model",
     "generate_graph",

@@ -762,8 +762,7 @@ def cmd_mem(args) -> int:
     tolerance = (args.tolerance if args.tolerance is not None
                  else obs_memory.DEFAULT_TOLERANCE)
     report = obs_memory.conformance_report(
-        oriented.n, oriented.m, method=args.method, order=args.order,
-        tolerance=tolerance)
+        oriented.n, oriented.m, method=args.method, tolerance=tolerance)
     if args.mem_command == "ledger":
         rows = obs_memory.ledger_rows()
         if args.json:

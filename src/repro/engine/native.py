@@ -41,10 +41,11 @@ library:
   bit-identical to the Python reference loop.
 * **Configuration-model wiring** (:func:`configuration_wire`): the
   stub matching of :func:`repro.graphs.generators.configuration_model`
-  in one pass -- uint32 stubs, Fisher-Yates with ``rng.shuffle``'s own
-  swap draws through ``bitgen_t``, then loops dropped, two counting
-  scatters and repeats dropped -- bit-identical to the NumPy reference
-  (keys and RNG state).
+  in one pass -- uint32 stubs inside the returned key array,
+  Fisher-Yates with NumPy's bounded Lemire draws (those of
+  ``rng.integers``) through ``bitgen_t``, then loops dropped, two
+  counting scatters and repeats dropped -- bit-identical to the
+  reference (keys and RNG state).
 * **Key adoption** (:func:`adopt_keys`): the check and the degree count
   of :meth:`repro.graphs.graph.Graph._adopt` in one sequential walk
   over the edge keys, naming the reference's fault.
@@ -57,8 +58,10 @@ library:
   edge keys and a label map, in O(n + m) counting scatters with no
   sort, equal to the sorting reference build element for element.
 * **Smallest-last order** (:func:`smallest_last`): the Matula-Beck
-  bucket queue of :func:`repro.orientations.degenerate.smallest_last_order`,
-  bit-identical to its Python reference loop.
+  bucket queue of :func:`repro.orientations.degenerate.smallest_last_order`
+  straight from the sorted edge keys -- uint32 neighbour rows in
+  ``Graph.csr()``'s order and one 8-byte record per vertex, all freed
+  before return -- bit-identical to its Python reference loop.
 * **Orientation pricing** (:func:`oriented_sums`): the totals of
   eqs. (7)-(9) under several label maps in one call (the exact
   planner's and every Monte-Carlo cell's) from the sorted edge keys,
@@ -486,24 +489,46 @@ done:
     return placed;
 }
 
-/* numpy's random_interval (numpy/random/src/distributions): a uniform
- * integer in [0, max], drawn by masked rejection on next_uint32 while
- * max fits 32 bits and on next_uint64 after. Generator.shuffle takes
- * one per swap. */
-static inline uint64_t random_interval(bitgen_t *rng, uint64_t max)
+/* numpy's random_bounded_uint64 (numpy/random/src/distributions) with
+ * off = 0 and Lemire's multiply-shift rejection: a uniform integer in
+ * [0, rng] for rng >= 1, from next_uint32 while rng fits 32 bits
+ * (rng == 2^32 - 1 takes the word as it is) and from next_uint64 after.
+ * Generator.integers(0, high, dtype=np.uint64) takes one per element of
+ * an array of bounds high = rng + 1. */
+static inline uint64_t bounded_lemire(bitgen_t *rng_state, uint64_t rng)
 {
-    if (max == 0)
-        return 0;
-    const uint64_t mask = ~(uint64_t)0 >> __builtin_clzll(max);
-    uint64_t value;
-    if (max <= 0xffffffffULL) {
-        while ((value = rng->next_uint32(rng->state) & mask) > max)
-            ;
-    } else {
-        while ((value = rng->next_uint64(rng->state) & mask) > max)
-            ;
+    if (rng <= 0xffffffffULL) {
+        if (rng == 0xffffffffULL)
+            return rng_state->next_uint32(rng_state->state);
+        const uint32_t excl = (uint32_t)rng + 1;
+        uint64_t m = (uint64_t)rng_state->next_uint32(rng_state->state)
+                     * excl;
+        uint32_t leftover = (uint32_t)m;
+        if (leftover < excl) {
+            /* 2^32 mod excl; excl is an upper bound, so most draws skip
+             * the division */
+            const uint32_t threshold = (UINT32_MAX - (uint32_t)rng) % excl;
+            while (leftover < threshold) {
+                m = (uint64_t)rng_state->next_uint32(rng_state->state)
+                    * excl;
+                leftover = (uint32_t)m;
+            }
+        }
+        return m >> 32;
     }
-    return value;
+    const uint64_t excl = rng + 1;
+    __uint128_t m = (__uint128_t)rng_state->next_uint64(rng_state->state)
+                    * excl;
+    uint64_t leftover = (uint64_t)m;
+    if (leftover < excl) {
+        const uint64_t threshold = (UINT64_MAX - rng) % excl;
+        while (leftover < threshold) {
+            m = (__uint128_t)rng_state->next_uint64(rng_state->state)
+                * excl;
+            leftover = (uint64_t)m;
+        }
+    }
+    return (uint64_t)(m >> 64);
 }
 
 /* Swap draws taken per chunk of the shuffle (each target is prefetched
@@ -516,19 +541,22 @@ enum { SHUFFLE_CHUNK = 256, SCATTER_AHEAD = 16 };
  * repro.graphs.generators._configuration_python on the same stream.
  *
  * The stubs (degrees[v] copies of v, in node order) are shuffled by
- * Fisher-Yates exactly as numpy's Generator.shuffle does it: for
- * i = S - 1 down to 1, entry i swaps with entry random_interval(i). The
- * draws do not depend on the entries, so a chunk of them is taken
- * first, each target prefetched, and then the chunk's swaps run in
- * order. Consecutive entries pair up; a pair with lo == hi is a loop
- * and is dropped. Two stable counting scatters, by hi and then by lo,
+ * Fisher-Yates: for i = S - 1 down to 1, entry i swaps with entry
+ * bounded_lemire(i), the draws of
+ * rng.integers(0, np.arange(S, 1, -1), dtype=np.uint64). The draws do
+ * not depend on the entries, so a chunk of them is taken first, each
+ * target prefetched, and then the chunk's swaps run in order.
+ * Consecutive entries pair up; a pair with lo == hi is a loop and is
+ * dropped. Two stable counting scatters, by hi and then by lo,
  * lay the rest out in (lo, hi) order without a sort: the first writes
  * each pair's lo into its hi bucket, the second walks the hi buckets
  * in ascending order and writes lo * n + hi into lo's bucket of keys.
  * Repeated edges are then adjacent and are dropped.
  *
- * keys needs room for sum(degrees) / 2 entries and receives the sorted
- * unique keys; the stubs are freed before the first key is written.
+ * keys needs room for (sum(degrees) + 1) / 2 entries and receives the
+ * sorted unique keys. The uint32 stubs are shuffled and paired inside
+ * it (S stubs take the bytes of S / 2 keys), and they are dead once the
+ * first scatter has run, before the first key is written over them.
  * Returns the number of keys, -1 when scratch allocation fails (or the
  * stubs could not fit in memory), and -3, before drawing or allocating
  * anything, if n >= 2^32 or a degree is negative or does not fit 32
@@ -547,13 +575,13 @@ int64_t repro_configuration_wire(int64_t n, const int64_t *degrees,
     if (stubs >= SIZE_MAX / sizeof(int64_t))
         return -1; /* more stubs than memory can hold */
     const uint64_t pairs = stubs / 2;
-    uint32_t *stub = (uint32_t *)malloc((stubs + 1) * sizeof(uint32_t));
+    uint32_t *stub = (uint32_t *)keys;
     uint32_t *by_hi = NULL;
     /* at_lo[v] / at_hi[v]: the next slot of v's bucket by lo / by hi */
     int64_t *at_lo = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
     int64_t *at_hi = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
     int64_t unique = -1;
-    if (!stub || !at_lo || !at_hi)
+    if (!at_lo || !at_hi)
         goto done;
 
     uint64_t s = 0;
@@ -566,7 +594,7 @@ int64_t repro_configuration_wire(int64_t n, const int64_t *degrees,
         const uint64_t count = top - 1 < SHUFFLE_CHUNK ? top - 1
                                                        : SHUFFLE_CHUNK;
         for (uint64_t c = 0; c < count; c++) {
-            draw[c] = random_interval(rng, top - 1 - c);
+            draw[c] = bounded_lemire(rng, top - 1 - c);
             __builtin_prefetch(stub + draw[c], 1);
         }
         for (uint64_t c = 0; c < count; c++) {
@@ -578,12 +606,14 @@ int64_t repro_configuration_wire(int64_t n, const int64_t *degrees,
         top -= count;
     }
     /* pair up and drop loops, keeping (lo, hi) in place, and count the
-     * survivors per hi; a stub not in a loop is a lo or a hi, so each
-     * node's count per lo is its degree less its loop stubs and its
-     * count per hi */
+     * survivors per hi; a paired stub not in a loop is a lo or a hi, so
+     * each node's count per lo is its degree less its loop stubs, its
+     * count per hi and the last stub of an odd count, left unpaired */
     uint64_t kept = 0;
     for (int64_t v = 0; v < n; v++)
         at_lo[v] = degrees[v];
+    if (stubs % 2)
+        at_lo[stub[stubs - 1]]--;
     for (uint64_t p = 0; p < pairs; p++) {
         const uint32_t a = stub[2 * p], b = stub[2 * p + 1];
         const uint32_t lo = a < b ? a : b, hi = a < b ? b : a;
@@ -621,8 +651,9 @@ int64_t repro_configuration_wire(int64_t n, const int64_t *degrees,
                                                   + 1]], 1);
         by_hi[at_hi[stub[2 * p + 1]]++] = stub[2 * p];
     }
-    free(stub);
-    stub = NULL;
+    /* the stubs are dead: no access to them as uint32 may move past
+     * this point, where keys start to be written over them as int64 */
+    __asm__ volatile("" ::: "memory");
     /* at_hi[h] is now the end of h's bucket */
     for (int64_t h = 0, t = 0; h < n; h++)
         for (; t < at_hi[h]; t++) {
@@ -638,47 +669,132 @@ int64_t repro_configuration_wire(int64_t n, const int64_t *degrees,
         if (unique == 0 || keys[p] != keys[unique - 1])
             keys[unique++] = keys[p];
 done:
-    free(stub);
     free(by_hi);
     free(at_lo);
     free(at_hi);
     return unique;
 }
 
-/* Matula-Beck smallest-last order: the bucket queue of
- * repro.orientations.degenerate._smallest_last_python, op for op. Each
- * bucket is a stack (push at the end, pop from the end), a vertex
- * leaves its bucket by swap-with-last through position[], the scan for
- * the lowest non-empty bucket restarts at max(current - 1, 0), and the
- * neighbours of a deleted vertex are visited in CSR order -- so order[]
- * and the degeneracy are bit-identical to the Python loop.
+/* Per-vertex state of repro_smallest_last in one 8-byte record, so a
+ * neighbour visit reads one cache line for all of it: the current
+ * degree, with SL_REMOVED set once the vertex is deleted (degrees stay
+ * below n <= INT32_MAX), and the vertex's slot in its bucket. */
+typedef struct {
+    uint32_t degree, position;
+} sl_vertex;
+
+#define SL_REMOVED 0x80000000u
+
+/* Row entries ahead whose records the peel prefetches. */
+enum { SL_AHEAD = 8 };
+
+/* Matula-Beck smallest-last order from a graph's strictly increasing
+ * edge keys lo * n + hi and its degrees: the bucket queue of
+ * repro.orientations.degenerate._smallest_last_python, op for op.
  *
- * A vertex in bucket d has current degree d <= its initial degree, so
- * bucket d never holds more than #{v : degrees[v] >= d} vertices. One
- * slot array of n + sum(degrees) entries, cut at those suffix counts,
- * holds every bucket without reallocation.
+ * A walk over the rows of the keys (no division), as in
+ * repro_csr_from_keys, checks every key and lays the neighbour rows out
+ * as uint32 scratch in Graph.csr()'s order: row v is its lower part
+ * (the lo of every key whose hi is v, ascending) and then its upper part
+ * (the hi of every key whose lo is v, ascending). The row offsets are
+ * the prefix sums of degrees; every write is bounded by their total and
+ * each row's length is checked when its run of keys ends, so degrees
+ * that are not the keys' degrees are refused, never overrun.
  *
- * Returns the degeneracy, -1 when scratch allocation fails, and -2 if a
- * present vertex would drop below degree 0 (an asymmetric adjacency). */
-int64_t repro_smallest_last(int64_t n, const int64_t *indptr,
-                            const int64_t *indices,
+ * The peel then mirrors the Python loop: each bucket is a stack (push at
+ * the end, pop from the end), a vertex leaves its bucket by
+ * swap-with-last through its record's position, the scan for the lowest
+ * non-empty bucket restarts at max(current - 1, 0), and the neighbours
+ * of a deleted vertex are visited in row order -- so order[] and the
+ * degeneracy are bit-identical to the Python loop, ties included. A
+ * vertex in bucket d has current degree d <= its initial degree, so
+ * bucket d never holds more than #{v : degrees[v] >= d} vertices; one
+ * slot array of n + 2m entries, cut at those suffix counts, holds every
+ * bucket without reallocation. All scratch is freed before return.
+ *
+ * Returns the degeneracy; -1 when scratch allocation fails; -2 on a key
+ * that does not increase strictly, is negative or >= n * n, or has
+ * lo >= hi (or on n < 0); -3, before reading any array, on an n above
+ * INT32_MAX, which the records cannot hold; -4 when degrees are not the
+ * keys' degrees. */
+int64_t repro_smallest_last(int64_t n, int64_t m, const int64_t *keys,
                             const int64_t *degrees, int64_t *order)
 {
-    int64_t max_deg = 0;
-    for (int64_t v = 0; v < n; v++)
+    if (n < 0 || m < 0)
+        return -2;
+    if (n > INT32_MAX)
+        return -3;
+    if (m > 0 && (keys[0] < 0 || keys[m - 1] >= n * n))
+        return -2;
+    /* the degrees size the rows and the buckets: each below n, summing
+     * to 2m (at most n (n - 1), so the sum cannot overflow) */
+    int64_t max_deg = 0, total = 0;
+    for (int64_t v = 0; v < n; v++) {
+        if (degrees[v] < 0 || degrees[v] >= n)
+            return -4;
+        total += degrees[v];
         if (degrees[v] > max_deg)
             max_deg = degrees[v];
-    int64_t *degree = (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
-    int64_t *position =
-        (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
-    uint8_t *removed = (uint8_t *)calloc((size_t)n + 1, 1);
+    }
+    if (total % 2 || total / 2 != m)
+        return -4;
+    int64_t *row = (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
+    int64_t *fill = (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
+    /* the rows and then the bucket slots (n + 2m of them, see below)
+     * in one block: one large allocation, which the allocator hands
+     * back whole to the next call instead of faulting in fresh pages */
+    uint32_t *nbr = (uint32_t *)malloc((2 * (size_t)total + (size_t)n + 2)
+                                       * sizeof(uint32_t));
+    sl_vertex *vx = (sl_vertex *)malloc(((size_t)n + 1) * sizeof(sl_vertex));
     int64_t *start =
         (int64_t *)calloc((size_t)max_deg + 2, sizeof(int64_t));
     int64_t *size = (int64_t *)calloc((size_t)max_deg + 1, sizeof(int64_t));
-    int64_t *slots = 0;
+    uint32_t *near = (uint32_t *)malloc(((size_t)max_deg + 1)
+                                        * sizeof(uint32_t));
     int64_t degeneracy = -1;
-    if (!degree || !position || !removed || !start || !size)
+    if (!row || !fill || !nbr || !vx || !start || !size || !near)
         goto done;
+
+    row[0] = 0;
+    for (int64_t v = 0; v < n; v++) {
+        row[v + 1] = row[v] + degrees[v];
+        fill[v] = row[v];
+    }
+    int64_t e = 0, prev = -1;
+    for (int64_t v = 0; v < n; v++) {
+        /* base + n <= n * n: the bounds cannot overflow, nor can
+         * keys[e] - base once keys[e] > base + v */
+        const int64_t base = v * n, end = base + n;
+        /* every key whose hi is v came before this row, so v's lower
+         * part is complete and its upper part starts where it ends;
+         * a write is checked against the total only, and the row's
+         * length once the row is done */
+        int64_t upper = fill[v];
+        /* every key below base was consumed by an earlier row */
+        for (; e < m && keys[e] < end; prev = keys[e++]) {
+            if (keys[e] <= prev || keys[e] <= base + v) {
+                degeneracy = -2;
+                goto done;
+            }
+            const int64_t hi = keys[e] - base;
+            if (upper >= total || fill[hi] >= total) {
+                degeneracy = -4;
+                goto done;
+            }
+            nbr[upper++] = (uint32_t)hi;
+            nbr[fill[hi]++] = (uint32_t)v;
+        }
+        if (upper != row[v + 1]) {
+            degeneracy = -4;
+            goto done;
+        }
+    }
+    if (e < m) {
+        degeneracy = -2; /* keys at or beyond n * n */
+        goto done;
+    }
+    free(fill);
+    fill = NULL;
 
     /* size[] first counts degrees, then suffix-sums them into bucket
      * capacities; start[] is their prefix sum */
@@ -690,59 +806,59 @@ int64_t repro_smallest_last(int64_t n, const int64_t *indptr,
         start[d + 1] = start[d] + size[d];
         size[d] = 0;
     }
-    slots = (int64_t *)malloc(((size_t)start[max_deg + 1] + 1)
-                              * sizeof(int64_t));
-    if (!slots)
-        goto done;
+    uint32_t *const slots = nbr + total + 1;
     for (int64_t v = 0; v < n; v++) {
         const int64_t d = degrees[v];
-        degree[v] = d;
-        position[v] = size[d];
-        slots[start[d] + size[d]++] = v;
+        vx[v].degree = (uint32_t)d;
+        vx[v].position = (uint32_t)size[d];
+        slots[start[d] + size[d]++] = (uint32_t)v;
     }
 
     degeneracy = 0;
     int64_t current = 0;
     for (int64_t step = 0; step < n; step++) {
+        /* n - step vertices remain, so some bucket up to max_deg holds
+         * one */
         current = current > 0 ? current - 1 : 0;
-        while (current <= max_deg && size[current] == 0)
+        while (size[current] == 0)
             current++;
-        if (current > max_deg) {
-            degeneracy = -2;
-            goto done;
-        }
-        const int64_t v = slots[start[current] + --size[current]];
-        removed[v] = 1;
+        const uint32_t v = slots[start[current] + --size[current]];
+        vx[v].degree |= SL_REMOVED;
         order[step] = v;
         if (current > degeneracy)
             degeneracy = current;
-        for (int64_t i = indptr[v]; i < indptr[v + 1]; i++) {
-            const int64_t u = indices[i];
-            if (removed[u])
-                continue;
-            const int64_t d = degree[u];
-            if (d <= 0) {
-                degeneracy = -2;
-                goto done;
-            }
-            /* move u from bucket d to bucket d - 1 */
-            int64_t *bucket = slots + start[d];
-            const int64_t pos = position[u];
-            const int64_t last = bucket[--size[d]];
+        /* the present neighbours of v in row order, gathered without
+         * a branch (whether one is gone is data-random), then each
+         * moves from its bucket d to bucket d - 1 (d >= 1) */
+        int64_t live = 0;
+        const int64_t stop = row[v + 1];
+        for (int64_t i = row[v]; i < stop; i++) {
+            if (i + SL_AHEAD < stop)
+                __builtin_prefetch(vx + nbr[i + SL_AHEAD]);
+            const uint32_t u = nbr[i];
+            near[live] = u;
+            live += !(vx[u].degree & SL_REMOVED);
+        }
+        for (int64_t i = 0; i < live; i++) {
+            const uint32_t u = near[i], d = vx[u].degree;
+            uint32_t *bucket = slots + start[d];
+            const uint32_t pos = vx[u].position;
+            const uint32_t last = bucket[--size[d]];
             bucket[pos] = last;
-            position[last] = pos;
-            degree[u] = d - 1;
-            position[u] = size[d - 1];
+            vx[last].position = pos;
+            vx[u].degree = d - 1;
+            vx[u].position = (uint32_t)size[d - 1];
             slots[start[d - 1] + size[d - 1]++] = u;
         }
     }
 done:
-    free(degree);
-    free(position);
-    free(removed);
+    free(row);
+    free(fill);
+    free(nbr);
+    free(vx);
     free(start);
     free(size);
-    free(slots);
+    free(near);
     return degeneracy;
 }
 
@@ -1171,7 +1287,7 @@ class _Library:
         self.smallest_last = cdll.repro_smallest_last
         self.smallest_last.restype = ctypes.c_int64
         self.smallest_last.argtypes = [
-            ctypes.c_int64, _I64P, _I64P, _I64P, _I64P,
+            ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I64P,
         ]
         self.csr_from_keys = cdll.repro_csr_from_keys
         self.csr_from_keys.restype = ctypes.c_int64
@@ -1751,10 +1867,11 @@ def configuration_wire(degrees, rng):
 
     ``degrees`` is the degree sequence (non-negative, even sum) and
     ``rng`` the :class:`numpy.random.Generator` whose bit generator the
-    shuffle draws from, holding its lock: one ``random_interval`` per
-    swap, as ``rng.shuffle`` takes them. Returns ``(keys, pairs)``: the
-    sorted unique int64 keys ``lo * n + hi`` of the simplified graph and
-    the number of stub pairs, equal to
+    shuffle draws from, holding its lock: one bounded Lemire draw per
+    swap, as ``rng.integers(0, np.arange(S, 1, -1), dtype=np.uint64)``
+    takes them. Returns ``(keys, pairs)``: the sorted unique int64 keys
+    ``lo * n + hi`` of the simplified graph and the number of stub
+    pairs, equal to
     :func:`repro.graphs.generators._configuration_python` on the same
     stream, which leaves the bit generator in the same state.
     """
@@ -1783,47 +1900,6 @@ def configuration_wire(degrees, rng):
     # handle, a raw pointer), so no dropped pair's slot outlives the call
     keys.resize(unique, refcheck=False)
     return keys, pairs
-
-
-def smallest_last(indptr, indices, degrees):
-    """Matula-Beck smallest-last order in C, or None if gated.
-
-    Takes an undirected graph's symmetric CSR (``indptr``, ``indices``)
-    and its ``degrees``, all contiguous int64. Returns
-    ``(order, degeneracy)`` bit-identical to
-    :func:`repro.orientations.degenerate._smallest_last_python`:
-    ``order[k]`` is the vertex deleted at step ``k``.
-    """
-    if not available():
-        return None
-    arrays = (indptr, indices, degrees)
-    if any(not isinstance(a, np.ndarray) or a.dtype != np.int64
-           or a.ndim != 1 or not a.flags.c_contiguous for a in arrays):
-        raise ValueError("indptr, indices and degrees must be contiguous "
-                         "1-d int64 arrays")
-    n = degrees.size
-    # the C loop reads rows by indptr, indexes by vertex and sizes its
-    # buckets by the degrees, so all three must describe one CSR
-    if (indptr.shape != (n + 1,) or indptr[0] != 0
-            or indptr[-1] != indices.size
-            or not np.array_equal(np.diff(indptr), degrees)
-            or (n and degrees.min() < 0)):
-        raise ValueError("degrees must be the row lengths of a CSR "
-                         "with indptr[0] == 0 and indptr[-1] == "
-                         "indices.size")
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        raise ValueError("indices must index 0..n-1")
-    order = np.empty(n, dtype=np.int64)
-    degeneracy = _lib.smallest_last(
-        n, indptr.ctypes.data_as(_I64P), indices.ctypes.data_as(_I64P),
-        degrees.ctypes.data_as(_I64P), order.ctypes.data_as(_I64P))
-    if degeneracy == -1:
-        raise MemoryError("native smallest-last: scratch allocation "
-                          "failed")
-    if degeneracy < 0:
-        raise ValueError("native smallest-last: the adjacency is not "
-                         "symmetric")
-    return order, int(degeneracy)
 
 
 def _check_int64(names: str, *arrays) -> None:
@@ -1870,6 +1946,43 @@ def undirected_csr(keys, degrees):
     if status:
         raise ValueError("degrees must be the degrees of the edge keys")
     return indices, indptr
+
+
+def smallest_last(keys, degrees):
+    """Matula-Beck smallest-last order in C, or None if gated.
+
+    ``keys`` are :attr:`repro.graphs.graph.Graph.keys` (strictly
+    increasing ``lo * n + hi``, ``lo < hi``) and ``degrees`` the
+    ``(n,)`` degrees, both contiguous int64. Returns
+    ``(order, degeneracy)`` bit-identical to
+    :func:`repro.orientations.degenerate._smallest_last_python`:
+    ``order[k]`` is the vertex deleted at step ``k``. The C pass lays
+    the neighbour rows out from the keys itself, checking each key, and
+    frees them before it returns: nothing is cached on the graph.
+    ValueError on a malformed key, on degrees that are not the keys'
+    degrees, or on ``n >= 2**31``.
+    """
+    if not available():
+        return None
+    _check_int64("keys and degrees", keys, degrees)
+    if keys.ndim != 1 or degrees.ndim != 1:
+        raise ValueError("keys must be (m,) and degrees (n,)")
+    n = degrees.size
+    order = np.empty(n, dtype=np.int64)
+    degeneracy = _lib.smallest_last(
+        n, keys.size, keys.ctypes.data_as(_I64P),
+        degrees.ctypes.data_as(_I64P), order.ctypes.data_as(_I64P))
+    if degeneracy == -1:
+        raise MemoryError("native smallest-last: scratch allocation "
+                          "failed")
+    if degeneracy == -2:
+        raise ValueError(_BAD_KEYS)
+    if degeneracy == -3:
+        raise ValueError("native smallest-last indexes vertices in 31 "
+                         "bits: n must be below 2**31")
+    if degeneracy < 0:
+        raise ValueError("degrees must be the degrees of the edge keys")
+    return order, int(degeneracy)
 
 
 def adopt_keys(keys, n):
@@ -2021,13 +2134,20 @@ def self_test() -> bool:
             adopted, np.bincount(np.concatenate([lo, hi]),
                                  minlength=degrees.size)):
         return False
-    # smallest-last order: C bucket queue against the Python reference
-    # on a wheel with a pendant path -- degree ties on the rim, and a
-    # hub that moves down one bucket per deleted spoke
+    # smallest-last order: the C pass over the keys against the Python
+    # reference on a wheel with a pendant path -- degree ties on the
+    # rim, and a hub that moves down one bucket per deleted spoke; the
+    # C pass must leave the graph's CSR unbuilt
     from repro.orientations import degenerate
     hub = [(0, v) for v in range(1, 8)]
     rim = [(v, v + 1) for v in range(1, 7)] + [(7, 1)]
     wheel = Graph(11, hub + rim + [(7, 8), (8, 9), (9, 10)])
+    order, k = smallest_last(wheel.keys, wheel.degrees)
+    if wheel._csr is not None:
+        return False
+    ref_order, ref_k = degenerate._smallest_last_python(wheel)
+    if not (order.tolist() == ref_order.tolist() and k == ref_k):
+        return False
     # undirected CSR: the single pass over the keys against the sort
     from repro.graphs.graph import _sorted_csr
     lo, hi = wheel.endpoints()
@@ -2036,10 +2156,6 @@ def self_test() -> bool:
     indices, indptr = wheel.csr()
     if not (np.array_equal(indices, ref_indices) and np.array_equal(
             indptr, np.concatenate([[0], wheel.degrees.cumsum()]))):
-        return False
-    order, k = smallest_last(indptr, indices, wheel.degrees)
-    ref_order, ref_k = degenerate._smallest_last_python(wheel)
-    if not (order.tolist() == ref_order.tolist() and k == ref_k):
         return False
     # orientation pricing: C totals against oriented_degrees +
     # component_ops on the same wheel, under every planner label map

@@ -14,14 +14,13 @@ random-graph generation of section 7.2:
   simplification; exhibits the degree deficit the paper warns about.
 * :func:`residual_degree_model` -- the paper's generator (a variation of
   Blitzstein-Diaconis [11]): neighbors picked in proportion to residual
-  degree, excluding already-attached neighbors, in ``O(m log n)`` via a
-  Fenwick tree, with double-edge-swap repair for the stuck tail.
+  degree, excluding already-attached neighbors, by rejection from a pool
+  of open stubs, with double-edge-swap repair for the stuck tail.
 * :func:`generate_graph` -- convenience dispatcher.
 * :func:`erdos_gallai_graphical` -- graphicality test for degree
   sequences.
 """
 
-from repro.graphs.fenwick import FenwickTree
 from repro.graphs.degree import (
     erdos_gallai_graphical,
     degree_histogram,
@@ -64,7 +63,6 @@ from repro.graphs.components import (
 )
 
 __all__ = [
-    "FenwickTree",
     "erdos_gallai_graphical",
     "degree_histogram",
     "ascending_order_statistics",

@@ -19,7 +19,9 @@ def erdos_gallai_graphical(degrees) -> bool:
         sum_{i<=k} d_i  <=  k (k - 1) + sum_{i>k} min(d_i, k)
 
     Runs in ``O(n log n)`` (dominated by the sort) using the standard
-    prefix-sum formulation.
+    prefix-sum formulation. Once ``d_k <= k`` the remaining inequalities
+    hold automatically, so only ``k`` up to the first such index are
+    checked, all in one array pass.
     """
     d = np.sort(np.asarray(degrees, dtype=np.int64))[::-1]
     n = d.size
@@ -29,27 +31,21 @@ def erdos_gallai_graphical(degrees) -> bool:
         return False
     if d[0] >= n:
         return False
-    total = int(d.sum())
-    if total % 2 == 1:
-        return False
     prefix = np.cumsum(d)
-    ascending = d[::-1]
-    # For the right-hand side we need sum_{i>k} min(d_i, k). Since d is
-    # sorted descending, min(d_i, k) == k for i <= m(k) and == d_i after,
-    # where m(k) = #\{i > k : d_i > k\}.
-    for k in range(1, n + 1):
-        lhs = int(prefix[k - 1])
-        # count entries beyond position k that still exceed k
-        cutoff = n - int(np.searchsorted(ascending, k, side="right"))
-        m = max(cutoff - k, 0)
-        tail_sum = int(prefix[-1] - prefix[k + m - 1]) if k + m <= n else 0
-        rhs = k * (k - 1) + m * k + tail_sum
-        if lhs > rhs:
-            return False
-        if d[k - 1] <= k:
-            # remaining inequalities hold automatically once d_k <= k
-            break
-    return True
+    if prefix[-1] % 2 == 1:
+        return False
+    # d_k - k strictly decreases, and d_n <= n - 1 < n, so some k <= n
+    # has d_k <= k; checking k = 1..last decides the sequence
+    ks = np.arange(1, n + 1, dtype=np.int64)
+    last = int(np.argmax(d <= ks)) + 1
+    ks = ks[:last]
+    # sum_{i>k} min(d_i, k): the entries beyond k that exceed k count k
+    # each, where #{i : d_i > k} = cutoff(k); the rest count d_i, the
+    # tail of the sum from position max(cutoff(k), k) on
+    cutoff = n - np.searchsorted(d[::-1], ks, side="right")
+    split = np.maximum(cutoff, ks)
+    rhs = ks * (ks - 1) + (split - ks) * ks + (prefix[-1] - prefix[split - 1])
+    return not np.any(prefix[:last] > rhs)
 
 
 def ascending_order_statistics(degrees) -> np.ndarray:

@@ -27,15 +27,18 @@ the same ``generator.*`` counters and the same RNG state afterwards,
 and golden values and simulated tables do not depend on which one ran.
 
 The configuration model's pass (``repro_configuration_wire``) lays the
-stubs out as uint32 in node order and shuffles them by Fisher-Yates
-with the swap draws ``rng.shuffle`` takes (numpy's ``random_interval``:
-a masked rejection on ``next_uint32``, or ``next_uint64`` once the
-index passes ``2**32 - 1``). It then pairs consecutive stubs, drops
-loops, sorts the pairs by two stable counting scatters (by ``hi``,
-then by ``lo``) and drops repeated edges: the sorted unique keys, with
-no ``np.sort`` and no m-sized int64 temporary.
-:func:`_configuration_python` -- one ``rng.shuffle``, a loop mask, a
-sort and a dedup mask -- is the reference.
+stubs out as uint32 in node order, inside the key array it returns,
+and shuffles them by Fisher-Yates: entry ``i = S - 1, ..., 1`` swaps
+with a uniform ``j`` in ``[0, i]`` drawn by numpy's bounded Lemire draw
+(a multiply-shift rejection on ``next_uint32``, or ``next_uint64`` once
+``i`` passes ``2**32 - 1``) -- the draws of
+``rng.integers(0, np.arange(S, 1, -1), dtype=np.uint64)``. It then
+pairs consecutive stubs, drops loops, sorts the pairs by two stable
+counting scatters (by ``hi``, then by ``lo``) and drops repeated
+edges: the sorted unique keys, with no ``np.sort`` and no m-sized
+temporary beyond the uint32 ``hi`` buckets.
+:func:`_configuration_python` -- those draws at once, the swaps in a
+Python loop, a loop mask, a sort and a dedup mask -- is the reference.
 
 Proportional selection draws from a pool of open stubs, one entry per
 stub holding its node id, and rejects excluded partners, in the shape
@@ -66,10 +69,11 @@ guard, swap repair, the Havel-Hakimi fallback and the ``generator.*``
 counters are shared. Both C passes hand their keys to
 :meth:`Graph._from_keys`, whose check and degree count is itself one
 native pass over the keys. ``tests/test_generators_native.py`` pins
-both identities (the configuration pairing against ``rng.shuffle``
-itself), and ``tests/test_residual_wire_boundaries.py`` pins the
-residual one on the extreme draws ``0`` and ``1 - 2**-53`` and on
-draws landing exactly on a slot boundary ``k / S``.
+both identities (the configuration pairing against ``rng.integers``
+itself, on three bit generators), and
+``tests/test_residual_wire_boundaries.py`` pins the residual one on the
+extreme draws ``0`` and ``1 - 2**-53`` and on draws landing exactly on
+a slot boundary ``k / S``.
 """
 
 from __future__ import annotations
@@ -114,11 +118,19 @@ def _configuration_python(degrees: np.ndarray, rng: np.random.Generator):
     """The reference stub matching: ``(keys, pairs)``.
 
     ``keys`` are the sorted unique ``lo * n + hi`` of the simplified
-    graph, ``pairs`` the number of stub pairs. One ``rng.shuffle`` of
-    the stubs in node order.
+    graph, ``pairs`` the number of stub pairs. The stubs, in node order,
+    are shuffled by Fisher-Yates: entry ``i = S - 1, ..., 1`` swaps with
+    a uniform ``j`` in ``[0, i]``, all drawn at once by
+    ``rng.integers`` (numpy's Lemire draw on ``next_uint32``), then
+    swapped in a Python loop.
     """
-    stubs = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
-    rng.shuffle(stubs)
+    stubs = np.repeat(np.arange(degrees.size, dtype=np.int64),
+                      degrees).tolist()
+    draws = rng.integers(0, np.arange(len(stubs), 1, -1),
+                         dtype=np.uint64).tolist()
+    for i, j in zip(range(len(stubs) - 1, 0, -1), draws):
+        stubs[i], stubs[j] = stubs[j], stubs[i]
+    stubs = np.array(stubs, dtype=np.int64)
     pairs = stubs.reshape(-1, 2)
     n_pairs = pairs.shape[0]
     # the keys lo * n + hi take one m-sized array: hi overwrites the

@@ -16,9 +16,9 @@ derives from it on demand:
   need both;
 * the symmetric 2m-entry CSR is built on the first :meth:`Graph.csr`
   call, in one native pass over the keys (no sort) when the compiled
-  library is available. Degree-ranked relabeling and orientation
-  pricing read only the keys and degrees, so a Monte-Carlo cell under
-  such an ordering never builds it.
+  library is available. Relabeling (degree-ranked or, in C, the
+  smallest-last order) and orientation pricing read only the keys and
+  degrees, so a Monte-Carlo cell never builds it.
 
 The generators hand their sorted keys over through
 :meth:`Graph._from_keys`, which copies and sorts nothing but still
@@ -242,7 +242,10 @@ class Graph:
 
         Row ``v`` is ``indices[indptr[v]:indptr[v+1]]`` -- the sorted
         neighbors of ``v``, each edge stored in both directions. Built
-        on the first call and cached.
+        on the first call and cached (16 bytes per edge). With the
+        compiled kernels available, neither the Monte-Carlo cells nor
+        the degenerate order build it: the native smallest-last order
+        lays out and frees its own rows.
         """
         if self._csr is None:
             self._csr = _undirected_csr(self._keys, self._degrees, self.n)

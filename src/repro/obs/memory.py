@@ -360,8 +360,7 @@ _IN_KEY_METHODS = frozenset({"E4", "E5", "L4", "L5"})
 
 
 def predict_footprint(n: int, m: int, *, method: str | None = None,
-                      engine: str = "numpy",
-                      order: str | None = None) -> dict:
+                      engine: str = "numpy") -> dict:
     """Predicted bytes per ledger tag from the dtype layout rules.
 
     The rules transcribe the actual allocations:
@@ -369,9 +368,6 @@ def predict_footprint(n: int, m: int, *, method: str | None = None,
     * ``ugraph.keys`` / ``ugraph.degrees`` -- the undirected
       :class:`~repro.graphs.graph.Graph`'s int64 edge keys (``m``) and
       degrees (``n``);
-    * ``ugraph.csr`` -- its lazy symmetric CSR, int64 indices (``2m``)
-      and indptr (``n + 1``); only ``order="degenerate"`` (the
-      smallest-last order) builds it;
     * ``graph.csr`` -- two uint32 index arrays (``m`` each) plus two
       int64 indptr arrays (``n + 1`` each);
     * ``graph.degrees`` -- three int64 degree arrays (out/in/total);
@@ -394,8 +390,6 @@ def predict_footprint(n: int, m: int, *, method: str | None = None,
         "graph.csr": 4 * 2 * m + 8 * 2 * (n + 1),
         "graph.degrees": 8 * 3 * n,
     }
-    if order == "degenerate":
-        components["ugraph.csr"] = 8 * 2 * m + 8 * (n + 1)
     if engine == "numpy":
         keys = 8 * m
         if method is not None and method.upper() in _IN_KEY_METHODS:
@@ -417,7 +411,7 @@ def _ratio(actual: int, predicted: int) -> float:
 
 
 def conformance_report(n: int, m: int, *, method: str | None = None,
-                       engine: str = "numpy", order: str | None = None,
+                       engine: str = "numpy",
                        tolerance: float = DEFAULT_TOLERANCE,
                        rows: list[dict] | None = None) -> dict:
     """Audit-style predicted-vs-attributed verdict over the ledger.
@@ -429,8 +423,7 @@ def conformance_report(n: int, m: int, *, method: str | None = None,
     gate the verdict. The verdict passes when the attributed total is
     within ``tolerance`` of the predicted total.
     """
-    predicted = predict_footprint(n, m, method=method, engine=engine,
-                                  order=order)
+    predicted = predict_footprint(n, m, method=method, engine=engine)
     if rows is None:
         rows = ledger_rows()
     actual_by_tag = {r["tag"]: r for r in rows}

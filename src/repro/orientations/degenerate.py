@@ -14,12 +14,16 @@ vertex's degree at deletion time, which is at most the degeneracy.
 
 :func:`smallest_last_order` has two paths with one output. When the
 compiled library is available (:func:`repro.engine.native.available`)
-it runs the bucket queue in C (``native.smallest_last``); otherwise,
-e.g. under ``REPRO_NATIVE=0``, it runs :func:`_smallest_last_python`,
-the reference loop. The C loop mirrors the Python one op for op -- each
-bucket a stack, removal by swap-with-last, the scan restarting at
-``max(current - 1, 0)``, neighbors visited in CSR order -- so the
-deletion order and the degeneracy are bit-identical, ties included.
+it runs the bucket queue in C (``native.smallest_last``) straight from
+the graph's sorted edge keys: the C pass lays out its own uint32
+neighbour rows in :meth:`Graph.csr`'s order and frees them before it
+returns, so the graph's CSR is never built. Otherwise, e.g. under
+``REPRO_NATIVE=0``, it runs :func:`_smallest_last_python`, the
+reference loop over :meth:`Graph.neighbors`. The C loop mirrors the
+Python one op for op -- each bucket a stack, removal by
+swap-with-last, the scan restarting at ``max(current - 1, 0)``,
+neighbors visited in CSR order -- so the deletion order and the
+degeneracy are bit-identical, ties included.
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ def smallest_last_order(graph) -> tuple[np.ndarray, int]:
 
     ``deletion_order[k]`` is the vertex removed at step ``k`` (a
     minimum-degree vertex of the residual graph). Runs in ``O(n + m)``,
-    in C when the native library is available.
+    in C from ``graph.keys`` when the native library is available,
+    without building ``graph.csr()``.
     """
-    indices, indptr = graph.csr()
-    result = native.smallest_last(indptr, indices, graph.degrees)
+    result = native.smallest_last(graph.keys, graph.degrees)
     if result is None:
         result = _smallest_last_python(graph)
     return result

@@ -143,10 +143,20 @@ class TestLazyCSR:
         assert simulate_cost(spec, 300, np.random.default_rng(1)) > 0
         assert builds == []
 
-    def test_degenerate_cell_builds_once(self, builds):
+    def test_degenerate_cell_builds_once(self, builds, monkeypatch):
+        """The Python smallest-last loop reads ``Graph.neighbors``."""
+        monkeypatch.setattr(native, "_lib", None)
         spec = _spec("E1", DegenerateOrder(), n_sequences=1, n_graphs=1)
         assert simulate_cost(spec, 300, np.random.default_rng(1)) > 0
         assert builds == [300]
+
+    @pytest.mark.skipif(not native.available(),
+                        reason="no C toolchain / native gated")
+    def test_native_degenerate_cell_builds_none(self, builds):
+        """The C smallest-last pass reads the keys and frees its rows."""
+        spec = _spec("E1", DegenerateOrder(), n_sequences=1, n_graphs=1)
+        assert simulate_cost(spec, 300, np.random.default_rng(1)) > 0
+        assert builds == []
 
     def test_csr_is_cached(self, builds):
         graph = Graph(4, [(0, 1), (2, 1), (3, 0)])

@@ -2,16 +2,21 @@
 
 :func:`repro.orientations.degenerate.smallest_last_order` runs the
 Matula-Beck bucket queue in C whenever the compiled library is
-available, and :func:`_smallest_last_python` otherwise. The port is
-bit-identical: both return the same deletion order (ties included) and
-the same degeneracy, so every caller -- ``DegenerateOrder``, the
-planner's exact backend, ``graphs.analysis`` -- gives the same answer
-on either path. The Python reference is forced by monkeypatching
-``native._lib`` away, as in ``test_generators_native.py``.
+available, and :func:`_smallest_last_python` otherwise. The C pass reads
+the graph's sorted edge keys and lays its own neighbour rows out in
+``Graph.csr()``'s order, so it never builds or caches the graph's CSR.
+The port is bit-identical: both return the same deletion order (ties
+included) and the same degeneracy, so every caller --
+``DegenerateOrder``, the planner's exact backend, ``graphs.analysis``
+-- gives the same answer on either path. The Python reference is
+forced by monkeypatching ``native._lib`` away, as in
+``test_generators_native.py``.
 
 The differential tests skip where no C toolchain exists; the gating
 tests run everywhere.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,6 +63,7 @@ def _pareto(alpha, n, seed):
 
 def _assert_identical(graph):
     order, k = smallest_last_order(graph)
+    assert graph._csr is None
     ref_order, ref_k = _smallest_last_python(graph)
     np.testing.assert_array_equal(order, ref_order)
     assert order.dtype == ref_order.dtype == np.int64
@@ -136,12 +142,59 @@ class TestCallersUnchanged:
         assert fast.best.key == ref.best.key
 
 
+def _shape(kind, size, seed):
+    """One graph of a named shape; ``size`` and ``seed`` vary it."""
+    if kind == "empty":
+        return Graph(0, [])
+    if kind == "isolated":
+        return Graph(size, [])
+    if kind == "star":
+        return _graph(size + 1, [(0, i) for i in range(1, size + 1)])
+    if kind == "clique":
+        return _complete(size % 12 + 1)
+    if kind == "bipartite":
+        return _bipartite(size % 5 + 1, size % 7 + 1)
+    if kind == "circulant":
+        hops = seed % 3 + 1
+        return _circulant(size + 2 * hops + 1, hops)
+    return _pareto((1.1, 1.5, 1.7, 2.5)[seed % 4], size + 20, seed)
+
+
+SHAPES = ["empty", "isolated", "star", "clique", "bipartite", "circulant",
+          "pareto"]
+
+
+@needs_native
+class TestDifferential:
+    """The keys pass against the Python loop on drawn shapes."""
+
+    @given(kind=st.sampled_from(SHAPES),
+           size=st.integers(min_value=0, max_value=150),
+           seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_order_and_degeneracy(self, kind, size, seed):
+        _assert_identical(_shape(kind, size, seed))
+
+    @given(kind=st.sampled_from(SHAPES),
+           size=st.integers(min_value=0, max_value=60),
+           seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_plan(self, kind, size, seed):
+        graph = _shape(kind, size, seed)
+        plan = plan_for_graph(graph, orderings=GRAPH_ORDERINGS)
+        assert graph._csr is None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(native, "_lib", None)
+            ref = plan_for_graph(graph, orderings=GRAPH_ORDERINGS)
+        assert plan.to_rows() == ref.to_rows()
+        assert plan.best.key == ref.best.key
+
+
 class TestGating:
     def test_gated_library_runs_the_reference(self, monkeypatch):
         monkeypatch.setattr(native, "_lib", None)
         graph = FIXTURES["bipartite"]
-        indices, indptr = graph.csr()
-        assert native.smallest_last(indptr, indices, graph.degrees) is None
+        assert native.smallest_last(graph.keys, graph.degrees) is None
         order, k = smallest_last_order(graph)
         ref_order, ref_k = _smallest_last_python(graph)
         np.testing.assert_array_equal(order, ref_order)
@@ -150,41 +203,70 @@ class TestGating:
 
     @needs_native
     def test_rejects_arguments_the_c_loop_cannot_take(self):
-        indices, indptr = FIXTURES["cycle"].csr()
-        degrees = FIXTURES["cycle"].degrees
+        graph = FIXTURES["cycle"]
+        keys, degrees = graph.keys, graph.degrees
         with pytest.raises(ValueError, match="int64"):
-            native.smallest_last(indptr.astype(np.int32), indices, degrees)
+            native.smallest_last(keys.astype(np.int32), degrees)
         with pytest.raises(ValueError, match="int64"):
-            native.smallest_last(indptr, indices, degrees.astype(float))
+            native.smallest_last(keys, degrees.astype(float))
         with pytest.raises(ValueError, match="int64"):
-            native.smallest_last(indptr, indices.tolist(), degrees)
+            native.smallest_last(keys.tolist(), degrees)
         with pytest.raises(ValueError, match="int64"):
-            native.smallest_last(indptr, np.repeat(indices, 2)[::2],
-                                 degrees)
-        with pytest.raises(ValueError, match="index 0..n-1"):
-            native.smallest_last(indptr, indices + 1, degrees)
-        with pytest.raises(ValueError, match="index 0..n-1"):
-            native.smallest_last(indptr, indices - 1, degrees)
-        with pytest.raises(ValueError, match="row lengths"):
-            native.smallest_last(indptr, indices, degrees + 1)
-        with pytest.raises(ValueError, match="row lengths"):
-            native.smallest_last(indptr[:-1], indices, degrees[:-1])
-        with pytest.raises(ValueError, match="row lengths"):
-            native.smallest_last(indptr, indices[:-1], degrees)
+            native.smallest_last(np.repeat(keys, 2)[::2], degrees)
+        with pytest.raises(ValueError, match=r"\(m,\)"):
+            native.smallest_last(keys.reshape(1, -1), degrees)
+        # the cycle's keys are 1, 8, 11, 21, ..., 71 (n = 9), each fault
+        # put in with the cycle's own degrees
+        n = graph.n
+        for index, key in ((0, 8), (1, 1), (0, 0), (-1, n * n), (0, -1),
+                           (3, 2 * n + 1), (-1, -2**63)):
+            bad = keys.copy()
+            bad[index] = key
+            with pytest.raises(ValueError, match="strictly increasing"):
+                native.smallest_last(bad, degrees)
+        with pytest.raises(ValueError, match="degrees of the edge keys"):
+            native.smallest_last(keys, degrees + 1)
+        with pytest.raises(ValueError, match="degrees of the edge keys"):
+            native.smallest_last(keys[:-1], degrees)
+        with pytest.raises(ValueError, match="degrees of the edge keys"):
+            native.smallest_last(keys, np.roll(FIXTURES["path"].degrees, 1))
 
     @needs_native
     def test_rejects_negative_degrees(self):
-        indptr = np.array([0, 2, 1, 3], dtype=np.int64)
-        degrees = np.diff(indptr)
-        with pytest.raises(ValueError, match="row lengths"):
-            native.smallest_last(indptr, np.zeros(3, dtype=np.int64),
-                                 degrees)
+        keys = np.array([1, 2], dtype=np.int64)  # edges 0-1, 0-2
+        for degrees in ([3, -1, 2], [-1, 2, 3]):
+            with pytest.raises(ValueError, match="degrees of the edge keys"):
+                native.smallest_last(keys, np.array(degrees,
+                                                    dtype=np.int64))
 
     @needs_native
     def test_asymmetric_adjacency_is_a_typed_error(self):
-        rows = [[1, 1], [1], [4], [0], []]
-        degrees = np.array([len(r) for r in rows], dtype=np.int64)
-        indptr = np.concatenate([[0], np.cumsum(degrees)])
-        indices = np.array(sum(rows, []), dtype=np.int64)
-        with pytest.raises(ValueError, match="not symmetric"):
-            native.smallest_last(indptr, indices, degrees)
+        """Degrees that count each edge at one end only describe an
+        asymmetric adjacency; the pass refuses them before a row is
+        overrun."""
+        graph = FIXTURES["star"]
+        lo, __ = graph.endpoints()
+        one_sided = np.bincount(lo, minlength=graph.n).astype(np.int64)
+        one_sided[1] += one_sided.sum()  # keep the sum at 2m
+        one_sided[0] = 0
+        with pytest.raises(ValueError, match="degrees of the edge keys"):
+            native.smallest_last(graph.keys, one_sided)
+
+    @needs_native
+    def test_codes_raise(self, monkeypatch):
+        graph = FIXTURES["path"]
+        for code, error, text in ((-1, MemoryError, "allocation"),
+                                  (-3, ValueError, "2\\*\\*31")):
+            monkeypatch.setattr(native, "_lib", SimpleNamespace(
+                smallest_last=lambda *a, code=code: code))
+            with pytest.raises(error, match=text):
+                smallest_last_order(graph)
+
+    @needs_native
+    def test_c_entry_refuses_wide_n_before_reading(self):
+        """n above INT32_MAX returns -3 before any array is read."""
+        out = np.full(1, -7, dtype=np.int64)
+        ptr = out.ctypes.data_as(native._I64P)
+        assert native._lib.smallest_last(2**31, 0, ptr, ptr, ptr) == -3
+        assert native._lib.smallest_last(-1, 0, ptr, ptr, ptr) == -2
+        assert out.tolist() == [-7]

@@ -12,7 +12,7 @@ from repro import (
     list_triangles,
     orient,
 )
-from repro.graphs import FenwickTree, residual_degree_model
+from repro.graphs import residual_degree_model
 from repro.graphs.generators import havel_hakimi_graph
 
 
@@ -44,12 +44,6 @@ class TestDegenerateInputs:
         expected = n * (n - 1) * (n - 2) // 6
         for method in ("T1", "T3", "E1", "E4", "L5"):
             assert list_triangles(oriented, method).count == expected
-
-    def test_fenwick_single_element(self):
-        tree = FenwickTree([5.0])
-        assert tree.sample(4.9) == 0
-        tree.add(0, -5.0)
-        assert tree.total == pytest.approx(0.0)
 
     def test_orientation_of_zero_node_graph(self):
         graph = Graph(0, [])

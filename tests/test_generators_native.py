@@ -14,16 +14,19 @@ forced by monkeypatching ``native._lib`` away, as in
 ``test_native_engine.py``.
 
 The configuration model is pinned the same way. Its C pass
-(``native.configuration_wire``) shuffles the stubs with the swap draws
-``rng.shuffle`` takes and sorts the pairs by counting scatters, so for
-the same sequence and seed it must return the NumPy reference's keys
+(``native.configuration_wire``) shuffles the stubs by Fisher-Yates with
+NumPy's Lemire draws (those of ``rng.integers(0, np.arange(S, 1, -1),
+dtype=np.uint64)``) and sorts the pairs by counting scatters, so for
+the same sequence and seed it must return the reference's keys
 (``generators._configuration_python``), the same degrees, the same
 ``generator.rejections`` and the same ``bit_generator.state`` --
 over Hypothesis-drawn sequences and over fixed shapes: all-zero
 degrees, ``n = 1, 2``, one hub, sequences dense in loops and repeated
 edges, and stub counts on both sides of ``2**k``. Its pairing is also
-checked against ``rng.shuffle`` itself, so a change to NumPy's shuffle
-fails here instead of silently changing the generator's law.
+checked against ``rng.integers`` itself on three bit generators, so a
+change to NumPy's bounded draw fails here instead of silently changing
+the generator's stream, and a chi-square over 6000 seeds checks that
+the C pass shuffles 5 stubs into each of their 120 orders alike.
 
 The differential tests skip where no C toolchain exists; the gating
 tests run everywhere.
@@ -241,6 +244,29 @@ def _assert_configuration_identical(degrees, seed):
     return rejections
 
 
+#: Bit generators whose ``next_uint32``/``next_uint64`` the C pass must
+#: draw through exactly as ``rng.integers`` does.
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
+
+
+def _fisher_yates(n, rng):
+    """``np.arange(n)`` shuffled by Fisher-Yates: entry ``i`` swaps with
+    the ``rng.integers`` draw in ``[0, i]``, ``i = n - 1, ..., 1``."""
+    perm = np.arange(n)
+    draws = rng.integers(0, np.arange(n, 1, -1), dtype=np.uint64)
+    for i, j in zip(range(n - 1, 0, -1), draws.tolist()):
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def _same_state(state, other):
+    """Bit-generator states equal, array fields (MT19937's key) too."""
+    if isinstance(state, dict):
+        return state.keys() == other.keys() and all(
+            _same_state(state[k], other[k]) for k in state)
+    return np.array_equal(state, other)
+
+
 def _even(degrees):
     """``degrees`` as int64 with the largest one lowered to an even sum."""
     degrees = np.array(degrees, dtype=np.int64)
@@ -316,19 +342,58 @@ class TestConfigurationBitIdentity:
         _assert_configuration_identical(_with_stubs(n, stubs), k)
 
     @pytest.mark.parametrize("n", [2, 254, 256, 258, 4096, 4098])
-    def test_pairing_is_rng_shuffle(self, n):
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                             ids=lambda bg: bg.__name__)
+    def test_pairing_is_lemire_fisher_yates(self, bit_generator, n):
         """On a perfect matching (every degree 1) the stub pairs are
-        the consecutive pairs of ``rng.shuffle(np.arange(n))``."""
+        the consecutive pairs of ``np.arange(n)`` shuffled by
+        Fisher-Yates on ``rng.integers``' draws, and the C pass takes
+        exactly those draws."""
         degrees = np.ones(n, dtype=np.int64)
-        rng, ref_rng = (np.random.default_rng(n),
-                        np.random.default_rng(n))
+        rng = np.random.Generator(bit_generator(n))
+        ref_rng = np.random.Generator(bit_generator(n))
         keys, pairs = native.configuration_wire(degrees, rng)
-        perm = np.arange(n)
-        ref_rng.shuffle(perm)
+        perm = _fisher_yates(n, ref_rng)
         lo, hi = np.sort(perm.reshape(-1, 2), axis=1).T
         assert pairs == n // 2
         np.testing.assert_array_equal(keys, np.sort(lo * n + hi))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert _same_state(rng.bit_generator.state,
+                           ref_rng.bit_generator.state)
+
+    def test_five_stub_orders_are_uniform(self):
+        """Five stubs of five nodes through the C entry, one seed at a
+        time: its pairs and its draws are those of the Fisher-Yates
+        order on the same seed, and over 6000 seeds that order takes
+        each of the 120 permutations, and the pass's observable outcome
+        (two pairs and the stub left over) each of its 15 values, as
+        often as a chi-square test allows."""
+        from itertools import permutations
+
+        from scipy.stats import chisquare
+        orders = {p: k for k, p in enumerate(permutations(range(5)))}
+        outcomes: dict = {}
+        order_counts = np.zeros(len(orders))
+        degrees = np.ones(5, dtype=np.int64)
+        for seed in range(6000):
+            rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            keys = np.full(3, -1, dtype=np.int64)
+            with rng.bit_generator.lock:
+                kept = native._lib.configuration_wire(
+                    5, degrees.ctypes.data_as(native._I64P),
+                    rng.bit_generator.ctypes.bit_generator,
+                    keys.ctypes.data_as(native._I64P))
+            perm = _fisher_yates(5, ref_rng)
+            pairs = sorted(min(a, b) * 5 + max(a, b)
+                           for a, b in (perm[:2], perm[2:4]))
+            assert kept == 2 and keys[:2].tolist() == pairs
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            order_counts[orders[tuple(perm.tolist())]] += 1
+            outcome = (*pairs, int(perm[4]))
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        assert len(outcomes) == 15
+        assert chisquare(order_counts).pvalue > 1e-3
+        assert chisquare(list(outcomes.values())).pvalue > 1e-3
 
     def test_strided_degrees(self):
         degrees = np.repeat(_even([5, 4, 4, 3, 3, 3, 2, 2, 1, 1]), 2)[::2]

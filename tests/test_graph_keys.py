@@ -159,15 +159,21 @@ class TestNativeAgainstReference:
                 *oriented_degrees(graph, labels)).values())
 
     def test_smallest_last_on_native_csr(self, shape, monkeypatch):
+        """The keys pass lays its rows out as the native CSR does: the
+        Python loop on that CSR, and on the sorting reference's, gives
+        its order."""
         graph = Graph(*shape)
-        indices, indptr = graph.csr()
-        order, k = native.smallest_last(indptr, indices, graph.degrees)
+        order, k = native.smallest_last(graph.keys, graph.degrees)
+        assert graph._csr is None
+        graph.csr()
+        on_native = _smallest_last_python(graph)
         reference = Graph(*shape)
         with monkeypatch.context() as patch:
             patch.setattr(native, "_lib", None)
             ref_order, ref_k = _smallest_last_python(reference)
-        np.testing.assert_array_equal(order, ref_order)
-        assert k == ref_k
+        for other, other_k in (on_native, (ref_order, ref_k)):
+            np.testing.assert_array_equal(order, other)
+            assert k == other_k
 
 
 def _malformed(n=6):

@@ -15,24 +15,30 @@ stub accounted for -- and the ``n >= 2**32`` rejection.
 The configuration model's pass runs on the same sizes (Pareto, star,
 complete and all-zero sequences) and on stub counts on both sides of
 ``2**4``, ``2**8`` and ``2**12``, with its shuffle's words drawn
-through a stub ``bitgen_t`` as random words, all zeros, or all ones on
-every other draw (a constant all-ones word would be rejected forever,
-by numpy's draw as by this one). An oracle in the ``main`` replays the
-same words through numpy's ``random_interval``, written out apart,
-pairs the stubs, sorts with ``qsort`` and deduplicates; the keys and
-the number of words consumed must be equal. ``n >= 2**32``, a degree
-beyond 32 bits and a negative degree must be refused before any draw.
+through a stub ``bitgen_t`` as random words, zero on every other draw,
+or all ones on every other draw. (A constant zero word would be
+rejected forever by the Lemire draw for any bound ``b`` that is not a
+power of two, since its threshold ``2**32 mod b`` is then above 0; a
+constant all-ones word likewise by some bounds.) An oracle in the
+``main`` replays the same words through numpy's bounded Lemire draw,
+written out apart, pairs the stubs, sorts with ``qsort`` and
+deduplicates; the keys and the number of words consumed must be equal.
+The draw itself is also replayed against the oracle on bounds no
+shuffle here reaches: each side of ``2**31`` and ``2**32`` (``2**32 -
+1`` being numpy's shortcut) and the 64-bit branch.
+``n >= 2**32``, a degree beyond 32 bits and a negative degree must be
+refused before any draw.
 
-It then runs the four passes that read a graph's sorted edge keys
+It then runs the five passes that read a graph's sorted edge keys
 ``lo * n + hi`` -- key adoption, the CSR-from-keys pass, the
-key-walking orientation sums and the oriented CSR from keys -- on
-``n = 0``, ``m = 0``, a star, a clique and random graphs; adoption
-must count the degrees. It checks that every CSR row is sorted, in
-range and symmetric, and that the sums under the identity and the
-reversed label map are the ones the CSR implies. The smallest-last
-bucket queue runs on each symmetric CSR: its order must delete a vertex
-of minimum remaining degree at every step and its return value must be
-the degeneracy; on an asymmetric CSR it must return ``-2``. Under the identity,
+smallest-last order, the key-walking orientation sums and the oriented
+CSR from keys -- on ``n = 0``, ``m = 0``, a star, a clique and random
+graphs; adoption must count the degrees. It checks that every CSR row
+is sorted, in range and symmetric, and that the sums under the identity
+and the reversed label map are the ones the CSR implies. The
+smallest-last order must delete a vertex of minimum remaining degree at
+every step and its return value must be the degeneracy; on degrees
+that are not the keys' it must return ``-4``. Under the identity,
 the reversed and a random label map it checks that every oriented row
 is sorted and in range, that out and in are transposes of each other
 and that every oriented edge is an edge of the keys.
@@ -47,11 +53,13 @@ concatenated stream must agree byte for byte.
 
 Malformed keys (a decreasing key, a duplicate, a self-loop, a key at
 ``n * n``, ``INT64_MIN`` after row 0, keys on no nodes), a label
-outside ``[0, n)`` and an ``n`` whose keys overflow int64 must return
-the error code without reading or writing out of bounds or overflowing
-a signed subtraction; adoption must name the fault its Python caller
-reports first (a decrease or repeat anywhere, then the range, then
-``lo >= hi``), also when one array holds several. The ``main`` exits 0 only when all of it holds.
+outside ``[0, n)`` and an ``n`` whose keys overflow int64 (for the
+smallest-last order, an ``n`` above ``INT32_MAX``, which its records
+cannot hold: ``-3``) must return the error code without reading or
+writing out of bounds or overflowing a signed subtraction; adoption
+must name the fault its Python caller reports first (a decrease or
+repeat anywhere, then the range, then ``lo >= hi``), also when one
+array holds several. The ``main`` exits 0 only when all of it holds.
 Any sanitizer report aborts the run with a non-zero status.
 
 One entry point of the library is outside this build: the collect
@@ -119,10 +127,11 @@ static double stub_double(void *state)
            : wire_mode == 1 ? 0.0 : 1.0 - 0x1.0p-53;
 }
 
-/* Words for the shuffle's masked rejections under word_mode: 0 random,
- * 1 all zero, 2 all ones on every other draw and random in between (a
- * constant all-ones word would be rejected forever by any bound that
- * is not 2^k - 1, in numpy's draw as in this one) */
+/* Words for the shuffle's Lemire draws under word_mode: 0 random, 1 zero
+ * on every other draw and 2 all ones on every other draw, random in
+ * between (a constant zero word would be rejected forever by any bound
+ * b that is not a power of two, whose threshold 2^32 mod b is above 0,
+ * in numpy's draw as in this one) */
 static int word_mode;
 static uint64_t word_draws;
 
@@ -138,7 +147,7 @@ static uint64_t stub_uint64(void *state)
 {
     (void)state;
     word_draws++;
-    return word_mode == 1 ? 0
+    return word_mode == 1 && word_draws % 2 ? 0
            : word_mode == 2 && word_draws % 2 ? ~(uint64_t)0
            : random_word();
 }
@@ -197,24 +206,35 @@ static int wire(const char *name, int64_t n, const int64_t *deg, int mode)
     return bad;
 }
 
-/* numpy's random_interval, written out on its own as the oracle */
-static uint64_t oracle_interval(uint64_t max)
+/* numpy's random_bounded_uint64 with off = 0 and Lemire's rejection (a
+ * uniform integer in [0, max], max >= 1), written out on its own as the
+ * oracle: the product of a word and the bound max + 1 is kept unless its
+ * low part falls below (2^w - (max + 1)) mod (max + 1) */
+static uint64_t oracle_lemire(uint64_t max)
 {
-    uint64_t mask = max, value;
-    for (int shift = 1; shift < 64; shift *= 2)
-        mask |= mask >> shift;
-    if (max == 0)
-        return 0;
+    if (max == 0xffffffffULL)
+        return stub_uint32(0);
+    if (max < 0xffffffffULL) {
+        const uint64_t bound = max + 1;
+        const uint64_t threshold = ((uint64_t)1 << 32) % bound;
+        uint64_t product;
+        do
+            product = (uint64_t)stub_uint32(0) * bound;
+        while ((product & 0xffffffffULL) < threshold);
+        return product >> 32;
+    }
+    const uint64_t bound = max + 1;
+    const uint64_t threshold = (0 - bound) % bound;
+    __uint128_t product;
     do
-        value = max <= 0xffffffffULL ? stub_uint32(0) & mask
-                                     : stub_uint64(0) & mask;
-    while (value > max);
-    return value;
+        product = (__uint128_t)stub_uint64(0) * bound;
+    while ((uint64_t)product < threshold);
+    return (uint64_t)(product >> 64);
 }
 
 /* repro_configuration_wire on deg[0..n) under one word mode, against
  * an oracle replaying the same words: the stubs shuffled with
- * oracle_interval, paired, loops dropped, the keys sorted with qsort
+ * oracle_lemire, paired, loops dropped, the keys sorted with qsort
  * and deduplicated. Checks the keys are equal, strictly increasing,
  * lo < hi < n, that no vertex gets more edges than its degree, and
  * that both consumed the same number of words. Returns 0 when that
@@ -242,7 +262,7 @@ static int configuration(const char *name, int64_t n, const int64_t *deg,
         for (int64_t t = 0; t < deg[v]; t++)
             stub[s++] = v;
     for (int64_t i = stubs - 1; i > 0; i--) {
-        const int64_t j = (int64_t)oracle_interval((uint64_t)i);
+        const int64_t j = (int64_t)oracle_lemire((uint64_t)i);
         const int64_t held = stub[j];
         stub[j] = stub[i];
         stub[i] = held;
@@ -275,16 +295,56 @@ static int configuration(const char *name, int64_t n, const int64_t *deg,
     return bad;
 }
 
-/* repro_smallest_last on one symmetric CSR: order must be a
- * permutation that deletes a vertex of minimum remaining degree at
- * every step, and the return value the largest degree so deleted.
- * Returns 0 when that holds. */
-static int smallest(const char *name, int64_t n, const int64_t *indptr,
+/* bounded_lemire against the oracle, draw by draw, on bounds that the
+ * shuffles of these sizes never reach: each side of 2^31 and 2^32
+ * (2^32 - 1 is numpy's shortcut, the word as it is), bounds whose
+ * threshold 2^32 mod (max + 1) is 1, and the 64-bit branch. Both must
+ * return the same values and consume the same words. Returns 0 when
+ * that holds. */
+static int lemire_bounds(void)
+{
+    static const uint64_t bounds[] = {
+        1, 2, 4, 16, 254, 0x7fffffffULL, 0x80000000ULL, 0xbfffffffULL,
+        0xfffffffdULL, 0xfffffffeULL, 0xffffffffULL, 0x100000000ULL,
+        0x100000001ULL, 0x30000000007ULL, 0x8000000000000000ULL,
+        0xfffffffffffffffeULL};
+    int bad = 0;
+    for (size_t b = 0; b < sizeof(bounds) / sizeof(bounds[0]); b++)
+        for (int mode = 0; mode < 3; mode++) {
+            word_mode = mode;
+            const uint64_t seed = rng_state;
+            uint64_t got[64];
+            word_draws = 0;
+            for (int t = 0; t < 64; t++)
+                got[t] = bounded_lemire(&stub_rng, bounds[b]);
+            const uint64_t used = word_draws;
+            rng_state = seed;
+            word_draws = 0;
+            for (int t = 0; t < 64 && !bad; t++) {
+                const uint64_t want = oracle_lemire(bounds[b]);
+                bad = got[t] != want || got[t] > bounds[b];
+            }
+            bad = bad || used != word_draws;
+            if (bad) {
+                fprintf(stderr, "FAIL lemire bound=%llu mode=%d\n",
+                        (unsigned long long)bounds[b], mode);
+                return 1;
+            }
+        }
+    return 0;
+}
+
+/* repro_smallest_last on one keyed graph, checked on its symmetric CSR:
+ * order must be a permutation that deletes a vertex of minimum
+ * remaining degree at every step, and the return value the largest
+ * degree so deleted. Returns 0 when that holds. */
+static int smallest(const char *name, int64_t n, int64_t m,
+                    const int64_t *keys, const int64_t *indptr,
                     const int64_t *indices, const int64_t *deg)
 {
     int64_t *order = malloc((size_t)(n + 1) * sizeof(int64_t));
     uint8_t *gone = calloc((size_t)n + 1, 1);
-    const int64_t k = repro_smallest_last(n, indptr, indices, deg, order);
+    const int64_t k = repro_smallest_last(n, m, keys, deg, order);
     int bad = k < 0;
     int64_t worst = 0;
     for (int64_t t = 0; !bad && t < n; t++) {
@@ -476,7 +536,7 @@ static int oriented(const char *name, int64_t n, int64_t m,
     return bad;
 }
 
-/* The three key kernels on one keyed graph, the oriented CSR under the
+/* The four key kernels on one keyed graph, the oriented CSR under the
  * identity, the reversed and a random label map. expect is 0 for
  * well-formed keys, else the error code all must return. Returns 0
  * when the result holds. */
@@ -508,6 +568,10 @@ static int keyed(const char *name, int64_t n, int64_t m,
     const int64_t sum = repro_oriented_sums(n, m, keys, deg, 2, labels,
                                             sums);
     bad |= csr != expect || sum != expect;
+    int64_t *order = malloc((size_t)(n + 1) * sizeof(int64_t));
+    if (expect)
+        bad |= repro_smallest_last(n, m, keys, deg, order) != expect;
+    free(order);
     /* adoption counts the degrees of well-formed keys and names a
      * fault (a positive code) in malformed ones */
     int64_t *adopted = malloc((size_t)(n + 1) * sizeof(int64_t));
@@ -517,7 +581,7 @@ static int keyed(const char *name, int64_t n, int64_t m,
         bad = adopted[v] != deg[v];
     free(adopted);
     if (!bad && !expect)
-        bad = smallest(name, n, indptr, indices, deg);
+        bad = smallest(name, n, m, keys, indptr, indices, deg);
     /* under the identity map each edge points from its larger end, so
      * X[v] counts the neighbours below v; the reversed map swaps X, Y */
     int64_t t[3] = {0, 0, 0};
@@ -632,6 +696,20 @@ static int keyed_cases(void)
             failures++;
         }
     }
+    /* degrees that are not the star's: counted at one end only (the
+     * sum still 2m), one too many, a negative one, one at n; the rows
+     * they imply are refused before any is overrun */
+    static const int64_t wrong[4][6] = {{0, 5, 1, 1, 1, 2},
+                                        {5, 1, 1, 1, 1, 2},
+                                        {5, -1, 3, 1, 1, 1},
+                                        {6, 1, 1, 1, 1, 0}};
+    for (int w = 0; w < 4; w++) {
+        int64_t order[6] = {-7, -7, -7, -7, -7, -7};
+        if (repro_smallest_last(6, 5, star, wrong[w], order) != -4) {
+            fprintf(stderr, "FAIL smallest-last degrees %d\n", w);
+            failures++;
+        }
+    }
     /* a label outside [0, n) */
     int64_t low[6] = {0, 1, 2, -1, 4, 5}, high[6] = {0, 1, 2, 6, 4, 5};
     failures += oriented("label-1", 6, 5, star, low, -3);
@@ -652,6 +730,10 @@ static int keyed_cases(void)
             || repro_oriented_csr(3037000500LL, 0, &none, &none, &out,
                                   NULL, &out, NULL) != -2
             || repro_adopt_keys(3037000500LL, 0, &none, &out) != -2
+            || repro_smallest_last(0, 1, &one, &none, &out) != -2
+            || repro_smallest_last(-1, 0, &none, &none, &out) != -2
+            || repro_smallest_last(2147483648LL, 0, &none, &none, &out)
+               != -3
             || out != -7) {
         fprintf(stderr, "FAIL keyed guards\n");
         failures++;
@@ -740,14 +822,7 @@ int main(void)
         fprintf(stderr, "FAIL configuration guards\n");
         failures++;
     }
-    /* an asymmetric CSR: 0 lists 1 twice, 1 does not list 0; deleting
-     * 0 takes 1 below degree 0 */
-    int64_t ptr[4] = {0, 2, 3, 4}, idx[4] = {1, 1, 2, 0};
-    int64_t asym_deg[3] = {2, 1, 1}, asym_order[3];
-    if (repro_smallest_last(3, ptr, idx, asym_deg, asym_order) != -2) {
-        fprintf(stderr, "FAIL smallest-last asymmetric\n");
-        failures++;
-    }
+    failures += lemire_bounds();
     failures += keyed_cases();
     return failures != 0;
 }
