@@ -246,7 +246,8 @@ def _assert_configuration_identical(degrees, seed):
 
 #: Bit generators whose ``next_uint32``/``next_uint64`` the C pass must
 #: draw through exactly as ``rng.integers`` does.
-BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
+OTHER_BIT_GENERATORS = [np.random.MT19937, np.random.Philox]
+PERFECT_MATCHING_SIZES = [2, 254, 256, 258, 4096, 4098]
 
 
 def _fisher_yates(n, rng):
@@ -341,14 +342,26 @@ class TestConfigurationBitIdentity:
         n = max(8, int(np.sqrt(stubs)) + 2)
         _assert_configuration_identical(_with_stubs(n, stubs), k)
 
-    @pytest.mark.parametrize("n", [2, 254, 256, 258, 4096, 4098])
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+    @pytest.mark.parametrize("n", PERFECT_MATCHING_SIZES)
+    def test_pairing_is_rng_shuffle(self, n):
+        """On a perfect matching (every degree 1) the stub pairs are
+        the consecutive pairs of ``np.arange(n)`` shuffled on
+        ``default_rng``'s draws: Fisher-Yates on ``rng.integers``,
+        not ``rng.shuffle``, whose draws differ."""
+        self._assert_pairing_is_fisher_yates(np.random.PCG64, n)
+
+    @pytest.mark.parametrize("n", PERFECT_MATCHING_SIZES)
+    @pytest.mark.parametrize("bit_generator", OTHER_BIT_GENERATORS,
                              ids=lambda bg: bg.__name__)
     def test_pairing_is_lemire_fisher_yates(self, bit_generator, n):
-        """On a perfect matching (every degree 1) the stub pairs are
-        the consecutive pairs of ``np.arange(n)`` shuffled by
-        Fisher-Yates on ``rng.integers``' draws, and the C pass takes
-        exactly those draws."""
+        """As above on the other bit generators."""
+        self._assert_pairing_is_fisher_yates(bit_generator, n)
+
+    @staticmethod
+    def _assert_pairing_is_fisher_yates(bit_generator, n):
+        """The stub pairs are the consecutive pairs of ``np.arange(n)``
+        shuffled by Fisher-Yates on ``rng.integers``' draws, and the C
+        pass takes exactly those draws."""
         degrees = np.ones(n, dtype=np.int64)
         rng = np.random.Generator(bit_generator(n))
         ref_rng = np.random.Generator(bit_generator(n))
