@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import pathlib
 import time
@@ -71,8 +72,10 @@ def emit(name: str, text: str, results_dir=None,
     the current metrics snapshot) to ``runs.jsonl`` in the same
     directory. ``data`` is folded into the sidecar under ``"data"`` --
     machine-readable bench results (e.g. per-method ns/edge) that
-    future runs can diff for regressions. Returns the path of the
-    ``.txt`` artifact so benches can assert on it.
+    future runs can diff for regressions. The sidecar is strict JSON
+    (RFC 8259): a non-finite float anywhere in it (the ring case's
+    infinite regret, say) is written as ``null``. Returns the path of
+    the ``.txt`` artifact so benches can assert on it.
     """
     out_dir = pathlib.Path(results_dir) if results_dir else RESULTS_DIR
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -94,7 +97,8 @@ def emit(name: str, text: str, results_dir=None,
     if data is not None:
         sidecar["data"] = data
     (out_dir / f"{name}.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        json.dumps(_finite(sidecar), indent=2, sort_keys=True,
+                   allow_nan=False) + "\n")
     # REPRO_RUNS_FILE redirects the run-record trail (e.g. the CI perf
     # gate isolating its history); otherwise it rides with the tables.
     record_path = obs.jsonl.sink_path(None, obs.records.RUNS_FILE_ENV,
@@ -111,6 +115,17 @@ def emit(name: str, text: str, results_dir=None,
         obs.write_collapsed([record], out_dir / f"{name}.flame.txt",
                             source="spans")
     return path
+
+
+def _finite(value):
+    """``value`` with every non-finite float, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 @contextlib.contextmanager

@@ -439,8 +439,8 @@ def run_numpy(oriented, method: str = "E1", collect: bool = True,
     docstring). ``use_native`` gates the compiled kernels: ``None``
     (default) uses them when available, ``False`` stays pure NumPy,
     ``True`` requires them (``RuntimeError`` otherwise).
-    ``extra["engine"]`` is ``"numpy"``; ``extra["native"]`` reports
-    whether a compiled kernel produced the result.
+    ``extra["engine"]`` names the engine that produced the result:
+    ``"native"`` when a compiled kernel did, else ``"numpy"``.
     """
     method = method.upper()
     kernel = _KERNELS.get(method)
@@ -487,7 +487,7 @@ def run_numpy(oriented, method: str = "E1", collect: bool = True,
         _publish_native_stats()
     _metrics.set_gauge("engine.native", 1.0 if used_native else 0.0)
 
-    extra = {"engine": "numpy", "native": used_native}
+    extra = {"engine": "native" if used_native else "numpy"}
     if used_native:
         last = _native.last_stats()
         if last is not None:

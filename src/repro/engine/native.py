@@ -49,10 +49,6 @@ library:
 * **Key adoption** (:func:`adopt_keys`): the check and the degree count
   of :meth:`repro.graphs.graph.Graph._adopt` in one sequential walk
   over the edge keys, naming the reference's fault.
-* **Undirected CSR from keys** (:func:`undirected_csr`): the
-  symmetric CSR of :meth:`repro.graphs.graph.Graph.csr` in one pass
-  over the graph's sorted edge keys, with no sort, equal to the
-  sorting reference build element for element.
 * **Oriented CSR from keys** (:func:`oriented_csr`): the out- and
   in-CSR of :class:`repro.graphs.digraph.OrientedGraph` from the sorted
   edge keys and a label map, in O(n + m) counting scatters with no
@@ -120,7 +116,6 @@ __all__ = [
     "smallest_last",
     "status",
     "stream_triangles",
-    "undirected_csr",
 ]
 
 #: Vertex blocks the threaded driver splits a graph into. A fixed
@@ -692,14 +687,16 @@ enum { SL_AHEAD = 8 };
  * edge keys lo * n + hi and its degrees: the bucket queue of
  * repro.orientations.degenerate._smallest_last_python, op for op.
  *
- * A walk over the rows of the keys (no division), as in
- * repro_csr_from_keys, checks every key and lays the neighbour rows out
- * as uint32 scratch in Graph.csr()'s order: row v is its lower part
- * (the lo of every key whose hi is v, ascending) and then its upper part
- * (the hi of every key whose lo is v, ascending). The row offsets are
- * the prefix sums of degrees; every write is bounded by their total and
- * each row's length is checked when its run of keys ends, so degrees
- * that are not the keys' degrees are refused, never overrun.
+ * A walk over the rows of the keys checks every key and lays the
+ * neighbour rows out as uint32 scratch in Graph.csr()'s order, with no
+ * division: the keys of row v are the run in [v * n, (v + 1) * n), so
+ * hi is the key minus the row base v * n. Row v is its lower part (the
+ * lo of every key whose hi is v, ascending, filled by earlier runs) and
+ * then its upper part (the hi of every key whose lo is v, ascending,
+ * the run itself). The row offsets are the prefix sums of degrees;
+ * every write is bounded by their total and each row's length is
+ * checked when its run of keys ends, so degrees that are not the keys'
+ * degrees are refused, never overrun.
  *
  * The peel then mirrors the Python loop: each bucket is a stack (push at
  * the end, pop from the end), a vertex leaves its bucket by
@@ -866,74 +863,6 @@ done:
  * int64: isqrt(2^63 - 1), repro.graphs.graph.MAX_KEYED_N. */
 #define MAX_KEYED_N 3037000499LL
 
-/* The symmetric CSR of an undirected graph, built in one pass over its
- * strictly increasing edge keys lo * n + hi (lo < hi), with no sort.
- * indptr holds the n + 1 row offsets (prefix sums of the degrees).
- * Row v is its lower part -- the lo of every key whose hi is v --
- * followed by its upper part -- the hi of every key whose lo is v.
- * Keys sorted by (lo, hi) fill both parts in ascending order: the
- * upper part is the run of keys in [v * n, (v + 1) * n), and the lower
- * part of row v receives its entries from earlier runs in ascending
- * lo. When the run of row v starts, every key whose hi is v lies
- * behind it, so the lower part is complete and must end exactly where
- * the upper part begins. The output is the reference's, element for
- * element: the sorted neighbours of every row.
- *
- * Returns 0; -1 when scratch allocation fails; -2 on a key that does
- * not increase strictly, is negative or >= n * n, or has lo >= hi (or
- * on n > MAX_KEYED_N); -3 when indptr does not hold the row lengths
- * the keys imply. Nothing is written outside indices[0, 2m) either
- * way. */
-int64_t repro_csr_from_keys(int64_t n, int64_t m, const int64_t *keys,
-                            const int64_t *indptr, int64_t *indices)
-{
-    if (n < 0 || n > MAX_KEYED_N
-            || (m > 0 && (keys[0] < 0 || keys[m - 1] >= n * n)))
-        return -2;
-    if (indptr[0] != 0 || indptr[n] != 2 * m)
-        return -3;
-    for (int64_t v = 0; v < n; v++)
-        if (indptr[v + 1] < indptr[v])
-            return -3;
-    int64_t *fill = (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
-    if (!fill)
-        return -1;
-    for (int64_t v = 0; v < n; v++)
-        fill[v] = indptr[v];
-    int64_t status = 0, e = 0, prev = -1;
-    for (int64_t v = 0; v < n && !status; v++) {
-        /* base + n <= n * n: the bounds cannot overflow, nor can
-         * keys[e] - base once keys[e] > base + v */
-        const int64_t base = v * n, end = base + n, start = e;
-        /* every key below base was consumed by an earlier run */
-        for (; e < m && keys[e] < end; prev = keys[e++])
-            if (keys[e] <= prev || keys[e] <= base + v) {
-                status = -2;
-                break;
-            }
-        if (status)
-            break;
-        const int64_t upper = indptr[v + 1] - (e - start);
-        if (fill[v] != upper) {
-            status = -3;
-            break;
-        }
-        for (int64_t k = start; k < e; k++) {
-            const int64_t hi = keys[k] - base;
-            indices[upper + (k - start)] = hi;
-            if (fill[hi] >= indptr[hi + 1]) {
-                status = -3;
-                break;
-            }
-            indices[fill[hi]++] = v;
-        }
-    }
-    if (!status && e < m)
-        status = -2; /* keys at or beyond n * n */
-    free(fill);
-    return status;
-}
-
 /* What repro_adopt_keys finds wrong with a key array, in the order
  * repro.graphs.graph.Graph._adopt reports faults: any decrease or
  * repeat anywhere first, then a key outside [0, n * n), then a key
@@ -942,7 +871,8 @@ enum { KEYS_OK = 0, KEYS_UNSORTED = 1, KEYS_RANGE = 2, KEYS_LOOP = 3 };
 
 /* The check and the degree count of Graph._adopt, in one sequential
  * pass over the edge keys lo * n + hi with no division: the row base
- * lo * n is walked up as the keys rise, as in repro_csr_from_keys.
+ * lo * n is walked up by n as the keys rise past it, and hi is the key
+ * minus that base.
  * degrees (n entries) receives each vertex's degree when the keys are
  * well formed. Returns KEYS_OK or the fault Graph._adopt reports, and
  * -2 before reading anything if n > MAX_KEYED_N. */
@@ -1287,11 +1217,6 @@ class _Library:
         self.smallest_last = cdll.repro_smallest_last
         self.smallest_last.restype = ctypes.c_int64
         self.smallest_last.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I64P,
-        ]
-        self.csr_from_keys = cdll.repro_csr_from_keys
-        self.csr_from_keys.restype = ctypes.c_int64
-        self.csr_from_keys.argtypes = [
             ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I64P,
         ]
         self.adopt_keys = cdll.repro_adopt_keys
@@ -1914,40 +1839,6 @@ _BAD_KEYS = ("edge keys must be strictly increasing keys lo * n + hi "
              "with 0 <= lo < hi < n")
 
 
-def undirected_csr(keys, degrees):
-    """A graph's symmetric CSR from its sorted edge keys in C, or None
-    if gated.
-
-    ``keys`` are :attr:`repro.graphs.graph.Graph.keys` (strictly
-    increasing ``lo * n + hi``, ``lo < hi``) and ``degrees`` the
-    ``(n,)`` degrees, both contiguous int64. Returns int64
-    ``(indices, indptr)`` equal to the reference build in
-    :func:`repro.graphs.graph._undirected_csr`, from one O(n + m) pass
-    and no sort. ValueError on malformed keys, or on degrees that are
-    not the keys' degrees.
-    """
-    if not available():
-        return None
-    _check_int64("keys and degrees", keys, degrees)
-    if keys.ndim != 1 or degrees.ndim != 1:
-        raise ValueError("keys must be (m,) and degrees (n,)")
-    n = degrees.size
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = np.empty(2 * keys.size, dtype=np.int64)
-    status = _lib.csr_from_keys(
-        n, keys.size, keys.ctypes.data_as(_I64P),
-        indptr.ctypes.data_as(_I64P), indices.ctypes.data_as(_I64P))
-    if status == -1:
-        raise MemoryError("native CSR from keys: scratch allocation "
-                          "failed")
-    if status == -2:
-        raise ValueError(_BAD_KEYS)
-    if status:
-        raise ValueError("degrees must be the degrees of the edge keys")
-    return indices, indptr
-
-
 def smallest_last(keys, degrees):
     """Matula-Beck smallest-last order in C, or None if gated.
 
@@ -2085,9 +1976,8 @@ def oriented_sums(keys, degrees, labels):
 def self_test() -> bool:
     """Compile-and-verify: a triangle + a path (counted, listed and
     boxed), a residual wiring, a configuration-model wiring and the
-    adoption of its keys, the undirected CSR from keys, a smallest-last
-    order, the planner's orientation sums, and the oriented CSR from
-    keys.
+    adoption of its keys, a smallest-last order, the planner's
+    orientation sums, and the oriented CSR from keys.
 
     Used by benchmarks and CI before trusting the library.
     """
@@ -2147,15 +2037,6 @@ def self_test() -> bool:
         return False
     ref_order, ref_k = degenerate._smallest_last_python(wheel)
     if not (order.tolist() == ref_order.tolist() and k == ref_k):
-        return False
-    # undirected CSR: the single pass over the keys against the sort
-    from repro.graphs.graph import _sorted_csr
-    lo, hi = wheel.endpoints()
-    ref_indices, __ = _sorted_csr(np.concatenate([lo, hi]),
-                                  np.concatenate([hi, lo]), wheel.n)
-    indices, indptr = wheel.csr()
-    if not (np.array_equal(indices, ref_indices) and np.array_equal(
-            indptr, np.concatenate([[0], wheel.degrees.cumsum()]))):
         return False
     # orientation pricing: C totals against oriented_degrees +
     # component_ops on the same wheel, under every planner label map

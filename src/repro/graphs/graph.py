@@ -15,10 +15,10 @@ derives from it on demand:
   :meth:`Graph.endpoints` decodes the two columns once for callers that
   need both;
 * the symmetric 2m-entry CSR is built on the first :meth:`Graph.csr`
-  call, in one native pass over the keys (no sort) when the compiled
-  library is available. Relabeling (degree-ranked or, in C, the
-  smallest-last order) and orientation pricing read only the keys and
-  degrees, so a Monte-Carlo cell never builds it.
+  call, by one sort of the 2m directed keys. Only the Python reference
+  loops and baselines read it: relabeling (degree-ranked or, in C, the
+  smallest-last order), orientation pricing and the oriented CSR read
+  only the keys and degrees, so a Monte-Carlo cell never builds it.
 
 The generators hand their sorted keys over through
 :meth:`Graph._from_keys`, which copies and sorts nothing but still
@@ -81,16 +81,10 @@ def _check_n(n: int) -> None:
 def _undirected_csr(keys: np.ndarray, degrees: np.ndarray, n: int):
     """The symmetric CSR ``(indices, indptr)`` of the keyed graph.
 
-    The only code that builds :meth:`Graph.csr`: the native pass over
-    the sorted keys (:func:`repro.engine.native.undirected_csr`) when
-    the compiled library is available, else the reference -- one sort
-    of the 2m directed keys (:func:`_sorted_csr`). Both give the same
-    arrays, element for element.
+    The only code that builds :meth:`Graph.csr`: one sort of the 2m
+    directed keys (:func:`_sorted_csr`), and the prefix sums of the
+    degrees as the row offsets.
     """
-    from repro.engine import native  # lazy: engine imports graphs
-    built = native.undirected_csr(keys, degrees)
-    if built is not None:
-        return built
     lo, hi = _decode(keys, n)
     indices, __ = _sorted_csr(np.concatenate([lo, hi]),
                               np.concatenate([hi, lo]), n)
@@ -242,10 +236,11 @@ class Graph:
 
         Row ``v`` is ``indices[indptr[v]:indptr[v+1]]`` -- the sorted
         neighbors of ``v``, each edge stored in both directions. Built
-        on the first call and cached (16 bytes per edge). With the
-        compiled kernels available, neither the Monte-Carlo cells nor
-        the degenerate order build it: the native smallest-last order
-        lays out and frees its own rows.
+        on the first call, by one sort of the directed keys, and cached
+        (16 bytes per edge). Only the Python reference loops and
+        baselines read it; with the compiled kernels available, neither
+        the Monte-Carlo cells nor the degenerate order build it: the
+        native smallest-last order lays out and frees its own rows.
         """
         if self._csr is None:
             self._csr = _undirected_csr(self._keys, self._degrees, self.n)

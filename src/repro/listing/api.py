@@ -127,8 +127,7 @@ def list_triangles(oriented, method: str = "E1", collect: bool = True,
             result = run_numpy(oriented, method, collect,
                                use_native=_USE_NATIVE[engine])
         # the engine that ran: python, numpy or native
-        engine = ("native" if result.extra.get("native")
-                  else result.extra.get("engine") or "python")
+        engine = result.extra.get("engine") or "python"
         sp.annotate(ops=result.ops, triangles=result.count, engine=engine)
     if auto_plan is not None:
         result.extra["auto_method"] = method

@@ -49,6 +49,22 @@ def test_emit_writes_json_sidecar(common, tmp_path):
     assert "created_unix" in sidecar
 
 
+def test_emit_sidecar_is_strict_json(common, tmp_path):
+    data = {"summary": {"max_regret": float("inf"), "median": 0.5},
+            "rows": [{"regret": float("-inf")}, {"regret": float("nan")},
+                     (1.0, float("inf"))]}
+    common.emit("unit_table", "body", results_dir=tmp_path, data=data)
+
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    sidecar = json.loads((tmp_path / "unit_table.json").read_text(),
+                         parse_constant=refuse)
+    assert sidecar["data"] == {
+        "summary": {"max_regret": None, "median": 0.5},
+        "rows": [{"regret": None}, {"regret": None}, [1.0, None]]}
+
+
 def test_emit_appends_run_record(common, tmp_path):
     common.emit("first", "a", results_dir=tmp_path,
                 config={"seed": 1})

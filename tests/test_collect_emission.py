@@ -97,7 +97,7 @@ class TestNativePath:
     def test_run_numpy_default(self, oriented, method):
         expected = _rowwise(native.list_triangles_array(oriented))
         result = run_numpy(oriented, method)
-        assert result.extra["native"]
+        assert result.extra["engine"] == "native"
         assert result.count == len(expected)
         _assert_boxed(result.triangles, expected)
 
@@ -209,7 +209,7 @@ class TestNumpyPath:
     def test_use_native_false(self, oriented, method):
         expected = _rowwise(_stacked_batches(oriented, method))
         result = run_numpy(oriented, method, use_native=False)
-        assert not result.extra["native"]
+        assert result.extra["engine"] == "numpy"
         assert result.count == len(expected)
         _assert_boxed(result.triangles, expected)
 
@@ -218,7 +218,7 @@ class TestNumpyPath:
         monkeypatch.setattr(native, "_lib", None)
         expected = _rowwise(_stacked_batches(oriented, method))
         result = run_numpy(oriented, method)
-        assert not result.extra["native"]
+        assert result.extra["engine"] == "numpy"
         _assert_boxed(result.triangles, expected)
         with pytest.raises(RuntimeError, match="native engine requested"):
             list_triangles(oriented, method, engine="native")

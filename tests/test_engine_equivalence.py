@@ -73,7 +73,7 @@ class TestEngineEquivalence:
         assert py.hash_inserts == np_list.hash_inserts
         assert set(py.triangles) == set(np_list.triangles)
         assert len(np_list.triangles) == np_list.count
-        assert np_list.extra["native"] is False
+        assert np_list.extra["engine"] == "numpy"
 
     @pytest.mark.parametrize("method", ("T1", "E1", "E4", "L5"))
     def test_triangles_well_ordered(self, oriented, method):
@@ -156,7 +156,7 @@ class TestDispatch:
                 result = list_triangles(g, method, collect=collect,
                                         engine=engine)
                 case = (name, method)
-                assert bool(result.extra.get("native")) is \
+                assert (result.extra.get("engine") == "native") is \
                     expect_native, case
                 assert result.count == ref.count, case
                 assert result.ops == ref.ops, case
@@ -180,7 +180,7 @@ class TestDispatch:
         monkeypatch.setattr(native, "list_triangles_array", boom)
         result = list_triangles(oriented, "T1", collect=collect,
                                 engine="numpy")
-        assert result.extra["native"] is False
+        assert result.extra["engine"] == "numpy"
         assert result.count == count_triangles(oriented, "T1",
                                                engine="python")
 
@@ -207,16 +207,17 @@ class TestDispatch:
         assert py.count == np_res.count
 
     def test_auto_routes_count_only_to_numpy(self, oriented):
+        from repro.engine import native
         result = list_triangles(oriented, "E1", collect=False)
-        assert result.extra.get("engine") == "numpy"
+        assert result.extra.get("engine") == (
+            "native" if native.available() else "numpy")
 
     def test_auto_collect_follows_native_availability(self, oriented):
         """auto + collect: compiled kernels when present, else python."""
         from repro.engine import native
         result = list_triangles(oriented, "E1", collect=True)
         if native.available():
-            assert result.extra.get("engine") == "numpy"
-            assert result.extra.get("native") is True
+            assert result.extra.get("engine") == "native"
         else:
             assert result.extra.get("engine") is None
 
@@ -248,6 +249,6 @@ class TestDispatch:
         monkeypatch.setattr(native, "_lib", None)
         assert not native.available()
         result = run_numpy(oriented, "T1", collect=False)
-        assert not result.extra["native"]
+        assert result.extra["engine"] == "numpy"
         assert result.count == count_triangles(oriented, "T1",
                                                engine="python")

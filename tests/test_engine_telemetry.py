@@ -93,7 +93,7 @@ class TestNativeGauge:
         monkeypatch.setattr(native, "_lib", None)
         obs.enable()
         result = run_numpy(oriented, "T1", collect=False)
-        assert result.extra["native"] is False
+        assert result.extra["engine"] == "numpy"
         assert obs.metrics.snapshot()["gauges"]["engine.native"] == 0.0
         # the fallback count path feeds the kernel counters instead
         assert engine_counters()["engine.chunks"] >= 1
@@ -103,14 +103,14 @@ class TestNativeGauge:
             pytest.skip("no compiled kernel in this environment")
         obs.enable()
         result = run_numpy(oriented, "T1", collect=False)
-        assert result.extra["native"] is True
+        assert result.extra["engine"] == "native"
         assert obs.metrics.snapshot()["gauges"]["engine.native"] == 1.0
 
     def test_collect_opt_out_is_pure_numpy(self, oriented):
         obs.enable()
         result = run_numpy(oriented, "E1", collect=True,
                            use_native=False)
-        assert result.extra["native"] is False
+        assert result.extra["engine"] == "numpy"
         assert obs.metrics.snapshot()["gauges"]["engine.native"] == 0.0
 
     def test_native_collect_reports_kernel(self, oriented):
@@ -118,7 +118,7 @@ class TestNativeGauge:
             pytest.skip("no compiled kernel in this environment")
         obs.enable()
         result = run_numpy(oriented, "E1", collect=True)
-        assert result.extra["native"] is True
+        assert result.extra["engine"] == "native"
         assert result.extra["native_threads"] >= 1
         snap = obs.metrics.snapshot()
         assert snap["gauges"]["engine.native"] == 1.0

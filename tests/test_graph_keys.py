@@ -4,20 +4,24 @@
 increasing int64 keys ``lo * n + hi``. The generators hand keys over
 through ``Graph._from_keys``; the public constructor takes edges in any
 order and ends in the same checks. The symmetric CSR is built from the
-keys in one native pass (``native.undirected_csr``), and the planner's
-orientation sums walk the keys in C (``native.oriented_sums``). These
-tests pin, on small shapes and a heavy-tailed configuration graph:
+keys by one sort, whether or not the compiled library is loaded, and the
+planner's orientation sums walk the keys in C (``native.oriented_sums``).
+These tests pin, on small shapes and a heavy-tailed configuration graph:
 
 * both constructors agree on keys, degrees, ``edges`` and ``csr()``;
-* the native CSR pass equals the sorting reference bit for bit;
+* ``csr()``, ``neighbors()`` and ``has_edge()`` equal a brute-force
+  adjacency from ``edges``, with ``indptr`` the prefix sums of the
+  degrees, int64 arrays and a lazy, cached build -- also over
+  Hypothesis-drawn simple graphs;
 * the key-walking sums equal ``oriented_degrees`` + ``component_ops``
   under every label map the planner prices (a superset of the six
   distinct maps it sends to the kernel in one call);
-* the native smallest-last order on the new CSR equals the Python
-  reference on the reference CSR, ties included;
+* the native smallest-last order, peeled from the rows it lays out in
+  C, equals the Python reference on ``csr()``, ties included;
 * malformed keys raise ValueError from the constructor and from every
-  native wrapper (``native.oriented_csr`` included), and an ``n`` whose
-  keys would overflow int64 is refused before anything is allocated;
+  native key walker (``native.oriented_csr`` included), and an ``n``
+  whose keys would overflow int64 is refused before anything is
+  allocated;
 * key adoption (``Graph._adopt``) through the native pass
   (``native.adopt_keys``) and through the NumPy reference gives the
   same degrees on every shape, and the same ``ValueError`` message on
@@ -84,12 +88,47 @@ def _reference_keys(n, edges):
                     dtype=np.int64)
 
 
-def _reference_csr(graph, monkeypatch):
-    """``graph``'s CSR from the sorting reference (native gated)."""
-    with monkeypatch.context() as patch:
-        patch.setattr(native, "_lib", None)
-        return graph_module._undirected_csr(graph.keys, graph.degrees,
-                                            graph.n)
+def _assert_csr_brute_force(graph):
+    """``csr()``, ``neighbors()`` and ``has_edge()`` against the
+    adjacency of ``graph.edges``: every row, and ``has_edge`` on every
+    pair (up to 100 nodes; beyond, on each row's neighbours, the node
+    itself and the next node)."""
+    assert graph._csr is None
+    indices, indptr = graph.csr()
+    assert graph.csr() is graph._csr
+    assert indices.dtype == indptr.dtype == np.int64
+    assert indices.shape == (2 * graph.m,)
+    assert indptr.tolist() == [0, *np.cumsum(graph.degrees).tolist()]
+    adjacency = [set() for _ in range(graph.n)]
+    for u, v in graph.edges.tolist():
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    for v in range(graph.n):
+        assert graph.neighbors(v).tolist() == sorted(adjacency[v])
+        probes = (range(graph.n) if graph.n <= 100
+                  else adjacency[v] | {v, (v + 1) % graph.n})
+        for u in probes:
+            assert graph.has_edge(v, u) == (u in adjacency[v])
+
+
+def _pairs(n):
+    """Simple edge sets over ``n`` nodes, isolated nodes allowed."""
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return st.sets(pair.filter(lambda e: e[0] != e[1])
+                   .map(lambda e: (max(e), min(e))), max_size=3 * n)
+
+
+#: ``(n, edges)``: no nodes, isolated nodes only, stars, cliques and
+#: random simple graphs.
+SIMPLE_GRAPHS = st.one_of(
+    st.just((0, [])),
+    st.integers(1, 12).map(lambda n: (n, [])),
+    st.integers(1, 12).map(lambda n: (n, [(v, 0) for v in range(1, n)])),
+    st.integers(1, 9).map(lambda n: (n, [(u, v) for v in range(n)
+                                         for u in range(v + 1, n)])),
+    st.integers(1, 16).flatmap(
+        lambda n: st.tuples(st.just(n), _pairs(n).map(sorted))),
+)
 
 
 class TestConstructorsAgree:
@@ -122,6 +161,14 @@ class TestConstructorsAgree:
         with pytest.raises(ValueError):
             graph.keys[0] = 2
 
+    def test_csr_against_brute_force(self, shape):
+        _assert_csr_brute_force(Graph(*shape))
+
+    @given(graph=SIMPLE_GRAPHS)
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_csr_against_brute_force(self, graph):
+        _assert_csr_brute_force(Graph(*graph))
+
     def test_generators_hand_over_sorted_keys(self):
         graph = _pareto_configuration()
         assert np.all(graph.keys[1:] > graph.keys[:-1])
@@ -133,20 +180,15 @@ class TestConstructorsAgree:
 @needs_native
 class TestNativeAgainstReference:
     def test_csr_bit_identical(self, shape, monkeypatch):
-        graph = Graph(*shape)
-        indices, indptr = native.undirected_csr(graph.keys, graph.degrees)
-        ref_indices, ref_indptr = _reference_csr(graph, monkeypatch)
-        assert indices.dtype == ref_indices.dtype == np.int64
-        assert indptr.dtype == ref_indptr.dtype == np.int64
-        np.testing.assert_array_equal(indices, ref_indices)
-        np.testing.assert_array_equal(indptr, ref_indptr)
-
-    def test_graph_csr_is_the_native_pass(self, shape):
-        graph = Graph(*shape)
-        for built, native_built in zip(
-                graph.csr(), native.undirected_csr(graph.keys,
-                                                   graph.degrees)):
-            np.testing.assert_array_equal(built, native_built)
+        """``csr()`` is the same with the library loaded or gated, bit
+        for bit, dtype included."""
+        loaded = Graph(*shape).csr()
+        with monkeypatch.context() as patch:
+            patch.setattr(native, "_lib", None)
+            gated = Graph(*shape).csr()
+        for built, other in zip(loaded, gated):
+            assert built.dtype == other.dtype == np.int64
+            np.testing.assert_array_equal(built, other)
 
     def test_oriented_sums_match_reference(self, shape):
         graph = Graph(*shape)
@@ -158,22 +200,16 @@ class TestNativeAgainstReference:
             assert row == list(component_ops(
                 *oriented_degrees(graph, labels)).values())
 
-    def test_smallest_last_on_native_csr(self, shape, monkeypatch):
-        """The keys pass lays its rows out as the native CSR does: the
-        Python loop on that CSR, and on the sorting reference's, gives
-        its order."""
+    def test_smallest_last_on_native_csr(self, shape):
+        """The keys pass peels the rows it lays out in C, in
+        ``csr()``'s order: the Python loop on ``csr()`` gives its
+        order and degeneracy."""
         graph = Graph(*shape)
         order, k = native.smallest_last(graph.keys, graph.degrees)
         assert graph._csr is None
-        graph.csr()
-        on_native = _smallest_last_python(graph)
-        reference = Graph(*shape)
-        with monkeypatch.context() as patch:
-            patch.setattr(native, "_lib", None)
-            ref_order, ref_k = _smallest_last_python(reference)
-        for other, other_k in (on_native, (ref_order, ref_k)):
-            np.testing.assert_array_equal(order, other)
-            assert k == other_k
+        ref_order, ref_k = _smallest_last_python(graph)
+        np.testing.assert_array_equal(order, ref_order)
+        assert k == ref_k
 
 
 def _malformed(n=6):
@@ -202,14 +238,6 @@ class TestMalformedKeys:
 
     @needs_native
     @pytest.mark.parametrize("name", MALFORMED)
-    def test_native_csr_raises(self, name):
-        # degrees that sum to 2m, so only the keys can be wrong
-        degrees = np.array([1, 1, 1, 1, 1, 1], dtype=np.int64)
-        with pytest.raises(ValueError):
-            native.undirected_csr(_malformed()[name], degrees)
-
-    @needs_native
-    @pytest.mark.parametrize("name", MALFORMED)
     def test_native_sums_raise(self, name):
         degrees = np.array([1, 1, 1, 1, 1, 1], dtype=np.int64)
         labels = np.arange(6, dtype=np.int64)[None, :]
@@ -222,14 +250,6 @@ class TestMalformedKeys:
         with pytest.raises(ValueError, match="0 <= lo < hi < n"):
             native.oriented_csr(_malformed()[name],
                                 np.arange(6, dtype=np.int64))
-
-    @needs_native
-    def test_native_csr_rejects_wrong_degrees(self):
-        keys = Graph(4, [(0, 1), (2, 3)]).keys
-        for degrees in ([2, 0, 1, 1], [1, 1, 2, 0], [3, -1, 1, 1]):
-            with pytest.raises(ValueError, match="degrees"):
-                native.undirected_csr(keys, np.array(degrees,
-                                                     dtype=np.int64))
 
     @needs_native
     def test_no_keys_on_no_nodes(self):

@@ -75,7 +75,7 @@ class TestMethodOrderingEquivalence:
         ref = run_numpy(oriented, method, collect=True,
                         use_native=False)
         nat = run_numpy(oriented, method, collect=True, use_native=True)
-        assert nat.extra["native"] is True
+        assert nat.extra["engine"] == "native"
         assert nat.count == ref.count
         assert nat.ops == ref.ops
         assert nat.hash_inserts == ref.hash_inserts
@@ -296,7 +296,7 @@ class TestGatingAndFallback:
         monkeypatch.setattr(native, "_lib", None)
         g = orient(pareto_graph, DescendingDegree())
         result = list_triangles(g, "T1", collect=True, engine="numpy")
-        assert result.extra["native"] is False
+        assert result.extra["engine"] == "numpy"
         ref = list_triangles(g, "T1", collect=True, engine="python")
         assert set(result.triangles) == set(ref.triangles)
 
@@ -306,7 +306,7 @@ class TestNativeEngineValue:
     def test_native_engine_runs(self, oriented):
         result = list_triangles(oriented, "E4", collect=True,
                                 engine="native")
-        assert result.extra["native"] is True
+        assert result.extra["engine"] == "native"
         ref = list_triangles(oriented, "E4", collect=True,
                              engine="python")
         assert sorted(result.triangles) == sorted(ref.triangles)
