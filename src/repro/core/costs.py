@@ -99,8 +99,10 @@ def per_node_cost_from_ops(method_names, comps: dict[str, int],
                            n: int) -> dict[str, float]:
     """``c_n`` for several methods from the totals of (7)-(9).
 
-    ``comps`` is a :func:`component_ops` dict over ``n`` nodes; an
-    empty graph (``n == 0``) costs 0.
+    ``comps`` is a :func:`component_ops` dict over ``n`` nodes (or
+    the float :func:`cost_t1`/:func:`cost_t2`/:func:`cost_t3` values,
+    which gives :func:`per_node_cost` bit for bit); an empty graph
+    (``n == 0``) costs 0.
     """
     if n == 0:
         return {name: 0.0 for name in method_names}

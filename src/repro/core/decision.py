@@ -20,7 +20,8 @@ import math
 import os
 from dataclasses import dataclass
 
-from repro.core.costs import per_node_cost
+from repro.core.costs import (cost_t1, cost_t2, cost_t3, per_node_cost,
+                              per_node_cost_from_ops)
 from repro.core.limits import limit_cost
 from repro.distributions.base import DegreeDistribution
 
@@ -120,12 +121,15 @@ def decide_on_graph(oriented,
     override), while ``"calibrated"`` measures this host once.
     """
     speed_ratio = resolve_speed_ratio(speed_ratio)
-    hash_costs = {m: per_node_cost(m, oriented.out_degrees,
-                                   oriented.in_degrees)
-                  for m in ("T1", "T2", "T3")}
-    sei_costs = {m: per_node_cost(m, oriented.out_degrees,
-                                  oriented.in_degrees)
-                 for m in ("E1", "E4")}
+    x, y = oriented.out_degrees, oriented.in_degrees
+    # each base cost once; per method summed in total_cost's order, so
+    # every value equals per_node_cost(m, x, y) bit for bit
+    costs = per_node_cost_from_ops(
+        ("T1", "T2", "T3", "E1", "E4"),
+        {"T1": cost_t1(x), "T2": cost_t2(x, y), "T3": cost_t3(y)},
+        oriented.n)
+    hash_costs = {m: costs[m] for m in ("T1", "T2", "T3")}
+    sei_costs = {m: costs[m] for m in ("E1", "E4")}
     best_hash = min(hash_costs, key=hash_costs.get)
     best_sei = min(sei_costs, key=sei_costs.get)
     hash_cost = hash_costs[best_hash]

@@ -54,10 +54,11 @@ library:
   edge keys and a label map, in O(n + m) counting scatters with no
   sort, equal to the sorting reference build element for element.
 * **Smallest-last order** (:func:`smallest_last`): the Matula-Beck
-  bucket queue of :func:`repro.orientations.degenerate.smallest_last_order`
+  bucket queue of :func:`repro.orientations.degenerate.smallest_last_peel`
   straight from the sorted edge keys -- uint32 neighbour rows in
   ``Graph.csr()``'s order and one 8-byte record per vertex, all freed
-  before return -- bit-identical to its Python reference loop.
+  before return -- bit-identical to its Python reference loop, with
+  each vertex's degree at deletion (its degenerate out-degree).
 * **Orientation pricing** (:func:`oriented_sums`): the totals of
   eqs. (7)-(9) under several label maps in one call (the exact
   planner's and every Monte-Carlo cell's) from the sorted edge keys,
@@ -703,8 +704,10 @@ enum { SL_AHEAD = 8 };
  * swap-with-last through its record's position, the scan for the lowest
  * non-empty bucket restarts at max(current - 1, 0), and the neighbours
  * of a deleted vertex are visited in row order -- so order[] and the
- * degeneracy are bit-identical to the Python loop, ties included. A
- * vertex in bucket d has current degree d <= its initial degree, so
+ * degeneracy are bit-identical to the Python loop, ties included.
+ * out_degree[v] receives v's degree when it is deleted: its neighbours
+ * still present are deleted later and get smaller labels, so this is
+ * v's out-degree X under the degenerate labels. A vertex in bucket d has current degree d <= its initial degree, so
  * bucket d never holds more than #{v : degrees[v] >= d} vertices; one
  * slot array of n + 2m entries, cut at those suffix counts, holds every
  * bucket without reallocation. All scratch is freed before return.
@@ -715,7 +718,8 @@ enum { SL_AHEAD = 8 };
  * INT32_MAX, which the records cannot hold; -4 when degrees are not the
  * keys' degrees. */
 int64_t repro_smallest_last(int64_t n, int64_t m, const int64_t *keys,
-                            const int64_t *degrees, int64_t *order)
+                            const int64_t *degrees, int64_t *order,
+                            int64_t *out_degree)
 {
     if (n < 0 || m < 0)
         return -2;
@@ -822,6 +826,7 @@ int64_t repro_smallest_last(int64_t n, int64_t m, const int64_t *keys,
         const uint32_t v = slots[start[current] + --size[current]];
         vx[v].degree |= SL_REMOVED;
         order[step] = v;
+        out_degree[v] = current;
         if (current > degeneracy)
             degeneracy = current;
         /* the present neighbours of v in row order, gathered without
@@ -1217,7 +1222,7 @@ class _Library:
         self.smallest_last = cdll.repro_smallest_last
         self.smallest_last.restype = ctypes.c_int64
         self.smallest_last.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I64P,
+            ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I64P, _I64P,
         ]
         self.adopt_keys = cdll.repro_adopt_keys
         self.adopt_keys.restype = ctypes.c_int64
@@ -1845,13 +1850,18 @@ def smallest_last(keys, degrees):
     ``keys`` are :attr:`repro.graphs.graph.Graph.keys` (strictly
     increasing ``lo * n + hi``, ``lo < hi``) and ``degrees`` the
     ``(n,)`` degrees, both contiguous int64. Returns
-    ``(order, degeneracy)`` bit-identical to
+    ``(order, degeneracy, out_degrees)`` bit-identical to
     :func:`repro.orientations.degenerate._smallest_last_python`:
-    ``order[k]`` is the vertex deleted at step ``k``. The C pass lays
-    the neighbour rows out from the keys itself, checking each key, and
-    frees them before it returns: nothing is cached on the graph.
-    ValueError on a malformed key, on degrees that are not the keys'
-    degrees, or on ``n >= 2**31``.
+    ``order[k]`` is the vertex deleted at step ``k`` and
+    ``out_degrees[v]`` the degree ``v`` had when it was deleted -- its
+    out-degree under the degenerate labels, so the totals of (7)-(9)
+    under them are ``component_ops(out_degrees, degrees - out_degrees)``
+    with no walk over the keys. The C pass lays the neighbour rows out
+    from the keys itself, checking each key, and frees them before it
+    returns: nothing is cached on the graph. It runs without the GIL,
+    so a caller may run it on a thread of its own. ValueError on a
+    malformed key, on degrees that are not the keys' degrees, or on
+    ``n >= 2**31``.
     """
     if not available():
         return None
@@ -1860,9 +1870,11 @@ def smallest_last(keys, degrees):
         raise ValueError("keys must be (m,) and degrees (n,)")
     n = degrees.size
     order = np.empty(n, dtype=np.int64)
+    out_degrees = np.empty(n, dtype=np.int64)
     degeneracy = _lib.smallest_last(
         n, keys.size, keys.ctypes.data_as(_I64P),
-        degrees.ctypes.data_as(_I64P), order.ctypes.data_as(_I64P))
+        degrees.ctypes.data_as(_I64P), order.ctypes.data_as(_I64P),
+        out_degrees.ctypes.data_as(_I64P))
     if degeneracy == -1:
         raise MemoryError("native smallest-last: scratch allocation "
                           "failed")
@@ -1873,7 +1885,7 @@ def smallest_last(keys, degrees):
                          "bits: n must be below 2**31")
     if degeneracy < 0:
         raise ValueError("degrees must be the degrees of the edge keys")
-    return order, int(degeneracy)
+    return order, int(degeneracy), out_degrees
 
 
 def adopt_keys(keys, n):
@@ -2032,11 +2044,12 @@ def self_test() -> bool:
     hub = [(0, v) for v in range(1, 8)]
     rim = [(v, v + 1) for v in range(1, 7)] + [(7, 1)]
     wheel = Graph(11, hub + rim + [(7, 8), (8, 9), (9, 10)])
-    order, k = smallest_last(wheel.keys, wheel.degrees)
+    order, k, out_degrees = smallest_last(wheel.keys, wheel.degrees)
     if wheel._csr is not None:
         return False
-    ref_order, ref_k = degenerate._smallest_last_python(wheel)
-    if not (order.tolist() == ref_order.tolist() and k == ref_k):
+    ref_order, ref_k, ref_out = degenerate._smallest_last_python(wheel)
+    if not (order.tolist() == ref_order.tolist() and k == ref_k
+            and out_degrees.tolist() == ref_out.tolist()):
         return False
     # orientation pricing: C totals against oriented_degrees +
     # component_ops on the same wheel, under every planner label map

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.costs import per_node_cost_from_ops
+from repro.core.costs import component_ops, per_node_cost_from_ops
 from repro.core.kernels import LimitMap
 from repro.core.model import discrete_cost_model
 from repro.core.weights import identity_weight
@@ -94,19 +94,24 @@ def instance_cost(spec: SimulationSpec, graph,
     Relabels and orients like :func:`~repro.orientations.relabel.orient`
     (same spans, counters and ``rng`` draws) but prices the label map
     with :func:`~repro.orientations.relabel.orientation_totals` instead
-    of building an :class:`~repro.graphs.digraph.OrientedGraph`.
+    of building an :class:`~repro.graphs.digraph.OrientedGraph`. When
+    the relabel already yields the out-degrees ``X`` (the degenerate
+    order's peel), the totals are ``component_ops(X, d - X)`` instead.
     """
     with span("relabel", permutation=type(spec.permutation).__name__,
               n=graph.n):
-        labels = spec.permutation.labels_for(graph, rng=rng,
-                                             tie_break=spec.tie_break)
+        labels, out_degrees = spec.permutation.labels_with_out_degrees(
+            graph, rng=rng, tie_break=spec.tie_break)
     with span("orient", n=graph.n, m=graph.m):
-        totals = orientation_totals(graph, labels)[0].tolist()
+        if out_degrees is None:
+            totals = dict(zip(("T1", "T2", "T3"),
+                              orientation_totals(graph, labels)[0].tolist()))
+        else:
+            totals = component_ops(out_degrees, graph.degrees - out_degrees)
         count_orientation(graph, labels)
     with span("list", method=spec.method):
-        return per_node_cost_from_ops(
-            [spec.method], dict(zip(("T1", "T2", "T3"), totals)),
-            graph.n)[spec.method]
+        return per_node_cost_from_ops([spec.method], totals,
+                                      graph.n)[spec.method]
 
 
 def sequence_costs(spec: SimulationSpec, dist_n, n: int,

@@ -208,7 +208,7 @@ class OrientedGraph:
         """Is there an edge ``src -> dst``? (Requires ``src > dst``.)"""
         outs = self.out_neighbors(src)
         pos = int(np.searchsorted(outs, dst))
-        return pos < outs.size and outs[pos] == dst
+        return pos < outs.size and bool(outs[pos] == dst)
 
     def original_vertex(self, label: int) -> int:
         """Map a label back to the original vertex ID."""

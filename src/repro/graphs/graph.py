@@ -258,7 +258,7 @@ class Graph:
             return False
         nbrs = self.neighbors(u)
         pos = int(np.searchsorted(nbrs, v))
-        return pos < nbrs.size and nbrs[pos] == v
+        return pos < nbrs.size and bool(nbrs[pos] == v)
 
     def adjacency_sets(self) -> list[set]:
         """Neighbor sets per node, for hash-based algorithms."""

@@ -12,7 +12,14 @@ neighbors are deleted later and therefore receive smaller labels, so they
 are exactly its out-neighbors -- making each out-degree equal to the
 vertex's degree at deletion time, which is at most the degeneracy.
 
-:func:`smallest_last_order` has two paths with one output. When the
+Because of that, the deletion degrees are the degenerate out-degrees
+``X``, and the totals of (7)-(9) under the degenerate labels are
+``component_ops(X, d - X)``: an ``O(n)`` step once the peel is done,
+with no walk over the edges. :func:`smallest_last_peel` returns them
+next to the order, and :meth:`DegenerateOrder.labels_with_out_degrees`
+hands them to the exact planner and the Monte-Carlo harness.
+
+:func:`smallest_last_peel` has two paths with one output. When the
 compiled library is available (:func:`repro.engine.native.available`)
 it runs the bucket queue in C (``native.smallest_last``) straight from
 the graph's sorted edge keys: the C pass lays out its own uint32
@@ -22,8 +29,8 @@ returns, so the graph's CSR is never built. Otherwise, e.g. under
 reference loop over :meth:`Graph.neighbors`. The C loop mirrors the
 Python one op for op -- each bucket a stack, removal by
 swap-with-last, the scan restarting at ``max(current - 1, 0)``,
-neighbors visited in CSR order -- so the deletion order and the
-degeneracy are bit-identical, ties included.
+neighbors visited in CSR order -- so the deletion order, the deletion
+degrees and the degeneracy are bit-identical, ties included.
 """
 
 from __future__ import annotations
@@ -34,13 +41,15 @@ from repro.engine import native
 from repro.orientations.permutations import Permutation
 
 
-def smallest_last_order(graph) -> tuple[np.ndarray, int]:
-    """Return ``(deletion_order, degeneracy)`` via a bucket queue.
+def smallest_last_peel(graph) -> tuple[np.ndarray, int, np.ndarray]:
+    """Return ``(deletion_order, degeneracy, out_degrees)``.
 
     ``deletion_order[k]`` is the vertex removed at step ``k`` (a
-    minimum-degree vertex of the residual graph). Runs in ``O(n + m)``,
-    in C from ``graph.keys`` when the native library is available,
-    without building ``graph.csr()``.
+    minimum-degree vertex of the residual graph) and ``out_degrees[v]``
+    the degree ``v`` had when it was removed: its out-degree under the
+    degenerate labels. Runs in ``O(n + m)``, in C from ``graph.keys``
+    when the native library is available, without building
+    ``graph.csr()``.
     """
     result = native.smallest_last(graph.keys, graph.degrees)
     if result is None:
@@ -48,7 +57,21 @@ def smallest_last_order(graph) -> tuple[np.ndarray, int]:
     return result
 
 
-def _smallest_last_python(graph) -> tuple[np.ndarray, int]:
+def smallest_last_order(graph) -> tuple[np.ndarray, int]:
+    """``(deletion_order, degeneracy)`` of :func:`smallest_last_peel`."""
+    order, degeneracy, __ = smallest_last_peel(graph)
+    return order, degeneracy
+
+
+def degenerate_labels(order) -> np.ndarray:
+    """The label map of a deletion order: first deleted, largest label."""
+    n = len(order)
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = np.arange(n - 1, -1, -1, dtype=np.int64)
+    return labels
+
+
+def _smallest_last_python(graph) -> tuple[np.ndarray, int, np.ndarray]:
     """The Python bucket queue: reference and ``REPRO_NATIVE=0`` path."""
     n = graph.n
     degree = graph.degrees.copy()
@@ -62,6 +85,7 @@ def _smallest_last_python(graph) -> tuple[np.ndarray, int]:
         buckets[d].append(v)
     removed = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int64)
+    out_degrees = np.empty(n, dtype=np.int64)
     degeneracy = 0
     current = 0
     for step in range(n):
@@ -73,6 +97,7 @@ def _smallest_last_python(graph) -> tuple[np.ndarray, int]:
         v = buckets[current].pop()
         removed[v] = True
         order[step] = v
+        out_degrees[v] = current
         degeneracy = max(degeneracy, current)
         for u in graph.neighbors(v):
             u = int(u)
@@ -89,7 +114,7 @@ def _smallest_last_python(graph) -> tuple[np.ndarray, int]:
             degree[u] = d - 1
             position[u] = len(buckets[d - 1])
             buckets[d - 1].append(u)
-    return order, degeneracy
+    return order, degeneracy, out_degrees
 
 
 class DegenerateOrder(Permutation):
@@ -107,7 +132,11 @@ class DegenerateOrder(Permutation):
 
     def labels_for(self, graph, rng=None, tie_break="stable"):
         order, __ = smallest_last_order(graph)
-        labels = np.empty(graph.n, dtype=np.int64)
-        # first deleted -> largest label
-        labels[order] = np.arange(graph.n - 1, -1, -1, dtype=np.int64)
-        return labels
+        return degenerate_labels(order)
+
+    def labels_with_out_degrees(self, graph, rng=None,
+                                tie_break="stable"):
+        """The labels and, from the same peel, the out-degrees under
+        them."""
+        order, __, out_degrees = smallest_last_peel(graph)
+        return degenerate_labels(order), out_degrees

@@ -57,6 +57,14 @@ class Permutation(abc.ABC):
         return labels_from_rank_map(graph.degrees, theta, rng=rng,
                                     tie_break=tie_break)
 
+    def labels_with_out_degrees(self, graph,
+                                rng: np.random.Generator | None = None,
+                                tie_break: str = "stable"):
+        """``(labels, out_degrees)``: :meth:`labels_for` and, when
+        computing the labels already yields them, the out-degrees of
+        ``G(theta)`` (else ``None``)."""
+        return self.labels_for(graph, rng=rng, tie_break=tie_break), None
+
     @property
     def name(self) -> str:
         return type(self).__name__

@@ -93,6 +93,12 @@ def orient(graph, permutation: Permutation,
               n=graph.n):
         labels = permutation.labels_for(graph, rng=rng,
                                         tie_break=tie_break)
+    return orient_labels(graph, labels)
+
+
+def orient_labels(graph, labels) -> OrientedGraph:
+    """Step 2 alone: orient ``graph`` under a label map already made
+    (e.g. :attr:`repro.planner.plan.Plan.best_labels`)."""
     with span("orient", n=graph.n, m=graph.m):
         oriented = OrientedGraph(graph, labels)
         count_orientation(graph, labels)

@@ -19,7 +19,7 @@ from repro.core.optimality import optimal_map
 from repro.listing.api import list_triangles
 from repro.listing.base import ListingResult
 from repro.orientations import NAMED_ORDERINGS
-from repro.orientations.relabel import orient
+from repro.orientations.relabel import orient, orient_labels
 
 #: The optimal named ordering per method (Corollaries 1-2).
 _OPTIMAL_ORDER = {
@@ -57,6 +57,18 @@ class PipelineReport:
         return self.result.count
 
 
+def _permutation(method: str, order: str):
+    """The relabeling permutation ``order`` names for ``method``."""
+    if order == "opt":
+        from repro.planner import Candidate
+        return Candidate(method, "opt").permutation()
+    if order in NAMED_ORDERINGS:
+        return NAMED_ORDERINGS[order]()
+    raise ValueError(
+        f"unknown order {order!r}; choose from "
+        f"{sorted([*NAMED_ORDERINGS, 'opt'])}")
+
+
 def run_pipeline(graph, method: str = "E1", order: str | None = None,
                  rng: np.random.Generator | None = None,
                  collect: bool = True) -> PipelineReport:
@@ -68,8 +80,11 @@ def run_pipeline(graph, method: str = "E1", order: str | None = None,
     the cost-model planner (:func:`repro.planner.plan_for_graph`) for
     the cheapest (method, ordering) pair on this graph and runs it
     (``order``, when also given, constrains the planner's candidates
-    to that ordering). The report carries the measured per-node cost
-    and the section 2.4 hardware decision for the oriented graph.
+    to that ordering), orienting with the label map the plan already
+    made (:attr:`~repro.planner.plan.Plan.best_labels`), so nothing is
+    relabelled or peeled twice. The report carries the measured
+    per-node cost and the section 2.4 hardware decision for the
+    oriented graph.
 
     Example::
 
@@ -77,33 +92,29 @@ def run_pipeline(graph, method: str = "E1", order: str | None = None,
         print(report.count, report.order, report.per_node_cost)
     """
     method = method.upper()
-    audit_plan = None
+    audit_plan = labels = None
     if method == "AUTO":
         from repro.planner import GRAPH_ORDERINGS, plan_for_graph
         orderings = (order,) if order else GRAPH_ORDERINGS
         plan = plan_for_graph(graph, orderings=orderings)
         method = plan.best.method
         order = plan.best.ordering
+        labels = plan.best_labels
         audit_plan = plan
     from repro.obs import audit as _audit
     audit_on = audit_plan is not None and _audit.is_enabled()
     if order is None:
         order = optimal_order_for(method)
-    if order == "opt":
-        from repro.planner import Candidate
-        permutation = Candidate(method, "opt").permutation()
-    elif order in NAMED_ORDERINGS:
-        permutation = NAMED_ORDERINGS[order]()
-    else:
-        raise ValueError(
-            f"unknown order {order!r}; choose from "
-            f"{sorted([*NAMED_ORDERINGS, 'opt'])}")
-    if permutation.is_random and rng is None:
-        rng = np.random.default_rng()
     if audit_on:
         import time
         wall_start = time.perf_counter()
-    oriented = orient(graph, permutation, rng=rng)
+    if labels is None:
+        permutation = _permutation(method, order)
+        if permutation.is_random and rng is None:
+            rng = np.random.default_rng()
+        oriented = orient(graph, permutation, rng=rng)
+    else:
+        oriented = orient_labels(graph, labels)
     result = list_triangles(oriented, method, collect=collect)
     if audit_on:
         wall = time.perf_counter() - wall_start

@@ -22,26 +22,31 @@ that into a planner: price every candidate of
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.costs import per_node_cost_from_ops, per_node_cost_many
+from repro.core.costs import component_ops, per_node_cost_many
 from repro.core.decision import resolve_speed_ratio
+from repro.core.methods import METHODS
 from repro.core.fastmodel import fast_cost_model_many
 from repro.core.limits import limit_cost
 from repro.distributions.base import (DegreeDistribution,
                                       EmpiricalDegreeDistribution)
 from repro.distributions.truncation import root_truncation
+from repro.engine import native
 from repro.listing.api import ALL_METHODS
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span
+from repro.orientations.degenerate import (degenerate_labels,
+                                           smallest_last_peel)
 from repro.orientations.relabel import degree_ranking, orientation_totals
 from repro.planner.candidates import (
     GRAPH_ORDERINGS,
     MODEL_ORDERINGS,
-    Candidate,
     iter_candidates,
 )
 
@@ -87,6 +92,10 @@ class Plan:
     n: int | None = None
     confidence: float = 0.0
     meta: dict = field(default_factory=dict)
+    #: The winner's label map (exact backend only), so the caller can
+    #: orient without relabelling -- or peeling -- again.
+    best_labels: np.ndarray | None = field(default=None, repr=False,
+                                           compare=False)
 
     @property
     def best(self) -> PlanEntry:
@@ -133,74 +142,196 @@ def _confidence(entries: list[PlanEntry]) -> float:
     return 0.0
 
 
-def _rank(costs: dict[Candidate, float], source: str,
-          speed_ratio: float, n: int | None, meta: dict) -> Plan:
-    """Weight, sort, and wrap a cost surface into a :class:`Plan`."""
-    weighted = []
-    for cand in costs:
-        cost = float(costs[cand])
-        if cost < 0.0 and cost > -1e-9:
-            cost = 0.0  # guard float underflow in the model
-        time_units = (cost / speed_ratio if cand.is_sei else cost)
-        weighted.append((cand, cost, time_units))
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """A candidate table resolved once: one row per candidate.
+
+    ``tie`` is each row's rank under the canonical ``(method,
+    ordering)`` order, which breaks ties in predicted time. For the
+    exact backend, ``thetas`` are the degree-ranked orientations'
+    permutations (orientation rows ``0..T-1``), ``degenerate`` says
+    whether row ``T`` is the degenerate one, ``rows`` gives each
+    candidate's orientation row, and ``components`` is the
+    ``(C, 3 * rows)`` 0/1 matrix that sums each candidate's terms of
+    (7)-(9) out of the orientations' flattened totals.
+    """
+
+    methods: tuple
+    orderings: tuple
+    families: tuple
+    is_sei: np.ndarray
+    tie: np.ndarray
+    candidates: tuple = ()
+    thetas: tuple = ()
+    degenerate: bool = False
+    rows: tuple = ()
+    components: np.ndarray | None = None
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _make_table(pairs, sort_keys, **exact) -> _Table:
+    """A table of ``(method, ordering)`` pairs; ``exact`` fills the
+    exact backend's fields."""
+    families = tuple(METHODS[method].family for method, __ in pairs)
+    tie = np.empty(len(pairs), dtype=np.int64)
+    tie[sorted(range(len(pairs)), key=sort_keys.__getitem__)] = \
+        np.arange(len(pairs))
+    return _Table(
+        methods=tuple(method for method, __ in pairs),
+        orderings=tuple(ordering for __, ordering in pairs),
+        families=families,
+        is_sei=_frozen(np.array([f == "sei" for f in families],
+                                dtype=bool)),
+        tie=_frozen(tie), **exact)
+
+
+def _names(methods, orderings) -> tuple[tuple, tuple]:
+    """The hashable cache key of a ``(methods, orderings)`` request."""
+    return (tuple(m.upper() if isinstance(m, str) else m.name
+                  for m in methods),
+            tuple(str(o).lower() for o in orderings))
+
+
+@functools.lru_cache(maxsize=16)
+def _candidate_table(methods: tuple, orderings: tuple) -> _Table:
+    """The table of ``iter_candidates(methods, orderings)``, cached.
+
+    Candidates sharing an orientation key share one orientation row;
+    the degenerate row, if any, comes last.
+    """
+    candidates = iter_candidates(methods, orderings)
+    keys: dict[str, int] = {}
+    thetas = []
+    for cand in candidates:
+        key = cand.orientation_key()
+        if cand.ordering != "degenerate" and key not in keys:
+            keys[key] = len(thetas)
+            thetas.append(cand.permutation())
+    degenerate = any(c.ordering == "degenerate" for c in candidates)
+    rows = tuple(keys.get(c.orientation_key(), len(thetas))
+                 for c in candidates)
+    components = np.zeros((len(candidates),
+                           3 * (len(thetas) + degenerate)), dtype=np.int64)
+    for i, cand in enumerate(candidates):
+        for term in cand.spec.components:
+            components[i, 3 * rows[i] + ("T1", "T2", "T3").index(term)] = 1
+    return _make_table([(c.method, c.ordering) for c in candidates],
+                       [c._sort_key() for c in candidates],
+                       candidates=tuple(candidates), thetas=tuple(thetas),
+                       degenerate=degenerate, rows=rows,
+                       components=_frozen(components))
+
+
+@functools.lru_cache(maxsize=16)
+def _given_table(methods: tuple) -> _Table:
+    """The methods of :func:`choose_method` under the ``given`` order."""
+    return _make_table([(m, "given") for m in methods],
+                       [(m,) for m in methods])
+
+
+def _rank(table: _Table, costs, source: str, speed_ratio: float,
+          n: int | None, meta: dict, best_labels=None) -> Plan:
+    """Weight, sort, and wrap a cost surface into a :class:`Plan`.
+
+    ``costs[i]`` is the modeled cost of ``table``'s row ``i``. When
+    ``best_labels`` is given it is called with the winner's row and
+    returns its label map.
+    """
+    costs = np.array(costs, dtype=np.float64).reshape(-1)
+    costs[(costs < 0.0) & (costs > -1e-9)] = 0.0  # model float underflow
+    times = np.where(table.is_sei, costs / speed_ratio, costs)
     # canonical tie-break by (method, ordering), independent of the
     # caller's candidate order -- the argmin must be reorder-stable
-    weighted.sort(key=lambda w: (w[2], w[0]._sort_key()))
-    entries = [PlanEntry(c.method, c.ordering, c.family, cost, t,
-                         rank=i + 1)
-               for i, (c, cost, t) in enumerate(weighted)]
+    order = np.lexsort((table.tie, times)).tolist()
+    entries = [PlanEntry(table.methods[i], table.orderings[i],
+                         table.families[i], cost, t, rank=rank)
+               for rank, (i, cost, t) in enumerate(
+                   zip(order, costs[order].tolist(),
+                       times[order].tolist()), 1)]
     plan = Plan(entries=entries, source=source, speed_ratio=speed_ratio,
                 n=n, confidence=_confidence(entries), meta=meta)
+    if best_labels is not None and order:
+        plan.best_labels = best_labels(order[0])
     if _metrics.is_enabled():
         _metrics.inc("planner.plans")
         _metrics.inc("planner.candidates", len(entries))
     return plan
 
 
-def _orientation_totals(graph, by_orientation: dict[str, list[Candidate]]
-                        ) -> dict[str, dict[str, int]]:
-    """The totals of (7)-(9) per orientation key, one pass per label map.
+@functools.lru_cache(maxsize=1)
+def _theta_maps(table: _Table, n: int):
+    """The distinct ``theta`` maps of ``table``'s orientations at ``n``.
 
-    Degree-ranked orientations share one stable degree ranking, so two
-    keys with equal ``theta`` have equal labels and equal totals. A
-    ``theta`` equal to ``n - 1 - theta'`` reverses every edge, which by
-    Proposition 1 swaps ``X`` and ``Y``: its totals are ``theta'``'s
-    with T1 and T3 swapped. Only the remaining distinct maps (and the
-    degenerate one, which has no ``theta``) are priced, in one
-    :func:`~repro.orientations.relabel.orientation_totals` call.
+    Returns ``(thetas, source, swapped)``: a read-only ``(D, n)`` stack
+    of distinct maps and, per orientation row, the stack row that
+    prices it and whether through its reverse. A ``theta`` equal to
+    ``n - 1 - theta'`` reverses every edge, which by Proposition 1
+    swaps ``X`` and ``Y``: its totals are ``theta'``'s with T1 and T3
+    swapped. The maps depend on ``n`` alone, so consecutive plans at
+    one ``n`` share them; one entry (``D * 8n`` bytes) is kept.
     """
-    n = graph.n
-    ranking = degree_ranking(graph.degrees)
     priced: dict[bytes, int] = {}
-    slots: dict[str, tuple[int, bool]] = {}   # key -> (row, reversed)
-    maps: list[np.ndarray] = []
-    for key, group in by_orientation.items():
-        permutation = group[0].permutation()
-        if group[0].ordering == "degenerate":
-            labels = permutation.labels_for(graph)
-        else:
-            theta = permutation.rank_to_label(n)
-            token = theta.tobytes()
-            if token in priced:
-                slots[key] = (priced[token], False)
-                continue
-            reverse = ((n - 1) - theta).tobytes()
-            if reverse in priced:
-                slots[key] = (priced[reverse], True)
-                continue
-            priced[token] = len(maps)
-            labels = np.empty(n, dtype=np.int64)
-            labels[ranking] = theta
-        slots[key] = (len(maps), False)
-        maps.append(labels)
-    sums = orientation_totals(graph, np.stack(maps)) if maps else []
-    totals = {}
-    for key, (row, swapped) in slots.items():
-        t1, t2, t3 = (int(v) for v in sums[row])
-        if swapped:
-            t1, t3 = t3, t1
-        totals[key] = {"T1": t1, "T2": t2, "T3": t3}
-    return totals
+    maps, source, swapped = [], [], []
+    for permutation in table.thetas:
+        theta = np.asarray(permutation.rank_to_label(n), dtype=np.int64)
+        token = theta.tobytes()
+        reverse = ((n - 1) - theta).tobytes()
+        if token in priced or reverse in priced:
+            source.append(priced.get(token, priced.get(reverse)))
+            swapped.append(token not in priced)
+            continue
+        priced[token] = len(maps)
+        source.append(len(maps))
+        swapped.append(False)
+        maps.append(theta)
+    stack = np.stack(maps) if maps else np.empty((0, n), dtype=np.int64)
+    return (_frozen(stack), _frozen(np.array(source, dtype=np.intp)),
+            _frozen(np.array(swapped, dtype=bool)))
+
+
+def _beside_peel(graph, work):
+    """``(work(), smallest_last_peel(graph))``.
+
+    With the compiled library and more than one native thread, the
+    peel runs on a thread of its own while ``work`` runs on this one:
+    both are ctypes calls that drop the GIL. The thread runs the C call
+    alone (no spans, no metrics) and is joined before this returns, so
+    no thread outlives a plan (and a fork never inherits one).
+    """
+    if not native.available() or native.resolve_threads() == 1:
+        return work(), smallest_last_peel(graph)
+    keys, degrees = graph.keys, graph.degrees
+    peeled: list = []
+
+    def peel():
+        try:
+            peeled.append(native.smallest_last(keys, degrees))
+        except BaseException as exc:  # re-raised on the calling thread
+            peeled.append(exc)
+
+    thread = threading.Thread(target=peel, name="repro-plan-peel")
+    thread.start()
+    try:
+        result = work()
+    finally:
+        thread.join()
+    if isinstance(peeled[0], BaseException):
+        raise peeled[0]
+    return result, peeled[0]
+
+
+def _per_node(ops: np.ndarray, n: int) -> np.ndarray:
+    """``ops / n`` as Python's ``int / int`` rounds it (0 when n = 0)."""
+    if n == 0:
+        return np.zeros(ops.shape)
+    if ops.size and np.abs(ops).max() >= 2 ** 53:
+        # int64 -> float64 would round first; divide exactly
+        return np.array([int(v) / n for v in ops.tolist()])
+    return ops / n
 
 
 def plan_for_graph(graph, methods=ALL_METHODS,
@@ -212,27 +343,49 @@ def plan_for_graph(graph, methods=ALL_METHODS,
     (named orderings, one OPT per ``h`` shape, degenerate) through the
     exact formulas (7)-(9), once per *distinct label map*: orientations
     with the same map, or the reversed one (Proposition 1), share one
-    pricing (see :func:`_orientation_totals`); no listing runs. This
-    ranks candidates by the paper's *operation* metric exactly, which
-    is also what the regret harness uses as the ground truth.
+    pricing (see :func:`_theta_maps`), and the degree-ranked maps go
+    through one :func:`~repro.orientations.relabel.orientation_totals`
+    call. The degenerate orientation is priced from its peel's
+    deletion degrees ``X`` as ``component_ops(X, d - X)``, with the
+    peel running beside that call (:func:`_beside_peel`); no listing
+    runs. This ranks candidates by the paper's *operation* metric
+    exactly, which is also what the regret harness uses as the ground
+    truth. ``Plan.best_labels`` is the winner's label map.
     """
     speed_ratio = resolve_speed_ratio(speed_ratio)
-    candidates = iter_candidates(methods, orderings)
-    with span("planner.plan", source="exact", n=graph.n,
-              candidates=len(candidates)):
-        by_orientation: dict[str, list[Candidate]] = {}
-        for cand in candidates:
-            by_orientation.setdefault(cand.orientation_key(),
-                                      []).append(cand)
-        totals = _orientation_totals(graph, by_orientation)
-        costs: dict[Candidate, float] = {}
-        for key, group in by_orientation.items():
-            per_method = per_node_cost_from_ops(
-                sorted({c.method for c in group}), totals[key], graph.n)
-            for cand in group:
-                costs[cand] = per_method[cand.method]
-        return _rank(costs, "exact", speed_ratio, graph.n,
-                     {"m": graph.m})
+    table = _candidate_table(*_names(methods, orderings))
+    n = graph.n
+    with span("planner.plan", source="exact", n=n,
+              candidates=len(table.candidates)):
+        thetas, source, swapped = _theta_maps(table, n)
+
+        def price_thetas():
+            maps = np.empty(thetas.shape, dtype=np.int64)
+            maps[:, degree_ranking(graph.degrees)] = thetas
+            return maps, orientation_totals(graph, maps)
+
+        if table.degenerate:
+            (maps, sums), (order, __, x) = _beside_peel(graph,
+                                                        price_thetas)
+        else:
+            maps, sums = price_thetas()
+        totals = sums[source]
+        totals[swapped] = totals[swapped, ::-1]
+        if table.degenerate:
+            peeled = component_ops(x, graph.degrees - x)
+            totals = np.vstack([totals, list(peeled.values())])
+
+        def best_labels(i):
+            row = table.rows[i]
+            if row == len(source):
+                return degenerate_labels(order)
+            # a copy, so the plan does not keep every map alive
+            labels = maps[source[row]]
+            return (n - 1) - labels if swapped[row] else labels.copy()
+
+        costs = _per_node(table.components @ totals.reshape(-1), n)
+        return _rank(table, costs, "exact", speed_ratio, n,
+                     {"m": graph.m}, best_labels)
 
 
 def plan_for_distribution(dist: DegreeDistribution, n: int | None = None,
@@ -254,13 +407,13 @@ def plan_for_distribution(dist: DegreeDistribution, n: int | None = None,
                 "untruncated distribution: pass n (truncates at "
                 "root_truncation(n)) or truncate it first")
         dist = dist.truncate(root_truncation(n))
-    candidates = iter_candidates(methods, orderings)
+    table = _candidate_table(*_names(methods, orderings))
+    candidates = table.candidates
     with span("planner.plan", source="model",
               t=int(dist.support_max), candidates=len(candidates)):
         pairs = [(cand.method, cand.limit_map()) for cand in candidates]
         values = fast_cost_model_many(dist, pairs, eps=eps)
-        costs = dict(zip(candidates, values))
-        return _rank(costs, "model", speed_ratio, n,
+        return _rank(table, values, "model", speed_ratio, n,
                      {"support_max": dist.support_max, "eps": eps})
 
 
@@ -340,19 +493,20 @@ def plan_in_limit(base_dist: DegreeDistribution,
     """
     speed_ratio = resolve_speed_ratio(speed_ratio)
     limit_kwargs.setdefault("eps", 1e-4)
-    candidates = iter_candidates(methods, orderings)
+    table = _candidate_table(*_names(methods, orderings))
+    candidates = table.candidates
     with span("planner.plan", source="limit",
               candidates=len(candidates)):
         cache: dict[tuple[int, int], float] = {}
-        costs: dict[Candidate, float] = {}
+        costs = []
         for cand in candidates:
             limit_map = cand.limit_map()
             sig = (id(cand.spec.h), id(limit_map))
             if sig not in cache:
                 cache[sig] = limit_cost(base_dist, cand.method,
                                         limit_map, **limit_kwargs)
-            costs[cand] = cache[sig]
-        return _rank(costs, "limit", speed_ratio, None,
+            costs.append(cache[sig])
+        return _rank(table, costs, "limit", speed_ratio, None,
                      {"limit_kwargs": dict(limit_kwargs)})
 
 
@@ -367,27 +521,14 @@ def choose_method(oriented, methods=ALL_METHODS,
     :func:`repro.listing.api.list_triangles`.
     """
     speed_ratio = resolve_speed_ratio(speed_ratio)
-    methods = [m.upper() for m in methods]
+    methods = tuple(m.upper() for m in methods)
     with span("planner.plan", source="oriented", n=oriented.n,
               candidates=len(methods)):
         per_method = per_node_cost_many(methods, oriented.out_degrees,
                                         oriented.in_degrees)
-        from repro.core.methods import METHODS as _METHODS
-        weighted = sorted(
-            ((per_method[m] / speed_ratio
-              if _METHODS[m].family == "sei" else per_method[m]),
-             m) for m in methods)
-        entries = [PlanEntry(m, "given", _METHODS[m].family,
-                             per_method[m], t, rank=i + 1)
-                   for i, (t, m) in enumerate(weighted)]
-        plan = Plan(entries=entries, source="oriented",
-                    speed_ratio=speed_ratio, n=oriented.n,
-                    confidence=_confidence(entries),
-                    meta={"m": oriented.m})
-        if _metrics.is_enabled():
-            _metrics.inc("planner.plans")
-            _metrics.inc("planner.candidates", len(entries))
-        return plan
+        return _rank(_given_table(methods),
+                     [per_method[m] for m in methods], "oriented",
+                     speed_ratio, oriented.n, {"m": oriented.m})
 
 
 def format_plan(plan: Plan, top: int | None = 10) -> str:

@@ -28,7 +28,8 @@ from repro.graphs import analysis
 from repro.graphs.generators import configuration_model
 from repro.orientations.degenerate import (DegenerateOrder,
                                            _smallest_last_python,
-                                           smallest_last_order)
+                                           smallest_last_order,
+                                           smallest_last_peel)
 from repro.planner import GRAPH_ORDERINGS, plan_for_graph
 
 needs_native = pytest.mark.skipif(not native.available(),
@@ -62,11 +63,13 @@ def _pareto(alpha, n, seed):
 
 
 def _assert_identical(graph):
-    order, k = smallest_last_order(graph)
+    order, k, out_degrees = smallest_last_peel(graph)
     assert graph._csr is None
-    ref_order, ref_k = _smallest_last_python(graph)
+    ref_order, ref_k, ref_out = _smallest_last_python(graph)
     np.testing.assert_array_equal(order, ref_order)
+    np.testing.assert_array_equal(out_degrees, ref_out)
     assert order.dtype == ref_order.dtype == np.int64
+    assert out_degrees.dtype == ref_out.dtype == np.int64
     assert type(k) is int and k == ref_k
 
 
@@ -196,7 +199,7 @@ class TestGating:
         graph = FIXTURES["bipartite"]
         assert native.smallest_last(graph.keys, graph.degrees) is None
         order, k = smallest_last_order(graph)
-        ref_order, ref_k = _smallest_last_python(graph)
+        ref_order, ref_k, __ = _smallest_last_python(graph)
         np.testing.assert_array_equal(order, ref_order)
         assert k == ref_k == 3
         assert not native.self_test()
@@ -267,6 +270,7 @@ class TestGating:
         """n above INT32_MAX returns -3 before any array is read."""
         out = np.full(1, -7, dtype=np.int64)
         ptr = out.ctypes.data_as(native._I64P)
-        assert native._lib.smallest_last(2**31, 0, ptr, ptr, ptr) == -3
-        assert native._lib.smallest_last(-1, 0, ptr, ptr, ptr) == -2
+        assert native._lib.smallest_last(2**31, 0, ptr, ptr, ptr,
+                                         ptr) == -3
+        assert native._lib.smallest_last(-1, 0, ptr, ptr, ptr, ptr) == -2
         assert out.tolist() == [-7]

@@ -71,6 +71,12 @@ class TestOrientation:
         assert oriented.has_directed_edge(2, 1)
         assert not oriented.has_directed_edge(2, 2)
 
+    def test_has_directed_edge_returns_python_bool(self, triangle_graph):
+        oriented = OrientedGraph(triangle_graph, [0, 1, 2])
+        assert oriented.has_directed_edge(2, 1) is True
+        assert oriented.has_directed_edge(1, 2) is False
+        assert oriented.has_directed_edge(2, 2) is False
+
     def test_original_vertex_roundtrip(self, pareto_graph, rng):
         labels = rng.permutation(pareto_graph.n)
         oriented = OrientedGraph(pareto_graph, labels)

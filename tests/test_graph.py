@@ -70,6 +70,12 @@ class TestQueries:
         assert not bowtie_graph.has_edge(0, 3)
         assert not bowtie_graph.has_edge(2, 2)
 
+    def test_has_edge_returns_python_bool(self, bowtie_graph):
+        assert bowtie_graph.has_edge(0, 1) is True
+        assert bowtie_graph.has_edge(0, 3) is False
+        assert bowtie_graph.has_edge(2, 2) is False
+        assert bowtie_graph.has_edge(0, 4) is False  # past every neighbour
+
     def test_adjacency_sets(self, triangle_graph):
         sets = triangle_graph.adjacency_sets()
         assert sets == [{1, 2}, {0, 2}, {0, 1}]

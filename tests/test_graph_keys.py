@@ -205,10 +205,12 @@ class TestNativeAgainstReference:
         ``csr()``'s order: the Python loop on ``csr()`` gives its
         order and degeneracy."""
         graph = Graph(*shape)
-        order, k = native.smallest_last(graph.keys, graph.degrees)
+        order, k, out_degrees = native.smallest_last(graph.keys,
+                                                     graph.degrees)
         assert graph._csr is None
-        ref_order, ref_k = _smallest_last_python(graph)
+        ref_order, ref_k, ref_out = _smallest_last_python(graph)
         np.testing.assert_array_equal(order, ref_order)
+        np.testing.assert_array_equal(out_degrees, ref_out)
         assert k == ref_k
 
 

@@ -164,10 +164,21 @@ class TestOneKernelCall:
         return calls
 
     def test_six_distinct_maps_in_one_call(self, monkeypatch):
+        """Five degree-ranked maps in one sums call; the sixth, the
+        degenerate one, is priced from one peel's deletion degrees."""
         calls = self._spy(monkeypatch)
+        peels = []
+        real = native.smallest_last
+
+        def peel(keys, degrees):
+            peels.append(degrees.size)
+            return real(keys, degrees)
+
+        monkeypatch.setattr(native, "smallest_last", peel)
         graph = FIXTURES["pareto"]
         plan = plan_for_graph(graph)
-        assert calls == [(6, graph.n)]
+        assert calls == [(5, graph.n)]
+        assert peels == [graph.n]
         assert len(plan.entries) == 108
 
     def test_reversed_map_is_not_priced_again(self, monkeypatch):

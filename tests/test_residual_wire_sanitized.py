@@ -39,8 +39,9 @@ has the given degrees and that every row is sorted, in range and
 symmetric. On that adjacency the sums under the identity and the
 reversed label map must be the ones it implies, and the smallest-last
 order must delete a vertex of minimum remaining degree at every step,
-its return value being the degeneracy; on degrees that are not the
-keys' it must return ``-4``. Under the identity,
+report that remaining degree as the vertex's out-degree, and return
+the degeneracy; on degrees that are not the keys' it must return
+``-4``. Under the identity,
 the reversed and a random label map it checks that every oriented row
 is sorted and in range, that out and in are transposes of each other
 and that every oriented edge is an edge of the keys.
@@ -338,15 +339,18 @@ static int lemire_bounds(void)
 
 /* repro_smallest_last on one keyed graph, checked on the oracle CSR:
  * order must be a permutation that deletes a vertex of minimum
- * remaining degree at every step, and the return value the largest
- * degree so deleted. Returns 0 when that holds. */
+ * remaining degree at every step, out_degree[v] must be the remaining
+ * degree v was deleted at, and the return value the largest degree so
+ * deleted. Returns 0 when that holds. */
 static int smallest(const char *name, int64_t n, int64_t m,
                     const int64_t *keys, const int64_t *indptr,
                     const int64_t *indices, const int64_t *deg)
 {
     int64_t *order = malloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t *out_degree = malloc((size_t)(n + 1) * sizeof(int64_t));
     uint8_t *gone = calloc((size_t)n + 1, 1);
-    const int64_t k = repro_smallest_last(n, m, keys, deg, order);
+    const int64_t k = repro_smallest_last(n, m, keys, deg, order,
+                                          out_degree);
     int bad = k < 0;
     int64_t worst = 0;
     for (int64_t t = 0; !bad && t < n; t++) {
@@ -364,7 +368,7 @@ static int smallest(const char *name, int64_t n, int64_t m,
             if (u == v)
                 at_v = d;
         }
-        bad = bad || at_v != low;
+        bad = bad || at_v != low || out_degree[v] != at_v;
         if (at_v > worst)
             worst = at_v;
         if (!bad)
@@ -375,6 +379,7 @@ static int smallest(const char *name, int64_t n, int64_t m,
         fprintf(stderr, "FAIL smallest-last %s n=%lld k=%lld\n", name,
                 (long long)n, (long long)k);
     free(order);
+    free(out_degree);
     free(gone);
     return bad;
 }
@@ -610,9 +615,10 @@ static int keyed(const char *name, int64_t n, int64_t m,
     const int64_t sum = repro_oriented_sums(n, m, keys, deg, 2, labels,
                                             sums);
     bad |= sum != expect;
-    int64_t *order = malloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t *order = malloc((size_t)(2 * n + 1) * sizeof(int64_t));
     if (expect)
-        bad |= repro_smallest_last(n, m, keys, deg, order) != expect;
+        bad |= repro_smallest_last(n, m, keys, deg, order, order + n)
+               != expect;
     free(order);
     /* adoption counts the degrees of well-formed keys and names a
      * fault (a positive code) in malformed ones */
@@ -740,7 +746,9 @@ static int keyed_cases(void)
                                         {6, 1, 1, 1, 1, 0}};
     for (int w = 0; w < 4; w++) {
         int64_t order[6] = {-7, -7, -7, -7, -7, -7};
-        if (repro_smallest_last(6, 5, star, wrong[w], order) != -4) {
+        int64_t out_degree[6] = {-7, -7, -7, -7, -7, -7};
+        if (repro_smallest_last(6, 5, star, wrong[w], order, out_degree)
+                != -4) {
             fprintf(stderr, "FAIL smallest-last degrees %d\n", w);
             failures++;
         }
@@ -763,10 +771,10 @@ static int keyed_cases(void)
             || repro_oriented_csr(3037000500LL, 0, &none, &none, &out,
                                   NULL, &out, NULL) != -2
             || repro_adopt_keys(3037000500LL, 0, &none, &out) != -2
-            || repro_smallest_last(0, 1, &one, &none, &out) != -2
-            || repro_smallest_last(-1, 0, &none, &none, &out) != -2
-            || repro_smallest_last(2147483648LL, 0, &none, &none, &out)
-               != -3
+            || repro_smallest_last(0, 1, &one, &none, &out, &out) != -2
+            || repro_smallest_last(-1, 0, &none, &none, &out, &out) != -2
+            || repro_smallest_last(2147483648LL, 0, &none, &none, &out,
+                                   &out) != -3
             || out != -7) {
         fprintf(stderr, "FAIL keyed guards\n");
         failures++;
