@@ -35,10 +35,11 @@ argmin) while still reporting the *requested* method's ``ops``.
 :mod:`repro.engine.native` through its ``use_native`` argument
 (``False``: pure NumPy; ``True``: compiled, required; ``None``: compiled
 when available): counts run the forward count kernel and collecting
-runs emit the triangle array directly from C (identical canonical
-``x < y < z`` triples -- the orientation always points edges at
-smaller labels -- so only the enumeration *order* differs, exactly as
-it already does between the python and numpy engines).
+streams the triangles from C in one pass, boxed into tuples beside
+the kernel (identical canonical ``x < y < z`` triples -- the
+orientation always points edges at smaller labels -- so only the
+enumeration *order* differs, exactly as it already does between the
+python and numpy engines).
 
 Memory stays bounded: candidate pairs are materialized in chunks of
 ``CHUNK_CANDIDATES`` regardless of how skewed the degree sequence is.
@@ -458,7 +459,9 @@ def run_numpy(oriented, method: str = "E1", collect: bool = True,
     # the compiled kernels are method-independent: one forward pass
     found = None
     if use_native is not False:
-        found = (_native.list_triangles_array(oriented) if collect
+        # a collect is one streamed pass, boxed in C beside the kernel
+        # (rows by (z, y) then x, shared ints, no per-row list)
+        found = (_native.collect_triangles(oriented) if collect
                  else _native.count_triangles(oriented))
     used_native = found is not None
     if use_native and not used_native:
@@ -466,8 +469,7 @@ def run_numpy(oriented, method: str = "E1", collect: bool = True,
                            f"{_native.status()}")
     triangles = None
     if used_native and collect:
-        # rows by (z, y) then x, boxed in C (shared ints, no per-row list)
-        count, triangles = found.shape[0], _native.box_triangles(found)
+        count, triangles = len(found), found
     elif used_native:
         count = found
     elif collect:

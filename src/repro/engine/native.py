@@ -25,9 +25,11 @@ library:
   thread counts and chunk sizes. Each thread holds one ``n``-byte mark.
 * **Listing, not just counting**: one C loop writes triangles, into
   preallocated ``uint32`` buffers -- either exact-size (count pass,
-  prefix offsets, emit pass over each block) or streamed
-  chunk-by-chunk through a resumable ``(z, iy)`` cursor so callers
-  bound memory without per-triangle Python boxing.
+  prefix offsets, emit pass over each block:
+  :func:`list_triangles_array`) or streamed chunk-by-chunk through a
+  resumable ``(z, iy)`` cursor so callers bound memory
+  (:func:`stream_triangles`, and the collect below, which needs no
+  count pass).
 * **A pthreads block driver**: the vertex range is pre-split into
   :data:`DEFAULT_BLOCKS` edge-balanced blocks (a pure function of the
   graph, *not* of the thread count) and threads claim blocks statically
@@ -64,14 +66,17 @@ library:
   planner's and every Monte-Carlo cell's) from the sorted edge keys,
   equal to :func:`repro.orientations.relabel.oriented_degrees`
   followed by :func:`repro.core.costs.component_ops` per map.
-* **Collect boxing** (:func:`box_triangles`): the list of
-  ``(x, y, z)`` tuples that ``collect=True`` returns, built in C from
-  the emitted buffer with one shared ``int`` per vertex and every tuple
-  untracked by the garbage collector. Its source (:data:`_C_BOXER`) is
-  appended to the kernels' and hand-declares the few stable-ABI calls
-  it makes, so the build still needs no ``Python.h``; it is called
-  through a GIL-holding :class:`ctypes.PyDLL` handle on the same
-  mapping, not a second library.
+* **Collect boxing** (:func:`collect_triangles`, :func:`box_triangles`):
+  the list of ``(x, y, z)`` tuples that ``collect=True`` returns, in
+  one streamed pass: a worker thread runs the stream cursor into a
+  ring of two chunk buffers while the calling thread boxes each filled
+  chunk in C (``PyTuple_Pack`` per tuple), with one shared ``int`` per
+  vertex across the whole list and every tuple untracked by the
+  garbage collector. The boxer's source (:data:`_C_BOXER`) is appended
+  to the kernels' and hand-declares the few stable-ABI calls it makes,
+  so the build still needs no ``Python.h``; it is called through a
+  GIL-holding :class:`ctypes.PyDLL` handle on the same mapping, not a
+  second library.
 
 The exactness argument is the forward/compact-forward one: for each
 edge ``z -> y``, every ``x`` in the intersection of ``N+(z)`` and
@@ -86,6 +91,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import itertools
 import logging as _stdlog
 import os
 import re
@@ -94,6 +100,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import weakref
 
@@ -105,6 +112,7 @@ __all__ = [
     "adopt_keys",
     "available",
     "box_triangles",
+    "collect_triangles",
     "configuration_wire",
     "count_triangles",
     "last_stats",
@@ -1123,67 +1131,58 @@ done:
 #: are declared by hand, so the build needs no ``Python.h``.
 _C_BOXER = r"""
 #include <stdint.h>
-#include <stdlib.h>
 
 typedef struct _object PyObject;
 typedef intptr_t Py_ssize_t;
-extern PyObject *PyList_New(Py_ssize_t);
-extern int PyList_SetItem(PyObject *, Py_ssize_t, PyObject *);
-extern PyObject *PyTuple_New(Py_ssize_t);
-extern int PyTuple_SetItem(PyObject *, Py_ssize_t, PyObject *);
+extern int PyList_Append(PyObject *, PyObject *);
+extern PyObject *PyTuple_Pack(Py_ssize_t, ...);
 extern PyObject *PyLong_FromUnsignedLong(unsigned long);
-extern void Py_IncRef(PyObject *);
 extern void Py_DecRef(PyObject *);
 extern void PyObject_GC_UnTrack(void *);
-extern PyObject *PyErr_NoMemory(void);
 
-/* The list of (x, y, z) tuples of the k uint32 triples in buf, in
- * buffer order; every id is below n. One int per id that appears is
- * made on first use and shared by every tuple holding that id; the id
- * table is freed before return, leaving each int referenced by its
- * tuples alone. A tuple of ints can never be part of a reference
- * cycle, so each is untracked by the collector at once, as a
- * collection would do on its first pass. Runs with the GIL held;
- * returns NULL with a Python error set when an allocation fails. */
-PyObject *repro_box_triangles(const uint32_t *buf, int64_t k, int64_t n)
+/* Appends to list the (x, y, z) tuples of the k uint32 triples in buf,
+ * in buffer order. ids is the caller's id table, one slot per id: the
+ * int of id v is made on first use, kept in ids[v] (the table owns one
+ * reference) and shared by every tuple holding v, in this chunk and
+ * every later one; repro_box_release gives the table's references
+ * back. A tuple of ints can never be part of a reference cycle, so each
+ * is untracked by the collector at once, as a collection would do on
+ * its first pass. Runs with the GIL held; returns 0, or -1 with a
+ * Python error set when an allocation fails (the tuples appended so far
+ * stay in list). */
+int repro_box_append(PyObject *list, const uint32_t *buf, int64_t k,
+                     PyObject **ids)
 {
-    PyObject *list = PyList_New((Py_ssize_t)k);
-    PyObject **ids = NULL;
-    if (list == NULL || k == 0)
-        return list;
-    ids = calloc((size_t)n, sizeof *ids);
-    if (ids == NULL) {
-        Py_DecRef(list);
-        return PyErr_NoMemory();
-    }
-    int64_t i = 0;
-    for (; i < k; i++) {
-        PyObject *tuple = PyTuple_New(3);
+    for (int64_t i = 0; i < k; i++) {
+        const uint32_t *row = buf + 3 * i;
+        for (int c = 0; c < 3; c++)
+            if (ids[row[c]] == NULL
+                    && (ids[row[c]] = PyLong_FromUnsignedLong(row[c]))
+                           == NULL)
+                return -1;
+        PyObject *tuple = PyTuple_Pack(3, ids[row[0]], ids[row[1]],
+                                       ids[row[2]]);
         if (tuple == NULL)
-            goto done;
-        for (int c = 0; c < 3; c++) {
-            const uint32_t v = buf[3 * i + c];
-            if (ids[v] == NULL
-                    && (ids[v] = PyLong_FromUnsignedLong(v)) == NULL) {
-                Py_DecRef(tuple);
-                goto done;
-            }
-            Py_IncRef(ids[v]);
-            PyTuple_SetItem(tuple, c, ids[v]); /* steals the new ref */
-        }
+            return -1;
         PyObject_GC_UnTrack(tuple);
-        PyList_SetItem(list, (Py_ssize_t)i, tuple);
+        const int rc = PyList_Append(list, tuple);
+        Py_DecRef(tuple);
+        if (rc != 0)
+            return -1;
     }
-done:
-    for (int64_t v = 0; v < n; v++)
-        if (ids[v] != NULL)
+    return 0;
+}
+
+/* Gives back the id table's references and clears its n slots. Runs
+ * with the GIL held. */
+void repro_box_release(PyObject **ids, int64_t n)
+{
+    for (int64_t v = 0; v < n; v++) {
+        if (ids[v] != NULL) {
             Py_DecRef(ids[v]);
-    free(ids);
-    if (i < k) {
-        Py_DecRef(list);
-        return NULL;
+            ids[v] = NULL;
+        }
     }
-    return list;
 }
 """
 
@@ -1243,11 +1242,14 @@ class _Library:
         ]
         # the same mapping, called with the GIL held: the boxer builds
         # Python objects
-        self.box_triangles = ctypes.PyDLL(
-            cdll._name, handle=cdll._handle).repro_box_triangles
-        self.box_triangles.restype = ctypes.py_object
-        self.box_triangles.argtypes = [_U32P, ctypes.c_int64,
-                                       ctypes.c_int64]
+        pydll = ctypes.PyDLL(cdll._name, handle=cdll._handle)
+        self.box_append = pydll.repro_box_append
+        self.box_append.restype = ctypes.c_int
+        self.box_append.argtypes = [ctypes.py_object, _U32P,
+                                    ctypes.c_int64, ctypes.c_void_p]
+        self.box_release = pydll.repro_box_release
+        self.box_release.restype = None
+        self.box_release.argtypes = [ctypes.c_void_p, ctypes.c_int64]
 
 
 _UNSET = object()
@@ -1575,7 +1577,7 @@ def _graph_arrays(oriented) -> _GraphArrays:
     return arrays
 
 
-def _record_stats(block_ops: np.ndarray, threads: int, nblocks: int,
+def _record_stats(block_ops: np.ndarray, threads: int,
                   count: int) -> None:
     """Stash one native run's op counters for :func:`last_stats`.
 
@@ -1584,8 +1586,7 @@ def _record_stats(block_ops: np.ndarray, threads: int, nblocks: int,
     round-robin block assignment) is derived lazily at read time.
     """
     global _last_stats
-    _last_stats = (block_ops.copy(), min(max(threads, 1), nblocks),
-                   nblocks, count)
+    _last_stats = (block_ops.copy(), threads, count)
 
 
 def last_stats() -> dict | None:
@@ -1596,14 +1597,18 @@ def last_stats() -> dict | None:
     merged from the per-block counters in block order;
     ``ops_per_thread`` follows the static round-robin block assignment,
     so it is identical run-to-run for a fixed thread count. A streamed
-    run is one block on one thread.
+    run is one block on one thread. A collect
+    (:func:`collect_triangles`) is one streamed block too, on two
+    threads when a producer thread emits beside the boxing one (every
+    op is then thread 0's, the producer's, and thread 1 only boxes)
+    and on one when it runs serially.
     """
     if _last_stats is None:
         return None
-    block_ops, threads, nblocks, count = _last_stats
+    block_ops, threads, count = _last_stats
     return {
         "threads": threads,
-        "blocks": nblocks,
+        "blocks": int(block_ops.size),
         "ops": int(block_ops.sum()),
         "ops_per_thread": [int(block_ops[t::threads].sum())
                            for t in range(threads)],
@@ -1636,7 +1641,7 @@ def _count_pass(oriented, threads: int | None):
     if arrays.m:
         _forward(arrays, threads)
     count = int(arrays.block_counts.sum())
-    _record_stats(arrays.block_ops, threads, arrays.nblocks, count)
+    _record_stats(arrays.block_ops, min(threads, arrays.nblocks), count)
     return arrays, threads, count
 
 
@@ -1696,9 +1701,103 @@ def box_triangles(triangles):
     if arr.dtype != np.uint32 or arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("box_triangles needs a (k, 3) uint32 array, got "
                          f"{arr.dtype} of shape {arr.shape}")
-    k = arr.shape[0]
-    bound = int(arr.max()) + 1 if k else 0
-    return _lib.box_triangles(arr.ctypes.data_as(_U32P), k, bound)
+    boxed: list = []
+    if arr.shape[0]:
+        with _IdTable(int(arr.max()) + 1) as ids:
+            ids.box(boxed, arr, arr.shape[0])
+    return boxed
+
+
+class _IdTable:
+    """The boxer's id -> ``int`` table for one boxed list: ``n`` slots,
+    filled on first use by ``repro_box_append`` and shared by every
+    chunk boxed through it; leaving the ``with`` block gives its
+    references back, so each ``int`` is then held by its tuples alone.
+    """
+
+    def __init__(self, n: int):
+        self._slots = np.zeros(max(n, 1), dtype=np.uintp)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        _lib.box_release(self._slots.ctypes.data, self._slots.size)
+
+    def box(self, boxed: list, buf: np.ndarray, k: int) -> None:
+        """Append the first ``k`` triples of ``buf`` to ``boxed``."""
+        if _lib.box_append(boxed, buf.ctypes.data_as(_U32P), k,
+                           self._slots.ctypes.data):
+            raise MemoryError("native boxer: allocation failed")
+
+
+#: Triangles per chunk of a collect's stream (raised to the max
+#: out-degree, the smallest chunk every edge fits): 768 KiB a buffer.
+_COLLECT_CHUNK = 1 << 16
+
+#: Chunk buffers in a collect's ring: one being boxed while the worker
+#: fills the other. Emitting a chunk takes a fraction of boxing it, and
+#: the worker needs the GIL (held through each boxing call) to hand a
+#: chunk over, so a third buffer would only add resident memory.
+_COLLECT_RING = 2
+
+
+class _Stream:
+    """One pass of the resumable ``repro_forward_stream`` cursor.
+
+    Owns the cursor, the op counter, the ``n``-byte mark and
+    ``nbuffers`` chunk buffers of ``cap`` triangles each (``cap`` is
+    ``chunk_triangles`` raised to the max out-degree, so every edge
+    fits an empty buffer), all checked in with the memory ledger for
+    the ``with`` block. :meth:`chunks` is the one cursor loop that
+    :func:`stream_triangles` and :func:`collect_triangles` drive.
+    """
+
+    def __init__(self, arrays: _GraphArrays, chunk_triangles: int,
+                 nbuffers: int = 1):
+        self.arrays = arrays
+        self.cap = max(int(chunk_triangles), arrays.max_out_degree, 1)
+        self.buffers = [np.empty(self.cap * 3, dtype=np.uint32)
+                        for __ in range(nbuffers)]
+        self.mark = np.zeros(max(arrays.n, 1), dtype=np.uint8)
+        self.cursor = np.zeros(2, dtype=np.int64)
+        self.ops = np.zeros(1, dtype=np.int64)
+        self.triangles = 0
+        self._tokens = ()
+
+    def __enter__(self):
+        self._tokens = tuple(
+            [_memory.check_in("native.triangles", buf)
+             for buf in self.buffers]
+            + [_memory.check_in("native.mark", self.mark)])
+        return self
+
+    def __exit__(self, *exc_info):
+        for token in self._tokens:
+            _memory.check_out(token)
+
+    def chunks(self, buffers):
+        """Yield ``(buffer, k)`` per kernel call until the pass ends:
+        each call writes the next ``k`` triangles into a buffer drawn
+        from the iterable ``buffers``, which must not be drawn again
+        before it is handed back. Only the last call can write none.
+        """
+        arrays = self.arrays
+        for buf in buffers:
+            if self.cursor[0] >= arrays.n:
+                return
+            _memory.check_budget("native streaming listing")
+            written = int(_lib.forward_stream(
+                arrays._p_indptr, arrays._p_indices, arrays.n,
+                self.cursor.ctypes.data_as(_I64P),
+                buf.ctypes.data_as(_U32P), self.cap,
+                self.ops.ctypes.data_as(_I64P),
+                self.mark.ctypes.data_as(_U8P)))
+            if not written and self.cursor[0] < arrays.n:
+                raise RuntimeError(  # pragma: no cover - safety
+                    "native streaming kernel stalled")
+            self.triangles += written
+            yield buf, written
 
 
 def stream_triangles(oriented, chunk_triangles: int = 1 << 20):
@@ -1715,35 +1814,94 @@ def stream_triangles(oriented, chunk_triangles: int = 1 << 20):
     arrays = _graph_arrays(oriented)
 
     def _gen():
-        cap = max(int(chunk_triangles), arrays.max_out_degree, 1)
-        cursor = np.zeros(2, dtype=np.int64)
-        ops = np.zeros(1, dtype=np.int64)
-        buf = np.empty(cap * 3, dtype=np.uint32)
-        mark = np.zeros(max(arrays.n, 1), dtype=np.uint8)
-        tokens = (_memory.check_in("native.triangles", buf),
-                  _memory.check_in("native.mark", mark))
-        total = 0
-        try:
-            while cursor[0] < arrays.n:
-                _memory.check_budget("native streaming listing")
-                written = _lib.forward_stream(
-                    arrays._p_indptr, arrays._p_indices, arrays.n,
-                    cursor.ctypes.data_as(_I64P),
-                    buf.ctypes.data_as(_U32P), cap,
-                    ops.ctypes.data_as(_I64P),
-                    mark.ctypes.data_as(_U8P))
-                if written:
-                    total += int(written)
-                    yield buf[:written * 3].reshape(-1, 3).copy()
-                elif cursor[0] < arrays.n:  # pragma: no cover - safety
-                    raise RuntimeError(
-                        "native streaming kernel stalled")
-        finally:
-            for token in tokens:
-                _memory.check_out(token)
-        _record_stats(ops, 1, 1, total)
+        with _Stream(arrays, chunk_triangles) as stream:
+            for buf, k in stream.chunks(itertools.repeat(stream.buffers[0])):
+                if k:
+                    yield buf[:k * 3].reshape(-1, 3).copy()
+        _record_stats(stream.ops, 1, stream.triangles)
 
     return _gen()
+
+
+def collect_triangles(oriented, threads: int | None = None):
+    """All triangles as a list of ``(x, y, z)`` tuples of Python ints,
+    or None if gated: what ``collect=True`` returns on the native path.
+
+    One streamed pass, no count pass: the :func:`stream_triangles`
+    cursor fills a ring of :data:`_COLLECT_RING` chunk buffers of
+    :data:`_COLLECT_CHUNK` triangles on a worker thread, whose ctypes
+    calls drop the GIL, while this thread boxes each filled chunk as
+    :func:`box_triangles` would, into one list with one id table, so
+    every ``int`` is shared across chunks. The list equals
+    ``list(map(tuple, list_triangles_array(oriented).tolist()))``.
+    The worker is joined before this returns, on error or interrupt
+    too, and its exceptions are raised here; a failed thread start is
+    a ``MemoryError``, like the kernels' own. With one native thread
+    (``threads``, else ``REPRO_NATIVE_THREADS``) the pass runs on this
+    thread alone. :func:`last_stats` reports the threads used.
+    """
+    if not available():
+        return None
+    arrays = _graph_arrays(oriented)
+    threads = 1 if resolve_threads(threads) == 1 else 2
+    boxed: list = []
+    ring = 1 if threads == 1 else _COLLECT_RING
+    with _Stream(arrays, _COLLECT_CHUNK, ring) as stream, \
+            _IdTable(arrays.n) as ids:
+        chunks = (stream.chunks(itertools.repeat(stream.buffers[0]))
+                  if threads == 1 else _beside(stream))
+        with contextlib.closing(chunks):  # joins the worker
+            for buf, k in chunks:
+                ids.box(boxed, buf, k)
+    _record_stats(stream.ops, threads, stream.triangles)
+    return boxed
+
+
+def _beside(stream: _Stream):
+    """Yield ``stream``'s chunks as a worker thread emits them.
+
+    The worker drives :meth:`_Stream.chunks` over the stream's ring of
+    buffers: a buffer goes back to the worker when the caller asks for
+    the next chunk, so the caller may read each yielded chunk until
+    then. The worker runs no Python code besides the loop (no spans,
+    no metrics). Closing or leaving the generator, by return or
+    exception, stops the worker and joins it; an exception raised in
+    the worker is raised here.
+    """
+    import queue  # only a threaded collect needs it; imports stay light
+
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    filled: queue.SimpleQueue = queue.SimpleQueue()
+    for buf in stream.buffers:
+        free.put(buf)
+
+    def ring():  # the free buffers, until the caller puts None
+        while (buf := free.get()) is not None:
+            yield buf
+
+    def produce():
+        try:
+            for chunk in stream.chunks(ring()):
+                filled.put(chunk)
+        except BaseException as exc:  # re-raised on the calling thread
+            filled.put(exc)
+        else:
+            filled.put(None)
+
+    thread = threading.Thread(target=produce, name="repro-collect")
+    try:
+        thread.start()
+    except RuntimeError as exc:
+        raise MemoryError("native collect: thread start failed") from exc
+    try:
+        while (chunk := filled.get()) is not None:
+            if isinstance(chunk, BaseException):
+                raise chunk
+            yield chunk
+            free.put(chunk[0])
+    finally:
+        free.put(None)  # wakes a worker waiting for a buffer
+        thread.join()
 
 
 def residual_wire(order, residual, rng):
@@ -1986,9 +2144,9 @@ def oriented_sums(keys, degrees, labels):
 
 
 def self_test() -> bool:
-    """Compile-and-verify: a triangle + a path (counted, listed and
-    boxed), a residual wiring, a configuration-model wiring and the
-    adoption of its keys, a smallest-last order, the planner's
+    """Compile-and-verify: a triangle + a path (counted, listed, boxed
+    and collected), a residual wiring, a configuration-model wiring and
+    the adoption of its keys, a smallest-last order, the planner's
     orientation sums, and the oriented CSR from keys.
 
     Used by benchmarks and CI before trusting the library.
@@ -2004,7 +2162,9 @@ def self_test() -> bool:
     listed = list_triangles_array(tri)
     if listed is None or listed.tolist() != [[0, 1, 2]]:
         return False
-    if box_triangles(listed) != [(0, 1, 2)]:
+    if box_triangles(listed) != [(0, 1, 2)] or any(
+            collect_triangles(tri, threads) != [(0, 1, 2)]
+            for threads in (1, 2)):
         return False
     # residual wiring: C loop against the Python reference, same seed
     from repro.graphs import generators

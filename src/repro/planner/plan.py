@@ -274,20 +274,21 @@ def _theta_maps(table: _Table, n: int):
     swapped. The maps depend on ``n`` alone, so consecutive plans at
     one ``n`` share them; one entry (``D * 8n`` bytes) is kept.
     """
-    priced: dict[bytes, int] = {}
     maps, source, swapped = [], [], []
     for permutation in table.thetas:
         theta = np.asarray(permutation.rank_to_label(n), dtype=np.int64)
-        token = theta.tobytes()
-        reverse = ((n - 1) - theta).tobytes()
-        if token in priced or reverse in priced:
-            source.append(priced.get(token, priced.get(reverse)))
-            swapped.append(token not in priced)
-            continue
-        priced[token] = len(maps)
-        source.append(len(maps))
-        swapped.append(False)
-        maps.append(theta)
+        reverse = (n - 1) - theta
+        # no kept map is another's reverse, so at most one matches
+        for i, kept in enumerate(maps):
+            same = np.array_equal(kept, theta)
+            if same or np.array_equal(kept, reverse):
+                source.append(i)
+                swapped.append(not same)
+                break
+        else:
+            source.append(len(maps))
+            swapped.append(False)
+            maps.append(theta)
     stack = np.stack(maps) if maps else np.empty((0, n), dtype=np.int64)
     return (_frozen(stack), _frozen(np.array(source, dtype=np.intp)),
             _frozen(np.array(swapped, dtype=bool)))

@@ -178,6 +178,7 @@ class TestDispatch:
 
         monkeypatch.setattr(native, "count_triangles", boom)
         monkeypatch.setattr(native, "list_triangles_array", boom)
+        monkeypatch.setattr(native, "collect_triangles", boom)
         result = list_triangles(oriented, "T1", collect=collect,
                                 engine="numpy")
         assert result.extra["engine"] == "numpy"

@@ -223,6 +223,7 @@ class TestGatingAndFallback:
         assert native.count_triangles(g) is None
         assert native.list_triangles_array(g) is None
         assert native.stream_triangles(g) is None
+        assert native.collect_triangles(g) is None
         # auto + collect silently keeps the python reference engine
         result = list_triangles(g, "T1", collect=True)
         assert result.extra.get("engine") is None
@@ -289,7 +290,39 @@ class TestGatingAndFallback:
             native.list_triangles_array(g)
         for engine in ("auto", "native"):
             with pytest.raises(MemoryError, match="forward"):
-                list_triangles(g, "T1", collect=True, engine=engine)
+                list_triangles(g, "T1", collect=False, engine=engine)
+
+    @needs_native
+    @pytest.mark.parametrize("engine", ["auto", "native"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_collect_failure_raises(self, monkeypatch, pareto_graph, engine,
+                                    threads):
+        """A collect streams (no count or emit pass): a failing stream
+        call, on the calling thread or the collect's worker, is raised
+        as it is, never the gated None every engine falls back on."""
+        g = orient(pareto_graph, DescendingDegree())
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", threads)
+
+        def no_scratch(*args):
+            raise MemoryError("forward_stream: no scratch")
+
+        monkeypatch.setattr(native._lib, "forward_stream", no_scratch)
+        with pytest.raises(MemoryError, match="forward_stream"):
+            list_triangles(g, "T1", collect=True, engine=engine)
+
+    @needs_native
+    @pytest.mark.parametrize("engine", ["auto", "native"])
+    def test_collect_thread_start_failure_raises(self, monkeypatch,
+                                                 pareto_graph, engine):
+        g = orient(pareto_graph, DescendingDegree())
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "2")
+
+        def cannot_start(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(native.threading.Thread, "start", cannot_start)
+        with pytest.raises(MemoryError, match="thread start"):
+            list_triangles(g, "T1", collect=True, engine=engine)
 
     def test_numpy_engine_falls_back_silently(self, monkeypatch,
                                               pareto_graph):

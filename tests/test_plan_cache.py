@@ -125,6 +125,39 @@ def test_theta_cache_is_one_read_only_entry():
     assert not table.components.flags.writeable
 
 
+def _theta_maps_by_bytes(table, n):
+    """The dedup by map bytes, as ``_theta_maps`` first did it: the
+    reference its array comparisons must match."""
+    priced, maps, source, swapped = {}, [], [], []
+    for permutation in table.thetas:
+        theta = np.asarray(permutation.rank_to_label(n), dtype=np.int64)
+        token, reverse = theta.tobytes(), ((n - 1) - theta).tobytes()
+        if token in priced or reverse in priced:
+            source.append(priced.get(token, priced.get(reverse)))
+            swapped.append(token not in priced)
+            continue
+        priced[token] = len(maps)
+        source.append(len(maps))
+        swapped.append(False)
+        maps.append(theta)
+    stack = np.stack(maps) if maps else np.empty((0, n), dtype=np.int64)
+    return stack, np.array(source, dtype=np.intp), np.array(swapped)
+
+
+@pytest.mark.parametrize("orderings", [GRAPH_ORDERINGS,
+                                       ("opt", "rr", "descending"),
+                                       ("crr", "opt")])
+def test_theta_maps_bit_identical_to_the_bytes_dedup(orderings):
+    table = plan_module._candidate_table(*plan_module._names(
+        ALL_METHODS, orderings))
+    for n in (0, 1, 2, 3, 4, 5, 7, 16, 101, 1000, 10_000):
+        plan_module._theta_maps.cache_clear()
+        got = plan_module._theta_maps(table, n)
+        for a, b in zip(got, _theta_maps_by_bytes(table, n)):
+            assert a.dtype == b.dtype and a.shape == b.shape, n
+            assert a.tobytes() == b.tobytes(), n
+
+
 def _threads(monkeypatch):
     started = []
     real = threading.Thread

@@ -65,12 +65,13 @@ repeat anywhere, then the range, then ``lo >= hi``), also when one
 array holds several. The ``main`` exits 0 only when all of it holds.
 Any sanitizer report aborts the run with a non-zero status.
 
-One entry point of the library is outside this build: the collect
-boxer ``repro_box_triangles`` (``native._C_BOXER``, compiled after
-``_C_SOURCE`` into the same library). It builds the Python list of
-tuples, so it links only against libpython's symbols, which a
-standalone executable does not have; ``tests/test_collect_emission.py``
-checks it in-process.
+Two entry points of the library are outside this build: the collect
+boxer's ``repro_box_append`` and ``repro_box_release``
+(``native._C_BOXER``, compiled after ``_C_SOURCE`` into the same
+library). They build the Python list of tuples, so they link only
+against libpython's symbols, which a standalone executable does not
+have; ``tests/test_collect_emission.py`` and
+``tests/test_collect_stream.py`` check them in-process.
 
 Skips when there is no C compiler, or when the compiler cannot build
 and run a sanitized program on this host.
