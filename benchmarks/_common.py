@@ -101,8 +101,9 @@ def emit(name: str, text: str, results_dir=None,
                    allow_nan=False) + "\n")
     # REPRO_RUNS_FILE redirects the run-record trail (e.g. the CI perf
     # gate isolating its history); otherwise it rides with the tables.
-    record_path = obs.jsonl.sink_path(None, obs.records.RUNS_FILE_ENV,
-                                      out_dir / "runs.jsonl")
+    record_path = (None if os.environ.get(obs.records.RUNS_FILE_ENV,
+                                          "").strip()
+                   else out_dir / "runs.jsonl")
     record = obs.collect(name, config=config)
     record.meta["host"] = sidecar["host"]
     obs.records.write_record(record, record_path)

@@ -14,14 +14,16 @@ Subcommands::
     repro profile    phase-time breakdown over a method/order grid
     repro bench      engine micro-benchmarks (--native-compare)
     repro report     run-history analytics & the perf-regression gate
-                     (trends | baseline | compare | divergence)
-    repro audit      planner model-conformance audit over audit.jsonl
-                     (summary | misplans | validate | calibration)
+                     (trends | baseline | compare | divergence |
+                     validate)
+    repro audit      planner model-conformance audit over the audit
+                     lines of runs.jsonl (summary | misplans |
+                     calibration)
     repro mem        memory observability: array ledger + footprint
                      conformance (summary | ledger | conformance)
     repro export     recorded runs -> Chrome trace JSON / flame stacks
                      (trace | flame)
-    repro top        live terminal view of a telemetry event stream
+    repro top        live terminal view of the record stream
 
 Every subcommand accepts ``--trace`` (print the span tree and metric
 counters after the run; add ``--trace-memory`` for tracemalloc peaks).
@@ -439,10 +441,9 @@ def _report_records(args):
     exits non-zero with a clear message (no traceback) naming the sink
     that was read and, when filters ate everything, what they dropped.
     """
-    from repro.obs import jsonl, records as obs_records
+    from repro.obs import records as obs_records
     from repro.obs import report as obs_report
-    sink = jsonl.sink_path(args.runs, obs_records.RUNS_FILE_ENV,
-                           obs_records.DEFAULT_RUNS_PATH)
+    sink = obs_records.runs_path(args.runs)
     records = obs_records.load_records(sink)
     if not records:
         raise SystemExit(
@@ -509,14 +510,32 @@ def cmd_report(args) -> int:
     file; ``compare`` classifies the history against such a baseline
     and (with ``--fail-on-regress``) exits non-zero on regressions --
     the CI perf gate. ``--json`` switches trends/divergence/compare to
-    machine-readable output.
+    machine-readable output. ``validate`` schema-checks every line of
+    the stream -- runs, audit records and live events -- and exits 1
+    on any bad line (the CI schema gate).
     """
     import dataclasses
     import json
 
     from repro.obs import baselines as obs_baselines
+    from repro.obs import jsonl
+    from repro.obs import records as obs_records
     from repro.obs import report as obs_report
 
+    if args.report_command == "validate":
+        path = obs_records.runs_path(args.runs)
+        try:
+            count, errors = jsonl.validate(path, obs_records.check_line)
+        except OSError as exc:
+            raise SystemExit(f"cannot read {path}: {exc}")
+        if errors:
+            print(f"{len(errors)} schema error(s) in {path}:",
+                  file=sys.stderr)
+            for error in errors[:20]:
+                print(f"  {error}", file=sys.stderr)
+            return 1
+        print(f"{count} line(s) OK in {path}")
+        return 0
     records = _report_records(args)
     if args.report_command == "trends":
         rows = obs_report.trend_rows(records)
@@ -574,48 +593,31 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _validate_jsonl(path, check_one, noun: str) -> int:
-    """Schema-check a JSONL stream: the ``repro top --validate`` and
-    ``repro audit validate`` CI gates (exit 1 on any error)."""
-    from repro.obs import jsonl
-    try:
-        count, errors = jsonl.validate(path, check_one)
-    except OSError as exc:
-        raise SystemExit(f"cannot read {path}: {exc}")
-    if errors:
-        print(f"{len(errors)} schema error(s) in {path}:", file=sys.stderr)
-        for error in errors[:20]:
-            print(f"  {error}", file=sys.stderr)
-        return 1
-    print(f"{count} {noun} OK in {path}")
-    return 0
-
-
 def _audit_records(args):
-    """Load the audit log for ``repro audit``; cold history exits
+    """Load the audit lines for ``repro audit``; cold history exits
     non-zero with a clear message (no traceback), like the run-history
     consumers."""
-    from repro.obs import audit as obs_audit, jsonl
-    sink = jsonl.sink_path(args.file, obs_audit.AUDIT_FILE_ENV,
-                           obs_audit.DEFAULT_AUDIT_PATH)
+    from repro.obs import audit as obs_audit
+    from repro.obs import records as obs_records
+    sink = obs_records.runs_path(args.runs)
     records = obs_audit.load_audit(sink)
     if not records:
         raise SystemExit(
             f"no audit records in {sink}; run auto-routed calls "
             f"(method='auto') with REPRO_AUDIT=1 first, or point "
-            f"--file/REPRO_AUDIT_FILE at an existing audit log")
+            f"--runs/REPRO_RUNS_FILE at an existing history")
     return records
 
 
 def cmd_audit(args) -> int:
     """``repro audit``: the model-conformance audit read surface.
 
-    ``summary`` aggregates the audit log into headline regret /
-    prediction-ratio numbers plus the per-(method, ordering,
+    ``summary`` aggregates the stream's audit lines into headline
+    regret / prediction-ratio numbers plus the per-(method, ordering,
     graph-class) conformance table (``--fail-over R`` exits non-zero
     when the median realized regret exceeds ``R`` -- the CI gate);
-    ``misplans`` lists every diagnosed bad pick; ``validate``
-    schema-checks the log; ``calibration`` inspects (and with
+    ``misplans`` lists every diagnosed bad pick; ``calibration``
+    inspects (and with
     ``--measure --record`` feeds) the rolling speed-ratio store behind
     ``speed_ratio="calibrated"``.
     """
@@ -670,14 +672,6 @@ def cmd_audit(args) -> int:
                   f"engine={args.engine}: speed_ratio='calibrated' "
                   f"will fall back to a fresh measurement")
         return 0
-
-    if args.audit_command == "validate":
-        from repro.obs import jsonl
-        return _validate_jsonl(
-            jsonl.sink_path(args.file, obs_audit.AUDIT_FILE_ENV,
-                            obs_audit.DEFAULT_AUDIT_PATH),
-            lambda rec: jsonl.check(obs_audit.AUDIT_RECORD, rec),
-            "audit record(s)")
 
     records = _audit_records(args)
     if args.audit_command == "misplans":
@@ -824,30 +818,27 @@ def cmd_export(args) -> int:
 
 
 def cmd_top(args) -> int:
-    """``repro top``: terminal view over a live-telemetry event stream.
+    """``repro top``: terminal view over the record stream.
 
-    Follows the JSONL stream a run writes under
-    ``REPRO_LIVE_EVENTS=PATH`` and refreshes a status block in place:
-    current phase, progress %, model-ops ETA, RSS/CPU, per-worker
-    liveness, and memory pressure. ``--once`` renders the current
-    state and exits (add ``--json`` for a machine-readable dump);
-    ``--validate`` schema-checks the stream instead (the CI gate) and
-    exits non-zero on any malformed event.
+    Follows the ``runs.jsonl`` a run writes under ``REPRO_LIVE=1`` and
+    refreshes a status block in place: current phase, progress %,
+    model-ops ETA, RSS/CPU, per-worker liveness, memory pressure, and
+    the planner's latest pick from the audit lines. ``--once`` renders
+    the current state and exits (add ``--json`` for a machine-readable
+    dump).
     """
     import json
 
-    from repro.obs import bus as obs_bus
     from repro.obs import jsonl
     from repro.obs import live as obs_live
-    if args.validate:
-        return _validate_jsonl(args.events, obs_bus.validate_event,
-                               "event(s)")
+    from repro.obs import records as obs_records
+    path = obs_records.runs_path(args.runs)
     state = obs_live.LiveState()
     offset = 0
     try:
         while True:
             try:
-                events, offset, __ = jsonl.read(args.events, offset,
+                events, offset, __ = jsonl.read(path, offset,
                                                 follow=True)
             except OSError:
                 events = []
@@ -911,6 +902,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_parser(name, **kwargs):
         return sub.add_parser(name, parents=[trace_parent], **kwargs)
+
+    def add_runs_argument(p):
+        p.add_argument("--runs", "--runs-file", dest="runs",
+                       default=None, metavar="PATH",
+                       help="record stream to read (default: "
+                            "REPRO_RUNS_FILE or "
+                            "benchmarks/results/runs.jsonl)")
 
     p = add_parser("generate", help="sample and realize a random graph")
     _add_dist_args(p)
@@ -1063,11 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_report_parser(name, **kwargs):
         rp = rsub.add_parser(name, **kwargs)
-        rp.add_argument("--runs", "--runs-file", dest="runs",
-                        default=None, metavar="PATH",
-                        help="runs.jsonl to read (default: "
-                             "REPRO_RUNS_FILE or "
-                             "benchmarks/results/runs.jsonl)")
+        add_runs_argument(rp)
         rp.add_argument("--name", action="append", default=None,
                         metavar="PATTERN",
                         help="only benches matching this fnmatch "
@@ -1132,6 +1126,13 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--json", action="store_true",
                     help="print the divergence rows as JSON")
 
+    rp = rsub.add_parser(
+        "validate",
+        help="schema-check every line of the record stream; exit "
+             "non-zero on errors")
+    add_runs_argument(rp)
+    rp.set_defaults(func=cmd_report)
+
     p = add_parser("audit",
                    help="planner model-conformance audit "
                         "(predicted vs actual)")
@@ -1139,10 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_audit_parser(name, **kwargs):
         ap = asub.add_parser(name, **kwargs)
-        ap.add_argument("--file", default=None, metavar="PATH",
-                        help="audit.jsonl to read (default: "
-                             "REPRO_AUDIT_FILE or "
-                             "benchmarks/results/audit.jsonl)")
+        add_runs_argument(ap)
         ap.set_defaults(func=cmd_audit)
         return ap
 
@@ -1165,10 +1163,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "committed 10%% misplan threshold)")
     ap.add_argument("--json", action="store_true",
                     help="print the misplan rows as JSON")
-
-    ap = add_audit_parser(
-        "validate",
-        help="schema-check the audit log; exit non-zero on errors")
 
     ap = add_audit_parser(
         "calibration",
@@ -1235,11 +1229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_export_parser(name, **kwargs):
         ep = esub.add_parser(name, **kwargs)
-        ep.add_argument("--runs", "--runs-file", dest="runs",
-                        default=None, metavar="PATH",
-                        help="runs.jsonl to read (default: "
-                             "REPRO_RUNS_FILE or "
-                             "benchmarks/results/runs.jsonl)")
+        add_runs_argument(ep)
         ep.add_argument("--name", action="append", default=None,
                         metavar="PATTERN",
                         help="only benches matching this fnmatch "
@@ -1263,11 +1253,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "attached REPRO_PROFILE cProfile stats")
 
     p = add_parser("top",
-                   help="live terminal view over a telemetry event "
-                        "stream")
-    p.add_argument("--events", required=True, metavar="PATH",
-                   help="JSONL event stream a run writes under "
-                        "REPRO_LIVE_EVENTS=PATH")
+                   help="live terminal view over the record stream")
+    add_runs_argument(p)
     p.add_argument("--interval", type=float, default=1.0,
                    help="refresh period in seconds (default 1.0)")
     p.add_argument("--once", action="store_true",
@@ -1275,9 +1262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="with --once: print the state as JSON instead "
                         "of the status block")
-    p.add_argument("--validate", action="store_true",
-                   help="schema-check the stream instead of rendering; "
-                        "exit non-zero on malformed events")
     p.set_defaults(func=cmd_top)
 
     p = add_parser("profile",
@@ -1354,8 +1338,10 @@ def main(argv=None) -> int:
     else:
         trace = obs.enable_from_env()
     # REPRO_LIVE=1 starts the live runtime (sampler, event bus sinks,
-    # span phase hook) around the command.
-    live_on = args.func is not cmd_top and obs.live.enable_from_env()
+    # span phase hook) around the command -- not around the verbs that
+    # read the record stream, which would append events to what they read.
+    live_on = (args.func not in (cmd_top, cmd_report, cmd_audit, cmd_export)
+               and obs.live.enable_from_env())
     try:
         rc = args.func(args)
     finally:

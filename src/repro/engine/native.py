@@ -66,7 +66,7 @@ library:
   planner's and every Monte-Carlo cell's) from the sorted edge keys,
   equal to :func:`repro.orientations.relabel.oriented_degrees`
   followed by :func:`repro.core.costs.component_ops` per map.
-* **Collect boxing** (:func:`collect_triangles`, :func:`box_triangles`):
+* **Collect boxing** (:func:`collect_triangles`):
   the list of ``(x, y, z)`` tuples that ``collect=True`` returns, in
   one streamed pass: a worker thread runs the stream cursor into a
   ring of two chunk buffers while the calling thread boxes each filled
@@ -111,7 +111,6 @@ from repro.obs import memory as _memory
 __all__ = [
     "adopt_keys",
     "available",
-    "box_triangles",
     "collect_triangles",
     "configuration_wire",
     "count_triangles",
@@ -1684,30 +1683,6 @@ def list_triangles_array(oriented, threads: int | None = None):
     return buf.reshape(-1, 3)
 
 
-def box_triangles(triangles):
-    """A ``(k, 3)`` uint32 triangle array as a list of tuples of Python
-    ints, or None if gated.
-
-    Equal to ``list(map(tuple, triangles.tolist()))`` -- the same tuples
-    in the same order -- but built in C in one pass over the buffer:
-    one ``int`` per distinct id, shared by every tuple holding it, and
-    each tuple untracked by the garbage collector at once (a tuple of
-    ints cannot be part of a cycle, so a collection would untrack it
-    anyway). The call holds the GIL throughout.
-    """
-    if not available():
-        return None
-    arr = np.ascontiguousarray(triangles)
-    if arr.dtype != np.uint32 or arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("box_triangles needs a (k, 3) uint32 array, got "
-                         f"{arr.dtype} of shape {arr.shape}")
-    boxed: list = []
-    if arr.shape[0]:
-        with _IdTable(int(arr.max()) + 1) as ids:
-            ids.box(boxed, arr, arr.shape[0])
-    return boxed
-
-
 class _IdTable:
     """The boxer's id -> ``int`` table for one boxed list: ``n`` slots,
     filled on first use by ``repro_box_append`` and shared by every
@@ -1830,9 +1805,11 @@ def collect_triangles(oriented, threads: int | None = None):
     One streamed pass, no count pass: the :func:`stream_triangles`
     cursor fills a ring of :data:`_COLLECT_RING` chunk buffers of
     :data:`_COLLECT_CHUNK` triangles on a worker thread, whose ctypes
-    calls drop the GIL, while this thread boxes each filled chunk as
-    :func:`box_triangles` would, into one list with one id table, so
-    every ``int`` is shared across chunks. The list equals
+    calls drop the GIL, while this thread boxes each filled chunk in C
+    into one list with one id table: one ``int`` per distinct id,
+    shared by every tuple holding it across chunks, and each tuple
+    untracked by the garbage collector at once (a tuple of ints cannot
+    be part of a cycle, so a collection would untrack it anyway). The list equals
     ``list(map(tuple, list_triangles_array(oriented).tolist()))``.
     The worker is joined before this returns, on error or interrupt
     too, and its exceptions are raised here; a failed thread start is
@@ -2162,9 +2139,8 @@ def self_test() -> bool:
     listed = list_triangles_array(tri)
     if listed is None or listed.tolist() != [[0, 1, 2]]:
         return False
-    if box_triangles(listed) != [(0, 1, 2)] or any(
-            collect_triangles(tri, threads) != [(0, 1, 2)]
-            for threads in (1, 2)):
+    if any(collect_triangles(tri, threads) != [(0, 1, 2)]
+           for threads in (1, 2)):
         return False
     # residual wiring: C loop against the Python reference, same seed
     from repro.graphs import generators

@@ -9,11 +9,12 @@ near-free when disabled:
 * :mod:`repro.obs.metrics` -- process-local named counters / gauges /
   histograms the instrumented code publishes into (``lister.ops``,
   ``orient.edges_flipped``, ``generator.rejections``, ...).
-* :mod:`repro.obs.records` -- JSONL run records bundling span trees,
-  metric snapshots, run config, and git/python metadata.
-* :mod:`repro.obs.jsonl` -- the one line codec (writer, tolerant
-  reader, schema checker, sink/env resolution) shared by run records,
-  live events and audit records.
+* :mod:`repro.obs.records` -- the one record stream, ``runs.jsonl``:
+  run records (span trees, metric snapshots, run config, git/python
+  metadata), audit records and live events, one typed line each, with
+  the stream's path resolver, type-filtering reader and schema table.
+* :mod:`repro.obs.jsonl` -- the line codec under it (writer, tolerant
+  reader, schema checker, ``REPRO_*`` flag parsing).
 * :mod:`repro.obs.logging` -- structured stdlib logging with the
   ``REPRO_LOG`` env knob.
 * :mod:`repro.obs.bus` + :mod:`repro.obs.live` -- the live-telemetry

@@ -7,29 +7,28 @@ regimes silently degrades every pick. This module closes the loop:
 
 * every auto-routed :func:`repro.listing.api.list_triangles` /
   :func:`repro.pipeline.run_pipeline` call (and every regret-harness
-  case) appends one **audit record** to a JSONL log alongside
-  ``runs.jsonl`` -- the full ranked candidate table with predicted
-  ops/time, the chosen entry and confidence, then the post-run actual
-  ops / wall time and the **realized regret** of the pick against the
-  cheapest candidate that could be re-priced exactly (same definition
-  as :mod:`repro.planner.regret`: ``exact_time(pick) /
-  exact_time(best) - 1``);
-* a **conformance analyzer** aggregates the log into per-(method,
+  case) appends one ``"audit"`` line to the record stream
+  (``runs.jsonl``, see :mod:`repro.obs.records`) -- the full ranked
+  candidate table with predicted ops/time, the chosen entry and
+  confidence, then the post-run actual ops / wall time and the
+  **realized regret** of the pick against the cheapest candidate that
+  could be re-priced exactly (same definition as
+  :mod:`repro.planner.regret`: ``exact_time(pick) / exact_time(best) -
+  1``);
+* a **conformance analyzer** aggregates those lines into per-(method,
   ordering, graph-class) calibration error and prediction-ratio
   distributions, plus a misplan list with structured diagnoses
   (:func:`diagnose`: model divergence vs. speed-ratio drift vs.
   tie margin too thin);
-* misplans and calibration drift publish ``planner.misplan`` /
-  ``planner.drift`` events on the live bus so ``repro top`` surfaces
-  bad picks while a run is still going.
+* the audit line is also the planner event: ``repro top``, following
+  the same stream, folds its pick, misplans and calibration drift
+  while a run is still going.
 
 Auditing is **off by default** and the disabled path is one
 module-global check (:func:`is_enabled`): auto-routed runs are
 bit-identical with ``REPRO_AUDIT=0`` and perform no audit I/O. Turn it
-on with ``REPRO_AUDIT=1`` (the log lands at ``REPRO_AUDIT_FILE`` or
-``benchmarks/results/audit.jsonl``) or programmatically via
-:func:`enable`. Read it back with ``repro audit
-summary|misplans|calibration``.
+on with ``REPRO_AUDIT=1`` or programmatically via :func:`enable`. Read
+it back with ``repro audit summary|misplans|calibration``.
 """
 
 from __future__ import annotations
@@ -40,17 +39,14 @@ import os
 import pathlib
 import time
 
-from repro.obs import bus as _bus
 from repro.obs import jsonl as _jsonl
 from repro.obs import metrics as _metrics
 from repro.obs.jsonl import Opt
 
 __all__ = [
     "AUDIT_ENV",
-    "AUDIT_FILE_ENV",
     "AUDIT_RECORD",
     "AUDIT_SCHEMA_VERSION",
-    "DEFAULT_AUDIT_PATH",
     "DRIFT_FACTOR",
     "MISPLAN_REGRET",
     "MODEL_RTOL",
@@ -59,6 +55,7 @@ __all__ = [
     "conformance_rows",
     "diagnose",
     "disable",
+    "drifted",
     "enable",
     "format_conformance",
     "format_misplans",
@@ -80,12 +77,6 @@ AUDIT_SCHEMA_VERSION = 1
 
 #: Environment switch: truthy values turn auditing on process-wide.
 AUDIT_ENV = "REPRO_AUDIT"
-
-#: Environment override for the audit JSONL sink.
-AUDIT_FILE_ENV = "REPRO_AUDIT_FILE"
-
-#: Default sink, next to ``runs.jsonl``.
-DEFAULT_AUDIT_PATH = pathlib.Path("benchmarks") / "results" / "audit.jsonl"
 
 #: Realized regret above which a pick is classified as a misplan.
 MISPLAN_REGRET = 0.10
@@ -382,38 +373,25 @@ def _stored_ratio_or_none() -> float | None:
 
 
 def write_audit_record(record: dict, path=None) -> pathlib.Path:
-    """Append one record to the audit sink (explicit > env > default)."""
-    return _jsonl.append(
-        _jsonl.sink_path(path, AUDIT_FILE_ENV, DEFAULT_AUDIT_PATH), record)
+    """Append one durable ``"audit"`` line to the record stream."""
+    from repro.obs import records as _records
+    return _jsonl.append(_records.runs_path(path),
+                         {"type": "audit", **record})
+
+
+def drifted(record: dict) -> bool:
+    """Whether the record's assumed speed ratio is more than
+    :data:`DRIFT_FACTOR` from the calibrated one."""
+    return (record.get("drift") or {}).get("factor", 0.0) > DRIFT_FACTOR
 
 
 def _publish(record: dict) -> None:
-    """Metrics + live-bus events for one finished record."""
+    """Metrics for one finished record."""
     _metrics.inc("audit.records")
-    picked = record.get("picked") or {}
-    picked_key = f"{picked.get('method')}+{picked.get('ordering')}"
-    realized = record.get("realized") or {}
-    regret = realized.get("regret")
-    fields = {"route": record.get("route", "?"), "picked": picked_key,
-              "confidence": float(record.get("confidence") or 0.0)}
-    if isinstance(regret, (int, float)):
-        fields["regret"] = float(regret)
-    _bus.emit("planner.decision", **fields)
-    drift = record.get("drift")
-    if drift and drift.get("factor", 0.0) > DRIFT_FACTOR:
+    if drifted(record):
         _metrics.inc("planner.drift")
-        _bus.emit("planner.drift", assumed=drift["assumed"],
-                  calibrated=drift["calibrated"],
-                  factor=drift["factor"])
-    kind = (record.get("diagnosis") or {}).get("kind", "ok")
-    if kind != "ok":
+    if (record.get("diagnosis") or {}).get("kind", "ok") != "ok":
         _metrics.inc("planner.misplans")
-        _bus.emit("planner.misplan", route=record.get("route", "?"),
-                  picked=picked_key,
-                  oracle=str(realized.get("oracle", "?")),
-                  regret=float(regret) if isinstance(
-                      regret, (int, float)) else math.inf,
-                  kind=kind)
 
 
 def record_auto_route(plan, route: str, *, result=None, wall_s=None,
@@ -474,14 +452,10 @@ AUDIT_RECORD = {
 # -------------------------------------------------- conformance analyzer
 
 def load_audit(path=None) -> list[dict]:
-    """Parse every audit record (missing file = empty list).
-
-    Corrupted lines are skipped and counted (``audit.corrupted``)
-    under one structured WARNING -- see :func:`repro.obs.jsonl.load`.
-    """
-    return _jsonl.load(
-        _jsonl.sink_path(path, AUDIT_FILE_ENV, DEFAULT_AUDIT_PATH),
-        "audit.corrupted", "skipped corrupted audit lines")
+    """Every audit line of the stream (see
+    :func:`repro.obs.records.load_type`)."""
+    from repro.obs import records as _records
+    return _records.load_type("audit", path)
 
 
 def prediction_ratio(record: dict) -> float | None:

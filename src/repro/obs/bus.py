@@ -7,8 +7,9 @@ span phase hook -- publish small dict events through :func:`emit`, and
 pluggable sinks fan them out:
 
 * :class:`MemorySink` -- in-process list, for tests and ``repro top``;
-* :class:`JsonlSink` -- one JSON line per event appended to a stream
-  file (the ``REPRO_LIVE_EVENTS`` sink ``repro top`` follows).
+* :class:`JsonlSink` -- one JSON line per event appended to the record
+  stream (``REPRO_LIVE=1`` attaches one at ``runs.jsonl``, the file
+  ``repro top`` follows; see :mod:`repro.obs.records`).
 
 Like the rest of :mod:`repro.obs`, the bus is disabled by default and
 the disabled path is one module-global check: :func:`emit` returns
@@ -16,9 +17,8 @@ immediately, so instrumented hot paths (the engine chunk loop, the
 pool scheduler) pay nothing unless live telemetry is on.
 
 Every published event is stamped with ``type``, ``ts`` (unix seconds)
-and ``pid``; :data:`EVENT_SCHEMA` is the per-type field table and
-:func:`validate_event` enforces it (``repro top --validate`` runs it
-over a stream file through :func:`repro.obs.jsonl.validate`).
+and ``pid``; :data:`EVENT_SCHEMA` is the per-type payload table, which
+:data:`repro.obs.records.SCHEMA` folds into the stream's one schema.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "is_enabled",
     "remove_sink",
     "reset",
-    "validate_event",
 ]
 
 _enabled = False
@@ -97,26 +96,6 @@ EVENT_SCHEMA: dict[str, dict] = {
     # run bracketing, for multi-run event streams
     "run.start": {"name": (str,)},
     "run.end": {"name": (str,)},
-    # audit layer (repro.obs.audit): one auto-routed planner pick
-    "planner.decision": {
-        "route": (str,),       # "list_triangles" | "run_pipeline" | ...
-        "picked": (str,),      # "METHOD+ordering"
-        "confidence": (int, float),
-    },
-    # audit layer: a pick whose realized regret crossed the threshold
-    "planner.misplan": {
-        "route": (str,),
-        "picked": (str,),
-        "oracle": (str,),
-        "regret": (int, float),
-        "kind": (str,),        # diagnosis taxonomy, see audit.diagnose
-    },
-    # audit layer: assumed speed ratio far from the calibrated one
-    "planner.drift": {
-        "assumed": (int, float),
-        "calibrated": (int, float),
-        "factor": (int, float),
-    },
     # memory watchdog (repro.obs.memory): one pressure reading per
     # resource sample while REPRO_MEM_BUDGET is armed
     "mem.pressure": {
@@ -133,10 +112,6 @@ EVENT_SCHEMA: dict[str, dict] = {
         "action": (str,),      # "warn" | "abort"
     },
 }
-
-#: The stamp every event carries.
-_STAMP = {"ts": (int, float), "pid": (int,)}
-
 
 class MemorySink:
     """Keeps every event in a list -- tests and in-process readers."""
@@ -160,7 +135,7 @@ class JsonlSink:
     """Appends one JSON line per event to a stream file.
 
     The ``O_APPEND`` descriptor stays open and each event is one
-    unbuffered write, so a concurrent ``repro top --events`` follower
+    unbuffered write, so a concurrent ``repro top`` follower
     sees events as they happen. No fsync: this is a follow stream, not
     a ledger. Parent directories are created on demand.
     """
@@ -270,18 +245,3 @@ def reset() -> None:
     """Disable publication and close/drop every sink."""
     disable()
     _bus.close()
-
-
-# ------------------------------------------------------------ validation
-
-def validate_event(event) -> list[str]:
-    """Schema errors of one event dict (empty list = valid)."""
-    if not isinstance(event, dict):
-        return [f"event is not an object: {event!r}"]
-    type_ = event.get("type")
-    if not isinstance(type_, str):
-        return [f"missing/invalid 'type': {type_!r}"]
-    if type_ not in EVENT_SCHEMA:
-        return [f"unknown event type {type_!r}"]
-    return (_jsonl.check(_STAMP, event, type_)
-            + _jsonl.check(EVENT_SCHEMA[type_], event, type_))

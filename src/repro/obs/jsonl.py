@@ -1,22 +1,20 @@
-"""The one JSONL codec behind run records, live events and audit records.
+"""The JSONL line codec of the one record stream.
 
-Each stream keeps its own file and path knob (``REPRO_RUNS_FILE``,
-``REPRO_LIVE_EVENTS``, ``REPRO_AUDIT_FILE``); this module owns the line
-format they share: the numpy-aware serialiser and single-``write``
-``O_APPEND`` line writer, the tolerant reader, the declarative schema
-checker, and the sink-path / ``REPRO_*`` flag resolution. The contract
-is spelled out under "Record streams" in ``docs/OBSERVABILITY.md``.
+Run records, audit records and live events share one typed file
+(:mod:`repro.obs.records` resolves its path and owns its schema); this
+module owns the line format: the numpy-aware serialiser and
+single-``write`` ``O_APPEND`` line writer, the tolerant reader, the
+declarative schema checker, and the ``REPRO_*`` flag parsing. The
+contract is spelled out under "Record stream" in
+``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import os
 import pathlib
-
-from repro.obs import metrics as _metrics
 
 __all__ = [
     "Opt",
@@ -25,10 +23,8 @@ __all__ = [
     "dumps",
     "env_flag",
     "env_top_k",
-    "load",
     "open_append",
     "read",
-    "sink_path",
     "validate",
     "write_line",
 ]
@@ -36,15 +32,7 @@ __all__ = [
 _TRUTHY = {"1", "true", "yes", "on"}
 
 
-# ------------------------------------------------------------ resolution
-
-def sink_path(explicit, env_name: str, default):
-    """Resolve a sink: explicit arg > ``env_name`` > ``default``."""
-    if explicit is not None:
-        return pathlib.Path(explicit)
-    env = os.environ.get(env_name, "").strip()
-    return pathlib.Path(env) if env else default
-
+# ----------------------------------------------------------------- flags
 
 def env_flag(name: str) -> bool:
     """Whether ``name`` is set to a truthy word (``1/true/yes/on``)."""
@@ -149,24 +137,6 @@ def read(path, offset: int = 0,
         else:
             skipped.append((lineno, str(obj if exc is None else exc)))
     return objects, offset + end, skipped
-
-
-def load(path, counter: str, message: str) -> list[dict]:
-    """Every object in ``path`` (missing file = ``[]``).
-
-    A torn line (power loss mid-sector) must not take the history down:
-    skipped lines bump ``counter`` under one structured WARNING.
-    """
-    if not os.path.exists(path):
-        return []
-    objects, __, skipped = read(path)
-    if skipped:
-        _metrics.inc(counter, len(skipped))
-        from repro.obs.logging import get_logger, log_event
-        log_event(get_logger(__name__), logging.WARNING, message,
-                  path=str(path), skipped=len(skipped),
-                  first_bad_line=skipped[0][0], detail=skipped[0][1])
-    return objects
 
 
 # ------------------------------------------------------------ validation

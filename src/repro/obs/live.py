@@ -24,12 +24,16 @@ through the :mod:`repro.obs.bus` event bus:
   ``live.stalled_workers`` counter -- keeping the last task context
   per worker.
 * the read surface -- :class:`LiveState` + :func:`render_status` fold
-  an event stream into the in-place terminal view of ``repro top``
+  the record stream (events, plus the audit lines that stand for the
+  planner's picks) into the in-place terminal view of ``repro top``
   (or its ``--once --json`` dump).
 
 The runtime is **off by default** (``REPRO_LIVE`` unset): every hook
 in the engine, harness, and scheduler guards on one module-global
 check, so hot-path timings and counters are untouched when disabled.
+``REPRO_LIVE=1`` appends the events to the record stream
+(``runs.jsonl``, see :mod:`repro.obs.records`) without fsync: it is a
+follow stream, not a ledger.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import os
 import threading
 import time
 
+from repro.obs import audit as _audit
 from repro.obs import bus as _bus
 from repro.obs import jsonl as _jsonl
 from repro.obs import metrics as _metrics
@@ -465,12 +470,13 @@ class HeartbeatWatchdog:
 # ----------------------------------------------------- event-stream state
 
 class LiveState:
-    """Folds a telemetry event stream into the current run picture.
+    """Folds the record stream into the current run picture.
 
-    Feed events (dicts) through :meth:`update`; the state keeps the
+    Feed lines (dicts) through :meth:`update`; the state keeps the
     latest resource sample, the latest progress per ``(scope, label)``,
-    the current phase stack, and a per-worker liveness table --
-    everything ``repro top`` renders.
+    the current phase stack, a per-worker liveness table, and from the
+    ``audit`` lines the latest planner pick, the misplan count and the
+    calibration drift -- everything ``repro top`` renders.
     """
 
     def __init__(self):
@@ -517,18 +523,36 @@ class LiveState:
                 pid, {"last_ts": ts, "task": ""})
             state["stalled"] = True
             state["task"] = event.get("last_task", state.get("task", ""))
-        elif type_ == "planner.decision":
-            self.planner = event
-        elif type_ == "planner.misplan":
-            self.misplans += 1
-            self.planner = event
-        elif type_ == "planner.drift":
-            self.drift = event
+        elif type_ == "audit":
+            self._fold_audit(event)
         elif type_ == "mem.pressure":
             self.memory = event
         elif type_ == "mem.breach":
             self.breaches += 1
             self.memory = event
+
+    def _fold_audit(self, record: dict) -> None:
+        """One audit line: the planner pick, a misplan, a drift."""
+        picked = record.get("picked") or {}
+        realized = record.get("realized") or {}
+        regret = realized.get("regret")
+        planner = {"ts": record.get("ts"), "pid": record.get("pid"),
+                   "route": record.get("route", "?"),
+                   "picked": f"{picked.get('method')}+"
+                             f"{picked.get('ordering')}",
+                   "confidence": float(record.get("confidence") or 0.0)}
+        if isinstance(regret, (int, float)):
+            planner["regret"] = float(regret)
+        kind = (record.get("diagnosis") or {}).get("kind", "ok")
+        if kind != "ok":
+            self.misplans += 1
+            planner.update(oracle=str(realized.get("oracle", "?")),
+                           regret=planner.get("regret", math.inf),
+                           kind=kind)
+        self.planner = planner
+        if _audit.drifted(record):
+            self.drift = {"ts": record.get("ts"),
+                          "pid": record.get("pid"), **record["drift"]}
 
     def update_many(self, events) -> None:
         """Fold an iterable of events, in order."""
@@ -625,11 +649,11 @@ def render_status(state: LiveState) -> str:
                          f"{age:5.1f}s ago  {worker.get('task', '')}")
     else:
         lines.append("worker   : --")
-    # the planner line appears only once a decision event was seen, so
-    # event streams from planner-free runs render exactly as before
+    # the planner line appears only once an audit line was seen, so
+    # streams from planner-free runs render exactly as before
     if state.planner is not None:
         ev = state.planner
-        flag = "MISPLAN" if ev.get("type") == "planner.misplan" else "ok"
+        flag = "MISPLAN" if "kind" in ev else "ok"
         conf = ev.get("confidence")
         conf_txt = (f"  conf {conf:.2f}"
                     if isinstance(conf, (int, float)) else "")
@@ -703,12 +727,14 @@ def disable() -> None:
 def enable_from_env() -> bool:
     """Start the runtime when ``REPRO_LIVE`` is truthy; the decision.
 
-    Companion knobs: ``REPRO_LIVE_EVENTS`` (JSONL sink path) and
-    ``REPRO_LIVE_INTERVAL`` (cadence seconds).
+    The events go to the record stream
+    (:func:`repro.obs.records.runs_path`); ``REPRO_LIVE_INTERVAL`` sets
+    the cadence in seconds.
     """
     if not _jsonl.env_flag("REPRO_LIVE"):
         return False
-    enable(events_path=_jsonl.sink_path(None, "REPRO_LIVE_EVENTS", None))
+    from repro.obs import records as _records
+    enable(events_path=_records.runs_path())
     return True
 
 

@@ -1,13 +1,21 @@
-"""JSONL run records: machine-readable trail of every measured run.
+"""The one record stream: run records, audit records and live events.
+
+Every observability line lands in one typed JSONL file, ``runs.jsonl``
+(:func:`runs_path`: an explicit path, else ``REPRO_RUNS_FILE``, else
+``benchmarks/results/runs.jsonl``), written through the shared codec
+:mod:`repro.obs.jsonl`. Each line carries a ``type``: ``"run"`` for a
+:class:`RunRecord`, ``"audit"`` for a planner audit record
+(:mod:`repro.obs.audit`), or its event type for a live event
+(:mod:`repro.obs.bus`). A line without a ``type`` reads as a run, as
+every line of older histories is one. :func:`load_type` filters the
+stream by type; :data:`SCHEMA` is the one field table keyed by type and
+:func:`check_line` the one validator over it (``repro report
+validate``).
 
 A :class:`RunRecord` bundles what a benchmark or experiment just did --
 the finished span trees, a metrics snapshot, the run configuration
 (method, permutation, n, seed, ...) and environment metadata (git
-revision, python version, wall-clock timestamp) -- and appends it as
-one JSON line to a ``runs.jsonl`` sink (default
-``benchmarks/results/runs.jsonl``, overridable via the
-``REPRO_RUNS_FILE`` environment variable or an explicit path) through
-the shared codec :mod:`repro.obs.jsonl`.
+revision, python version, wall-clock timestamp).
 
 :class:`~repro.listing.base.ListingResult` objects round-trip via
 :func:`listing_result_to_dict` / :func:`listing_result_from_dict`.
@@ -16,6 +24,7 @@ the shared codec :mod:`repro.obs.jsonl`.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import os
 import pathlib
 import shutil
@@ -23,6 +32,8 @@ import subprocess
 import sys
 import time
 
+from repro.obs import audit as _audit
+from repro.obs import bus as _bus
 from repro.obs import jsonl as _jsonl
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
@@ -31,20 +42,78 @@ __all__ = [
     "DEFAULT_RUNS_PATH",
     "RUNS_FILE_ENV",
     "RunRecord",
+    "SCHEMA",
+    "check_line",
     "collect",
     "git_revision",
     "host_meta",
     "listing_result_from_dict",
     "listing_result_to_dict",
     "load_records",
+    "load_type",
     "record_run",
+    "runs_path",
     "write_record",
 ]
 
 DEFAULT_RUNS_PATH = pathlib.Path("benchmarks") / "results" / "runs.jsonl"
 
-#: Environment override for the run-record sink.
+#: Environment override for the stream's path.
 RUNS_FILE_ENV = "REPRO_RUNS_FILE"
+
+#: The stamp every live event carries (:func:`repro.obs.bus.emit`).
+_STAMP = {"ts": (int, float), "pid": (int,)}
+
+#: The one field table of the stream, keyed by line ``type`` (see
+#: :func:`repro.obs.jsonl.check`): every live event type (stamp plus
+#: payload), the audit record, and the run record.
+SCHEMA: dict[str, dict] = {
+    **{type_: {**_STAMP, **row}
+       for type_, row in _bus.EVENT_SCHEMA.items()},
+    "audit": _audit.AUDIT_RECORD,
+    "run": {"name": (str,), "config": (dict,), "metrics": (dict,),
+            "meta": (dict,), "spans": (list,)},
+}
+
+
+def runs_path(path=None) -> pathlib.Path:
+    """The stream's path: ``path``, else ``REPRO_RUNS_FILE``, else
+    :data:`DEFAULT_RUNS_PATH`."""
+    if path is not None:
+        return pathlib.Path(path)
+    env = os.environ.get(RUNS_FILE_ENV, "").strip()
+    return pathlib.Path(env) if env else DEFAULT_RUNS_PATH
+
+
+def load_type(type_: str, path=None) -> list[dict]:
+    """Every ``type_`` line of the stream (missing file = ``[]``).
+
+    A line with no ``type`` is a run. A torn line (power loss
+    mid-sector) must not take the history down: skipped lines bump
+    ``records.corrupted`` under one structured WARNING.
+    """
+    path = runs_path(path)
+    if not os.path.exists(path):
+        return []
+    objects, __, skipped = _jsonl.read(path)
+    if skipped:
+        _metrics.inc("records.corrupted", len(skipped))
+        from repro.obs.logging import get_logger, log_event
+        log_event(get_logger(__name__), logging.WARNING,
+                  "skipped corrupted record lines",
+                  path=str(path), skipped=len(skipped),
+                  first_bad_line=skipped[0][0], detail=skipped[0][1])
+    return [obj for obj in objects if obj.get("type", "run") == type_]
+
+
+def check_line(obj) -> list[str]:
+    """Schema errors of one stream line against :data:`SCHEMA`."""
+    if not isinstance(obj, dict):
+        return [f"line is not an object: {obj!r}"]
+    type_ = obj.get("type", "run")
+    if not isinstance(type_, str) or type_ not in SCHEMA:
+        return [f"unknown type {type_!r}"]
+    return _jsonl.check(SCHEMA[type_], obj, type_)
 
 _git_rev_cache: str | None = None
 _git_rev_known = False
@@ -190,15 +259,14 @@ def collect(name: str, config: dict | None = None,
 
 
 def write_record(record: RunRecord, path=None) -> pathlib.Path:
-    """Append ``record`` as one durable JSONL line; returns the sink.
+    """Append ``record`` as one durable ``"run"`` line; returns the path.
 
     See :mod:`repro.obs.jsonl` for the atomicity contract;
-    :func:`load_records` keeps its skip-with-warning path for
-    histories torn by power loss mid-sector.
+    :func:`load_type` keeps its skip-with-warning path for histories
+    torn by power loss mid-sector.
     """
-    return _jsonl.append(
-        _jsonl.sink_path(path, RUNS_FILE_ENV, DEFAULT_RUNS_PATH),
-        dataclasses.asdict(record))
+    return _jsonl.append(runs_path(path),
+                         {"type": "run", **dataclasses.asdict(record)})
 
 
 def record_run(name: str, config: dict | None = None,
@@ -208,14 +276,8 @@ def record_run(name: str, config: dict | None = None,
 
 
 def load_records(path=None) -> list[RunRecord]:
-    """Parse every record in the sink (missing file = empty list).
-
-    Corrupted lines are skipped and counted (``records.corrupted``)
-    under one structured WARNING -- see :func:`repro.obs.jsonl.load`.
-    """
-    return [RunRecord.from_dict(data) for data in _jsonl.load(
-        _jsonl.sink_path(path, RUNS_FILE_ENV, DEFAULT_RUNS_PATH),
-        "records.corrupted", "skipped corrupted run-record lines")]
+    """Every run line of the stream (see :func:`load_type`)."""
+    return [RunRecord.from_dict(data) for data in load_type("run", path)]
 
 
 def listing_result_to_dict(result) -> dict:

@@ -100,11 +100,11 @@ class RoundRobin(Permutation):
 
     def rank_to_label(self, n, rng=None):
         theta = np.empty(n, dtype=np.int64)
-        i = np.arange(1, n + 1)  # paper's 1-based rank
-        odd = i % 2 == 1
-        labels = np.where(odd, np.ceil((n + i) / 2.0),
-                          np.floor((n - i) / 2.0) + 1.0)
-        theta[:] = labels.astype(np.int64) - 1  # back to 0-based labels
+        i = np.arange(1, n + 1, dtype=np.int64)  # paper's 1-based rank
+        # odd i -> ceil((n + i) / 2), even i -> floor((n - i) / 2) + 1,
+        # each minus 1 for 0-based labels
+        theta[0::2] = (n + i[0::2] + 1) // 2 - 1
+        theta[1::2] = (n - i[1::2]) // 2
         return theta
 
 

@@ -35,7 +35,7 @@ def clean_state(monkeypatch):
     obs.disable()
     obs.reset()
     bus.reset()
-    for var in ("REPRO_AUDIT", "REPRO_AUDIT_FILE",
+    for var in ("REPRO_AUDIT", "REPRO_RUNS_FILE",
                 "REPRO_CALIBRATION_FILE", "REPRO_SPEED_RATIO"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setattr(audit, "_enabled", None)
@@ -48,9 +48,9 @@ def clean_state(monkeypatch):
 
 
 def enable_audit(monkeypatch, tmp_path):
-    """Turn auditing on with an isolated sink; returns the sink path."""
-    sink = tmp_path / "audit.jsonl"
-    monkeypatch.setenv(audit.AUDIT_FILE_ENV, str(sink))
+    """Turn auditing on with an isolated stream; returns its path."""
+    sink = tmp_path / "runs.jsonl"
+    monkeypatch.setenv(records.RUNS_FILE_ENV, str(sink))
     monkeypatch.setattr(audit, "_enabled", True)
     return sink
 
@@ -80,18 +80,18 @@ class TestGating:
         assert not audit.is_enabled()
 
     def test_disabled_hook_is_inert(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(audit.AUDIT_FILE_ENV,
-                           str(tmp_path / "audit.jsonl"))
+        monkeypatch.setenv(records.RUNS_FILE_ENV,
+                           str(tmp_path / "runs.jsonl"))
         assert audit.record_auto_route(None, "list_triangles") is None
-        assert not (tmp_path / "audit.jsonl").exists()
+        assert not (tmp_path / "runs.jsonl").exists()
 
     def test_audit_path_precedence(self, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)  # the default path is relative
         audit.write_audit_record({"route": "default"})
-        monkeypatch.setenv(audit.AUDIT_FILE_ENV, str(tmp_path / "a"))
+        monkeypatch.setenv(records.RUNS_FILE_ENV, str(tmp_path / "a"))
         audit.write_audit_record({"route": "env"})
         audit.write_audit_record({"route": "explicit"}, tmp_path / "b")
-        for path, route in ((audit.DEFAULT_AUDIT_PATH, "default"),
+        for path, route in ((records.DEFAULT_RUNS_PATH, "default"),
                             (None, "env"), (tmp_path / "b", "explicit")):
             assert [r["route"] for r in audit.load_audit(path)] == [route]
 
@@ -654,33 +654,55 @@ def rows_have_dash(rendered: str) -> bool:
 
 # -------------------------------------------------------- live + repro top
 
+def _audit_line(picked="E1+D", regret=0.0, kind="ok", drift=None,
+                ts=1.0, confidence=0.3):
+    """One stream line as :func:`audit.write_audit_record` writes it."""
+    method, ordering = picked.split("+")
+    line = {"type": "audit", "schema": 1, "ts": ts, "pid": 1,
+            "route": "x", "source": "graph", "speed_ratio": 94.8,
+            "graph_class": "sparse-light", "confidence": confidence,
+            "picked": {"method": method, "ordering": ordering,
+                       "family": "hash", "predicted_cost": 1.0,
+                       "predicted_time": 1.0},
+            "entries": [{"method": method, "ordering": ordering,
+                         "cost": 1.0, "time": 1.0, "rank": 1}],
+            "actual": None,
+            "realized": {"regret": regret, "oracle": "E1+D",
+                         "oracle_time": 1.0, "picked_time": 1.0},
+            "diagnosis": {"kind": kind}}
+    if drift is not None:
+        line["drift"] = {"assumed": 94.8, "calibrated": 94.8 / drift,
+                         "factor": drift}
+    return line
+
+
 class TestLivePlannerLine:
     def test_state_folds_planner_events(self):
         state = live.LiveState()
-        state.update({"type": "planner.decision", "route": "x",
-                      "picked": "E1+D", "confidence": 0.3, "ts": 1.0})
+        state.update(_audit_line())
         assert state.planner["picked"] == "E1+D"
-        state.update({"type": "planner.misplan", "route": "x",
-                      "picked": "T1+D", "oracle": "E1+D",
-                      "regret": 0.5, "kind": "tie_margin", "ts": 2.0})
+        assert state.misplans == 0 and state.drift is None
+        state.update(_audit_line("T1+D", regret=0.5, kind="tie_margin",
+                                 drift=47.4, ts=2.0))
         assert state.misplans == 1
-        state.update({"type": "planner.drift", "assumed": 94.8,
-                      "calibrated": 2.0, "factor": 47.4, "ts": 3.0})
         assert state.planner["regret"] == pytest.approx(0.5)
+        assert state.planner["oracle"] == "E1+D"
+        assert state.drift["factor"] == pytest.approx(47.4)
+        # a drift within DRIFT_FACTOR is no drift
+        state.update(_audit_line(drift=1.5, ts=3.0))
         assert state.drift["factor"] == pytest.approx(47.4)
         data = state.to_dict()
         assert data["misplans"] == 1
-        assert data["planner"]["picked"] == "T1+D"
+        assert data["planner"]["picked"] == "E1+D"
+        assert data["planner"]["route"] == "x"
+        assert data["planner"]["confidence"] == pytest.approx(0.3)
 
     def test_render_with_and_without_planner(self):
         empty = live.render_status(live.LiveState())
         assert "planner" not in empty
         state = live.LiveState()
-        state.update({"type": "planner.misplan", "route": "x",
-                      "picked": "T1+D", "oracle": "E1+D",
-                      "regret": 0.5, "kind": "tie_margin", "ts": 1.0})
-        state.update({"type": "planner.drift", "assumed": 94.8,
-                      "calibrated": 2.0, "factor": 47.4, "ts": 2.0})
+        state.update(_audit_line("T1+D", regret=0.5, kind="tie_margin",
+                                 drift=47.4))
         rendered = live.render_status(state)
         assert "MISPLAN" in rendered
         assert "regret 50.0%" in rendered
@@ -688,12 +710,10 @@ class TestLivePlannerLine:
         assert "speed-ratio drift" in rendered
 
     def test_top_once_shows_latest_decision(self, tmp_path, capsys):
-        events = tmp_path / "events.jsonl"
-        events.write_text(json.dumps(
-            {"type": "planner.decision", "route": "list_triangles",
-             "picked": "E1+D", "confidence": 0.31, "ts": 5.0}) + "\n",
-            encoding="utf-8")
-        assert cli.main(["top", "--events", str(events), "--once"]) == 0
+        stream = tmp_path / "runs.jsonl"
+        stream.write_text(json.dumps(
+            _audit_line(confidence=0.31, ts=5.0)) + "\n", encoding="utf-8")
+        assert cli.main(["top", "--runs", str(stream), "--once"]) == 0
         out = capsys.readouterr().out
         assert "planner" in out
         assert "E1+D" in out
@@ -701,21 +721,21 @@ class TestLivePlannerLine:
 
 
 class TestBusSchema:
+    """The audit line is the planner event: one schema row, ``audit``."""
+
     @pytest.mark.parametrize("event", [
-        {"type": "planner.decision", "ts": 1.0, "route": "a",
-         "picked": "E1+D", "confidence": 0.5, "pid": 1},
-        {"type": "planner.misplan", "ts": 1.0, "route": "a",
-         "picked": "T1+D", "oracle": "E1+D", "regret": 0.5,
-         "kind": "tie_margin", "pid": 1},
-        {"type": "planner.drift", "ts": 1.0, "assumed": 94.8,
-         "calibrated": 2.0, "factor": 47.4, "pid": 1},
+        _audit_line(),
+        _audit_line("T1+D", regret=0.5, kind="tie_margin"),
+        _audit_line(drift=47.4),
     ])
     def test_new_events_validate(self, event):
-        assert bus.validate_event(event) == []
+        assert records.check_line(event) == []
+        assert audit.drifted(event) == ("drift" in event)
 
     def test_missing_field_rejected(self):
-        assert bus.validate_event(
-            {"type": "planner.drift", "ts": 1.0, "assumed": 94.8})
+        line = _audit_line(drift=47.4)
+        del line["diagnosis"]
+        assert records.check_line(line)
 
 
 # ------------------------------------------------------------------- CLI
@@ -730,17 +750,17 @@ class TestAuditCLI:
 
     def test_cold_summary_exits_with_message(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["audit", "summary", "--file",
+            cli.main(["audit", "summary", "--runs",
                       str(tmp_path / "none.jsonl")])
         assert "no audit records" in str(exc.value)
 
     def test_summary_and_fail_over(self, pareto_graph, tmp_path,
                                    monkeypatch, capsys):
         sink = self._populate(monkeypatch, tmp_path, pareto_graph)
-        assert cli.main(["audit", "summary", "--file", str(sink)]) == 0
+        assert cli.main(["audit", "summary", "--runs", str(sink)]) == 0
         assert "audit: 2 record(s)" in capsys.readouterr().out
         # auto routes re-price on their own table: zero regret passes
-        assert cli.main(["audit", "summary", "--file", str(sink),
+        assert cli.main(["audit", "summary", "--runs", str(sink),
                          "--fail-over", "0.25"]) == 0
 
     def test_fail_over_trips_on_high_regret(self, pareto_graph,
@@ -751,14 +771,14 @@ class TestAuditCLI:
         bad["realized"]["regret"] = 0.9
         bad_sink = tmp_path / "bad.jsonl"
         audit.write_audit_record(bad, bad_sink)
-        assert cli.main(["audit", "summary", "--file", str(bad_sink),
+        assert cli.main(["audit", "summary", "--runs", str(bad_sink),
                          "--fail-over", "0.25"]) == 1
         assert "FAIL" in capsys.readouterr().err
 
     def test_summary_json(self, pareto_graph, tmp_path, monkeypatch,
                           capsys):
         sink = self._populate(monkeypatch, tmp_path, pareto_graph)
-        assert cli.main(["audit", "summary", "--file", str(sink),
+        assert cli.main(["audit", "summary", "--runs", str(sink),
                          "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["summary"]["records"] == 2
@@ -767,19 +787,24 @@ class TestAuditCLI:
     def test_misplans_and_validate(self, pareto_graph, tmp_path,
                                    monkeypatch, capsys):
         sink = self._populate(monkeypatch, tmp_path, pareto_graph)
-        assert cli.main(["audit", "misplans", "--file",
+        assert cli.main(["audit", "misplans", "--runs",
                          str(sink)]) == 0
         assert "no misplans" in capsys.readouterr().out
-        assert cli.main(["audit", "validate", "--file",
+        assert cli.main(["report", "validate", "--runs",
                          str(sink)]) == 0
-        assert "2 audit record(s) OK" in capsys.readouterr().out
+        assert "2 line(s) OK" in capsys.readouterr().out
 
     def test_validate_rejects_corrupt(self, tmp_path, capsys):
-        sink = tmp_path / "audit.jsonl"
+        sink = tmp_path / "runs.jsonl"
         sink.write_text("garbage\n", encoding="utf-8")
-        assert cli.main(["audit", "validate", "--file",
+        assert cli.main(["report", "validate", "--runs",
                          str(sink)]) == 1
         assert "not JSON" in capsys.readouterr().err
+        sink.write_text(json.dumps({"type": "audit", "route": "x"})
+                        + "\n", encoding="utf-8")
+        assert cli.main(["report", "validate", "--runs",
+                         str(sink)]) == 1
+        assert "'schema'" in capsys.readouterr().err
 
     def test_calibration_cold_and_populated(self, tmp_path, capsys):
         store = tmp_path / "speed_ratio.json"

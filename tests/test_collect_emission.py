@@ -15,7 +15,7 @@ and the fallback taken when the library is gone (``native._lib``
 monkeypatched away). The native tests skip where no C toolchain
 exists; the NumPy tests run everywhere.
 
-The native path boxes in C (``native.box_triangles``), so its own
+The native path boxes in C (``native.collect_triangles``), so its own
 tests also pin what the C code could get wrong and ``==`` cannot see:
 ids past 2**16, empty results, thread counts, that every tuple is
 untracked by the garbage collector, and that every reference it takes
@@ -133,21 +133,25 @@ def _wide_ids(n=70_000, triangles=3000, seed=3):
 class TestBoxer:
     @pytest.fixture(scope="class")
     def wide(self):
-        arr = native.list_triangles_array(_wide_ids())
+        oriented = _wide_ids()
+        arr = native.list_triangles_array(oriented)
         assert arr.shape[0] > 1000 and arr.max() >= 1 << 16
-        return arr
+        return oriented, arr
 
     def test_matches_rowwise_past_16_bits(self, wide):
-        _assert_boxed(native.box_triangles(wide), _rowwise(wide))
+        oriented, arr = wide
+        result = run_numpy(oriented, "E1", collect=True)
+        assert result.extra["engine"] == "native"
+        _assert_boxed(result.triangles, _rowwise(arr))
 
     @pytest.mark.parametrize("name", ["n0", "m0", "triangle-free"])
     def test_empty_is_a_fresh_list(self, name):
-        arr = native.list_triangles_array(
-            orient(GRAPHS[name], DescendingDegree()))
-        assert arr.shape == (0, 3)
-        first, second = native.box_triangles(arr), native.box_triangles(arr)
+        oriented = orient(GRAPHS[name], DescendingDegree())
+        assert native.list_triangles_array(oriented).shape == (0, 3)
+        first = native.collect_triangles(oriented)
+        second = run_numpy(oriented, "E1", collect=True).triangles
         assert first == second == [] and type(first) is list
-        assert first is not second
+        assert type(second) is list and first is not second
         first.append(1)
         assert second == []
 
@@ -165,15 +169,17 @@ class TestBoxer:
                       _rowwise(native.list_triangles_array(wide, 1)))
 
     def test_tuples_are_untracked(self, wide):
-        assert not any(gc.is_tracked(t) for t in native.box_triangles(wide))
+        result = native.collect_triangles(wide[0])
+        assert not any(gc.is_tracked(t) for t in result)
 
     def test_references_are_balanced(self, wide):
-        ids, counts = np.unique(wide, return_counts=True)
+        oriented, arr = wide
+        ids, counts = np.unique(arr, return_counts=True)
         counts[ids <= 256] = 0  # small ints are interned by CPython
         uses = int(counts.max())
         assert uses > 1
-        i, c = np.argwhere(wide == ids[counts.argmax()])[0]
-        result = native.box_triangles(wide)
+        i, c = np.argwhere(arr == ids[counts.argmax()])[0]
+        result = native.collect_triangles(oriented)
         shared = result[i][c]
         # its tuples, plus ``shared`` and getrefcount's own argument: the
         # boxer's id table kept nothing
@@ -183,25 +189,13 @@ class TestBoxer:
         assert sys.getrefcount(shared) == 2
 
     def test_ids_are_shared(self, wide):
-        result = native.box_triangles(wide)
+        oriented, arr = wide
+        result = run_numpy(oriented, "E1", collect=True).triangles
         by_id = {}
         for t in result:
             for v in t:
                 assert by_id.setdefault(v, v) is v
-        assert len(by_id) == np.unique(wide).size
-
-    @pytest.mark.parametrize("bad", [
-        np.zeros((2, 3), dtype=np.int64),
-        np.zeros((2, 2), dtype=np.uint32),
-        np.zeros(6, dtype=np.uint32),
-    ], ids=["int64", "two-columns", "flat"])
-    def test_rejects_other_arrays(self, bad):
-        with pytest.raises(ValueError, match=r"\(k, 3\) uint32"):
-            native.box_triangles(bad)
-
-    def test_strided_input_is_boxed_in_order(self, wide):
-        flipped = wide[::-1]
-        assert native.box_triangles(flipped) == _rowwise(flipped)
+        assert len(by_id) == np.unique(arr).size
 
 
 class TestNumpyPath:

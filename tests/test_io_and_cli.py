@@ -262,32 +262,33 @@ class TestCliLive:
             {"type": "heartbeat", "ts": 3.0, "pid": 1,
              "worker_pid": 42, "task": "seq 0 n=200 T1"},
         ]
-        path = tmp_path / "events.jsonl"
+        path = tmp_path / "runs.jsonl"
         path.write_text("".join(json.dumps(e) + "\n" for e in events))
         return path
 
+    # the stream's schema gate is `repro report validate`
     def test_top_validate_ok(self, tmp_path, capsys):
         path = self._write_stream(tmp_path)
-        assert main(["top", "--events", str(path), "--validate"]) == 0
-        assert "3 event(s) OK" in capsys.readouterr().out
+        assert main(["report", "validate", "--runs", str(path)]) == 0
+        assert "3 line(s) OK" in capsys.readouterr().out
 
     def test_top_validate_rejects_bad_stream(self, tmp_path, capsys):
-        path = tmp_path / "events.jsonl"
+        path = tmp_path / "runs.jsonl"
         path.write_text('{"type": "progress", "ts": 1.0, "pid": 1}\n'
                         "not json at all\n")
-        assert main(["top", "--events", str(path), "--validate"]) == 1
+        assert main(["report", "validate", "--runs", str(path)]) == 1
         err = capsys.readouterr().err
         assert "schema error" in err
         assert "not JSON" in err
 
     def test_top_validate_missing_file(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["top", "--events", str(tmp_path / "nope.jsonl"),
-                  "--validate"])
+            main(["report", "validate", "--runs",
+                  str(tmp_path / "nope.jsonl")])
 
     def test_top_once_renders_state(self, tmp_path, capsys):
         path = self._write_stream(tmp_path)
-        assert main(["top", "--events", str(path), "--once"]) == 0
+        assert main(["top", "--runs", str(path), "--once"]) == 0
         out = capsys.readouterr().out
         assert "table" in out
         assert "50.0%" in out
@@ -296,7 +297,7 @@ class TestCliLive:
     def test_top_once_json_dumps_state(self, tmp_path, capsys):
         import json
         path = self._write_stream(tmp_path)
-        assert main(["top", "--events", str(path), "--once",
+        assert main(["top", "--runs", str(path), "--once",
                      "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["events"] == 3
@@ -312,19 +313,29 @@ class TestCliLive:
         assert "gauges" not in data
 
     def test_live_env_wraps_command(self, tmp_path, monkeypatch, capsys):
-        from repro.obs import bus, jsonl
-        events = tmp_path / "events.jsonl"
+        from repro.obs import jsonl, records
+        events = tmp_path / "runs.jsonl"
         monkeypatch.setenv("REPRO_LIVE", "1")
-        monkeypatch.setenv("REPRO_LIVE_EVENTS", str(events))
+        monkeypatch.setenv("REPRO_RUNS_FILE", str(events))
         monkeypatch.setenv("REPRO_LIVE_INTERVAL", "0.05")
         assert main(["model", "--alpha", "1.5", "--n", "1000",
                      "--method", "T1", "--map", "descending"]) == 0
-        count, errors = jsonl.validate(events, bus.validate_event)
+        count, errors = jsonl.validate(events, records.check_line)
         assert count >= 1
         assert errors == []
         sample_lines = [line for line in events.read_text().splitlines()
                         if '"resource.sample"' in line]
         assert sample_lines, "sampler emitted no samples"
+
+    def test_live_env_skips_stream_readers(self, tmp_path, monkeypatch,
+                                           capsys):
+        path = self._write_stream(tmp_path)
+        before = path.read_bytes()
+        monkeypatch.setenv("REPRO_LIVE", "1")
+        monkeypatch.setenv("REPRO_RUNS_FILE", str(path))
+        assert main(["report", "validate"]) == 0
+        assert main(["top", "--once"]) == 0
+        assert path.read_bytes() == before
 
 
 class TestCliRunsFileAlias:

@@ -1,8 +1,10 @@
-"""Tests for the shared JSONL codec (:mod:`repro.obs.jsonl`).
+"""Tests for the JSONL codec (:mod:`repro.obs.jsonl`) and the one record
+stream over it (:mod:`repro.obs.records`).
 
-The reader tests run over all three streams that use the codec -- run
-records, audit records and the live event stream -- each written by
-its own writer and read back by its own reader.
+The reader tests run over all three kinds of line the stream holds --
+run records, audit records and live events -- each written by its own
+writer and read back by its own reader. :class:`TestOneStream`
+interleaves them in one file.
 """
 
 import json
@@ -12,12 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.obs import audit, bus, jsonl, metrics, records
+from repro import cli
+from repro.obs import audit, bus, jsonl, live, metrics, records
 
 
 class Records:
     counter = "records.corrupted"
-    message = "skipped corrupted run-record lines"
+    message = "skipped corrupted record lines"
 
     @staticmethod
     def write(path, name, value=0.0):
@@ -31,8 +34,8 @@ class Records:
 
 
 class Audit:
-    counter = "audit.corrupted"
-    message = "skipped corrupted audit lines"
+    counter = "records.corrupted"
+    message = "skipped corrupted record lines"
 
     @staticmethod
     def write(path, name, value=0.0):
@@ -186,3 +189,122 @@ class TestCheck:
     def test_not_an_object(self):
         assert jsonl.check(self.TABLE, [1]) == [
             "record is not an object: [1]"]
+
+
+def _audit_line(ts, picked, regret, kind="ok", drift=None):
+    record = {"schema": 1, "ts": ts, "pid": 1, "route": "list_triangles",
+              "source": "graph", "speed_ratio": 3.0,
+              "graph_class": "sparse-light", "confidence": 0.25,
+              "picked": {"method": picked, "ordering": "descending",
+                         "family": "hash", "predicted_cost": 2.0,
+                         "predicted_time": 2.0},
+              "entries": [{"method": picked, "ordering": "descending",
+                           "cost": 2.0, "time": 2.0, "rank": 1}],
+              "actual": {"ops": 10, "triangles": 1},
+              "realized": {"regret": regret, "oracle_time": 2.0,
+                           "picked_time": 2.0, "oracle": "E1+descending"},
+              "diagnosis": {"kind": kind}}
+    if drift is not None:
+        record["drift"] = {"assumed": 3.0, "calibrated": 3.0 * drift,
+                           "factor": drift}
+    return record
+
+
+class TestOneStream:
+    """Runs, audits and events interleaved in one file, one torn line."""
+
+    @pytest.fixture
+    def stream(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        records.write_record(records.RunRecord("first"), path)
+        sink = bus.JsonlSink(path)
+        sink.write({"type": "phase", "ts": 1.0, "pid": 1, "name": "table",
+                    "status": "start"})
+        audit.write_audit_record(_audit_line(2.0, "T1", 0.0), path)
+        sink.write({"type": "resource.sample", "ts": 3.0, "pid": 1,
+                    "rss_bytes": 1 << 20, "cpu_user_s": 0.5,
+                    "cpu_system_s": 0.1, "gc_collections": 3,
+                    "gc_objects": 9, "threads": 2})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "audit", "route": "tor\n')  # torn append
+        audit.write_audit_record(
+            _audit_line(4.0, "E1", 0.5, kind="tie_margin", drift=8.0), path)
+        sink.write({"type": "heartbeat", "ts": 5.0, "pid": 1,
+                    "worker_pid": 42, "task": "cell"})
+        sink.close()
+        records.write_record(records.RunRecord("second"), path)
+        return path
+
+    def test_readers_filter_by_type(self, stream):
+        assert [r.name for r in records.load_records(stream)] == [
+            "first", "second"]
+        assert [(r["type"], r["picked"]["method"])
+                for r in audit.load_audit(stream)] == [
+            ("audit", "T1"), ("audit", "E1")]
+
+    def test_untyped_lines_read_as_runs(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_text('{"name": "old", "config": {}, "spans": [], '
+                        '"metrics": {}, "meta": {}}\n')
+        records.write_record(records.RunRecord("new"), path)
+        assert [r.name for r in records.load_records(path)] == [
+            "old", "new"]
+        assert audit.load_audit(path) == []
+        assert cli.main(["report", "validate", "--runs", str(path)]) == 0
+
+    def test_torn_line_counted_once(self, stream):
+        records.load_records(stream)
+        counters = metrics.snapshot()["counters"]
+        assert counters["records.corrupted"] == 1
+        assert "audit.corrupted" not in counters
+
+    def test_live_state_folds_events_and_audits(self, stream):
+        state = live.LiveState()
+        state.update_many(jsonl.read(stream, follow=True)[0])
+        data = state.to_dict()
+        assert data["phases"] == ["table"]
+        assert data["resources"]["rss_bytes"] == 1 << 20
+        assert data["workers"]["42"]["task"] == "cell"
+        assert data["misplans"] == 1
+        assert data["planner"]["picked"] == "E1+descending"
+        assert data["planner"]["confidence"] == 0.25
+        assert data["planner"]["kind"] == "tie_margin"
+        assert data["drift"]["factor"] == 8.0
+        assert data["events"] == 7  # every object line, runs included
+
+    def test_validate_exits_1_on_the_torn_line(self, stream, capsys):
+        assert cli.main(["report", "validate", "--runs", str(stream)]) == 1
+        assert "not JSON" in capsys.readouterr().err
+
+    def test_validate_clean_stream(self, stream, capsys):
+        lines = [line for line in stream.read_text().splitlines()
+                 if '"tor' not in line]
+        stream.write_text("\n".join(lines) + "\n")
+        assert cli.main(["report", "validate", "--runs", str(stream)]) == 0
+        assert "7 line(s) OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line,needle", [
+        ({"type": "nope", "ts": 1.0, "pid": 1}, "unknown type 'nope'"),
+        (dict(_audit_line(1.0, "T1", 0.0), type="audit", confidence="hi"),
+         "'confidence'"),
+        ({"type": "audit", "route": "x"}, "'schema'"),
+        ({"type": "run", "name": "r", "config": [], "spans": [],
+          "metrics": {}, "meta": {}}, "'config'"),
+    ], ids=["unknown-type", "audit-mistyped", "audit-missing", "run"])
+    def test_validate_exits_1_on_a_bad_line(self, tmp_path, capsys, line,
+                                            needle):
+        path = tmp_path / "runs.jsonl"
+        records.write_record(records.RunRecord("ok"), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line) + "\n")
+        assert cli.main(["report", "validate", "--runs", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and needle in err
+
+    def test_path_precedence(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # the default path is relative
+        monkeypatch.delenv(records.RUNS_FILE_ENV, raising=False)
+        assert records.runs_path() == records.DEFAULT_RUNS_PATH
+        monkeypatch.setenv(records.RUNS_FILE_ENV, str(tmp_path / "env"))
+        assert records.runs_path() == tmp_path / "env"
+        assert records.runs_path(tmp_path / "x") == tmp_path / "x"

@@ -17,8 +17,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOKEN = re.compile(r"REPRO_[A-Z0-9_]+")
 
 EXPECTED = {
-    "REPRO_AUDIT", "REPRO_AUDIT_FILE", "REPRO_CALIBRATION_FILE",
-    "REPRO_LIVE", "REPRO_LIVE_EVENTS", "REPRO_LIVE_INTERVAL",
+    "REPRO_AUDIT", "REPRO_CALIBRATION_FILE",
+    "REPRO_LIVE", "REPRO_LIVE_INTERVAL",
     "REPRO_LOG", "REPRO_MAX_WORKERS", "REPRO_MEM_BUDGET",
     "REPRO_MEM_BUDGET_ABORT", "REPRO_MEM_LEDGER", "REPRO_NATIVE",
     "REPRO_NATIVE_THREADS", "REPRO_PROFILE", "REPRO_RUNS_FILE",

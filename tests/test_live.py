@@ -56,7 +56,7 @@ class TestBus:
         assert isinstance(event["ts"], float)
         assert isinstance(event["pid"], int)
         assert sink.of_type("phase") == [event]
-        assert bus.validate_event(event) == []
+        assert records.check_line(event) == []
 
     def test_broken_sink_does_not_kill_emit(self):
         class Broken:
@@ -82,25 +82,26 @@ class TestBus:
         bus.emit("phase", name="cell", status="start")
         # numpy scalars serialise as numbers, not as their str()
         bus.emit("heartbeat", worker_pid=np.int64(7), task="t")
-        bus.emit("planner.drift", assumed=np.float64(94.8),
-                 calibrated=np.int64(2), factor=np.float64(47.4))
+        bus.emit("worker.stalled", worker_pid=np.int64(7),
+                 silent_s=np.float64(94.8), missed=np.int64(2),
+                 last_task="t")
         sink.close()
-        count, errors = jsonl.validate(path, bus.validate_event)
+        count, errors = jsonl.validate(path, records.check_line)
         assert count == 4
         assert errors == []
         events = jsonl.read(path)[0]
         assert events[2]["worker_pid"] == 7
-        assert (events[3]["assumed"], events[3]["calibrated"]) == (94.8, 2)
+        assert (events[3]["silent_s"], events[3]["missed"]) == (94.8, 2)
 
     def test_validate_flags_missing_and_mistyped_fields(self):
-        errors = bus.validate_event(
+        errors = records.check_line(
             {"type": "progress", "ts": 1.0, "pid": 1, "scope": "cell",
              "label": "x", "done": 1, "total": True, "frac": 0.5})
         assert any("'total'" in e for e in errors)  # bool is not a number
-        assert bus.validate_event({"type": "nope", "ts": 1.0, "pid": 1})
-        assert bus.validate_event("not a dict")
+        assert records.check_line({"type": "nope", "ts": 1.0, "pid": 1})
+        assert records.check_line("not a dict")
         # nor does a bool stand in for the stamp's numbers
-        errors = bus.validate_event(
+        errors = records.check_line(
             {"type": "run.start", "ts": True, "pid": True, "name": "r"})
         assert any("'ts'" in e for e in errors)
         assert any("'pid'" in e for e in errors)
@@ -109,7 +110,7 @@ class TestBus:
         path = tmp_path / "events.jsonl"
         path.write_text('{"type": "run.start", "name": "r", "ts": 1.0,'
                         ' "pid": 1}\n{"type": "run.end", "na\n')
-        count, errors = jsonl.validate(path, bus.validate_event)
+        count, errors = jsonl.validate(path, records.check_line)
         assert count == 2
         assert len(errors) == 1
         assert "not JSON" in errors[0]
@@ -130,7 +131,7 @@ class TestResourceSampler:
         sampler = live.ResourceSampler(interval_s=60.0)
         sampler.sample_once()
         (event,) = sink.of_type("resource.sample")
-        assert bus.validate_event(event) == []
+        assert records.check_line(event) == []
         assert len(sampler.series()) == 1
 
     def test_ring_buffer_ages_out(self):
@@ -188,7 +189,7 @@ class TestProgress:
         assert event["ops_predicted"] == 1000.0
         assert event["eta_s"] >= 0.0
         assert event["phase"] == "simulate"
-        assert bus.validate_event(event) == []
+        assert records.check_line(event) == []
 
     def test_throttle_keeps_first_and_terminal(self):
         sink = bus.MemorySink()
@@ -219,7 +220,7 @@ class TestHeartbeats:
         watchdog = live.HeartbeatWatchdog(q, interval_s=60.0)
         assert watchdog.drain() == 1
         (event,) = sink.of_type("heartbeat")
-        assert bus.validate_event(event) == []
+        assert records.check_line(event) == []
         assert event["task"] == "seq 0 n=100 T1"
         assert event["status"] == "start"
         (state,) = watchdog.workers.values()
@@ -250,7 +251,7 @@ class TestHeartbeats:
             assert watchdog.check(now=watchdog.workers[pid]["last_seen"]
                                   + 2.0) == []
         (event,) = sink.of_type("worker.stalled")
-        assert bus.validate_event(event) == []
+        assert records.check_line(event) == []
         assert event["worker_pid"] == pid
         assert event["silent_s"] >= 0.3
         assert event["missed"] >= 3
@@ -400,7 +401,7 @@ class TestRuntimeLifecycle:
         live.disable()
         assert not live.is_enabled()
         assert not bus.is_enabled()
-        count, errors = jsonl.validate(events, bus.validate_event)
+        count, errors = jsonl.validate(events, records.check_line)
         assert count >= 1  # the sampler's first + final samples
         assert errors == []
 
@@ -408,12 +409,14 @@ class TestRuntimeLifecycle:
         monkeypatch.delenv("REPRO_LIVE", raising=False)
         assert not live.enable_from_env()
         monkeypatch.setenv("REPRO_LIVE", "1")
-        monkeypatch.setenv("REPRO_LIVE_EVENTS",
-                           str(tmp_path / "events.jsonl"))
+        monkeypatch.setenv("REPRO_RUNS_FILE",
+                           str(tmp_path / "runs.jsonl"))
         monkeypatch.setenv("REPRO_LIVE_INTERVAL", "60")
         assert live.enable_from_env()
         assert live.is_enabled()
-        assert (tmp_path / "events.jsonl").exists()
+        live.disable()
+        (sample, *__) = jsonl.read(tmp_path / "runs.jsonl")[0]
+        assert sample["type"] == "resource.sample"
 
     def test_live_interval_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_LIVE_INTERVAL", "0.25")
@@ -537,7 +540,7 @@ class TestAcceptance:
         assert "start" in statuses and "done" in statuses
         # the whole stream is schema-clean
         assert [err for e in sink.events
-                for err in bus.validate_event(e)] == []
+                for err in records.check_line(e)] == []
 
     def test_disabled_parity_bit_identical(self):
         spec = _spec(n_sequences=2, n_graphs=2)

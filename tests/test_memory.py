@@ -20,7 +20,7 @@ from repro.distributions import root_truncation
 from repro.distributions.sampling import sample_degree_sequence
 from repro.experiments.harness import SimulationSpec, sweep_n
 from repro.graphs.generators import generate_graph
-from repro.obs import bus, jsonl, live, memory, metrics
+from repro.obs import bus, jsonl, live, memory, metrics, records
 from repro.orientations.relabel import orient
 
 
@@ -322,7 +322,7 @@ class TestBudgetWatchdog:
         assert breaches[0]["overshoot_bytes"] == 500
         assert breaches[0]["action"] == "warn"
         assert [err for e in sink.events
-                for err in bus.validate_event(e)] == []
+                for err in records.check_line(e)] == []
         snap = metrics.snapshot()
         assert snap["counters"]["mem.breaches"] == 1
         assert snap["gauges"]["mem.pressure"] == 1.6
@@ -364,7 +364,7 @@ class TestBudgetWatchdog:
         memory.BudgetWatchdog(budget_bytes=1000).observe(100)
         (event,) = sink.of_type("mem.pressure")
         assert event["attributed_bytes"] == 64
-        assert bus.validate_event(event) == []
+        assert records.check_line(event) == []
 
     def test_engine_chunk_loop_aborts_gracefully(self):
         from repro.engine import run_method_kernel
@@ -406,14 +406,14 @@ class TestResourceSampler:
         live.ResourceSampler(interval_s=10.0).sample_once()
         (event,) = sink.of_type("resource.sample")
         assert event["rss_peak_bytes"] >= event["rss_bytes"]
-        assert bus.validate_event(event) == []
+        assert records.check_line(event) == []
 
     def test_old_sample_without_peak_still_validates(self):
         event = {"type": "resource.sample", "ts": 1.0, "pid": 1,
                  "rss_bytes": 1024, "cpu_user_s": 0.1,
                  "cpu_system_s": 0.1, "gc_collections": 1,
                  "gc_objects": 10, "threads": 1}
-        assert bus.validate_event(event) == []
+        assert records.check_line(event) == []
 
     def test_sampler_arms_watchdog_from_budget(self):
         sink = bus.MemorySink()
@@ -426,7 +426,7 @@ class TestResourceSampler:
         assert sink.of_type("mem.pressure")
         assert sink.of_type("mem.breach")
         assert [err for e in sink.events
-                for err in bus.validate_event(e)] == []
+                for err in records.check_line(e)] == []
 
     def test_sampler_disarmed_by_default(self, monkeypatch):
         monkeypatch.delenv(memory.MEM_BUDGET_ENV, raising=False)
@@ -558,7 +558,6 @@ class TestDisabledParity:
 
 class TestRecordsAndExports:
     def test_ledger_rides_run_record(self):
-        from repro.obs import records
         memory.enable()
         memory.check_in("rec.tag", nbytes=4096, dtype="int64")
         record = records.collect("mem-test")

@@ -17,7 +17,7 @@ from repro.experiments.harness import SimulationSpec
 from repro.experiments.parallel import (resolve_mp_context,
                                         simulate_cost_parallel,
                                         sweep_n_parallel)
-from repro.obs import bus, live
+from repro.obs import bus, live, records
 
 
 @pytest.fixture(autouse=True)
@@ -110,7 +110,7 @@ class TestSpawnParity:
         assert cell.attrs["heartbeat_workers"] >= 1
         assert cell.attrs["stalled_workers"] == 0
         assert [err for e in sink.events
-                for err in bus.validate_event(e)] == []
+                for err in records.check_line(e)] == []
 
     def test_spawn_mem_knobs_parity_and_events(self, monkeypatch):
         """Memory knobs leave spawn results bit-identical; the
@@ -144,4 +144,4 @@ class TestSpawnParity:
         (breach,) = sink.of_type("mem.breach")
         assert breach["action"] == "warn"
         assert [err for e in sink.events
-                for err in bus.validate_event(e)] == []
+                for err in records.check_line(e)] == []

@@ -81,6 +81,20 @@ class TestNamedPermutations:
         assert abs(theta[-1] - n / 2) <= 1
         assert {theta[0], theta[1]} == {0, n - 1}
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 101, 10**4, 10**5])
+    def test_round_robin_matches_the_float_formula(self, n):
+        """The int64 map equals eq. (32) evaluated in floats, dtype too."""
+        i = np.arange(1, n + 1)
+        ref = np.empty(n, dtype=np.int64)
+        ref[:] = np.where(i % 2 == 1, np.ceil((n + i) / 2.0),
+                          np.floor((n - i) / 2.0) + 1.0).astype(np.int64) - 1
+        for perm, expected in ((RoundRobin(), ref),
+                               (ComplementaryRoundRobin(), ref[::-1])):
+            theta = perm.rank_to_label(n)
+            assert theta.dtype == expected.dtype
+            assert theta.shape == expected.shape
+            assert theta.tobytes() == expected.tobytes()
+
     def test_uniform_requires_rng(self):
         with pytest.raises(ValueError, match="rng"):
             UniformRandom().rank_to_label(10)

@@ -250,9 +250,9 @@ def _strict_json(line):
 
 @pytest.mark.parametrize("name", ["n0", "m0"])
 def test_audit_ratios_finite_on_empty_graphs(name, tmp_path, monkeypatch):
-    sink = tmp_path / "audit.jsonl"
+    sink = tmp_path / "runs.jsonl"
     monkeypatch.setenv(audit.AUDIT_ENV, "1")
-    monkeypatch.setenv(audit.AUDIT_FILE_ENV, str(sink))
+    monkeypatch.setenv("REPRO_RUNS_FILE", str(sink))
     monkeypatch.setenv("REPRO_CALIBRATION_FILE",
                        str(tmp_path / "calibration.json"))
     monkeypatch.setattr(audit, "_enabled", None)
