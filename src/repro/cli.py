@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -465,8 +466,8 @@ def _report_records(args):
 def cmd_bench(args) -> int:
     """``repro bench``: engine micro-benchmarks from the CLI.
 
-    ``--native-compare`` renders the side-by-side python / pure-NumPy
-    / native ns-per-edge table of :mod:`repro.engine.benchmark` on a
+    ``--native-compare`` renders the side-by-side python / native
+    ns-per-edge table of :mod:`repro.engine.benchmark` on a
     synthetic (or loaded) graph, and ``--json`` persists the
     machine-readable sidecar (with host metadata, incl. compiler
     version and native thread count) for offline diffing.
@@ -709,18 +710,13 @@ def cmd_audit(args) -> int:
 
 
 def _mem_pipeline(args):
-    """Build a graph and run one ledger-attributed listing pass.
+    """Build a graph and run one ledger-attributed count-only pass.
 
-    The array ledger is reset and force-enabled for the run, and the
-    compiled kernels are bypassed: the footprint model prices the
-    numpy engine's arrays, which the native fast path never
-    allocates. The pass drives *exactly* the named method's kernel
-    shape (:func:`repro.engine.run_method_kernel`) so every array the
-    method genuinely requires materializes -- ``run_numpy``'s
-    count-only shortcut would route through the cheapest base shape
-    and skip the method's own windows. Returns ``(oriented, count)``.
+    The array ledger is reset and force-enabled for the run; the pass
+    is ``list_triangles(oriented, method, collect=False)`` on the
+    default engine, which allocates nothing beyond the graph-side
+    arrays the footprint model prices. Returns ``(oriented, count)``.
     """
-    from repro.engine import run_method_kernel
     from repro.obs import memory as obs_memory
 
     obs_memory.reset()
@@ -735,18 +731,19 @@ def _mem_pipeline(args):
         graph = generate_graph(degrees, rng)
     perm = NAMED_ORDERINGS[args.order]()
     oriented = orient(graph, perm, rng=rng)
-    count = run_method_kernel(oriented, args.method)
+    count = list_triangles(oriented, args.method, collect=False).count
     return oriented, count
 
 
 def cmd_mem(args) -> int:
     """``repro mem``: the memory observability read surface.
 
-    Runs one numpy listing pass (synthetic graph, or ``--graph``) with
-    the array ledger on, then reads it back: ``summary`` prints the
-    headline attribution plus the conformance verdict; ``ledger`` the
-    per-tag table; ``conformance`` the full predicted-vs-attributed
-    verdict, exiting non-zero on ``fail`` (a CI obs-smoke gate).
+    Runs one count-only listing pass (synthetic graph, or
+    ``--graph``) with the array ledger on, then reads it back:
+    ``summary`` prints the headline attribution plus the conformance
+    verdict; ``ledger`` the per-tag table; ``conformance`` the full
+    predicted-vs-attributed verdict, exiting non-zero on ``fail`` (a
+    CI obs-smoke gate).
     """
     import json
 
@@ -1170,9 +1167,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--store", default=None, metavar="PATH",
                     help="store file (default: REPRO_CALIBRATION_FILE "
                          "or benchmarks/baselines/speed_ratio.json)")
-    ap.add_argument("--engine", default="numpy",
+    ap.add_argument("--engine", default="python",
                     help="engine whose ratio to resolve "
-                         "(default numpy)")
+                         "(default python)")
     ap.add_argument("--measure", action="store_true",
                     help="measure a fresh ratio on this host first")
     ap.add_argument("--record", action="store_true",
@@ -1294,9 +1291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("bench",
                    help="engine micro-benchmarks "
-                        "(--native-compare: py/numpy/native ns/edge)")
+                        "(--native-compare: py/native ns/edge)")
     p.add_argument("--native-compare", action="store_true",
-                   help="compare python / pure-NumPy / native engines")
+                   help="compare the python and native engines")
     p.add_argument("--graph", default=None,
                    help="edge-list path (omit to bench a synthetic "
                         "graph)")
@@ -1344,6 +1341,13 @@ def main(argv=None) -> int:
                and obs.live.enable_from_env())
     try:
         rc = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`repro audit summary | head`):
+        # point stdout at devnull so the exit-time flush cannot raise
+        # again, and exit as a shell does on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        rc = 141
     finally:
         if live_on:
             obs.live.disable()

@@ -59,7 +59,7 @@ def component_ops(out_degrees, in_degrees) -> dict[str, int]:
 
     One pass over the degree arrays yields all three sums; every
     method's exact ``ops`` is then a table lookup
-    (:func:`total_ops`), which is how the vectorized engine reports
+    (:func:`total_ops`), which is how the native engine reports
     the paper's cost metric in closed form and how multi-method
     sweeps avoid re-reducing the same arrays per method.
     """

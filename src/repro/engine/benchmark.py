@@ -1,13 +1,12 @@
-"""Side-by-side engine comparison: python vs. pure NumPy vs. native.
+"""Side-by-side engine comparison (python vs. native) and the
+host's speed-ratio calibration.
 
 One measurement routine shared by ``benchmarks/bench_lister_throughput``
 and ``repro bench --native-compare``: for each method it times the
-count-only workload on all three engines of
+count-only workload on both engines of
 :func:`repro.listing.list_triangles` -- the instrumented Python
-reference, the NumPy kernels with the compiled path explicitly
-disabled (``use_native=False``, so the column is honest about what
-pure NumPy costs), and the compiled kernels -- plus one full native
-*listing* run (the operation the paper's cost model prices). Results
+reference and the compiled kernel -- plus one full native *listing*
+run (the operation the paper's cost model prices). Results
 come back as a rendered table and a JSON-ready dict whose
 ``"methods"`` mapping feeds :func:`repro.obs.report.record_cells`:
 ``*_ns_per_edge`` entries compare as wall-clock (skipped by
@@ -25,7 +24,6 @@ from functools import lru_cache
 
 from repro.core.costs import total_ops
 from repro.engine import native
-from repro.engine.kernels import run_method_kernel, run_numpy
 from repro.listing.api import list_triangles
 
 #: Default comparison set: the paper's four fundamental methods plus
@@ -46,35 +44,21 @@ DEFAULT_CALIBRATION_MAX_AGE_S = 30 * 24 * 3600.0
 MAX_STORE_ENTRIES = 32
 
 
-def _timed_rounds(fns, repeats: int = 1):
-    """Best-of-``repeats`` wall-clock of each of ``fns``, interleaved.
-
-    Each round calls every function once, in order, so a burst of load
-    on a shared host lands on every side of a comparison instead of on
-    whichever one was being timed at that moment; each side keeps its
-    best round. Returns ``(results, best_seconds)`` as lists.
-    """
-    results = [None] * len(fns)
-    best = [float("inf")] * len(fns)
-    for _ in range(max(1, repeats)):
-        for i, fn in enumerate(fns):
-            start = time.perf_counter()
-            results[i] = fn()
-            best[i] = min(best[i], time.perf_counter() - start)
-    return results, best
-
-
 def _timed(fn, repeats: int = 1):
-    """Best-of-``repeats`` wall-clock (single-shot timings at small
-    ``n`` are dominated by scheduler noise, which would make the
-    bench's speedup gates flaky)."""
-    (result,), (best,) = _timed_rounds([fn], repeats)
+    """Best-of-``repeats`` wall-clock of ``fn`` and its last result
+    (single-shot timings at small ``n`` are dominated by scheduler
+    noise, which would make the bench's speedup gates flaky)."""
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
     return result, best
 
 
 def measure_speed_ratio(oriented=None, *, n: int = 4000, seed: int = 0,
                         hash_method: str = "T1", sei_method: str = "E1",
-                        engine: str = "numpy", repeats: int = 3) -> float:
+                        engine: str = "python", repeats: int = 3) -> float:
     """Measure the section-2.4 ``speed_ratio`` on *this* host.
 
     Table 3's 94.8x is the per-operation advantage of sequential
@@ -89,6 +73,12 @@ def measure_speed_ratio(oriented=None, *, n: int = 4000, seed: int = 0,
     without supplying one. The result feeds
     :func:`repro.core.decision.resolve_speed_ratio` (and through it the
     planner) via ``speed_ratio="calibrated"``.
+
+    The default engine is the Python reference, the one engine that
+    runs each method's own loop. The native kernel does not depend on
+    the method (every method is the same forward pass there), so a
+    ratio timed on it is only ``ops(sei_method) / ops(hash_method)``
+    and says nothing about the hardware.
 
     Note the honest outcome on interpreted runtimes: the pure-Python
     reference engine has no SIMD scanning advantage, so it measures a
@@ -114,10 +104,6 @@ def measure_speed_ratio(oriented=None, *, n: int = 4000, seed: int = 0,
         oriented.edge_key_set()  # warm the membership set
 
     def run(method):
-        if engine == "numpy":
-            # a numpy count runs the cheapest base shape whatever the
-            # method; time the method's own kernel instead
-            return run_method_kernel(oriented, method)
         return list_triangles(oriented, method, collect=False,
                               engine=engine)
 
@@ -169,7 +155,7 @@ def load_calibration_store(path=None) -> dict:
     return data
 
 
-def store_calibration(ratio: float, engine: str = "numpy", path=None,
+def store_calibration(ratio: float, engine: str = "python", path=None,
                       *, n: int = 4000, seed: int = 0,
                       now: float | None = None) -> pathlib.Path:
     """Append one measured ratio to the rolling store (atomic write).
@@ -209,7 +195,7 @@ def store_calibration(ratio: float, engine: str = "numpy", path=None,
     return store_path
 
 
-def stored_speed_ratio(engine: str = "numpy", path=None,
+def stored_speed_ratio(engine: str = "python", path=None,
                        max_age_s: float | None = None,
                        now: float | None = None) -> float | None:
     """The store's answer for this host, or ``None``.
@@ -248,7 +234,7 @@ def stored_speed_ratio(engine: str = "numpy", path=None,
 
 
 @lru_cache(maxsize=8)
-def calibrated_speed_ratio(engine: str = "numpy", n: int = 4000,
+def calibrated_speed_ratio(engine: str = "python", n: int = 4000,
                            seed: int = 0) -> float:
     """The ``speed_ratio="calibrated"`` backend, store-first, read-only.
 
@@ -275,18 +261,15 @@ def native_compare(oriented, methods=DEFAULT_METHODS,
     """Measure every (method, engine) pair on one oriented graph.
 
     Returns ``(text, data)``: a rendered side-by-side table and the
-    machine-readable dict described in the module docstring. Each
-    timing is the best of ``repeats`` runs; per method, the pure-NumPy
-    and native runs alternate. The native columns are
-    ``None``-valued (and rendered as ``--``) when the compiled kernels
-    are unavailable; the comparison itself never requires them.
+    machine-readable dict described in the module docstring. The
+    python timing is one run; each native timing is the best of
+    ``repeats``. ``speedup_native`` is python / native. The native
+    columns are ``None``-valued (and rendered as ``--``) when the
+    compiled kernel is unavailable; the comparison itself never
+    requires it.
     """
     m = oriented.m or 1
     have_native = native.available()
-    # warm the pure-NumPy caches (Bloom table + row arrays) so the
-    # first timed method doesn't pay the one-off build
-    run_numpy(oriented, methods[0] if methods else "T1",
-              collect=False, use_native=False)
     data = {
         "n": int(oriented.n),
         "m": int(oriented.m),
@@ -300,31 +283,13 @@ def native_compare(oriented, methods=DEFAULT_METHODS,
         # warm the block decomposition outside the timed region, then
         # time one full listing emission (method-independent)
         native.count_triangles(oriented, threads=threads)
-        arr, elapsed = _timed(
+        __, elapsed = _timed(
             lambda: native.list_triangles_array(oriented,
                                                 threads=threads),
             repeats)
-        if arr is not None:
-            native_list_ns = elapsed / m * 1e9
-            data["native_threads"] = native.last_stats()["threads"]
+        native_list_ns = elapsed / m * 1e9
+        data["native_threads"] = native.last_stats()["threads"]
     data["native_list_ns_per_edge"] = native_list_ns
-
-    rows = []
-    for method in methods:
-        py, t_py = _timed(lambda: list_triangles(
-            oriented, method, collect=False, engine="python"))
-        # NumPy and native alternate round by round, so a burst of
-        # load on a shared host hits both sides of the ratio the
-        # throughput bench gates on
-        engines = [False, True] if have_native else [False]
-        results, times = _timed_rounds(
-            [lambda use=use: run_numpy(oriented, method, collect=False,
-                                       use_native=use)
-             for use in engines], repeats)
-        assert all(r.count == py.count for r in results), method
-        t_np = times[0]
-        t_nat = times[1] if have_native else None
-        rows.append((method, py.ops, py.count, t_py, t_np, t_nat))
 
     header = (f"Engine throughput (n={oriented.n}, m={oriented.m}, "
               f"count-only; native={have_native}"
@@ -332,34 +297,32 @@ def native_compare(oriented, methods=DEFAULT_METHODS,
                  if have_native else "") + ")")
     lines = [header,
              f"{'method':>7} {'ops':>12} {'py ns/edge':>11} "
-             f"{'np ns/edge':>11} {'nat ns/edge':>12} "
-             f"{'py/np':>7} {'np/nat':>7}"]
-    for method, ops, count, t_py, t_np, t_nat in rows:
+             f"{'nat ns/edge':>12} {'py/nat':>7}"]
+    for method in methods:
+        py, t_py = _timed(lambda: list_triangles(
+            oriented, method, collect=False, engine="python"))
         py_ns = t_py / m * 1e9
-        np_ns = t_np / m * 1e9
-        speedup_np = t_py / t_np if t_np else float("inf")
         cell = {
-            "ops": int(ops), "triangles": int(count),
+            "ops": int(py.ops), "triangles": int(py.count),
             "python_ns_per_edge": py_ns,
-            "numpy_ns_per_edge": np_ns,
-            "speedup_numpy": speedup_np,
             "native_ns_per_edge": None,
             "speedup_native": None,
         }
-        if t_nat is not None:
+        nat_col, nat_speed = f"{'--':>12}", f"{'--':>7}"
+        if have_native:
+            nat, t_nat = _timed(lambda: list_triangles(
+                oriented, method, collect=False, engine="native"),
+                repeats)
+            assert nat.count == py.count, method
             cell["native_ns_per_edge"] = t_nat / m * 1e9
-            cell["speedup_native"] = (t_np / t_nat if t_nat
+            cell["speedup_native"] = (t_py / t_nat if t_nat
                                       else float("inf"))
             nat_col = f"{cell['native_ns_per_edge']:>12.1f}"
             nat_speed = f"{cell['speedup_native']:>6.1f}x"
-        else:
-            nat_col = f"{'--':>12}"
-            nat_speed = f"{'--':>7}"
-        lines.append(f"{method:>7} {ops:>12} {py_ns:>11.1f} "
-                     f"{np_ns:>11.1f} {nat_col} "
-                     f"{speedup_np:>6.1f}x {nat_speed}")
+        lines.append(f"{method:>7} {py.ops:>12} {py_ns:>11.1f} "
+                     f"{nat_col} {nat_speed}")
         data["methods"][method] = cell
     if native_list_ns is not None:
-        lines.append(f"{'(list)':>7} {'-':>12} {'-':>11} {'-':>11} "
-                     f"{native_list_ns:>12.1f} {'-':>7} {'-':>7}")
+        lines.append(f"{'(list)':>7} {'-':>12} {'-':>11} "
+                     f"{native_list_ns:>12.1f} {'-':>7}")
     return "\n".join(lines), data

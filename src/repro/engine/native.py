@@ -1,16 +1,15 @@
 """Compiled listing/counting kernels (gcc + ctypes, zero dependencies).
 
-The vectorized NumPy kernels bottom out at a few tens of nanoseconds
-per candidate on a memory-bound host -- each elementwise pass streams
-the whole chunk through RAM. The C kernels in this module do the same
-exact work at ~1 ns per elementary operation, because the working set
-per pivot is a handful of cache lines. The library compiles with
+The instrumented Python listers pay microseconds per candidate. The C
+kernels in this module list the same triangles at ~1 ns per
+elementary operation, because the working set per pivot is a handful
+of cache lines. The library compiles with
 whatever C compiler the host already has (``cc``/``gcc``; nothing is
 installed), is cached per user under :func:`tempfile.gettempdir`
 (keyed by the source, the compiler and the flags, so later processes
 load it without compiling; stale keys are pruned), and loads via
 :mod:`ctypes`. Everything is gated: no compiler, a failed compile,
-or ``REPRO_NATIVE=0`` all degrade to the NumPy path (a failed compile
+or ``REPRO_NATIVE=0`` all degrade to the Python reference (a failed compile
 is cached for the process and reported once as a structured warning;
 the rest stay DEBUG).
 
@@ -1648,7 +1647,7 @@ def count_triangles(oriented, threads: int | None = None):
     """Exact triangle count via the compiled kernels, or None if gated.
 
     Accepts any :class:`~repro.graphs.digraph.OrientedGraph`; the
-    caller falls back to the NumPy path on None. ``threads`` defaults
+    caller falls back to the Python reference on None. ``threads`` defaults
     to ``REPRO_NATIVE_THREADS`` (then the CPU count); the result is
     bit-identical at any value.
     """

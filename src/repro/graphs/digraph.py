@@ -13,7 +13,7 @@ acyclicity of the orientation is immediate: every edge decreases the
 label.
 
 Every engine reads this one layout (``uint32`` indices, ``int64``
-indptr, lazy ``int64`` edge keys); none keeps a copy.
+indptr); none keeps a copy.
 
 Orientation only splits each adjacency list by label, so the layout is
 built without a sort: :func:`_oriented_csr` runs the native counting
@@ -68,7 +68,7 @@ def _sorted_oriented_csr(graph: Graph, labels: np.ndarray):
 
     # out-CSR: for node i, sorted list of out-neighbors (labels < i);
     # in-CSR: for node i, sorted list of in-neighbors (labels > i).
-    # The sorted keys are not kept: the key arrays stay lazy
+    # The sorted keys are not kept
     out_indices, out_counts = _sorted_csr(src, dst, n, dtype=INDEX_DTYPE)
     out_indptr = np.concatenate([[0], np.cumsum(out_counts)]).astype(np.int64)
     in_indices, in_counts = _sorted_csr(dst, src, n, dtype=INDEX_DTYPE)
@@ -132,8 +132,6 @@ class OrientedGraph:
         self.in_degrees = np.diff(self._in_indptr)
         self.degrees = self.out_degrees + self.in_degrees
         self._edge_keys: set | None = None
-        self._out_keys: np.ndarray | None = None
-        self._in_keys: np.ndarray | None = None
 
         if _memory.is_enabled():
             _memory.track(self, "graph.csr",
@@ -165,43 +163,18 @@ class OrientedGraph:
         """The in-adjacency as raw CSR ``(indices, indptr)`` arrays."""
         return self._in_indices, self._in_indptr
 
-    def out_key_array(self) -> np.ndarray:
-        """Directed edges as sorted int64 keys ``src * n + dst``.
-
-        Because the out-CSR is ordered by ``(src, dst)``, the key array
-        is globally sorted ascending -- so edge existence is a binary
-        search (``np.searchsorted``) and prefix/suffix windows of any
-        out-list are ``searchsorted`` bounds on this array. Cached.
-        """
-        if self._out_keys is None:
-            rows = np.repeat(np.arange(self.n, dtype=np.int64),
-                             self.out_degrees)
-            self._out_keys = rows * np.int64(self.n) + self._out_indices
-            _memory.track(self, "graph.keys", (self._out_keys,))
-        return self._out_keys
-
-    def in_key_array(self) -> np.ndarray:
-        """Reverse-direction keys ``dst * n + src``, sorted ascending.
-
-        The in-CSR analogue of :meth:`out_key_array`: window bounds for
-        in-lists (``N-(v)`` restricted above/below a label) become
-        ``searchsorted`` calls on this array. Cached.
-        """
-        if self._in_keys is None:
-            rows = np.repeat(np.arange(self.n, dtype=np.int64),
-                             self.in_degrees)
-            self._in_keys = rows * np.int64(self.n) + self._in_indices
-            _memory.track(self, "graph.keys", (self._in_keys,))
-        return self._in_keys
-
     def edge_key_set(self) -> set:
         """Hash set of directed edges encoded as ``src * n + dst``.
 
         This is the edge-existence hash table the vertex iterators probe
-        (section 2.2). Built lazily and cached.
+        (section 2.2). Built lazily and cached; the int64 key array it
+        is built from is not kept.
         """
         if self._edge_keys is None:
-            self._edge_keys = set(self.out_key_array().tolist())
+            rows = np.repeat(np.arange(self.n, dtype=np.int64),
+                             self.out_degrees)
+            keys = rows * np.int64(self.n) + self._out_indices
+            self._edge_keys = set(keys.tolist())
         return self._edge_keys
 
     def has_directed_edge(self, src: int, dst: int) -> bool:

@@ -1,24 +1,19 @@
 """High-level entry points for the 18 listing methods.
 
-Three engines back every method, and each name runs what it says:
+Two engines back every method, and each name runs what it says:
 
 * ``"python"`` -- the instrumented pure-Python loops (the ground-truth
   reference; per-candidate ``ops``/``comparisons`` counting).
-* ``"numpy"`` -- the pure-NumPy kernels of :mod:`repro.engine`
-  (identical triangles/counts/``ops``, orders of magnitude faster than
-  python; see docs/PERFORMANCE.md). Never the compiled kernels.
-* ``"native"`` -- the compiled kernels of :mod:`repro.engine.native`,
-  *required*: raises ``RuntimeError`` instead of falling back when no
-  C toolchain is available or ``REPRO_NATIVE=0`` is set.
+* ``"native"`` -- the compiled kernel of :mod:`repro.engine.native`
+  behind :func:`repro.engine.run_numpy`, *required*: raises
+  ``RuntimeError`` instead of falling back when no C toolchain is
+  available or ``REPRO_NATIVE=0`` is set. Identical triangle set,
+  ``count``, ``ops`` and ``hash_inserts``, orders of magnitude faster
+  (see docs/PERFORMANCE.md).
 
-The default ``engine="auto"`` is the only chooser. It runs the
-compiled kernels when they are available (identical canonical triangle
-set, C-speed emission); without them, count-only runs
-(``collect=False``) take the numpy kernels and collecting runs keep
-the reference loops, whose enumeration order is part of the
-documented semantics. The three vectorized spellings map one to one
-onto :func:`repro.engine.run_numpy`'s ``use_native`` (``numpy`` ->
-``False``, ``native`` -> ``True``, ``auto`` -> ``None``).
+The default ``engine="auto"`` is the only chooser, and it resolves
+once per call: to ``"native"`` when the compiled kernel is available,
+otherwise to ``"python"``.
 """
 
 from __future__ import annotations
@@ -43,10 +38,7 @@ ALL_METHODS = (VERTEX_ITERATORS + SCANNING_EDGE_ITERATORS
                + LOOKUP_EDGE_ITERATORS)
 
 #: Recognized values of the ``engine`` argument.
-ENGINES = ("auto", "python", "numpy", "native")
-
-#: ``run_numpy``'s ``use_native`` for each vectorized engine name.
-_USE_NATIVE = {"numpy": False, "native": True, "auto": None}
+ENGINES = ("auto", "python", "native")
 
 
 def _run_python(oriented, method: str, collect: bool) -> ListingResult:
@@ -76,12 +68,11 @@ def list_triangles(oriented, method: str = "E1", collect: bool = True,
     returned counters.
 
     ``engine`` selects the implementation: ``"python"`` (instrumented
-    reference), ``"numpy"`` (pure-NumPy kernels), ``"native"``
-    (compiled kernels required -- raises when unavailable), or
-    ``"auto"`` (compiled kernels when available; otherwise numpy for
-    count-only runs and python when collecting). All report the same
+    reference), ``"native"`` (compiled kernel required -- raises when
+    unavailable), or ``"auto"`` (the compiled kernel when available,
+    otherwise python). Both report the same
     ``count``/``ops``/``hash_inserts`` and -- when collecting -- the
-    same triangle set; the numpy/native enumeration *order* and the
+    same triangle set; the native enumeration *order* and the
     E-family ``comparisons`` follow the closed-form semantics
     described in :mod:`repro.engine.kernels`.
 
@@ -108,10 +99,9 @@ def list_triangles(oriented, method: str = "E1", collect: bool = True,
     # on; the disabled path is the one is_enabled() check.
     from repro.obs import audit as _audit
     audit_on = auto_plan is not None and _audit.is_enabled()
-    if engine == "auto" and collect:
+    if engine == "auto":
         from repro.engine import native as _native
-        if not _native.available():
-            engine = "python"
+        engine = "native" if _native.available() else "python"
     wall_start = time.perf_counter() if audit_on else 0.0
     with span("list", method=method, n=oriented.n, engine=engine) as sp:
         if auto_plan is not None:
@@ -121,14 +111,8 @@ def list_triangles(oriented, method: str = "E1", collect: bool = True,
             result = _run_python(oriented, method, collect)
         else:
             from repro.engine import run_numpy
-            if method not in ALL_METHODS:
-                raise ValueError(f"unknown method {method!r}; choose "
-                                 f"from {ALL_METHODS}")
-            result = run_numpy(oriented, method, collect,
-                               use_native=_USE_NATIVE[engine])
-        # the engine that ran: python, numpy or native
-        engine = result.extra.get("engine") or "python"
-        sp.annotate(ops=result.ops, triangles=result.count, engine=engine)
+            result = run_numpy(oriented, method, collect, use_native=True)
+        sp.annotate(ops=result.ops, triangles=result.count)
     if auto_plan is not None:
         result.extra["auto_method"] = method
         result.extra["auto_confidence"] = auto_plan.confidence

@@ -8,13 +8,13 @@ other :mod:`repro.obs` layers -- off by default, one module-global
 check when disabled, and bit-identical results either way:
 
 * an **array ledger**: large allocations (the ``OrientedGraph`` CSR
-  blocks, the engine's uint32 mirrors and Bloom table, native kernel
-  buffers, out-of-core partitions, compressed blobs) check in and out
-  with a tag, dtype, byte count and owning span, giving exact current
+  blocks, native kernel buffers, out-of-core partitions, compressed
+  blobs) check in and out with a tag, dtype, byte count and owning
+  span, giving exact current
   / peak attributed bytes per tag and per phase plus a ``mem.*``
   gauge/counter family;
-* a **footprint conformance model**: predicted bytes for a ``(n, m,
-  method, engine)`` from the dtype layout rules, compared audit-style
+* a **footprint conformance model**: predicted bytes for a ``(n, m)``
+  graph from the dtype layout rules, compared audit-style
   against the ledger's actuals with a tolerance verdict
   (:func:`predict_footprint` / :func:`conformance_report`);
 * **per-span allocation attribution**: the ``REPRO_TRACEMALLOC=K``
@@ -25,8 +25,8 @@ check when disabled, and bit-identical results either way:
   :class:`BudgetWatchdog` inside the live resource sampler; it
   publishes ``mem.pressure`` / ``mem.breach`` bus events, warns once
   per breach, and (with ``REPRO_MEM_BUDGET_ABORT=1``) raises a flag
-  the chunked engine and out-of-core drivers check so a run over
-  budget stops gracefully with :class:`MemoryBudgetExceeded`.
+  the native streaming listing and out-of-core drivers check so a run
+  over budget stops gracefully with :class:`MemoryBudgetExceeded`.
 
 The ledger switch resolves ``REPRO_MEM_LEDGER`` lazily on first use
 (like ``REPRO_AUDIT``), so every entry point -- CLI, benchmarks, pool
@@ -50,7 +50,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 
 __all__ = [
-    "BLOOM_BYTES",
     "BudgetWatchdog",
     "DEFAULT_ALLOC_TOP_K",
     "DEFAULT_TOLERANCE",
@@ -102,11 +101,6 @@ DEFAULT_TOLERANCE = 0.10
 
 #: ``REPRO_TRACEMALLOC=1`` means "on with the default top-K".
 DEFAULT_ALLOC_TOP_K = 20
-
-#: Engine Bloom table size; must equal
-#: ``repro.engine.kernels._BLOOM_BYTES`` (pinned by tests -- this
-#: module cannot import the engine without a cycle).
-BLOOM_BYTES = 1 << 21
 
 #: ``None`` = not yet resolved from the environment (first
 #: :func:`is_enabled` call reads ``REPRO_MEM_LEDGER`` exactly once).
@@ -272,7 +266,7 @@ def track(owner, tag: str, arrays, *,
 
     The returned tokens are checked out automatically when ``owner``
     is garbage-collected (a ``weakref.finalize``), so long-lived
-    holders -- graphs, engine caches -- need no explicit release.
+    holders -- graphs -- need no explicit release.
     Disabled: one :func:`is_enabled` check, nothing else.
     """
     if not is_enabled():
@@ -354,13 +348,8 @@ def ledger_summary() -> dict:
 
 # ------------------------------------------------- footprint conformance
 
-#: Methods whose candidate windows force the lazy in-key array
-#: (``in_lt`` / ``in_gt`` in ``repro.engine.kernels._KERNELS``).
-_IN_KEY_METHODS = frozenset({"E4", "E5", "L4", "L5"})
-
-
-def predict_footprint(n: int, m: int, *, method: str | None = None,
-                      engine: str = "numpy") -> dict:
+def predict_footprint(n: int, m: int, *, method: str | None = None
+                      ) -> dict:
     """Predicted bytes per ledger tag from the dtype layout rules.
 
     The rules transcribe the actual allocations:
@@ -370,17 +359,12 @@ def predict_footprint(n: int, m: int, *, method: str | None = None,
       degrees (``n``);
     * ``graph.csr`` -- two uint32 index arrays (``m`` each) plus two
       int64 indptr arrays (``n + 1`` each);
-    * ``graph.degrees`` -- three int64 degree arrays (out/in/total);
-    * ``graph.keys`` -- the lazy sorted edge-key arrays: the out-keys
-      always materialize under the numpy engine (the Bloom confirm
-      pass binary-searches them); the in-keys only for methods with
-      ``searchsorted``-bounded in-windows (E4/E5/L4/L5);
-    * ``engine.cache`` -- the two uint32 row arrays (``m`` each); the
-      engines read the graph's own CSR, so no index copy is priced;
-    * ``engine.bloom`` -- the fixed :data:`BLOOM_BYTES` bit table.
+    * ``graph.degrees`` -- three int64 degree arrays (out/in/total).
 
-    ``engine="python"`` predicts only the graph-side tags (the pure
-    loops allocate no engine arrays).
+    Neither engine allocates arrays of its own that outlive a count:
+    the compiled kernel reads the graph's CSR by pointer and the
+    Python loops read its rows. ``method`` is carried into the report
+    and does not change the prediction.
     """
     n = int(n)
     m = int(m)
@@ -390,14 +374,7 @@ def predict_footprint(n: int, m: int, *, method: str | None = None,
         "graph.csr": 4 * 2 * m + 8 * 2 * (n + 1),
         "graph.degrees": 8 * 3 * n,
     }
-    if engine == "numpy":
-        keys = 8 * m
-        if method is not None and method.upper() in _IN_KEY_METHODS:
-            keys += 8 * m
-        components["graph.keys"] = keys
-        components["engine.cache"] = 4 * 2 * m
-        components["engine.bloom"] = BLOOM_BYTES
-    return {"n": n, "m": m, "method": method, "engine": engine,
+    return {"n": n, "m": m, "method": method,
             "components": components,
             "total_bytes": sum(components.values())}
 
@@ -411,7 +388,6 @@ def _ratio(actual: int, predicted: int) -> float:
 
 
 def conformance_report(n: int, m: int, *, method: str | None = None,
-                       engine: str = "numpy",
                        tolerance: float = DEFAULT_TOLERANCE,
                        rows: list[dict] | None = None) -> dict:
     """Audit-style predicted-vs-attributed verdict over the ledger.
@@ -423,7 +399,7 @@ def conformance_report(n: int, m: int, *, method: str | None = None,
     gate the verdict. The verdict passes when the attributed total is
     within ``tolerance`` of the predicted total.
     """
-    predicted = predict_footprint(n, m, method=method, engine=engine)
+    predicted = predict_footprint(n, m, method=method)
     if rows is None:
         rows = ledger_rows()
     actual_by_tag = {r["tag"]: r for r in rows}
@@ -444,7 +420,7 @@ def conformance_report(n: int, m: int, *, method: str | None = None,
     ratio = _ratio(actual_total, predicted_total)
     return {
         "n": predicted["n"], "m": predicted["m"],
-        "method": method, "engine": engine,
+        "method": method,
         "tolerance": float(tolerance),
         "predicted_bytes": predicted_total,
         "actual_bytes": actual_total,
@@ -513,8 +489,8 @@ def abort_requested() -> bool:
 def check_budget(context: str = "") -> None:
     """Raise :class:`MemoryBudgetExceeded` if an abort is pending.
 
-    The poll the chunked engine loop and the out-of-core partition
-    loops run between batches: one module-global check when nothing
+    The poll the native streaming listing and the out-of-core
+    partition loops run between batches: one module-global check when nothing
     is armed, a clean typed exception (instead of the OOM killer)
     when the watchdog tripped.
     """
@@ -642,8 +618,7 @@ def format_conformance(report: dict) -> str:
     """Render :func:`conformance_report` as the verdict table."""
     head = (f"footprint conformance: {report['verdict'].upper()}  "
             f"(n={report['n']} m={report['m']} "
-            f"method={report['method'] or '-'} "
-            f"engine={report['engine']})")
+            f"method={report['method'] or '-'})")
     lines = [
         head,
         f"  predicted {_fmt_bytes(report['predicted_bytes'])}  "

@@ -16,7 +16,7 @@ Cell keys are strings that name what was measured within one record::
     memory                     ledger peak bytes, overall and per tag
                                (``<tag>.peak_bytes``; ledger-on runs)
     cell:T1+D/n=1000           one sim-vs-model table cell
-    method:E1/engine=numpy     one engine-throughput bench cell
+    method:E1/engine=native    one engine-throughput bench cell
 
 and each cell holds ``{metric_name: value}``. Metric *kind* is inferred
 from the name (:func:`metric_kind`): wall-clock metrics tolerate noise,

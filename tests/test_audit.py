@@ -476,11 +476,11 @@ class TestCalibrationStore:
 
     def test_engine_entries_separate(self, tmp_path):
         store = tmp_path / "speed_ratio.json"
-        bench.store_calibration(2.0, engine="numpy", path=store,
+        bench.store_calibration(2.0, engine="python", path=store,
                                 now=1000.0)
         bench.store_calibration(9.0, engine="native", path=store,
                                 now=1000.0)
-        assert bench.stored_speed_ratio("numpy", store, now=1001.0) \
+        assert bench.stored_speed_ratio("python", store, now=1001.0) \
             == 2.0
         assert bench.stored_speed_ratio("native", store, now=1001.0) \
             == 9.0
@@ -839,6 +839,6 @@ class TestAuditCLI:
         assert f"recorded to {store}" in capsys.readouterr().out
         entries = bench.load_calibration_store(store)["entries"]
         assert [e["ratio"] for e in entries] == [4.5, 6.25]
-        assert entries[-1]["engine"] == "numpy"
+        assert entries[-1]["engine"] == "python"
         assert entries[-1]["host"] == bench.host_fingerprint()
 

@@ -3,17 +3,18 @@
 Collecting runs turn the engine's ``(count, 3)`` triangle arrays into a
 list of ``(x, y, z)`` tuples. The equivalence suites compare triangle
 *sets*, so they cannot see a reordering or a NumPy scalar slipping into
-a tuple. These tests pin the list itself: on every collect path of the
-vectorized engine, ``result.triangles`` must equal the row-wise boxing
-``list(map(tuple, arr.tolist()))`` of the array the path produced --
-same tuples, same order -- with every tuple a ``tuple`` and every
-element a Python ``int``.
+a tuple. These tests pin the list itself: on the compiled collect
+path, ``result.triangles`` must equal the row-wise boxing
+``list(map(tuple, arr.tolist()))`` of the kernel's array -- same
+tuples, same order -- with every tuple a ``tuple`` and every element a
+Python ``int``; without the kernel it must be the Python reference's
+own list.
 
 The paths are the compiled kernel (``run_numpy`` by default, and
-``engine="native"``), the pure-NumPy chunk loop (``use_native=False``),
-and the fallback taken when the library is gone (``native._lib``
+``engine="native"``), the opt-out (``use_native=False``), and the
+fallback taken when the library is gone (``native._lib``
 monkeypatched away). The native tests skip where no C toolchain
-exists; the NumPy tests run everywhere.
+exists; the fallback tests run everywhere.
 
 The native path boxes in C (``native.collect_triangles``), so its own
 tests also pin what the C code could get wrong and ``==`` cannot see:
@@ -31,9 +32,8 @@ import pytest
 from repro import DescendingDegree, DiscretePareto, Graph, \
     sample_degree_sequence
 from repro.engine import native, run_numpy
-from repro.engine.kernels import _KERNELS, _run_kernel
 from repro.graphs.generators import configuration_model
-from repro.listing.api import list_triangles
+from repro.listing.api import _run_python, list_triangles
 from repro.graphs.digraph import OrientedGraph
 from repro.orientations.relabel import orient
 from repro.orientations import NAMED_ORDERINGS
@@ -74,13 +74,6 @@ def oriented(request):
 def _rowwise(arr):
     """The reference boxing: one list per row, then one tuple."""
     return list(map(tuple, arr.tolist()))
-
-
-def _stacked_batches(oriented, method):
-    __, batches = _run_kernel(oriented, _KERNELS[method], collect=True)
-    if not batches:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.concatenate(batches, axis=0)
 
 
 def _assert_boxed(triangles, expected):
@@ -199,25 +192,28 @@ class TestBoxer:
 
 
 class TestNumpyPath:
+    """``run_numpy`` without the kernel returns the Python reference's
+    own list."""
+
     @pytest.mark.parametrize("method", METHODS)
     def test_use_native_false(self, oriented, method):
-        expected = _rowwise(_stacked_batches(oriented, method))
+        expected = _run_python(oriented, method, True).triangles
         result = run_numpy(oriented, method, use_native=False)
-        assert result.extra["engine"] == "numpy"
+        assert "engine" not in result.extra
         assert result.count == len(expected)
         _assert_boxed(result.triangles, expected)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_library_gone(self, oriented, method, monkeypatch):
         monkeypatch.setattr(native, "_lib", None)
-        expected = _rowwise(_stacked_batches(oriented, method))
+        expected = _run_python(oriented, method, True).triangles
         result = run_numpy(oriented, method)
-        assert result.extra["engine"] == "numpy"
+        assert "engine" not in result.extra
         _assert_boxed(result.triangles, expected)
         with pytest.raises(RuntimeError, match="native engine requested"):
             list_triangles(oriented, method, engine="native")
 
     def test_pareto_has_triangles(self):
         # the fixture would prove little if the big graph were empty
-        assert _stacked_batches(orient(GRAPHS["pareto"],
-                                       DescendingDegree()), "E1").shape[0]
+        assert _run_python(orient(GRAPHS["pareto"], DescendingDegree()),
+                           "E1", False).count

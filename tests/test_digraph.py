@@ -141,10 +141,12 @@ class TestCSRBuild:
         edges[flip] = edges[flip][:, ::-1]
         graph = Graph(pareto_graph.n, edges)
         oriented = self._check(graph, rng.permutation(graph.n))
-        # the key arrays stay lazy and still decode the CSR
-        assert oriented._out_keys is None and oriented._in_keys is None
-        assert np.all(np.diff(oriented.out_key_array()) > 0)
-        assert np.all(np.diff(oriented.in_key_array()) > 0)
+        # the edge-key set stays lazy and still decodes the CSR
+        assert oriented._edge_keys is None
+        src = np.repeat(np.arange(oriented.n), oriented.out_degrees)
+        dst = oriented.out_csr()[0]
+        assert oriented.edge_key_set() == set(
+            (src * oriented.n + dst).tolist())
 
     @pytest.mark.parametrize("n, edges", [
         (0, []), (4, []), (6, [(5, 1), (0, 5)]),

@@ -1,17 +1,14 @@
-"""Numpy-engine equivalence against the instrumented Python listers.
+"""Engine equivalence against the instrumented Python listers.
 
-The pure-Python loops are the ground truth; the vectorized engine must
+The pure-Python loops are the ground truth; :func:`run_numpy` (the
+compiled kernel when it is available, else the Python reference) must
 return identical triangle sets, counts, ``ops``, and ``hash_inserts``
 for every method under every relabeling family -- plus the degenerate
 shapes (empty graph, star, clique). ``comparisons`` is intentionally
 *not* compared for the E/L families: the Python merges count
-early-exit comparisons, the engine reports the closed-form probe
-component (see :mod:`repro.engine.kernels`).
-
-The equivalence classes here pass ``use_native=False`` so the *pure*
-NumPy kernels stay pinned against the ground truth even on hosts with
-a C toolchain (where the default would route through the compiled
-kernels -- those have their own suite in ``test_native_engine.py``).
+early-exit comparisons, the native engine reports the closed-form
+probe component (see :mod:`repro.engine.kernels`). The Hypothesis
+differential suite is ``test_engine_differential.py``.
 """
 
 import numpy as np
@@ -29,9 +26,13 @@ from repro import (
 )
 from repro.distributions import root_truncation
 from repro.distributions.sampling import sample_degree_sequence
-from repro.engine import NUMPY_METHODS, run_numpy
+from repro.core.methods import METHODS
+from repro.engine import native, run_numpy
 from repro.graphs.graph import Graph
 from repro.listing.api import ALL_METHODS, count_triangles, list_triangles
+
+#: ``extra["engine"]`` of a default ``run_numpy`` result on this host.
+FAST_ENGINE = "native" if native.available() else None
 
 ORDERINGS = {
     "ascending": AscendingDegree,
@@ -59,21 +60,20 @@ def oriented(request, pareto_graph):
 
 class TestEngineEquivalence:
     def test_covers_all_methods(self):
-        assert set(NUMPY_METHODS) == set(ALL_METHODS)
+        assert set(ALL_METHODS) == set(METHODS)
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_identical_results(self, oriented, method):
         py = list_triangles(oriented, method, engine="python")
-        np_list = run_numpy(oriented, method, collect=True,
-                            use_native=False)
-        np_count = run_numpy(oriented, method, collect=False,
-                             use_native=False)
-        assert py.count == np_list.count == np_count.count
-        assert py.ops == np_list.ops == np_count.ops
-        assert py.hash_inserts == np_list.hash_inserts
-        assert set(py.triangles) == set(np_list.triangles)
-        assert len(np_list.triangles) == np_list.count
-        assert np_list.extra["engine"] == "numpy"
+        fast_list = run_numpy(oriented, method, collect=True)
+        fast_count = run_numpy(oriented, method, collect=False)
+        assert py.count == fast_list.count == fast_count.count
+        assert py.ops == fast_list.ops == fast_count.ops
+        assert py.hash_inserts == fast_list.hash_inserts \
+            == fast_count.hash_inserts
+        assert set(py.triangles) == set(fast_list.triangles)
+        assert len(fast_list.triangles) == fast_list.count
+        assert fast_list.extra.get("engine") == FAST_ENGINE
 
     @pytest.mark.parametrize("method", ("T1", "E1", "E4", "L5"))
     def test_triangles_well_ordered(self, oriented, method):
@@ -82,10 +82,15 @@ class TestEngineEquivalence:
             assert x < y < z
 
     def test_numpy_engine_deterministic(self, oriented):
-        a = run_numpy(oriented, "T2", collect=True, use_native=False)
-        b = run_numpy(oriented, "T2", collect=True, use_native=False)
-        assert a.triangles == b.triangles
-        assert a.count == b.count
+        """``run_numpy`` lists the same triangles in the same order on
+        every call, with the kernel and without it."""
+        for use_native in (False, None):
+            a = run_numpy(oriented, "T2", collect=True,
+                          use_native=use_native)
+            b = run_numpy(oriented, "T2", collect=True,
+                          use_native=use_native)
+            assert a.triangles == b.triangles
+            assert a.count == b.count
 
 
 class TestEdgeCases:
@@ -143,9 +148,13 @@ class TestDispatch:
                                         "auto"])
     def test_engine_runs_what_it_names(self, references, engine,
                                        collect):
-        from repro.engine import native
+        g, __ = references["pareto"]
+        if engine == "numpy":
+            # "numpy" names no engine: it is rejected like any other
+            with pytest.raises(ValueError, match="unknown engine"):
+                list_triangles(g, "T1", collect=collect, engine=engine)
+            return
         if engine == "native" and not native.available():
-            g, __ = references["pareto"]
             with pytest.raises(RuntimeError, match="native engine"):
                 list_triangles(g, "T1", collect=collect, engine=engine)
             return
@@ -171,23 +180,26 @@ class TestDispatch:
                              ids=["collect", "count"])
     def test_numpy_engine_never_reaches_native(self, oriented, collect,
                                                monkeypatch):
-        from repro.engine import native
+        """``run_numpy(use_native=False)`` and ``engine="python"`` run
+        the Python reference without touching the compiled kernel."""
 
         def boom(*args, **kwargs):
-            raise AssertionError("engine='numpy' called native")
+            raise AssertionError("the Python reference called native")
 
         monkeypatch.setattr(native, "count_triangles", boom)
         monkeypatch.setattr(native, "list_triangles_array", boom)
         monkeypatch.setattr(native, "collect_triangles", boom)
-        result = list_triangles(oriented, "T1", collect=collect,
-                                engine="numpy")
-        assert result.extra["engine"] == "numpy"
-        assert result.count == count_triangles(oriented, "T1",
-                                               engine="python")
+        ref = run_numpy(oriented, "T1", collect=collect, use_native=False)
+        py = list_triangles(oriented, "T1", collect=collect,
+                            engine="python")
+        assert "engine" not in ref.extra and "engine" not in py.extra
+        assert ref.count == py.count
+        assert ref.triangles == py.triangles
 
-    def test_calibration_times_numpy_not_native(self, monkeypatch):
-        """The default speed-ratio calibration never runs native."""
-        from repro.engine import native
+    def test_calibration_times_python_not_native(self, monkeypatch):
+        """The default speed-ratio calibration never runs native: the
+        kernel is one pass whatever the method, so only the Python
+        reference times each method's own loop."""
         from repro.engine.benchmark import measure_speed_ratio
 
         def boom(*args, **kwargs):
@@ -195,36 +207,31 @@ class TestDispatch:
 
         monkeypatch.setattr(native, "count_triangles", boom)
         monkeypatch.setattr(native, "list_triangles_array", boom)
-        ratio = measure_speed_ratio(engine="numpy", n=300, repeats=1)
+        ratio = measure_speed_ratio(n=300, repeats=1)
         assert np.isfinite(ratio) and ratio > 0.0
 
     def test_engine_argument(self, oriented):
         py = list_triangles(oriented, "T1", collect=False,
                             engine="python")
-        np_res = list_triangles(oriented, "T1", collect=False,
-                                engine="numpy")
+        auto = list_triangles(oriented, "T1", collect=False,
+                              engine="auto")
         assert py.extra.get("engine") is None
-        assert np_res.extra["engine"] == "numpy"
-        assert py.count == np_res.count
+        assert auto.extra.get("engine") == FAST_ENGINE
+        assert py.count == auto.count
 
     def test_auto_routes_count_only_to_numpy(self, oriented):
-        from repro.engine import native
+        """auto + count: ``run_numpy``'s kernel when present, else
+        python."""
         result = list_triangles(oriented, "E1", collect=False)
-        assert result.extra.get("engine") == (
-            "native" if native.available() else "numpy")
+        assert result.extra.get("engine") == FAST_ENGINE
 
     def test_auto_collect_follows_native_availability(self, oriented):
         """auto + collect: compiled kernels when present, else python."""
-        from repro.engine import native
         result = list_triangles(oriented, "E1", collect=True)
-        if native.available():
-            assert result.extra.get("engine") == "native"
-        else:
-            assert result.extra.get("engine") is None
+        assert result.extra.get("engine") == FAST_ENGINE
 
     def test_auto_collect_falls_back_to_python(self, oriented,
                                                monkeypatch):
-        from repro.engine import native
         monkeypatch.setattr(native, "_lib", None)
         result = list_triangles(oriented, "E1", collect=True)
         assert result.extra.get("engine") is None
@@ -234,7 +241,7 @@ class TestDispatch:
 
     def test_count_triangles_engine_param(self, oriented):
         assert (count_triangles(oriented, "T3", engine="python")
-                == count_triangles(oriented, "T3", engine="numpy"))
+                == count_triangles(oriented, "T3", engine="auto"))
 
     def test_unknown_engine_rejected(self, oriented):
         with pytest.raises(ValueError, match="engine"):
@@ -245,11 +252,14 @@ class TestDispatch:
             run_numpy(oriented, "T9")
 
     def test_native_fallback_matches(self, oriented, monkeypatch):
-        """The pure-NumPy count path (native gated off) still agrees."""
-        from repro.engine import kernels, native
+        """With the library gone, ``run_numpy`` returns the Python
+        reference's result."""
         monkeypatch.setattr(native, "_lib", None)
         assert not native.available()
-        result = run_numpy(oriented, "T1", collect=False)
-        assert result.extra["engine"] == "numpy"
-        assert result.count == count_triangles(oriented, "T1",
-                                               engine="python")
+        result = run_numpy(oriented, "E4", collect=False)
+        py = list_triangles(oriented, "E4", collect=False,
+                            engine="python")
+        assert "engine" not in result.extra
+        assert (result.count, result.ops, result.comparisons,
+                result.hash_inserts) == (py.count, py.ops,
+                                         py.comparisons, py.hash_inserts)

@@ -373,3 +373,42 @@ class TestCliRunsFileAlias:
                      "--out", str(out)]) == 0
         trace = json.loads(out.read_text())
         assert trace["traceEvents"]
+
+
+class TestCliClosedPipe:
+    def test_reader_closing_early_exits_quietly(self, tmp_path):
+        """``repro audit misplans ... | head -1``: more than a pipe
+        buffer of output, a reader that closes after one line, and no
+        traceback -- exit 141, as a shell reports SIGPIPE."""
+        import json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        record = {"type": "audit", "route": "list_triangles",
+                  "label": None, "graph_class": "sparse-light",
+                  "picked": {"method": "T1", "ordering": "D"},
+                  "confidence": 0.4,
+                  "realized": {"regret": 0.9, "oracle": "E1+D"},
+                  "ratios": {"ops": 1.0},
+                  "diagnosis": {"kind": "model_divergence", "detail": ""}}
+        sink = tmp_path / "runs.jsonl"
+        sink.write_text((json.dumps(record) + "\n") * 2000,
+                        encoding="utf-8")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "audit", "misplans",
+             "--runs", str(sink)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().split()[0] == b"route"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in stderr
+        # the table is more than a 64 KiB pipe buffer
+        from repro.obs import audit
+        rows = audit.misplan_rows(audit.load_audit(sink))
+        assert len(audit.format_misplans(rows)) > 1 << 16

@@ -146,12 +146,8 @@ class TestLedger:
 
 
 class TestFootprintConformance:
-    def test_bloom_constant_pinned_to_kernels(self):
-        from repro.engine import kernels
-        assert memory.BLOOM_BYTES == kernels._BLOOM_BYTES
-
     def test_predict_python_engine_graph_only(self):
-        pred = memory.predict_footprint(100, 400, engine="python")
+        pred = memory.predict_footprint(100, 400)
         assert set(pred["components"]) == {"graph.csr", "graph.degrees",
                                            "ugraph.keys", "ugraph.degrees"}
         # uint32 indices (2m), int64 indptr (2(n + 1))
@@ -172,23 +168,16 @@ class TestFootprintConformance:
         rows = {r["tag"]: r for r in memory.ledger_rows()}
         assert set(rows) == {"graph.csr", "graph.degrees", "ugraph.keys",
                              "ugraph.degrees"}
-        pred = memory.predict_footprint(oriented.n, oriented.m,
-                                        engine="python")
+        pred = memory.predict_footprint(oriented.n, oriented.m)
         for tag, nbytes in pred["components"].items():
             assert rows[tag]["live_bytes"] == nbytes, tag
 
-    def test_predict_in_keys_only_for_in_window_methods(self):
-        base = memory.predict_footprint(100, 400, method="E1")
-        inkey = memory.predict_footprint(100, 400, method="E4")
-        assert (inkey["components"]["graph.keys"]
-                - base["components"]["graph.keys"]) == 8 * 400
-
     @pytest.mark.parametrize("method", ["E1", "E4", "L6"])
     def test_pipeline_matches_prediction(self, method):
-        from repro.engine import run_method_kernel
+        from repro.listing.api import list_triangles
         memory.enable()
         oriented = _oriented()
-        run_method_kernel(oriented, method)
+        list_triangles(oriented, method, collect=False)
         report = memory.conformance_report(oriented.n, oriented.m,
                                            method=method)
         assert report["verdict"] == "pass", report
@@ -206,12 +195,12 @@ class TestFootprintConformance:
     def test_empty_graph_conforms(self, n):
         # components that are exactly right at 0 == 0 bytes pass, and
         # the report stays strict JSON (no inf ratios)
-        from repro.engine import run_method_kernel
         from repro.graphs.graph import Graph
+        from repro.listing.api import list_triangles
         memory.enable()
         graph = Graph(n, np.empty((0, 2), dtype=np.int64))
         oriented = orient(graph, DescendingDegree())
-        run_method_kernel(oriented, "E1")
+        list_triangles(oriented, "E1", collect=False)
         report = memory.conformance_report(oriented.n, oriented.m,
                                            method="E1")
         assert report["verdict"] == "pass", report
@@ -222,17 +211,17 @@ class TestFootprintConformance:
         json.dumps(report, allow_nan=False)
 
     def test_bytes_against_zero_prediction_miss(self):
-        rows = [{"tag": "engine.cache", "peak_bytes": 64}]
+        rows = [{"tag": "ugraph.keys", "peak_bytes": 64}]
         report = memory.conformance_report(5, 0, method="E1", rows=rows)
-        cache, = [r for r in report["components"]
-                  if r["tag"] == "engine.cache"]
-        assert cache["ratio"] == float("inf") and not cache["within"]
+        keys, = [r for r in report["components"]
+                 if r["tag"] == "ugraph.keys"]
+        assert keys["ratio"] == float("inf") and not keys["within"]
 
     def test_unmodeled_tags_listed_but_never_gate(self):
         memory.enable()
         oriented = _oriented()
-        from repro.engine import run_method_kernel
-        run_method_kernel(oriented, "E1")
+        from repro.listing.api import list_triangles
+        list_triangles(oriented, "E1", collect=False)
         memory.check_in("custom.scratch", nbytes=123)
         report = memory.conformance_report(oriented.n, oriented.m,
                                            method="E1")
@@ -246,14 +235,15 @@ class TestFootprintConformance:
         bytes are not predicted, and the verdict passes. The Python
         loop (no compiled kernels) does build it, and the ledger lists
         it as unmodeled, which never gates."""
-        from repro.engine import native, run_method_kernel
+        from repro.engine import native
+        from repro.listing.api import list_triangles
         from repro.orientations.degenerate import DegenerateOrder
         memory.enable()
         rng = np.random.default_rng(3)
         dist = DiscretePareto(1.7, 21.0).truncate(root_truncation(2000))
         graph = generate_graph(sample_degree_sequence(dist, 2000, rng), rng)
         oriented = orient(graph, DegenerateOrder())
-        run_method_kernel(oriented, "E1")
+        list_triangles(oriented, "E1", collect=False)
         report = memory.conformance_report(oriented.n, oriented.m,
                                            method="E1")
         assert report["verdict"] == "pass", report
@@ -367,11 +357,15 @@ class TestBudgetWatchdog:
         assert records.check_line(event) == []
 
     def test_engine_chunk_loop_aborts_gracefully(self):
-        from repro.engine import run_method_kernel
+        """The native collect polls the abort flag between chunks."""
+        from repro.engine import native
+        from repro.listing.api import list_triangles
+        if not native.available():
+            pytest.skip("no compiled kernel in this environment")
         oriented = _oriented(n=500)
         memory.request_abort("test budget")
         with pytest.raises(memory.MemoryBudgetExceeded):
-            run_method_kernel(oriented, "E1")
+            list_triangles(oriented, "E1", collect=True)
 
     def test_ooc_loop_aborts_gracefully(self):
         from repro.external.ooc_listing import external_e1
@@ -545,12 +539,10 @@ class TestDisabledParity:
     def test_listing_identical_with_ledger(self):
         from repro.listing.api import list_triangles
         oriented = _oriented(n=800)
-        off = list_triangles(oriented, "E1", collect=True,
-                             engine="numpy")
+        off = list_triangles(oriented, "E1", collect=True)
         memory.enable()
         oriented2 = _oriented(n=800)
-        on = list_triangles(oriented2, "E1", collect=True,
-                            engine="numpy")
+        on = list_triangles(oriented2, "E1", collect=True)
         assert on.count == off.count
         assert on.ops == off.ops
         assert set(on.triangles) == set(off.triangles)

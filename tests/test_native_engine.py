@@ -4,8 +4,8 @@ The contract of :mod:`repro.engine.native` v2, pinned three ways:
 
 * **Equivalence** -- for every method x ordering the native listing
   path returns the same sorted triangle set, count, and closed-form
-  ``ops`` as the pure-NumPy engine (itself pinned against the
-  instrumented Python loops in ``test_engine_equivalence.py``).
+  ``ops`` as ``run_numpy(use_native=False)``, the instrumented Python
+  loops.
 * **Determinism** -- emitted buffers are *bit-identical* across thread
   counts (1, 2, 8), and streaming chunks of any capacity concatenate
   to exactly the two-pass array.
@@ -326,12 +326,14 @@ class TestGatingAndFallback:
 
     def test_numpy_engine_falls_back_silently(self, monkeypatch,
                                               pareto_graph):
+        """``run_numpy`` without the library returns the Python
+        reference's result, with no warning or error."""
         monkeypatch.setattr(native, "_lib", None)
         g = orient(pareto_graph, DescendingDegree())
-        result = list_triangles(g, "T1", collect=True, engine="numpy")
-        assert result.extra["engine"] == "numpy"
+        result = run_numpy(g, "T1", collect=True)
+        assert "engine" not in result.extra
         ref = list_triangles(g, "T1", collect=True, engine="python")
-        assert set(result.triangles) == set(ref.triangles)
+        assert result.triangles == ref.triangles
 
 
 @needs_native
