@@ -4,7 +4,7 @@ Not a paper table -- an engineering companion to Table 3: how fast
 this library's listers run per edge in this interpreter, on both
 engines: the instrumented pure-Python reference and the compiled
 native kernel of :mod:`repro.engine.native` (count-only, the
-paper-scale workload; plus one native full-listing measurement).
+paper-scale workload; plus one drained native triangle stream).
 pytest-benchmark times the individual methods; the summary test
 measures every (method, engine) pair on one oriented graph, prints
 side-by-side ns/edge columns,

@@ -80,6 +80,18 @@ def _dist_from_args(args) -> DiscretePareto:
     return DiscretePareto(args.alpha, beta)
 
 
+def _graph_from_args(args, rng):
+    """The ``--graph`` edge list, else a synthetic graph: a Pareto
+    ``--alpha``/``--beta`` degree sequence of ``--n`` nodes under root
+    truncation, realized by the default generator, both drawing from
+    ``rng``."""
+    if args.graph:
+        return load_edge_list(args.graph)
+    dist_n = _dist_from_args(args).truncate(root_truncation(args.n))
+    degrees = sample_degree_sequence(dist_n, args.n, rng)
+    return generate_graph(degrees, rng)
+
+
 def _add_dist_args(parser):
     parser.add_argument("--alpha", type=float, required=True,
                         help="Pareto tail index")
@@ -361,7 +373,6 @@ def cmd_profile(args) -> int:
     Chrome trace-event JSON / collapsed flame stacks (with
     ``REPRO_PROFILE=1``, per-span cProfile attribution rides along).
     """
-    from repro.distributions.sampling import sample_degree_sequence
     from repro.obs import records as obs_records
 
     methods = [m.strip().upper() for m in args.methods.split(",")
@@ -372,15 +383,9 @@ def cmd_profile(args) -> int:
     if unknown:
         raise SystemExit(f"unknown order(s) {unknown}; choose from "
                          f"{sorted(NAMED_ORDERINGS)}")
-    if args.graph:
-        graph = load_edge_list(args.graph)
-        source = args.graph
-    else:
-        rng = np.random.default_rng(args.seed)
-        dist_n = _dist_from_args(args).truncate(root_truncation(args.n))
-        degrees = sample_degree_sequence(dist_n, args.n, rng)
-        graph = generate_graph(degrees, rng)
-        source = f"synthetic Pareto(alpha={args.alpha}, seed={args.seed})"
+    graph = _graph_from_args(args, np.random.default_rng(args.seed))
+    source = (args.graph
+              or f"synthetic Pareto(alpha={args.alpha}, seed={args.seed})")
     was_enabled = obs.is_enabled()
     obs.enable(memory=getattr(args, "trace_memory", False))
     obs.spans.pop_finished()
@@ -477,13 +482,7 @@ def cmd_bench(args) -> int:
     if not args.native_compare:
         raise SystemExit("nothing to do: pass --native-compare")
     rng = np.random.default_rng(args.seed)
-    if args.graph:
-        graph = load_edge_list(args.graph)
-    else:
-        dist = _dist_from_args(args)
-        dist_n = dist.truncate(root_truncation(args.n))
-        degrees = sample_degree_sequence(dist_n, args.n, rng)
-        graph = generate_graph(degrees, rng)
+    graph = _graph_from_args(args, rng)
     oriented = orient(graph, NAMED_ORDERINGS[args.order](), rng=rng)
     oriented.edge_key_set()  # warm the python engine's membership set
     methods = [m.strip().upper() for m in args.methods.split(",")
@@ -631,12 +630,10 @@ def cmd_audit(args) -> int:
         path = bench.calibration_path(args.store)
         host = bench.host_fingerprint()
         if args.measure:
-            ratio = bench.measure_speed_ratio(engine=args.engine)
-            print(f"measured speed ratio: {ratio:.4g}x "
-                  f"(engine={args.engine}, host={host})")
+            ratio = bench.measure_speed_ratio()
+            print(f"measured speed ratio: {ratio:.4g}x (host={host})")
             if args.record:
-                bench.store_calibration(ratio, engine=args.engine,
-                                        path=args.store)
+                bench.store_calibration(ratio, path=args.store)
                 print(f"recorded to {path}")
         store = bench.load_calibration_store(args.store)
         entries = store["entries"]
@@ -644,10 +641,9 @@ def cmd_audit(args) -> int:
             raise SystemExit(
                 f"no calibration entries in {path}; measure one with "
                 f"`repro audit calibration --measure --record`")
-        stored = bench.stored_speed_ratio(args.engine, args.store)
+        stored = bench.stored_speed_ratio(args.store)
         if args.json:
             print(json.dumps({"path": str(path), "host": host,
-                              "engine": args.engine,
                               "stored_ratio": stored,
                               "entries": entries}, indent=2))
             return 0
@@ -665,13 +661,12 @@ def cmd_audit(args) -> int:
                          f"{str(entry.get('host')):>24}{mark}")
         print("\n".join(lines))
         if stored is not None:
-            print(f"current answer for engine={args.engine}: "
-                  f"{stored:.4g}x (median of fresh host-matching "
-                  f"entries)")
+            print(f"current answer: {stored:.4g}x (median of fresh "
+                  f"host-matching python entries)")
         else:
-            print(f"no fresh host-matching entries for "
-                  f"engine={args.engine}: speed_ratio='calibrated' "
-                  f"will fall back to a fresh measurement")
+            print("no fresh host-matching python entries: "
+                  "speed_ratio='calibrated' will fall back to a fresh "
+                  "measurement")
         return 0
 
     records = _audit_records(args)
@@ -722,15 +717,8 @@ def _mem_pipeline(args):
     obs_memory.reset()
     obs_memory.enable()
     rng = np.random.default_rng(args.seed)
-    if args.graph:
-        graph = load_edge_list(args.graph)
-    else:
-        dist = _dist_from_args(args)
-        dist_n = dist.truncate(root_truncation(args.n))
-        degrees = sample_degree_sequence(dist_n, args.n, rng)
-        graph = generate_graph(degrees, rng)
-    perm = NAMED_ORDERINGS[args.order]()
-    oriented = orient(graph, perm, rng=rng)
+    graph = _graph_from_args(args, rng)
+    oriented = orient(graph, NAMED_ORDERINGS[args.order](), rng=rng)
     count = list_triangles(oriented, args.method, collect=False).count
     return oriented, count
 
@@ -1167,9 +1155,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--store", default=None, metavar="PATH",
                     help="store file (default: REPRO_CALIBRATION_FILE "
                          "or benchmarks/baselines/speed_ratio.json)")
-    ap.add_argument("--engine", default="python",
-                    help="engine whose ratio to resolve "
-                         "(default python)")
     ap.add_argument("--measure", action="store_true",
                     help="measure a fresh ratio on this host first")
     ap.add_argument("--record", action="store_true",

@@ -6,9 +6,9 @@ counters define the paper's cost metric. All 18 methods list the same
 triangle set, and eqs. (7)-(9) give their cost in closed form from the
 oriented degrees, so one fast kernel serves every method: when a C
 toolchain is present, :mod:`repro.engine.native` compiles a small
-pthreads library at first use (one mark-array forward intersection,
-counting *and* triangle emission, deterministic multi-thread block
-driver) that reads the graph's own uint32 CSR without copying it, and
+pthreads library at first use (one mark-array forward intersection: a
+threaded count pass, bit-identical at any thread count, and one
+resumable triangle stream) that reads the graph's own uint32 CSR without copying it, and
 :func:`run_numpy` prices the requested method in closed form beside
 it.
 
@@ -22,10 +22,9 @@ design and measured speedups.
 
 from repro.engine import native
 from repro.engine.kernels import run_numpy
-from repro.engine.native import list_triangles_array, stream_triangles
+from repro.engine.native import stream_triangles
 
 __all__ = [
-    "list_triangles_array",
     "native",
     "run_numpy",
     "stream_triangles",

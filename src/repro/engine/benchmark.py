@@ -5,8 +5,8 @@ One measurement routine shared by ``benchmarks/bench_lister_throughput``
 and ``repro bench --native-compare``: for each method it times the
 count-only workload on both engines of
 :func:`repro.listing.list_triangles` -- the instrumented Python
-reference and the compiled kernel -- plus one full native *listing*
-run (the operation the paper's cost model prices). Results
+reference and the compiled kernel -- plus one drained native
+triangle stream (the listing the paper's cost model prices). Results
 come back as a rendered table and a JSON-ready dict whose
 ``"methods"`` mapping feeds :func:`repro.obs.report.record_cells`:
 ``*_ns_per_edge`` entries compare as wall-clock (skipped by
@@ -16,6 +16,7 @@ come back as a rendered table and a JSON-ready dict whose
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import pathlib
@@ -40,7 +41,7 @@ DEFAULT_CALIBRATION_PATH = (pathlib.Path("benchmarks") / "baselines"
 #: Stored measurements older than this are stale.
 DEFAULT_CALIBRATION_MAX_AGE_S = 30 * 24 * 3600.0
 
-#: Rolling-window cap per engine; oldest entries are trimmed.
+#: Rolling-window cap; oldest entries are trimmed.
 MAX_STORE_ENTRIES = 32
 
 
@@ -58,15 +59,15 @@ def _timed(fn, repeats: int = 1):
 
 def measure_speed_ratio(oriented=None, *, n: int = 4000, seed: int = 0,
                         hash_method: str = "T1", sei_method: str = "E1",
-                        engine: str = "python", repeats: int = 3) -> float:
+                        repeats: int = 3) -> float:
     """Measure the section-2.4 ``speed_ratio`` on *this* host.
 
     Table 3's 94.8x is the per-operation advantage of sequential
     scanning (SEI) over hash-based lookups on the authors' SIMD
-    hardware. This micro-calibration measures the same quantity for the
-    selected engine of this library: per-op wall time of the best
-    hash-family method divided by per-op wall time of the best SEI
-    method, each timed best-of-``repeats`` on one oriented graph.
+    hardware. This micro-calibration measures the same quantity for
+    this library: per-op wall time of the best hash-family method
+    divided by per-op wall time of the best SEI method, each timed
+    best-of-``repeats`` on one oriented graph.
 
     ``oriented`` defaults to a synthetic heavy-tailed graph
     (``Pareto(1.7)``, descending orientation) so callers can calibrate
@@ -74,11 +75,11 @@ def measure_speed_ratio(oriented=None, *, n: int = 4000, seed: int = 0,
     :func:`repro.core.decision.resolve_speed_ratio` (and through it the
     planner) via ``speed_ratio="calibrated"``.
 
-    The default engine is the Python reference, the one engine that
-    runs each method's own loop. The native kernel does not depend on
-    the method (every method is the same forward pass there), so a
-    ratio timed on it is only ``ops(sei_method) / ops(hash_method)``
-    and says nothing about the hardware.
+    It times the Python reference, the one engine that runs each
+    method's own loop. The native kernel does not depend on the method
+    (every method is the same forward pass there), so a ratio timed on
+    it would only be ``ops(sei_method) / ops(hash_method)`` and say
+    nothing about the hardware.
 
     Note the honest outcome on interpreted runtimes: the pure-Python
     reference engine has no SIMD scanning advantage, so it measures a
@@ -100,12 +101,11 @@ def measure_speed_ratio(oriented=None, *, n: int = 4000, seed: int = 0,
         degrees = sample_degree_sequence(dist, n, rng)
         oriented = orient(generate_graph(degrees, rng),
                           DescendingDegree())
-    if engine == "python":
-        oriented.edge_key_set()  # warm the membership set
+    oriented.edge_key_set()  # warm the membership set
 
     def run(method):
         return list_triangles(oriented, method, collect=False,
-                              engine=engine)
+                              engine="python")
 
     per_op = {}
     for method in (hash_method, sei_method):
@@ -138,7 +138,8 @@ def load_calibration_store(path=None) -> dict:
     """Parse the store; missing or corrupt files degrade to empty.
 
     Shape: ``{"version": 1, "entries": [{engine, ratio, ts, host,
-    host_meta, n, seed}, ...]}`` -- newest entries last.
+    host_meta, n, seed}, ...]}`` -- newest entries last;
+    :func:`store_calibration` writes ``engine`` as ``"python"``.
     """
     store_path = calibration_path(path)
     empty = {"version": 1, "entries": []}
@@ -155,12 +156,12 @@ def load_calibration_store(path=None) -> dict:
     return data
 
 
-def store_calibration(ratio: float, engine: str = "python", path=None,
-                      *, n: int = 4000, seed: int = 0,
+def store_calibration(ratio: float, path=None, *, n: int = 4000,
+                      seed: int = 0,
                       now: float | None = None) -> pathlib.Path:
     """Append one measured ratio to the rolling store (atomic write).
 
-    Keeps the newest :data:`MAX_STORE_ENTRIES` per engine, stamps the
+    Keeps the newest :data:`MAX_STORE_ENTRIES`, stamps the
     host fingerprint + full host metadata, and replaces the file via a
     same-directory temp rename so a concurrent reader never sees a
     torn store.
@@ -169,7 +170,7 @@ def store_calibration(ratio: float, engine: str = "python", path=None,
     store_path = calibration_path(path)
     store = load_calibration_store(store_path)
     store["entries"].append({
-        "engine": str(engine),
+        "engine": "python",
         "ratio": float(ratio),
         "ts": float(now if now is not None else time.time()),
         "host": host_fingerprint(),
@@ -177,16 +178,9 @@ def store_calibration(ratio: float, engine: str = "python", path=None,
         "n": int(n),
         "seed": int(seed),
     })
-    # rolling window: newest MAX_STORE_ENTRIES per engine survive
-    by_engine: dict[str, list] = {}
-    for entry in store["entries"]:
-        by_engine.setdefault(str(entry.get("engine")), []).append(entry)
-    kept = []
-    for entries in by_engine.values():
-        entries.sort(key=lambda e: e.get("ts", 0.0))
-        kept.extend(entries[-MAX_STORE_ENTRIES:])
-    kept.sort(key=lambda e: e.get("ts", 0.0))
-    store["entries"] = kept
+    # rolling window: the newest MAX_STORE_ENTRIES survive
+    store["entries"].sort(key=lambda e: e.get("ts", 0.0))
+    store["entries"] = store["entries"][-MAX_STORE_ENTRIES:]
     store_path.parent.mkdir(parents=True, exist_ok=True)
     tmp = store_path.with_suffix(store_path.suffix + ".tmp")
     tmp.write_text(json.dumps(store, indent=2) + "\n",
@@ -195,15 +189,16 @@ def store_calibration(ratio: float, engine: str = "python", path=None,
     return store_path
 
 
-def stored_speed_ratio(engine: str = "python", path=None,
-                       max_age_s: float | None = None,
+def stored_speed_ratio(path=None, max_age_s: float | None = None,
                        now: float | None = None) -> float | None:
     """The store's answer for this host, or ``None``.
 
-    Median of the fresh, host-matching entries for ``engine`` --
-    median because the rolling window absorbs one noisy CI
-    measurement without jerking every subsequent plan. Entries from
-    other hosts are ignored outright; when matching entries exist but
+    Median of the fresh, host-matching entries -- median because the
+    rolling window absorbs one noisy CI measurement without jerking
+    every subsequent plan. Entries from other hosts, and entries whose
+    ``engine`` is not ``"python"`` (stores written before the ratio was
+    always timed on the Python reference may hold ``"native"`` ones),
+    are ignored outright; when matching entries exist but
     all exceed ``max_age_s`` (default
     :data:`DEFAULT_CALIBRATION_MAX_AGE_S`), the store reports stale: a
     ``planner.calibration_stale`` counter ticks and ``None`` is
@@ -215,7 +210,8 @@ def stored_speed_ratio(engine: str = "python", path=None,
         now = time.time()
     host = host_fingerprint()
     matching = [e for e in load_calibration_store(path)["entries"]
-                if e.get("engine") == engine and e.get("host") == host
+                if e.get("engine", "python") == "python"
+                and e.get("host") == host
                 and isinstance(e.get("ratio"), (int, float))
                 and e["ratio"] > 0]
     if not matching:
@@ -234,8 +230,7 @@ def stored_speed_ratio(engine: str = "python", path=None,
 
 
 @lru_cache(maxsize=8)
-def calibrated_speed_ratio(engine: str = "python", n: int = 4000,
-                           seed: int = 0) -> float:
+def calibrated_speed_ratio(n: int = 4000, seed: int = 0) -> float:
     """The ``speed_ratio="calibrated"`` backend, store-first, read-only.
 
     Consults the rolling calibration store before burning wall time on
@@ -248,12 +243,12 @@ def calibrated_speed_ratio(engine: str = "python", n: int = 4000,
     """
     from repro.obs import metrics as _metrics
 
-    stored = stored_speed_ratio(engine)
+    stored = stored_speed_ratio()
     if stored is not None:
         _metrics.inc("planner.calibrations_from_store")
         return stored
     _metrics.inc("planner.calibrations")
-    return measure_speed_ratio(n=n, seed=seed, engine=engine)
+    return measure_speed_ratio(n=n, seed=seed)
 
 
 def native_compare(oriented, methods=DEFAULT_METHODS,
@@ -281,14 +276,14 @@ def native_compare(oriented, methods=DEFAULT_METHODS,
     native_list_ns = None
     if have_native:
         # warm the block decomposition outside the timed region, then
-        # time one full listing emission (method-independent)
+        # time one drained stream (method-independent, one thread)
         native.count_triangles(oriented, threads=threads)
+        data["native_threads"] = native.last_stats()["threads"]
         __, elapsed = _timed(
-            lambda: native.list_triangles_array(oriented,
-                                                threads=threads),
+            lambda: collections.deque(native.stream_triangles(oriented),
+                                      maxlen=0),
             repeats)
         native_list_ns = elapsed / m * 1e9
-        data["native_threads"] = native.last_stats()["threads"]
     data["native_list_ns_per_edge"] = native_list_ns
 
     header = (f"Engine throughput (n={oriented.n}, m={oriented.m}, "

@@ -20,20 +20,18 @@ library:
   ``z -> y``, the candidates ``x`` of ``N+(y)`` are probed against a
   byte mark array over ``N+(z)``, one load per candidate. It enumerates
   each triangle once as ``(x, y, z)`` with ``x < y < z``, ascending in
-  ``x`` within each edge, so emitted buffers are bit-identical across
-  thread counts and chunk sizes. Each thread holds one ``n``-byte mark.
+  ``x`` within each edge, so the emitted rows are the same at any
+  chunk size. Each thread holds one ``n``-byte mark.
 * **Listing, not just counting**: one C loop writes triangles, into
-  preallocated ``uint32`` buffers -- either exact-size (count pass,
-  prefix offsets, emit pass over each block:
-  :func:`list_triangles_array`) or streamed chunk-by-chunk through a
+  preallocated ``uint32`` buffers filled chunk by chunk through a
   resumable ``(z, iy)`` cursor so callers bound memory
   (:func:`stream_triangles`, and the collect below, which needs no
   count pass).
-* **A pthreads block driver**: the vertex range is pre-split into
+* **A threaded count pass**: the vertex range is pre-split into
   :data:`DEFAULT_BLOCKS` edge-balanced blocks (a pure function of the
   graph, *not* of the thread count) and threads claim blocks statically
   round-robin. Per-block triangle/op counters are merged back in block
-  order, so counts, ops, and emitted buffers are bit-identical at any
+  order, so counts and ops are bit-identical at any
   ``REPRO_NATIVE_THREADS`` value.
 * **Residual-degree wiring** (:func:`residual_wire`): the main loop of
   :func:`repro.graphs.generators.residual_degree_model`, in the same
@@ -114,7 +112,6 @@ __all__ = [
     "configuration_wire",
     "count_triangles",
     "last_stats",
-    "list_triangles_array",
     "oriented_csr",
     "oriented_sums",
     "resolve_threads",
@@ -125,10 +122,9 @@ __all__ = [
     "stream_triangles",
 ]
 
-#: Vertex blocks the threaded driver splits a graph into. A fixed
+#: Vertex blocks the threaded count pass splits a graph into. A fixed
 #: block count (independent of the thread count) is what makes the
-#: merged per-block counters and the emitted buffers bit-identical at
-#: any pool geometry.
+#: merged per-block counters bit-identical at any pool geometry.
 DEFAULT_BLOCKS = 64
 
 _C_SOURCE = r"""
@@ -136,21 +132,17 @@ _C_SOURCE = r"""
 #include <stdlib.h>
 #include <pthread.h>
 
-/* One prepared run over an edge-balanced block decomposition of the
- * oriented CSR. indices are uint32 (the engine gates graphs to
+/* One prepared count pass over an edge-balanced block decomposition of
+ * the oriented CSR. indices are uint32 (the engine gates graphs to
  * n < 2^32) and sorted ascending within each row; halving the operand
  * width nearly halves the memory-bound scan cost. block_starts has
- * nblocks+1 vertex boundaries. In the count pass (buf == 0)
- * block_counts/block_ops receive per-block triangle and elementary-op
- * totals; in the emit pass triangles are written as (x, y, z) uint32
- * triples at buf + 3 * offsets[block]. */
+ * nblocks+1 vertex boundaries; block_counts/block_ops receive
+ * per-block triangle and elementary-op totals. */
 typedef struct {
     const int64_t *indptr;
     const uint32_t *indices;
     const int64_t *block_starts;
     int64_t nblocks;
-    const int64_t *offsets;
-    uint32_t *buf;
     int64_t *block_counts;
     int64_t *block_ops;
     int nthreads;
@@ -162,22 +154,22 @@ typedef struct {
     uint8_t *mark; /* n-byte scratch, zero between rows */
 } worker_t;
 
-/* The one loop that writes triangles, and the resumable emitter of the
- * streaming path (z1 = n there). From cursor = {z, iy} it takes
- * the directed edges z -> y (z ascending up to z1, iy ascending within
- * the row) and writes, per edge, every x of N+(z)[< y] that is also in
- * N+(y), ascending: N+(z) is marked in the byte array mark and each
- * x of N+(y) is probed with one load. So every triangle appears once,
- * as (x, y, z) with x < y < z, in an order that depends on the graph
- * alone. It stops early, before an edge whose worst case
+/* The one loop that writes triangles: a resumable emitter. From
+ * cursor = {z, iy} it takes the directed edges z -> y (z ascending up
+ * to n, iy ascending within the row) and writes, per edge, every x of
+ * N+(z)[< y] that is also in N+(y), ascending: N+(z) is marked in the
+ * byte array mark and each x of N+(y) is probed with one load. So
+ * every triangle appears once, as (x, y, z) with x < y < z, in an
+ * order that depends on the graph alone. It stops early, before an
+ * edge whose worst case
  * min(iy - s, |N+(y)|) might not fit the cap triangles left in buf,
- * saves the cursor (z == z1 once done) and returns the triangles
+ * saves the cursor (z == n once done) and returns the triangles
  * written; ops accumulates one per probe into *ops_out. Any cap >= the
  * maximum out-degree fits every edge into an empty buffer. mark is zero
- * once row z1 - 1 is done; a pause leaves row z marked, which the
+ * once row n - 1 is done; a pause leaves row z marked, which the
  * resumed call marks again. */
 int64_t repro_forward_stream(const int64_t *indptr,
-                             const uint32_t *indices, int64_t z1,
+                             const uint32_t *indices, int64_t n,
                              int64_t *cursor, uint32_t *buf, int64_t cap,
                              int64_t *ops_out, uint8_t *mark)
 {
@@ -186,7 +178,7 @@ int64_t repro_forward_stream(const int64_t *indptr,
     int64_t written = 0;
     int64_t ops = 0;
 
-    for (; z < z1; z++) {
+    for (; z < n; z++) {
         const int64_t s = indptr[z];
         const int64_t e = indptr[z + 1];
         if (iy < s)
@@ -253,18 +245,6 @@ static void count_block(const plan_t *p, int64_t b, uint8_t *mark)
     p->block_ops[b] = ops;
 }
 
-/* The emit pass over one vertex block: the emitter over the block's rows
- * into the block's slice of buf, which the count pass sized exactly, so
- * the cap never binds. */
-static void emit_block(const plan_t *p, int64_t b, uint8_t *mark)
-{
-    int64_t cursor[2] = {p->block_starts[b], -1};
-    int64_t ops = 0;
-    repro_forward_stream(p->indptr, p->indices, p->block_starts[b + 1],
-                         cursor, p->buf + 3 * p->offsets[b], INT64_MAX,
-                         &ops, mark);
-}
-
 /* Threads claim blocks statically round-robin by thread index, so the
  * block -> thread assignment (hence every per-thread tally Python
  * derives from the block arrays) is deterministic. */
@@ -272,26 +252,21 @@ static void *worker(void *arg)
 {
     worker_t *w = (worker_t *)arg;
     const plan_t *p = w->plan;
-    for (int64_t b = w->tid; b < p->nblocks; b += p->nthreads) {
-        if (p->buf)
-            emit_block(p, b, w->mark);
-        else
-            count_block(p, b, w->mark);
-    }
+    for (int64_t b = w->tid; b < p->nblocks; b += p->nthreads)
+        count_block(p, b, w->mark);
     return 0;
 }
 
-/* The count pass (buf == 0) or the emit pass over every block, on
- * nthreads threads with one n-byte mark each. Returns 0, or -1 when
- * scratch allocation or a thread start fails. */
+/* The count pass over every block, on nthreads threads with one n-byte
+ * mark each. Returns 0, or -1 when scratch allocation or a thread start
+ * fails. */
 int repro_forward(const int64_t *indptr, const uint32_t *indices,
                   const int64_t *block_starts, int64_t nblocks,
-                  int64_t n, int nthreads, const int64_t *offsets,
-                  uint32_t *buf, int64_t *block_counts,
+                  int64_t n, int nthreads, int64_t *block_counts,
                   int64_t *block_ops)
 {
-    plan_t p = {indptr, indices, block_starts, nblocks, offsets, buf,
-                block_counts, block_ops, nthreads};
+    plan_t p = {indptr, indices, block_starts, nblocks, block_counts,
+                block_ops, nthreads};
     if (nthreads < 1)
         nthreads = 1;
     if (nthreads > nblocks)
@@ -1198,7 +1173,7 @@ class _Library:
         self.forward.restype = ctypes.c_int
         self.forward.argtypes = [
             _I64P, _U32P, _I64P, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int, _I64P, _U32P, _I64P, _I64P,
+            ctypes.c_int, _I64P, _I64P,
         ]
         self.forward_stream = cdll.repro_forward_stream
         self.forward_stream.restype = ctypes.c_int64
@@ -1548,7 +1523,7 @@ class _GraphArrays:
                                if self.n else 0)
         nblocks = max(1, min(DEFAULT_BLOCKS, self.n or 1))
         # Edge-balanced boundaries: a pure function of the graph, so
-        # counts/ops/buffers cannot depend on the thread count.
+        # counts/ops cannot depend on the thread count.
         targets = np.linspace(0, self.m, nblocks + 1)
         starts = np.searchsorted(self.indptr, targets, side="left")
         starts[0], starts[-1] = 0, self.n
@@ -1614,72 +1589,30 @@ def last_stats() -> dict | None:
     }
 
 
-def _forward(arrays: _GraphArrays, threads: int, offsets=None,
-             buf=None) -> None:
-    """One threaded pass of ``repro_forward``: the count pass, or with
-    ``offsets`` and ``buf`` the emit pass.
-
-    MemoryError when the kernel cannot allocate its mark arrays or
-    start a thread -- never the gated None that callers fall back on.
-    """
-    if _lib.forward(arrays._p_indptr, arrays._p_indices, arrays._p_starts,
-                    arrays.nblocks, arrays.n, threads, offsets, buf,
-                    arrays._p_counts, arrays._p_ops):
-        raise MemoryError("native forward kernel: scratch allocation or "
-                          "thread start failed")
-
-
-def _count_pass(oriented, threads: int | None):
-    """The count pass, recorded for :func:`last_stats`:
-    ``(arrays, threads, count)``, or None if gated."""
-    if not available():
-        return None
-    arrays = _graph_arrays(oriented)
-    threads = resolve_threads(threads)
-    if arrays.m:
-        _forward(arrays, threads)
-    count = int(arrays.block_counts.sum())
-    _record_stats(arrays.block_ops, min(threads, arrays.nblocks), count)
-    return arrays, threads, count
-
-
 def count_triangles(oriented, threads: int | None = None):
     """Exact triangle count via the compiled kernels, or None if gated.
 
     Accepts any :class:`~repro.graphs.digraph.OrientedGraph`; the
     caller falls back to the Python reference on None. ``threads`` defaults
     to ``REPRO_NATIVE_THREADS`` (then the CPU count); the result is
-    bit-identical at any value.
+    bit-identical at any value. One threaded pass of ``repro_forward``,
+    recorded for :func:`last_stats`; MemoryError when the kernel cannot
+    allocate its mark arrays or start a thread -- never the gated None
+    that callers fall back on.
     """
-    run = _count_pass(oriented, threads)
-    return None if run is None else run[2]
-
-
-def list_triangles_array(oriented, threads: int | None = None):
-    """All triangles as a ``(count, 3)`` uint32 array, or None if gated.
-
-    Two passes over the block decomposition: a threaded count pass
-    yields per-block totals, their prefix sum fixes each block's write
-    offset, and a threaded emit pass fills one exact-size preallocated
-    buffer. Rows are ``(x, y, z)`` with ``x < y < z``, ordered by
-    ``(z, y)`` then ascending ``x`` -- the same bytes at any thread
-    count, and the same as :func:`stream_triangles` concatenated.
-    """
-    run = _count_pass(oriented, threads)
-    if run is None:
+    if not available():
         return None
-    arrays, threads, total = run
-    buf = np.empty(total * 3, dtype=np.uint32)
-    if total:
-        offsets = np.zeros(arrays.nblocks, dtype=np.int64)
-        np.cumsum(arrays.block_counts[:-1], out=offsets[1:])
-        token = _memory.check_in("native.triangles", buf)
-        try:
-            _forward(arrays, threads, offsets.ctypes.data_as(_I64P),
-                     buf.ctypes.data_as(_U32P))
-        finally:
-            _memory.check_out(token)
-    return buf.reshape(-1, 3)
+    arrays = _graph_arrays(oriented)
+    threads = resolve_threads(threads)
+    if arrays.m and _lib.forward(
+            arrays._p_indptr, arrays._p_indices, arrays._p_starts,
+            arrays.nblocks, arrays.n, threads, arrays._p_counts,
+            arrays._p_ops):
+        raise MemoryError("native forward kernel: scratch allocation or "
+                          "thread start failed")
+    count = int(arrays.block_counts.sum())
+    _record_stats(arrays.block_ops, min(threads, arrays.nblocks), count)
+    return count
 
 
 class _IdTable:
@@ -1780,8 +1713,9 @@ def stream_triangles(oriented, chunk_triangles: int = 1 << 20):
     The streaming spill-back path: a resumable C cursor fills one
     reusable ``chunk_triangles``-capacity buffer per call, so peak
     memory is one chunk and one n-byte mark regardless of the triangle
-    count and Python never boxes individual triangles. Batch
-    concatenation equals :func:`list_triangles_array` exactly.
+    count and Python never boxes individual triangles. Rows are
+    ``(x, y, z)`` with ``x < y < z``, ordered by ``(z, y)`` then
+    ascending ``x``, the same at any ``chunk_triangles``.
     """
     if not available():
         return None
@@ -1808,8 +1742,8 @@ def collect_triangles(oriented, threads: int | None = None):
     into one list with one id table: one ``int`` per distinct id,
     shared by every tuple holding it across chunks, and each tuple
     untracked by the garbage collector at once (a tuple of ints cannot
-    be part of a cycle, so a collection would untrack it anyway). The list equals
-    ``list(map(tuple, list_triangles_array(oriented).tolist()))``.
+    be part of a cycle, so a collection would untrack it anyway). The list
+    is :func:`stream_triangles`' rows, in order.
     The worker is joined before this returns, on error or interrupt
     too, and its exceptions are raised here; a failed thread start is
     a ``MemoryError``, like the kernels' own. With one native thread
@@ -2120,8 +2054,8 @@ def oriented_sums(keys, degrees, labels):
 
 
 def self_test() -> bool:
-    """Compile-and-verify: a triangle + a path (counted, listed, boxed
-    and collected), a residual wiring, a configuration-model wiring and
+    """Compile-and-verify: a triangle + a path (counted, streamed and
+    collected), a residual wiring, a configuration-model wiring and
     the adoption of its keys, a smallest-last order, the planner's
     orientation sums, and the oriented CSR from keys.
 
@@ -2135,8 +2069,7 @@ def self_test() -> bool:
                         np.arange(4))
     if count_triangles(tri) != 1:
         return False
-    listed = list_triangles_array(tri)
-    if listed is None or listed.tolist() != [[0, 1, 2]]:
+    if [t.tolist() for t in stream_triangles(tri)] != [[[0, 1, 2]]]:
         return False
     if any(collect_triangles(tri, threads) != [(0, 1, 2)]
            for threads in (1, 2)):

@@ -475,15 +475,22 @@ class TestCalibrationStore:
         assert bench.stored_speed_ratio(path=store, now=1001.0) is None
 
     def test_engine_entries_separate(self, tmp_path):
+        # a store written when the ratio could be timed on another
+        # engine may hold "native" entries: the reader skips them, and
+        # an entry without an engine reads as a python one
         store = tmp_path / "speed_ratio.json"
-        bench.store_calibration(2.0, engine="python", path=store,
-                                now=1000.0)
-        bench.store_calibration(9.0, engine="native", path=store,
-                                now=1000.0)
-        assert bench.stored_speed_ratio("python", store, now=1001.0) \
-            == 2.0
-        assert bench.stored_speed_ratio("native", store, now=1001.0) \
-            == 9.0
+        bench.store_calibration(2.0, path=store, now=1000.0)
+        data = json.loads(store.read_text(encoding="utf-8"))
+        assert data["entries"][0]["engine"] == "python"
+        native = dict(data["entries"][0], engine="native", ratio=9.0)
+        bare = {k: v for k, v in data["entries"][0].items()
+                if k != "engine"}
+        data["entries"] += [native, native, bare]
+        store.write_text(json.dumps(data), encoding="utf-8")
+        assert bench.stored_speed_ratio(path=store, now=1001.0) == 2.0
+        data["entries"] = [native]
+        store.write_text(json.dumps(data), encoding="utf-8")
+        assert bench.stored_speed_ratio(path=store, now=1001.0) is None
 
     def test_rolling_window_trims(self, tmp_path):
         store = tmp_path / "speed_ratio.json"

@@ -4,11 +4,11 @@ Collecting runs turn the engine's ``(count, 3)`` triangle arrays into a
 list of ``(x, y, z)`` tuples. The equivalence suites compare triangle
 *sets*, so they cannot see a reordering or a NumPy scalar slipping into
 a tuple. These tests pin the list itself: on the compiled collect
-path, ``result.triangles`` must equal the row-wise boxing
-``list(map(tuple, arr.tolist()))`` of the kernel's array -- same
-tuples, same order -- with every tuple a ``tuple`` and every element a
-Python ``int``; without the kernel it must be the Python reference's
-own list.
+path, ``result.triangles`` must equal the Python reference's triangles
+ordered by ``(z, y)`` and then ascending ``x`` -- the order the
+kernel's stream emits them -- with every tuple a ``tuple`` and every
+element a Python ``int``; without the kernel it must be the Python
+reference's own list.
 
 The paths are the compiled kernel (``run_numpy`` by default, and
 ``engine="native"``), the opt-out (``use_native=False``), and the
@@ -71,9 +71,11 @@ def oriented(request):
     return orient(GRAPHS[request.param], DescendingDegree())
 
 
-def _rowwise(arr):
-    """The reference boxing: one list per row, then one tuple."""
-    return list(map(tuple, arr.tolist()))
+def _reference(oriented):
+    """The Python reference's triangles in the stream's order: by
+    ``(z, y)``, then ascending ``x``."""
+    return sorted(_run_python(oriented, "E1", True).triangles,
+                  key=lambda t: (t[2], t[1], t[0]))
 
 
 def _assert_boxed(triangles, expected):
@@ -88,14 +90,14 @@ def _assert_boxed(triangles, expected):
 class TestNativePath:
     @pytest.mark.parametrize("method", METHODS)
     def test_run_numpy_default(self, oriented, method):
-        expected = _rowwise(native.list_triangles_array(oriented))
+        expected = _reference(oriented)
         result = run_numpy(oriented, method)
         assert result.extra["engine"] == "native"
         assert result.count == len(expected)
         _assert_boxed(result.triangles, expected)
 
     def test_engine_native(self, oriented):
-        expected = _rowwise(native.list_triangles_array(oriented))
+        expected = _reference(oriented)
         result = list_triangles(oriented, "E1", engine="native")
         _assert_boxed(result.triangles, expected)
 
@@ -105,8 +107,8 @@ class TestNativePath:
         report = run_pipeline(graph, method="E1", collect=True)
         permutation = NAMED_ORDERINGS[report.order]()
         assert not permutation.is_random
-        arr = native.list_triangles_array(orient(graph, permutation))
-        _assert_boxed(report.triangles, _rowwise(arr))
+        _assert_boxed(report.triangles,
+                      _reference(orient(graph, permutation)))
 
 
 def _wide_ids(n=70_000, triangles=3000, seed=3):
@@ -127,20 +129,21 @@ class TestBoxer:
     @pytest.fixture(scope="class")
     def wide(self):
         oriented = _wide_ids()
-        arr = native.list_triangles_array(oriented)
+        expected = _reference(oriented)
+        arr = np.array(expected, dtype=np.uint32)
         assert arr.shape[0] > 1000 and arr.max() >= 1 << 16
-        return oriented, arr
+        return oriented, arr, expected
 
     def test_matches_rowwise_past_16_bits(self, wide):
-        oriented, arr = wide
+        oriented, __, expected = wide
         result = run_numpy(oriented, "E1", collect=True)
         assert result.extra["engine"] == "native"
-        _assert_boxed(result.triangles, _rowwise(arr))
+        _assert_boxed(result.triangles, expected)
 
     @pytest.mark.parametrize("name", ["n0", "m0", "triangle-free"])
     def test_empty_is_a_fresh_list(self, name):
         oriented = orient(GRAPHS[name], DescendingDegree())
-        assert native.list_triangles_array(oriented).shape == (0, 3)
+        assert list(native.stream_triangles(oriented)) == []
         first = native.collect_triangles(oriented)
         second = run_numpy(oriented, "E1", collect=True).triangles
         assert first == second == [] and type(first) is list
@@ -148,25 +151,24 @@ class TestBoxer:
         first.append(1)
         assert second == []
 
-    def test_threads_agree(self, monkeypatch):
-        wide = _wide_ids()
+    def test_threads_agree(self, wide, monkeypatch):
+        oriented, __, expected = wide
         lists = []
         for threads in (1, 2):
             monkeypatch.setenv("REPRO_NATIVE_THREADS", str(threads))
             assert native.resolve_threads() == threads
-            result = run_numpy(wide, "E1")
+            result = run_numpy(oriented, "E1")
             assert native.last_stats()["threads"] == threads
             lists.append(result.triangles)
         assert lists[0] == lists[1]
-        _assert_boxed(lists[0],
-                      _rowwise(native.list_triangles_array(wide, 1)))
+        _assert_boxed(lists[0], expected)
 
     def test_tuples_are_untracked(self, wide):
         result = native.collect_triangles(wide[0])
         assert not any(gc.is_tracked(t) for t in result)
 
     def test_references_are_balanced(self, wide):
-        oriented, arr = wide
+        oriented, arr, __ = wide
         ids, counts = np.unique(arr, return_counts=True)
         counts[ids <= 256] = 0  # small ints are interned by CPython
         uses = int(counts.max())
@@ -182,7 +184,7 @@ class TestBoxer:
         assert sys.getrefcount(shared) == 2
 
     def test_ids_are_shared(self, wide):
-        oriented, arr = wide
+        oriented, arr, __ = wide
         result = run_numpy(oriented, "E1", collect=True).triangles
         by_id = {}
         for t in result:

@@ -9,9 +9,10 @@ on one. These tests pin:
 
 * **the list** -- on generated and adversarial graphs, at chunk sizes
   down to the max out-degree (so chunks end mid-row) and at 1 and 2
-  threads, ``result`` equals the row-wise boxing of the two-pass
-  ``list_triangles_array``, in order, and the ops the stream counted
-  equal the count pass's;
+  threads, ``result`` and the concatenated :func:`stream_triangles`
+  batches equal the Python reference's triangles ordered by ``(z, y)``
+  and then ascending ``x``, and the ops the stream counted equal the
+  count pass's;
 * **the boxing** -- ints are shared across chunks, tuples are
   untracked, and every reference the id table took is given back;
 * **the worker** -- it is joined before every return, on a producer
@@ -101,6 +102,21 @@ def _rowwise(arr):
     return list(map(tuple, arr.tolist()))
 
 
+def _reference(oriented):
+    """The Python reference's triangles in the stream's order: by
+    ``(z, y)``, then ascending ``x``."""
+    triangles = list_triangles(oriented, "E1", collect=True,
+                               engine="python").triangles
+    return sorted(triangles, key=lambda t: (t[2], t[1], t[0]))
+
+
+def _streamed(oriented, chunk_triangles=1 << 20):
+    """The stream's batches, concatenated and boxed row-wise."""
+    return [t for batch in native.stream_triangles(oriented,
+                                                   chunk_triangles)
+            for t in _rowwise(batch)]
+
+
 def _workers():
     return [t for t in threading.enumerate() if t.name == WORKER]
 
@@ -144,15 +160,21 @@ def chunk(monkeypatch):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_stream_equals_the_array_path(kind, size, seed, chunk_kind,
                                       threads):
+    """The collect's list and the stream's concatenated batches are the
+    reference triangles, ordered by ``(z, y)`` then ascending ``x``."""
     graph = _shape(kind, size, seed)
     labels = np.random.default_rng(seed).permutation(graph.n)
     oriented = OrientedGraph(graph, labels)
-    expected = _rowwise(native.list_triangles_array(oriented, threads=1))
+    expected = _reference(oriented)
+    assert native.count_triangles(oriented, threads=1) == len(expected)
     count_ops = native.last_stats()["ops"]
-    assert native.count_triangles(oriented) == len(expected)
     max_out = int(oriented.out_degrees.max()) if graph.n else 0
     triangles = {"max-out-degree": max_out, "one-more": max_out + 1,
                  "small": 3, "default": native._COLLECT_CHUNK}[chunk_kind]
+    assert _streamed(oriented, triangles) == expected
+    assert native.last_stats() == {
+        "threads": 1, "blocks": 1, "ops": count_ops,
+        "ops_per_thread": [count_ops], "triangles": len(expected)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(native, "_COLLECT_CHUNK", triangles)
         result = native.collect_triangles(oriented, threads=threads)
@@ -174,7 +196,7 @@ class TestBoxingAcrossChunks:
     @pytest.fixture(scope="class")
     def wide(self):
         oriented = _wide_ids()
-        arr = native.list_triangles_array(oriented)
+        arr = np.array(_reference(oriented), dtype=np.uint32)
         assert arr.shape[0] > 1000 and arr.max() >= 1 << 16
         return oriented, arr
 
@@ -230,7 +252,7 @@ class TestWorker:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_no_worker_outlives_a_call(self, oriented, chunk, threads):
         chunk(1)
-        expected = _rowwise(native.list_triangles_array(oriented))
+        expected = _reference(oriented)
         for __ in range(3):
             assert native.collect_triangles(oriented, threads) == expected
             assert not _workers()
@@ -243,8 +265,7 @@ class TestWorker:
         monkeypatch.setenv("REPRO_NATIVE_THREADS", "1")
         result = list_triangles(oriented, "E1", collect=True)
         assert result.extra["engine"] == "native"
-        assert result.triangles == _rowwise(
-            native.list_triangles_array(oriented))
+        assert result.triangles == _reference(oriented)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_producer_exception_reaches_the_caller(self, oriented, chunk,
@@ -306,7 +327,7 @@ class TestWorker:
         """Six callers collecting one graph at a 1 us switch interval:
         each has its own stream, ring and id table, so all agree."""
         chunk(1)
-        expected = _rowwise(native.list_triangles_array(oriented))
+        expected = _reference(oriented)
         results = [None] * 6
 
         def work(i):

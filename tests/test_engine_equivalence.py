@@ -187,7 +187,6 @@ class TestDispatch:
             raise AssertionError("the Python reference called native")
 
         monkeypatch.setattr(native, "count_triangles", boom)
-        monkeypatch.setattr(native, "list_triangles_array", boom)
         monkeypatch.setattr(native, "collect_triangles", boom)
         ref = run_numpy(oriented, "T1", collect=collect, use_native=False)
         py = list_triangles(oriented, "T1", collect=collect,
@@ -197,7 +196,7 @@ class TestDispatch:
         assert ref.triangles == py.triangles
 
     def test_calibration_times_python_not_native(self, monkeypatch):
-        """The default speed-ratio calibration never runs native: the
+        """The speed-ratio calibration never runs native: the
         kernel is one pass whatever the method, so only the Python
         reference times each method's own loop."""
         from repro.engine.benchmark import measure_speed_ratio
@@ -206,7 +205,6 @@ class TestDispatch:
             raise AssertionError("calibration called native")
 
         monkeypatch.setattr(native, "count_triangles", boom)
-        monkeypatch.setattr(native, "list_triangles_array", boom)
         ratio = measure_speed_ratio(n=300, repeats=1)
         assert np.isfinite(ratio) and ratio > 0.0
 

@@ -6,9 +6,10 @@ The contract of :mod:`repro.engine.native` v2, pinned three ways:
   path returns the same sorted triangle set, count, and closed-form
   ``ops`` as ``run_numpy(use_native=False)``, the instrumented Python
   loops.
-* **Determinism** -- emitted buffers are *bit-identical* across thread
+* **Determinism** -- counts and ops are *bit-identical* across thread
   counts (1, 2, 8), and streaming chunks of any capacity concatenate
-  to exactly the two-pass array.
+  to the Python reference's triangles in the order the stream emits
+  them: by ``(z, y)``, then ascending ``x``.
 * **Gating** -- ``REPRO_NATIVE=0``, a missing compiler, and a failed
   compile each degrade cleanly (cached per process, one structured
   warning for the failure case) while ``engine="native"`` raises
@@ -53,6 +54,22 @@ needs_native = pytest.mark.skipif(
     not native.available(), reason="no C toolchain in this environment")
 
 
+def _reference(oriented):
+    """The Python reference's triangles as a uint32 ``(k, 3)`` array, in
+    the stream's order: by ``(z, y)``, then ascending ``x``."""
+    triangles = list_triangles(oriented, "E1", collect=True,
+                               engine="python").triangles
+    ordered = sorted(triangles, key=lambda t: (t[2], t[1], t[0]))
+    return np.array(ordered, dtype=np.uint32).reshape(-1, 3)
+
+
+def _streamed(oriented, chunk_triangles=1 << 20):
+    """The stream's batches, concatenated (``(0, 3)`` when empty)."""
+    return np.concatenate(
+        [np.empty((0, 3), dtype=np.uint32),
+         *native.stream_triangles(oriented, chunk_triangles)])
+
+
 @pytest.fixture(scope="module")
 def pareto_graph():
     n = 500
@@ -83,7 +100,7 @@ class TestMethodOrderingEquivalence:
 
     def test_count_matches_listing(self, oriented):
         count = native.count_triangles(oriented)
-        arr = native.list_triangles_array(oriented)
+        arr = _streamed(oriented)
         assert count == arr.shape[0]
         assert (arr[:, 0] < arr[:, 1]).all()
         assert (arr[:, 1] < arr[:, 2]).all()
@@ -92,19 +109,15 @@ class TestMethodOrderingEquivalence:
 @needs_native
 class TestDeterminism:
     def test_thread_count_invariance(self, oriented):
-        """1, 2, and 8 threads produce bit-identical buffers/stats."""
+        """1, 2, and 8 threads produce bit-identical counts/stats."""
         runs = {}
         for threads in (1, 2, 8):
-            arr = native.list_triangles_array(oriented, threads=threads)
+            count = native.count_triangles(oriented, threads=threads)
             stats = native.last_stats()
             assert stats["threads"] == min(threads, stats["blocks"])
-            runs[threads] = (arr, stats["ops"], stats["triangles"])
-        base = runs[1]
-        for threads in (2, 8):
-            arr, ops, triangles = runs[threads]
-            assert np.array_equal(arr, base[0])
-            assert arr.tobytes() == base[0].tobytes()
-            assert (ops, triangles) == (base[1], base[2])
+            assert stats["triangles"] == count
+            runs[threads] = (count, stats["ops"], stats["blocks"])
+        assert runs[2] == runs[1] and runs[8] == runs[1]
 
     def test_count_thread_invariance(self, oriented):
         counts = {t: native.count_triangles(oriented, threads=t)
@@ -121,7 +134,7 @@ class TestDeterminism:
 @needs_native
 class TestStreaming:
     def test_chunks_concatenate_to_full_array(self, oriented):
-        full = native.list_triangles_array(oriented)
+        full = _reference(oriented)
         chunks = list(native.stream_triangles(oriented,
                                               chunk_triangles=64))
         assert len(chunks) > 1  # the cap actually forced spill-back
@@ -134,7 +147,8 @@ class TestStreaming:
     def test_any_chunk_streams_identically(self, oriented, chunk):
         """Below the max out-degree the cap is raised to it, so chunks
         end mid-row; the bytes never depend on where they end."""
-        full = native.list_triangles_array(oriented)
+        full = _reference(oriented)
+        native.count_triangles(oriented)
         ops = native.last_stats()["ops"]
         chunks = list(native.stream_triangles(oriented,
                                               chunk_triangles=chunk))
@@ -150,7 +164,8 @@ class TestDegenerateGraphs:
     def test_empty_graph(self):
         g = orient(Graph(5, []), DescendingDegree())
         assert native.count_triangles(g) == 0
-        assert native.list_triangles_array(g).shape == (0, 3)
+        assert list(native.stream_triangles(g)) == []
+        assert _streamed(g).shape == (0, 3)
 
     def test_star_has_no_triangles(self):
         g = orient(Graph(6, [(0, i) for i in range(1, 6)]),
@@ -161,7 +176,7 @@ class TestDegenerateGraphs:
         edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         g = orient(Graph(6, edges), DescendingDegree())
         assert native.count_triangles(g) == 20  # C(6,3)
-        arr = native.list_triangles_array(g)
+        arr = _streamed(g)
         assert sorted(map(tuple, arr.tolist())) == sorted(
             (x, y, z) for x in range(6) for y in range(x + 1, 6)
             for z in range(y + 1, 6))
@@ -221,7 +236,6 @@ class TestGatingAndFallback:
         assert native.status()["state"] == "gated"
         g = orient(pareto_graph, DescendingDegree())
         assert native.count_triangles(g) is None
-        assert native.list_triangles_array(g) is None
         assert native.stream_triangles(g) is None
         assert native.collect_triangles(g) is None
         # auto + collect silently keeps the python reference engine
@@ -286,8 +300,6 @@ class TestGatingAndFallback:
         monkeypatch.setattr(native._lib, "forward", lambda *args: -1)
         with pytest.raises(MemoryError, match="forward"):
             native.count_triangles(g)
-        with pytest.raises(MemoryError, match="forward"):
-            native.list_triangles_array(g)
         for engine in ("auto", "native"):
             with pytest.raises(MemoryError, match="forward"):
                 list_triangles(g, "T1", collect=False, engine=engine)
@@ -297,7 +309,7 @@ class TestGatingAndFallback:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_collect_failure_raises(self, monkeypatch, pareto_graph, engine,
                                     threads):
-        """A collect streams (no count or emit pass): a failing stream
+        """A collect streams (no count pass): a failing stream
         call, on the calling thread or the collect's worker, is raised
         as it is, never the gated None every engine falls back on."""
         g = orient(pareto_graph, DescendingDegree())

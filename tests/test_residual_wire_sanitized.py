@@ -47,12 +47,12 @@ is sorted and in range, that out and in are transposes of each other
 and that every oriented edge is an edge of the keys.
 
 Each of those oriented CSRs then goes through the forward listing
-kernels: the count and emit passes over one and three blocks at one and
-two threads, and the resumable stream at the smallest legal capacity
-(the maximum out-degree), so chunks end mid-row. Every count must match
-a brute count, every row must be a triangle ``x < y < z`` of the CSR in
-strictly increasing ``(z, y, x)`` order, and the emit passes and the
-concatenated stream must agree byte for byte.
+kernels: the count pass over one and three blocks at one and two
+threads, and the resumable stream at the smallest legal capacity (the
+maximum out-degree), so chunks end mid-row. Every count and op total
+must match a brute count, and every row of the concatenated stream must
+be a triangle ``x < y < z`` of the CSR in strictly increasing
+``(z, y, x)`` order.
 
 Malformed keys (a decreasing key, a duplicate, a self-loop, a key at
 ``n * n``, ``INT64_MIN`` after row 0, keys on no nodes), a label
@@ -406,14 +406,13 @@ static int before(const uint32_t *q, const uint32_t *r)
 }
 
 /* The forward kernels on one oriented CSR whose out rows hold smaller
- * labels, ascending. The count and emit passes of repro_forward run
- * over 1 and 3 blocks at 1 and 2 threads, and repro_forward_stream at
- * the smallest legal capacity, the maximum out-degree, so chunks end
- * mid-row. Checks that every count and op total agrees with a brute
- * count, that every row is a triangle x < y < z of the CSR, listed in
- * strictly increasing (z, y, x) order, that every emit pass writes the
- * same bytes, that the stream concatenates to them and that the
- * stream's mark array is left zero. Returns 0 when all of it holds. */
+ * labels, ascending. The count pass of repro_forward runs over 1 and 3
+ * blocks at 1 and 2 threads, and repro_forward_stream at the smallest
+ * legal capacity, the maximum out-degree, so chunks end mid-row. Checks
+ * that every count and op total agrees with a brute count, that the
+ * stream writes that many rows, each a triangle x < y < z of the CSR,
+ * listed in strictly increasing (z, y, x) order, and that the stream's
+ * mark array is left zero. Returns 0 when all of it holds. */
 static int forward(const char *name, int64_t n, const int64_t *ptr,
                    const uint32_t *idx)
 {
@@ -428,31 +427,34 @@ static int forward(const char *name, int64_t n, const int64_t *ptr,
         }
     }
     uint32_t *ref = malloc((size_t)(3 * brute + 3) * sizeof(uint32_t));
-    uint32_t *buf = malloc((size_t)(3 * brute + 3) * sizeof(uint32_t));
     uint32_t *chunk = malloc((size_t)(3 * cap) * sizeof(uint32_t));
     uint8_t *mark = calloc((size_t)n + 1, 1);
     int bad = 0;
     for (int64_t nblocks = 1; !bad && nblocks <= 3; nblocks += 2)
         for (int threads = 1; !bad && threads <= 2; threads++) {
-            int64_t starts[4], counts[3], ops[3], offsets[3];
+            int64_t starts[4], counts[3], ops[3];
             for (int64_t b = 0; b <= nblocks; b++)
                 starts[b] = n * b / nblocks;
             int64_t total = 0, total_ops = 0;
-            bad = repro_forward(ptr, idx, starts, nblocks, n, threads, 0, 0,
+            bad = repro_forward(ptr, idx, starts, nblocks, n, threads,
                                 counts, ops) != 0;
             for (int64_t b = 0; !bad && b < nblocks; b++) {
-                offsets[b] = total;
                 total += counts[b];
                 total_ops += ops[b];
             }
-            bad = bad || total != brute || total_ops != brute_ops
-                  || repro_forward(ptr, idx, starts, nblocks, n, threads,
-                                   offsets, nblocks == 1 ? ref : buf,
-                                   counts, ops) != 0;
-            if (!bad && nblocks > 1)
-                bad = memcmp(ref, buf, (size_t)(3 * brute)
-                                           * sizeof(uint32_t)) != 0;
+            bad = bad || total != brute || total_ops != brute_ops;
         }
+    int64_t cursor[2] = {0, 0}, got = 0, stream_ops = 0;
+    while (!bad && cursor[0] < n) {
+        const int64_t w = repro_forward_stream(ptr, idx, n, cursor, chunk,
+                                               cap, &stream_ops, mark);
+        bad = w < 0 || w > cap || got + w > brute
+              || (w == 0 && cursor[0] < n);
+        if (!bad && w)
+            memcpy(ref + 3 * got, chunk, (size_t)(3 * w) * sizeof(uint32_t));
+        got += w;
+    }
+    bad = bad || got != brute || stream_ops != brute_ops;
     for (int64_t t = 0; !bad && t < brute; t++) {
         const uint32_t *r = ref + 3 * t;
         bad = !(r[0] < r[1] && r[1] < r[2] && r[2] < n)
@@ -461,25 +463,12 @@ static int forward(const char *name, int64_t n, const int64_t *ptr,
               || !in_row(ptr, idx, r[1], r[0])
               || (t > 0 && !before(r - 3, r));
     }
-    int64_t cursor[2] = {0, 0}, got = 0, stream_ops = 0;
-    while (!bad && cursor[0] < n) {
-        const int64_t w = repro_forward_stream(ptr, idx, n, cursor, chunk,
-                                               cap, &stream_ops, mark);
-        bad = w < 0 || w > cap || got + w > brute
-              || (w == 0 && cursor[0] < n);
-        if (!bad && w)
-            bad = memcmp(ref + 3 * got, chunk,
-                         (size_t)(3 * w) * sizeof(uint32_t)) != 0;
-        got += w;
-    }
-    bad = bad || got != brute || stream_ops != brute_ops;
     for (int64_t v = 0; !bad && v < n; v++)
         bad = mark[v] != 0;
     if (bad)
         fprintf(stderr, "FAIL forward %s n=%lld triangles=%lld\n", name,
                 (long long)n, (long long)brute);
     free(ref);
-    free(buf);
     free(chunk);
     free(mark);
     return bad;
