@@ -154,7 +154,7 @@ def residual_degree_model(degrees, rng: np.random.Generator,
     """Realize ``degrees`` exactly via residual-proportional wiring.
 
     Nodes are processed in descending degree (hubs first, where the
-    simple-graph constraint binds hardest). For the node ``i`` being
+    simple-graph constraint binds hardest), ties by vertex ID. For the node ``i`` being
     wired, each remaining stub picks a partner ``j`` with probability
     proportional to the partner's residual degree among the *allowed*
     candidates -- everyone except ``i`` and nodes already adjacent to
@@ -181,7 +181,10 @@ def residual_degree_model(degrees, rng: np.random.Generator,
             raise ValueError(
                 "degree sequence is not graphic (Erdos-Gallai fails); "
                 "sample with ensure_graphical=True or repair it first")
-    order = np.argsort(degrees)[::-1]
+    # hubs first, ties by vertex ID: numpy's default argsort is not
+    # stable, and its tie order follows the host's SIMD dispatch
+    from repro.orientations.relabel import degree_ranking
+    order = degree_ranking(degrees)[::-1]
     wired = _wire_native(degrees, order, rng)
     keys, residual = (wired if wired is not None
                       else _wire_python(degrees, order, rng))

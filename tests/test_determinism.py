@@ -1,7 +1,15 @@
 """Determinism guarantees: fixed seeds reproduce everything exactly."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro import (
     DiscretePareto,
@@ -49,3 +57,46 @@ class TestSeededReproducibility:
         g1 = twitter_like_graph(n=1500, rng=np.random.default_rng(9))
         g2 = twitter_like_graph(n=1500, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(cost_matrix(g1), cost_matrix(g2))
+
+
+#: NumPy's x86 dispatch groups above the x86-64-v2 baseline (NumPy >= 2.3
+#: names first, then the older per-extension names). NumPy warns about
+#: and ignores any name it does not dispatch on this host.
+NO_AVX = ("X86_V3 X86_V4 AVX512_ICL AVX512_SPR "
+          "AVX2 FMA3 AVX512F AVX512_SKX AVX512_CLX AVX512_CNL")
+
+CELL = r"""
+import json
+import numpy as np
+from repro.distributions.pareto import DiscretePareto
+from repro.distributions.truncation import root_truncation
+from repro.experiments.harness import SimulationSpec, simulate_cost
+from repro.orientations.permutations import DescendingDegree
+
+spec = SimulationSpec(DiscretePareto.paper_parameterization(1.7),
+                      root_truncation, "T1", DescendingDegree(),
+                      "descending", n_sequences=1, n_graphs=2)
+rng = np.random.default_rng(2017)
+cost = simulate_cost(spec, 5000, rng)
+print(json.dumps([cost.hex(), rng.bit_generator.state]))
+"""
+
+
+class TestHostIndependence:
+    def test_residual_cell_ignores_simd_dispatch(self):
+        """A residual cell gives the same cost and RNG state whatever
+        SIMD paths NumPy dispatches to (its sorts order ties by them)."""
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        results = []
+        for disabled in (None, NO_AVX):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            out = subprocess.run([sys.executable, "-c", CELL], env=env,
+                                 check=True, capture_output=True,
+                                 text=True, timeout=300)
+            results.append(json.loads(out.stdout.splitlines()[-1]))
+        assert results[0] == results[1]
