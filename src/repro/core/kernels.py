@@ -27,6 +27,7 @@ reversal/complement operations are provided as combinators, and
 from __future__ import annotations
 
 import abc
+import functools
 
 import numpy as np
 
@@ -99,6 +100,18 @@ class DescendingMap(_DeterministicMap):
         super().__init__(lambda u: 1.0 - u, "descending")
 
 
+@functools.cache
+def _uniform_quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on ``[0, 1]`` (512 points).
+
+    Computed on the first :meth:`UniformMap.expected_h` call, not at
+    import: ``leggauss`` is an eigen-solve that every process importing
+    the package would otherwise pay for.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(512)
+    return (nodes + 1.0) / 2.0, weights / 2.0
+
+
 class UniformMap(LimitMap):
     """``xi_U(u) ~ Uniform[0, 1]`` independent of ``u`` (section 5.3).
 
@@ -108,12 +121,10 @@ class UniformMap(LimitMap):
     """
 
     name = "uniform"
-    _nodes, _weights = np.polynomial.legendre.leggauss(512)
-    _nodes = (_nodes + 1.0) / 2.0  # shift to [0, 1]
-    _weights = _weights / 2.0
 
     def expected_h(self, h, u):
-        value = float(np.sum(self._weights * h(self._nodes)))
+        nodes, weights = _uniform_quadrature()
+        value = float(np.sum(weights * h(nodes)))
         u = np.asarray(u, dtype=float)
         return np.full(u.shape, value) if u.ndim else value
 

@@ -1,10 +1,13 @@
-"""SciPy loads only where it is used.
+"""SciPy, and the uniform map's quadrature, load only where used.
 
 The package imports SciPy inside the functions that call it (non-Pareto
 laws, Pareto moments, the continuous model), so the Monte-Carlo,
-planner and listing paths start without paying for it. A fresh process
-imports ``repro``, runs one call of each, and must not have loaded any
-``scipy`` module. The SciPy-backed values themselves are pinned by the
+planner and listing paths start without paying for it. Likewise
+:class:`~repro.core.kernels.UniformMap` computes its Gauss-Legendre
+quadrature (an eigen-solve) on first use, not at import. A fresh
+process imports ``repro``, runs one call of each, and must not have
+loaded any ``scipy`` module or computed the quadrature. The
+SciPy-backed and quadrature values themselves are pinned by the
 golden-value, model and distribution tests.
 """
 
@@ -42,6 +45,8 @@ graph = generate_graph(degrees, rng)
 run_pipeline(graph, method="auto")
 list_triangles(orient(graph, DescendingDegree()), "T1", collect=True)
 loaded["calls"] = sorted(m for m in sys.modules if m.startswith("scipy"))
+from repro.core import kernels
+loaded["quadrature"] = kernels._uniform_quadrature.cache_info().currsize
 print(json.dumps(loaded))
 """
 
@@ -54,4 +59,4 @@ def test_no_scipy_on_the_simulation_planner_and_listing_paths(tmp_path):
                          check=True, capture_output=True, text=True,
                          timeout=300)
     loaded = json.loads(out.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "calls": []}
+    assert loaded == {"import": [], "calls": [], "quadrature": 0}
