@@ -37,7 +37,11 @@ library:
   :func:`repro.graphs.generators.residual_degree_model`, in the same
   compile unit, drawing partners by rejection from a pool of open
   stubs with uniforms read from the generator's ``bitgen_t``,
-  bit-identical to the Python reference loop.
+  bit-identical to the Python reference loop. Each vertex's state is
+  one 16-byte record. The same loop has a pricing sink
+  (:func:`residual_out_degrees`) that writes no edge: it counts each
+  edge at its tail under a degree-monotone label map and hands back
+  the equal-degree edges, on the same draws.
 * **Configuration-model wiring** (:func:`configuration_wire`): the
   stub matching of :func:`repro.graphs.generators.configuration_model`
   in one pass -- uint32 stubs inside the returned key array,
@@ -60,7 +64,8 @@ library:
   each vertex's degree at deletion (its degenerate out-degree).
 * **Orientation pricing** (:func:`oriented_sums`): the totals of
   eqs. (7)-(9) under several label maps in one call (the exact
-  planner's and every Monte-Carlo cell's) from the sorted edge keys,
+  planner's, and the Monte-Carlo cells' that realize their graphs)
+  from the sorted edge keys,
   equal to :func:`repro.orientations.relabel.oriented_degrees`
   followed by :func:`repro.core.costs.component_ops` per map.
 * **Collect boxing** (:func:`collect_triangles`):
@@ -115,6 +120,7 @@ __all__ = [
     "oriented_csr",
     "oriented_sums",
     "resolve_threads",
+    "residual_out_degrees",
     "residual_wire",
     "self_test",
     "smallest_last",
@@ -328,6 +334,15 @@ typedef struct {
  * a node the current node has picked is excluded until it is done. */
 enum { WIRE_FREE = 0, WIRE_DEAD = 1, WIRE_PICKED = 2 };
 
+/* One vertex of the wiring loop, in one 16-byte record: a placed edge
+ * reads and writes its partner's line once, besides its state byte.
+ * res: stubs left; pick: the partner's index in the current run while
+ * it is picked; deg: the degree on entry; out: the edges counted at the
+ * vertex as their tail (pricing sink). */
+typedef struct {
+    uint32_t res, pick, deg, out;
+} wire_node_t;
+
 /* Residual-degree wiring: the main loop of
  * repro.graphs.generators.residual_degree_model (section 7.2), step for
  * step the same as its Python reference _wire_python. Nodes are taken
@@ -354,16 +369,31 @@ enum { WIRE_FREE = 0, WIRE_DEAD = 1, WIRE_PICKED = 2 };
  * least 1/2. The run is stuck when no allowed stub is left; the caller
  * repairs the leftovers by swaps.
  *
- * residual holds the degrees on entry and the unplaced stubs on exit;
- * keys receives lo * n + hi for each placed edge, in placement order,
- * and needs room for sum(degrees) / 2. Uniforms come from rng, one per
- * draw. Returns the number of edges placed, -1 when scratch allocation
- * fails, and -3, before allocating anything, if n >= 2^32 or a degree
- * does not fit 32 bits. */
+ * Each placed edge goes to one of two sinks. The key sink (keys not
+ * NULL) writes lo * n + hi, in placement order; keys needs room for
+ * sum(degrees) / 2. The pricing sink (keys NULL) writes no edge: under
+ * a degree-monotone label map, an edge between different degrees has
+ * its tail (its larger label) at the smaller degree when descending is
+ * non-zero and at the larger one otherwise, so the loop counts it at
+ * once in out[tail]; an edge between equal degrees, whose orientation
+ * the tie-break decides, is appended as the pair (i, j) to *ties, a
+ * malloc'd buffer the caller frees (NULL when there is none), and
+ * *nties receives their number. out receives the out-degrees counted.
+ *
+ * residual holds the degrees on entry and the unplaced stubs on exit.
+ * Uniforms come from rng, one per draw; both sinks draw alike. Returns
+ * the number of edges placed, -1 when an allocation fails, and -3,
+ * before allocating anything, if n >= 2^32 or a degree does not fit
+ * 32 bits. */
 int64_t repro_residual_wire(int64_t n, const int64_t *order,
                             int64_t *residual, bitgen_t *rng,
-                            int64_t *keys)
+                            int64_t *keys, int descending, int64_t *out,
+                            uint32_t **ties, int64_t *nties)
 {
+    if (!keys) {
+        *ties = NULL;
+        *nties = 0;
+    }
     if (n < 0 || n > (int64_t)UINT32_MAX)
         return -3;
     int64_t stubs = 0;
@@ -375,21 +405,23 @@ int64_t repro_residual_wire(int64_t n, const int64_t *order,
     const size_t words = (size_t)n + 1;
     uint32_t *pool = (uint32_t *)malloc(((size_t)stubs + 1)
                                         * sizeof(uint32_t));
-    uint32_t *res = (uint32_t *)malloc(words * sizeof(uint32_t));
+    wire_node_t *node = (wire_node_t *)malloc(words * sizeof(wire_node_t));
     /* picked[t]: the t-th partner of the run; aside[t]: its entries set
-     * aside; pick_of[j]: j's index t while picked */
+     * aside */
     uint32_t *picked = (uint32_t *)malloc(words * sizeof(uint32_t));
     uint32_t *aside = (uint32_t *)calloc(words, sizeof(uint32_t));
-    uint32_t *pick_of = (uint32_t *)malloc(words * sizeof(uint32_t));
     uint8_t *state = (uint8_t *)calloc(words, 1);
+    uint32_t *tie = NULL;
+    int64_t ntie = 0, tiecap = 0;
     int64_t placed = -1;
-    if (!pool || !res || !picked || !aside || !pick_of || !state)
+    if (!pool || !node || !picked || !aside || !state)
         goto done;
 
     int64_t size = 0;
     for (int64_t v = 0; v < n; v++) {
-        res[v] = (uint32_t)residual[v];
-        for (uint32_t t = 0; t < res[v]; t++)
+        const uint32_t d = (uint32_t)residual[v];
+        node[v] = (wire_node_t){d, 0, d, 0};
+        for (uint32_t t = 0; t < d; t++)
             pool[size++] = (uint32_t)v;
     }
     int64_t dead = 0; /* dead entries in the range */
@@ -399,7 +431,8 @@ int64_t repro_residual_wire(int64_t n, const int64_t *order,
         if (state[i] != WIRE_FREE)
             continue;
         state[i] = WIRE_DEAD;
-        uint32_t ri = res[i];
+        uint32_t ri = node[i].res;
+        const uint32_t di = node[i].deg;
         dead += ri;
         /* picked entries in the range; picks whose entries are all
          * set aside */
@@ -414,7 +447,7 @@ int64_t repro_residual_wire(int64_t n, const int64_t *order,
                     kept += state[v] == WIRE_FREE;
                 }
                 for (; settled < npick; settled++)
-                    aside[settled] = res[picked[settled]];
+                    aside[settled] = node[picked[settled]].res;
                 size = kept;
                 dead = 0;
                 excluded = 0;
@@ -432,20 +465,43 @@ int64_t repro_residual_wire(int64_t n, const int64_t *order,
                 dead--;
                 continue;
             }
+            wire_node_t *nj = &node[j];
             if (sj == WIRE_PICKED) {
-                aside[pick_of[j]]++;
+                aside[nj->pick]++;
                 excluded--;
                 continue;
             }
-            keys[placed++] = i < j ? (int64_t)i * n + j
-                                   : (int64_t)j * n + i;
+            if (keys) {
+                keys[placed] = i < j ? (int64_t)i * n + j
+                                     : (int64_t)j * n + i;
+            } else if (nj->deg != di) {
+                if ((nj->deg < di) == (descending != 0))
+                    nj->out++;
+                else
+                    node[i].out++;
+            } else {
+                if (ntie == tiecap) {
+                    tiecap = 2 * tiecap + 64;
+                    uint32_t *grown = (uint32_t *)realloc(
+                        tie, (size_t)tiecap * 2 * sizeof(uint32_t));
+                    if (!grown) {
+                        placed = -1;
+                        goto done;
+                    }
+                    tie = grown;
+                }
+                tie[2 * ntie] = i;
+                tie[2 * ntie + 1] = j;
+                ntie++;
+            }
+            placed++;
             ri--;
-            excluded += --res[j];
+            excluded += --nj->res;
             state[j] = WIRE_PICKED;
-            pick_of[j] = npick;
+            nj->pick = npick;
             picked[npick++] = j;
         }
-        res[i] = ri;
+        node[i].res = ri;
         /* the picks rejoin the pool with the entries set aside */
         for (uint32_t t = 0; t < npick; t++) {
             const uint32_t j = picked[t];
@@ -454,16 +510,31 @@ int64_t repro_residual_wire(int64_t n, const int64_t *order,
             state[j] = WIRE_FREE;
         }
     }
-    for (int64_t v = 0; v < n; v++)
-        residual[v] = res[v];
+    for (int64_t v = 0; v < n; v++) {
+        residual[v] = node[v].res;
+        if (!keys)
+            out[v] = node[v].out;
+    }
+    if (!keys) {
+        *ties = tie;
+        *nties = ntie;
+        tie = NULL;
+    }
 done:
     free(pool);
-    free(res);
+    free(node);
     free(picked);
     free(aside);
-    free(pick_of);
     free(state);
+    free(tie);
     return placed;
+}
+
+/* Frees a buffer the library allocated for its caller (the ties of the
+ * wiring loop's pricing sink). */
+void repro_free(void *p)
+{
+    free(p);
 }
 
 /* numpy's random_bounded_uint64 (numpy/random/src/distributions) with
@@ -1185,7 +1256,11 @@ class _Library:
         self.residual_wire.restype = ctypes.c_int64
         self.residual_wire.argtypes = [
             ctypes.c_int64, _I64P, _I64P, ctypes.c_void_p, _I64P,
+            ctypes.c_int, _I64P, ctypes.POINTER(_U32P), _I64P,
         ]
+        self.free = cdll.repro_free
+        self.free.restype = None
+        self.free.argtypes = [ctypes.c_void_p]
         self.configuration_wire = cdll.repro_configuration_wire
         self.configuration_wire.restype = ctypes.c_int64
         self.configuration_wire.argtypes = [
@@ -1826,8 +1901,27 @@ def residual_wire(order, residual, rng):
     step for step those of
     :func:`repro.graphs.generators._wire_python` on the same stream.
     """
-    if not available():
-        return None
+    return _wire(order, residual, rng, None) if available() else None
+
+
+def residual_out_degrees(order, residual, rng, descending: bool):
+    """The same loop with its pricing sink, or None if gated.
+
+    Takes the arguments of :func:`residual_wire` and draws exactly as
+    it does, but writes no edge. Returns ``(out_degrees, ties)``: the
+    int64 out-degrees under a degree-monotone label map (descending:
+    larger degrees take smaller labels; else ascending), counting every
+    placed edge between different degrees at its tail (its larger
+    label); and the edges between equal degrees, whose tails the
+    tie-break decides, as a ``(k, 2)`` uint32 array of endpoints.
+    """
+    return (_wire(order, residual, rng, bool(descending)) if available()
+            else None)
+
+
+def _wire(order, residual, rng, descending):
+    """Check the arguments and run ``repro_residual_wire`` into the key
+    sink (``descending`` None) or the pricing sink."""
     order = np.ascontiguousarray(order, dtype=np.int64)
     n = residual.size
     if (residual.dtype != np.int64 or not residual.flags.c_contiguous
@@ -1839,20 +1933,34 @@ def residual_wire(order, residual, rng):
               or residual.min() < 0):
         raise ValueError("order must index 0..n-1 and degrees must be "
                          "non-negative")
-    keys = np.empty(int(residual.sum()) // 2, dtype=np.int64)
+    if descending is None:
+        keys = np.empty(int(residual.sum()) // 2, dtype=np.int64)
+        sink = (keys.ctypes.data_as(_I64P), 0, None, None, None)
+    else:
+        out = np.empty(n, dtype=np.int64)
+        ties, nties = _U32P(), ctypes.c_int64(0)
+        sink = (None, descending, out.ctypes.data_as(_I64P),
+                ctypes.byref(ties), ctypes.byref(nties))
     bit_generator = rng.bit_generator
-    with bit_generator.lock:
-        used = _lib.residual_wire(
-            n, order.ctypes.data_as(_I64P),
-            residual.ctypes.data_as(_I64P),
-            bit_generator.ctypes.bit_generator,
-            keys.ctypes.data_as(_I64P))
-    if used == -1:
-        raise MemoryError("native residual wiring: scratch allocation "
-                          "failed")
-    if used < 0:
-        raise ValueError(_WIDE_N)
-    return keys[:used]
+    try:
+        with bit_generator.lock:
+            used = _lib.residual_wire(
+                n, order.ctypes.data_as(_I64P),
+                residual.ctypes.data_as(_I64P),
+                bit_generator.ctypes.bit_generator, *sink)
+        if used == -1:
+            raise MemoryError("native residual wiring: scratch "
+                              "allocation failed")
+        if used < 0:
+            raise ValueError(_WIDE_N)
+        if descending is None:
+            return keys[:used]
+        if not nties.value:
+            return out, np.empty((0, 2), dtype=np.uint32)
+        return out, np.ctypeslib.as_array(ties, (nties.value, 2)).copy()
+    finally:
+        if descending is not None:
+            _lib.free(ties)
 
 
 #: What a ``-3`` from a wiring loop means: its stubs are uint32 node ids.
@@ -2055,9 +2163,10 @@ def oriented_sums(keys, degrees, labels):
 
 def self_test() -> bool:
     """Compile-and-verify: a triangle + a path (counted, streamed and
-    collected), a residual wiring, a configuration-model wiring and
-    the adoption of its keys, a smallest-last order, the planner's
-    orientation sums, and the oriented CSR from keys.
+    collected), a residual wiring through both sinks, a
+    configuration-model wiring and the adoption of its keys, a
+    smallest-last order, the planner's orientation sums, and the
+    oriented CSR from keys.
 
     Used by benchmarks and CI before trusting the library.
     """
@@ -2088,6 +2197,24 @@ def self_test() -> bool:
             and rng_native.bit_generator.state
             == rng_ref.bit_generator.state):
         return False
+    # the pricing sink on the same draws: each key's edge counted at its
+    # tail under both degree-monotone maps, equal degrees handed back
+    lo, hi = np.divmod(keys, degrees.size)
+    tie = degrees[lo] == degrees[hi]
+    for descending in (False, True):
+        rng_priced = np.random.default_rng(7)
+        priced_residual = degrees.copy()
+        out, ties = residual_out_degrees(order, priced_residual,
+                                         rng_priced, descending)
+        tails = np.where((degrees[lo] < degrees[hi]) == descending, lo, hi)
+        if not (np.array_equal(out, np.bincount(
+                    tails[~tie], minlength=degrees.size))
+                and np.array_equal(np.sort(ties, axis=1),
+                                   np.stack([lo[tie], hi[tie]], axis=1))
+                and np.array_equal(priced_residual, ref_residual)
+                and rng_priced.bit_generator.state
+                == rng_ref.bit_generator.state):
+            return False
     # configuration model: the C pass against the NumPy reference on
     # the same sequence, which pairs up loops and repeats at this seed;
     # then key adoption against a decode and two bincounts

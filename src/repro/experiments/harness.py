@@ -8,9 +8,17 @@ upward). Cost is evaluated *exactly* from the oriented degrees via
 eqs. (7)-(9) -- no listing run is needed, because the instrumented
 listers' ``ops`` equal those formulas identically (verified in tests).
 Every Monte-Carlo loop (serial, :mod:`~repro.experiments.parallel`,
-:mod:`~repro.experiments.statistics`) prices each graph through
-:func:`instance_cost`, from the edge list: it builds no oriented CSR
-and, under a degree-ranked permutation, no undirected CSR either.
+:mod:`~repro.experiments.statistics`) runs :func:`sequence_costs`.
+A residual-generator cell under the ascending or descending order
+builds no graph at all: the wiring loop counts each edge at its tail
+as it places it (:func:`_wired_cost`), since under a degree-monotone
+map only edges between equal degrees wait for the tie-break. Every
+other cell -- RR, CRR, OPT, uniform and degenerate orders, the
+configuration generator, wirings that need swap repair, and runs with
+metrics or the memory ledger on -- realizes each graph and prices it
+through :func:`instance_cost`, from the edge list: no oriented CSR
+and, under a degree-ranked permutation, no undirected CSR either. Both
+paths give the same cost from the same draws.
 """
 
 from __future__ import annotations
@@ -28,12 +36,15 @@ from repro.core.model import discrete_cost_model
 from repro.core.weights import identity_weight
 from repro.distributions.base import DegreeDistribution
 from repro.distributions.sampling import sample_degree_sequence
-from repro.graphs.generators import generate_graph
+from repro.engine import native
+from repro.graphs.generators import generate_graph, residual_out_degrees
 from repro.obs import bus as _bus
+from repro.obs import memory as _memory
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger, log_event
 from repro.obs.spans import span
-from repro.orientations.permutations import Permutation
+from repro.orientations.permutations import (AscendingDegree,
+                                             DescendingDegree, Permutation)
 from repro.orientations.relabel import count_orientation, orientation_totals
 
 _log = get_logger(__name__)
@@ -114,16 +125,70 @@ def instance_cost(spec: SimulationSpec, graph,
                                       graph.n)[spec.method]
 
 
+#: The degree-monotone permutations, and whether larger degrees take
+#: smaller labels. Under either, an edge between different degrees has
+#: its tail (its larger label) at the smaller degree (descending) or the
+#: larger one (ascending), whatever the tie-break.
+_MONOTONE = {AscendingDegree: False, DescendingDegree: True}
+
+
 def sequence_costs(spec: SimulationSpec, dist_n, n: int,
                    rng: np.random.Generator):
     """Sample one degree sequence of length ``n`` from ``dist_n`` and
-    yield the :func:`instance_cost` of each of its ``spec.n_graphs``
-    realizations -- the sequence loop every Monte-Carlo path shares."""
+    yield the cost of each of its ``spec.n_graphs`` realizations -- the
+    sequence loop every Monte-Carlo path shares.
+
+    A residual-generator cell under a degree-monotone permutation is
+    priced while wiring (:func:`_wired_cost`); every other cell, and
+    every cell while metrics or the memory ledger record, realizes each
+    graph and prices it with :func:`instance_cost`. Both give the same
+    cost from the same draws.
+    """
     with span("sample", n=n):
         degrees = sample_degree_sequence(dist_n, n, rng)
+    descending = _MONOTONE.get(type(spec.permutation))
+    wired = (descending is not None and spec.generator == "residual"
+             and native.available() and not _metrics.is_enabled()
+             and not _memory.is_enabled())
     for __ in range(spec.n_graphs):
-        yield instance_cost(spec, generate_graph(
-            degrees, rng, method=spec.generator), rng)
+        cost = (_wired_cost(spec, degrees, rng, descending) if wired
+                else None)
+        if cost is None:
+            cost = instance_cost(spec, generate_graph(
+                degrees, rng, method=spec.generator), rng)
+        yield cost
+
+
+def _wired_cost(spec: SimulationSpec, degrees: np.ndarray,
+                rng: np.random.Generator, descending: bool):
+    """:func:`instance_cost` of one residual realization of ``degrees``,
+    priced by the wiring loop: no edge key, sort or graph is made.
+
+    The loop counts each edge between different degrees at its tail as
+    it places it and hands back the edges between equal degrees; the
+    tie-break jitter is then drawn as ``labels_for`` draws it, and those
+    edges are resolved under the labels. Returns None, with ``rng``
+    where it was, when the wiring leaves stubs for swap repair.
+    """
+    n = degrees.size
+    with span("generate", method="residual") as sp:
+        wired = residual_out_degrees(degrees, rng, descending)
+        if wired is None:
+            return None
+        sp.annotate(n=n, m=int(degrees.sum()) // 2)
+    out_degrees, ties = wired
+    with span("relabel", permutation=type(spec.permutation).__name__,
+              n=n):
+        labels = spec.permutation.labels_for_degrees(
+            degrees, rng=rng, tie_break=spec.tie_break)
+    with span("orient", n=n, m=int(degrees.sum()) // 2):
+        lo, hi = ties[:, 0], ties[:, 1]
+        out_degrees += np.bincount(np.where(labels[lo] > labels[hi], lo, hi),
+                                   minlength=n)
+        totals = component_ops(out_degrees, degrees - out_degrees)
+    with span("list", method=spec.method):
+        return per_node_cost_from_ops([spec.method], totals,
+                                      n)[spec.method]
 
 
 def simulate_cost(spec: SimulationSpec, n: int,

@@ -68,7 +68,15 @@ each uniform through ``next_double`` (the call ``rng.random()`` makes);
 guard, swap repair, the Havel-Hakimi fallback and the ``generator.*``
 counters are shared. Both C passes hand their keys to
 :meth:`Graph._from_keys`, whose check and degree count is itself one
-native pass over the keys. ``tests/test_generators_native.py`` pins
+native pass over the keys.
+
+The residual loop has a second sink, for Monte-Carlo cells that only
+price the graph (:func:`residual_out_degrees`): under a degree-monotone
+label map it counts each edge between different degrees at its tail as
+it places it, and returns the few edges between equal degrees for the
+tie-break to settle, so no key array, sort or :class:`Graph` is made.
+It draws exactly as the key sink does; a wiring that needs swap repair
+rewinds the generator and is realized instead. ``tests/test_generators_native.py`` pins
 both identities (the configuration pairing against ``rng.integers``
 itself, on three bit generators), and
 ``tests/test_residual_wire_boundaries.py`` pins the residual one on the
@@ -154,12 +162,13 @@ def residual_degree_model(degrees, rng: np.random.Generator,
     """Realize ``degrees`` exactly via residual-proportional wiring.
 
     Nodes are processed in descending degree (hubs first, where the
-    simple-graph constraint binds hardest), ties by vertex ID. For the node ``i`` being
-    wired, each remaining stub picks a partner ``j`` with probability
-    proportional to the partner's residual degree among the *allowed*
-    candidates -- everyone except ``i`` and nodes already adjacent to
-    ``i``. Partners are drawn from a pool of open stubs and excluded
-    ones rejected (see the module docstring).
+    simple-graph constraint binds hardest), equal degrees by descending
+    vertex ID. For the node ``i`` being wired, each remaining stub
+    picks a partner ``j`` with probability proportional to the
+    partner's residual degree among the *allowed* candidates --
+    everyone except ``i`` and nodes already adjacent to ``i``. Partners
+    are drawn from a pool of open stubs and excluded ones rejected (see
+    the module docstring).
 
     If at some point no candidate remains while stubs are still open,
     the leftovers are resolved afterwards with degree-preserving
@@ -170,21 +179,8 @@ def residual_degree_model(degrees, rng: np.random.Generator,
     ``max_swap_attempts`` draws (practically only for near-complete or
     otherwise non-graphic sequences).
     """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    _validate_degrees(degrees)
+    degrees, order = _wiring_order(degrees)
     n = degrees.size
-    if degrees.max(initial=0) * 4 > n:
-        # dense hubs are exactly where non-graphic sequences hide and
-        # where repair can dead-end; fail fast with a clear message
-        from repro.graphs.degree import erdos_gallai_graphical
-        if not erdos_gallai_graphical(degrees):
-            raise ValueError(
-                "degree sequence is not graphic (Erdos-Gallai fails); "
-                "sample with ensure_graphical=True or repair it first")
-    # hubs first, ties by vertex ID: numpy's default argsort is not
-    # stable, and its tie order follows the host's SIMD dispatch
-    from repro.orientations.relabel import degree_ranking
-    order = degree_ranking(degrees)[::-1]
     wired = _wire_native(degrees, order, rng)
     keys, residual = (wired if wired is not None
                       else _wire_python(degrees, order, rng))
@@ -214,6 +210,62 @@ def residual_degree_model(degrees, rng: np.random.Generator,
         _metrics.inc("generator.havel_hakimi_fallbacks")
         return havel_hakimi_graph(degrees, rng)
     return Graph._from_keys(n, _sorted_keys(edges, n))
+
+
+def residual_out_degrees(degrees, rng: np.random.Generator,
+                         descending: bool):
+    """Wire ``degrees`` like :func:`residual_degree_model` and return
+    the out-degrees of a degree-monotone orientation instead of a graph.
+
+    Draws exactly as :func:`residual_degree_model` does, through the
+    wiring loop's pricing sink
+    (:func:`~repro.engine.native.residual_out_degrees`), so no edge
+    key, sort or :class:`Graph` is made.
+    Returns ``(out_degrees, ties)``: every edge between different
+    degrees counted at its tail -- the smaller degree when
+    ``descending`` (larger degrees take smaller labels), the larger one
+    otherwise -- and the ``(k, 2)`` endpoints of the edges between equal
+    degrees, whose tails the tie-break decides. Returns None when the
+    native library is gated, and also when the wiring leaves stubs for
+    swap repair; ``rng`` is then rewound to its state on entry, so
+    :func:`residual_degree_model` realizes the same graph from the same
+    draws. Raises like :func:`residual_degree_model` on a bad sequence.
+    """
+    from repro.engine import native  # lazy: engine imports graphs
+    if not native.available():
+        return None
+    degrees, order = _wiring_order(degrees)
+    state = rng.bit_generator.state
+    residual = degrees.copy()
+    out_degrees, ties = native.residual_out_degrees(order, residual, rng,
+                                                    descending)
+    if residual.any():
+        rng.bit_generator.state = state
+        return None
+    return out_degrees, ties
+
+
+def _wiring_order(degrees) -> tuple[np.ndarray, np.ndarray]:
+    """The residual wiring's prologue: ``(degrees, order)``.
+
+    Validates the sequence (ValueError as documented in
+    :func:`residual_degree_model`, before any draw) and returns it as
+    int64 with the processing order: hubs first, equal degrees by
+    descending vertex ID (the stable ascending ranking, reversed; numpy's
+    default argsort would order ties by the host's SIMD dispatch).
+    """
+    degrees = np.asarray(degrees, dtype=np.int64)
+    _validate_degrees(degrees)
+    if degrees.max(initial=0) * 4 > degrees.size:
+        # dense hubs are exactly where non-graphic sequences hide and
+        # where repair can dead-end; fail fast with a clear message
+        from repro.graphs.degree import erdos_gallai_graphical
+        if not erdos_gallai_graphical(degrees):
+            raise ValueError(
+                "degree sequence is not graphic (Erdos-Gallai fails); "
+                "sample with ensure_graphical=True or repair it first")
+    from repro.orientations.relabel import degree_ranking
+    return degrees, degree_ranking(degrees)[::-1]
 
 
 def _wire_native(degrees: np.ndarray, order: np.ndarray,

@@ -52,9 +52,17 @@ class Permutation(abc.ABC):
         ID order (deterministic), ``"random"`` shuffles ties (requires
         ``rng``), mirroring the paper's "ties are broken arbitrarily".
         """
+        return self.labels_for_degrees(graph.degrees, rng=rng,
+                                       tie_break=tie_break)
+
+    def labels_for_degrees(self, degrees,
+                           rng: np.random.Generator | None = None,
+                           tie_break: str = "stable") -> np.ndarray:
+        """:meth:`labels_for` from the degree sequence alone, with the
+        same ``rng`` draws: a degree-ranked map needs no edges."""
         from repro.orientations.relabel import labels_from_rank_map
-        theta = self.rank_to_label(graph.n, rng)
-        return labels_from_rank_map(graph.degrees, theta, rng=rng,
+        theta = self.rank_to_label(len(degrees), rng)
+        return labels_from_rank_map(degrees, theta, rng=rng,
                                     tie_break=tie_break)
 
     def labels_with_out_degrees(self, graph,

@@ -306,7 +306,7 @@ class TestIndexWidth:
         code = native._lib.residual_wire(
             n, one.ctypes.data_as(native._I64P),
             residual.ctypes.data_as(native._I64P), None,
-            keys.ctypes.data_as(native._I64P))
+            keys.ctypes.data_as(native._I64P), 0, None, None, None)
         return code, keys
 
     def test_c_entry_rejects_n_at_2_32_before_reading(self):

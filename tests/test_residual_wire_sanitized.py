@@ -10,7 +10,14 @@ sizes on both sides of 8, 64 and 512, drawing through a stub
 ``1 - 2**-53`` (constant draws must still end every run, since each
 draw takes an entry out of the pool). It checks each result -- keys
 ``lo * n + hi`` with ``lo < hi`` in range, no duplicate, every placed
-stub accounted for -- and the ``n >= 2**32`` rejection.
+stub accounted for -- and the ``n >= 2**32`` rejection. The same
+uniforms are then replayed into the loop's pricing sink under both
+degree-monotone maps: it must place as many edges, take as many draws
+and leave the same residuals, count each key's edge at its tail (the
+smaller degree when descending, the larger otherwise) and hand back
+the equal-degree edges, in placement order, as its ties (a regular
+sequence makes every edge one); it too refuses ``n >= 2**32``, with no
+tie buffer.
 
 The configuration model's pass runs on the same sizes (Pareto, star,
 complete and all-zero sequences) and on stub counts on both sides of
@@ -123,10 +130,12 @@ static int by_value(const void *a, const void *b)
 /* A stub bitgen_t: next_double hands out the uniforms of wire_mode
  * (0 random, 1 all zero, 2 all 1 - 2^-53) */
 static int wire_mode;
+static int64_t double_draws;
 
 static double stub_double(void *state)
 {
     (void)state;
+    double_draws++;
     return wire_mode == 0 ? uniform()
            : wire_mode == 1 ? 0.0 : 1.0 - 0x1.0p-53;
 }
@@ -163,8 +172,57 @@ static uint32_t stub_uint32(void *state)
 
 static bitgen_t stub_rng = {0, stub_uint64, stub_uint32, stub_double, 0};
 
-/* Wire deg[0..n) with the given draw mode and check the result;
- * returns 0 when it holds. */
+/* Replay the uniforms from `seed` into the pricing sink under both
+ * degree-monotone maps and check it against the key sink's run: the
+ * same draws, edges placed and residuals; each key counted at its
+ * tail, or, between equal degrees, handed back as the next tie.
+ * Returns 0 when it holds. */
+static int priced(int64_t n, const int64_t *deg, const int64_t *order,
+                  uint64_t seed, int64_t draws, const int64_t *keys,
+                  int64_t used, const int64_t *residual)
+{
+    int64_t *res = malloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t *out = malloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t *want = malloc((size_t)(n + 1) * sizeof(int64_t));
+    int bad = 0;
+    for (int descending = 0; descending < 2 && !bad; descending++) {
+        for (int64_t v = 0; v < n; v++) {
+            res[v] = deg[v];
+            want[v] = 0;
+        }
+        rng_state = seed;
+        double_draws = 0;
+        uint32_t *ties = (uint32_t *)&bad; /* must be overwritten */
+        int64_t nties = -1;
+        const int64_t placed = repro_residual_wire(
+            n, order, res, &stub_rng, NULL, descending, out, &ties, &nties);
+        bad = placed != used || double_draws != draws || nties < 0
+              || (nties == 0) != (ties == NULL);
+        int64_t t = 0;
+        for (int64_t k = 0; !bad && k < used; k++) {
+            const int64_t a = keys[k] / n, b = keys[k] % n;
+            if (deg[a] == deg[b]) {
+                const uint32_t x = ties[2 * t], y = ties[2 * t + 1];
+                bad = t >= nties || (x < y ? x : y) != a
+                      || (x < y ? y : x) != b;
+                t++;
+            } else {
+                want[(deg[a] < deg[b]) == descending ? a : b]++;
+            }
+        }
+        bad |= t != nties;
+        for (int64_t v = 0; !bad && v < n; v++)
+            bad = res[v] != residual[v] || out[v] != want[v];
+        free(ties);
+    }
+    free(res);
+    free(out);
+    free(want);
+    return bad;
+}
+
+/* Wire deg[0..n) with the given draw mode, check the result and the
+ * pricing sink on the same uniforms; returns 0 when it holds. */
 static int wire(const char *name, int64_t n, const int64_t *deg, int mode)
 {
     int64_t sum = 0;
@@ -182,9 +240,14 @@ static int wire(const char *name, int64_t n, const int64_t *deg, int mode)
     sort_deg = deg;
     qsort(order, (size_t)n, sizeof(int64_t), by_degree_desc);
     wire_mode = mode;
+    const uint64_t seed = rng_state;
+    double_draws = 0;
     const int64_t used = repro_residual_wire(n, order, residual, &stub_rng,
-                                             keys);
+                                             keys, 0, NULL, NULL, NULL);
+    const int64_t draws = double_draws;
     int bad = used < 0 || used > half;
+    if (!bad)
+        bad = priced(n, deg, order, seed, draws, keys, used, residual);
     for (int64_t k = 0; !bad && k < used; k++) {
         const int64_t a = keys[k] / n, b = keys[k] % n;
         bad = !(0 <= a && a < b && b < n);
@@ -834,10 +897,15 @@ int main(void)
             for (int mode = 0; mode < 3; mode++)
                 failures += configuration("2^k", n, deg, mode);
         }
-    /* n >= 2^32 is rejected before any array is read */
-    int64_t one = 1, key = -7;
-    if (repro_residual_wire((int64_t)1 << 32, &one, &one, &stub_rng, &key)
-            != -3 || one != 1 || key != -7) {
+    /* n >= 2^32 is rejected before any array is read, by either sink */
+    int64_t one = 1, key = -7, outdeg = -7, nties = -7;
+    uint32_t *ties = (uint32_t *)&key;
+    if (repro_residual_wire((int64_t)1 << 32, &one, &one, &stub_rng, &key,
+                            0, NULL, NULL, NULL) != -3
+            || repro_residual_wire((int64_t)1 << 32, &one, &one, &stub_rng,
+                                   NULL, 1, &outdeg, &ties, &nties) != -3
+            || one != 1 || key != -7 || outdeg != -7 || ties != NULL
+            || nties != 0) {
         fprintf(stderr, "FAIL n >= 2^32 guard\n");
         failures++;
     }
