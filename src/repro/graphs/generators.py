@@ -265,7 +265,8 @@ def _wiring_order(degrees) -> tuple[np.ndarray, np.ndarray]:
                 "degree sequence is not graphic (Erdos-Gallai fails); "
                 "sample with ensure_graphical=True or repair it first")
     from repro.orientations.relabel import degree_ranking
-    return degrees, degree_ranking(degrees)[::-1]
+    # a copy, so the ascending ranking is freed before the loop runs
+    return degrees, degree_ranking(degrees)[::-1].copy()
 
 
 def _wire_native(degrees: np.ndarray, order: np.ndarray,
