@@ -2185,9 +2185,8 @@ def self_test() -> bool:
         return False
     # residual wiring: C loop against the Python reference, same seed
     from repro.graphs import generators
-    from repro.orientations.relabel import degree_ranking
-    degrees = np.array([5, 4, 4, 3, 3, 3, 2, 2, 1, 1], dtype=np.int64)
-    order = degree_ranking(degrees)[::-1]
+    degrees, order = generators._wiring_order(
+        np.array([5, 4, 4, 3, 3, 3, 2, 2, 1, 1]))
     rng_ref, rng_native = np.random.default_rng(7), np.random.default_rng(7)
     ref_keys, ref_residual = generators._wire_python(degrees, order,
                                                      rng_ref)

@@ -170,18 +170,18 @@ def _wired_cost(spec: SimulationSpec, degrees: np.ndarray,
     edges are resolved under the labels. Returns None, with ``rng``
     where it was, when the wiring leaves stubs for swap repair.
     """
-    n = degrees.size
+    n, m = degrees.size, int(degrees.sum()) // 2
     with span("generate", method="residual") as sp:
         wired = residual_out_degrees(degrees, rng, descending)
         if wired is None:
             return None
-        sp.annotate(n=n, m=int(degrees.sum()) // 2)
+        sp.annotate(n=n, m=m)
     out_degrees, ties = wired
     with span("relabel", permutation=type(spec.permutation).__name__,
               n=n):
         labels = spec.permutation.labels_for_degrees(
             degrees, rng=rng, tie_break=spec.tie_break)
-    with span("orient", n=n, m=int(degrees.sum()) // 2):
+    with span("orient", n=n, m=m):
         lo, hi = ties[:, 0], ties[:, 1]
         out_degrees += np.bincount(np.where(labels[lo] > labels[hi], lo, hi),
                                    minlength=n)
