@@ -23,15 +23,12 @@ Subcommands::
                      conformance (summary | ledger | conformance)
     repro export     recorded runs -> Chrome trace JSON / flame stacks
                      (trace | flame)
-    repro top        live terminal view of the record stream
 
 Every subcommand accepts ``--trace`` (print the span tree and metric
 counters after the run; add ``--trace-memory`` for tracemalloc peaks).
 ``REPRO_PROFILE=1`` additionally attaches top-K cProfile stats to every
-top-level span while tracing. ``REPRO_LIVE=1`` starts the live
-telemetry runtime (resource sampler, progress/ETA events, worker
-heartbeats -- see docs/OBSERVABILITY.md) for the dispatched
-subcommand. ``repro --version`` prints the package version.
+top-level span while tracing (see docs/OBSERVABILITY.md).
+``repro --version`` prints the package version.
 
 Examples::
 
@@ -511,7 +508,7 @@ def cmd_report(args) -> int:
     and (with ``--fail-on-regress``) exits non-zero on regressions --
     the CI perf gate. ``--json`` switches trends/divergence/compare to
     machine-readable output. ``validate`` schema-checks every line of
-    the stream -- runs, audit records and live events -- and exits 1
+    the stream -- runs and audit records -- and exits 1
     on any bad line (the CI schema gate).
     """
     import dataclasses
@@ -800,47 +797,6 @@ def cmd_export(args) -> int:
     print(f"{len(lines)} collapsed stack(s) written to {path} "
           f"(flamegraph.pl / speedscope)")
     return 0
-
-
-def cmd_top(args) -> int:
-    """``repro top``: terminal view over the record stream.
-
-    Follows the ``runs.jsonl`` a run writes under ``REPRO_LIVE=1`` and
-    refreshes a status block in place: current phase, progress %,
-    model-ops ETA, RSS/CPU, per-worker liveness, memory pressure, and
-    the planner's latest pick from the audit lines. ``--once`` renders
-    the current state and exits (add ``--json`` for a machine-readable
-    dump).
-    """
-    import json
-
-    from repro.obs import jsonl
-    from repro.obs import live as obs_live
-    from repro.obs import records as obs_records
-    path = obs_records.runs_path(args.runs)
-    state = obs_live.LiveState()
-    offset = 0
-    try:
-        while True:
-            try:
-                events, offset, __ = jsonl.read(path, offset,
-                                                follow=True)
-            except OSError:
-                events = []
-            state.update_many(events)
-            if args.once:
-                if args.json:
-                    print(json.dumps(state.to_dict(), indent=2))
-                else:
-                    print(obs_live.render_status(state))
-                return 0
-            text = obs_live.render_status(state)
-            sys.stdout.write("\x1b[H\x1b[2J" + text + "\n")
-            sys.stdout.flush()
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        print()
-        return 0
 
 
 def _package_version() -> str:
@@ -1234,18 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="weight by span self-time (default) or "
                          "attached REPRO_PROFILE cProfile stats")
 
-    p = add_parser("top",
-                   help="live terminal view over the record stream")
-    add_runs_argument(p)
-    p.add_argument("--interval", type=float, default=1.0,
-                   help="refresh period in seconds (default 1.0)")
-    p.add_argument("--once", action="store_true",
-                   help="render the current state once and exit")
-    p.add_argument("--json", action="store_true",
-                   help="with --once: print the state as JSON instead "
-                        "of the status block")
-    p.set_defaults(func=cmd_top)
-
     p = add_parser("profile",
                    help="phase-time breakdown over a method/order grid")
     p.add_argument("--graph", default=None,
@@ -1319,11 +1263,6 @@ def main(argv=None) -> int:
         obs.spans.pop_finished()
     else:
         trace = obs.enable_from_env()
-    # REPRO_LIVE=1 starts the live runtime (sampler, event bus sinks,
-    # span phase hook) around the command -- not around the verbs that
-    # read the record stream, which would append events to what they read.
-    live_on = (args.func not in (cmd_top, cmd_report, cmd_audit, cmd_export)
-               and obs.live.enable_from_env())
     try:
         rc = args.func(args)
         sys.stdout.flush()
@@ -1333,9 +1272,6 @@ def main(argv=None) -> int:
         # again, and exit as a shell does on SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         rc = 141
-    finally:
-        if live_on:
-            obs.live.disable()
     if trace:
         _print_trace()
         obs.disable()

@@ -38,7 +38,6 @@ from repro.distributions.base import DegreeDistribution
 from repro.distributions.sampling import sample_degree_sequence
 from repro.engine import native
 from repro.graphs.generators import generate_graph, residual_out_degrees
-from repro.obs import bus as _bus
 from repro.obs import memory as _memory
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger, log_event
@@ -277,24 +276,8 @@ def sweep_n(spec: SimulationSpec, ns: Sequence[int],
                                 chunksize=chunksize)
     if rng is None:
         rng = np.random.default_rng(seed)
-    ns = list(ns)
-    progress = None
-    if _bus.is_enabled():
-        from repro.obs.live import Progress
-        try:
-            predicted = sum(model_cost(spec, n) * n
-                            * spec.n_sequences * spec.n_graphs
-                            for n in ns)
-        except Exception:
-            predicted = None
-        progress = Progress(f"sweep {spec.method} x{len(ns)}", len(ns),
-                            predicted_ops=predicted, scope="sweep",
-                            phase="sweep")
     rows = []
     for n in ns:
         sim, model, error = simulated_vs_model(spec, n, rng)
         rows.append({"n": n, "sim": sim, "model": model, "error": error})
-        if progress is not None:
-            progress.advance(
-                1, ops=sim * n * spec.n_sequences * spec.n_graphs)
     return rows

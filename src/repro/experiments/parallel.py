@@ -46,8 +46,6 @@ import numpy as np
 
 from repro.experiments.harness import (check_model_divergence,
                                        model_cost, sequence_costs)
-from repro.obs import bus as _bus
-from repro.obs import live as _live
 from repro.obs import memory as _memory
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
@@ -114,15 +112,10 @@ def _run_one_sequence(task):
     ``task`` is ``(spec, n, seq_index, seed, bootstrap)``. With
     ``bootstrap=None`` (serial in-process call) the ambient
     observability state is used directly -- spans nest under the open
-    ``cell`` span, metrics go to the live registry -- and the obs
+    ``cell`` span, metrics go to the process registry -- and the obs
     fields of the return value are ``None``. In a child process
     ``bootstrap`` carries the parent's ``(spans_on, metrics_on,
-    ledger_on)`` flags -- extended by ``(hb_queue, hb_interval)``
-    while live telemetry is on, where ``hb_queue`` is a
-    manager-queue proxy (picklable under both ``fork`` and ``spawn``)
-    the worker posts liveness heartbeats into: one at sequence start,
-    then at most one per ``hb_interval`` as realizations complete. The
-    parent-side :class:`repro.obs.live.HeartbeatWatchdog` drains them.
+    ledger_on)`` flags.
 
     The worker enables a fresh obs state, runs, and returns the
     collected span dicts, counter snapshot and memory-ledger
@@ -134,13 +127,9 @@ def _run_one_sequence(task):
     """
     spec, n, seq_index, seed, bootstrap = task
     in_child = bootstrap is not None
-    hb_queue = None
-    hb_interval = _live.DEFAULT_INTERVAL_S
     t0 = time.perf_counter_ns()
     if in_child:
-        spans_on, metrics_on, ledger_on, *heartbeat = bootstrap
-        if heartbeat:
-            hb_queue, hb_interval = heartbeat
+        spans_on, metrics_on, ledger_on = bootstrap
         _spans.reset()
         _metrics.reset()
         _memory.reset()
@@ -150,27 +139,14 @@ def _run_one_sequence(task):
             _metrics.enable()
         if ledger_on:
             _memory.enable()
-    task_label = f"seq {seq_index} n={n} {spec.method}"
-    if hb_queue is not None:
-        _live.post_heartbeat(hb_queue, task_label, status="start")
-    last_hb = time.monotonic()
     rng = np.random.default_rng(seed)
     dist_n = spec.base_dist.truncate(spec.truncation(n))
-    costs = []
     with span("sequence", index=seq_index, n=n) as seq_span:
         if in_child:
             # Marks the reattached subtree with its worker process so
             # the trace exporter can lay it on its own thread row.
             seq_span.annotate(worker_pid=os.getpid())
-        for cost in sequence_costs(spec, dist_n, n, rng):
-            costs.append(cost)
-            if (hb_queue is not None
-                    and time.monotonic() - last_hb >= hb_interval):
-                _live.post_heartbeat(hb_queue, task_label,
-                                     status="running")
-                last_hb = time.monotonic()
-    if hb_queue is not None:
-        _live.post_heartbeat(hb_queue, task_label, status="done")
+        costs = list(sequence_costs(spec, dist_n, n, rng))
     tele = (os.getpid(), time.perf_counter_ns() - t0)
     if not in_child:
         return costs, None, None, None, tele
@@ -186,28 +162,6 @@ def _run_one_sequence(task):
     if ledger_on:
         _memory.disable()
     return costs, counters, span_dicts, ledger, tele
-
-
-def _cell_progress(spec, n: int, n_tasks: int):
-    """Model-ops progress tracker for one cell (``None`` when bus off).
-
-    The paper's cost model predicts the cell's total work up front:
-    ``E[c_n] * n`` ops per instance, ``n_sequences * n_graphs``
-    instances -- so live progress is reported as fraction of predicted
-    ops consumed (each finished task contributes its *actual* summed
-    ``per_node_cost * n``), and the ETA extrapolates from that
-    fraction rather than from task counts.
-    """
-    if not _bus.is_enabled():
-        return None
-    try:
-        predicted = (model_cost(spec, n) * n
-                     * n_tasks * spec.n_graphs)
-    except Exception:
-        predicted = None
-    return _live.Progress(
-        f"cell n={n} {spec.method}", n_tasks,
-        predicted_ops=predicted, scope="cell", phase="simulate")
 
 
 def simulate_cost_parallel(spec, n: int, seed=0,
@@ -226,11 +180,7 @@ def simulate_cost_parallel(spec, n: int, seed=0,
     Observability parity with the serial harness: the fan-out runs
     under a ``cell`` span, worker span trees are reattached beneath
     it, worker counters are merged into the parent registry, and
-    ``harness.instances`` counts every realized graph. With live
-    telemetry on (``REPRO_LIVE=1``) the pool results are consumed
-    lazily so every finished task advances a model-ops progress
-    tracker, and workers post heartbeats a watchdog thread relays /
-    monitors for stalls.
+    ``harness.instances`` counts every realized graph.
     """
     n_tasks = spec.n_sequences
     workers = resolve_workers(max_workers, n_tasks)
@@ -241,50 +191,22 @@ def simulate_cost_parallel(spec, n: int, seed=0,
     with span("cell", method=spec.method,
               permutation=type(spec.permutation).__name__, n=n,
               workers=workers, chunksize=cs) as cell:
-        progress = _cell_progress(spec, n, n_tasks)
         pool_t0 = time.perf_counter_ns()
         if workers <= 1:
-            results = []
-            for i, s in enumerate(seeds):
-                result = _run_one_sequence((spec, n, i, s, None))
-                results.append(result)
-                if progress is not None:
-                    progress.advance(1, ops=sum(result[0]) * n)
+            results = [_run_one_sequence((spec, n, i, s, None))
+                       for i, s in enumerate(seeds)]
         else:
             bootstrap = (_spans.is_enabled(), _metrics.is_enabled(),
                          _memory.is_enabled())
-            manager = watchdog = None
-            if _live.is_enabled():
-                interval = _live.live_interval()
-                manager = multiprocessing.Manager()
-                watchdog = _live.HeartbeatWatchdog(
-                    manager.Queue(), interval_s=interval).start()
-                bootstrap = bootstrap + (watchdog.queue, interval)
             tasks = [(spec, n, i, s, bootstrap)
                      for i, s in enumerate(seeds)]
-            try:
-                with concurrent.futures.ProcessPoolExecutor(
-                        max_workers=workers,
-                        mp_context=resolve_mp_context(mp_start)) as pool:
-                    # pool.map yields in task order as results arrive;
-                    # consuming it lazily lets each completion advance
-                    # the progress tracker without changing the final
-                    # (order-deterministic) aggregation below.
-                    results = []
-                    for result in pool.map(_run_one_sequence, tasks,
-                                           chunksize=cs):
-                        results.append(result)
-                        if progress is not None:
-                            progress.advance(1, ops=sum(result[0]) * n)
-            finally:
-                if watchdog is not None:
-                    stalled = sum(
-                        1 for w in watchdog.stop().values()
-                        if w.get("stalled"))
-                    cell.annotate(heartbeat_workers=len(
-                        watchdog.workers), stalled_workers=stalled)
-                if manager is not None:
-                    manager.shutdown()
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=resolve_mp_context(mp_start)) as pool:
+                # pool.map yields in task order, so the aggregation
+                # below never depends on the pool geometry
+                results = list(pool.map(_run_one_sequence, tasks,
+                                        chunksize=cs))
             for __, counters, span_dicts, ledger, __tele in results:
                 if counters:
                     _metrics.merge_counters(counters)
@@ -371,24 +293,12 @@ def sweep_n_parallel(spec, ns, seed=0, max_workers: int | None = None,
 
     Each ``n`` gets its own child ``SeedSequence`` (spawned in grid
     order), so the whole sweep is reproducible for a fixed ``seed``
-    and invariant to the pool geometry. With the live bus on, the
-    sweep itself reports model-ops progress across its grid points.
+    and invariant to the pool geometry.
     """
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
     ns = list(ns)
     children = root.spawn(len(ns))
-    progress = None
-    if _bus.is_enabled():
-        try:
-            predicted = sum(model_cost(spec, n) * n
-                            * spec.n_sequences * spec.n_graphs
-                            for n in ns)
-        except Exception:
-            predicted = None
-        progress = _live.Progress(
-            f"sweep {spec.method} x{len(ns)}", len(ns),
-            predicted_ops=predicted, scope="sweep", phase="sweep")
     rows = []
     for n, child in zip(ns, children):
         sim, model, error = simulated_vs_model_parallel(
@@ -396,7 +306,4 @@ def sweep_n_parallel(spec, ns, seed=0, max_workers: int | None = None,
             chunksize=chunksize, mp_start=mp_start)
         rows.append({"n": n, "sim": sim, "model": model,
                      "error": error})
-        if progress is not None:
-            progress.advance(
-                1, ops=sim * n * spec.n_sequences * spec.n_graphs)
     return rows

@@ -11,16 +11,12 @@ near-free when disabled:
   ``orient.edges_flipped``, ``generator.rejections``, ...).
 * :mod:`repro.obs.records` -- the one record stream, ``runs.jsonl``:
   run records (span trees, metric snapshots, run config, git/python
-  metadata), audit records and live events, one typed line each, with
+  metadata) and audit records, one typed line each, with
   the stream's path resolver, type-filtering reader and schema table.
 * :mod:`repro.obs.jsonl` -- the line codec under it (writer, tolerant
   reader, schema checker, ``REPRO_*`` flag parsing).
 * :mod:`repro.obs.logging` -- structured stdlib logging with the
   ``REPRO_LOG`` env knob.
-* :mod:`repro.obs.bus` + :mod:`repro.obs.live` -- the live-telemetry
-  runtime (``REPRO_LIVE=1``): a pub/sub event bus, a background
-  resource sampler, model-ops progress/ETA events, worker heartbeats
-  with a stall watchdog, and the ``repro top`` read surface.
 * :mod:`repro.obs.audit` -- the model-conformance audit layer
   (``REPRO_AUDIT=1``): per-decision predicted-vs-actual records for
   every auto-routed planner pick, realized regret, misplan diagnosis,
@@ -29,8 +25,9 @@ near-free when disabled:
   (``REPRO_MEM_LEDGER=1``): an array ledger attributing bytes to
   tagged allocations and owning spans, a footprint conformance model
   (predicted vs attributed bytes), per-span allocation attribution
-  (``REPRO_TRACEMALLOC=K``), a RAM-budget watchdog
-  (``REPRO_MEM_BUDGET``), and the ``repro mem`` read surface.
+  (``REPRO_TRACEMALLOC=K``), a RAM budget that the chunked loops
+  check against current RSS (``REPRO_MEM_BUDGET``), and the ``repro
+  mem`` read surface.
 
 Two read-side layers analyze that history (``repro report`` on the
 command line):
@@ -63,7 +60,7 @@ Typical use::
 
 from __future__ import annotations
 
-from repro.obs import audit, baselines, bus, export, jsonl, live
+from repro.obs import audit, baselines, export, jsonl
 from repro.obs import logging as obs_logging
 from repro.obs import memory, metrics, profiling, records, report, spans
 from repro.obs.baselines import (Baseline, build_baseline, compare,
@@ -87,12 +84,10 @@ __all__ = [
     "audit",
     "baselines",
     "build_baseline",
-    "bus",
     "collapsed_stacks",
     "collect",
     "compare",
     "export",
-    "live",
     "has_regressions",
     "jsonl",
     "load_baseline",

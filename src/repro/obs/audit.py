@@ -19,10 +19,7 @@ regimes silently degrades every pick. This module closes the loop:
   ordering, graph-class) calibration error and prediction-ratio
   distributions, plus a misplan list with structured diagnoses
   (:func:`diagnose`: model divergence vs. speed-ratio drift vs.
-  tie margin too thin);
-* the audit line is also the planner event: ``repro top``, following
-  the same stream, folds its pick, misplans and calibration drift
-  while a run is still going.
+  tie margin too thin).
 
 Auditing is **off by default** and the disabled path is one
 module-global check (:func:`is_enabled`): auto-routed runs are

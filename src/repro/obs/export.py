@@ -155,33 +155,13 @@ def record_to_events(record, pid: int = 1) -> list[dict]:
 
 def _memory_counter_events(metrics: dict, pid: int,
                            cursor_us: float) -> list[dict]:
-    """Memory counter track: RSS series + ledger attributed bytes.
+    """Memory counter track: the ledger's attributed bytes.
 
-    The resource sampler's ring (``metrics["resources"]``, attached
-    while the live runtime was on) becomes a ``mem.rss_bytes`` /
-    ``mem.rss_peak_bytes`` counter series laid out by wall-clock
-    offset from the first sample; the array ledger summary
-    (``metrics["memory"]``, attached while ``REPRO_MEM_LEDGER`` was
-    on) lands as attributed-bytes counters at the trace end.
+    The array ledger summary (``metrics["memory"]``, attached while
+    ``REPRO_MEM_LEDGER`` was on) lands as attributed-bytes counters at
+    the trace end.
     """
     events: list[dict] = []
-    t0 = None
-    for sample in metrics.get("resources") or ():
-        ts = sample.get("ts") if isinstance(sample, dict) else None
-        if not isinstance(ts, (int, float)):
-            continue
-        if t0 is None:
-            t0 = ts
-        offset_us = (ts - t0) * 1e6
-        for key in ("rss_bytes", "rss_peak_bytes"):
-            value = sample.get(key)
-            if isinstance(value, (int, float)):
-                events.append({
-                    "name": f"mem.{key}", "cat": "memory", "ph": "C",
-                    "pid": pid, "tid": MAIN_TID,
-                    "ts": round(offset_us, 3),
-                    "args": {"value": value},
-                })
     ledger = metrics.get("memory") or {}
     for key in ("current_bytes", "peak_bytes"):
         value = ledger.get(key) if isinstance(ledger, dict) else None

@@ -1,6 +1,6 @@
 """The JSONL line codec of the one record stream.
 
-Run records, audit records and live events share one typed file
+Run records and audit records share one typed file
 (:mod:`repro.obs.records` resolves its path and owns its schema); this
 module owns the line format: the numpy-aware serialiser and
 single-``write`` ``O_APPEND`` line writer, the tolerant reader, the
@@ -118,25 +118,21 @@ def _lines(data: bytes):
             yield lineno, None, exc
 
 
-def read(path, offset: int = 0,
-         follow: bool = False) -> tuple[list[dict], int, list]:
-    """``(objects, end_offset, skipped)`` from byte ``offset`` on.
+def read(path) -> tuple[list[dict], list]:
+    """``(objects, skipped)`` over every line of ``path``.
 
     Blank lines are ignored; ``skipped`` lists ``(lineno, detail)`` per
-    non-JSON or non-object line. With ``follow`` the read stops after
-    the last newline, leaving a line still being written for next time.
+    non-JSON or non-object line.
     """
     with open(path, "rb") as fh:
-        fh.seek(offset)
         data = fh.read()
-    end = data.rfind(b"\n") + 1 if follow else len(data)
     objects, skipped = [], []
-    for lineno, obj, exc in _lines(data[:end]):
+    for lineno, obj, exc in _lines(data):
         if isinstance(obj, dict):
             objects.append(obj)
         else:
             skipped.append((lineno, str(obj if exc is None else exc)))
-    return objects, offset + end, skipped
+    return objects, skipped
 
 
 # ------------------------------------------------------------ validation

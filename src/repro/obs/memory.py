@@ -21,50 +21,44 @@ check when disabled, and bit-identical results either way:
   knob (parsed like ``REPRO_PROFILE``) makes every top-level span
   close with its top-K allocation sites attached as ``span.alloc`` --
   the hook itself lives in :mod:`repro.obs.spans`;
-* a **RAM-budget watchdog**: ``REPRO_MEM_BUDGET=512M`` arms a
-  :class:`BudgetWatchdog` inside the live resource sampler; it
-  publishes ``mem.pressure`` / ``mem.breach`` bus events, warns once
-  per breach, and (with ``REPRO_MEM_BUDGET_ABORT=1``) raises a flag
-  the native streaming listing and out-of-core drivers check so a run
-  over budget stops gracefully with :class:`MemoryBudgetExceeded`.
+* a **RAM budget**: with ``REPRO_MEM_BUDGET=512M`` set,
+  :func:`check_budget` -- which the native streaming listing and the
+  out-of-core partition loops poll between batches -- reads current
+  RSS and stops a run over budget with :class:`MemoryBudgetExceeded`
+  instead of the OOM killer.
 
-The ledger switch resolves ``REPRO_MEM_LEDGER`` lazily on first use
-(like ``REPRO_AUDIT``), so every entry point -- CLI, benchmarks, pool
-workers under ``spawn`` -- honors the environment without wiring.
-Read it back with ``repro mem summary|ledger|conformance``, the
-``memory`` cell of a run record (``repro report compare|baseline``),
-the Chrome-trace memory counter track, or ``repro top``.
+The ledger switch and the budget resolve ``REPRO_MEM_LEDGER`` and
+``REPRO_MEM_BUDGET`` lazily on first use (like ``REPRO_AUDIT``), so
+every entry point -- CLI, benchmarks, pool workers under ``spawn`` --
+honors the environment without wiring. Read the ledger back with
+``repro mem summary|ledger|conformance``, the ``memory`` cell of a run
+record (``repro report compare|baseline``), or the Chrome-trace memory
+counter track.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import threading
 import weakref
 
-from repro.obs import bus as _bus
 from repro.obs import jsonl as _jsonl
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 
 __all__ = [
-    "BudgetWatchdog",
     "DEFAULT_ALLOC_TOP_K",
     "DEFAULT_TOLERANCE",
-    "MEM_BUDGET_ABORT_ENV",
     "MEM_BUDGET_ENV",
     "MEM_LEDGER_ENV",
     "MemoryBudgetExceeded",
     "TRACEMALLOC_ENV",
-    "abort_requested",
     "attributed_bytes",
     "budget_bytes_from_env",
     "check_budget",
     "check_in",
     "check_out",
-    "clear_abort",
     "conformance_report",
     "disable",
     "enable",
@@ -78,7 +72,6 @@ __all__ = [
     "parse_bytes",
     "peak_bytes",
     "predict_footprint",
-    "request_abort",
     "reset",
     "top_allocations",
     "track",
@@ -87,11 +80,9 @@ __all__ = [
 #: Environment switch: truthy values turn the array ledger on.
 MEM_LEDGER_ENV = "REPRO_MEM_LEDGER"
 
-#: RAM budget for the watchdog (bytes; ``K``/``M``/``G`` suffixes ok).
+#: RAM budget checked by :func:`check_budget` (bytes; ``K``/``M``/``G``
+#: suffixes ok).
 MEM_BUDGET_ENV = "REPRO_MEM_BUDGET"
-
-#: Truthy: a budget breach also raises the graceful-abort flag.
-MEM_BUDGET_ABORT_ENV = "REPRO_MEM_BUDGET_ABORT"
 
 #: Top-K allocation sites attached per top-level span (0 = off).
 TRACEMALLOC_ENV = "REPRO_TRACEMALLOC"
@@ -114,13 +105,13 @@ _by_span: dict[str, dict] = {}
 _current_bytes = 0
 _peak_bytes = 0
 
-_abort_flag = False
-_abort_reason = ""
-_breaches = 0
+#: ``None`` = not yet resolved (first :func:`check_budget` reads
+#: ``REPRO_MEM_BUDGET`` exactly once); 0 = no budget.
+_budget: int | None = None
 
 
 class MemoryBudgetExceeded(RuntimeError):
-    """A run crossed ``REPRO_MEM_BUDGET`` and graceful abort is armed."""
+    """A run's RSS crossed ``REPRO_MEM_BUDGET``."""
 
 
 def enable() -> None:
@@ -150,9 +141,8 @@ def is_enabled() -> bool:
 
 
 def reset() -> None:
-    """Drop all ledger state and the breach/abort flags."""
-    global _next_token, _current_bytes, _peak_bytes, _breaches
-    global _abort_flag, _abort_reason
+    """Drop all ledger state and the resolved budget."""
+    global _next_token, _current_bytes, _peak_bytes, _budget
     with _lock:
         _next_token = 0
         _live.clear()
@@ -160,9 +150,7 @@ def reset() -> None:
         _by_span.clear()
         _current_bytes = 0
         _peak_bytes = 0
-    _breaches = 0
-    _abort_flag = False
-    _abort_reason = ""
+    _budget = None
 
 
 # -------------------------------------------------------------- the ledger
@@ -341,8 +329,6 @@ def ledger_summary() -> dict:
         "tags": ledger_rows(),
         "spans": spans,
         "budget_bytes": budget_bytes_from_env(),
-        "breaches": _breaches,
-        "abort_requested": _abort_flag,
     }
 
 
@@ -432,7 +418,7 @@ def conformance_report(n: int, m: int, *, method: str | None = None,
     }
 
 
-# ------------------------------------------------------ budget watchdog
+# ------------------------------------------------------------ RAM budget
 
 def parse_bytes(text: str) -> int:
     """Parse ``"512M"`` / ``"2G"`` / ``"1048576"`` into bytes.
@@ -467,97 +453,43 @@ def budget_bytes_from_env() -> int:
     return parse_bytes(os.environ.get(MEM_BUDGET_ENV, ""))
 
 
-def request_abort(reason: str) -> None:
-    """Raise the abort flag the chunked drivers poll."""
-    global _abort_flag, _abort_reason
-    _abort_reason = reason
-    _abort_flag = True
+_PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
 
-def clear_abort() -> None:
-    """Lower the abort flag (after a handled breach)."""
-    global _abort_flag, _abort_reason
-    _abort_flag = False
-    _abort_reason = ""
+def _rss_bytes() -> int:
+    """Current resident set size via ``/proc/self/statm``.
 
-
-def abort_requested() -> bool:
-    """Whether a graceful abort has been requested."""
-    return _abort_flag
+    ``statm`` field 2 is resident pages. Without procfs the peak
+    (``ru_maxrss``, KiB on Linux) is the only portable signal, and it
+    bounds current RSS from above.
+    """
+    try:
+        with open("/proc/self/statm", "rb") as fh:
+            return int(fh.read().split()[1]) * _PAGE_SIZE
+    except (OSError, IndexError, ValueError):
+        import resource
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 def check_budget(context: str = "") -> None:
-    """Raise :class:`MemoryBudgetExceeded` if an abort is pending.
+    """Raise :class:`MemoryBudgetExceeded` if RSS is over the budget.
 
     The poll the native streaming listing and the out-of-core
-    partition loops run between batches: one module-global check when nothing
-    is armed, a clean typed exception (instead of the OOM killer)
-    when the watchdog tripped.
+    partition loops run between batches. The budget resolves from
+    ``REPRO_MEM_BUDGET`` on the first call; with none set a poll
+    only reads a module global.
     """
-    if _abort_flag:
+    global _budget
+    if _budget is None:
+        _budget = budget_bytes_from_env()
+    if not _budget:
+        return
+    rss = _rss_bytes()
+    if rss > _budget:
         where = f" in {context}" if context else ""
         raise MemoryBudgetExceeded(
-            f"memory budget exceeded{where}: {_abort_reason}")
-
-
-class BudgetWatchdog:
-    """RAM-budget state machine fed by resource samples.
-
-    ``observe(rss_bytes)`` publishes a ``mem.pressure`` event per
-    sample while armed; the first sample over budget additionally
-    publishes ``mem.breach``, logs one structured WARNING, bumps the
-    ``mem.breaches`` counter and -- when ``REPRO_MEM_BUDGET_ABORT`` is
-    truthy -- raises the graceful-abort flag. The breach latch re-arms
-    once RSS falls back under 95% of the budget, so a run oscillating
-    around the limit warns once per excursion, not once per sample.
-    """
-
-    def __init__(self, budget_bytes: int | None = None):
-        self.budget_bytes = (budget_bytes if budget_bytes is not None
-                             else budget_bytes_from_env())
-        self._breached = False
-
-    @property
-    def armed(self) -> bool:
-        return self.budget_bytes > 0
-
-    def observe(self, rss_bytes: int) -> None:
-        """Feed one RSS sample through the pressure/breach machine."""
-        global _breaches
-        budget = self.budget_bytes
-        if budget <= 0:
-            return
-        rss_bytes = int(rss_bytes)
-        frac = rss_bytes / budget
-        _metrics.set_gauge("mem.budget_bytes", float(budget))
-        _metrics.set_gauge("mem.pressure", frac)
-        fields = {"rss_bytes": rss_bytes, "budget_bytes": budget,
-                  "frac": frac}
-        if is_enabled():
-            fields["attributed_bytes"] = attributed_bytes()
-        _bus.emit("mem.pressure", **fields)
-        if rss_bytes > budget:
-            if not self._breached:
-                self._breached = True
-                _breaches += 1
-                _metrics.inc("mem.breaches")
-                action = ("abort" if _jsonl.env_flag(MEM_BUDGET_ABORT_ENV)
-                          else "warn")
-                _bus.emit("mem.breach", rss_bytes=rss_bytes,
-                          budget_bytes=budget,
-                          overshoot_bytes=rss_bytes - budget,
-                          action=action)
-                from repro.obs.logging import get_logger, log_event
-                log_event(get_logger(__name__), logging.WARNING,
-                          "memory budget breached",
-                          rss_bytes=rss_bytes, budget_bytes=budget,
-                          overshoot_bytes=rss_bytes - budget,
-                          action=action)
-                if action == "abort":
-                    request_abort(
-                        f"rss {rss_bytes} > budget {budget} bytes")
-        elif rss_bytes <= 0.95 * budget:
-            self._breached = False
+            f"memory budget exceeded{where}: rss {rss} > budget "
+            f"{_budget} bytes")
 
 
 # ------------------------------------------- per-span alloc attribution
@@ -647,9 +579,7 @@ def format_conformance(report: dict) -> str:
 def format_summary(summary: dict, report: dict | None = None) -> str:
     """Headline memory text: attributed totals, budget, verdict."""
     budget = summary.get("budget_bytes") or 0
-    budget_text = (f"{_fmt_bytes(budget)} "
-                   f"({summary.get('breaches', 0)} breach(es))"
-                   if budget else "off")
+    budget_text = _fmt_bytes(budget) if budget else "off"
     lines = [
         f"memory: attributed {_fmt_bytes(summary['current_bytes'])} "
         f"live / {_fmt_bytes(summary['peak_bytes'])} peak across "

@@ -1,12 +1,11 @@
-"""The one record stream: run records, audit records and live events.
+"""The one record stream: run records and audit records.
 
 Every observability line lands in one typed JSONL file, ``runs.jsonl``
 (:func:`runs_path`: an explicit path, else ``REPRO_RUNS_FILE``, else
 ``benchmarks/results/runs.jsonl``), written through the shared codec
 :mod:`repro.obs.jsonl`. Each line carries a ``type``: ``"run"`` for a
-:class:`RunRecord`, ``"audit"`` for a planner audit record
-(:mod:`repro.obs.audit`), or its event type for a live event
-(:mod:`repro.obs.bus`). A line without a ``type`` reads as a run, as
+:class:`RunRecord` or ``"audit"`` for a planner audit record
+(:mod:`repro.obs.audit`). A line without a ``type`` reads as a run, as
 every line of older histories is one. :func:`load_type` filters the
 stream by type; :data:`SCHEMA` is the one field table keyed by type and
 :func:`check_line` the one validator over it (``repro report
@@ -33,7 +32,6 @@ import sys
 import time
 
 from repro.obs import audit as _audit
-from repro.obs import bus as _bus
 from repro.obs import jsonl as _jsonl
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
@@ -61,15 +59,9 @@ DEFAULT_RUNS_PATH = pathlib.Path("benchmarks") / "results" / "runs.jsonl"
 #: Environment override for the stream's path.
 RUNS_FILE_ENV = "REPRO_RUNS_FILE"
 
-#: The stamp every live event carries (:func:`repro.obs.bus.emit`).
-_STAMP = {"ts": (int, float), "pid": (int,)}
-
 #: The one field table of the stream, keyed by line ``type`` (see
-#: :func:`repro.obs.jsonl.check`): every live event type (stamp plus
-#: payload), the audit record, and the run record.
+#: :func:`repro.obs.jsonl.check`): the audit record and the run record.
 SCHEMA: dict[str, dict] = {
-    **{type_: {**_STAMP, **row}
-       for type_, row in _bus.EVENT_SCHEMA.items()},
     "audit": _audit.AUDIT_RECORD,
     "run": {"name": (str,), "config": (dict,), "metrics": (dict,),
             "meta": (dict,), "spans": (list,)},
@@ -95,7 +87,7 @@ def load_type(type_: str, path=None) -> list[dict]:
     path = runs_path(path)
     if not os.path.exists(path):
         return []
-    objects, __, skipped = _jsonl.read(path)
+    objects, skipped = _jsonl.read(path)
     if skipped:
         _metrics.inc("records.corrupted", len(skipped))
         from repro.obs.logging import get_logger, log_event
@@ -232,16 +224,8 @@ def collect(name: str, config: dict | None = None,
     span_dicts = [s.to_dict() if hasattr(s, "to_dict") else s
                   for s in spans]
     metrics = _metrics.snapshot()
-    # While the live runtime is on, the sampler's ring-buffered
-    # RSS/CPU series rides into the record (lazy import: live imports
-    # records' siblings, never the other way on the cold path).
-    from repro.obs import live as _live
-    if _live.is_enabled():
-        series = _live.sampler_series()
-        if series:
-            metrics["resources"] = series
-    # Likewise the array ledger: the full per-tag/per-span attribution
-    # rides the record whenever REPRO_MEM_LEDGER was on for the run.
+    # The array ledger's full per-tag/per-span attribution rides the
+    # record whenever REPRO_MEM_LEDGER was on for the run.
     from repro.obs import memory as _memory
     if _memory.is_enabled():
         metrics["memory"] = _memory.ledger_summary()

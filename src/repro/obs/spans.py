@@ -44,7 +44,6 @@ __all__ = [
     "is_enabled",
     "pop_finished",
     "reset",
-    "set_live_hook",
     "span",
 ]
 
@@ -55,18 +54,6 @@ _alloc_top_k = 0
 _alloc_started_tracemalloc = False
 _lock = threading.Lock()
 _finished: list["Span"] = []
-
-# Live-telemetry hook (repro.obs.live): called as hook(span, "start"|
-# "end") on *top-level* span transitions only. None (the default) keeps
-# the span hot path at a single falsy check.
-_live_top_hook = None
-
-
-def set_live_hook(hook) -> None:
-    """Install/remove the top-level span lifecycle hook (live runtime)."""
-    global _live_top_hook
-    _live_top_hook = hook
-
 
 class _Frames(threading.local):
     """Per-thread stack of currently open spans."""
@@ -206,11 +193,6 @@ class _ActiveSpan:
     def __enter__(self) -> Span:
         top_level = not _frames.stack
         _frames.stack.append(self.span)
-        if top_level and _live_top_hook is not None:
-            try:
-                _live_top_hook(self.span, "start")
-            except Exception:  # pragma: no cover - hook must not fail run
-                pass
         if _trace_memory:
             import tracemalloc
             self._mem_start = tracemalloc.get_traced_memory()[0]
@@ -259,11 +241,6 @@ class _ActiveSpan:
         if stack:
             stack[-1].children.append(s)
         else:
-            if _live_top_hook is not None:
-                try:
-                    _live_top_hook(s, "end")
-                except Exception:  # pragma: no cover - hook must not fail
-                    pass
             with _lock:
                 _finished.append(s)
         return False

@@ -7,9 +7,8 @@ regret-harness definition bit-for-bit on the committed suite, the
 misplan diagnosis taxonomy, the rolling calibration store (round-trip
 through ``speed_ratio="calibrated"``, staleness, host matching, the
 lru cache), speed-ratio resolution precedence, the deterministic
-histogram reservoir, the trend auto columns, the live ``repro top``
-planner line, and the ``repro audit`` CLI from cold and populated
-history.
+histogram reservoir, the trend auto columns, the audit line's schema
+row, and the ``repro audit`` CLI from cold and populated history.
 """
 
 import json
@@ -22,7 +21,7 @@ from repro import cli, obs
 from repro.core.decision import PAPER_SPEED_RATIO, resolve_speed_ratio
 from repro.engine import benchmark as bench
 from repro.listing.api import list_triangles
-from repro.obs import audit, bus, jsonl, live, metrics, records, report
+from repro.obs import audit, jsonl, metrics, records, report
 from repro.orientations.permutations import DescendingDegree
 from repro.orientations.relabel import orient
 from repro.pipeline import run_pipeline
@@ -34,7 +33,6 @@ def clean_state(monkeypatch):
     """Isolate every test from the process env and module globals."""
     obs.disable()
     obs.reset()
-    bus.reset()
     for var in ("REPRO_AUDIT", "REPRO_RUNS_FILE",
                 "REPRO_CALIBRATION_FILE", "REPRO_SPEED_RATIO"):
         monkeypatch.delenv(var, raising=False)
@@ -43,7 +41,6 @@ def clean_state(monkeypatch):
     yield
     obs.disable()
     obs.reset()
-    bus.reset()
     bench.calibrated_speed_ratio.cache_clear()
 
 
@@ -659,7 +656,7 @@ def rows_have_dash(rendered: str) -> bool:
     return " -- " in data_line
 
 
-# -------------------------------------------------------- live + repro top
+# ------------------------------------------------ audit lines in the stream
 
 def _audit_line(picked="E1+D", regret=0.0, kind="ok", drift=None,
                 ts=1.0, confidence=0.3):
@@ -681,50 +678,6 @@ def _audit_line(picked="E1+D", regret=0.0, kind="ok", drift=None,
         line["drift"] = {"assumed": 94.8, "calibrated": 94.8 / drift,
                          "factor": drift}
     return line
-
-
-class TestLivePlannerLine:
-    def test_state_folds_planner_events(self):
-        state = live.LiveState()
-        state.update(_audit_line())
-        assert state.planner["picked"] == "E1+D"
-        assert state.misplans == 0 and state.drift is None
-        state.update(_audit_line("T1+D", regret=0.5, kind="tie_margin",
-                                 drift=47.4, ts=2.0))
-        assert state.misplans == 1
-        assert state.planner["regret"] == pytest.approx(0.5)
-        assert state.planner["oracle"] == "E1+D"
-        assert state.drift["factor"] == pytest.approx(47.4)
-        # a drift within DRIFT_FACTOR is no drift
-        state.update(_audit_line(drift=1.5, ts=3.0))
-        assert state.drift["factor"] == pytest.approx(47.4)
-        data = state.to_dict()
-        assert data["misplans"] == 1
-        assert data["planner"]["picked"] == "E1+D"
-        assert data["planner"]["route"] == "x"
-        assert data["planner"]["confidence"] == pytest.approx(0.3)
-
-    def test_render_with_and_without_planner(self):
-        empty = live.render_status(live.LiveState())
-        assert "planner" not in empty
-        state = live.LiveState()
-        state.update(_audit_line("T1+D", regret=0.5, kind="tie_margin",
-                                 drift=47.4))
-        rendered = live.render_status(state)
-        assert "MISPLAN" in rendered
-        assert "regret 50.0%" in rendered
-        assert "[tie_margin]" in rendered
-        assert "speed-ratio drift" in rendered
-
-    def test_top_once_shows_latest_decision(self, tmp_path, capsys):
-        stream = tmp_path / "runs.jsonl"
-        stream.write_text(json.dumps(
-            _audit_line(confidence=0.31, ts=5.0)) + "\n", encoding="utf-8")
-        assert cli.main(["top", "--runs", str(stream), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "planner" in out
-        assert "E1+D" in out
-        assert "conf 0.31" in out
 
 
 class TestBusSchema:

@@ -131,20 +131,6 @@ class TestTraceExport:
             export.validate_trace(
                 {"traceEvents": [{"ph": "X", "pid": 1, "tid": 1}]})
 
-    def test_memory_counter_track_from_resources(self):
-        record = obs_records.RunRecord(
-            name="mem", spans=[{"name": "root", "start_ns": 0,
-                                "duration_ns": 1_000_000}],
-            metrics={"resources": [{"ts": 1.0, "rss_bytes": 100,
-                                    "rss_peak_bytes": 150}]})
-        trace = export.records_to_trace([record])
-        export.validate_trace(trace)
-        mem = [e for e in trace["traceEvents"]
-               if e.get("cat") == "memory"]
-        assert {e["name"] for e in mem} == {"mem.rss_bytes",
-                                            "mem.rss_peak_bytes"}
-        assert all(e["ph"] == "C" for e in mem)
-
     def test_validate_rejects_bool_memory_counter(self):
         trace = {"traceEvents": [
             {"name": "mem.rss_bytes", "cat": "memory", "ph": "C",

@@ -233,109 +233,45 @@ class TestCliObservability:
             main(["profile", "--n", "300", "--orders", "sideways"])
 
 
-class TestCliLive:
-    """``repro top`` and the live env knobs."""
-
-    @pytest.fixture(autouse=True)
-    def clean_live(self):
-        from repro import obs
-        from repro.obs import bus, live
-        live.disable()
-        bus.reset()
-        obs.disable()
-        obs.reset()
-        yield
-        live.disable()
-        bus.reset()
-        obs.disable()
-        obs.reset()
+class TestCliValidate:
+    """``repro report validate``: the record stream's schema gate."""
 
     def _write_stream(self, tmp_path):
-        import json
-        events = [
-            {"type": "phase", "ts": 1.0, "pid": 1, "name": "table",
-             "status": "start"},
-            {"type": "progress", "ts": 2.0, "pid": 1, "scope": "cell",
-             "label": "cell n=200 T1", "done": 1.0, "total": 2.0,
-             "frac": 0.5, "eta_s": 3.0, "ops_done": 5.0,
-             "ops_predicted": 10.0},
-            {"type": "heartbeat", "ts": 3.0, "pid": 1,
-             "worker_pid": 42, "task": "seq 0 n=200 T1"},
-        ]
+        from repro.obs import audit, records
         path = tmp_path / "runs.jsonl"
-        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        records.write_record(records.RunRecord("r"), path)
+        audit.write_audit_record(
+            {"schema": 1, "ts": 1.0, "pid": 1, "route": "x",
+             "source": "graph", "speed_ratio": 3.0,
+             "graph_class": "sparse-light", "confidence": 0.3,
+             "picked": {"method": "E1", "ordering": "descending",
+                        "family": "hash", "predicted_cost": 1.0,
+                        "predicted_time": 1.0},
+             "entries": [{"method": "E1", "ordering": "descending",
+                          "cost": 1.0, "time": 1.0, "rank": 1}],
+             "actual": None, "realized": None,
+             "diagnosis": {"kind": "ok"}}, path)
         return path
 
-    # the stream's schema gate is `repro report validate`
-    def test_top_validate_ok(self, tmp_path, capsys):
+    def test_validate_ok(self, tmp_path, capsys):
         path = self._write_stream(tmp_path)
         assert main(["report", "validate", "--runs", str(path)]) == 0
-        assert "3 line(s) OK" in capsys.readouterr().out
+        assert "2 line(s) OK" in capsys.readouterr().out
 
-    def test_top_validate_rejects_bad_stream(self, tmp_path, capsys):
+    def test_validate_rejects_bad_stream(self, tmp_path, capsys):
+        # a live event from an older history is an unknown type now
         path = tmp_path / "runs.jsonl"
         path.write_text('{"type": "progress", "ts": 1.0, "pid": 1}\n'
                         "not json at all\n")
         assert main(["report", "validate", "--runs", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "schema error" in err
+        assert "unknown type 'progress'" in err
         assert "not JSON" in err
 
-    def test_top_validate_missing_file(self, tmp_path):
+    def test_validate_missing_file(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["report", "validate", "--runs",
                   str(tmp_path / "nope.jsonl")])
-
-    def test_top_once_renders_state(self, tmp_path, capsys):
-        path = self._write_stream(tmp_path)
-        assert main(["top", "--runs", str(path), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "table" in out
-        assert "50.0%" in out
-        assert "pid 42" in out
-
-    def test_top_once_json_dumps_state(self, tmp_path, capsys):
-        import json
-        path = self._write_stream(tmp_path)
-        assert main(["top", "--runs", str(path), "--once",
-                     "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["events"] == 3
-        assert data["last_ts"] == 3.0
-        assert data["phases"] == ["table"]
-        (progress,) = data["progress"]
-        assert progress["frac"] == 0.5
-        assert progress["label"] == "cell n=200 T1"
-        assert data["workers"] == {
-            "42": {"last_ts": 3.0, "task": "seq 0 n=200 T1",
-                   "stalled": False}}
-        assert data["resources"] is None
-        assert "gauges" not in data
-
-    def test_live_env_wraps_command(self, tmp_path, monkeypatch, capsys):
-        from repro.obs import jsonl, records
-        events = tmp_path / "runs.jsonl"
-        monkeypatch.setenv("REPRO_LIVE", "1")
-        monkeypatch.setenv("REPRO_RUNS_FILE", str(events))
-        monkeypatch.setenv("REPRO_LIVE_INTERVAL", "0.05")
-        assert main(["model", "--alpha", "1.5", "--n", "1000",
-                     "--method", "T1", "--map", "descending"]) == 0
-        count, errors = jsonl.validate(events, records.check_line)
-        assert count >= 1
-        assert errors == []
-        sample_lines = [line for line in events.read_text().splitlines()
-                        if '"resource.sample"' in line]
-        assert sample_lines, "sampler emitted no samples"
-
-    def test_live_env_skips_stream_readers(self, tmp_path, monkeypatch,
-                                           capsys):
-        path = self._write_stream(tmp_path)
-        before = path.read_bytes()
-        monkeypatch.setenv("REPRO_LIVE", "1")
-        monkeypatch.setenv("REPRO_RUNS_FILE", str(path))
-        assert main(["report", "validate"]) == 0
-        assert main(["top", "--once"]) == 0
-        assert path.read_bytes() == before
 
 
 class TestCliRunsFileAlias:

@@ -1,21 +1,23 @@
 """Tests for the JSONL codec (:mod:`repro.obs.jsonl`) and the one record
 stream over it (:mod:`repro.obs.records`).
 
-The reader tests run over all three kinds of line the stream holds --
-run records, audit records and live events -- each written by its own
-writer and read back by its own reader. :class:`TestOneStream`
-interleaves them in one file.
+The reader tests run over the two kinds of line the stream holds --
+run records and audit records -- each written by its own writer and
+read back by its own reader, and over the bare codec
+(:func:`~repro.obs.jsonl.write_line` / :func:`~repro.obs.jsonl.read`).
+:class:`TestOneStream` interleaves runs and audits in one file.
 """
 
 import json
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
 
 from repro import cli
-from repro.obs import audit, bus, jsonl, live, metrics, records
+from repro.obs import audit, jsonl, metrics, records
 
 
 class Records:
@@ -46,28 +48,30 @@ class Audit:
         return [(r["route"], r["value"]) for r in audit.load_audit(path)]
 
 
-class Live:
-    """The ``repro top`` follower: no WARNING, no counter."""
+class Codec:
+    """The bare line codec: no WARNING, no counter."""
 
     counter = message = None
 
     @staticmethod
     def write(path, name, value=0.0):
-        sink = bus.JsonlSink(path)
-        sink.write({"type": "run.start", "name": name, "value": value})
-        sink.close()
+        fd = jsonl.open_append(path)
+        try:
+            jsonl.write_line(fd, {"name": name, "value": value})
+        finally:
+            os.close(fd)
 
     @staticmethod
     def load(path):
         try:
-            events = jsonl.read(path, follow=True)[0]
-        except FileNotFoundError:  # what `repro top` shows: nothing yet
-            events = []
-        return [(e["name"], e["value"]) for e in events]
+            objects = jsonl.read(path)[0]
+        except FileNotFoundError:
+            objects = []
+        return [(o["name"], o["value"]) for o in objects]
 
 
-STREAMS = pytest.mark.parametrize("stream", [Records, Audit, Live],
-                                  ids=["records", "audit", "live"])
+STREAMS = pytest.mark.parametrize("stream", [Records, Audit, Codec],
+                                  ids=["records", "audit", "codec"])
 
 
 @pytest.fixture(autouse=True)
@@ -94,7 +98,7 @@ class TestReader:
         stream.write(path, "two")
         with caplog.at_level(logging.WARNING, logger="repro"):
             assert [n for n, __ in stream.load(path)] == ["one", "two"]
-        assert jsonl.read(path)[2][0][0] == 2  # (lineno, detail)
+        assert jsonl.read(path)[1][0][0] == 2  # (lineno, detail)
         if stream.message is None:
             assert not _warnings(caplog)
             return
@@ -124,7 +128,7 @@ class TestReader:
         with caplog.at_level(logging.WARNING, logger="repro"):
             assert [n for n, __ in stream.load(path)] == ["a", "b"]
         assert not _warnings(caplog)
-        assert jsonl.read(path)[2] == []
+        assert jsonl.read(path)[1] == []
 
     def test_missing_file_is_empty(self, stream, tmp_path):
         assert stream.load(tmp_path / "nope.jsonl") == []
@@ -135,27 +139,43 @@ class TestReader:
         ((name, value),) = stream.load(path)
         assert name == "inf" and math.isinf(value)
 
-    def test_follower_leaves_partial_tail_pending(self, stream, tmp_path):
-        path = tmp_path / "s.jsonl"
-        stream.write(path, "first")
-        stream.write(path, "second")
-        data = path.read_bytes()
-        cut = data.index(b"\n") + 10  # producer mid-way through line 2
-        path.write_bytes(data[:cut])
-        objects, offset, skipped = jsonl.read(path, follow=True)
-        assert (len(objects), offset, skipped) == (
-            1, data.index(b"\n") + 1, [])
-        with open(path, "ab") as fh:
-            fh.write(data[cut:])
-        objects, offset, __ = jsonl.read(path, offset, follow=True)
-        assert len(objects) == 1 and offset == len(data)
-        assert jsonl.read(path, offset, follow=True) == ([], offset, [])
-
     def test_lines_are_plain_json(self, stream, tmp_path):
         path = tmp_path / "s.jsonl"
         stream.write(path, "x", value=np.float64(0.5))
         (line,) = path.read_text().splitlines()
         assert line == json.dumps(json.loads(line))
+
+
+class TestWriter:
+    def test_appends_stay_atomic_without_fsync(self, tmp_path,
+                                               monkeypatch):
+        # write_line never fsyncs (only append does); its lines must
+        # still land whole, numpy scalars as numbers
+        synced = []
+        monkeypatch.setattr(jsonl.os, "fsync", synced.append)
+        path = tmp_path / "deep" / "events.jsonl"  # parents created
+        fd = jsonl.open_append(path)
+        for i in range(20):
+            jsonl.write_line(fd, {"name": f"rec{i}", "n": np.int64(i),
+                                  "x": np.float64(i / 4)})
+        os.close(fd)
+        assert synced == []
+        objects, skipped = jsonl.read(path)
+        assert [o["name"] for o in objects] == [f"rec{i}"
+                                                for i in range(20)]
+        assert [o["n"] for o in objects] == list(range(20))
+        assert objects[3]["x"] == 0.75
+        assert not skipped
+
+    def test_validate_file_flags_torn_lines(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        records.write_record(records.RunRecord("r"), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "run", "na\n')
+        count, errors = jsonl.validate(path, records.check_line)
+        assert count == 2
+        assert len(errors) == 1
+        assert "not JSON" in errors[0]
 
 
 class TestCheck:
@@ -211,27 +231,17 @@ def _audit_line(ts, picked, regret, kind="ok", drift=None):
 
 
 class TestOneStream:
-    """Runs, audits and events interleaved in one file, one torn line."""
+    """Runs and audits interleaved in one file, one torn line."""
 
     @pytest.fixture
     def stream(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         records.write_record(records.RunRecord("first"), path)
-        sink = bus.JsonlSink(path)
-        sink.write({"type": "phase", "ts": 1.0, "pid": 1, "name": "table",
-                    "status": "start"})
         audit.write_audit_record(_audit_line(2.0, "T1", 0.0), path)
-        sink.write({"type": "resource.sample", "ts": 3.0, "pid": 1,
-                    "rss_bytes": 1 << 20, "cpu_user_s": 0.5,
-                    "cpu_system_s": 0.1, "gc_collections": 3,
-                    "gc_objects": 9, "threads": 2})
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"type": "audit", "route": "tor\n')  # torn append
         audit.write_audit_record(
             _audit_line(4.0, "E1", 0.5, kind="tie_margin", drift=8.0), path)
-        sink.write({"type": "heartbeat", "ts": 5.0, "pid": 1,
-                    "worker_pid": 42, "task": "cell"})
-        sink.close()
         records.write_record(records.RunRecord("second"), path)
         return path
 
@@ -258,20 +268,6 @@ class TestOneStream:
         assert counters["records.corrupted"] == 1
         assert "audit.corrupted" not in counters
 
-    def test_live_state_folds_events_and_audits(self, stream):
-        state = live.LiveState()
-        state.update_many(jsonl.read(stream, follow=True)[0])
-        data = state.to_dict()
-        assert data["phases"] == ["table"]
-        assert data["resources"]["rss_bytes"] == 1 << 20
-        assert data["workers"]["42"]["task"] == "cell"
-        assert data["misplans"] == 1
-        assert data["planner"]["picked"] == "E1+descending"
-        assert data["planner"]["confidence"] == 0.25
-        assert data["planner"]["kind"] == "tie_margin"
-        assert data["drift"]["factor"] == 8.0
-        assert data["events"] == 7  # every object line, runs included
-
     def test_validate_exits_1_on_the_torn_line(self, stream, capsys):
         assert cli.main(["report", "validate", "--runs", str(stream)]) == 1
         assert "not JSON" in capsys.readouterr().err
@@ -281,7 +277,7 @@ class TestOneStream:
                  if '"tor' not in line]
         stream.write_text("\n".join(lines) + "\n")
         assert cli.main(["report", "validate", "--runs", str(stream)]) == 0
-        assert "7 line(s) OK" in capsys.readouterr().out
+        assert "4 line(s) OK" in capsys.readouterr().out
 
     @pytest.mark.parametrize("line,needle", [
         ({"type": "nope", "ts": 1.0, "pid": 1}, "unknown type 'nope'"),

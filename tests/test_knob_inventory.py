@@ -18,9 +18,8 @@ TOKEN = re.compile(r"REPRO_[A-Z0-9_]+")
 
 EXPECTED = {
     "REPRO_AUDIT", "REPRO_CALIBRATION_FILE",
-    "REPRO_LIVE", "REPRO_LIVE_INTERVAL",
     "REPRO_LOG", "REPRO_MAX_WORKERS", "REPRO_MEM_BUDGET",
-    "REPRO_MEM_BUDGET_ABORT", "REPRO_MEM_LEDGER", "REPRO_NATIVE",
+    "REPRO_MEM_LEDGER", "REPRO_NATIVE",
     "REPRO_NATIVE_THREADS", "REPRO_PROFILE", "REPRO_RUNS_FILE",
     "REPRO_SPEED_RATIO", "REPRO_TRACE", "REPRO_TRACEMALLOC",
 }

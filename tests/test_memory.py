@@ -2,15 +2,21 @@
 
 Covers the array ledger (check-in/out accounting, tag/span
 attribution, weakref auto-release), the footprint conformance model
-against real pipeline allocations, the `REPRO_*` env knobs, the
-RAM-budget watchdog (pressure/breach events, graceful abort), the
-per-span allocation attribution hook, the resource-sampler edge
-cases, and the disabled-is-bit-identical guarantee.
+against real pipeline allocations, the `REPRO_*` env knobs, the RAM
+budget the chunked loops poll (RSS over budget aborts them; no budget
+reads nothing), the per-span allocation attribution hook, and the
+disabled-is-bit-identical guarantee.
 """
 
+import concurrent.futures
 import dataclasses
 import gc
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -20,22 +26,18 @@ from repro.distributions import root_truncation
 from repro.distributions.sampling import sample_degree_sequence
 from repro.experiments.harness import SimulationSpec, sweep_n
 from repro.graphs.generators import generate_graph
-from repro.obs import bus, jsonl, live, memory, metrics, records
+from repro.obs import jsonl, memory, metrics, records
 from repro.orientations.relabel import orient
 
 
 @pytest.fixture(autouse=True)
 def clean_memory():
     """Every test starts and ends with the whole obs stack off."""
-    live.disable()
-    bus.reset()
     obs.disable()
     obs.reset()
     memory.disable()
     memory.reset()
     yield
-    live.disable()
-    bus.reset()
     obs.disable()
     obs.reset()
     memory.disable()
@@ -286,172 +288,136 @@ class TestParseBytes:
         assert memory.budget_bytes_from_env() == 0
 
 
-class TestBudgetWatchdog:
-    def test_disarmed_observe_is_noop(self):
-        sink = bus.MemorySink()
-        bus.add_sink(sink)
-        bus.enable()
-        dog = memory.BudgetWatchdog(budget_bytes=0)
-        assert not dog.armed
-        dog.observe(10 ** 9)
-        assert sink.events == []
+def _budget_child(body: str) -> subprocess.CompletedProcess:
+    """Run ``body`` in a fresh interpreter whose only obs knob is
+    ``REPRO_MEM_BUDGET=1`` (1 byte: any RSS is over it)."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_") or k == "REPRO_NATIVE"}
+    env["REPRO_MEM_BUDGET"] = "1"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in (env.get("PYTHONPATH"),) if p])
+    prelude = textwrap.dedent("""
+        import numpy as np
+        from repro import DescendingDegree, DiscretePareto
+        from repro.distributions import root_truncation
+        from repro.distributions.sampling import sample_degree_sequence
+        from repro.graphs.generators import generate_graph
+        from repro.obs.memory import MemoryBudgetExceeded
+        from repro.orientations.relabel import orient
+        rng = np.random.default_rng(3)
+        dist = DiscretePareto(1.7, 21.0).truncate(root_truncation(2000))
+        degrees = sample_degree_sequence(dist, 2000, rng)
+        oriented = orient(generate_graph(degrees, rng),
+                          DescendingDegree())
+    """)
+    return subprocess.run([sys.executable, "-c",
+                           prelude + textwrap.dedent(body)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
 
-    def test_pressure_and_breach_events_validate(self):
-        sink = bus.MemorySink()
-        bus.add_sink(sink)
-        bus.enable()
-        metrics.enable()
-        dog = memory.BudgetWatchdog(budget_bytes=1000)
-        dog.observe(500)
-        dog.observe(1500)  # breach
-        dog.observe(1600)  # still breached: no second breach event
-        pressures = sink.of_type("mem.pressure")
-        breaches = sink.of_type("mem.breach")
-        assert len(pressures) == 3
-        assert len(breaches) == 1
-        assert breaches[0]["overshoot_bytes"] == 500
-        assert breaches[0]["action"] == "warn"
-        assert [err for e in sink.events
-                for err in records.check_line(e)] == []
-        snap = metrics.snapshot()
-        assert snap["counters"]["mem.breaches"] == 1
-        assert snap["gauges"]["mem.pressure"] == 1.6
 
-    def test_breach_latch_rearms_below_95pct(self):
-        sink = bus.MemorySink()
-        bus.add_sink(sink)
-        bus.enable()
-        dog = memory.BudgetWatchdog(budget_bytes=1000)
-        dog.observe(1500)
-        dog.observe(980)   # under budget but above 95%: still latched
-        dog.observe(1500)
-        assert len(sink.of_type("mem.breach")) == 1
-        dog.observe(900)   # re-arms
-        dog.observe(1500)
-        assert len(sink.of_type("mem.breach")) == 2
+class TestBudget:
+    """``REPRO_MEM_BUDGET`` alone stops the polled loops on RSS."""
 
-    def test_abort_flag_and_check_budget(self, monkeypatch):
-        monkeypatch.setenv(memory.MEM_BUDGET_ABORT_ENV, "1")
-        sink = bus.MemorySink()
-        bus.add_sink(sink)
-        bus.enable()
-        dog = memory.BudgetWatchdog(budget_bytes=1000)
-        dog.observe(2000)
-        assert sink.of_type("mem.breach")[0]["action"] == "abort"
-        assert memory.abort_requested()
+    @pytest.fixture
+    def tiny_budget(self, monkeypatch):
+        monkeypatch.setenv(memory.MEM_BUDGET_ENV, "1")  # 1 B: any RSS
+        memory.reset()  # re-resolve the budget on the next poll
+
+    def test_fresh_process_native_collect_aborts(self):
+        from repro.engine import native
+        if not native.available():
+            pytest.skip("no compiled kernel in this environment")
+        proc = _budget_child("""
+            from repro.listing.api import list_triangles
+            try:
+                result = list_triangles(oriented, "E1", collect=True)
+            except MemoryBudgetExceeded as err:
+                print("aborted:", err)
+            else:
+                print("listed", result.count)
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("aborted:"), proc.stdout
+        assert "native streaming listing" in proc.stdout
+        assert "budget 1 bytes" in proc.stdout
+
+    def test_fresh_process_ooc_loop_aborts(self):
+        proc = _budget_child("""
+            from repro.external.ooc_listing import external_e1
+            try:
+                result, io = external_e1(oriented, 3, collect=True)
+            except MemoryBudgetExceeded as err:
+                print("aborted:", err)
+            else:
+                print("listed", result.count)
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("aborted:"), proc.stdout
+        assert "out-of-core E1 partition loop" in proc.stdout
+
+    def test_spawn_worker_resolves_the_budget(self, tiny_budget):
+        ctx = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=1, mp_context=ctx) as pool:
+            future = pool.submit(memory.check_budget, "spawned worker")
+            with pytest.raises(memory.MemoryBudgetExceeded,
+                               match="spawned worker"):
+                future.result(timeout=120)
+
+    def test_no_budget_poll_reads_nothing(self, monkeypatch):
+        monkeypatch.delenv(memory.MEM_BUDGET_ENV, raising=False)
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(memory, "open", spy, raising=False)
+        for __ in range(100):
+            memory.check_budget("unit test")
+        assert opened == []
+        assert memory._budget == 0
+        # the spy does see the read once a budget is set
+        monkeypatch.setenv(memory.MEM_BUDGET_ENV, "1T")
+        memory.reset()
+        memory.check_budget("unit test")
+        assert opened == ["/proc/self/statm"]
+
+    def test_budget_resolves_once_per_process(self, monkeypatch):
+        monkeypatch.setenv(memory.MEM_BUDGET_ENV, "1T")
+        memory.check_budget("unit test")
+        monkeypatch.setenv(memory.MEM_BUDGET_ENV, "1")
+        memory.check_budget("unit test")  # still the 1T budget
+        memory.reset()
         with pytest.raises(memory.MemoryBudgetExceeded) as err:
             memory.check_budget("unit test")
         assert "unit test" in str(err.value)
-        memory.clear_abort()
-        memory.check_budget("unit test")  # no longer raises
+        assert "budget 1 bytes" in str(err.value)
 
-    def test_pressure_carries_attributed_bytes_when_ledger_on(self):
-        memory.enable()
-        memory.check_in("p", nbytes=64)
-        sink = bus.MemorySink()
-        bus.add_sink(sink)
-        bus.enable()
-        memory.BudgetWatchdog(budget_bytes=1000).observe(100)
-        (event,) = sink.of_type("mem.pressure")
-        assert event["attributed_bytes"] == 64
-        assert records.check_line(event) == []
+    def test_rss_is_current_not_peak(self):
+        rss = memory._rss_bytes()
+        assert 0 < rss
+        big = np.ones(64 * 1024 ** 2 // 8)  # 64 MiB, touched
+        assert memory._rss_bytes() > rss
+        del big
 
-    def test_engine_chunk_loop_aborts_gracefully(self):
-        """The native collect polls the abort flag between chunks."""
+    def test_engine_chunk_loop_aborts_gracefully(self, tiny_budget):
+        """The native collect polls the budget between chunks."""
         from repro.engine import native
         from repro.listing.api import list_triangles
         if not native.available():
             pytest.skip("no compiled kernel in this environment")
         oriented = _oriented(n=500)
-        memory.request_abort("test budget")
         with pytest.raises(memory.MemoryBudgetExceeded):
             list_triangles(oriented, "E1", collect=True)
 
-    def test_ooc_loop_aborts_gracefully(self):
+    def test_ooc_loop_aborts_gracefully(self, tiny_budget):
         from repro.external.ooc_listing import external_e1
         oriented = _oriented(n=300)
-        memory.request_abort("test budget")
         with pytest.raises(memory.MemoryBudgetExceeded):
             external_e1(oriented, 3, collect=False)
-
-
-class TestResourceSampler:
-    def test_empty_ring_summary_is_none(self):
-        sampler = live.ResourceSampler(interval_s=10.0)
-        assert sampler.summary() is None
-        assert sampler.series() == []
-
-    def test_summary_after_future_since_ts_is_none(self):
-        sampler = live.ResourceSampler(interval_s=10.0)
-        sampler.sample_once()
-        assert sampler.summary(since_ts=float("inf")) is None
-
-    def test_sample_has_honest_peak_field(self):
-        sample = live.sample_resources()
-        assert isinstance(sample["rss_bytes"], int)
-        assert isinstance(sample["rss_peak_bytes"], int)
-        assert sample["rss_bytes"] > 0
-        assert sample["rss_peak_bytes"] >= sample["rss_bytes"] > 0
-
-    def test_sample_event_validates_with_peak(self):
-        sink = bus.MemorySink()
-        bus.add_sink(sink)
-        bus.enable()
-        live.ResourceSampler(interval_s=10.0).sample_once()
-        (event,) = sink.of_type("resource.sample")
-        assert event["rss_peak_bytes"] >= event["rss_bytes"]
-        assert records.check_line(event) == []
-
-    def test_old_sample_without_peak_still_validates(self):
-        event = {"type": "resource.sample", "ts": 1.0, "pid": 1,
-                 "rss_bytes": 1024, "cpu_user_s": 0.1,
-                 "cpu_system_s": 0.1, "gc_collections": 1,
-                 "gc_objects": 10, "threads": 1}
-        assert records.check_line(event) == []
-
-    def test_sampler_arms_watchdog_from_budget(self):
-        sink = bus.MemorySink()
-        bus.add_sink(sink)
-        bus.enable()
-        sampler = live.ResourceSampler(interval_s=10.0,
-                                       budget_bytes=1)  # 1 byte: breach
-        assert sampler.watchdog.armed
-        sampler.sample_once()
-        assert sink.of_type("mem.pressure")
-        assert sink.of_type("mem.breach")
-        assert [err for e in sink.events
-                for err in records.check_line(e)] == []
-
-    def test_sampler_disarmed_by_default(self, monkeypatch):
-        monkeypatch.delenv(memory.MEM_BUDGET_ENV, raising=False)
-        sampler = live.ResourceSampler(interval_s=10.0)
-        assert not sampler.watchdog.armed
-
-
-class TestLiveSurface:
-    def test_state_folds_memory_events(self):
-        state = live.LiveState()
-        state.update({"type": "mem.pressure", "ts": 1.0, "pid": 1,
-                      "rss_bytes": 800, "budget_bytes": 1000,
-                      "frac": 0.8})
-        state.update({"type": "mem.breach", "ts": 2.0, "pid": 1,
-                      "rss_bytes": 1200, "budget_bytes": 1000,
-                      "overshoot_bytes": 200, "action": "warn"})
-        assert state.breaches == 1
-        assert state.memory["type"] == "mem.breach"
-        assert state.memory["budget_bytes"] == 1000
-        text = live.render_status(state)
-        assert "memory" in text
-        assert "BREACHED" in text
-
-    def test_state_to_dict_roundtrips_json(self):
-        state = live.LiveState()
-        state.update({"type": "mem.pressure", "ts": 1.0, "pid": 1,
-                      "rss_bytes": 800, "budget_bytes": 1000,
-                      "frac": 0.8})
-        data = json.loads(json.dumps(state.to_dict()))
-        assert data["memory"]["rss_bytes"] == 800
-        assert data["events"] == 1
 
 
 class TestAllocAttribution:
@@ -565,30 +531,21 @@ class TestRecordsAndExports:
             spans=[{"name": "root", "start_ns": 1000,
                     "duration_ns": 5_000_000}],
             metrics={
-                "resources": [
-                    {"ts": 10.0, "rss_bytes": 1000,
-                     "rss_peak_bytes": 1500},
-                    {"ts": 10.5, "rss_bytes": 2000,
-                     "rss_peak_bytes": 2500},
-                ],
                 "memory": {"current_bytes": 300, "peak_bytes": 400},
             })
         trace = export.records_to_trace([record])
         export.validate_trace(trace)
         counters = [e for e in trace["traceEvents"]
                     if e.get("cat") == "memory"]
-        names = {e["name"] for e in counters}
-        assert names == {"mem.rss_bytes", "mem.rss_peak_bytes",
-                         "mem.attributed_current_bytes",
-                         "mem.attributed_peak_bytes"}
-        rss = [e for e in counters if e["name"] == "mem.rss_bytes"]
-        assert [e["ts"] for e in rss] == [0.0, 500_000.0]
-        assert [e["args"]["value"] for e in rss] == [1000, 2000]
+        assert {e["name"]: e["args"]["value"] for e in counters} == {
+            "mem.attributed_current_bytes": 300,
+            "mem.attributed_peak_bytes": 400}
 
     def test_validate_trace_rejects_bad_memory_counter(self):
         from repro.obs import export
         trace = {"traceEvents": [
-            {"name": "mem.rss_bytes", "cat": "memory", "ph": "C",
+            {"name": "mem.attributed_current_bytes", "cat": "memory",
+             "ph": "C",
              "pid": 1, "tid": 1, "ts": 0.0, "args": {"value": -5}},
         ]}
         with pytest.raises(ValueError, match="non-negative"):

@@ -214,6 +214,20 @@ class TestRecords:
         totals = record.phase_totals()
         assert set(totals) == {"run", "list"}
 
+    def test_host_meta_shape(self):
+        from repro.engine import native
+        meta = records.host_meta()
+        assert meta["cpu_count"] >= 1
+        assert meta["python"]
+        assert meta["machine"]
+        # reflects whether the kernels actually resolved, plus the
+        # toolchain/thread context benchmark sidecars need
+        assert meta["native"] is native.available()
+        assert meta["native_state"] == native.status()["state"]
+        assert meta["native_threads"] >= 1
+        if meta["native"]:
+            assert meta["compiler"]
+
     def test_git_revision(self):
         rev = records.git_revision()
         assert rev is None or (isinstance(rev, str) and len(rev) >= 4)

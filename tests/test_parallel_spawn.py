@@ -3,8 +3,8 @@
 The default Linux pool forks, so workers inherit the parent's modules
 and observability state for free. ``spawn`` (the macOS/Windows
 default) re-imports everything in a fresh interpreter -- these tests
-pin that results stay bit-identical and that the heartbeat queue and
-span/counter merge-back survive pickling through a spawn context.
+pin that results stay bit-identical and that the span/counter
+merge-back and the memory knobs survive a spawn context.
 """
 
 import multiprocessing
@@ -17,18 +17,13 @@ from repro.experiments.harness import SimulationSpec
 from repro.experiments.parallel import (resolve_mp_context,
                                         simulate_cost_parallel,
                                         sweep_n_parallel)
-from repro.obs import bus, live, records
 
 
 @pytest.fixture(autouse=True)
 def clean_obs():
-    live.disable()
-    bus.reset()
     obs.disable()
     obs.reset()
     yield
-    live.disable()
-    bus.reset()
     obs.disable()
     obs.reset()
 
@@ -77,19 +72,15 @@ class TestSpawnParity:
                                       mp_start="spawn")
         assert rows_spawn == rows_fork
 
-    def test_spawn_obs_merge_back_and_heartbeats(self):
-        """Counters, span trees, and heartbeats all survive spawn."""
+    def test_spawn_obs_merge_back(self):
+        """Counters and span trees survive spawn."""
         spec = _spec()
         obs.enable()
-        live.enable(interval_s=0.05)
-        sink = bus.MemorySink()
-        bus.add_sink(sink)
         value = simulate_cost_parallel(spec, 250, seed=5, max_workers=2,
                                        mp_start="spawn")
         snapshot = obs.metrics.snapshot()
         (cell,) = [s for s in obs.spans.pop_finished()
                    if s.name == "cell"]
-        live.disable()
 
         assert value > 0
         # worker counters merged into the parent registry
@@ -103,19 +94,10 @@ class TestSpawnParity:
         worker_pids = {s.attrs["worker_pid"] for s in sequences}
         assert all(pid != cell.attrs.get("pid", -1)
                    for pid in worker_pids)
-        # heartbeats were relayed and the watchdog annotated the cell
-        beats = sink.of_type("heartbeat")
-        assert beats, "no heartbeats under spawn"
-        assert {e["worker_pid"] for e in beats} <= worker_pids
-        assert cell.attrs["heartbeat_workers"] >= 1
-        assert cell.attrs["stalled_workers"] == 0
-        assert [err for e in sink.events
-                for err in records.check_line(e)] == []
 
-    def test_spawn_mem_knobs_parity_and_events(self, monkeypatch):
-        """Memory knobs leave spawn results bit-identical; the
-        watchdog events the parent emits under them are schema-valid.
-        """
+    def test_spawn_mem_knobs_parity(self, monkeypatch):
+        """Memory knobs leave spawn results bit-identical: the sweep
+        polls no budget, and the ledger only counts."""
         from repro.obs import memory
         spec = _spec()
         baseline = simulate_cost_parallel(spec, 250, seed=5,
@@ -123,25 +105,14 @@ class TestSpawnParity:
                                           mp_start="spawn")
         # spawn workers re-resolve both knobs from the inherited env
         monkeypatch.setenv(memory.MEM_LEDGER_ENV, "1")
-        monkeypatch.setenv(memory.MEM_BUDGET_ENV, "1")  # 1 B: breach
+        monkeypatch.setenv(memory.MEM_BUDGET_ENV, "1G")
         memory.reset()
         monkeypatch.setattr(memory, "_enabled", None)
-        sink = bus.MemorySink()
-        bus.add_sink(sink)
-        bus.enable()
         value = simulate_cost_parallel(spec, 250, seed=5,
                                        max_workers=2,
                                        mp_start="spawn")
-        live.ResourceSampler(interval_s=10.0).sample_once()
         memory.disable()
         memory.reset()
 
         assert value == baseline
         assert memory.is_enabled() is False
-        (pressure,) = sink.of_type("mem.pressure")
-        assert pressure["budget_bytes"] == 1
-        assert pressure["rss_bytes"] > 1
-        (breach,) = sink.of_type("mem.breach")
-        assert breach["action"] == "warn"
-        assert [err for e in sink.events
-                for err in records.check_line(e)] == []
